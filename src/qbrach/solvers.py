@@ -35,6 +35,7 @@ from .dynamics import (
     Trajectory,
     _validate_h0,
     commutator_tensor,
+    constant_g_frames,
     finalize_trajectory,
     g_operator,
     integrate,
@@ -280,13 +281,6 @@ def solve_free(
 # -- closed subalgebra -------------------------------------------------------
 
 
-def _closed_frames(G: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """V(t) = e^{iGt} evaluated on a batch of times via one eigensplit."""
-    w, Q = np.linalg.eigh(G)
-    phases = np.exp(1.0j * np.outer(times, w))
-    return np.einsum("ab,kb,cb->kac", Q, phases, Q.conj())
-
-
 def _closed_state_at(
     t: float,
     psi_i: np.ndarray,
@@ -354,7 +348,7 @@ def solve_closed_subalgebra(
     rate = 2.0 * (float(np.abs(wQ_G[0]).max()) + float(np.abs(wQ_F[0]).max()) / abs(lam0))
     n_scan = min(50_000, max(400, math.ceil(t_max * rate * 4.0 / math.pi)))
     scan = np.linspace(0.0, t_max, n_scan + 1)
-    Vs = _closed_frames(G, scan)
+    Vs = constant_g_frames(G, scan)
     expFs = np.einsum(
         "ab,kb,cb->kac",
         wQ_F[1],
@@ -449,7 +443,7 @@ def solve_closed_subalgebra(
         omega=w,
         psi_i=problem.psi_i,
         times=times,
-        V=_closed_frames(G, times),
+        V=constant_g_frames(G, times),
         lambda0=np.full(n + 1, lam0),
         lambdas=np.repeat(m0.lambdas[None, :], n + 1, axis=0),
         tau_acc=times / lam0,
@@ -871,7 +865,7 @@ def solve_two_qubit_example(
         omega=omega,
         psi_i=psi_i,
         times=times,
-        V=_closed_frames(G, times),
+        V=constant_g_frames(G, times),
         lambda0=np.full(n + 1, 1.0 / c),
         lambdas=np.repeat(lams[None, :] / c, n + 1, axis=0),
         tau_acc=times * c,

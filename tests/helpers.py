@@ -57,7 +57,12 @@ def m1_problem(omega: float, psi_f: PureState = None) -> ControlProblem:
 def su4_shoot_seed(seed: int, omega: float = 1.0):
     """A reproducible 4-level shooting instance: 3 random forbidden
     directions, a random allowed-span seed Hamiltonian at the right norm and
-    moderate random seed multipliers."""
+    moderate random seed multipliers.
+
+    At omega = 1 this is the recipe of `perfbench/inputs.su4_problem`, kept
+    as a copy so the tests do not import the benchmark: recipe seeds 183
+    and 197 draw the commuting diagonal set (12, 13, 14), the others a
+    non-commuting one."""
     rng = np.random.default_rng(seed)
     basis = build_gellmann_basis(4)
     forbidden = tuple(sorted(rng.choice(15, size=3, replace=False).tolist()))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from qbrach import dynamics
 from qbrach.algebra import build_gellmann_basis
 from qbrach.dynamics import (
     ControlProblem,
@@ -11,15 +12,34 @@ from qbrach.dynamics import (
     SingularGaugeError,
     Trajectory,
     assemble_hamiltonian,
+    commutator_tensor,
     eta_matrix,
     g_operator,
     integrate,
     multiplier_rhs,
 )
+from qbrach.solvers import shoot
 from qbrach.states import PureState
+from qbrach.verify import Tolerances, certify
 
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+# certify verdicts that hold at every sample of an integrated trajectory;
+# the endpoint family needs an extremal stopping time and the
+# finite-difference residuals are step-limited
+POINTWISE_VERDICTS = (
+    "traceless",
+    "norm",
+    "term",
+    "initial_cond",
+    "speed_excess",
+    "trf2",
+    "lambda0",
+    "eig_drift",
+    "speed_decomp",
+    "u_mismatch",
+)
 
 
 def su3_drifting_instance():
@@ -243,6 +263,94 @@ def test_integrate_rejects_bad_input():
         integrate(problem, m0, touches_forbidden, t_max=1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_multiplier_vector_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        MultiplierVector(bad, [0.4])
+    with pytest.raises(ValueError):
+        MultiplierVector(1.0, [0.4, bad])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("path", ["exact", "stepped"])
+def test_integrate_rejects_non_finite_h0(bad, path):
+    if path == "exact":
+        problem, m0, h0 = helpers.m1_problem(1.0), MultiplierVector(1.0, [2.5]), SY.copy()
+    else:
+        problem, m0, h0 = su3_drifting_instance()
+        h0 = h0.copy()
+    h0[0, 1] = bad
+    with pytest.raises(ValueError):
+        integrate(problem, m0, h0, t_max=0.1, dt=1e-3)
+
+
+def test_integrate_commuting_forbidden_set_is_exact():
+    # recipe seed 183 forbids the commuting diagonal set of su(4): eta = 0;
+    # shooting projects its seed onto the structure the certificate expects
+    problem, h0, m0 = helpers.su4_shoot_seed(183)
+    assert problem.forbidden == (12, 13, 14)
+    assert not commutator_tensor(problem.basis, problem.forbidden).any()
+    sol = shoot(problem, h0, m0, t_max=3.0)
+    h0, m0 = sol.H0, sol.multipliers0
+    traj = integrate(problem, m0, h0, t_max=3.0)
+    assert np.all(traj.lambda0 == m0.lambda0)
+    assert np.all(traj.lambdas == m0.lambdas)
+    np.testing.assert_array_equal(traj.tau_acc, traj.times / m0.lambda0)
+    g = g_operator(m0, problem.basis, problem.forbidden)
+    worst = max(
+        float(np.linalg.norm(traj.V[k] - helpers.expm_herm(g, -t)))
+        for k, t in enumerate(traj.times)
+    )
+    assert worst <= 1e-12
+    assert traj.u_mismatch <= 1e-8
+    report = certify(traj, Tolerances.integrated())
+    failed = [k for k in POINTWISE_VERDICTS if not report.verdict[k]]
+    assert not failed
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_direct_propagators_match_sequential_rk4(dim):
+    # the batched, prefix-chained cross-check channel against the plain
+    # step-by-step RK4 loop it replaces, over more than one block
+    rng = np.random.default_rng(dim)
+    basis = build_gellmann_basis(dim)
+    g = np.tensordot(rng.normal(size=dim - 1), basis.generators[-(dim - 1):], axes=1)
+    f0 = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    f0 = f0 + f0.conj().T
+    lam0, h = 0.8, 2e-3
+    times = np.arange(dynamics._DIRECT_BLOCK + 90) * h
+
+    def minus_ih(t):
+        v = helpers.expm_herm(g, -t)
+        return -1j * (v @ f0 @ v.conj().T / lam0 - g)
+
+    u = np.eye(dim, dtype=complex)
+    ref = [u]
+    for t in times[:-1]:
+        k1 = minus_ih(t) @ u
+        k2 = minus_ih(t + h / 2) @ (u + h / 2 * k1)
+        k3 = minus_ih(t + h / 2) @ (u + h / 2 * k2)
+        k4 = minus_ih(t + h) @ (u + h * k3)
+        u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        ref.append(u)
+    got = dynamics._direct_propagators(g, f0, lam0, times)
+    assert float(np.abs(got - np.array(ref)).max()) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_integrate_non_commuting_su4_is_fourth_order(seed):
+    # the stepped RK4 path: U(T) error against a fine-step reference falls
+    # by 2^4 when the step halves
+    problem, h0, m0 = helpers.su4_shoot_seed(seed)
+    assert commutator_tensor(problem.basis, problem.forbidden).any()
+    ref = integrate(problem, m0, h0, t_max=1.0, dt=0.005).U[-1]
+    errs = [
+        float(np.linalg.norm(integrate(problem, m0, h0, t_max=1.0, dt=dt).U[-1] - ref))
+        for dt in (0.04, 0.02)
+    ]
+    assert 12.0 <= errs[0] / errs[1] <= 20.0
+
+
 # -------------------------------------------------------------- Trajectory
 
 
@@ -297,6 +405,16 @@ def test_trajectory_rejects_tampered_data():
         Trajectory.from_dict(data)
     data = traj.to_dict()
     data["basis"] = "fourier"
+    with pytest.raises(ValueError):
+        Trajectory.from_dict(data)
+
+
+@pytest.mark.parametrize("field", ["U", "psi"])
+def test_trajectory_rejects_non_finite_samples(field):
+    problem = helpers.m1_problem(1.0)
+    traj = integrate(problem, MultiplierVector(1.0, [2.5]), SY, t_max=0.1, dt=1e-3)
+    data = traj.to_dict()
+    data[field][3][0][0] = float("nan")
     with pytest.raises(ValueError):
         Trajectory.from_dict(data)
 
