@@ -289,11 +289,13 @@ def _verify_one(traj_dict: dict, embedded: Optional[dict], args) -> bool:
             if isinstance(old, bool) or isinstance(new, bool) or old is None or new is None:
                 continue
             if isinstance(old, (int, float)) and isinstance(new, (int, float)):
-                worst = max(worst, abs(float(new) - float(old)))
+                dev = abs(float(new) - float(old))
+                if math.isnan(dev) or dev > worst:  # max() would drop a NaN
+                    worst = dev
         sys.stdout.write(
             f"round-trip agreement with embedded report: max deviation {worst:.3e}\n"
         )
-        if worst > 1e-12:
+        if not worst <= 1e-12:
             sys.stdout.write("round-trip FAIL: recomputed residuals deviate beyond 1e-12\n")
             ok = False
     return ok

@@ -18,7 +18,10 @@ When the forbidden generators commute pairwise (always so for at most one
 of them) eta vanishes identically: the multipliers and G are constant and
 V(t) = exp(iGt), tau(t) = t/lambda_0 are exact, so `integrate` samples this
 closed-form flow instead of stepping.  Only non-commuting forbidden sets
-are stepped, with fixed-step RK4.
+are stepped, with fixed-step RK4: one step function (`rk4_step`) on one
+right-hand side (`coupled_rhs`).  `integrate_blocks` yields the samples
+at each re-unitarization checkpoint, so a caller such as `shoot` can stop
+a pass early.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -144,7 +147,8 @@ class Trajectory:
     been rescaled so the endpoint constraint evaluates to 1 rather than to
     a generic nonzero real value.  `u_mismatch` is the recorded maximum
     Frobenius gap between U from the frame factorization and U from the
-    direct cross-check propagation of i dU/dt = H U.
+    direct cross-check propagation of i dU/dt = H U.  `F_spectrum` holds
+    the eigenvalues of every F sample, computed once by the validation.
     """
 
     times: np.ndarray
@@ -161,6 +165,7 @@ class Trajectory:
     forbidden: Tuple[int, ...]
     renormalized: bool = False
     u_mismatch: float = 0.0
+    F_spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float).ravel()
@@ -204,8 +209,9 @@ class Trajectory:
             raise ValueError(
                 f"F(t) is not isospectral to F(0): max eigenvalue drift {spec_err:.3e}"
             )
-        for arr in (times, lam0, lams, tau, *stacks.values()):
+        for arr in (times, lam0, lams, tau, eigs, *stacks.values()):
             arr.setflags(write=False)
+        object.__setattr__(self, "F_spectrum", eigs)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "lambda0", lam0)
         object.__setattr__(self, "lambdas", lams)
@@ -485,6 +491,32 @@ def _direct_propagators(
     return _bmm(_bmm(Q, out), Q.conj().T)
 
 
+def _observables(
+    basis: GeneratorBasis,
+    forbidden: Tuple[int, ...],
+    psi_i: PureState,
+    V: np.ndarray,
+    lambda0: np.ndarray,
+    lambdas: np.ndarray,
+    tau_acc: np.ndarray,
+    F0: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(U, F, H, psi) on a stack of frame samples; see finalize_trajectory."""
+    w_eig, Q = np.linalg.eigh(F0)
+    phases = np.exp(-1.0j * np.outer(tau_acc, w_eig))
+    expF = np.einsum("ab,kb,cb->kac", Q, phases, Q.conj())
+    U = V @ expF
+    F = V @ F0 @ np.conj(np.transpose(V, (0, 2, 1)))
+    if len(forbidden):
+        Xf = basis.generators[list(forbidden)]
+        G = np.tensordot(lambdas / lambda0[:, None], Xf, axes=1)
+    else:
+        G = np.zeros((V.shape[0], basis.dim, basis.dim), dtype=complex)
+    H = F / lambda0[:, None, None] - G
+    psi = np.einsum("kab,b->ka", U, psi_i.amplitudes)
+    return U, F, H, psi
+
+
 def finalize_trajectory(
     *,
     basis: GeneratorBasis,
@@ -499,31 +531,23 @@ def finalize_trajectory(
     F0: np.ndarray,
     U_direct: Optional[np.ndarray] = None,
     renormalized: bool = False,
+    u_mismatch: float = 0.0,
 ) -> Trajectory:
     """Derive the full sampled trajectory from the integrated frame data.
 
     U(t) = V(t) exp(-i F(0) tau(t)) via one eigendecomposition of F(0);
     F(t) = V F(0) V^dag (identical to U F(0) U^dag since F(0) commutes with
     its own exponential); H(t) = F(t)/lambda_0(t) - G(t); psi = U psi_i.
+    `u_mismatch` is recorded as given unless `U_direct` is passed, in
+    which case it is measured against U.
     """
     times = np.asarray(times, dtype=float)
     V = np.asarray(V, dtype=complex)
-    K = times.size
-    w_eig, Q = np.linalg.eigh(F0)
-    phases = np.exp(-1.0j * np.outer(tau_acc, w_eig))
-    expF = np.einsum("ab,kb,cb->kac", Q, phases, Q.conj())
-    U = V @ expF
-    F = V @ F0 @ np.conj(np.transpose(V, (0, 2, 1)))
-    if len(forbidden):
-        Xf = basis.generators[list(forbidden)]
-        G = np.tensordot(lambdas / lambda0[:, None], Xf, axes=1)
-    else:
-        G = np.zeros((K, basis.dim, basis.dim), dtype=complex)
-    H = F / lambda0[:, None, None] - G
-    psi = np.einsum("kab,b->ka", U, psi_i.amplitudes)
-    mismatch = 0.0
+    U, F, H, psi = _observables(basis, forbidden, psi_i, V, lambda0, lambdas, tau_acc, F0)
     if U_direct is not None:
-        mismatch = float(np.linalg.norm((U - U_direct).reshape(K, -1), axis=1).max())
+        u_mismatch = float(
+            np.linalg.norm((U - U_direct).reshape(times.size, -1), axis=1).max()
+        )
     return Trajectory(
         times=times,
         V=V,
@@ -538,7 +562,7 @@ def finalize_trajectory(
         basis=basis,
         forbidden=forbidden,
         renormalized=renormalized,
-        u_mismatch=mismatch,
+        u_mismatch=u_mismatch,
     )
 
 
@@ -570,32 +594,149 @@ def _validate_h0(problem: ControlProblem, H0: np.ndarray, tol: float = 1e-8) -> 
             )
 
 
-def integrate(
+def coupled_rhs(
+    F0: np.ndarray,
+    Xf: np.ndarray,
+    Kten: np.ndarray,
+    omega: float,
+    direct: bool = True,
+):
+    """Right-hand side of the coupled frame/multiplier system on a flat state.
+
+    The state concatenates V (N*N entries), lambda_0, the lambda_j, tau and,
+    when `direct`, the cross-check propagator U_d (N*N entries, i dU_d/dt =
+    H U_d).  `Xf` stacks the forbidden generators and `Kten` is their
+    `commutator_tensor` (all zero when at most one is forbidden).
+    """
+    N = F0.shape[0]
+    M = Xf.shape[0]
+    n2 = N * N
+    Xf2 = Xf.reshape(M, n2)
+    i_lam0 = n2
+    sl_lams = slice(n2 + 1, n2 + 1 + M)
+    i_tau = n2 + 1 + M
+    size = i_tau + 1 + (n2 if direct else 0)
+    inv2w2 = 1.0 / (2.0 * omega**2)
+
+    def rhs(y: np.ndarray) -> np.ndarray:
+        V = y[0:n2].reshape(N, N)
+        lam0 = y[i_lam0].real
+        if abs(lam0) < 1e-10:
+            raise SingularGaugeError(
+                "lambda_0 crossed zero during integration; the gauge is singular"
+            )
+        lams = y[sl_lams].real
+        inv_lam0 = 1.0 / lam0
+        # the dot that np.tensordot(lams * inv_lam0, Xf, axes=1) reduces to,
+        # without its Python overhead: the same bits
+        G = np.dot((lams * inv_lam0)[None, :], Xf2).reshape(N, N)
+        H = (V @ F0 @ V.conj().T) * inv_lam0 - G
+        k = np.empty(size, dtype=complex)
+        eta = np.einsum("jlab,ba->jl", Kten, H).real
+        etalam = eta @ lams
+        dlam0 = -float(lams @ etalam) * inv2w2 * inv_lam0
+        guard = 1e-9 * omega * (1.0 + float(lams @ lams) / omega**2)
+        if abs(dlam0) > guard:
+            raise ArithmeticError(
+                "the contraction sum_jl lambda_j lambda_l eta_jl must vanish "
+                f"by antisymmetry of eta, but d(lambda_0)/dt = {dlam0:.3e}"
+            )
+        k[0:n2] = (1.0j * (G @ V)).ravel()
+        k[i_lam0] = dlam0
+        k[sl_lams] = etalam / N
+        k[i_tau] = inv_lam0
+        if direct:
+            Ud = y[i_tau + 1 :].reshape(N, N)
+            k[i_tau + 1 :] = (-1.0j * (H @ Ud)).ravel()
+        return k
+
+    return rhs
+
+
+def rk4_step(rhs, y: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of dy/dt = rhs(y) of size h."""
+    half = 0.5 * h
+    k1 = rhs(y)
+    k2 = rhs(y + half * k1)
+    k3 = rhs(y + half * k2)
+    k4 = rhs(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def pack_state(V: np.ndarray, lambda0: float, lambdas: np.ndarray, tau: float) -> np.ndarray:
+    """The flat state of `coupled_rhs` without the cross-check channel."""
+    return np.concatenate((V.ravel(), [lambda0], lambdas, [tau])).astype(complex)
+
+
+def unpack_state(y: np.ndarray, N: int, M: int):
+    """(V, lambda_0, lambda_j, tau, U_d) of a flat state; U_d may be empty."""
+    n2 = N * N
+    return (
+        y[0:n2].reshape(N, N),
+        y[n2].real,
+        y[n2 + 1 : n2 + 1 + M].real,
+        y[n2 + 1 + M].real,
+        y[n2 + 2 + M :],
+    )
+
+
+# steps between the re-unitarization checkpoints of the stepped path
+_CHECK_EVERY = 100
+
+
+class PassSamples(NamedTuple):
+    """Rows [0, m) of one integration pass on its uniform grid.
+
+    `n_steps` counts the steps of the whole window [0, t_max], so the pass
+    is complete when there are n_steps + 1 rows.  `start` is the first row
+    that is new since the previous block of the same pass; 0 opens a pass
+    (the first one, or a restart at half the step).  `F0` is F(0).
+    """
+
+    times: np.ndarray
+    V: np.ndarray
+    lambda0: np.ndarray
+    lambdas: np.ndarray
+    tau_acc: np.ndarray
+    U_direct: np.ndarray
+    F0: np.ndarray
+    n_steps: int
+    start: int
+
+    def trajectory(self, problem: ControlProblem, rows: Optional[int] = None) -> Trajectory:
+        """The validated trajectory over the first `rows` rows (default: all)."""
+        r = slice(0, rows)
+        return finalize_trajectory(
+            basis=problem.basis,
+            forbidden=problem.forbidden,
+            omega=problem.omega,
+            psi_i=problem.psi_i,
+            times=self.times[r],
+            V=self.V[r],
+            lambda0=self.lambda0[r],
+            lambdas=self.lambdas[r],
+            tau_acc=self.tau_acc[r],
+            F0=self.F0,
+            U_direct=self.U_direct[r],
+        )
+
+
+def integrate_blocks(
     problem: ControlProblem,
     m0: MultiplierVector,
     H0: np.ndarray,
     t_max: float,
     dt: Optional[float] = None,
-) -> Trajectory:
-    """Sample the coupled frame/multiplier system on a uniform grid.
+) -> Iterator[PassSamples]:
+    """The samples of `integrate`, yielded as they grow.
 
-    The grid has n = ceil(t_max/dt) steps and ends exactly at t_max.  F(0)
-    is fixed once from the seed, F(0) = lambda_0(0) (H0 + G(0)), and only
-    conjugated afterwards.
-
-    Exact path (eta = 0: at most one forbidden generator, or pairwise
-    commuting ones, decided from the exact commutator tensor): the
-    multipliers and G are constant, V(t) = exp(iGt) comes from one
-    eigendecomposition of G and tau = t/lambda_0.  Nothing is stepped
-    except the cross-check U_d, which is propagated with RK4 on the same
-    grid from H at the exact frames.
-
-    Stepped path (non-commuting forbidden generators): fixed-step RK4 on
-    the vector concatenating V, the cross-check U_d (i dU_d/dt = H U_d),
-    lambda_0, the lambda_j and tau.  V is re-unitarized every 100 steps by
-    polar projection; if its unitarity has drifted beyond 1e-6 at such a
-    checkpoint the whole integration restarts at half the step (at most 20
-    halvings), preserving a uniform grid.
+    A stepped pass yields at every re-unitarization checkpoint (every
+    `_CHECK_EVERY` steps) once the frame-drift check there has passed, and
+    once more when it is complete, so every yielded row but those of the
+    final partial segment has passed a drift check, as in `integrate`.  A
+    pass that restarts at half the step is abandoned, and the next yield
+    opens the new pass with `start == 0`.  The exact path yields its
+    complete window at once.  A caller may stop iterating at any block.
     """
     H0 = np.asarray(H0, dtype=complex)
     _validate_h0(problem, H0)
@@ -616,100 +757,64 @@ def integrate(
     M = problem.n_forbidden
     G0 = g_operator(m0, problem.basis, problem.forbidden)
     F0 = m0.lambda0 * (H0 + G0)
-    Kten = commutator_tensor(problem.basis, problem.forbidden) if M > 1 else None
+    Kten = commutator_tensor(problem.basis, problem.forbidden)
 
-    if Kten is None or not Kten.any():
+    if not Kten.any():
         n_steps = max(1, math.ceil(t_max / dt - 1e-12))
         times = np.arange(n_steps + 1) * (t_max / n_steps)
         times[-1] = t_max
-        return finalize_trajectory(
-            basis=problem.basis,
-            forbidden=problem.forbidden,
-            omega=w,
-            psi_i=problem.psi_i,
+        yield PassSamples(
             times=times,
             V=constant_g_frames(G0, times),
             lambda0=np.full(n_steps + 1, m0.lambda0),
             lambdas=np.repeat(m0.lambdas[None, :], n_steps + 1, axis=0),
             tau_acc=times / m0.lambda0,
-            F0=F0,
             U_direct=_direct_propagators(G0, F0, m0.lambda0, times),
+            F0=F0,
+            n_steps=n_steps,
+            start=0,
         )
+        return
 
     N = problem.dim
-    Xf = problem.forbidden_generators()
     n2 = N * N
-    i_lam0 = 2 * n2
-    sl_lams = slice(2 * n2 + 1, 2 * n2 + 1 + M)
-    i_tau = 2 * n2 + 1 + M
-    size = 2 * n2 + M + 2
-    inv2w2 = 1.0 / (2.0 * w**2)
+    rhs = coupled_rhs(F0, problem.forbidden_generators(), Kten, w)
+    eye = np.eye(N, dtype=complex)
+    y0 = np.concatenate((pack_state(eye, m0.lambda0, m0.lambdas, 0.0), eye.ravel()))
     sign0 = 1.0 if m0.lambda0 > 0 else -1.0
-
-    def rhs(y: np.ndarray) -> np.ndarray:
-        V = y[0:n2].reshape(N, N)
-        Ud = y[n2 : 2 * n2].reshape(N, N)
-        lam0 = y[i_lam0].real
-        if abs(lam0) < 1e-10:
-            raise SingularGaugeError(
-                "lambda_0 crossed zero during integration; the gauge is singular"
-            )
-        lams = y[sl_lams].real
-        inv_lam0 = 1.0 / lam0
-        G = np.tensordot(lams * inv_lam0, Xf, axes=1)
-        H = (V @ F0 @ V.conj().T) * inv_lam0 - G
-        k = np.empty(size, dtype=complex)
-        eta = np.einsum("jlab,ba->jl", Kten, H).real
-        etalam = eta @ lams
-        dlam0 = -float(lams @ etalam) * inv2w2 * inv_lam0
-        guard = 1e-9 * w * (1.0 + float(lams @ lams) / w**2)
-        if abs(dlam0) > guard:
-            raise ArithmeticError(
-                "the contraction sum_jl lambda_j lambda_l eta_jl must vanish "
-                f"by antisymmetry of eta, but d(lambda_0)/dt = {dlam0:.3e}"
-            )
-        k[sl_lams] = etalam / N
-        k[i_lam0] = dlam0
-        k[0:n2] = (1.0j * (G @ V)).ravel()
-        k[n2 : 2 * n2] = (-1.0j * (H @ Ud)).ravel()
-        k[i_tau] = inv_lam0
-        return k
-
     last_err: Optional[Exception] = None
     for halving in range(21):
         step = dt / (2**halving)
         n_steps = max(1, math.ceil(t_max / step - 1e-12))
         step = t_max / n_steps
-        y = np.zeros(size, dtype=complex)
-        y[0:n2] = np.eye(N, dtype=complex).ravel()
-        y[n2 : 2 * n2] = np.eye(N, dtype=complex).ravel()
-        y[i_lam0] = m0.lambda0
-        y[sl_lams] = m0.lambdas
+        times = np.arange(n_steps + 1) * step
+        times[-1] = t_max
         Vs = np.empty((n_steps + 1, N, N), dtype=complex)
         Uds = np.empty((n_steps + 1, N, N), dtype=complex)
         lam0s = np.empty(n_steps + 1)
         lamss = np.empty((n_steps + 1, M))
         taus = np.empty(n_steps + 1)
-        Vs[0] = np.eye(N)
-        Uds[0] = np.eye(N)
-        lam0s[0] = m0.lambda0
-        lamss[0] = m0.lambdas
-        taus[0] = 0.0
+
+        def store(i: int, y: np.ndarray) -> None:
+            Vs[i], lam0s[i], lamss[i], taus[i], Ud = unpack_state(y, N, M)
+            Uds[i] = Ud.reshape(N, N)
+
+        def rows(m: int, start: int) -> PassSamples:
+            return PassSamples(
+                times[:m], Vs[:m], lam0s[:m], lamss[:m], taus[:m], Uds[:m], F0, n_steps, start
+            )
+
+        y = y0
+        store(0, y)
+        start = 0
         drifted = False
-        half = 0.5 * step
-        sixth = step / 6.0
-        for i in range(n_steps):
-            k1 = rhs(y)
-            k2 = rhs(y + half * k1)
-            k3 = rhs(y + half * k2)
-            k4 = rhs(y + step * k3)
-            y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            lam0_now = y[i_lam0].real
-            if lam0_now * sign0 <= 1e-10:
+        for i in range(1, n_steps + 1):
+            y = rk4_step(rhs, y, step)
+            if y[n2].real * sign0 <= 1e-10:
                 raise SingularGaugeError(
                     "lambda_0 crossed zero during integration; the gauge is singular"
                 )
-            if (i + 1) % 100 == 0:
+            if i % _CHECK_EVERY == 0:
                 V = y[0:n2].reshape(N, N)
                 drift = float(np.linalg.norm(V.conj().T @ V - np.eye(N)))
                 if drift > 1e-6:
@@ -717,31 +822,51 @@ def integrate(
                     break
                 uu, _, vt = np.linalg.svd(V)
                 y[0:n2] = (uu @ vt).ravel()
-            Vs[i + 1] = y[0:n2].reshape(N, N)
-            Uds[i + 1] = y[n2 : 2 * n2].reshape(N, N)
-            lam0s[i + 1] = lam0_now
-            lamss[i + 1] = y[sl_lams].real
-            taus[i + 1] = y[i_tau].real
+            store(i, y)
+            if i % _CHECK_EVERY == 0 and i < n_steps:
+                yield rows(i + 1, start)
+                start = i + 1
         if drifted:
             last_err = ArithmeticError(
                 f"frame unitarity drifted beyond 1e-6 at step size {step:.3e}"
             )
             continue
-        times = np.arange(n_steps + 1) * step
-        times[-1] = t_max
-        return finalize_trajectory(
-            basis=problem.basis,
-            forbidden=problem.forbidden,
-            omega=w,
-            psi_i=problem.psi_i,
-            times=times,
-            V=Vs,
-            lambda0=lam0s,
-            lambdas=lamss,
-            tau_acc=taus,
-            F0=F0,
-            U_direct=Uds,
-        )
+        yield rows(n_steps + 1, start)
+        return
     raise ArithmeticError(
         "frame unitarity could not be maintained after 20 step halvings"
     ) from last_err
+
+
+def integrate(
+    problem: ControlProblem,
+    m0: MultiplierVector,
+    H0: np.ndarray,
+    t_max: float,
+    dt: Optional[float] = None,
+) -> Trajectory:
+    """Sample the coupled frame/multiplier system on a uniform grid.
+
+    The grid has n = ceil(t_max/dt) steps and ends exactly at t_max.  F(0)
+    is fixed once from the seed, F(0) = lambda_0(0) (H0 + G(0)), and only
+    conjugated afterwards.
+
+    Exact path (eta = 0: at most one forbidden generator, or pairwise
+    commuting ones, decided from the exact commutator tensor): the
+    multipliers and G are constant, V(t) = exp(iGt) comes from one
+    eigendecomposition of G and tau = t/lambda_0.  Nothing is stepped
+    except the cross-check U_d, which is propagated with RK4 on the same
+    grid from H at the exact frames.
+
+    Stepped path (non-commuting forbidden generators): fixed-step RK4
+    (`rk4_step` on `coupled_rhs`) on the vector concatenating V, lambda_0,
+    the lambda_j, tau and the cross-check U_d (i dU_d/dt = H U_d).  V is
+    re-unitarized every 100 steps by polar projection; if its unitarity
+    has drifted beyond 1e-6 at such a checkpoint the whole integration
+    restarts at half the step (at most 20 halvings), preserving a uniform
+    grid.  `integrate_blocks` yields the same samples checkpoint by
+    checkpoint.
+    """
+    for samples in integrate_blocks(problem, m0, H0, t_max, dt):
+        pass
+    return samples.trajectory(problem)

@@ -12,7 +12,6 @@ c = Re<psi(T)|H(T)F(T)|psi(T)> so the endpoint constraint evaluates to 1.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -33,12 +32,18 @@ from .dynamics import (
     MultiplierVector,
     SingularGaugeError,
     Trajectory,
+    _observables,
     _validate_h0,
     commutator_tensor,
     constant_g_frames,
+    coupled_rhs,
     finalize_trajectory,
     g_operator,
     integrate,
+    integrate_blocks,
+    pack_state,
+    rk4_step,
+    unpack_state,
 )
 from .states import PureState, boundary_data, free_hamiltonian
 from .verify import Tolerances, VerificationReport, certify, endpoint_constraint
@@ -197,7 +202,7 @@ def _renormalize(traj: Trajectory, c: float) -> Trajectory:
     """Divide all multipliers (and F) by c; U, H, V, psi are unchanged."""
     if abs(c) < 1e-300:
         raise SingularGaugeError("cannot renormalize by a vanishing endpoint value")
-    out = finalize_trajectory(
+    return finalize_trajectory(
         basis=traj.basis,
         forbidden=traj.forbidden,
         omega=traj.omega,
@@ -209,8 +214,8 @@ def _renormalize(traj: Trajectory, c: float) -> Trajectory:
         tau_acc=traj.tau_acc * c,
         F0=traj.F[0] / c,
         renormalized=True,
+        u_mismatch=traj.u_mismatch,
     )
-    return dataclasses.replace(out, u_mismatch=traj.u_mismatch)
 
 
 # -- free evolution ----------------------------------------------------------
@@ -921,11 +926,23 @@ def shoot(
     required first-row/column structure in the psi_i frame (the removed
     magnitude is logged), the multipliers are re-extracted from the
     projection and everything is rescaled to the energy shell
-    Tr[H0^2] = 2 omega^2.  Integration then monitors
-    s(t) = Im<psi|H F|psi>/omega^2; each sign change is bisected to
-    |s| <= 1e-10 and polished with three finite-difference Newton steps.
-    The first root with |Re<psi|HF|psi>| >= 1e-6 omega^2 fixes T; the
-    run is renormalized so the endpoint evaluates to 1.
+    Tr[H0^2] = 2 omega^2.  The first integration pass then monitors
+    s(t) = Im<psi|H F|psi>/omega^2 on its grid, in order: each sign change
+    is bisected to |s| <= 1e-10 and polished with three finite-difference
+    Newton steps, and a grid sample with |s| <= 1e-10 is taken as it is.
+    The first root with |Re<psi|HF|psi>| >= 1e-6 omega^2 fixes T, and the
+    pass stops there: it is scanned at each re-unitarization checkpoint
+    of `integrate` (every 100 steps), after that checkpoint's drift check
+    has passed, and never runs beyond the first checkpoint past the sample
+    that T needs.  The rejected candidates and the stopping step are
+    logged at debug level.  The system is then re-integrated on [0, T] and
+    renormalized so the endpoint evaluates to 1.
+
+    T is the one a scan of the whole window [0, t_max] would find.  The
+    one difference is the frame-drift check of the stepped path: every
+    sample that T depends on has passed it, but a drift beyond the
+    checkpoint where the pass stops no longer triggers a restart at half
+    the step.
 
     Seeds for which s vanishes identically (e.g. no forbidden directions)
     admit every stopping time; then `target_bures_angle` selects T as the
@@ -977,49 +994,20 @@ def shoot(
     H0 = scale * H0_eff
     m0 = MultiplierVector(lam0, scale * lams)
 
-    raw = integrate(problem, m0, H0, t_max, dt)
-    F0 = raw.F[0]
-    wf, Qf = np.linalg.eigh(F0)
-    Kten = commutator_tensor(problem.basis, problem.forbidden) if M > 1 else None
-    inv2w2 = 1.0 / (2.0 * w**2)
-
-    def reduced_rhs(V, lm0, lms, tau):
-        inv = 1.0 / lm0
-        G = np.tensordot(lms * inv, Xf, axes=1) if M else np.zeros((N, N), complex)
-        H = (V @ F0 @ V.conj().T) * inv - G
-        if M > 1:
-            eta = np.einsum("jlab,ba->jl", Kten, H).real
-            etalam = eta @ lms
-            dl0 = -float(lms @ etalam) * inv2w2 * inv
-            dls = etalam / N
-        else:
-            dl0, dls = 0.0, np.zeros(M)
-        return 1.0j * (G @ V), dl0, dls, inv
+    Kten = commutator_tensor(problem.basis, problem.forbidden)
+    w2 = w**2
+    floor = 1e-6 * w2
+    smp = None  # rows of the current pass so far
 
     def state_at(t: float):
-        """One RK4 step from the stored sample just left of t, then observables."""
-        k = int(np.searchsorted(raw.times, t, side="right") - 1)
-        k = min(max(k, 0), raw.times.size - 2)
-        h = t - float(raw.times[k])
-        V = raw.V[k].copy()
-        lm0 = float(raw.lambda0[k])
-        lms = raw.lambdas[k].copy()
-        tau = float(raw.tau_acc[k])
+        """One RK4 step from the sample just left of t, then observables."""
+        k = int(np.searchsorted(smp.times, t, side="right") - 1)
+        k = min(max(k, 0), smp.times.size - 2)
+        h = t - float(smp.times[k])
+        y = pack_state(smp.V[k], smp.lambda0[k], smp.lambdas[k], smp.tau_acc[k])
         if h > 0:
-            dV1, dl01, dls1, dtau1 = reduced_rhs(V, lm0, lms, tau)
-            dV2, dl02, dls2, dtau2 = reduced_rhs(
-                V + 0.5 * h * dV1, lm0 + 0.5 * h * dl01, lms + 0.5 * h * dls1, tau
-            )
-            dV3, dl03, dls3, dtau3 = reduced_rhs(
-                V + 0.5 * h * dV2, lm0 + 0.5 * h * dl02, lms + 0.5 * h * dls2, tau
-            )
-            dV4, dl04, dls4, dtau4 = reduced_rhs(
-                V + h * dV3, lm0 + h * dl03, lms + h * dls3, tau
-            )
-            V = V + (h / 6.0) * (dV1 + 2.0 * (dV2 + dV3) + dV4)
-            lm0 = lm0 + (h / 6.0) * (dl01 + 2.0 * (dl02 + dl03) + dl04)
-            lms = lms + (h / 6.0) * (dls1 + 2.0 * (dls2 + dls3) + dls4)
-            tau = tau + (h / 6.0) * (dtau1 + 2.0 * (dtau2 + dtau3) + dtau4)
+            y = rk4_step(rhs, y, h)
+        V, lm0, lms, tau, _ = unpack_state(y, N, M)
         G = np.tensordot(lms / lm0, Xf, axes=1) if M else np.zeros((N, N), complex)
         F = V @ F0 @ V.conj().T
         H = F / lm0 - G
@@ -1034,13 +1022,92 @@ def shoot(
         psi, _ = state_at(t)
         return math.acos(min(1.0, abs(np.vdot(psi_i, psi))))
 
-    vals = np.einsum(
-        "ka,kab,kbc,kc->k", raw.psi.conj(), raw.H, raw.F, raw.psi
-    )
-    s = vals.imag / w**2
-    floor = 1e-6 * w**2
+    def resolve(k: int) -> Tuple[float, complex]:
+        """Locate the root of s bracketed at grid sample k; (root, <psi|HF|psi>)."""
+        times = smp.times
+        if abs(s[k]) <= 1e-10 and times[k] > 0:
+            root = float(times[k])
+        else:
+            lo, hi = float(times[k]), float(times[k + 1])
+            slo = s[k]
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                sm = bc_at(mid).imag / w2
+                if slo * sm <= 0:
+                    hi = mid
+                else:
+                    lo, slo = mid, sm
+            root = 0.5 * (lo + hi)
+            delta = max(1e-9 * max(1.0, root), 1e-12)
+            for _ in range(3):
+                f0v = bc_at(root).imag
+                dfd = (bc_at(root + delta).imag - bc_at(root - delta).imag) / (2.0 * delta)
+                if dfd == 0.0:
+                    break
+                cand = root - f0v / dfd
+                if times[k] <= cand <= times[k + 1]:
+                    root = cand
+        return root, bc_at(root)
 
-    if float(np.abs(s).max()) < 1e-12:
+    # Pass 1 scans s(t) = Im<psi|HF|psi>/omega^2 at each drift-checked
+    # checkpoint and stops at the first accepted root.  The candidates and
+    # their resolution are those of a scan of the whole window: a bracket
+    # [t_k, t_k+1] is resolved only once sample k+2 exists (or the window
+    # is complete), so state_at picks the same left samples, and nothing
+    # is resolved until max|s| >= 1e-12, the test that selects the
+    # Bures-angle branch.
+    T = None
+    for smp in integrate_blocks(problem, m0, H0, t_max, dt):
+        n_steps, start = smp.n_steps, smp.start
+        if start == 0:  # a new pass: the first one or a restart at half the step
+            s = np.empty(n_steps + 1)
+            live = False
+            nxt = 0
+        m = smp.times.size
+        r = slice(start, m)
+        _, Fb, Hb, psib = _observables(
+            problem.basis, problem.forbidden, problem.psi_i,
+            smp.V[r], smp.lambda0[r], smp.lambdas[r], smp.tau_acc[r], smp.F0,
+        )
+        if start == 0:
+            F0 = Fb[0]
+            wf, Qf = np.linalg.eigh(F0)
+            rhs = coupled_rhs(F0, Xf, Kten, w, direct=False)
+        s[r] = np.einsum("ka,kab,kbc,kc->k", psib.conj(), Hb, Fb, psib).imag / w2
+        live = live or not float(np.abs(s[r]).max()) < 1e-12
+        if not live:
+            continue
+        last = n_steps - 1 if m == n_steps + 1 else m - 3
+        for k in range(nxt, last + 1):
+            crossing = s[k] * s[k + 1] < 0
+            if not (crossing or (abs(s[k]) <= 1e-10 and 0 < k < n_steps)):
+                continue
+            root, v = resolve(k)
+            if not abs(v.imag) <= 1e-10 * w2:
+                log.debug(
+                    "shoot: rejected endpoint candidate at t = %.12g: |Im| residual "
+                    "%.3e above %.1e", root, abs(v.imag), 1e-10 * w2,
+                )
+            elif not abs(v.real) >= floor:
+                log.debug(
+                    "shoot: rejected endpoint candidate at t = %.12g: |Re| = %.3e < "
+                    "floor %.1e", root, abs(v.real), floor,
+                )
+            else:
+                T = root
+                last = k
+                break
+        nxt = last + 1
+        if T is not None:
+            break
+    stop = min(nxt + 1, n_steps) if T is not None else n_steps
+    log.debug(
+        "shoot: pass 1 stopped at step %d of %d (t = %.6g); %d steps integrated",
+        stop, n_steps, smp.times[stop], m - 1,
+    )
+    raw = smp.trajectory(problem, stop + 1)
+
+    if not live:
         if target_bures_angle is None:
             raise NoSolutionError(
                 "the endpoint condition is satisfied identically along this "
@@ -1063,51 +1130,11 @@ def shoot(
             else:
                 lo = mid
         T = 0.5 * (lo + hi)
-    else:
-        T = None
-        crossings = np.nonzero(s[:-1] * s[1:] < 0)[0]
-        direct = np.nonzero(np.abs(s) <= 1e-10)[0]
-        candidates = sorted(
-            set(
-                [int(k) for k in crossings]
-                + [int(k) for k in direct if 0 < k < s.size - 1]
-            )
+    elif T is None:
+        raise NoSolutionError(
+            "no root of Im<psi|HF|psi> with nonzero real part found in "
+            f"(0, {t_max:g}]"
         )
-        for k in candidates:
-            if abs(s[k]) <= 1e-10 and raw.times[k] > 0:
-                root = float(raw.times[k])
-            else:
-                lo, hi = float(raw.times[k]), float(raw.times[k + 1])
-                slo = s[k]
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    sm = bc_at(mid).imag / w**2
-                    if slo * sm <= 0:
-                        hi = mid
-                    else:
-                        lo, slo = mid, sm
-                root = 0.5 * (lo + hi)
-                delta = max(1e-9 * max(1.0, root), 1e-12)
-                for _ in range(3):
-                    f0v = bc_at(root).imag
-                    dfd = (bc_at(root + delta).imag - bc_at(root - delta).imag) / (
-                        2.0 * delta
-                    )
-                    if dfd == 0.0:
-                        break
-                    step_n = f0v / dfd
-                    cand = root - step_n
-                    if raw.times[k] <= cand <= raw.times[k + 1]:
-                        root = cand
-            v = bc_at(root)
-            if abs(v.imag) <= 1e-10 * w**2 and abs(v.real) >= floor:
-                T = root
-                break
-        if T is None:
-            raise NoSolutionError(
-                "no root of Im<psi|HF|psi> with nonzero real part found in "
-                f"(0, {t_max:g}]"
-            )
 
     # the certified grid must keep the second-order differencing truncation
     # of the report's residuals well inside the 1e-6 integrated verdicts,

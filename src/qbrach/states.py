@@ -30,9 +30,9 @@ class DegenerateProblemError(ValueError):
 
 @dataclass(frozen=True)
 class PureState:
-    """A normalized state vector.  Input must be normalized to 1e-9; it is
-    then renormalized exactly so downstream algebra sees ||psi|| = 1 to
-    machine precision."""
+    """A normalized state vector.  Input must be finite and normalized to
+    1e-9; it is then renormalized exactly so downstream algebra sees
+    ||psi|| = 1 to machine precision."""
 
     amplitudes: np.ndarray
 
@@ -40,6 +40,8 @@ class PureState:
         amp = np.asarray(self.amplitudes, dtype=complex).ravel()
         if amp.size < 2:
             raise ValueError(f"state vector needs dimension >= 2, got {amp.size}")
+        if not np.all(np.isfinite(amp)):
+            raise ValueError("state vector has non-finite amplitudes")
         nrm = float(np.linalg.norm(amp))
         if abs(nrm - 1.0) > 1e-9:
             raise ValueError(f"state vector is not normalized: ||psi|| = {nrm:.12g}")

@@ -357,7 +357,7 @@ def certify(
     trf2_drift = float(vals.max() - vals.min()) / max(abs(float(vals[0])), _TINY)
     lam0_drift = float(np.abs(traj.lambda0 - traj.lambda0[0]).max())
 
-    eigs = np.linalg.eigvalsh(traj.F)
+    eigs = traj.F_spectrum
     eig_scale = max(1.0, float(np.abs(eigs[0]).max()))
     eig_drift = float(np.abs(eigs - eigs[0]).max())
 

@@ -232,6 +232,19 @@ def test_verify_detects_tampered_hamiltonian(closed_file, tmp_path, capsys):
     assert "round-trip FAIL" in text
 
 
+def test_verify_flags_nan_in_embedded_report(closed_file, tmp_path, capsys):
+    out = tmp_path / "sol.json"
+    main(["solve-closed", "-i", closed_file, "-o", str(out)])
+    sol = json.loads(out.read_text())
+    sol["report"]["chko_residual"] = float("nan")
+    out.write_text(json.dumps(sol))
+    capsys.readouterr()
+    assert main(["verify", str(out), "--tol", "analytic"]) == 1
+    text = capsys.readouterr().out
+    assert "max deviation nan" in text
+    assert "round-trip FAIL" in text
+
+
 def test_verify_rejects_degenerate_solution(tmp_path, capsys):
     doc = {
         "version": 1,
@@ -296,6 +309,16 @@ def test_exit_code_validation_errors(tmp_path, free_file, closed_file):
     assert main(["solve-closed", "-i", str(noseed)]) == 1
     # solve-m1 without its required numbers
     assert main(["solve-m1"]) == 1
+
+
+def test_exit_code_nan_amplitude(free_file, tmp_path, capsys):
+    data = json.loads(open(free_file).read())
+    data["psi_i"][0][0] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["solve-free", "-i", str(bad)]) == 1
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_exit_code_csv_for_degenerate_solution(tmp_path):

@@ -3,6 +3,7 @@ the restricted two-qubit instance and general forward shooting."""
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -567,6 +568,42 @@ def test_shoot_four_level_random_seed():
     # multipliers genuinely move along a generic non-closed instance
     lam = sol.trajectory.lambdas
     assert float(np.abs(lam - lam[0]).max()) > 1e-4 * float(np.abs(lam).max())
+
+
+def test_shoot_pass1_stops_just_past_the_first_root(caplog):
+    problem, h0, m0 = helpers.su4_shoot_seed(7)
+    with caplog.at_level(logging.DEBUG, logger="qbrach"):
+        sol = shoot(problem, h0, m0, t_max=3.0)
+    # the T of a scan of the whole 3000-step window
+    assert sol.T == pytest.approx(0.90530825891501188, abs=1e-12)
+    found = re.search(
+        r"pass 1 stopped at step (\d+) of (\d+) .*; (\d+) steps integrated", caplog.text
+    )
+    stop, n_steps, stepped = (int(g) for g in found.groups())
+    step = 3.0 / n_steps
+    assert n_steps == 3000
+    assert sol.T <= stop * step <= sol.T + 2 * step
+    # the pass runs on to the first re-unitarization checkpoint (every
+    # 100 steps) at or after that sample, and no further
+    assert stepped == 100 * math.ceil(stop / 100)
+
+
+def test_shoot_logs_rejected_candidates_and_scans_the_whole_window(caplog):
+    # scaling lambda_0 and the lambda_j together keeps G and the roots of
+    # seed 7 but scales Re<psi|HF|psi> (constant along the flow) to 1e-7,
+    # below the 1e-6 floor, so every candidate is rejected
+    problem, h0, m0 = helpers.su4_shoot_seed(7)
+    tiny = MultiplierVector(1e-7, 1e-7 * m0.lambdas)
+    with caplog.at_level(logging.DEBUG, logger="qbrach"):
+        with pytest.raises(NoSolutionError):
+            shoot(problem, h0, tiny, t_max=3.0)
+    rejected = re.findall(
+        r"rejected endpoint candidate at t = (\S+): \|Re\| = (\S+) < floor", caplog.text
+    )
+    assert len(rejected) >= 2
+    assert float(rejected[0][0]) == pytest.approx(0.905, abs=0.005)
+    assert all(float(v) == pytest.approx(1e-7, rel=1e-3) for _, v in rejected)
+    assert "pass 1 stopped at step 3000 of 3000" in caplog.text
 
 
 def test_shoot_projects_structure_violating_seed(caplog):

@@ -47,6 +47,13 @@ def test_pure_state_rejects_bad_input():
         PureState([0.7, 0.7])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_pure_state_rejects_non_finite_amplitudes(bad):
+    # |nan - 1| > 1e-9 is False, so the normalization test alone accepts NaN
+    with pytest.raises(ValueError, match="non-finite"):
+        PureState([bad, 0.0])
+
+
 def test_pure_state_is_immutable():
     psi = PureState([1.0, 0.0])
     with pytest.raises(ValueError):
