@@ -11,12 +11,11 @@ from mere solutions of the evolution equations.
 
 from .algebra import (
     GeneratorBasis,
-    StructureTensor,
+    basis_of,
     build_gellmann_basis,
     build_pauli_string_basis,
     hermitian_commutator,
     is_closed_subalgebra,
-    structure_tensor,
 )
 from .states import (
     BoundaryData,
@@ -31,11 +30,8 @@ from .dynamics import (
     MultiplierVector,
     SingularGaugeError,
     Trajectory,
-    assemble_hamiltonian,
-    eta_matrix,
     g_operator,
     integrate,
-    multiplier_rhs,
 )
 from .solvers import (
     ExtremalSolution,
@@ -70,12 +66,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GeneratorBasis",
-    "StructureTensor",
+    "basis_of",
     "build_gellmann_basis",
     "build_pauli_string_basis",
     "hermitian_commutator",
     "is_closed_subalgebra",
-    "structure_tensor",
     "BoundaryData",
     "DegenerateProblemError",
     "PureState",
@@ -86,11 +81,8 @@ __all__ = [
     "MultiplierVector",
     "SingularGaugeError",
     "Trajectory",
-    "assemble_hamiltonian",
-    "eta_matrix",
     "g_operator",
     "integrate",
-    "multiplier_rhs",
     "ExtremalSolution",
     "NoSolutionError",
     "NotClosedError",

@@ -1,25 +1,29 @@
-"""su(N) generator bases, commutators and subalgebra structure.
+"""su(N) generator bases, commutators and subalgebra closure.
 
 All bases follow the normalization Tr(X_i X_j) = N delta_ij, so projection
-coefficients onto a basis element are Tr(A X_m)/N.  Two constructions are
-provided: generalized Gell-Mann matrices (any N >= 2) and Pauli strings
-(N = 2^n), both Hermitian, traceless and deterministically ordered.
+coefficients onto a basis element are Tr(A X_m)/N (`coefficients`); the
+structure constants of i[X_j, X_l] are the coefficients of a commutator.
+Two constructions are provided: generalized Gell-Mann matrices (any
+N >= 2) and Pauli strings (N = 2^n), both Hermitian, traceless and
+deterministically ordered.  `basis_of` builds either by its kind name,
+once per (kind, dimension).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "GeneratorBasis",
-    "StructureTensor",
+    "basis_of",
     "build_gellmann_basis",
     "build_pauli_string_basis",
     "hermitian_commutator",
-    "structure_tensor",
     "is_closed_subalgebra",
 ]
 
@@ -84,33 +88,6 @@ class GeneratorBasis:
     def coefficients(self, a: np.ndarray) -> np.ndarray:
         """Expansion coefficients of a traceless Hermitian matrix: Tr(A X_m)/N."""
         return np.real(np.einsum("mij,ji->m", self.generators, a)) / self.dim
-
-
-@dataclass(frozen=True)
-class StructureTensor:
-    """Commutator coefficients of a generator subset.
-
-    entries[(j, l)] is the real coefficient vector c (length = full basis
-    size) such that i[X_j, X_l] = sum_m c_m X_m.  Antisymmetry
-    entries[(j, l)] = -entries[(l, j)] is enforced structurally: only one
-    orientation is stored and the lookup negates.
-    """
-
-    basis: GeneratorBasis
-    subset: Tuple[int, ...]
-    _upper: Dict[Tuple[int, int], np.ndarray]
-
-    def entry(self, j: int, l: int) -> np.ndarray:
-        if j == l:
-            return np.zeros(self.basis.size)
-        if (j, l) in self._upper:
-            return self._upper[(j, l)]
-        if (l, j) in self._upper:
-            return -self._upper[(l, j)]
-        raise KeyError(f"pair ({j}, {l}) not in tensor subset {self.subset}")
-
-    def pairs(self):
-        return self._upper.keys()
 
 
 def build_gellmann_basis(N: int) -> GeneratorBasis:
@@ -192,6 +169,25 @@ def build_pauli_string_basis(n_qubits: int) -> GeneratorBasis:
     )
 
 
+@lru_cache(maxsize=8)
+def basis_of(kind: str, dim: int) -> GeneratorBasis:
+    """The basis of su(dim) named by `kind`, built once and then shared.
+
+    `kind` is "gellmann" (any dim >= 2) or "pauli_strings" (dim a power
+    of two), the value a `GeneratorBasis` records as its `kind`.  Callers
+    that read `kind` from a file pass str(kind), so that a malformed value
+    is an unknown kind rather than an unhashable cache key.
+    """
+    if kind == "gellmann":
+        return build_gellmann_basis(dim)
+    if kind == "pauli_strings":
+        n = round(math.log2(dim))
+        if 2**n != dim:
+            raise ValueError(f"pauli_strings basis needs a power-of-two dimension, got {dim}")
+        return build_pauli_string_basis(n)
+    raise ValueError(f"unknown basis kind {kind!r}")
+
+
 def _check_hermitian(a: np.ndarray, name: str, tol: float = 1e-10) -> None:
     scale = max(1.0, float(np.linalg.norm(a)))
     dev = float(np.linalg.norm(a - a.conj().T))
@@ -214,21 +210,6 @@ def hermitian_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     c = 1.0j * (a @ b - b @ a)
     # enforce exact Hermiticity against rounding in the products
     return 0.5 * (c + c.conj().T)
-
-
-def structure_tensor(basis: GeneratorBasis, subset: Sequence[int]) -> StructureTensor:
-    """Commutator coefficients i[X_j, X_l] = sum_m c_m X_m for pairs in `subset`.
-
-    Coefficients are obtained by orthonormal projection, c_m = Tr(C X_m)/N,
-    exact within rounding because of the basis normalization.
-    """
-    idx = tuple(basis.index_of(j) for j in subset)
-    upper: Dict[Tuple[int, int], np.ndarray] = {}
-    for p, j in enumerate(idx):
-        for l in idx[p + 1 :]:
-            comm = hermitian_commutator(basis.generators[j], basis.generators[l])
-            upper[(j, l)] = basis.coefficients(comm)
-    return StructureTensor(basis=basis, subset=idx, _upper=upper)
 
 
 def is_closed_subalgebra(

@@ -1,12 +1,13 @@
 """Command-line interface: load problems, dispatch solvers, emit results.
 
 Subcommands: solve-free, solve-closed, solve-m1, solve-2qubit, shoot,
-verify, sweep-m1.  Solutions are written as JSON (deterministic float
-formatting at 17 significant digits, so identical inputs give byte-identical
-output); `--csv` adds a plot-ready table of t, multipliers, energy spread
-and constraint residuals.  Exit codes: 0 success, 1 validation failure,
-2 no solution, 3 numerical failure.  Set QB_LOG=debug|info|warning for
-logging verbosity.
+verify, sweep-m1.  Solutions are written as compact JSON with floats in
+Python's shortest round-trip form: every float64 reads back bit for bit,
+identical inputs give byte-identical output, and NaN and infinities are
+written as the NaN, Infinity and -Infinity tokens.  `--csv` adds a
+plot-ready table of t, multipliers, energy spread and constraint residuals.
+Exit codes: 0 success, 1 validation failure, 2 no solution, 3 numerical
+failure.  Set QB_LOG=debug|info|warning for logging verbosity.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .algebra import build_gellmann_basis, build_pauli_string_basis
+from .algebra import basis_of
 from .dynamics import ControlProblem, MultiplierVector, Trajectory, _from_pairs
 from .solvers import (
     ExtremalSolution,
@@ -39,55 +40,12 @@ from .verify import Tolerances, certify
 log = logging.getLogger("qbrach")
 
 
-# -- deterministic JSON ------------------------------------------------------
+# -- output ------------------------------------------------------------------
 
 
-def _emit_json(obj) -> str:
-    """Serialize with floats at 17 significant digits (exact float64 round-trip)."""
-    parts: list = []
-    _emit(obj, parts)
-    return "".join(parts)
-
-
-def _emit(obj, out: list) -> None:
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isnan(x):
-            out.append("NaN")
-        elif math.isinf(x):
-            out.append("Infinity" if x > 0 else "-Infinity")
-        else:
-            out.append(format(x, ".17g"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(k)))
-            out.append(":")
-            _emit(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.append("[")
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        for i, v in enumerate(seq):
-            if i:
-                out.append(",")
-            _emit(v, out)
-        out.append("]")
-    else:
-        raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
-
-
-def _write_output(text: str, path: Optional[str]) -> None:
+def _write_json(doc: dict, path: Optional[str]) -> None:
+    """Write `doc` as compact JSON to `path`, or to stdout for None or "-"."""
+    text = json.dumps(doc, separators=(",", ":"))
     if path is None or path == "-":
         sys.stdout.write(text + "\n")
     else:
@@ -98,26 +56,25 @@ def _write_output(text: str, path: Optional[str]) -> None:
 # -- problem files -----------------------------------------------------------
 
 
-def _load_problem(path: str) -> Tuple[ControlProblem, dict]:
+def _read_problem(path: str, solvers: Tuple[str, ...]) -> dict:
+    """A problem file, parsed once; its optional "solver" field must be one of `solvers`."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    solver = data.get("solver")
+    if solver is not None and solver not in solvers:
+        raise ValueError(
+            f"problem file names solver {solver!r} but the subcommand runs {solvers[0]!r}"
+        )
+    return data
+
+
+def _load_problem(path: str, solvers: Tuple[str, ...]) -> Tuple[ControlProblem, dict]:
+    data = _read_problem(path, solvers)
     if int(data.get("version", 1)) != 1:
         raise ValueError(f"unsupported problem-file version {data.get('version')}")
     if "dimension" not in data or "omega" not in data or "psi_i" not in data:
         raise ValueError("problem file needs 'dimension', 'omega' and 'psi_i'")
-    N = int(data["dimension"])
-    kind = data.get("basis", "gellmann")
-    if kind == "gellmann":
-        basis = build_gellmann_basis(N)
-    elif kind == "pauli_strings":
-        n = round(math.log2(N))
-        if 2**n != N:
-            raise ValueError(
-                f"pauli_strings basis needs a power-of-two dimension, got {N}"
-            )
-        basis = build_pauli_string_basis(n)
-    else:
-        raise ValueError(f"unknown basis kind {kind!r}")
+    basis = basis_of(str(data.get("basis", "gellmann")), int(data["dimension"]))
     psi_i = PureState(_from_pairs(data["psi_i"]))
     psi_f = PureState(_from_pairs(data["psi_f"])) if data.get("psi_f") is not None else None
     forbidden = tuple(data.get("forbidden", ()))
@@ -129,15 +86,6 @@ def _load_problem(path: str) -> Tuple[ControlProblem, dict]:
         psi_f=psi_f,
     )
     return problem, dict(data.get("solver_params", {}))
-
-
-def _check_solver_field(path: str, expected: Tuple[str, ...]) -> None:
-    with open(path, "r", encoding="utf-8") as fh:
-        solver = json.load(fh).get("solver")
-    if solver is not None and solver not in expected:
-        raise ValueError(
-            f"problem file names solver {solver!r} but the subcommand runs {expected[0]!r}"
-        )
 
 
 def _seed_from_params(params: dict, problem: ControlProblem) -> Tuple[np.ndarray, MultiplierVector]:
@@ -175,7 +123,7 @@ def _parse_grid(spec: str) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _solution_out(args, sol: ExtremalSolution) -> None:
-    _write_output(_emit_json(sol.to_dict()), args.output)
+    _write_json(sol.to_dict(), args.output)
     if getattr(args, "csv", None):
         if sol.trajectory is None:
             raise ValueError("the degenerate T = 0 solution has no trajectory to export")
@@ -186,8 +134,7 @@ def _solution_out(args, sol: ExtremalSolution) -> None:
 
 
 def _cmd_solve_free(args) -> int:
-    problem, params = _load_problem(args.input)
-    _check_solver_field(args.input, ("free",))
+    problem, params = _load_problem(args.input, ("free",))
     if problem.psi_f is None:
         raise ValueError("solve-free needs 'psi_f' in the problem file")
     dt = args.dt if args.dt is not None else params.get("dt")
@@ -197,8 +144,7 @@ def _cmd_solve_free(args) -> int:
 
 
 def _cmd_solve_closed(args) -> int:
-    problem, params = _load_problem(args.input)
-    _check_solver_field(args.input, ("closed_subalgebra",))
+    problem, params = _load_problem(args.input, ("closed_subalgebra",))
     H0, m0 = _seed_from_params(params, problem)
     t_max = args.t_max if args.t_max is not None else params.get("t_max")
     if t_max is None:
@@ -213,9 +159,7 @@ def _cmd_solve_m1(args) -> int:
     params: dict = {}
     file_omega = None
     if args.input:
-        _check_solver_field(args.input, ("m1_two_level",))
-        with open(args.input, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _read_problem(args.input, ("m1_two_level",))
         params = dict(data.get("solver_params", {}))
         file_omega = data.get("omega")
     omega_b = args.omega_b if args.omega_b is not None else params.get("omega_b")
@@ -236,7 +180,7 @@ def _cmd_solve_m1(args) -> int:
         "n_branches": len(branches),
         "branches": [sol.to_dict() for sol in branches],
     }
-    _write_output(_emit_json(doc), args.output)
+    _write_json(doc, args.output)
     if args.csv:
         branches[0].trajectory.to_csv(args.csv)
     return 0
@@ -251,8 +195,7 @@ def _cmd_solve_2qubit(args) -> int:
 
 
 def _cmd_shoot(args) -> int:
-    problem, params = _load_problem(args.input)
-    _check_solver_field(args.input, ("shot", "shoot"))
+    problem, params = _load_problem(args.input, ("shot", "shoot"))
     H0, m0 = _seed_from_params(params, problem)
     t_max = args.t_max if args.t_max is not None else params.get("t_max")
     if t_max is None:
@@ -333,13 +276,9 @@ def _cmd_sweep_m1(args) -> int:
     doc = {
         "kind": "sweep_m1",
         "omega": args.omega,
-        "lambda1_tilde": fields["lambda1_tilde"],
-        "T": fields["T"],
-        "amplitude": fields["amplitude"],
-        "im_field": fields["im_field"],
-        "re_field": fields["re_field"],
+        **{name: values.tolist() for name, values in fields.items()},
     }
-    _write_output(_emit_json(doc), args.output)
+    _write_json(doc, args.output)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("lambda1_tilde,T,amplitude,im_field,re_field\n")

@@ -22,23 +22,25 @@ are stepped, with fixed-step RK4: one step function (`rk4_step`) on one
 right-hand side (`coupled_rhs`).  `integrate_blocks` yields the samples
 at each re-unitarization checkpoint, so a caller such as `shoot` can stop
 a pass early.
+
+The multiplier equations
+
+    d(lambda_j)/dt = (1/N) sum_l eta_jl lambda_l,  eta_jl = Tr[H i[X_j, X_l]],
+
+and d(lambda_0)/dt, which vanishes by the antisymmetry of eta, are written
+once, inside `coupled_rhs`.  Outside that per-step hot path the solvers
+contract every G = sum_j c_j X_j with `forbidden_sum`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import (
-    GeneratorBasis,
-    build_gellmann_basis,
-    build_pauli_string_basis,
-    hermitian_commutator,
-)
+from .algebra import GeneratorBasis, basis_of, hermitian_commutator
 from .states import PureState
 
 __all__ = [
@@ -47,9 +49,6 @@ __all__ = [
     "Trajectory",
     "SingularGaugeError",
     "g_operator",
-    "eta_matrix",
-    "multiplier_rhs",
-    "assemble_hamiltonian",
     "integrate",
 ]
 
@@ -75,8 +74,8 @@ class ControlProblem:
     allowed: Tuple[int, ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError(f"energy scale omega must be positive, got {self.omega}")
+        if not 0 < self.omega < math.inf:
+            raise ValueError(f"energy scale omega must be positive and finite, got {self.omega}")
         if self.psi_i.dim != self.basis.dim:
             raise ValueError(
                 f"psi_i dimension {self.psi_i.dim} != basis dimension {self.basis.dim}"
@@ -258,17 +257,7 @@ class Trajectory:
 
     @staticmethod
     def from_dict(data: dict) -> "Trajectory":
-        N = int(data["dimension"])
-        kind = data["basis"]
-        if kind == "gellmann":
-            basis = build_gellmann_basis(N)
-        elif kind == "pauli_strings":
-            n = round(math.log2(N))
-            if 2**n != N:
-                raise ValueError(f"pauli_strings basis needs a power-of-two dimension, got {N}")
-            basis = build_pauli_string_basis(n)
-        else:
-            raise ValueError(f"unknown basis kind {kind!r}")
+        basis = basis_of(str(data["basis"]), int(data["dimension"]))
         forbidden = tuple(basis.index_of(j) for j in data["forbidden"])
         return Trajectory(
             times=np.asarray(data["times"], dtype=float),
@@ -288,15 +277,6 @@ class Trajectory:
             renormalized=bool(data.get("renormalized", False)),
             u_mismatch=float(data.get("u_mismatch", 0.0)),
         )
-
-    def to_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @staticmethod
-    def from_json(path: str) -> "Trajectory":
-        with open(path, "r", encoding="utf-8") as fh:
-            return Trajectory.from_dict(json.load(fh))
 
     def to_csv(self, path: str) -> None:
         """Plot-ready table: t, multipliers, energy spread, constraint residuals."""
@@ -331,6 +311,15 @@ class Trajectory:
 # -- pointwise assembly ----------------------------------------------------
 
 
+def forbidden_sum(coeffs: np.ndarray, Xf: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[..., j] X_j over a stack Xf of forbidden generators.
+
+    G = forbidden_sum(lambdas / lambda0, Xf); a leading sample axis on
+    `coeffs` gives a stack of G.  An empty stack gives zero matrices.
+    """
+    return np.tensordot(coeffs, Xf, axes=1)
+
+
 def g_operator(m: MultiplierVector, basis: GeneratorBasis, forbidden: Sequence[int]) -> np.ndarray:
     """G = sum_j (lambda_j/lambda_0) X_j over the forbidden directions."""
     if abs(m.lambda0) < 1e-12:
@@ -342,9 +331,7 @@ def g_operator(m: MultiplierVector, basis: GeneratorBasis, forbidden: Sequence[i
         raise ValueError(
             f"multiplier vector has {m.size} entries for {len(idx)} forbidden directions"
         )
-    if not idx:
-        return np.zeros((basis.dim, basis.dim), dtype=complex)
-    return np.tensordot(m.lambdas / m.lambda0, basis.generators[idx], axes=1)
+    return forbidden_sum(m.lambdas / m.lambda0, basis.generators[idx])
 
 
 def commutator_tensor(basis: GeneratorBasis, forbidden: Sequence[int]) -> np.ndarray:
@@ -358,66 +345,6 @@ def commutator_tensor(basis: GeneratorBasis, forbidden: Sequence[int]) -> np.nda
             K[p, q] = c
             K[q, p] = -c
     return K
-
-
-def eta_matrix(H: np.ndarray, basis: GeneratorBasis, forbidden: Sequence[int]) -> np.ndarray:
-    """eta_jl = Tr[H i[X_j, X_l]] over forbidden pairs; antisymmetric by construction.
-
-    Only the upper triangle is computed; the lower is its exact negation.
-    """
-    idx = [basis.index_of(j) for j in forbidden]
-    M = len(idx)
-    eta = np.zeros((M, M))
-    for p in range(M):
-        for q in range(p + 1, M):
-            c = hermitian_commutator(basis.generators[idx[p]], basis.generators[idx[q]])
-            eta[p, q] = np.real(np.einsum("ab,ba->", H, c))
-            eta[q, p] = -eta[p, q]
-    return eta
-
-
-def multiplier_rhs(
-    m: MultiplierVector, H: np.ndarray, eta: np.ndarray, omega: float
-) -> Tuple[float, np.ndarray]:
-    """Time derivatives of the multipliers.
-
-    d(lambda_j)/dt = (1/N) sum_l lambda_l eta_jl and
-    d(lambda_0)/dt = -(1/(2 omega^2 lambda_0)) sum_{j,l} lambda_j lambda_l eta_jl.
-
-    The double contraction pairs a symmetric tensor with the antisymmetric
-    eta, so it vanishes identically; the formula is evaluated as written
-    and its vanishing is enforced, which catches any asymmetry bug in eta.
-    """
-    if abs(m.lambda0) < 1e-12:
-        raise SingularGaugeError("lambda_0 vanished in the multiplier equations")
-    N = H.shape[0]
-    etalam = eta @ m.lambdas if m.size else np.zeros(0)
-    dlams = etalam / N
-    quad = float(m.lambdas @ etalam) if m.size else 0.0
-    dlam0 = -quad / (2.0 * omega**2 * m.lambda0)
-    guard = 1e-9 * omega * (1.0 + float(m.lambdas @ m.lambdas) / omega**2)
-    if abs(dlam0) > guard:
-        raise ArithmeticError(
-            "the contraction sum_jl lambda_j lambda_l eta_jl must vanish by "
-            f"antisymmetry of eta, but d(lambda_0)/dt = {dlam0:.3e}"
-        )
-    return dlam0, dlams
-
-
-def assemble_hamiltonian(
-    m: MultiplierVector,
-    V: np.ndarray,
-    F0: np.ndarray,
-    basis: GeneratorBasis,
-    forbidden: Sequence[int],
-) -> np.ndarray:
-    """H = V F(0) V^dag / lambda_0 - G; traceless whenever Tr F(0) = 0."""
-    if abs(m.lambda0) < 1e-12:
-        raise SingularGaugeError(
-            "lambda_0 vanished; H = V F(0) V^dag / lambda_0 - G is undefined"
-        )
-    G = g_operator(m, basis, forbidden)
-    return (V @ F0 @ V.conj().T) / m.lambda0 - G
 
 
 # -- trajectory synthesis --------------------------------------------------
@@ -507,11 +434,7 @@ def _observables(
     expF = np.einsum("ab,kb,cb->kac", Q, phases, Q.conj())
     U = V @ expF
     F = V @ F0 @ np.conj(np.transpose(V, (0, 2, 1)))
-    if len(forbidden):
-        Xf = basis.generators[list(forbidden)]
-        G = np.tensordot(lambdas / lambda0[:, None], Xf, axes=1)
-    else:
-        G = np.zeros((V.shape[0], basis.dim, basis.dim), dtype=complex)
+    G = forbidden_sum(lambdas / lambda0[:, None], basis.generators[list(forbidden)])
     H = F / lambda0[:, None, None] - G
     psi = np.einsum("kab,b->ka", U, psi_i.amplitudes)
     return U, F, H, psi
@@ -746,8 +669,8 @@ def integrate_blocks(
         )
     if abs(m0.lambda0) < 1e-10:
         raise SingularGaugeError("lambda_0(0) = 0 is a singular gauge")
-    if not t_max > 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     w = problem.omega
     if dt is None:
         dt = 1e-3 / w

@@ -16,28 +16,24 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import (
-    GeneratorBasis,
-    build_gellmann_basis,
-    build_pauli_string_basis,
-    is_closed_subalgebra,
-)
+from .algebra import basis_of, is_closed_subalgebra
 from .dynamics import (
     ControlProblem,
     MultiplierVector,
     SingularGaugeError,
     Trajectory,
+    _as_pairs,
     _observables,
     _validate_h0,
     commutator_tensor,
     constant_g_frames,
     coupled_rhs,
     finalize_trajectory,
+    forbidden_sum,
     g_operator,
     integrate,
     integrate_blocks,
@@ -137,8 +133,6 @@ class ExtremalSolution:
             )
 
     def to_dict(self) -> dict:
-        from .dynamics import _as_pairs  # shared float formatting helpers
-
         return {
             "kind": self.kind.value,
             "T": self.T,
@@ -151,16 +145,6 @@ class ExtremalSolution:
             "report": self.report.as_dict() if self.report is not None else None,
             "trajectory": self.trajectory.to_dict() if self.trajectory is not None else None,
         }
-
-
-@lru_cache(maxsize=8)
-def _gellmann(N: int) -> GeneratorBasis:
-    return build_gellmann_basis(N)
-
-
-@lru_cache(maxsize=4)
-def _pauli(n_qubits: int) -> GeneratorBasis:
-    return build_pauli_string_basis(n_qubits)
 
 
 def _analytic_dt(
@@ -232,8 +216,8 @@ def solve_free(
     Identical endpoints (Bures angle 0) return the trivial T = 0 solution
     with no trajectory.
     """
-    if not omega > 0:
-        raise ValueError(f"energy scale omega must be positive, got {omega}")
+    if not 0 < omega < math.inf:
+        raise ValueError(f"energy scale omega must be positive and finite, got {omega}")
     boundary = boundary_data(psi_i, psi_f)
     N = psi_i.dim
     lam0 = 1.0 / omega**2
@@ -252,7 +236,7 @@ def solve_free(
         dt = 1.5e-3 / omega
     n = max(3, math.ceil(T / dt - 1e-12))
     times = np.linspace(0.0, T, n + 1)
-    basis = _gellmann(N)
+    basis = basis_of("gellmann", N)
     traj = finalize_trajectory(
         basis=basis,
         forbidden=(),
@@ -333,6 +317,8 @@ def solve_closed_subalgebra(
     window, because that trace measures exactly the multiplier drift the
     closure assumption is meant to rule out; otherwise NotClosedError.
     """
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     H0 = np.asarray(H0, dtype=complex)
     closed, closure_resid = True, 0.0
     if problem.forbidden:
@@ -554,9 +540,9 @@ def m1_trajectory(
     """
     if not T > 0:
         raise ValueError(f"duration must be positive, got {T}")
-    if not omega > 0:
-        raise ValueError(f"energy scale omega must be positive, got {omega}")
-    basis = _gellmann(2)
+    if not 0 < omega < math.inf:
+        raise ValueError(f"energy scale omega must be positive and finite, got {omega}")
+    basis = basis_of("gellmann", 2)
     sy = basis.generators[1]
     sz = basis.generators[2]
     F0 = omega * sy + lambda1 * sz
@@ -631,8 +617,8 @@ def solve_m1_two_level(
     """
     if not 0 < omega_b < math.pi / 2:
         raise ValueError(f"Bures angle must lie in (0, pi/2), got {omega_b}")
-    if not omega > 0:
-        raise ValueError(f"energy scale omega must be positive, got {omega}")
+    if not 0 < omega < math.inf:
+        raise ValueError(f"energy scale omega must be positive and finite, got {omega}")
     if abs(math.sin(phi)) < 1e-12:
         raise ValueError(
             "phi equal to a multiple of pi makes the constraint non-binding "
@@ -672,7 +658,7 @@ def solve_m1_two_level(
         )
     found.sort(key=lambda item: item[0])
     solutions = []
-    basis = _gellmann(2)
+    basis = basis_of("gellmann", 2)
     sy = basis.generators[1]
     for T, lam1, k, l in found:
         traj = m1_trajectory(lam1, T, omega, renormalize=True)
@@ -718,6 +704,8 @@ def sweep_m1(
     if np.any(ts <= 0):
         raise ValueError("sweep times must be positive")
     w = float(omega)
+    if not 0 < w < math.inf:
+        raise ValueError(f"energy scale omega must be positive and finite, got {omega}")
     lam = lt[:, None] * w**2
     T = ts[None, :]
     Lam = np.sqrt(lam**2 + w**2)
@@ -805,7 +793,7 @@ def build_two_qubit_f0(
                 "are '10', '01' and '12'"
             )
         free.update({k: float(v) for k, v in free_lambdas.items()})
-    basis = _pauli(2)
+    basis = basis_of("pauli_strings", 4)
 
     def gen(word: str) -> np.ndarray:
         label = "".join(
@@ -845,9 +833,9 @@ def solve_two_qubit_example(
     """
     if not 0 < omega_b <= math.pi / 2:
         raise ValueError(f"Bures angle must lie in (0, pi/2], got {omega_b}")
-    if not omega > 0:
-        raise ValueError(f"energy scale omega must be positive, got {omega}")
-    basis = _pauli(2)
+    if not 0 < omega < math.inf:
+        raise ValueError(f"energy scale omega must be positive and finite, got {omega}")
+    basis = basis_of("pauli_strings", 4)
     mu = omega / math.sqrt(2.0)
     H0, F0 = build_two_qubit_f0(mu, 0.0, 0.0, omega=omega)
     T = math.sqrt(2.0) * omega_b / omega
@@ -969,7 +957,7 @@ def shoot(
     psi_i = problem.psi_i.amplitudes
     Xf = problem.forbidden_generators()
     M = problem.n_forbidden
-    G_seed = np.tensordot(m0_seed.lambdas / lam0, Xf, axes=1) if M else np.zeros((N, N), complex)
+    G_seed = forbidden_sum(m0_seed.lambdas / lam0, Xf)
     F_seed = lam0 * (H0_seed + G_seed)
     F_proj, removed = _structure_project(F_seed, psi_i)
     if removed > 1e-12 * max(1.0, float(np.linalg.norm(F_seed))):
@@ -982,8 +970,8 @@ def shoot(
             "seed F(0) vanishes after structure projection; no evolution "
             "direction survives"
         )
-    lams = np.real(np.einsum("jab,ba->j", Xf, F_proj)) / N if M else np.zeros(0)
-    H0_eff = (F_proj - (np.tensordot(lams, Xf, axes=1) if M else 0.0)) / lam0
+    lams = np.real(np.einsum("jab,ba->j", Xf, F_proj)) / N
+    H0_eff = (F_proj - forbidden_sum(lams, Xf)) / lam0
     h_norm_sq = float(np.real(np.einsum("ab,ba->", H0_eff, H0_eff)))
     if h_norm_sq < 1e-24 * w**2:
         raise ValueError(
@@ -1008,7 +996,7 @@ def shoot(
         if h > 0:
             y = rk4_step(rhs, y, h)
         V, lm0, lms, tau, _ = unpack_state(y, N, M)
-        G = np.tensordot(lms / lm0, Xf, axes=1) if M else np.zeros((N, N), complex)
+        G = forbidden_sum(lms / lm0, Xf)
         F = V @ F0 @ V.conj().T
         H = F / lm0 - G
         U = V @ ((Qf * np.exp(-1.0j * wf * tau)) @ Qf.conj().T)
@@ -1139,7 +1127,7 @@ def shoot(
     # the certified grid must keep the second-order differencing truncation
     # of the report's residuals well inside the 1e-6 integrated verdicts,
     # which needs a finer step than root location when G is strong
-    G0 = np.tensordot(m0.lambdas / lam0, Xf, axes=1) if M else np.zeros((N, N), complex)
+    G0 = forbidden_sum(m0.lambdas / lam0, Xf)
     dt_fine = _analytic_dt(w, G0, F0, T, target=2.5e-7, default=dt, conservative=True)
     n = max(3, math.ceil(T / dt_fine - 1e-12))
     final_raw = integrate(problem, m0, H0, T, T / n)

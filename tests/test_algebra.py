@@ -1,17 +1,18 @@
-"""Generator bases, commutators, structure tensors and closure checks."""
+"""Generator bases, commutators, structure constants and closure checks."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbrach.algebra import (
+    basis_of,
     build_gellmann_basis,
     build_pauli_string_basis,
     hermitian_commutator,
     is_closed_subalgebra,
     pauli_string_label,
-    structure_tensor,
 )
+from qbrach.dynamics import commutator_tensor
 from qbrach.solvers import TWO_QUBIT_FORBIDDEN
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -96,6 +97,20 @@ def test_build_gellmann_rejects_small_dimension():
         build_gellmann_basis(1)
 
 
+def test_basis_of_builds_each_kind_once():
+    g3 = basis_of("gellmann", 3)
+    assert g3 is basis_of("gellmann", 3)
+    assert g3.labels == build_gellmann_basis(3).labels
+    np.testing.assert_array_equal(g3.generators, build_gellmann_basis(3).generators)
+    p4 = basis_of("pauli_strings", 4)
+    assert p4.kind == "pauli_strings"
+    np.testing.assert_array_equal(p4.generators, build_pauli_string_basis(2).generators)
+    with pytest.raises(ValueError, match="power-of-two"):
+        basis_of("pauli_strings", 6)
+    with pytest.raises(ValueError, match="unknown basis kind"):
+        basis_of("spin", 2)
+
+
 def test_coefficients_reconstruct_matrix():
     basis = build_gellmann_basis(4)
     rng = np.random.default_rng(11)
@@ -162,42 +177,47 @@ def test_coefficients_round_trip(seed):
     np.testing.assert_allclose(basis.coefficients(a), coef, atol=1e-10)
 
 
-# ------------------------------------------------------ structure tensor
+# ---------------------------------------------------- structure constants
+# The coefficients of i[X_j, X_l] are read from the commutator stack the
+# solvers integrate with, `commutator_tensor`, by `basis.coefficients`.
 
 
 def test_structure_tensor_su2():
     basis = build_gellmann_basis(2)
-    tensor = structure_tensor(basis, (0, 1, 2))
-    np.testing.assert_allclose(tensor.entry(0, 1), [0.0, 0.0, -2.0], atol=1e-13)
-    # antisymmetry is structural: the reversed pair is the stored negation
-    np.testing.assert_array_equal(tensor.entry(1, 0), -tensor.entry(0, 1))
-    np.testing.assert_array_equal(tensor.entry(2, 2), np.zeros(3))
-    assert set(tensor.pairs()) == {(0, 1), (0, 2), (1, 2)}
+    K = commutator_tensor(basis, (0, 1, 2))
+    assert K.shape == (3, 3, 2, 2)
+    np.testing.assert_allclose(basis.coefficients(K[0, 1]), [0.0, 0.0, -2.0], atol=1e-13)
+    # antisymmetry is exact: the reversed pair is the stored negation
+    np.testing.assert_array_equal(K[1, 0], -K[0, 1])
+    np.testing.assert_array_equal(K[2, 2], np.zeros((2, 2)))
+    # no two Pauli matrices commute
+    assert all(K[p, q].any() for p, q in ((0, 1), (0, 2), (1, 2)))
 
 
 def test_structure_tensor_accepts_labels():
     basis = build_gellmann_basis(2)
-    tensor = structure_tensor(basis, ("s12", "a12"))
-    assert tensor.subset == (0, 1)
-    np.testing.assert_allclose(tensor.entry(0, 1), [0.0, 0.0, -2.0], atol=1e-13)
+    K = commutator_tensor(basis, ("s12", "a12"))
+    np.testing.assert_array_equal(K, commutator_tensor(basis, (0, 1)))
+    np.testing.assert_allclose(basis.coefficients(K[0, 1]), [0.0, 0.0, -2.0], atol=1e-13)
 
 
 def test_structure_tensor_empty_subset():
     basis = build_gellmann_basis(2)
-    tensor = structure_tensor(basis, ())
-    assert list(tensor.pairs()) == []
-    with pytest.raises(KeyError):
-        tensor.entry(0, 1)
+    K = commutator_tensor(basis, ())
+    assert K.shape == (0, 0, 2, 2)
+    with pytest.raises(IndexError):
+        K[0, 1]
 
 
 def test_structure_tensor_reconstructs_commutators():
     basis = build_gellmann_basis(3)
     subset = (0, 2, 5, 7)
-    tensor = structure_tensor(basis, subset)
-    for j, l in tensor.pairs():
-        comm = hermitian_commutator(basis.generators[j], basis.generators[l])
-        rebuilt = np.einsum("m,mij->ij", tensor.entry(j, l), basis.generators)
-        np.testing.assert_allclose(rebuilt, comm, atol=1e-10)
+    K = commutator_tensor(basis, subset)
+    for p, j in enumerate(subset):
+        for q, l in enumerate(subset):
+            comm = hermitian_commutator(basis.generators[j], basis.generators[l])
+            rebuilt = np.einsum("m,mij->ij", basis.coefficients(K[p, q]), basis.generators)
+            np.testing.assert_allclose(rebuilt, comm, atol=1e-10)
 
 
 # ------------------------------------------------------------- closure

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import helpers
-from qbrach.cli import main
+from qbrach.cli import _write_json, main
+from qbrach.solvers import solve_m1_two_level, solve_two_qubit_example, sweep_m1
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -165,6 +166,52 @@ def test_sweep_m1_csv(tmp_path):
 )
 def test_sweep_m1_bad_grids(grid):
     assert main(["sweep-m1", "--grid", grid]) == 1
+
+
+# ------------------------------------------------------------ JSON output
+
+
+def assert_same_floats(got, want, path="doc"):
+    """`got` (parsed output) has the structure of `want`, every float equal by float.hex."""
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            assert_same_floats(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_floats(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert type(got) is float and got.hex() == want.hex(), path
+    else:
+        assert got == want, path
+
+
+def test_json_output_floats_are_exact(capsys):
+    argv = ["solve-m1", "--omega-b", repr(DESIGNED_OB), "--phi", repr(DESIGNED_PHI),
+            "--omega", "10.0"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    branches = solve_m1_two_level(DESIGNED_OB, DESIGNED_PHI, 10.0)
+    assert_same_floats(doc["T_min"], branches[0].T)
+    assert_same_floats(doc["branches"], [sol.to_dict() for sol in branches])
+
+    assert main(["solve-2qubit", "--omega-b", "1.5707963", "--omega", "10"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert_same_floats(doc, solve_two_qubit_example(1.5707963, 10.0).to_dict())
+
+    assert main(["sweep-m1", "--grid", "0,0.02,3 x 0.1,0.3,4", "--omega", "7.5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    fields = sweep_m1(np.linspace(0, 0.02, 3), np.linspace(0.1, 0.3, 4), omega=7.5)
+    assert_same_floats(doc["omega"], 7.5)
+    for name, values in fields.items():
+        assert_same_floats(doc[name], values.tolist(), name)
+
+
+def test_json_writer_keeps_non_finite_tokens(tmp_path):
+    path = tmp_path / "tokens.json"
+    _write_json({"x": [float("nan"), float("inf"), -float("inf"), 0.1]}, str(path))
+    assert path.read_text() == '{"x":[NaN,Infinity,-Infinity,0.1]}'
 
 
 # ------------------------------------------------------------------ verify
@@ -346,3 +393,38 @@ def test_exit_code_numerical_failure(free_file, monkeypatch):
 def test_missing_subcommand_exits():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize(
+    "argv, inf_omega_file",
+    [
+        (["sweep-m1", "--grid", "0,0.02,3 x 0.1,0.3,4", "--omega", "0"], None),
+        (["sweep-m1", "--grid", "0,0.02,3 x 0.1,0.3,4", "--omega", "inf"], None),
+        (["solve-m1", "--omega-b", repr(DESIGNED_OB), "--phi", repr(DESIGNED_PHI),
+          "--omega", "inf"], None),
+        (["shoot", "-i", "{closed}", "--t-max", "inf"], None),
+        (["solve-closed", "-i", "{closed}", "--t-max", "inf"], None),
+        (["solve-free", "-i", "{free}"], "free"),
+        (["solve-closed", "-i", "{closed}"], "closed"),
+    ],
+    ids=[
+        "sweep-omega-0",
+        "sweep-omega-inf",
+        "m1-omega-inf",
+        "shoot-t-max-inf",
+        "closed-t-max-inf",
+        "free-file-omega-inf",
+        "closed-file-omega-inf",
+    ],
+)
+def test_exit_code_non_finite_scale(argv, inf_omega_file, tmp_path, free_file, closed_file, capsys):
+    # a non-finite or non-positive omega or t_max is a validation error
+    files = {"free": free_file, "closed": closed_file}
+    if inf_omega_file is not None:
+        data = json.loads(open(files[inf_omega_file]).read())
+        data["omega"] = float("inf")
+        bad = tmp_path / "inf.json"
+        bad.write_text(json.dumps(data))
+        files[inf_omega_file] = str(bad)
+    assert main([arg.format(**files) for arg in argv]) == 1
+    assert "invalid input" in capsys.readouterr().err

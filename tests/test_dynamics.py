@@ -1,5 +1,7 @@
 """Coupled frame/multiplier integration and the trajectory container."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,13 @@ from qbrach.dynamics import (
     MultiplierVector,
     SingularGaugeError,
     Trajectory,
-    assemble_hamiltonian,
     commutator_tensor,
-    eta_matrix,
+    coupled_rhs,
+    forbidden_sum,
     g_operator,
     integrate,
-    multiplier_rhs,
+    pack_state,
+    unpack_state,
 )
 from qbrach.solvers import shoot
 from qbrach.states import PureState
@@ -100,41 +103,71 @@ def test_g_operator_cases():
         g_operator(MultiplierVector(1.0, [3.0, 1.0]), basis, (2,))
 
 
+def multiplier_rates(problem, lam0, lams, V, F0):
+    """(d lambda_0/dt, d lambda_j/dt) from the lambda slots of `coupled_rhs`."""
+    N, M = problem.dim, problem.n_forbidden
+    rhs = coupled_rhs(
+        F0,
+        problem.forbidden_generators(),
+        commutator_tensor(problem.basis, problem.forbidden),
+        problem.omega,
+        direct=False,
+    )
+    k = rhs(pack_state(V, lam0, np.asarray(lams, dtype=float), 0.0))
+    _, dlam0, dlams, _, _ = unpack_state(k, N, M)
+    return dlam0, dlams
+
+
+def rates_at_h(problem, h, lam0, lams):
+    """Multiplier rates at V = 1, with F(0) chosen so that H(0) = h."""
+    G = forbidden_sum(np.asarray(lams, dtype=float) / lam0, problem.forbidden_generators())
+    return multiplier_rates(problem, lam0, lams, np.eye(problem.dim, dtype=complex), lam0 * (h + G))
+
+
 def test_eta_matrix_pauli_pair():
-    basis = build_gellmann_basis(2)
+    # eta_jl = Tr[H i[X_j, X_l]] is N times the rate of lambda_j at lambda = e_l
     omega = 2.0
-    eta = eta_matrix(omega * SY, basis, (2, 0))
+    problem = ControlProblem(
+        basis=build_gellmann_basis(2), psi_i=helpers.KET0, omega=omega, forbidden=(2, 0)
+    )
+    eta = np.column_stack(
+        [2.0 * rates_at_h(problem, omega * SY, 1.0, e)[1] for e in np.eye(2)]
+    )
     np.testing.assert_allclose(eta, [[0.0, -4.0 * omega], [4.0 * omega, 0.0]], atol=1e-12)
 
 
 def test_eta_matrix_single_direction_is_zero():
-    basis = build_gellmann_basis(2)
-    np.testing.assert_array_equal(eta_matrix(SY, basis, (2,)), np.zeros((1, 1)))
+    problem = ControlProblem(
+        basis=build_gellmann_basis(2), psi_i=helpers.KET0, omega=1.0, forbidden=(2,)
+    )
+    dlam0, dlams = rates_at_h(problem, SY, 1.0, [1.0])
+    assert dlam0 == 0.0
+    np.testing.assert_array_equal(dlams, np.zeros(1))
 
 
 def test_multiplier_rhs_is_zero_for_commuting_directions():
     basis = build_gellmann_basis(3)
+    problem = ControlProblem(basis=basis, psi_i=helpers.ket(3, 0), omega=1.0, forbidden=(6, 7))
     # the two diagonal generators commute, so eta = 0 and nothing moves
     h = basis.generators[0] * np.sqrt(2.0 / 3.0)
-    eta = eta_matrix(h, basis, (6, 7))
-    dlam0, dlams = multiplier_rhs(MultiplierVector(1.0, [0.3, -0.2]), h, eta, 1.0)
+    dlam0, dlams = rates_at_h(problem, h, 1.0, [0.3, -0.2])
     assert dlam0 == 0.0
     np.testing.assert_array_equal(dlams, np.zeros(2))
 
 
 def test_multiplier_rhs_empty_forbidden():
-    basis = build_gellmann_basis(2)
-    dlam0, dlams = multiplier_rhs(
-        MultiplierVector(1.0, []), SY, np.zeros((0, 0)), 1.0
-    )
+    problem = ControlProblem(basis=build_gellmann_basis(2), psi_i=helpers.KET0, omega=1.0)
+    dlam0, dlams = rates_at_h(problem, SY, 1.0, [])
     assert dlam0 == 0.0
     assert dlams.size == 0
 
 
 def test_multiplier_rhs_rejects_singular_gauge():
-    basis = build_gellmann_basis(2)
+    problem = ControlProblem(
+        basis=build_gellmann_basis(2), psi_i=helpers.KET0, omega=1.0, forbidden=(2,)
+    )
     with pytest.raises(SingularGaugeError):
-        multiplier_rhs(MultiplierVector(0.0, [1.0]), SY, np.zeros((1, 1)), 1.0)
+        multiplier_rates(problem, 0.0, [1.0], np.eye(2, dtype=complex), SY)
 
 
 def test_multiplier_rhs_matches_finite_differences():
@@ -143,31 +176,22 @@ def test_multiplier_rhs_matches_finite_differences():
     traj = integrate(problem, m0, h0, t_max=1.0, dt=dt)
     # the multipliers genuinely move on this instance
     assert np.abs(traj.lambdas - traj.lambdas[0]).max() > 0.1
+    F0 = m0.lambda0 * (h0 + g_operator(m0, problem.basis, problem.forbidden))
     worst = 0.0
     for k in range(1, traj.n_samples - 1, 97):
-        eta = eta_matrix(traj.H[k], problem.basis, problem.forbidden)
-        _, dlams = multiplier_rhs(traj.multipliers(k), traj.H[k], eta, problem.omega)
+        _, dlams = multiplier_rates(problem, traj.lambda0[k], traj.lambdas[k], traj.V[k], F0)
         fd = (traj.lambdas[k + 1] - traj.lambdas[k - 1]) / (2.0 * dt)
         worst = max(worst, float(np.abs(dlams - fd).max()))
     assert worst <= 1e-6
 
 
 def test_assemble_hamiltonian_inverts_seed():
+    # H(0) = V(0) F(0) V(0)^dag / lambda_0 - G(0) with V(0) = 1 gives back the seed
     problem, m0, h0 = su3_drifting_instance()
-    g0 = g_operator(m0, problem.basis, problem.forbidden)
-    f0 = m0.lambda0 * (h0 + g0)
-    rebuilt = assemble_hamiltonian(
-        m0, np.eye(3, dtype=complex), f0, problem.basis, problem.forbidden
-    )
-    np.testing.assert_allclose(rebuilt, h0, atol=1e-13)
+    traj = integrate(problem, m0, h0, t_max=0.01, dt=1e-3)
+    np.testing.assert_allclose(traj.H[0], h0, atol=1e-13)
     with pytest.raises(SingularGaugeError):
-        assemble_hamiltonian(
-            MultiplierVector(0.0, [0.4, -0.7]),
-            np.eye(3, dtype=complex),
-            f0,
-            problem.basis,
-            problem.forbidden,
-        )
+        integrate(problem, MultiplierVector(0.0, [0.4, -0.7]), h0, t_max=0.01, dt=1e-3)
 
 
 # --------------------------------------------------------------- integrate
@@ -375,9 +399,9 @@ def test_trajectory_round_trip_is_exact():
 def test_trajectory_json_file_round_trip(tmp_path):
     problem = helpers.m1_problem(1.0)
     traj = integrate(problem, MultiplierVector(1.0, [2.5]), SY, t_max=0.1, dt=1e-3)
-    path = str(tmp_path / "traj.json")
-    traj.to_json(path)
-    back = Trajectory.from_json(path)
+    path = tmp_path / "traj.json"
+    path.write_text(json.dumps(traj.to_dict()))
+    back = Trajectory.from_dict(json.loads(path.read_text()))
     np.testing.assert_array_equal(back.U, traj.U)
 
 
