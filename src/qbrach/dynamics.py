@@ -15,13 +15,16 @@ U(t) = V(t) exp(-i F(0) tau(t)); a direct integration of i dU/dt = H U is
 carried along purely as a cross-check channel.
 
 When the forbidden generators commute pairwise (always so for at most one
-of them) eta vanishes identically: the multipliers and G are constant and
-V(t) = exp(iGt), tau(t) = t/lambda_0 are exact, so `integrate` samples this
-closed-form flow instead of stepping.  Only non-commuting forbidden sets
-are stepped, with fixed-step RK4: one step function (`rk4_step`) on one
-right-hand side (`coupled_rhs`).  `integrate_blocks` yields the samples
-at each re-unitarization checkpoint, so a caller such as `shoot` can stop
-a pass early.
+of them) eta vanishes identically, and on a closed forbidden subalgebra
+the multipliers stay constant as well.  The flow is then closed-form:
+G is constant, V(t) = exp(iGt) and tau(t) = t/lambda_0.  `constant_flow`
+is the one sampler of this flow: `integrate` samples it instead of
+stepping when the generators commute, and every analytic solver builds
+its trajectory with it.  Only non-commuting forbidden sets are stepped,
+with fixed-step RK4: one step function (`rk4_step`) on one right-hand
+side (`coupled_rhs`).  `integrate_blocks` yields the samples at each
+re-unitarization checkpoint, so a caller such as `shoot` can stop a pass
+early.
 
 The multiplier equations
 
@@ -42,12 +45,14 @@ import numpy as np
 
 from .algebra import GeneratorBasis, basis_of, hermitian_commutator
 from .states import PureState
+from .verify import _constraint_profiles, speed_profile
 
 __all__ = [
     "ControlProblem",
     "MultiplierVector",
     "Trajectory",
     "SingularGaugeError",
+    "constant_flow",
     "g_operator",
     "integrate",
 ]
@@ -280,20 +285,8 @@ class Trajectory:
 
     def to_csv(self, path: str) -> None:
         """Plot-ready table: t, multipliers, energy spread, constraint residuals."""
-        w = self.omega
-        h_psi = np.einsum("kab,kb->ka", self.H, self.psi)
-        mean = np.real(np.einsum("ka,ka->k", self.psi.conj(), h_psi))
-        mean_sq = np.real(np.einsum("ka,ka->k", h_psi.conj(), h_psi))
-        de = np.sqrt(np.maximum(mean_sq - mean**2, 0.0))
-        traceless = np.abs(np.einsum("kaa->k", self.H).real) / w
-        norm_resid = np.abs(
-            np.real(np.einsum("kab,kba->k", self.H, self.H)) - 2 * w**2
-        ) / (2 * w**2)
-        if self.forbidden:
-            xf = self.forbidden_generators()
-            term = np.abs(np.real(np.einsum("kab,jba->kj", self.H, xf))).max(axis=1) / w
-        else:
-            term = np.zeros(self.n_samples)
+        de, _ = speed_profile(self, self.omega)
+        traceless, norm_resid, term = _constraint_profiles(self, self.omega)
         cols = [self.times, self.lambda0]
         names = ["t", "lambda0"]
         for c, j in enumerate(self.forbidden):
@@ -486,6 +479,59 @@ def finalize_trajectory(
         forbidden=forbidden,
         renormalized=renormalized,
         u_mismatch=u_mismatch,
+    )
+
+
+def _constant_rows(
+    problem: ControlProblem,
+    m: MultiplierVector,
+    times: np.ndarray,
+    renormalized: Optional[float] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(V, lambda_0, lambda_j, tau) of the constant-multiplier flow on `times`.
+
+    V = e^{iGt} with G = g_operator(m) and tau = t/lambda_0, both in the
+    gauge of m; a `renormalized` value c then divides the multipliers and
+    multiplies tau, which leaves V, U and H unchanged.
+    """
+    V = constant_g_frames(g_operator(m, problem.basis, problem.forbidden), times)
+    lam0, lams, tau = m.lambda0, m.lambdas, times / m.lambda0
+    if renormalized is not None:
+        lam0, lams, tau = lam0 / renormalized, lams / renormalized, tau * renormalized
+    return V, np.full(times.size, lam0), np.repeat(lams[None, :], times.size, axis=0), tau
+
+
+def constant_flow(
+    problem: ControlProblem,
+    m: MultiplierVector,
+    F0: np.ndarray,
+    times: np.ndarray,
+    renormalized: Optional[float] = None,
+) -> Trajectory:
+    """The validated trajectory of the constant-multiplier flow on `times`.
+
+    This is the exact flow whenever eta vanishes along it (a closed
+    forbidden subalgebra, pairwise commuting or at most one forbidden
+    generator): V(t) = e^{iGt}, G = sum_j (lambda_j/lambda_0) X_j, constant
+    multipliers, tau = t/lambda_0 and U(t) = V(t) e^{-i F(0) tau}.  `m` and
+    F(0) are given in one gauge; `renormalized`, when given, is the value
+    c of Re<psi|HF|psi> in that gauge, and the multipliers and F(0) are
+    divided by c so the trajectory is marked renormalized.
+    """
+    times = np.asarray(times, dtype=float)
+    V, lam0, lams, tau = _constant_rows(problem, m, times, renormalized)
+    return finalize_trajectory(
+        basis=problem.basis,
+        forbidden=problem.forbidden,
+        omega=problem.omega,
+        psi_i=problem.psi_i,
+        times=times,
+        V=V,
+        lambda0=lam0,
+        lambdas=lams,
+        tau_acc=tau,
+        F0=F0 if renormalized is None else F0 / renormalized,
+        renormalized=renormalized is not None,
     )
 
 
@@ -686,16 +732,9 @@ def integrate_blocks(
         n_steps = max(1, math.ceil(t_max / dt - 1e-12))
         times = np.arange(n_steps + 1) * (t_max / n_steps)
         times[-1] = t_max
+        U_direct = _direct_propagators(G0, F0, m0.lambda0, times)
         yield PassSamples(
-            times=times,
-            V=constant_g_frames(G0, times),
-            lambda0=np.full(n_steps + 1, m0.lambda0),
-            lambdas=np.repeat(m0.lambdas[None, :], n_steps + 1, axis=0),
-            tau_acc=times / m0.lambda0,
-            U_direct=_direct_propagators(G0, F0, m0.lambda0, times),
-            F0=F0,
-            n_steps=n_steps,
-            start=0,
+            times, *_constant_rows(problem, m0, times), U_direct, F0, n_steps, 0
         )
         return
 

@@ -5,6 +5,9 @@ restrictions with constant multipliers, the single-forbidden-direction
 two-level problem, and the restricted two-qubit example — plus the general
 forward-shooting generator that integrates the coupled system until the
 endpoint condition Im<psi|H F|psi> = 0 is met with a nonzero real part.
+The four analytic paths sample their trajectories with
+`dynamics.constant_flow`, the one sampler of the constant-multiplier flow
+of a closed forbidden subalgebra (eta = 0).
 
 All returned trajectories are renormalized: the multipliers are divided by
 c = Re<psi(T)|H(T)F(T)|psi(T)> so the endpoint constraint evaluates to 1.
@@ -16,7 +19,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,10 +30,11 @@ from .dynamics import (
     SingularGaugeError,
     Trajectory,
     _as_pairs,
+    _constant_rows,
     _observables,
     _validate_h0,
     commutator_tensor,
-    constant_g_frames,
+    constant_flow,
     coupled_rhs,
     finalize_trajectory,
     forbidden_sum,
@@ -202,6 +206,14 @@ def _renormalize(traj: Trajectory, c: float) -> Trajectory:
     )
 
 
+def _grid(T: float, step: float) -> np.ndarray:
+    """Uniform samples of [0, T], at least four, no further apart than `step`."""
+    if not 0 < step < math.inf:
+        raise ValueError(f"sample step dt must be positive and finite, got {step}")
+    n = max(3, math.ceil(T / step - 1e-12))
+    return np.linspace(0.0, T, n + 1)
+
+
 # -- free evolution ----------------------------------------------------------
 
 
@@ -216,8 +228,7 @@ def solve_free(
     Identical endpoints (Bures angle 0) return the trivial T = 0 solution
     with no trajectory.
     """
-    if not 0 < omega < math.inf:
-        raise ValueError(f"energy scale omega must be positive and finite, got {omega}")
+    problem = ControlProblem(basis_of("gellmann", psi_i.dim), psi_i, omega)
     boundary = boundary_data(psi_i, psi_f)
     N = psi_i.dim
     lam0 = 1.0 / omega**2
@@ -234,21 +245,9 @@ def solve_free(
     T = boundary.omega_b / omega
     if dt is None:
         dt = 1.5e-3 / omega
-    n = max(3, math.ceil(T / dt - 1e-12))
-    times = np.linspace(0.0, T, n + 1)
-    basis = basis_of("gellmann", N)
-    traj = finalize_trajectory(
-        basis=basis,
-        forbidden=(),
-        omega=omega,
-        psi_i=psi_i,
-        times=times,
-        V=np.repeat(np.eye(N, dtype=complex)[None, :, :], n + 1, axis=0),
-        lambda0=np.full(n + 1, lam0),
-        lambdas=np.zeros((n + 1, 0)),
-        tau_acc=omega**2 * times,
-        F0=H_F * lam0,
-        renormalized=True,
+    # in the gauge lambda_0 = 1, F = H and Re<psi|HF|psi> = <H^2> = omega^2
+    traj = constant_flow(
+        problem, MultiplierVector(1.0, np.zeros(0)), H_F, _grid(T, dt), renormalized=omega**2
     )
     fid = abs(np.vdot(psi_f.amplitudes, traj.psi[-1]))
     if fid < 1.0 - 1e-9:
@@ -268,29 +267,6 @@ def solve_free(
 
 
 # -- closed subalgebra -------------------------------------------------------
-
-
-def _closed_state_at(
-    t: float,
-    psi_i: np.ndarray,
-    wQ_G: Tuple[np.ndarray, np.ndarray],
-    wQ_F: Tuple[np.ndarray, np.ndarray],
-    lam0: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(psi(t), H(t), F(t)) for the constant-multiplier analytic flow."""
-    wg, Qg = wQ_G
-    wf, Qf = wQ_F
-    V = (Qg * np.exp(1.0j * wg * t)) @ Qg.conj().T
-    expF = (Qf * np.exp(-1.0j * wf * t / lam0)) @ Qf.conj().T
-    U = V @ expF
-    F = V @ (Qf * wf) @ Qf.conj().T @ V.conj().T
-    G = (Qg * wg) @ Qg.conj().T
-    H = F / lam0 - G
-    return U @ psi_i, H, F
-
-
-def _bc_value(psi: np.ndarray, H: np.ndarray, F: np.ndarray) -> complex:
-    return complex(psi.conj() @ (H @ (F @ psi)))
 
 
 def solve_closed_subalgebra(
@@ -330,26 +306,26 @@ def solve_closed_subalgebra(
         raise SingularGaugeError("lambda_0(0) = 0 is a singular gauge")
     G = g_operator(m0, problem.basis, problem.forbidden)
     F0 = lam0 * (H0 + G)
-    psi_i = problem.psi_i.amplitudes
-    wQ_G = np.linalg.eigh(G)
-    wQ_F = np.linalg.eigh(F0)
+
+    def flow(times: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(F, H, psi) of the constant-multiplier flow on a stack of times."""
+        rows = _constant_rows(problem, m0, times)
+        _, F, H, psi = _observables(problem.basis, problem.forbidden, problem.psi_i, *rows, F0)
+        return F, H, psi
+
+    def value_at(t: float) -> Tuple[float, float]:
+        """(Re, Im) of <psi|HF|psi> at one time t."""
+        F, H, psi = flow(np.array([t]))
+        return endpoint_constraint(psi[0], H[0], F[0])
 
     # locate endpoint roots on a scan grid fine enough to see the fastest
     # oscillation (rates bounded by the spectral radii of G and F0/lam0)
-    rate = 2.0 * (float(np.abs(wQ_G[0]).max()) + float(np.abs(wQ_F[0]).max()) / abs(lam0))
+    g_rad = float(np.abs(np.linalg.eigvalsh(G)).max())
+    f_rad = float(np.abs(np.linalg.eigvalsh(F0)).max())
+    rate = 2.0 * (g_rad + f_rad / abs(lam0))
     n_scan = min(50_000, max(400, math.ceil(t_max * rate * 4.0 / math.pi)))
     scan = np.linspace(0.0, t_max, n_scan + 1)
-    Vs = constant_g_frames(G, scan)
-    expFs = np.einsum(
-        "ab,kb,cb->kac",
-        wQ_F[1],
-        np.exp(-1.0j * np.outer(scan / lam0, wQ_F[0])),
-        wQ_F[1].conj(),
-    )
-    Us = Vs @ expFs
-    psis = np.einsum("kab,b->ka", Us, psi_i)
-    Fs = Vs @ F0 @ np.conj(np.transpose(Vs, (0, 2, 1)))
-    Hs = Fs / lam0 - G
+    Fs, Hs, psis = flow(scan)
     if not closed:
         # The set spans no subalgebra, but the constant-multiplier flow is
         # still exact for this seed iff the forbidden traces vanish along it:
@@ -377,10 +353,6 @@ def solve_closed_subalgebra(
     vals = np.einsum("ka,kab,kbc,kc->k", psis.conj(), Hs, Fs, psis)
     s_scan = vals.imag
 
-    def value_at(t: float) -> complex:
-        psi, H, F = _closed_state_at(t, psi_i, wQ_G, wQ_F, lam0)
-        return _bc_value(psi, H, F)
-
     degenerate = float(np.abs(s_scan).max()) <= 1e-12 * w**2
     T: Optional[float] = None
     if degenerate:
@@ -389,7 +361,9 @@ def solve_closed_subalgebra(
                 "endpoint function is identically zero for this seed and no "
                 "target state was given; every stopping time is extremal"
             )
-        T = _first_fidelity_time(problem.psi_f.amplitudes, psis, scan, psi_i, wQ_G, wQ_F, lam0)
+        T = _first_fidelity_time(
+            problem.psi_f.amplitudes, psis, scan, lambda t: flow(np.array([t]))[2][0]
+        )
         if T is None:
             raise NoSolutionError(
                 "the flow never reaches the target state within the window "
@@ -407,7 +381,7 @@ def solve_closed_subalgebra(
                 lo, hi, slo = a, b, sa
                 for _ in range(80):
                     mid = 0.5 * (lo + hi)
-                    sm = value_at(mid).imag
+                    sm = value_at(mid)[1]
                     if slo * sm <= 0:
                         hi = mid
                     else:
@@ -415,8 +389,7 @@ def solve_closed_subalgebra(
                 root = 0.5 * (lo + hi)
             if root is None:
                 continue
-            v = value_at(root)
-            if abs(v.real) >= floor:
+            if abs(value_at(root)[0]) >= floor:
                 T = root
                 break
         if T is None:
@@ -425,28 +398,14 @@ def solve_closed_subalgebra(
                 f"(0, {t_max:g}]"
             )
 
-    step = dt if dt is not None else _analytic_dt(w, G, F0, T)
-    n = max(3, math.ceil(T / step - 1e-12))
-    times = np.linspace(0.0, T, n + 1)
-    raw = finalize_trajectory(
-        basis=problem.basis,
-        forbidden=problem.forbidden,
-        omega=w,
-        psi_i=problem.psi_i,
-        times=times,
-        V=constant_g_frames(G, times),
-        lambda0=np.full(n + 1, lam0),
-        lambdas=np.repeat(m0.lambdas[None, :], n + 1, axis=0),
-        tau_acc=times / lam0,
-        F0=F0,
-    )
-    re_T, _ = endpoint_constraint(raw.psi[-1], raw.H[-1], raw.F[-1])
+    re_T, _ = value_at(T)
     if degenerate and abs(re_T) < 1e-6 * w**2:
         raise NoSolutionError(
             "endpoint real part vanishes at the matched time; the multiplier "
             "renormalization that sets the constraint to 1 does not exist"
         )
-    traj = _renormalize(raw, re_T)
+    step = dt if dt is not None else _analytic_dt(w, G, F0, T)
+    traj = constant_flow(problem, m0, F0, _grid(T, step), renormalized=re_T)
     report = certify(traj, Tolerances.analytic(), renormalized=True)
     return ExtremalSolution(
         kind=SolutionKind.CLOSED_SUBALGEBRA,
@@ -462,10 +421,7 @@ def _first_fidelity_time(
     target: np.ndarray,
     psis: np.ndarray,
     scan: np.ndarray,
-    psi_i: np.ndarray,
-    wQ_G,
-    wQ_F,
-    lam0: float,
+    psi_at: Callable[[float], np.ndarray],
     fid_tol: float = 1e-9,
 ) -> Optional[float]:
     """Earliest time where |<target|psi(t)>| reaches 1 - fid_tol.
@@ -475,8 +431,7 @@ def _first_fidelity_time(
     """
 
     def fid(t: float) -> float:
-        psi, _, _ = _closed_state_at(t, psi_i, wQ_G, wQ_F, lam0)
-        return abs(np.vdot(target, psi))
+        return abs(np.vdot(target, psi_at(t)))
 
     f_scan = np.abs(psis @ target.conj())
     order = [
@@ -540,35 +495,16 @@ def m1_trajectory(
     """
     if not T > 0:
         raise ValueError(f"duration must be positive, got {T}")
-    if not 0 < omega < math.inf:
-        raise ValueError(f"energy scale omega must be positive and finite, got {omega}")
     basis = basis_of("gellmann", 2)
-    sy = basis.generators[1]
+    problem = ControlProblem(basis, PureState(M1_PSI_I), omega, forbidden=(2,))
     sz = basis.generators[2]
-    F0 = omega * sy + lambda1 * sz
-    G = lambda1 * sz
+    F0 = omega * basis.generators[1] + lambda1 * sz
     if n_samples is None:
-        step = _analytic_dt(omega, G, F0, T)
-        n_samples = max(3, math.ceil(T / step - 1e-12))
-    times = np.linspace(0.0, T, n_samples + 1)
-    phase = np.exp(1.0j * lambda1 * times)
-    V = np.zeros((n_samples + 1, 2, 2), dtype=complex)
-    V[:, 0, 0] = phase
-    V[:, 1, 1] = phase.conj()
-    c = omega**2 if renormalize else 1.0
-    return finalize_trajectory(
-        basis=basis,
-        forbidden=(2,),
-        omega=omega,
-        psi_i=PureState(M1_PSI_I),
-        times=times,
-        V=V,
-        lambda0=np.full(n_samples + 1, 1.0 / c),
-        lambdas=np.full((n_samples + 1, 1), lambda1 / c),
-        tau_acc=times * c,
-        F0=F0 / c,
-        renormalized=renormalize,
-    )
+        times = _grid(T, _analytic_dt(omega, lambda1 * sz, F0, T))
+    else:
+        times = np.linspace(0.0, T, n_samples + 1)
+    c = omega**2 if renormalize else None
+    return constant_flow(problem, MultiplierVector(1.0, [lambda1]), F0, times, renormalized=c)
 
 
 def m1_final_state(omega_b: float, phi: float) -> PureState:
@@ -701,6 +637,8 @@ def sweep_m1(
     """
     lt = np.asarray(lambda1_tilde, dtype=float).ravel()
     ts = np.asarray(T_values, dtype=float).ravel()
+    if not (np.all(np.isfinite(lt)) and np.all(np.isfinite(ts))):
+        raise ValueError("sweep grid values must be finite")
     if np.any(ts <= 0):
         raise ValueError("sweep times must be positive")
     w = float(omega)
@@ -833,38 +771,20 @@ def solve_two_qubit_example(
     """
     if not 0 < omega_b <= math.pi / 2:
         raise ValueError(f"Bures angle must lie in (0, pi/2], got {omega_b}")
-    if not 0 < omega < math.inf:
-        raise ValueError(f"energy scale omega must be positive and finite, got {omega}")
     basis = basis_of("pauli_strings", 4)
+    ket11 = np.zeros(4, dtype=complex)
+    ket11[3] = 1.0
+    problem = ControlProblem(basis, PureState(ket11), omega, forbidden=TWO_QUBIT_FORBIDDEN)
     mu = omega / math.sqrt(2.0)
     H0, F0 = build_two_qubit_f0(mu, 0.0, 0.0, omega=omega)
     T = math.sqrt(2.0) * omega_b / omega
     lam11 = -mu
     idx11 = basis.index_of("σ1¹σ2¹")
-    forbidden = tuple(basis.index_of(lbl) for lbl in TWO_QUBIT_FORBIDDEN)
-    lams = np.zeros(len(forbidden))
-    lams[forbidden.index(idx11)] = lam11
-    ket11 = np.zeros(4, dtype=complex)
-    ket11[3] = 1.0
-    psi_i = PureState(ket11)
-    G = lam11 * basis.generators[idx11]
-    step = dt if dt is not None else _analytic_dt(omega, G, F0, T)
-    n = max(3, math.ceil(T / step - 1e-12))
-    times = np.linspace(0.0, T, n + 1)
+    lams = np.zeros(problem.n_forbidden)
+    lams[problem.forbidden.index(idx11)] = lam11
+    step = dt if dt is not None else _analytic_dt(omega, lam11 * basis.generators[idx11], F0, T)
     c = omega**2  # Re<psi|HF|psi> along this flow
-    traj = finalize_trajectory(
-        basis=basis,
-        forbidden=forbidden,
-        omega=omega,
-        psi_i=psi_i,
-        times=times,
-        V=constant_g_frames(G, times),
-        lambda0=np.full(n + 1, 1.0 / c),
-        lambdas=np.repeat(lams[None, :] / c, n + 1, axis=0),
-        tau_acc=times * c,
-        F0=F0 / c,
-        renormalized=True,
-    )
+    traj = constant_flow(problem, MultiplierVector(1.0, lams), F0, _grid(T, step), renormalized=c)
     ket00 = np.zeros(4, dtype=complex)
     ket00[0] = 1.0
     expected = math.cos(omega_b) * ket11 + 1.0j * math.sin(omega_b) * ket00
@@ -996,12 +916,11 @@ def shoot(
         if h > 0:
             y = rk4_step(rhs, y, h)
         V, lm0, lms, tau, _ = unpack_state(y, N, M)
-        G = forbidden_sum(lms / lm0, Xf)
-        F = V @ F0 @ V.conj().T
-        H = F / lm0 - G
-        U = V @ ((Qf * np.exp(-1.0j * wf * tau)) @ Qf.conj().T)
-        psi = U @ psi_i
-        return psi, complex(psi.conj() @ (H @ (F @ psi)))
+        _, F, H, psi = _observables(
+            problem.basis, problem.forbidden, problem.psi_i,
+            V[None], np.array([lm0]), lms[None], np.array([tau]), F0,
+        )
+        return psi[0], complex(*endpoint_constraint(psi[0], H[0], F[0]))
 
     def bc_at(t: float) -> complex:
         return state_at(t)[1]
@@ -1059,7 +978,6 @@ def shoot(
         )
         if start == 0:
             F0 = Fb[0]
-            wf, Qf = np.linalg.eigh(F0)
             rhs = coupled_rhs(F0, Xf, Kten, w, direct=False)
         s[r] = np.einsum("ka,kab,kbc,kc->k", psib.conj(), Hb, Fb, psib).imag / w2
         live = live or not float(np.abs(s[r]).max()) < 1e-12
@@ -1129,7 +1047,7 @@ def shoot(
     # which needs a finer step than root location when G is strong
     G0 = forbidden_sum(m0.lambdas / lam0, Xf)
     dt_fine = _analytic_dt(w, G0, F0, T, target=2.5e-7, default=dt, conservative=True)
-    n = max(3, math.ceil(T / dt_fine - 1e-12))
+    n = _grid(T, dt_fine).size - 1
     final_raw = integrate(problem, m0, H0, T, T / n)
     re_T, im_T = endpoint_constraint(final_raw.psi[-1], final_raw.H[-1], final_raw.F[-1])
     if abs(re_T) < floor:

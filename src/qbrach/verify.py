@@ -183,25 +183,55 @@ class VerificationReport:
 # -- individual checks -------------------------------------------------------
 
 
+def _constraint_profiles(traj, omega: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-sample residuals of the three Hamiltonian constraints.
+
+    traceless: |Tr H|/omega; norm: |Tr H^2 - 2 omega^2|/(2 omega^2);
+    term: max over forbidden j of |Tr[H X_j]|/omega (zero without any).
+    """
+    H = traj.H
+    traceless = np.abs(np.einsum("kaa->k", H).real) / omega
+    norm = np.abs(np.real(np.einsum("kab,kba->k", H, H)) - 2 * omega**2) / (2 * omega**2)
+    if traj.forbidden:
+        xf = traj.forbidden_generators()
+        term = np.abs(np.real(np.einsum("kab,jba->kj", H, xf))).max(axis=1) / omega
+    else:
+        term = np.zeros(H.shape[0])
+    return traceless, norm, term
+
+
 def check_constraints(traj, omega: float) -> Tuple[float, float, float]:
     """Max residuals of the three Hamiltonian constraints over the grid.
 
     traceless: |Tr H|/omega; norm: |Tr H^2 - 2 omega^2|/(2 omega^2);
     term: |Tr[H X_j]|/omega over all forbidden j.
     """
-    H = traj.H
-    if H.shape[0] == 0:
+    if traj.H.shape[0] == 0:
         raise ValueError("trajectory has no samples")
-    traceless = float(np.abs(np.einsum("kaa->k", H).real).max()) / omega
-    norm = float(
-        np.abs(np.real(np.einsum("kab,kba->k", H, H)) - 2 * omega**2).max()
-    ) / (2 * omega**2)
-    if traj.forbidden:
-        xf = traj.forbidden_generators()
-        term = float(np.abs(np.real(np.einsum("kab,jba->kj", H, xf))).max()) / omega
-    else:
-        term = 0.0
-    return traceless, norm, term
+    return tuple(float(r.max()) for r in _constraint_profiles(traj, omega))
+
+
+def _conservation_residuals(traj) -> Tuple[float, float, float]:
+    """(chko, state form, anticommutator form) from one dF/dt + i[H, F].
+
+    See chko_residual and equivalence_residuals.
+    """
+    if traj.times.size < 3:
+        raise ValueError("need at least 3 samples to difference dF/dt")
+    fdot = np.gradient(traj.F, traj.times, axis=0, edge_order=2)
+    resid = fdot + 1.0j * (traj.H @ traj.F - traj.F @ traj.H)
+    fnorm = max(float(np.linalg.norm(traj.F[0])), _TINY)
+    per_sample = np.linalg.norm(resid.reshape(resid.shape[0], -1), axis=1)
+    chko = float(per_sample.max()) / (traj.omega * fnorm)
+    state_res = np.linalg.norm(np.einsum("kab,kb->ka", resid, traj.psi), axis=1)
+    state_max = float(state_res.max()) / (traj.omega * fnorm)
+    fpsi = np.einsum("kab,kb->ka", traj.F, traj.psi)
+    fp = np.einsum("ka,kb->kab", fpsi, traj.psi.conj())
+    anti = fp + np.conj(np.transpose(fp, (0, 2, 1))) - traj.F
+    anti_max = float(
+        np.linalg.norm(anti.reshape(anti.shape[0], -1), axis=1).max()
+    ) / fnorm
+    return chko, state_max, anti_max
 
 
 def chko_residual(traj) -> float:
@@ -211,13 +241,7 @@ def chko_residual(traj) -> float:
     the boundary samples), so for an exact trajectory the residual is the
     O(dt^2) differencing truncation.  Normalization: omega ||F(0)||_F.
     """
-    if traj.times.size < 3:
-        raise ValueError("need at least 3 samples to difference dF/dt")
-    fdot = np.gradient(traj.F, traj.times, axis=0, edge_order=2)
-    resid = fdot + 1.0j * (traj.H @ traj.F - traj.F @ traj.H)
-    per_sample = np.linalg.norm(resid.reshape(resid.shape[0], -1), axis=1)
-    scale = traj.omega * max(float(np.linalg.norm(traj.F[0])), _TINY)
-    return float(per_sample.max()) / scale
+    return _conservation_residuals(traj)[0]
 
 
 def initial_condition_residual(F0: np.ndarray, psi_i) -> float:
@@ -301,20 +325,7 @@ def equivalence_residuals(traj) -> Tuple[float, float]:
     state form: max ||(dF/dt + i[H,F]) psi|| / (omega ||F(0)||);
     anticommutator form: max ||F P + P F - F||_F / ||F(0)||, P = |psi><psi|.
     """
-    if traj.times.size < 3:
-        raise ValueError("need at least 3 samples to difference dF/dt")
-    fdot = np.gradient(traj.F, traj.times, axis=0, edge_order=2)
-    resid = fdot + 1.0j * (traj.H @ traj.F - traj.F @ traj.H)
-    state_res = np.linalg.norm(np.einsum("kab,kb->ka", resid, traj.psi), axis=1)
-    fnorm = max(float(np.linalg.norm(traj.F[0])), _TINY)
-    state_max = float(state_res.max()) / (traj.omega * fnorm)
-    fpsi = np.einsum("kab,kb->ka", traj.F, traj.psi)
-    fp = np.einsum("ka,kb->kab", fpsi, traj.psi.conj())
-    anti = fp + np.conj(np.transpose(fp, (0, 2, 1))) - traj.F
-    anti_max = float(
-        np.linalg.norm(anti.reshape(anti.shape[0], -1), axis=1).max()
-    ) / fnorm
-    return state_max, anti_max
+    return _conservation_residuals(traj)[1:]
 
 
 def equivalence_check(traj) -> float:
@@ -345,7 +356,7 @@ def certify(
     w = traj.omega
     N = traj.dim
     traceless, norm, term = check_constraints(traj, w)
-    chko = chko_residual(traj)
+    chko, state_form, anti_form = _conservation_residuals(traj)
     icr = initial_condition_residual(traj.F[0], traj.psi[0])
     f0_norm = max(float(np.linalg.norm(traj.F[0])), _TINY)
     re, im = endpoint_constraint(traj.psi[-1], traj.H[-1], traj.F[-1])
@@ -372,7 +383,7 @@ def certify(
     c2 = float(np.real(traj.psi[-1].conj() @ (comm @ traj.psi[-1])))
     equiv_gap = abs(im + traj.lambda0[-1] * c2 / 2.0) / w**2
 
-    eq_max = equivalence_check(traj)
+    eq_max = max(state_form, anti_form)
     mism = float(getattr(traj, "u_mismatch", 0.0))
 
     verdict = {

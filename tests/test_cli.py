@@ -406,6 +406,15 @@ def test_missing_subcommand_exits():
         (["solve-closed", "-i", "{closed}", "--t-max", "inf"], None),
         (["solve-free", "-i", "{free}"], "free"),
         (["solve-closed", "-i", "{closed}"], "closed"),
+        (["solve-free", "-i", "{free}", "--dt", "0"], None),
+        (["solve-2qubit", "--omega-b", "1", "--omega", "10", "--dt", "0"], None),
+        (["solve-closed", "-i", "{closed}", "--dt", "0"], None),
+        (["solve-free", "-i", "{free}", "--dt", "-5"], None),
+        (["solve-2qubit", "--omega-b", "1", "--omega", "10", "--dt", "-5"], None),
+        (["solve-free", "-i", "{free}", "--dt", "inf"], None),
+        (["solve-closed", "-i", "{closed}", "--dt", "inf"], None),
+        (["sweep-m1", "--grid", "0,0.02,2 x nan,0.3,2"], None),
+        (["sweep-m1", "--grid", "0,inf,2 x 0.1,0.3,2"], None),
     ],
     ids=[
         "sweep-omega-0",
@@ -415,10 +424,20 @@ def test_missing_subcommand_exits():
         "closed-t-max-inf",
         "free-file-omega-inf",
         "closed-file-omega-inf",
+        "free-dt-0",
+        "2qubit-dt-0",
+        "closed-dt-0",
+        "free-dt-negative",
+        "2qubit-dt-negative",
+        "free-dt-inf",
+        "closed-dt-inf",
+        "sweep-grid-nan",
+        "sweep-grid-inf",
     ],
 )
 def test_exit_code_non_finite_scale(argv, inf_omega_file, tmp_path, free_file, closed_file, capsys):
-    # a non-finite or non-positive omega or t_max is a validation error
+    # a non-finite or non-positive omega, t_max, dt or sweep grid value is
+    # a validation error
     files = {"free": free_file, "closed": closed_file}
     if inf_omega_file is not None:
         data = json.loads(open(files[inf_omega_file]).read())

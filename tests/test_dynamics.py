@@ -14,6 +14,7 @@ from qbrach.dynamics import (
     SingularGaugeError,
     Trajectory,
     commutator_tensor,
+    constant_flow,
     coupled_rhs,
     forbidden_sum,
     g_operator,
@@ -330,6 +331,28 @@ def test_integrate_commuting_forbidden_set_is_exact():
     report = certify(traj, Tolerances.integrated())
     failed = [k for k in POINTWISE_VERDICTS if not report.verdict[k]]
     assert not failed
+
+
+def test_constant_flow_reproduces_exact_integration():
+    # on the commuting su(4) set integrate samples the constant-multiplier
+    # flow; constant_flow gives the same trajectory, and renormalizing it
+    # rescales the multipliers but leaves the motion unchanged
+    problem, h0, m0 = helpers.su4_shoot_seed(183)
+    traj = integrate(problem, m0, h0, t_max=1.0, dt=1e-3)
+    f0 = m0.lambda0 * (h0 + g_operator(m0, problem.basis, problem.forbidden))
+    flow = constant_flow(problem, m0, f0, traj.times)
+    assert not flow.renormalized
+    for name in ("V", "U", "H", "F", "psi"):
+        gap = float(np.abs(getattr(flow, name) - getattr(traj, name)).max())
+        assert gap <= 1e-13, name
+    c = 2.5
+    rescaled = constant_flow(problem, m0, f0, traj.times, renormalized=c)
+    assert rescaled.renormalized
+    np.testing.assert_array_equal(rescaled.lambda0, m0.lambda0 / c)
+    for name in ("V", "U", "H", "psi"):
+        gap = float(np.abs(getattr(rescaled, name) - getattr(traj, name)).max())
+        assert gap <= 1e-13, name
+    assert float(np.abs(rescaled.F - traj.F / c).max()) <= 1e-13
 
 
 @pytest.mark.parametrize("dim", [2, 4])

@@ -330,6 +330,16 @@ def test_m1_trajectory_renormalization_gauge():
         m1_trajectory(1.0, 0.5, -1.0)
 
 
+def test_m1_trajectory_frame_is_the_sigma_z_phase():
+    # V(t) = e^{i lambda1 sigma_z t} is diagonal; the flow samples it from G
+    lam1 = 2.7
+    traj = m1_trajectory(lam1, 0.8, 10.0, renormalize=True)
+    expected = np.zeros_like(traj.V)
+    expected[:, 0, 0] = np.exp(1j * lam1 * traj.times)
+    expected[:, 1, 1] = np.exp(-1j * lam1 * traj.times)
+    assert float(np.abs(traj.V - expected).max()) <= 1e-15
+
+
 def test_m1_boundary_round_trip():
     rng = np.random.default_rng(17)
     for _ in range(25):
@@ -403,6 +413,16 @@ def test_sweep_m1_matches_matrix_product_oracle():
 def test_sweep_m1_rejects_nonpositive_times():
     with pytest.raises(ValueError):
         sweep_m1([0.0], [0.0])
+
+
+@pytest.mark.parametrize(
+    "lams, times",
+    [([0.0, math.nan], [0.1]), ([math.inf], [0.1]), ([0.0], [0.1, math.nan]), ([0.0], [math.inf])],
+    ids=["lambda-nan", "lambda-inf", "T-nan", "T-inf"],
+)
+def test_sweep_m1_rejects_non_finite_grid(lams, times):
+    with pytest.raises(ValueError, match="finite"):
+        sweep_m1(lams, times)
 
 
 # --------------------------------------------------- closed-subalgebra flow
