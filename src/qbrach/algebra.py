@@ -6,7 +6,8 @@ structure constants of i[X_j, X_l] are the coefficients of a commutator.
 Two constructions are provided: generalized Gell-Mann matrices (any
 N >= 2) and Pauli strings (N = 2^n), both Hermitian, traceless and
 deterministically ordered.  `basis_of` builds either by its kind name,
-once per (kind, dimension).
+once per (kind, dimension).  Closure under i[.,.] is read from the
+stacked commutators of a subset (`commutator_tensor`, `closure_residual`).
 """
 
 from __future__ import annotations
@@ -23,11 +24,16 @@ __all__ = [
     "basis_of",
     "build_gellmann_basis",
     "build_pauli_string_basis",
+    "closure_residual",
+    "commutator_tensor",
     "hermitian_commutator",
     "is_closed_subalgebra",
 ]
 
 _SUPERSCRIPTS = {1: "¹", 2: "²", 3: "³"}
+
+# largest `closure_residual` of a subset taken as closed under i[.,.]
+CLOSURE_TOL = 1e-10
 
 _PAULI = {
     0: np.eye(2, dtype=complex),
@@ -212,8 +218,30 @@ def hermitian_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * (c + c.conj().T)
 
 
+def commutator_tensor(basis: GeneratorBasis, subset: Sequence) -> np.ndarray:
+    """Stack K[j, l] = i[X_j, X_l] over the pairs of a subset, exactly antisymmetric."""
+    idx = [basis.index_of(j) for j in subset]
+    M, N = len(idx), basis.dim
+    K = np.zeros((M, M, N, N), dtype=complex)
+    for p in range(M):
+        for q in range(p + 1, M):
+            c = hermitian_commutator(basis.generators[idx[p]], basis.generators[idx[q]])
+            K[p, q] = c
+            K[q, p] = -c
+    return K
+
+
+def closure_residual(gens: np.ndarray, K: np.ndarray) -> float:
+    """Largest Frobenius norm of a K[j, l] minus its projection onto span(gens),
+    for K the `commutator_tensor` of the subset stacked in `gens`."""
+    N = gens.shape[-1]
+    coeff = np.real(np.einsum("mij,pqji->pqm", gens, K)) / N
+    resid = K - np.einsum("pqm,mij->pqij", coeff, gens)
+    return float(np.linalg.norm(resid, axis=(2, 3)).max(initial=0.0))
+
+
 def is_closed_subalgebra(
-    basis: GeneratorBasis, subset: Sequence[int], tol: float = 1e-10
+    basis: GeneratorBasis, subset: Sequence[int], tol: float = CLOSURE_TOL
 ) -> Tuple[bool, float]:
     """Whether span{X_j : j in subset} is closed under i[.,.].
 
@@ -224,12 +252,5 @@ def is_closed_subalgebra(
     idx = [basis.index_of(j) for j in subset]
     if not idx:
         raise ValueError("subset must be nonempty")
-    sub_gens = basis.generators[idx]
-    worst = 0.0
-    for p in range(len(idx)):
-        for q in range(p + 1, len(idx)):
-            comm = hermitian_commutator(sub_gens[p], sub_gens[q])
-            coeff = np.real(np.einsum("mij,ji->m", sub_gens, comm)) / basis.dim
-            resid = comm - np.einsum("m,mij->ij", coeff, sub_gens)
-            worst = max(worst, float(np.linalg.norm(resid)))
+    worst = closure_residual(basis.generators[idx], commutator_tensor(basis, idx))
     return worst <= tol, worst

@@ -7,7 +7,8 @@ identical inputs give byte-identical output, and NaN and infinities are
 written as the NaN, Infinity and -Infinity tokens.  `--csv` adds a
 plot-ready table of t, multipliers, energy spread and constraint residuals.
 Exit codes: 0 success, 1 validation failure, 2 no solution, 3 numerical
-failure.  Set QB_LOG=debug|info|warning for logging verbosity.
+failure, which includes a solution that fails its own certificate (it is
+not written).  Set QB_LOG=debug|info|warning for logging verbosity.
 """
 
 from __future__ import annotations
@@ -116,6 +117,8 @@ def _parse_grid(spec: str) -> Tuple[np.ndarray, np.ndarray]:
         if len(vals) != 3:
             raise ValueError(f"each grid half needs 'min,max,count': {half!r}")
         lo, hi, n = float(vals[0]), float(vals[1]), int(vals[2])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"grid bounds must be finite: {half!r}")
         if n < 1:
             raise ValueError(f"grid count must be at least 1, got {n}")
         grids.append(np.linspace(lo, hi, n))
@@ -123,6 +126,12 @@ def _parse_grid(spec: str) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _solution_out(args, sol: ExtremalSolution) -> None:
+    """Write a solution; one whose certificate fails is refused, nothing written."""
+    if sol.report is not None and not sol.report.passed:
+        failed = [k for k, ok in sol.report.verdict.items() if not ok and k != "overall"]
+        raise ArithmeticError(
+            f"the solution fails its certificate ({', '.join(failed)}); nothing written"
+        )
     _write_json(sol.to_dict(), args.output)
     if getattr(args, "csv", None):
         if sol.trajectory is None:

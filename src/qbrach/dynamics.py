@@ -14,17 +14,16 @@ and the conserved operator is obtained by conjugation, F(t) = U F(0) U^dag
 U(t) = V(t) exp(-i F(0) tau(t)); a direct integration of i dU/dt = H U is
 carried along purely as a cross-check channel.
 
-When the forbidden generators commute pairwise (always so for at most one
-of them) eta vanishes identically, and on a closed forbidden subalgebra
-the multipliers stay constant as well.  The flow is then closed-form:
+When the forbidden set is closed under i[.,.] (every i[X_j, X_l] in its
+span, e.g. commuting generators or at most one) eta vanishes along the
+flow and the multipliers stay constant.  The flow is then closed-form:
 G is constant, V(t) = exp(iGt) and tau(t) = t/lambda_0.  `constant_flow`
-is the one sampler of this flow: `integrate` samples it instead of
-stepping when the generators commute, and every analytic solver builds
-its trajectory with it.  Only non-commuting forbidden sets are stepped,
-with fixed-step RK4: one step function (`rk4_step`) on one right-hand
-side (`coupled_rhs`).  `integrate_blocks` yields the samples at each
+is the one sampler of this flow, for `integrate` on a closed set and for
+every analytic solver.  Other forbidden sets are stepped with fixed-step
+RK4: one step function (`rk4_step`) on one right-hand side
+(`coupled_rhs`).  `integrate_blocks` yields the samples at each
 re-unitarization checkpoint, so a caller such as `shoot` can stop a pass
-early.
+early, and `PassSamples.at` evaluates a pass at any one time.
 
 The multiplier equations
 
@@ -39,11 +38,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import GeneratorBasis, basis_of, hermitian_commutator
+from .algebra import CLOSURE_TOL, GeneratorBasis, basis_of, closure_residual, commutator_tensor
 from .states import PureState
 from .verify import _constraint_profiles, speed_profile
 
@@ -327,24 +326,13 @@ def g_operator(m: MultiplierVector, basis: GeneratorBasis, forbidden: Sequence[i
     return forbidden_sum(m.lambdas / m.lambda0, basis.generators[idx])
 
 
-def commutator_tensor(basis: GeneratorBasis, forbidden: Sequence[int]) -> np.ndarray:
-    """Stack K[j, l] = i[X_j, X_l] over the forbidden pairs, exactly antisymmetric."""
-    idx = [basis.index_of(j) for j in forbidden]
-    M, N = len(idx), basis.dim
-    K = np.zeros((M, M, N, N), dtype=complex)
-    for p in range(M):
-        for q in range(p + 1, M):
-            c = hermitian_commutator(basis.generators[idx[p]], basis.generators[idx[q]])
-            K[p, q] = c
-            K[q, p] = -c
-    return K
-
-
 # -- trajectory synthesis --------------------------------------------------
 
 
 def constant_g_frames(G: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """V(t) = e^{iGt} evaluated on a batch of times via one eigensplit."""
+    """V(t) = e^{iGt} on a batch of times via one eigensplit (none when G = 0)."""
+    if not G.any():
+        return np.broadcast_to(np.eye(G.shape[0], dtype=complex), (times.size, *G.shape)).copy()
     w, Q = np.linalg.eigh(G)
     phases = np.exp(1.0j * np.outer(times, w))
     return np.einsum("ab,kb,cb->kac", Q, phases, Q.conj())
@@ -660,6 +648,8 @@ class PassSamples(NamedTuple):
     is complete when there are n_steps + 1 rows.  `start` is the first row
     that is new since the previous block of the same pass; 0 opens a pass
     (the first one, or a restart at half the step).  `F0` is F(0).
+    `U_direct` (the cross-check channel) may be None.  `rhs` is a stepped
+    pass's `coupled_rhs` without that channel, None on the exact flow.
     """
 
     times: np.ndarray
@@ -667,10 +657,31 @@ class PassSamples(NamedTuple):
     lambda0: np.ndarray
     lambdas: np.ndarray
     tau_acc: np.ndarray
-    U_direct: np.ndarray
+    U_direct: Optional[np.ndarray]
     F0: np.ndarray
     n_steps: int
     start: int
+    rhs: Optional[Callable[[np.ndarray], np.ndarray]]
+
+    def at(self, problem: ControlProblem, t: float):
+        """(U, F, H, psi) at one time t of the window, as one-row stacks.
+
+        A constant-multiplier pass takes its exact flow at t; a stepped
+        pass takes one RK4 step from the sample just left of t.
+        """
+        if self.rhs is None:
+            m = MultiplierVector(self.lambda0[0], self.lambdas[0])
+            rows = _constant_rows(problem, m, np.array([t]))
+        else:
+            k = int(np.searchsorted(self.times, t, side="right") - 1)
+            k = min(max(k, 0), self.times.size - 2)
+            h = t - float(self.times[k])
+            y = pack_state(self.V[k], self.lambda0[k], self.lambdas[k], self.tau_acc[k])
+            if h > 0:
+                y = rk4_step(self.rhs, y, h)
+            V, lam0, lams, tau, _ = unpack_state(y, problem.dim, problem.n_forbidden)
+            rows = (V[None], np.array([lam0]), lams[None], np.array([tau]))
+        return _observables(problem.basis, problem.forbidden, problem.psi_i, *rows, self.F0)
 
     def trajectory(self, problem: ControlProblem, rows: Optional[int] = None) -> Trajectory:
         """The validated trajectory over the first `rows` rows (default: all)."""
@@ -704,8 +715,9 @@ def integrate_blocks(
     once more when it is complete, so every yielded row but those of the
     final partial segment has passed a drift check, as in `integrate`.  A
     pass that restarts at half the step is abandoned, and the next yield
-    opens the new pass with `start == 0`.  The exact path yields its
-    complete window at once.  A caller may stop iterating at any block.
+    opens the new pass with `start == 0`.  The exact path (a closed
+    forbidden set) yields its complete window at once.  A caller may stop
+    iterating at any block.
     """
     H0 = np.asarray(H0, dtype=complex)
     _validate_h0(problem, H0)
@@ -724,23 +736,25 @@ def integrate_blocks(
         raise ValueError(f"dt must lie in (0, t_max], got {dt}")
 
     M = problem.n_forbidden
+    Xf = problem.forbidden_generators()
     G0 = g_operator(m0, problem.basis, problem.forbidden)
     F0 = m0.lambda0 * (H0 + G0)
     Kten = commutator_tensor(problem.basis, problem.forbidden)
 
-    if not Kten.any():
+    if closure_residual(Xf, Kten) <= CLOSURE_TOL:
         n_steps = max(1, math.ceil(t_max / dt - 1e-12))
         times = np.arange(n_steps + 1) * (t_max / n_steps)
         times[-1] = t_max
         U_direct = _direct_propagators(G0, F0, m0.lambda0, times)
         yield PassSamples(
-            times, *_constant_rows(problem, m0, times), U_direct, F0, n_steps, 0
+            times, *_constant_rows(problem, m0, times), U_direct, F0, n_steps, 0, None
         )
         return
 
     N = problem.dim
     n2 = N * N
-    rhs = coupled_rhs(F0, problem.forbidden_generators(), Kten, w)
+    rhs = coupled_rhs(F0, Xf, Kten, w)
+    bare_rhs = coupled_rhs(F0, Xf, Kten, w, direct=False)  # for PassSamples.at
     eye = np.eye(N, dtype=complex)
     y0 = np.concatenate((pack_state(eye, m0.lambda0, m0.lambdas, 0.0), eye.ravel()))
     sign0 = 1.0 if m0.lambda0 > 0 else -1.0
@@ -763,7 +777,8 @@ def integrate_blocks(
 
         def rows(m: int, start: int) -> PassSamples:
             return PassSamples(
-                times[:m], Vs[:m], lam0s[:m], lamss[:m], taus[:m], Uds[:m], F0, n_steps, start
+                times[:m], Vs[:m], lam0s[:m], lamss[:m], taus[:m], Uds[:m], F0, n_steps,
+                start, bare_rhs,
             )
 
         y = y0
@@ -779,7 +794,7 @@ def integrate_blocks(
             if i % _CHECK_EVERY == 0:
                 V = y[0:n2].reshape(N, N)
                 drift = float(np.linalg.norm(V.conj().T @ V - np.eye(N)))
-                if drift > 1e-6:
+                if not drift <= 1e-6:
                     drifted = True
                     break
                 uu, _, vt = np.linalg.svd(V)
@@ -813,14 +828,14 @@ def integrate(
     is fixed once from the seed, F(0) = lambda_0(0) (H0 + G(0)), and only
     conjugated afterwards.
 
-    Exact path (eta = 0: at most one forbidden generator, or pairwise
-    commuting ones, decided from the exact commutator tensor): the
-    multipliers and G are constant, V(t) = exp(iGt) comes from one
-    eigendecomposition of G and tau = t/lambda_0.  Nothing is stepped
-    except the cross-check U_d, which is propagated with RK4 on the same
-    grid from H at the exact frames.
+    Exact path (eta = 0: a forbidden set closed under i[.,.], decided
+    from the commutator tensor): the multipliers and G are constant,
+    V(t) = exp(iGt) comes from one eigendecomposition of G and
+    tau = t/lambda_0.  Nothing is stepped except the cross-check U_d,
+    which is propagated with RK4 on the same grid from H at the exact
+    frames.
 
-    Stepped path (non-commuting forbidden generators): fixed-step RK4
+    Stepped path (a forbidden set that is not closed): fixed-step RK4
     (`rk4_step` on `coupled_rhs`) on the vector concatenating V, lambda_0,
     the lambda_j, tau and the cross-check U_d (i dU_d/dt = H U_d).  V is
     re-unitarized every 100 steps by polar projection; if its unitarity

@@ -7,7 +7,8 @@ forward-shooting generator that integrates the coupled system until the
 endpoint condition Im<psi|H F|psi> = 0 is met with a nonzero real part.
 The four analytic paths sample their trajectories with
 `dynamics.constant_flow`, the one sampler of the constant-multiplier flow
-of a closed forbidden subalgebra (eta = 0).
+of a closed forbidden subalgebra (eta = 0).  The closed-subalgebra solver
+and `shoot` share one seed projection and one endpoint root search.
 
 All returned trajectories are renormalized: the multipliers are divided by
 c = Re<psi(T)|H(T)F(T)|psi(T)> so the endpoint constraint evaluates to 1.
@@ -19,7 +20,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,23 +28,19 @@ from .algebra import basis_of, is_closed_subalgebra
 from .dynamics import (
     ControlProblem,
     MultiplierVector,
+    PassSamples,
     SingularGaugeError,
     Trajectory,
     _as_pairs,
     _constant_rows,
     _observables,
     _validate_h0,
-    commutator_tensor,
     constant_flow,
-    coupled_rhs,
     finalize_trajectory,
     forbidden_sum,
     g_operator,
     integrate,
     integrate_blocks,
-    pack_state,
-    rk4_step,
-    unpack_state,
 )
 from .states import PureState, boundary_data, free_hamiltonian
 from .verify import Tolerances, VerificationReport, certify, endpoint_constraint
@@ -230,6 +227,8 @@ def solve_free(
     """
     problem = ControlProblem(basis_of("gellmann", psi_i.dim), psi_i, omega)
     boundary = boundary_data(psi_i, psi_f)
+    T = boundary.omega_b / omega
+    times = _grid(T, 1.5e-3 / omega if dt is None else dt)  # checks dt before T = 0 returns
     N = psi_i.dim
     lam0 = 1.0 / omega**2
     if boundary.psi_perp is None:
@@ -242,12 +241,9 @@ def solve_free(
             report=None,
         )
     H_F = free_hamiltonian(psi_i, boundary, omega)
-    T = boundary.omega_b / omega
-    if dt is None:
-        dt = 1.5e-3 / omega
     # in the gauge lambda_0 = 1, F = H and Re<psi|HF|psi> = <H^2> = omega^2
     traj = constant_flow(
-        problem, MultiplierVector(1.0, np.zeros(0)), H_F, _grid(T, dt), renormalized=omega**2
+        problem, MultiplierVector(1.0, np.zeros(0)), H_F, times, renormalized=omega**2
     )
     fid = abs(np.vdot(psi_f.amplitudes, traj.psi[-1]))
     if fid < 1.0 - 1e-9:
@@ -278,20 +274,18 @@ def solve_closed_subalgebra(
 ) -> ExtremalSolution:
     """Constant-multiplier solution on a closed forbidden subalgebra.
 
-    H(t) = e^{iGt} H(0) e^{-iGt} and U(t) = e^{iGt} e^{-i(H(0)+G)t}; the
-    duration is the first root of the endpoint function
-
-        s(t) = <psi_i| [H(0)+G, U^dag(t) G U(t)] |psi_i> / i
-
-    in (0, t_max] at which Re<psi|HF|psi> is nonzero.  When s vanishes
+    H(t) = e^{iGt} H(0) e^{-iGt} and U(t) = e^{iGt} e^{-i(H(0)+G)t}.  The
+    seed is projected and rescaled as in `shoot`, and T is the root
+    `shoot`'s endpoint search accepts on the exact flow, scanned finely
+    enough to see its fastest oscillation.  When Im<psi|HF|psi> vanishes
     identically (G central for the flow, e.g. [G, H0] = 0 or no forbidden
-    directions at all) the stopping time is instead fixed by reaching
-    psi_f, which must then be present on the problem.
+    directions) T is where the flow reaches psi_f, which is then required.
 
     A forbidden set that spans no subalgebra is still accepted when the
-    seed keeps every forbidden trace Tr[H(t)X_j] at zero on the whole
-    window, because that trace measures exactly the multiplier drift the
-    closure assumption is meant to rule out; otherwise NotClosedError.
+    seed as given keeps every forbidden trace Tr[H(t)X_j] at zero on the
+    whole window, because that trace measures exactly the multiplier drift
+    the closure assumption is meant to rule out; otherwise NotClosedError.
+    The certificate then judges the flow of the projected seed.
     """
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
@@ -301,40 +295,18 @@ def solve_closed_subalgebra(
         closed, closure_resid = is_closed_subalgebra(problem.basis, problem.forbidden)
     _validate_h0(problem, H0)
     w = problem.omega
-    lam0 = m0.lambda0
-    if abs(lam0) < 1e-12:
-        raise SingularGaugeError("lambda_0(0) = 0 is a singular gauge")
-    G = g_operator(m0, problem.basis, problem.forbidden)
-    F0 = lam0 * (H0 + G)
-
-    def flow(times: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(F, H, psi) of the constant-multiplier flow on a stack of times."""
-        rows = _constant_rows(problem, m0, times)
-        _, F, H, psi = _observables(problem.basis, problem.forbidden, problem.psi_i, *rows, F0)
-        return F, H, psi
-
-    def value_at(t: float) -> Tuple[float, float]:
-        """(Re, Im) of <psi|HF|psi> at one time t."""
-        F, H, psi = flow(np.array([t]))
-        return endpoint_constraint(psi[0], H[0], F[0])
-
-    # locate endpoint roots on a scan grid fine enough to see the fastest
-    # oscillation (rates bounded by the spectral radii of G and F0/lam0)
-    g_rad = float(np.abs(np.linalg.eigvalsh(G)).max())
-    f_rad = float(np.abs(np.linalg.eigvalsh(F0)).max())
-    rate = 2.0 * (g_rad + f_rad / abs(lam0))
-    n_scan = min(50_000, max(400, math.ceil(t_max * rate * 4.0 / math.pi)))
-    scan = np.linspace(0.0, t_max, n_scan + 1)
-    Fs, Hs, psis = flow(scan)
     if not closed:
         # The set spans no subalgebra, but the constant-multiplier flow is
         # still exact for this seed iff the forbidden traces vanish along it:
         # Tr[H(t)X_j] = (N/lambda0)[lambda_j(t) - lambda_j(0)], so a vanishing
         # trace on the window is equivalent to the multipliers staying put.
-        xf = problem.basis.generators[list(problem.forbidden)]
-        term = float(
-            np.abs(np.real(np.einsum("kab,jba->kj", Hs, xf))).max()
-        ) / w
+        G = g_operator(m0, problem.basis, problem.forbidden)
+        F0 = m0.lambda0 * (H0 + G)
+        scan = _closed_scan(G, F0, m0.lambda0, t_max)
+        rows = _constant_rows(problem, m0, scan)
+        Hs = _observables(problem.basis, problem.forbidden, problem.psi_i, *rows, F0)[2]
+        xf = problem.forbidden_generators()
+        term = float(np.abs(np.real(np.einsum("kab,jba->kj", Hs, xf))).max()) / w
         if term > 1e-8:
             raise NotClosedError(
                 "the forbidden set is not closed under i[.,.] (worst projection "
@@ -350,60 +322,36 @@ def solve_closed_subalgebra(
             closure_resid,
             term,
         )
-    vals = np.einsum("ka,kab,kbc,kc->k", psis.conj(), Hs, Fs, psis)
-    s_scan = vals.imag
-
-    degenerate = float(np.abs(s_scan).max()) <= 1e-12 * w**2
-    T: Optional[float] = None
-    if degenerate:
+    H0, m0 = _project_seed(problem, H0, m0)
+    G = g_operator(m0, problem.basis, problem.forbidden)
+    F0 = m0.lambda0 * (H0 + G)
+    scan = _closed_scan(G, F0, m0.lambda0, t_max)
+    rows = _constant_rows(problem, m0, scan)
+    block = PassSamples(scan, *rows, None, F0, scan.size - 1, 0, None)
+    T, value, _ = _endpoint_search(problem, [block])
+    if T is None:
         if problem.psi_f is None:
             raise NoSolutionError(
                 "endpoint function is identically zero for this seed and no "
                 "target state was given; every stopping time is extremal"
             )
+        psis = _observables(problem.basis, problem.forbidden, problem.psi_i, *rows, F0)[3]
         T = _first_fidelity_time(
-            problem.psi_f.amplitudes, psis, scan, lambda t: flow(np.array([t]))[2][0]
+            problem.psi_f.amplitudes, psis, scan, lambda t: block.at(problem, t)[3][0]
         )
         if T is None:
             raise NoSolutionError(
                 "the flow never reaches the target state within the window "
                 f"(0, {t_max:g}]"
             )
-    else:
-        floor = 1e-6 * w**2
-        for k in range(n_scan):
-            a, b = scan[k], scan[k + 1]
-            sa, sb = s_scan[k], s_scan[k + 1]
-            root = None
-            if abs(sa) <= 1e-14 * w**2 and a > 0:
-                root = a
-            elif sa * sb < 0:
-                lo, hi, slo = a, b, sa
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    sm = value_at(mid)[1]
-                    if slo * sm <= 0:
-                        hi = mid
-                    else:
-                        lo, slo = mid, sm
-                root = 0.5 * (lo + hi)
-            if root is None:
-                continue
-            if abs(value_at(root)[0]) >= floor:
-                T = root
-                break
-        if T is None:
+        _, F, H, psi = block.at(problem, T)
+        value = complex(*endpoint_constraint(psi[0], H[0], F[0]))
+        if abs(value.real) < 1e-6 * w**2:
             raise NoSolutionError(
-                "no endpoint root with a nonzero real part found in the window "
-                f"(0, {t_max:g}]"
+                "endpoint real part vanishes at the matched time; the multiplier "
+                "renormalization that sets the constraint to 1 does not exist"
             )
-
-    re_T, _ = value_at(T)
-    if degenerate and abs(re_T) < 1e-6 * w**2:
-        raise NoSolutionError(
-            "endpoint real part vanishes at the matched time; the multiplier "
-            "renormalization that sets the constraint to 1 does not exist"
-        )
+    re_T = value.real
     step = dt if dt is not None else _analytic_dt(w, G, F0, T)
     traj = constant_flow(problem, m0, F0, _grid(T, step), renormalized=re_T)
     report = certify(traj, Tolerances.analytic(), renormalized=True)
@@ -411,10 +359,25 @@ def solve_closed_subalgebra(
         kind=SolutionKind.CLOSED_SUBALGEBRA,
         T=float(T),
         H0=H0,
-        multipliers0=MultiplierVector(lam0 / re_T, m0.lambdas / re_T),
+        multipliers0=MultiplierVector(m0.lambda0 / re_T, m0.lambdas / re_T),
         trajectory=traj,
         report=report,
     )
+
+
+def _closed_scan(G: np.ndarray, F0: np.ndarray, lam0: float, t_max: float) -> np.ndarray:
+    """Root-scan grid on [0, t_max] resolving rates up to the spectral radii of
+    G and F(0)/lambda_0; a window needing more than 50k samples is refused."""
+    g_rad = float(np.abs(np.linalg.eigvalsh(G)).max())
+    f_rad = float(np.abs(np.linalg.eigvalsh(F0)).max())
+    rate = 2.0 * (g_rad + f_rad / abs(lam0))
+    n_scan = max(400, math.ceil(t_max * rate * 4.0 / math.pi))
+    if n_scan > 50_000:
+        raise ValueError(
+            f"the window t_max = {t_max:g} needs {n_scan} root-scan samples at this "
+            "seed's rates, more than 50000; shorten t_max"
+        )
+    return np.linspace(0.0, t_max, n_scan + 1)
 
 
 def _first_fidelity_time(
@@ -807,68 +770,20 @@ def solve_two_qubit_example(
 # -- general forward shooting ------------------------------------------------
 
 
-def _structure_project(F0: np.ndarray, psi_i: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Keep only the first-row/column block of F0 in the psi_i frame.
+def _project_seed(
+    problem: ControlProblem, H0_seed: np.ndarray, m0_seed: MultiplierVector
+) -> Tuple[np.ndarray, MultiplierVector]:
+    """(H0, m0) of a seed projected onto the structure the endpoint needs.
 
-    Returns the projected operator and the Frobenius magnitude removed.
-    """
-    fpsi = F0 @ psi_i
-    overlap = complex(psi_i.conj() @ fpsi)
-    col = fpsi - overlap * psi_i  # Pi_perp F0 psi_i
-    proj = np.outer(col, psi_i.conj())
-    proj = proj + proj.conj().T
-    return proj, float(np.linalg.norm(F0 - proj))
-
-
-def shoot(
-    problem: ControlProblem,
-    H0_seed: np.ndarray,
-    m0_seed: MultiplierVector,
-    t_max: float,
-    dt: Optional[float] = None,
-    target_bures_angle: Optional[float] = None,
-) -> ExtremalSolution:
-    """Forward-shoot the coupled system until the endpoint condition holds.
-
-    The seed F(0) = lambda_0 (H0 + G(0)) is first projected onto the
-    required first-row/column structure in the psi_i frame (the removed
-    magnitude is logged), the multipliers are re-extracted from the
-    projection and everything is rescaled to the energy shell
-    Tr[H0^2] = 2 omega^2.  The first integration pass then monitors
-    s(t) = Im<psi|H F|psi>/omega^2 on its grid, in order: each sign change
-    is bisected to |s| <= 1e-10 and polished with three finite-difference
-    Newton steps, and a grid sample with |s| <= 1e-10 is taken as it is.
-    The first root with |Re<psi|HF|psi>| >= 1e-6 omega^2 fixes T, and the
-    pass stops there: it is scanned at each re-unitarization checkpoint
-    of `integrate` (every 100 steps), after that checkpoint's drift check
-    has passed, and never runs beyond the first checkpoint past the sample
-    that T needs.  The rejected candidates and the stopping step are
-    logged at debug level.  The system is then re-integrated on [0, T] and
-    renormalized so the endpoint evaluates to 1.
-
-    T is the one a scan of the whole window [0, t_max] would find.  The
-    one difference is the frame-drift check of the stepped path: every
-    sample that T depends on has passed it, but a drift beyond the
-    checkpoint where the pass stops no longer triggers a restart at half
-    the step.
-
-    Seeds for which s vanishes identically (e.g. no forbidden directions)
-    admit every stopping time; then `target_bures_angle` selects T as the
-    first time the Bures angle from psi_i reaches that value.
+    The seed F(0) = lambda_0 (H0 + G(0)) keeps only its first-row/column
+    block in the psi_i frame (the removed magnitude is logged), the
+    multipliers are re-extracted from the projection and everything is
+    rescaled to the energy shell Tr[H0^2] = 2 omega^2.
     """
     w = problem.omega
-    N = problem.dim
-    if dt is None:
-        dt = 1e-3 / w
     lam0 = m0_seed.lambda0
     if abs(lam0) < 1e-12:
         raise SingularGaugeError("lambda_0(0) = 0 is a singular gauge")
-    H0_seed = np.asarray(H0_seed, dtype=complex)
-    if H0_seed.shape != (N, N):
-        raise ValueError(f"H0 seed has shape {H0_seed.shape}, expected ({N}, {N})")
-    herm = float(np.linalg.norm(H0_seed - H0_seed.conj().T))
-    if herm > 1e-10 * max(1.0, float(np.linalg.norm(H0_seed))):
-        raise ValueError(f"H0 seed is not Hermitian (deviation {herm:.3e})")
     if m0_seed.size != problem.n_forbidden:
         raise ValueError(
             f"multiplier seed length {m0_seed.size} != forbidden set size "
@@ -876,10 +791,12 @@ def shoot(
         )
     psi_i = problem.psi_i.amplitudes
     Xf = problem.forbidden_generators()
-    M = problem.n_forbidden
-    G_seed = forbidden_sum(m0_seed.lambdas / lam0, Xf)
-    F_seed = lam0 * (H0_seed + G_seed)
-    F_proj, removed = _structure_project(F_seed, psi_i)
+    F_seed = lam0 * (H0_seed + forbidden_sum(m0_seed.lambdas / lam0, Xf))
+    fpsi = F_seed @ psi_i
+    col = fpsi - complex(psi_i.conj() @ fpsi) * psi_i  # Pi_perp F0 psi_i
+    F_proj = np.outer(col, psi_i.conj())
+    F_proj = F_proj + F_proj.conj().T
+    removed = float(np.linalg.norm(F_seed - F_proj))
     if removed > 1e-12 * max(1.0, float(np.linalg.norm(F_seed))):
         log.warning(
             "seed F(0) violated the first-row/column structure; removed "
@@ -890,7 +807,7 @@ def shoot(
             "seed F(0) vanishes after structure projection; no evolution "
             "direction survives"
         )
-    lams = np.real(np.einsum("jab,ba->j", Xf, F_proj)) / N
+    lams = np.real(np.einsum("jab,ba->j", Xf, F_proj)) / problem.dim
     H0_eff = (F_proj - forbidden_sum(lams, Xf)) / lam0
     h_norm_sq = float(np.real(np.einsum("ab,ba->", H0_eff, H0_eff)))
     if h_norm_sq < 1e-24 * w**2:
@@ -899,38 +816,34 @@ def shoot(
             "Tr[H0^2] = 2 omega^2 cannot be met"
         )
     scale = math.sqrt(2.0 * w**2 / h_norm_sq)
-    H0 = scale * H0_eff
-    m0 = MultiplierVector(lam0, scale * lams)
+    return scale * H0_eff, MultiplierVector(lam0, scale * lams)
 
-    Kten = commutator_tensor(problem.basis, problem.forbidden)
-    w2 = w**2
+
+def _endpoint_search(
+    problem: ControlProblem, blocks: Iterable[PassSamples]
+) -> Tuple[Optional[float], Optional[complex], PassSamples]:
+    """(T, <psi|HF|psi> at T, last block) of a pass's first accepted endpoint root.
+
+    The blocks of one pass are scanned for s(t) = Im<psi|HF|psi>/omega^2
+    as they arrive: a sign change is bisected to |s| <= 1e-10 and polished
+    with three finite-difference Newton steps (evaluating `PassSamples.at`),
+    an interior sample with |s| <= 1e-10 is taken as it is, and the first
+    root with |Im| <= 1e-10 omega^2 and |Re| >= 1e-6 omega^2 ends the
+    search.  Rejected candidates and the stopping step are logged at debug
+    level.  T and the value are None when max|s| < 1e-12 on the whole
+    window (every stopping time is extremal); NoSolutionError when s is
+    not that small but no root is accepted.
+    """
+    w2 = problem.omega**2
     floor = 1e-6 * w2
-    smp = None  # rows of the current pass so far
-
-    def state_at(t: float):
-        """One RK4 step from the sample just left of t, then observables."""
-        k = int(np.searchsorted(smp.times, t, side="right") - 1)
-        k = min(max(k, 0), smp.times.size - 2)
-        h = t - float(smp.times[k])
-        y = pack_state(smp.V[k], smp.lambda0[k], smp.lambdas[k], smp.tau_acc[k])
-        if h > 0:
-            y = rk4_step(rhs, y, h)
-        V, lm0, lms, tau, _ = unpack_state(y, N, M)
-        _, F, H, psi = _observables(
-            problem.basis, problem.forbidden, problem.psi_i,
-            V[None], np.array([lm0]), lms[None], np.array([tau]), F0,
-        )
-        return psi[0], complex(*endpoint_constraint(psi[0], H[0], F[0]))
+    T = value = None
 
     def bc_at(t: float) -> complex:
-        return state_at(t)[1]
-
-    def angle_at(t: float) -> float:
-        psi, _ = state_at(t)
-        return math.acos(min(1.0, abs(np.vdot(psi_i, psi))))
+        _, F, H, psi = smp.at(problem, t)
+        return complex(*endpoint_constraint(psi[0], H[0], F[0]))
 
     def resolve(k: int) -> Tuple[float, complex]:
-        """Locate the root of s bracketed at grid sample k; (root, <psi|HF|psi>)."""
+        """Locate the root of s bracketed at sample k; (root, <psi|HF|psi>)."""
         times = smp.times
         if abs(s[k]) <= 1e-10 and times[k] > 0:
             root = float(times[k])
@@ -956,15 +869,12 @@ def shoot(
                     root = cand
         return root, bc_at(root)
 
-    # Pass 1 scans s(t) = Im<psi|HF|psi>/omega^2 at each drift-checked
-    # checkpoint and stops at the first accepted root.  The candidates and
-    # their resolution are those of a scan of the whole window: a bracket
-    # [t_k, t_k+1] is resolved only once sample k+2 exists (or the window
-    # is complete), so state_at picks the same left samples, and nothing
-    # is resolved until max|s| >= 1e-12, the test that selects the
-    # Bures-angle branch.
-    T = None
-    for smp in integrate_blocks(problem, m0, H0, t_max, dt):
+    # The candidates and their resolution are those of a scan of the whole
+    # window: a bracket [t_k, t_k+1] is resolved only once sample k+2
+    # exists (or the window is complete), so `at` picks the same left
+    # samples, and nothing is resolved until max|s| >= 1e-12, the test
+    # that tells a degenerate endpoint function apart.
+    for smp in blocks:
         n_steps, start = smp.n_steps, smp.start
         if start == 0:  # a new pass: the first one or a restart at half the step
             s = np.empty(n_steps + 1)
@@ -976,9 +886,6 @@ def shoot(
             problem.basis, problem.forbidden, problem.psi_i,
             smp.V[r], smp.lambda0[r], smp.lambdas[r], smp.tau_acc[r], smp.F0,
         )
-        if start == 0:
-            F0 = Fb[0]
-            rhs = coupled_rhs(F0, Xf, Kten, w, direct=False)
         s[r] = np.einsum("ka,kab,kbc,kc->k", psib.conj(), Hb, Fb, psib).imag / w2
         live = live or not float(np.abs(s[r]).max()) < 1e-12
         if not live:
@@ -991,16 +898,16 @@ def shoot(
             root, v = resolve(k)
             if not abs(v.imag) <= 1e-10 * w2:
                 log.debug(
-                    "shoot: rejected endpoint candidate at t = %.12g: |Im| residual "
-                    "%.3e above %.1e", root, abs(v.imag), 1e-10 * w2,
+                    "endpoint search: rejected endpoint candidate at t = %.12g: |Im| "
+                    "residual %.3e above %.1e", root, abs(v.imag), 1e-10 * w2,
                 )
             elif not abs(v.real) >= floor:
                 log.debug(
-                    "shoot: rejected endpoint candidate at t = %.12g: |Re| = %.3e < "
-                    "floor %.1e", root, abs(v.real), floor,
+                    "endpoint search: rejected endpoint candidate at t = %.12g: |Re| = "
+                    "%.3e < floor %.1e", root, abs(v.real), floor,
                 )
             else:
-                T = root
+                T, value = root, v
                 last = k
                 break
         nxt = last + 1
@@ -1008,17 +915,68 @@ def shoot(
             break
     stop = min(nxt + 1, n_steps) if T is not None else n_steps
     log.debug(
-        "shoot: pass 1 stopped at step %d of %d (t = %.6g); %d steps integrated",
+        "endpoint search: pass 1 stopped at step %d of %d (t = %.6g); %d steps integrated",
         stop, n_steps, smp.times[stop], m - 1,
     )
-    raw = smp.trajectory(problem, stop + 1)
+    if live and T is None:
+        raise NoSolutionError(
+            "no root of Im<psi|HF|psi> with nonzero real part found in "
+            f"(0, {smp.times[-1]:g}]"
+        )
+    return T, value, smp
 
-    if not live:
+
+def shoot(
+    problem: ControlProblem,
+    H0_seed: np.ndarray,
+    m0_seed: MultiplierVector,
+    t_max: float,
+    dt: Optional[float] = None,
+    target_bures_angle: Optional[float] = None,
+) -> ExtremalSolution:
+    """Forward-shoot the coupled system until the endpoint condition holds.
+
+    The seed is projected and rescaled (`_project_seed`).  The first
+    integration pass stops at the first accepted root of Im<psi|HF|psi>
+    (`_endpoint_search`): a stepped pass is scanned at each
+    re-unitarization checkpoint (every 100 steps) once its drift check
+    has passed, and runs no further than the first checkpoint past the
+    sample T needs; a closed forbidden set yields its exact flow at once.
+    The system is then re-integrated on [0, T] and renormalized so the
+    endpoint evaluates to 1.  T is the one a scan of the whole window
+    would find; but a frame drift beyond the checkpoint where the pass
+    stops no longer triggers a restart at half the step.
+
+    Seeds for which s vanishes identically (e.g. no forbidden directions)
+    admit every stopping time; then `target_bures_angle` selects T as the
+    first time the Bures angle from psi_i reaches that value.
+    """
+    w = problem.omega
+    N = problem.dim
+    if dt is None:
+        dt = 1e-3 / w
+    H0_seed = np.asarray(H0_seed, dtype=complex)
+    if H0_seed.shape != (N, N):
+        raise ValueError(f"H0 seed has shape {H0_seed.shape}, expected ({N}, {N})")
+    herm = float(np.linalg.norm(H0_seed - H0_seed.conj().T))
+    if herm > 1e-10 * max(1.0, float(np.linalg.norm(H0_seed))):
+        raise ValueError(f"H0 seed is not Hermitian (deviation {herm:.3e})")
+    H0, m0 = _project_seed(problem, H0_seed, m0_seed)
+    psi_i = problem.psi_i.amplitudes
+
+    T, _, smp = _endpoint_search(problem, integrate_blocks(problem, m0, H0, t_max, dt))
+    if T is None:
         if target_bures_angle is None:
             raise NoSolutionError(
                 "the endpoint condition is satisfied identically along this "
                 "seed; pass target_bures_angle to select a stopping time"
             )
+
+        def angle_at(t: float) -> float:
+            psi = smp.at(problem, t)[3][0]
+            return math.acos(min(1.0, abs(np.vdot(psi_i, psi))))
+
+        raw = smp.trajectory(problem)  # the whole window: s stayed below 1e-12
         ang = np.arccos(np.minimum(1.0, np.abs(raw.psi @ psi_i.conj())))
         hit = np.nonzero(ang >= target_bures_angle)[0]
         if hit.size == 0:
@@ -1036,21 +994,17 @@ def shoot(
             else:
                 lo = mid
         T = 0.5 * (lo + hi)
-    elif T is None:
-        raise NoSolutionError(
-            "no root of Im<psi|HF|psi> with nonzero real part found in "
-            f"(0, {t_max:g}]"
-        )
 
     # the certified grid must keep the second-order differencing truncation
     # of the report's residuals well inside the 1e-6 integrated verdicts,
     # which needs a finer step than root location when G is strong
-    G0 = forbidden_sum(m0.lambdas / lam0, Xf)
-    dt_fine = _analytic_dt(w, G0, F0, T, target=2.5e-7, default=dt, conservative=True)
+    lam0 = m0.lambda0
+    G0 = forbidden_sum(m0.lambdas / lam0, problem.forbidden_generators())
+    dt_fine = _analytic_dt(w, G0, smp.F0, T, target=2.5e-7, default=dt, conservative=True)
     n = _grid(T, dt_fine).size - 1
     final_raw = integrate(problem, m0, H0, T, T / n)
     re_T, im_T = endpoint_constraint(final_raw.psi[-1], final_raw.H[-1], final_raw.F[-1])
-    if abs(re_T) < floor:
+    if abs(re_T) < 1e-6 * w**2:
         raise NoSolutionError(
             "endpoint real part vanished on re-integration; the multiplier "
             "renormalization does not exist at this root"

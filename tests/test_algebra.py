@@ -8,11 +8,11 @@ from qbrach.algebra import (
     basis_of,
     build_gellmann_basis,
     build_pauli_string_basis,
+    commutator_tensor,
     hermitian_commutator,
     is_closed_subalgebra,
     pauli_string_label,
 )
-from qbrach.dynamics import commutator_tensor
 from qbrach.solvers import TWO_QUBIT_FORBIDDEN
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

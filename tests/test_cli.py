@@ -1,5 +1,6 @@
 """Command-line interface: solving, sweeping, verifying, exit codes."""
 
+import dataclasses
 import json
 import math
 
@@ -8,7 +9,12 @@ import pytest
 
 import helpers
 from qbrach.cli import _write_json, main
-from qbrach.solvers import solve_m1_two_level, solve_two_qubit_example, sweep_m1
+from qbrach.solvers import (
+    solve_closed_subalgebra,
+    solve_m1_two_level,
+    solve_two_qubit_example,
+    sweep_m1,
+)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -33,6 +39,22 @@ def free_file(tmp_path):
         "psi_f": pairs([0.0, 1.0]),
     }
     path = tmp_path / "free.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.fixture()
+def trivial_file(tmp_path):
+    # identical endpoints: the free problem's T = 0 answer
+    doc = {
+        "version": 1,
+        "dimension": 2,
+        "omega": 1.0,
+        "basis": "gellmann",
+        "psi_i": pairs([1.0, 0.0]),
+        "psi_f": pairs([1.0, 0.0]),
+    }
+    path = tmp_path / "trivial.json"
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -390,6 +412,22 @@ def test_exit_code_numerical_failure(free_file, monkeypatch):
     assert main(["solve-free", "-i", free_file]) == 3
 
 
+def test_failing_certificate_is_refused(closed_file, tmp_path, monkeypatch, capsys):
+    # a solution whose report fails is a numerical failure: exit 3, the
+    # failed verdicts named, no file written
+    def failing(*args, **kwargs):
+        sol = solve_closed_subalgebra(*args, **kwargs)
+        verdict = dict(sol.report.verdict, initial_cond=False, overall=False)
+        return dataclasses.replace(sol, report=dataclasses.replace(sol.report, verdict=verdict))
+
+    monkeypatch.setattr("qbrach.cli.solve_closed_subalgebra", failing)
+    out = tmp_path / "sol.json"
+    assert main(["solve-closed", "-i", closed_file, "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "initial_cond" in err and "overall" not in err
+    assert not out.exists()
+
+
 def test_missing_subcommand_exits():
     with pytest.raises(SystemExit):
         main([])
@@ -407,6 +445,7 @@ def test_missing_subcommand_exits():
         (["solve-free", "-i", "{free}"], "free"),
         (["solve-closed", "-i", "{closed}"], "closed"),
         (["solve-free", "-i", "{free}", "--dt", "0"], None),
+        (["solve-free", "-i", "{trivial}", "--dt", "0"], None),
         (["solve-2qubit", "--omega-b", "1", "--omega", "10", "--dt", "0"], None),
         (["solve-closed", "-i", "{closed}", "--dt", "0"], None),
         (["solve-free", "-i", "{free}", "--dt", "-5"], None),
@@ -425,6 +464,7 @@ def test_missing_subcommand_exits():
         "free-file-omega-inf",
         "closed-file-omega-inf",
         "free-dt-0",
+        "free-trivial-dt-0",
         "2qubit-dt-0",
         "closed-dt-0",
         "free-dt-negative",
@@ -435,12 +475,16 @@ def test_missing_subcommand_exits():
         "sweep-grid-inf",
     ],
 )
-def test_exit_code_non_finite_scale(argv, inf_omega_file, tmp_path, free_file, closed_file, capsys):
+@pytest.mark.filterwarnings("error")
+def test_exit_code_non_finite_scale(
+    argv, inf_omega_file, tmp_path, free_file, trivial_file, closed_file, capsys
+):
     # a non-finite or non-positive omega, t_max, dt or sweep grid value is
-    # a validation error
-    files = {"free": free_file, "closed": closed_file}
+    # a validation error, rejected before any arithmetic can warn
+    files = {"free": free_file, "trivial": trivial_file, "closed": closed_file}
     if inf_omega_file is not None:
-        data = json.loads(open(files[inf_omega_file]).read())
+        with open(files[inf_omega_file]) as fh:
+            data = json.load(fh)
         data["omega"] = float("inf")
         bad = tmp_path / "inf.json"
         bad.write_text(json.dumps(data))

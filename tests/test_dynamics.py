@@ -7,13 +7,12 @@ import pytest
 
 import helpers
 from qbrach import dynamics
-from qbrach.algebra import build_gellmann_basis
+from qbrach.algebra import build_gellmann_basis, commutator_tensor, is_closed_subalgebra
 from qbrach.dynamics import (
     ControlProblem,
     MultiplierVector,
     SingularGaugeError,
     Trajectory,
-    commutator_tensor,
     constant_flow,
     coupled_rhs,
     forbidden_sum,
@@ -384,18 +383,47 @@ def test_direct_propagators_match_sequential_rk4(dim):
     assert float(np.abs(got - np.array(ref)).max()) <= 1e-12
 
 
-@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("seed", [2, 7])
 def test_integrate_non_commuting_su4_is_fourth_order(seed):
     # the stepped RK4 path: U(T) error against a fine-step reference falls
     # by 2^4 when the step halves
     problem, h0, m0 = helpers.su4_shoot_seed(seed)
-    assert commutator_tensor(problem.basis, problem.forbidden).any()
+    assert not is_closed_subalgebra(problem.basis, problem.forbidden)[0]
     ref = integrate(problem, m0, h0, t_max=1.0, dt=0.005).U[-1]
     errs = [
         float(np.linalg.norm(integrate(problem, m0, h0, t_max=1.0, dt=dt).U[-1] - ref))
         for dt in (0.04, 0.02)
     ]
     assert 12.0 <= errs[0] / errs[1] <= 20.0
+
+
+def test_integrate_closed_non_abelian_su4_is_exact():
+    # recipe seed 0 forbids a closed set whose generators do not commute:
+    # eta vanishes along the flow, so integrate samples the exact flow in
+    # one block, with constant multipliers, instead of stepping RK4
+    problem, h0, m0 = helpers.su4_shoot_seed(0)
+    assert commutator_tensor(problem.basis, problem.forbidden).any()
+    assert is_closed_subalgebra(problem.basis, problem.forbidden)[0]
+    blocks = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))
+    assert len(blocks) == 1 and blocks[0].rhs is None
+    traj = integrate(problem, m0, h0, t_max=1.0, dt=0.01)
+    assert np.all(traj.lambda0 == m0.lambda0)
+    assert np.all(traj.lambdas == m0.lambdas)
+    # the stepped system at a fine step, from the same seed, as reference
+    N, M = problem.dim, problem.n_forbidden
+    f0 = m0.lambda0 * (h0 + g_operator(m0, problem.basis, problem.forbidden))
+    rhs = coupled_rhs(
+        f0, problem.forbidden_generators(), commutator_tensor(problem.basis, problem.forbidden),
+        problem.omega, direct=False,
+    )
+    y = pack_state(np.eye(N, dtype=complex), m0.lambda0, m0.lambdas, 0.0)
+    for _ in range(1000):
+        y = dynamics.rk4_step(rhs, y, 1e-3)
+    V, lam0, lams, tau, _ = unpack_state(y, N, M)
+    w, q = np.linalg.eigh(f0)
+    u_ref = V @ (q * np.exp(-1j * w * tau)) @ q.conj().T
+    assert float(np.linalg.norm(traj.U[-1] - u_ref)) <= 1e-12
+    np.testing.assert_allclose(lams, m0.lambdas, atol=1e-12)
 
 
 # -------------------------------------------------------------- Trajectory

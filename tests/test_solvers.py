@@ -548,8 +548,43 @@ def test_shoot_agrees_with_closed_solver():
     )
     shot = shoot(problem, omega * SY, MultiplierVector(1.0, [2.5]), t_max=0.5)
     assert shot.kind is SolutionKind.SHOT
-    assert shot.T == pytest.approx(closed.T, abs=1e-9)
+    assert shot.T == pytest.approx(closed.T, abs=1e-12)
     assert shot.report.passed
+
+
+def test_closed_solver_projects_the_seed_as_shoot_does(caplog):
+    # a closed non-abelian set (su(2) on the first qubit) with a random
+    # allowed seed on the energy shell that violates the first-row/column
+    # structure: the closed solver projects it as shoot does, passes its
+    # certificate and stops at shoot's root
+    basis = helpers.build_pauli_string_basis(2)
+    rng = np.random.default_rng(3)
+    problem = ControlProblem(
+        basis=basis, psi_i=helpers.random_state(rng, 4), omega=1.0,
+        forbidden=("σ1¹", "σ1²", "σ1³"),
+    )
+    allowed = basis.generators[list(problem.allowed)]
+    h0 = np.tensordot(rng.normal(size=len(allowed)), allowed, axes=1)
+    h0 *= math.sqrt(2.0) / math.sqrt(float(np.real(np.einsum("ab,ba->", h0, h0))))
+    m0 = MultiplierVector(1.0, 0.5 * rng.normal(size=3))
+    with caplog.at_level(logging.WARNING, logger="qbrach"):
+        closed = solve_closed_subalgebra(problem, h0, m0, t_max=3.0)
+    assert "first-row/column" in caplog.text
+    assert closed.report.passed
+    shot = shoot(problem, h0, m0, t_max=3.0)
+    assert shot.report.passed
+    assert closed.T == pytest.approx(shot.T, abs=1e-12)
+    assert closed.T == pytest.approx(0.43075443973027655, abs=1e-12)
+
+
+def test_closed_solver_refuses_a_window_it_cannot_scan():
+    # the scan that brackets the first root needs a sample per fraction of
+    # the fastest period; past its cap the window is refused, not thinned
+    problem = helpers.m1_problem(10.0)
+    with pytest.raises(ValueError, match="t_max"):
+        solve_closed_subalgebra(
+            problem, 10.0 * SY, MultiplierVector(1.0, [2.5]), t_max=2000.0
+        )
 
 
 def test_shoot_free_seed_stops_at_target_angle():
@@ -588,6 +623,18 @@ def test_shoot_four_level_random_seed():
     # multipliers genuinely move along a generic non-closed instance
     lam = sol.trajectory.lambdas
     assert float(np.abs(lam - lam[0]).max()) > 1e-4 * float(np.abs(lam).max())
+
+
+def test_shoot_closed_non_abelian_seed_takes_the_exact_flow(caplog):
+    # recipe seed 90 forbids a closed set whose generators do not commute;
+    # pass 1 samples the exact flow on the whole window at once instead of
+    # stepping to the checkpoint past the root
+    problem, h0, m0 = helpers.su4_shoot_seed(90)
+    with caplog.at_level(logging.DEBUG, logger="qbrach"):
+        sol = shoot(problem, h0, m0, t_max=3.0)
+    assert sol.T == pytest.approx(1.3106731910989768, abs=1e-12)
+    assert sol.report.passed
+    assert re.search(r"pass 1 stopped at step \d+ of 3000 .*; 3000 steps integrated", caplog.text)
 
 
 def test_shoot_pass1_stops_just_past_the_first_root(caplog):
