@@ -1,37 +1,42 @@
 """Coupled dynamics of time-extremal quantum evolution.
 
-The unknowns are the frame V(t) obeying dV/dt = iG(t)V(t), the Lagrange
+The unknowns are the frame V(t) obeying dV/dt = iG(t)V(t) and the Lagrange
 multipliers lambda_0 (energy normalization) and lambda_j (one per forbidden
-direction), and the accumulated gauge time tau with dtau/dt = 1/lambda_0.
-The optimal Hamiltonian is never integrated; it is reassembled
-algebraically at every instant,
+direction).  lambda_0 is constant along the flow, so the gauge time is
+tau = t/lambda_0.  The optimal Hamiltonian is never integrated; it is
+reassembled algebraically at every instant,
 
-    H(t) = V(t) F(0) V(t)^dag / lambda_0(t) - G(t),
-    G(t) = sum_j (lambda_j(t)/lambda_0(t)) X_j,
+    H(t) = V(t) F(0) V(t)^dag / lambda_0 - G(t),
+    G(t) = sum_j (lambda_j(t)/lambda_0) X_j,
 
 and the conserved operator is obtained by conjugation, F(t) = U F(0) U^dag
 = V F(0) V^dag, which keeps its spectrum exactly fixed.  The propagator is
 U(t) = V(t) exp(-i F(0) tau(t)); a direct integration of i dU/dt = H U is
-carried along purely as a cross-check channel.
+carried along purely as a cross-check channel by `integrate`, and left
+out of a root scan such as `shoot`'s first pass.
 
 When the forbidden set is closed under i[.,.] (every i[X_j, X_l] in its
 span, e.g. commuting generators or at most one) eta vanishes along the
 flow and the multipliers stay constant.  The flow is then closed-form:
-G is constant, V(t) = exp(iGt) and tau(t) = t/lambda_0.  `constant_flow`
-is the one sampler of this flow, for `integrate` on a closed set and for
-every analytic solver.  Other forbidden sets are stepped with fixed-step
-RK4: one step function (`rk4_step`) on one right-hand side
-(`coupled_rhs`).  `integrate_blocks` yields the samples at each
-re-unitarization checkpoint, so a caller such as `shoot` can stop a pass
-early, and `PassSamples.at` evaluates a pass at any one time.
+G is constant and V(t) = exp(iGt).  `constant_flow` is the one sampler of
+this flow, for `integrate` on a closed set and for every analytic solver.
+The commutator tensor of the forbidden set is built only for that closure
+test.  Other forbidden sets are stepped with fixed-step RK4: one step
+function (`rk4_step`) on one right-hand side (`stepped_rhs`), whose state
+is (V, lambda_j) or, with the cross-check, (V, lambda_j, U_d).
+`integrate_blocks` yields the samples at each re-unitarization
+checkpoint, so a caller such as `shoot` can stop a pass early, and
+`PassSamples.at` evaluates a pass at any one time.
 
 The multiplier equations
 
     d(lambda_j)/dt = (1/N) sum_l eta_jl lambda_l,  eta_jl = Tr[H i[X_j, X_l]],
 
-and d(lambda_0)/dt, which vanishes by the antisymmetry of eta, are written
-once, inside `coupled_rhs`.  Outside that per-step hot path the solvers
-contract every G = sum_j c_j X_j with `forbidden_sum`.
+are written once, inside `stepped_rhs`, through the identity
+sum_l eta_jl lambda_l = Tr[X_j i[G, F]]; d(lambda_0)/dt, which vanishes by
+the antisymmetry of eta, is evaluated there only as a guard.  Outside that
+per-step hot path the solvers contract every G = sum_j c_j X_j with
+`forbidden_sum`.
 """
 
 from __future__ import annotations
@@ -446,7 +451,9 @@ def finalize_trajectory(
     which case it is measured against U.
     """
     times = np.asarray(times, dtype=float)
-    V = np.asarray(V, dtype=complex)
+    # own copies of a stepped pass's strided views, not its whole state array
+    V = np.ascontiguousarray(V, dtype=complex)
+    lambdas = np.ascontiguousarray(lambdas, dtype=float)
     U, F, H, psi = _observables(basis, forbidden, psi_i, V, lambda0, lambdas, tau_acc, F0)
     if U_direct is not None:
         u_mismatch = float(
@@ -551,61 +558,56 @@ def _validate_h0(problem: ControlProblem, H0: np.ndarray, tol: float = 1e-8) -> 
             )
 
 
-def coupled_rhs(
+def stepped_rhs(
     F0: np.ndarray,
     Xf: np.ndarray,
-    Kten: np.ndarray,
+    lambda0: float,
     omega: float,
     direct: bool = True,
 ):
-    """Right-hand side of the coupled frame/multiplier system on a flat state.
+    """Right-hand side of the stepped frame/multiplier system on a flat state.
 
-    The state concatenates V (N*N entries), lambda_0, the lambda_j, tau and,
-    when `direct`, the cross-check propagator U_d (N*N entries, i dU_d/dt =
-    H U_d).  `Xf` stacks the forbidden generators and `Kten` is their
-    `commutator_tensor` (all zero when at most one is forbidden).
+    The state concatenates V (N*N entries), the lambda_j and, when
+    `direct`, the cross-check propagator U_d (N*N entries, i dU_d/dt =
+    H U_d).  lambda_0 is constant and tau = t/lambda_0, so neither is
+    stepped.  With G = sum_l (lambda_l/lambda_0) X_l and F = V F(0) V^dag,
+    [G, H] = [G, F]/lambda_0 gives
+
+        sum_l eta_jl lambda_l = Tr[X_j i[G, F]] = 2 Re Tr[X_j (iG V) F(0) V^dag],
+
+    which reuses dV/dt = iG V and costs one contraction with the
+    transposed forbidden generators `Xf`.  d(lambda_0)/dt =
+    -lambda.(eta lambda)/(2 omega^2 lambda_0) vanishes by the antisymmetry
+    of eta; it is evaluated on every call as a guard.
     """
     N = F0.shape[0]
     M = Xf.shape[0]
     n2 = N * N
-    Xf2 = Xf.reshape(M, n2)
-    i_lam0 = n2
-    sl_lams = slice(n2 + 1, n2 + 1 + M)
-    i_tau = n2 + 1 + M
-    size = i_tau + 1 + (n2 if direct else 0)
-    inv2w2 = 1.0 / (2.0 * omega**2)
+    n2m = n2 + M
+    iXf2 = Xf.reshape(M, n2) * (1.0j / lambda0)
+    # XfT2 @ (iG F).ravel() = (2/N) Tr[X_j iG F], whose real part is d(lambda_j)/dt
+    XfT2 = np.ascontiguousarray(Xf.transpose(0, 2, 1)).reshape(M, n2) * (2.0 / N)
+    dlam0_per = -N / (2.0 * omega**2 * lambda0)
 
     def rhs(y: np.ndarray) -> np.ndarray:
         V = y[0:n2].reshape(N, N)
-        lam0 = y[i_lam0].real
-        if abs(lam0) < 1e-10:
-            raise SingularGaugeError(
-                "lambda_0 crossed zero during integration; the gauge is singular"
-            )
-        lams = y[sl_lams].real
-        inv_lam0 = 1.0 / lam0
-        # the dot that np.tensordot(lams * inv_lam0, Xf, axes=1) reduces to,
-        # without its Python overhead: the same bits
-        G = np.dot((lams * inv_lam0)[None, :], Xf2).reshape(N, N)
-        H = (V @ F0 @ V.conj().T) * inv_lam0 - G
-        k = np.empty(size, dtype=complex)
-        eta = np.einsum("jlab,ba->jl", Kten, H).real
-        etalam = eta @ lams
-        dlam0 = -float(lams @ etalam) * inv2w2 * inv_lam0
+        lams = y[n2:n2m].real
+        iG = (lams @ iXf2).reshape(N, N)
+        dV = iG @ V
+        FV = F0 @ V.conj().T  # F = V FV
+        dlams = (XfT2 @ (dV @ FV).ravel()).real
+        dlam0 = float(lams @ dlams) * dlam0_per
         guard = 1e-9 * omega * (1.0 + float(lams @ lams) / omega**2)
         if abs(dlam0) > guard:
             raise ArithmeticError(
                 "the contraction sum_jl lambda_j lambda_l eta_jl must vanish "
                 f"by antisymmetry of eta, but d(lambda_0)/dt = {dlam0:.3e}"
             )
-        k[0:n2] = (1.0j * (G @ V)).ravel()
-        k[i_lam0] = dlam0
-        k[sl_lams] = etalam / N
-        k[i_tau] = inv_lam0
-        if direct:
-            Ud = y[i_tau + 1 :].reshape(N, N)
-            k[i_tau + 1 :] = (-1.0j * (H @ Ud)).ravel()
-        return k
+        if not direct:
+            return np.concatenate((dV.ravel(), dlams))
+        # -iH = iG - i F/lambda_0
+        dU = (iG - (1.0j / lambda0) * (V @ FV)) @ y[n2m:].reshape(N, N)
+        return np.concatenate((dV.ravel(), dlams, dU.ravel()))
 
     return rhs
 
@@ -620,25 +622,11 @@ def rk4_step(rhs, y: np.ndarray, h: float) -> np.ndarray:
     return y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def pack_state(V: np.ndarray, lambda0: float, lambdas: np.ndarray, tau: float) -> np.ndarray:
-    """The flat state of `coupled_rhs` without the cross-check channel."""
-    return np.concatenate((V.ravel(), [lambda0], lambdas, [tau])).astype(complex)
-
-
-def unpack_state(y: np.ndarray, N: int, M: int):
-    """(V, lambda_0, lambda_j, tau, U_d) of a flat state; U_d may be empty."""
-    n2 = N * N
-    return (
-        y[0:n2].reshape(N, N),
-        y[n2].real,
-        y[n2 + 1 : n2 + 1 + M].real,
-        y[n2 + 1 + M].real,
-        y[n2 + 2 + M :],
-    )
-
-
 # steps between the re-unitarization checkpoints of the stepped path
 _CHECK_EVERY = 100
+
+# the most steps of one integration pass, a halving restart included
+_MAX_SAMPLES = 200_000
 
 
 class PassSamples(NamedTuple):
@@ -648,8 +636,9 @@ class PassSamples(NamedTuple):
     is complete when there are n_steps + 1 rows.  `start` is the first row
     that is new since the previous block of the same pass; 0 opens a pass
     (the first one, or a restart at half the step).  `F0` is F(0).
-    `U_direct` (the cross-check channel) may be None.  `rhs` is a stepped
-    pass's `coupled_rhs` without that channel, None on the exact flow.
+    `U_direct` (the cross-check channel) is None on a pass run without it.
+    `rhs` is a stepped pass's `stepped_rhs` without that channel, None on
+    the exact flow.
     """
 
     times: np.ndarray
@@ -676,11 +665,12 @@ class PassSamples(NamedTuple):
             k = int(np.searchsorted(self.times, t, side="right") - 1)
             k = min(max(k, 0), self.times.size - 2)
             h = t - float(self.times[k])
-            y = pack_state(self.V[k], self.lambda0[k], self.lambdas[k], self.tau_acc[k])
+            y = np.concatenate((self.V[k].ravel(), self.lambdas[k]))
             if h > 0:
                 y = rk4_step(self.rhs, y, h)
-            V, lam0, lams, tau, _ = unpack_state(y, problem.dim, problem.n_forbidden)
-            rows = (V[None], np.array([lam0]), lams[None], np.array([tau]))
+            n2 = problem.dim**2
+            lam0 = self.lambda0[:1]
+            rows = (y[:n2].reshape(1, problem.dim, -1), lam0, y[None, n2:].real, t / lam0)
         return _observables(problem.basis, problem.forbidden, problem.psi_i, *rows, self.F0)
 
     def trajectory(self, problem: ControlProblem, rows: Optional[int] = None) -> Trajectory:
@@ -697,7 +687,7 @@ class PassSamples(NamedTuple):
             lambdas=self.lambdas[r],
             tau_acc=self.tau_acc[r],
             F0=self.F0,
-            U_direct=self.U_direct[r],
+            U_direct=None if self.U_direct is None else self.U_direct[r],
         )
 
 
@@ -707,6 +697,8 @@ def integrate_blocks(
     H0: np.ndarray,
     t_max: float,
     dt: Optional[float] = None,
+    *,
+    direct: bool = True,
 ) -> Iterator[PassSamples]:
     """The samples of `integrate`, yielded as they grow.
 
@@ -717,7 +709,12 @@ def integrate_blocks(
     pass that restarts at half the step is abandoned, and the next yield
     opens the new pass with `start == 0`.  The exact path (a closed
     forbidden set) yields its complete window at once.  A caller may stop
-    iterating at any block.
+    iterating at any block.  Without `direct` no cross-check channel is
+    carried (`U_direct` is None), as for a root scan that never reads it.
+
+    A pass takes at most `_MAX_SAMPLES` steps: a finer `dt` is a
+    ValueError, and a halving restart that would need more an
+    ArithmeticError.
     """
     H0 = np.asarray(H0, dtype=complex)
     _validate_h0(problem, H0)
@@ -725,7 +722,8 @@ def integrate_blocks(
         raise ValueError(
             f"multiplier vector length {m0.size} != forbidden set size {problem.n_forbidden}"
         )
-    if abs(m0.lambda0) < 1e-10:
+    lam0 = m0.lambda0
+    if abs(lam0) < 1e-10:
         raise SingularGaugeError("lambda_0(0) = 0 is a singular gauge")
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
@@ -734,18 +732,22 @@ def integrate_blocks(
         dt = 1e-3 / w
     if not 0 < dt <= t_max:
         raise ValueError(f"dt must lie in (0, t_max], got {dt}")
+    n_steps = max(1, math.ceil(t_max / dt - 1e-12))
+    if n_steps > _MAX_SAMPLES:
+        raise ValueError(
+            f"dt = {dt:g} needs {n_steps} steps over t_max = {t_max:g}, more than "
+            f"{_MAX_SAMPLES}; use a coarser step"
+        )
 
     M = problem.n_forbidden
     Xf = problem.forbidden_generators()
     G0 = g_operator(m0, problem.basis, problem.forbidden)
-    F0 = m0.lambda0 * (H0 + G0)
-    Kten = commutator_tensor(problem.basis, problem.forbidden)
+    F0 = lam0 * (H0 + G0)
 
-    if closure_residual(Xf, Kten) <= CLOSURE_TOL:
-        n_steps = max(1, math.ceil(t_max / dt - 1e-12))
+    if closure_residual(Xf, commutator_tensor(problem.basis, problem.forbidden)) <= CLOSURE_TOL:
         times = np.arange(n_steps + 1) * (t_max / n_steps)
         times[-1] = t_max
-        U_direct = _direct_propagators(G0, F0, m0.lambda0, times)
+        U_direct = _direct_propagators(G0, F0, lam0, times) if direct else None
         yield PassSamples(
             times, *_constant_rows(problem, m0, times), U_direct, F0, n_steps, 0, None
         )
@@ -753,44 +755,38 @@ def integrate_blocks(
 
     N = problem.dim
     n2 = N * N
-    rhs = coupled_rhs(F0, Xf, Kten, w)
-    bare_rhs = coupled_rhs(F0, Xf, Kten, w, direct=False)  # for PassSamples.at
-    eye = np.eye(N, dtype=complex)
-    y0 = np.concatenate((pack_state(eye, m0.lambda0, m0.lambdas, 0.0), eye.ravel()))
-    sign0 = 1.0 if m0.lambda0 > 0 else -1.0
+    rhs = stepped_rhs(F0, Xf, lam0, w, direct)
+    bare_rhs = stepped_rhs(F0, Xf, lam0, w, direct=False) if direct else rhs
+    eye = np.eye(N, dtype=complex).ravel()
+    y0 = np.concatenate((eye, m0.lambdas, eye if direct else ()))
     last_err: Optional[Exception] = None
     for halving in range(21):
-        step = dt / (2**halving)
-        n_steps = max(1, math.ceil(t_max / step - 1e-12))
+        if halving:
+            n_steps = max(1, math.ceil(t_max / (dt / 2**halving) - 1e-12))
+            if n_steps > _MAX_SAMPLES:
+                raise ArithmeticError(
+                    f"frame unitarity drifted beyond 1e-6 at step size {step:.3e}, and "
+                    f"halving it needs {n_steps} steps, more than {_MAX_SAMPLES}"
+                ) from last_err
         step = t_max / n_steps
         times = np.arange(n_steps + 1) * step
         times[-1] = t_max
-        Vs = np.empty((n_steps + 1, N, N), dtype=complex)
-        Uds = np.empty((n_steps + 1, N, N), dtype=complex)
-        lam0s = np.empty(n_steps + 1)
-        lamss = np.empty((n_steps + 1, M))
-        taus = np.empty(n_steps + 1)
-
-        def store(i: int, y: np.ndarray) -> None:
-            Vs[i], lam0s[i], lamss[i], taus[i], Ud = unpack_state(y, N, M)
-            Uds[i] = Ud.reshape(N, N)
+        ys = np.empty((n_steps + 1, y0.size), dtype=complex)
+        lam0s = np.full(n_steps + 1, lam0)
+        taus = times / lam0
 
         def rows(m: int, start: int) -> PassSamples:
+            Ud = ys[:m, n2 + M :].reshape(m, N, N) if direct else None
             return PassSamples(
-                times[:m], Vs[:m], lam0s[:m], lamss[:m], taus[:m], Uds[:m], F0, n_steps,
-                start, bare_rhs,
+                times[:m], ys[:m, :n2].reshape(m, N, N), lam0s[:m], ys[:m, n2 : n2 + M].real,
+                taus[:m], Ud, F0, n_steps, start, bare_rhs,
             )
 
-        y = y0
-        store(0, y)
+        y = ys[0] = y0
         start = 0
         drifted = False
         for i in range(1, n_steps + 1):
             y = rk4_step(rhs, y, step)
-            if y[n2].real * sign0 <= 1e-10:
-                raise SingularGaugeError(
-                    "lambda_0 crossed zero during integration; the gauge is singular"
-                )
             if i % _CHECK_EVERY == 0:
                 V = y[0:n2].reshape(N, N)
                 drift = float(np.linalg.norm(V.conj().T @ V - np.eye(N)))
@@ -799,7 +795,7 @@ def integrate_blocks(
                     break
                 uu, _, vt = np.linalg.svd(V)
                 y[0:n2] = (uu @ vt).ravel()
-            store(i, y)
+            ys[i] = y
             if i % _CHECK_EVERY == 0 and i < n_steps:
                 yield rows(i + 1, start)
                 start = i + 1
@@ -836,13 +832,14 @@ def integrate(
     frames.
 
     Stepped path (a forbidden set that is not closed): fixed-step RK4
-    (`rk4_step` on `coupled_rhs`) on the vector concatenating V, lambda_0,
-    the lambda_j, tau and the cross-check U_d (i dU_d/dt = H U_d).  V is
-    re-unitarized every 100 steps by polar projection; if its unitarity
-    has drifted beyond 1e-6 at such a checkpoint the whole integration
-    restarts at half the step (at most 20 halvings), preserving a uniform
-    grid.  `integrate_blocks` yields the same samples checkpoint by
-    checkpoint.
+    (`rk4_step` on `stepped_rhs`) on the vector concatenating V, the
+    lambda_j and the cross-check U_d (i dU_d/dt = H U_d); lambda_0 is
+    constant and tau = t/lambda_0.  V is re-unitarized every 100 steps by
+    polar projection; if its unitarity has drifted beyond 1e-6 at such a
+    checkpoint the whole integration restarts at half the step (at most
+    20 halvings, and never past `_MAX_SAMPLES` steps), preserving a
+    uniform grid.  `integrate_blocks` yields the same samples checkpoint
+    by checkpoint.
     """
     for samples in integrate_blocks(problem, m0, H0, t_max, dt):
         pass

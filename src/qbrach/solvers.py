@@ -31,6 +31,7 @@ from .dynamics import (
     PassSamples,
     SingularGaugeError,
     Trajectory,
+    _MAX_SAMPLES,
     _as_pairs,
     _constant_rows,
     _observables,
@@ -67,7 +68,6 @@ log = logging.getLogger("qbrach")
 # finite-difference truncation budget for analytic sample grids; keeps the
 # conservation-law residual at ~2.5e-9, comfortably inside the 1e-8 verdict
 _TRUNCATION_TARGET = 2.5e-9
-_MAX_SAMPLES = 200_000
 
 # two-level boundary convention: evolution starts at |+x> and the
 # orthogonal complement is |-x>
@@ -942,7 +942,8 @@ def shoot(
     re-unitarization checkpoint (every 100 steps) once its drift check
     has passed, and runs no further than the first checkpoint past the
     sample T needs; a closed forbidden set yields its exact flow at once.
-    The system is then re-integrated on [0, T] and renormalized so the
+    The first pass carries no U_d cross-check channel; the system is then
+    re-integrated with it on [0, T] and renormalized so the
     endpoint evaluates to 1.  T is the one a scan of the whole window
     would find; but a frame drift beyond the checkpoint where the pass
     stops no longer triggers a restart at half the step.
@@ -964,7 +965,8 @@ def shoot(
     H0, m0 = _project_seed(problem, H0_seed, m0_seed)
     psi_i = problem.psi_i.amplitudes
 
-    T, _, smp = _endpoint_search(problem, integrate_blocks(problem, m0, H0, t_max, dt))
+    blocks = integrate_blocks(problem, m0, H0, t_max, dt, direct=False)
+    T, _, smp = _endpoint_search(problem, blocks)
     if T is None:
         if target_bures_angle is None:
             raise NoSolutionError(

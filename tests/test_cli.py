@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import helpers
+from qbrach import dynamics
 from qbrach.cli import _write_json, main
 from qbrach.solvers import (
     solve_closed_subalgebra,
@@ -152,6 +153,32 @@ def test_shoot_subcommand(closed_file, tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "shot"
     assert doc["T"] == pytest.approx(0.07619481378479523, abs=1e-9)
+
+
+def test_shoot_refuses_a_step_beyond_the_work_cap(closed_file, capsys):
+    # 5e8 steps over t_max = 0.5: refused before any step, as invalid input
+    assert main(["shoot", "-i", closed_file, "--dt", "1e-9"]) == 1
+    assert "more than 200000" in capsys.readouterr().err
+
+
+def test_shoot_halving_beyond_the_work_cap_exits_3(tmp_path, monkeypatch, capsys):
+    # recipe seed 7 drifts at dt = 0.3; with the cap made small, the
+    # halving restart it needs is a numerical failure naming the step
+    problem, h0, m0 = helpers.su4_shoot_seed(7)
+    doc = {
+        "version": 1,
+        "dimension": 4,
+        "omega": 1.0,
+        "basis": "gellmann",
+        "psi_i": pairs(problem.psi_i.amplitudes),
+        "forbidden": list(problem.forbidden),
+        "solver_params": {"H0": pairs(h0), "lambda0": 1.0, "lambdas": m0.lambdas.tolist()},
+    }
+    path = tmp_path / "seed7.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 100)
+    assert main(["shoot", "-i", str(path), "--t-max", "30", "--dt", "0.3"]) == 3
+    assert "step size 3.000e-01" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ sweeps

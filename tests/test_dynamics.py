@@ -14,12 +14,10 @@ from qbrach.dynamics import (
     SingularGaugeError,
     Trajectory,
     constant_flow,
-    coupled_rhs,
     forbidden_sum,
     g_operator,
     integrate,
-    pack_state,
-    unpack_state,
+    stepped_rhs,
 )
 from qbrach.solvers import shoot
 from qbrach.states import PureState
@@ -104,18 +102,13 @@ def test_g_operator_cases():
 
 
 def multiplier_rates(problem, lam0, lams, V, F0):
-    """(d lambda_0/dt, d lambda_j/dt) from the lambda slots of `coupled_rhs`."""
-    N, M = problem.dim, problem.n_forbidden
-    rhs = coupled_rhs(
-        F0,
-        problem.forbidden_generators(),
-        commutator_tensor(problem.basis, problem.forbidden),
-        problem.omega,
-        direct=False,
-    )
-    k = rhs(pack_state(V, lam0, np.asarray(lams, dtype=float), 0.0))
-    _, dlam0, dlams, _, _ = unpack_state(k, N, M)
-    return dlam0, dlams
+    """d(lambda_j)/dt from the lambda slots of `stepped_rhs` at the frame V."""
+    rhs = stepped_rhs(F0, problem.forbidden_generators(), lam0, problem.omega, direct=False)
+    k = rhs(np.concatenate((V.ravel(), np.asarray(lams, dtype=float))))
+    n2 = problem.dim**2
+    assert k.size == n2 + problem.n_forbidden
+    assert np.all(k[n2:].imag == 0.0)
+    return k[n2:].real
 
 
 def rates_at_h(problem, h, lam0, lams):
@@ -131,17 +124,63 @@ def test_eta_matrix_pauli_pair():
         basis=build_gellmann_basis(2), psi_i=helpers.KET0, omega=omega, forbidden=(2, 0)
     )
     eta = np.column_stack(
-        [2.0 * rates_at_h(problem, omega * SY, 1.0, e)[1] for e in np.eye(2)]
+        [2.0 * rates_at_h(problem, omega * SY, 1.0, e) for e in np.eye(2)]
     )
     np.testing.assert_allclose(eta, [[0.0, -4.0 * omega], [4.0 * omega, 0.0]], atol=1e-12)
+
+
+def pauli_pair_instance():
+    omega = 2.0
+    problem = ControlProblem(
+        basis=build_gellmann_basis(2), psi_i=helpers.KET0, omega=omega, forbidden=(2, 0)
+    )
+    return problem, MultiplierVector(1.0, [0.3, -0.6]), omega * SY
+
+
+@pytest.mark.parametrize("case", ["pauli-pair", "su3", "su4-2", "su4-7"])
+def test_multiplier_rates_match_the_commutator_tensor(case):
+    # the rates of stepped_rhs, from the one-commutator contraction
+    # Tr[X_j i[G, F]], against (1/N) eta lambda with eta_jl = Tr[H i[X_j, X_l]]
+    # built from the commutator tensor, at a random frame and multipliers
+    if case == "pauli-pair":
+        problem, m0, h0 = pauli_pair_instance()
+    elif case == "su3":
+        problem, m0, h0 = su3_drifting_instance()
+    else:
+        problem, h0, m0 = helpers.su4_shoot_seed(int(case[-1]))
+    N, M = problem.dim, problem.n_forbidden
+    rng = np.random.default_rng(11)
+    xf = problem.forbidden_generators()
+    f0 = m0.lambda0 * (h0 + g_operator(m0, problem.basis, problem.forbidden))
+    for _ in range(5):
+        v, _ = np.linalg.qr(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
+        lam0 = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+        lams = rng.normal(size=M) * problem.omega
+        h = v @ f0 @ v.conj().T / lam0 - forbidden_sum(lams / lam0, xf)
+        eta = np.einsum("jlab,ba->jl", commutator_tensor(problem.basis, problem.forbidden), h).real
+        np.testing.assert_allclose(eta, -eta.T, atol=0.0)
+        want = eta @ lams / N
+        got = multiplier_rates(problem, lam0, lams, v, f0)
+        assert float(np.abs(got - want).max()) <= 1e-13
+
+
+def test_multiplier_rhs_guards_the_lambda0_rate():
+    # d(lambda_0)/dt = -lambda.(eta lambda)/(2 omega^2 lambda_0) vanishes by
+    # the antisymmetry of eta, which needs a Hermitian F; a non-Hermitian
+    # F(0) breaks it, and every call checks
+    problem, m0, h0 = su3_drifting_instance()
+    f0 = m0.lambda0 * (h0 + g_operator(m0, problem.basis, problem.forbidden))
+    rhs = stepped_rhs(f0 + 0.5j * np.eye(3), problem.forbidden_generators(), 1.0, 1.0)
+    eye = np.eye(3, dtype=complex).ravel()
+    with pytest.raises(ArithmeticError, match="antisymmetry"):
+        rhs(np.concatenate((eye, m0.lambdas, eye)))
 
 
 def test_eta_matrix_single_direction_is_zero():
     problem = ControlProblem(
         basis=build_gellmann_basis(2), psi_i=helpers.KET0, omega=1.0, forbidden=(2,)
     )
-    dlam0, dlams = rates_at_h(problem, SY, 1.0, [1.0])
-    assert dlam0 == 0.0
+    dlams = rates_at_h(problem, SY, 1.0, [1.0])
     np.testing.assert_array_equal(dlams, np.zeros(1))
 
 
@@ -150,24 +189,27 @@ def test_multiplier_rhs_is_zero_for_commuting_directions():
     problem = ControlProblem(basis=basis, psi_i=helpers.ket(3, 0), omega=1.0, forbidden=(6, 7))
     # the two diagonal generators commute, so eta = 0 and nothing moves
     h = basis.generators[0] * np.sqrt(2.0 / 3.0)
-    dlam0, dlams = rates_at_h(problem, h, 1.0, [0.3, -0.2])
-    assert dlam0 == 0.0
+    dlams = rates_at_h(problem, h, 1.0, [0.3, -0.2])
     np.testing.assert_array_equal(dlams, np.zeros(2))
 
 
 def test_multiplier_rhs_empty_forbidden():
     problem = ControlProblem(basis=build_gellmann_basis(2), psi_i=helpers.KET0, omega=1.0)
-    dlam0, dlams = rates_at_h(problem, SY, 1.0, [])
-    assert dlam0 == 0.0
+    dlams = rates_at_h(problem, SY, 1.0, [])
     assert dlams.size == 0
 
 
 def test_multiplier_rhs_rejects_singular_gauge():
-    problem = ControlProblem(
+    # lambda_0 is constant along the flow, so the one check of a singular
+    # gauge is integrate_blocks' test of lambda_0(0), on either path
+    exact = ControlProblem(
         basis=build_gellmann_basis(2), psi_i=helpers.KET0, omega=1.0, forbidden=(2,)
     )
-    with pytest.raises(SingularGaugeError):
-        multiplier_rates(problem, 0.0, [1.0], np.eye(2, dtype=complex), SY)
+    problem, m0, h0 = su3_drifting_instance()
+    for prob, lams, h in ((exact, [1.0], SY), (problem, m0.lambdas, h0)):
+        for lam0 in (0.0, 1e-11):
+            with pytest.raises(SingularGaugeError):
+                next(dynamics.integrate_blocks(prob, MultiplierVector(lam0, lams), h, t_max=1.0))
 
 
 def test_multiplier_rhs_matches_finite_differences():
@@ -179,7 +221,7 @@ def test_multiplier_rhs_matches_finite_differences():
     F0 = m0.lambda0 * (h0 + g_operator(m0, problem.basis, problem.forbidden))
     worst = 0.0
     for k in range(1, traj.n_samples - 1, 97):
-        _, dlams = multiplier_rates(problem, traj.lambda0[k], traj.lambdas[k], traj.V[k], F0)
+        dlams = multiplier_rates(problem, traj.lambda0[k], traj.lambdas[k], traj.V[k], F0)
         fd = (traj.lambdas[k + 1] - traj.lambdas[k - 1]) / (2.0 * dt)
         worst = max(worst, float(np.abs(dlams - fd).max()))
     assert worst <= 1e-6
@@ -285,6 +327,27 @@ def test_integrate_rejects_bad_input():
     touches_forbidden = h0 + 0.1 * problem.basis.generators[0]
     with pytest.raises(ValueError):
         integrate(problem, m0, touches_forbidden, t_max=1.0)
+
+
+def test_integrate_refuses_work_beyond_the_cap(monkeypatch):
+    # the cap is made small so that no test starts the work it bounds
+    monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 100)
+    problem, h0, m0 = helpers.su4_shoot_seed(7)
+    # a user step finer than the cap allows is refused before any step,
+    # on the stepped path and on the exact one
+    with pytest.raises(ValueError, match="200 steps .* more than 100"):
+        next(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.005))
+    with pytest.raises(ValueError, match="more than 100"):
+        integrate(helpers.m1_problem(1.0), MultiplierVector(1.0, [2.5]), SY, t_max=1.0, dt=0.005)
+    # strong multipliers drift the frame beyond 1e-6 at the first
+    # checkpoint of 100 steps of 0.05; the halving would need 200 steps
+    strong = MultiplierVector(1.0, 10.0 * m0.lambdas)
+    with pytest.raises(ArithmeticError, match="step size 5.000e-02.*200 steps"):
+        integrate(problem, strong, h0, t_max=5.0, dt=0.05)
+    # within the cap the pass restarts at half the step and completes
+    monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 200)
+    last = list(dynamics.integrate_blocks(problem, strong, h0, t_max=5.0, dt=0.05))[-1]
+    assert last.n_steps == 200 and last.times.size == 201
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -410,16 +473,13 @@ def test_integrate_closed_non_abelian_su4_is_exact():
     assert np.all(traj.lambda0 == m0.lambda0)
     assert np.all(traj.lambdas == m0.lambdas)
     # the stepped system at a fine step, from the same seed, as reference
-    N, M = problem.dim, problem.n_forbidden
+    n2 = problem.dim**2
     f0 = m0.lambda0 * (h0 + g_operator(m0, problem.basis, problem.forbidden))
-    rhs = coupled_rhs(
-        f0, problem.forbidden_generators(), commutator_tensor(problem.basis, problem.forbidden),
-        problem.omega, direct=False,
-    )
-    y = pack_state(np.eye(N, dtype=complex), m0.lambda0, m0.lambdas, 0.0)
+    rhs = stepped_rhs(f0, problem.forbidden_generators(), m0.lambda0, problem.omega, direct=False)
+    y = np.concatenate((np.eye(problem.dim, dtype=complex).ravel(), m0.lambdas))
     for _ in range(1000):
         y = dynamics.rk4_step(rhs, y, 1e-3)
-    V, lam0, lams, tau, _ = unpack_state(y, N, M)
+    V, lams, tau = y[:n2].reshape(problem.dim, -1), y[n2:].real, 1.0 / m0.lambda0
     w, q = np.linalg.eigh(f0)
     u_ref = V @ (q * np.exp(-1j * w * tau)) @ q.conj().T
     assert float(np.linalg.norm(traj.U[-1] - u_ref)) <= 1e-12

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import helpers
+from qbrach import dynamics, solvers
 from qbrach.dynamics import ControlProblem, MultiplierVector, SingularGaugeError
 from qbrach.solvers import (
     TWO_QUBIT_FORBIDDEN,
@@ -653,6 +654,49 @@ def test_shoot_pass1_stops_just_past_the_first_root(caplog):
     # the pass runs on to the first re-unitarization checkpoint (every
     # 100 steps) at or after that sample, and no further
     assert stepped == 100 * math.ceil(stop / 100)
+
+
+def test_shoot_pass1_carries_no_cross_check_channel(monkeypatch):
+    # pass 1 only feeds the root search, which never reads U_d: on the
+    # exact path the batched U_d propagation runs once, for pass 2 inside
+    # integrate; on the stepped path no pass-1 block carries U_d
+    sizes = []
+    direct_propagators = dynamics._direct_propagators
+
+    def counted(*args):
+        sizes.append(args[-1].size)
+        return direct_propagators(*args)
+
+    monkeypatch.setattr(dynamics, "_direct_propagators", counted)
+    problem, h0, m0 = helpers.su4_shoot_seed(90)
+    sol = shoot(problem, h0, m0, t_max=3.0)
+    assert sizes == [sol.trajectory.n_samples]
+    assert sol.report.passed
+
+    blocks = []
+    integrate_blocks = solvers.integrate_blocks
+
+    def recorded(*args, **kwargs):
+        for block in integrate_blocks(*args, **kwargs):
+            blocks.append(block)
+            yield block
+
+    monkeypatch.setattr(solvers, "integrate_blocks", recorded)
+    problem, h0, m0 = helpers.su4_shoot_seed(7)
+    sol = shoot(problem, h0, m0, t_max=3.0)
+    assert len(blocks) == 10
+    assert all(b.U_direct is None and b.rhs is not None for b in blocks)
+    # pass 2 still measures the cross-check
+    assert 0.0 < sol.trajectory.u_mismatch and sol.report.verdict["u_mismatch"]
+
+
+def test_shoot_t_is_step_converged():
+    # an accuracy pin on the stepper: quartering the step moves T of a
+    # non-closed seed by no more than 1e-10 relative
+    problem, h0, m0 = helpers.su4_shoot_seed(7)
+    coarse = shoot(problem, h0, m0, t_max=3.0)
+    fine = shoot(problem, h0, m0, t_max=3.0, dt=0.25e-3)
+    assert abs(coarse.T - fine.T) <= 1e-10 * fine.T
 
 
 def test_shoot_logs_rejected_candidates_and_scans_the_whole_window(caplog):
