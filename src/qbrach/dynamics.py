@@ -11,9 +11,10 @@ reassembled algebraically at every instant,
 
 and the conserved operator is obtained by conjugation, F(t) = U F(0) U^dag
 = V F(0) V^dag, which keeps its spectrum exactly fixed.  The propagator is
-U(t) = V(t) exp(-i F(0) tau(t)); a direct integration of i dU/dt = H U is
-carried along purely as a cross-check channel by `integrate`, and left
-out of a root scan such as `shoot`'s first pass.
+U(t) = V(t) exp(-i F(0) tau(t)).  A direct RK4 integration of
+i dU/dt = H U, with H taken from the pass at each step's ends and
+midpoint, is the one cross-check; it is built after the pass on the grid
+a trajectory is sampled on, never carried in the stepped state.
 
 When the forbidden set is closed under i[.,.] (every i[X_j, X_l] in its
 span, e.g. commuting generators or at most one) eta vanishes along the
@@ -23,10 +24,10 @@ this flow, for `integrate` on a closed set and for every analytic solver.
 The commutator tensor of the forbidden set is built only for that closure
 test.  Other forbidden sets are stepped with fixed-step RK4: one step
 function (`rk4_step`) on one right-hand side (`stepped_rhs`), whose state
-is (V, lambda_j) or, with the cross-check, (V, lambda_j, U_d).
-`integrate_blocks` yields the samples at each re-unitarization
-checkpoint, so a caller such as `shoot` can stop a pass early, and
-`PassSamples.at` evaluates a pass at any one time.
+is (V, lambda_j).  `integrate_blocks` yields the samples at each
+re-unitarization checkpoint, so a caller such as `shoot` can stop a pass
+early, and `PassSamples.at` evaluates a pass at any batch of times, one
+RK4 step from the sample to the left of each.
 
 The multiplier equations
 
@@ -145,6 +146,12 @@ def _from_pairs(data) -> np.ndarray:
     return arr[..., 0] + 1.0j * arr[..., 1]
 
 
+# the largest unitarity drift |U^dag U - 1| (Frobenius) a trajectory may
+# have; a stepped pass holds its frame V to the same bound at every
+# checkpoint, so the samples it yields pass the validation
+_UNITARITY_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled extremal evolution on a uniform-in-construction time grid.
@@ -202,7 +209,7 @@ class Trajectory:
         U = stacks["U"]
         uni = np.einsum("kji,kjl->kil", U.conj(), U) - np.eye(N)
         uni_err = float(np.sqrt(np.abs(np.einsum("kij,kij->k", uni, uni.conj()))).max())
-        if not uni_err <= 1e-8:
+        if not uni_err <= _UNITARITY_TOL:
             raise ValueError(f"U is not unitary on the grid: max drift {uni_err:.3e}")
         prop = stacks["psi"] - np.einsum("kab,b->ka", U, stacks["psi"][0])
         prop_err = float(np.linalg.norm(prop, axis=1).max())
@@ -356,41 +363,37 @@ def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-# steps per block of the direct cross-check propagation; bounds its
-# temporaries to a few blocks of matrices whatever the window length
+# steps per block of the direct cross-check propagation, and rows per
+# batched RK4 step of `PassSamples.rows_at`; both bound the temporaries to a
+# few blocks of matrices whatever the window length
 _DIRECT_BLOCK = 512
+_AT_BLOCK = 1024
 
 
 def _direct_propagators(
-    G: np.ndarray, F0: np.ndarray, lam0: float, times: np.ndarray
+    times: np.ndarray,
+    ends: Callable[[slice], np.ndarray],
+    mids: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """RK4 solution of i dU/dt = H U on `times` for the constant-G flow.
+    """RK4 solution of i dU/dt = H U on `times`, from U(0) = 1.
 
-    H(t) = e^{iGt} F(0) e^{-iGt}/lambda_0 - G is evaluated from the exact
-    frames at t_k, t_k + h/2 and t_{k+1}; each step's RK4 map is built as
-    a batch and the maps are chained by a prefix product, block by block.
-    The work happens in the eigenbasis of G, where H(t) is F(0) with phased
-    entries minus a diagonal.  Nothing here uses U = V exp(-i F(0) tau).
+    `ends(r)` is -iH at times[r] and `mids(t)` is -iH at an array of times,
+    here the midpoints of the steps, both in one fixed frame (the result is
+    in that frame).  Each step's RK4 map is built as a batch and the maps
+    are chained by a prefix product, block by block.  Nothing here uses
+    U = V exp(-i F(0) tau).
     """
-    w, Q = np.linalg.eigh(G)
-    N = w.size
-    eye = np.eye(N)
-    Ft = (Q.conj().T @ F0 @ Q) / lam0
-    W = np.diag(w)
-
-    def minus_ih(t: np.ndarray) -> np.ndarray:
-        ph = np.exp(1.0j * np.outer(t, w))
-        return -1.0j * (ph[:, :, None] * Ft * ph.conj()[:, None, :] - W)
-
     n = times.size - 1
-    out = np.empty((n + 1, N, N), dtype=complex)
-    out[0] = eye
+    out = None
     for a in range(0, n, _DIRECT_BLOCK):
         b = min(a + _DIRECT_BLOCK, n)
         t = times[a : b + 1]
+        A, Am = ends(slice(a, b + 1)), mids(0.5 * (t[:-1] + t[1:]))
+        if out is None:
+            eye = np.eye(A.shape[-1])
+            out = np.empty((n + 1, *eye.shape), dtype=complex)
+            out[0] = eye
         h = np.diff(t)[:, None, None]
-        A = minus_ih(t)
-        Am = minus_ih(0.5 * (t[:-1] + t[1:]))
         k1 = A[:-1]
         k2 = _bmm(Am, eye + 0.5 * h * k1)
         k3 = _bmm(Am, eye + 0.5 * h * k2)
@@ -401,13 +404,11 @@ def _direct_propagators(
             P[s:] = _bmm(P[s:], P[:-s])
             s *= 2
         out[a + 1 : b + 1] = _bmm(P, out[a])
-    return _bmm(_bmm(Q, out), Q.conj().T)
+    return out
 
 
 def _observables(
-    basis: GeneratorBasis,
-    forbidden: Tuple[int, ...],
-    psi_i: PureState,
+    problem: ControlProblem,
     V: np.ndarray,
     lambda0: np.ndarray,
     lambdas: np.ndarray,
@@ -420,80 +421,59 @@ def _observables(
     expF = np.einsum("ab,kb,cb->kac", Q, phases, Q.conj())
     U = V @ expF
     F = V @ F0 @ np.conj(np.transpose(V, (0, 2, 1)))
-    G = forbidden_sum(lambdas / lambda0[:, None], basis.generators[list(forbidden)])
-    H = F / lambda0[:, None, None] - G
-    psi = np.einsum("kab,b->ka", U, psi_i.amplitudes)
+    H = F / lambda0[:, None, None] - forbidden_sum(
+        lambdas / lambda0[:, None], problem.forbidden_generators()
+    )
+    psi = np.einsum("kab,b->ka", U, problem.psi_i.amplitudes)
     return U, F, H, psi
 
 
 def finalize_trajectory(
-    *,
-    basis: GeneratorBasis,
-    forbidden: Tuple[int, ...],
-    omega: float,
-    psi_i: PureState,
+    problem: ControlProblem,
     times: np.ndarray,
-    V: np.ndarray,
-    lambda0: np.ndarray,
-    lambdas: np.ndarray,
-    tau_acc: np.ndarray,
+    rows: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     F0: np.ndarray,
-    U_direct: Optional[np.ndarray] = None,
-    renormalized: bool = False,
-    u_mismatch: float = 0.0,
+    renormalized: Optional[float] = None,
+    U_direct: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> Trajectory:
-    """Derive the full sampled trajectory from the integrated frame data.
+    """The validated trajectory of the frame rows (V, lambda_0, lambda_j, tau).
 
     U(t) = V(t) exp(-i F(0) tau(t)) via one eigendecomposition of F(0);
     F(t) = V F(0) V^dag (identical to U F(0) U^dag since F(0) commutes with
     its own exponential); H(t) = F(t)/lambda_0(t) - G(t); psi = U psi_i.
-    `u_mismatch` is recorded as given unless `U_direct` is passed, in
-    which case it is measured against U.
+    A `renormalized` value c divides the multipliers and F(0) and
+    multiplies tau, which leaves V, U and H unchanged, and marks the
+    trajectory renormalized.  `U_direct`, when given, maps the H samples to
+    the cross-check propagator on `times`; `u_mismatch` is its largest
+    Frobenius gap to U.
     """
     times = np.asarray(times, dtype=float)
+    V, lam0, lams, tau = rows
+    if renormalized is not None:
+        c = renormalized
+        lam0, lams, tau, F0 = lam0 / c, lams / c, tau * c, F0 / c
     # own copies of a stepped pass's strided views, not its whole state array
     V = np.ascontiguousarray(V, dtype=complex)
-    lambdas = np.ascontiguousarray(lambdas, dtype=float)
-    U, F, H, psi = _observables(basis, forbidden, psi_i, V, lambda0, lambdas, tau_acc, F0)
+    lams = np.ascontiguousarray(lams, dtype=float)
+    U, F, H, psi = _observables(problem, V, lam0, lams, tau, F0)
+    u_mismatch = 0.0
     if U_direct is not None:
-        u_mismatch = float(
-            np.linalg.norm((U - U_direct).reshape(times.size, -1), axis=1).max()
-        )
+        u_mismatch = float(np.linalg.norm((U - U_direct(H)).reshape(times.size, -1), axis=1).max())
     return Trajectory(
-        times=times,
-        V=V,
-        U=U,
-        H=H,
-        F=F,
-        psi=psi,
-        lambda0=lambda0,
-        lambdas=lambdas,
-        tau_acc=tau_acc,
-        omega=omega,
-        basis=basis,
-        forbidden=forbidden,
-        renormalized=renormalized,
-        u_mismatch=u_mismatch,
+        times=times, V=V, U=U, H=H, F=F, psi=psi, lambda0=lam0, lambdas=lams, tau_acc=tau,
+        omega=problem.omega, basis=problem.basis, forbidden=problem.forbidden,
+        renormalized=renormalized is not None, u_mismatch=u_mismatch,
     )
 
 
 def _constant_rows(
-    problem: ControlProblem,
-    m: MultiplierVector,
-    times: np.ndarray,
-    renormalized: Optional[float] = None,
+    problem: ControlProblem, m: MultiplierVector, times: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(V, lambda_0, lambda_j, tau) of the constant-multiplier flow on `times`.
-
-    V = e^{iGt} with G = g_operator(m) and tau = t/lambda_0, both in the
-    gauge of m; a `renormalized` value c then divides the multipliers and
-    multiplies tau, which leaves V, U and H unchanged.
-    """
+    """(V, lambda_0, lambda_j, tau) of the constant-multiplier flow on `times`:
+    V = e^{iGt} with G = g_operator(m) and tau = t/lambda_0."""
     V = constant_g_frames(g_operator(m, problem.basis, problem.forbidden), times)
-    lam0, lams, tau = m.lambda0, m.lambdas, times / m.lambda0
-    if renormalized is not None:
-        lam0, lams, tau = lam0 / renormalized, lams / renormalized, tau * renormalized
-    return V, np.full(times.size, lam0), np.repeat(lams[None, :], times.size, axis=0), tau
+    lams = np.repeat(m.lambdas[None, :], times.size, axis=0)
+    return V, np.full(times.size, m.lambda0), lams, times / m.lambda0
 
 
 def constant_flow(
@@ -514,20 +494,7 @@ def constant_flow(
     divided by c so the trajectory is marked renormalized.
     """
     times = np.asarray(times, dtype=float)
-    V, lam0, lams, tau = _constant_rows(problem, m, times, renormalized)
-    return finalize_trajectory(
-        basis=problem.basis,
-        forbidden=problem.forbidden,
-        omega=problem.omega,
-        psi_i=problem.psi_i,
-        times=times,
-        V=V,
-        lambda0=lam0,
-        lambdas=lams,
-        tau_acc=tau,
-        F0=F0 if renormalized is None else F0 / renormalized,
-        renormalized=renormalized is not None,
-    )
+    return finalize_trajectory(problem, times, _constant_rows(problem, m, times), F0, renormalized)
 
 
 def _validate_h0(problem: ControlProblem, H0: np.ndarray, tol: float = 1e-8) -> None:
@@ -563,57 +530,60 @@ def stepped_rhs(
     Xf: np.ndarray,
     lambda0: float,
     omega: float,
-    direct: bool = True,
 ):
-    """Right-hand side of the stepped frame/multiplier system on a flat state.
+    """Right-hand side of the stepped frame/multiplier system.
 
-    The state concatenates V (N*N entries), the lambda_j and, when
-    `direct`, the cross-check propagator U_d (N*N entries, i dU_d/dt =
-    H U_d).  lambda_0 is constant and tau = t/lambda_0, so neither is
-    stepped.  With G = sum_l (lambda_l/lambda_0) X_l and F = V F(0) V^dag,
-    [G, H] = [G, F]/lambda_0 gives
+    A state is a row concatenating V (N*N entries) and the lambda_j; the
+    right-hand side takes a single state or a stack of them along leading
+    axes.  lambda_0 is constant and tau = t/lambda_0, so neither is
+    stepped, and the cross-check U_d is not part of the state.  With
+    G = sum_l (lambda_l/lambda_0) X_l and F = V F(0) V^dag, [G, H] =
+    [G, F]/lambda_0 gives
 
         sum_l eta_jl lambda_l = Tr[X_j i[G, F]] = 2 Re Tr[X_j (iG V) F(0) V^dag],
 
     which reuses dV/dt = iG V and costs one contraction with the
     transposed forbidden generators `Xf`.  d(lambda_0)/dt =
     -lambda.(eta lambda)/(2 omega^2 lambda_0) vanishes by the antisymmetry
-    of eta; it is evaluated on every call as a guard.
+    of eta; it is evaluated for every row of every call as a guard.
     """
     N = F0.shape[0]
     M = Xf.shape[0]
     n2 = N * N
-    n2m = n2 + M
     iXf2 = Xf.reshape(M, n2) * (1.0j / lambda0)
-    # XfT2 @ (iG F).ravel() = (2/N) Tr[X_j iG F], whose real part is d(lambda_j)/dt
-    XfT2 = np.ascontiguousarray(Xf.transpose(0, 2, 1)).reshape(M, n2) * (2.0 / N)
+    # (iG F).ravel() @ XfT2 = (2/N) Tr[X_j iG F], whose real part is d(lambda_j)/dt
+    XfT2 = (np.ascontiguousarray(Xf.transpose(0, 2, 1)).reshape(M, n2) * (2.0 / N)).T
     dlam0_per = -N / (2.0 * omega**2 * lambda0)
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        V = y[0:n2].reshape(N, N)
-        lams = y[n2:n2m].real
-        iG = (lams @ iXf2).reshape(N, N)
+        lead = y.shape[:-1]
+        V = y[..., :n2].reshape(lead + (N, N))
+        lams = y[..., n2:].real
+        iG = (lams @ iXf2).reshape(lead + (N, N))
         dV = iG @ V
-        FV = F0 @ V.conj().T  # F = V FV
-        dlams = (XfT2 @ (dV @ FV).ravel()).real
-        dlam0 = float(lams @ dlams) * dlam0_per
-        guard = 1e-9 * omega * (1.0 + float(lams @ lams) / omega**2)
-        if abs(dlam0) > guard:
+        FV = F0 @ V.conj().swapaxes(-1, -2)  # F = V FV
+        dlams = ((dV @ FV).reshape(lead + (n2,)) @ XfT2).real
+        if y.ndim == 1:  # one state, the per-step hot path: float arithmetic
+            dlam0 = float(lams @ dlams) * dlam0_per
+            bad = abs(dlam0) > 1e-9 * omega * (1.0 + float(lams @ lams) / omega**2)
+        else:
+            dlam0 = (lams * dlams).sum(-1) * dlam0_per
+            bad = (abs(dlam0) > 1e-9 * omega * (1.0 + (lams * lams).sum(-1) / omega**2)).any()
+        if bad:
             raise ArithmeticError(
-                "the contraction sum_jl lambda_j lambda_l eta_jl must vanish "
-                f"by antisymmetry of eta, but d(lambda_0)/dt = {dlam0:.3e}"
+                "the contraction sum_jl lambda_j lambda_l eta_jl must vanish by antisymmetry "
+                f"of eta, but d(lambda_0)/dt = {float(np.abs(dlam0).max()):.3e}"
             )
-        if not direct:
-            return np.concatenate((dV.ravel(), dlams))
-        # -iH = iG - i F/lambda_0
-        dU = (iG - (1.0j / lambda0) * (V @ FV)) @ y[n2m:].reshape(N, N)
-        return np.concatenate((dV.ravel(), dlams, dU.ravel()))
+        return np.concatenate((dV.reshape(lead + (n2,)), dlams), axis=-1)
 
     return rhs
 
 
-def rk4_step(rhs, y: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of dy/dt = rhs(y) of size h."""
+def rk4_step(rhs, y: np.ndarray, h) -> np.ndarray:
+    """One classical RK4 step of dy/dt = rhs(y) of size h.
+
+    On a stack of states h may be a column of step sizes, one per row.
+    """
     half = 0.5 * h
     k1 = rhs(y)
     k2 = rhs(y + half * k1)
@@ -635,10 +605,11 @@ class PassSamples(NamedTuple):
     `n_steps` counts the steps of the whole window [0, t_max], so the pass
     is complete when there are n_steps + 1 rows.  `start` is the first row
     that is new since the previous block of the same pass; 0 opens a pass
-    (the first one, or a restart at half the step).  `F0` is F(0).
-    `U_direct` (the cross-check channel) is None on a pass run without it.
-    `rhs` is a stepped pass's `stepped_rhs` without that channel, None on
-    the exact flow.
+    (the first one, or a restart at half the step).  `F0` is F(0).  `rhs`
+    is a stepped pass's `stepped_rhs`, None on the exact flow.  A pass is
+    defined at any time of its window (`rows_at`, `at`), and a trajectory
+    on any grid of it carries the cross-check U_d built from those values
+    (`trajectory`).
     """
 
     times: np.ndarray
@@ -646,49 +617,89 @@ class PassSamples(NamedTuple):
     lambda0: np.ndarray
     lambdas: np.ndarray
     tau_acc: np.ndarray
-    U_direct: Optional[np.ndarray]
     F0: np.ndarray
     n_steps: int
     start: int
     rhs: Optional[Callable[[np.ndarray], np.ndarray]]
 
-    def at(self, problem: ControlProblem, t: float):
-        """(U, F, H, psi) at one time t of the window, as one-row stacks.
+    def rows_at(self, problem: ControlProblem, times) -> Tuple[np.ndarray, ...]:
+        """(V, lambda_0, lambda_j, tau) at each of `times` in the window.
 
-        A constant-multiplier pass takes its exact flow at t; a stepped
-        pass takes one RK4 step from the sample just left of t.
+        A constant-multiplier pass takes its exact flow.  A stepped pass
+        takes, for each time t, one RK4 step of size t - t_k from the
+        sample t_k just left of t (of size 0 on a sample): a dense output
+        of the pass, evaluated for a block of times in one batch.
         """
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        lam0 = self.lambda0[0]
         if self.rhs is None:
-            m = MultiplierVector(self.lambda0[0], self.lambdas[0])
-            rows = _constant_rows(problem, m, np.array([t]))
-        else:
-            k = int(np.searchsorted(self.times, t, side="right") - 1)
-            k = min(max(k, 0), self.times.size - 2)
-            h = t - float(self.times[k])
-            y = np.concatenate((self.V[k].ravel(), self.lambdas[k]))
-            if h > 0:
-                y = rk4_step(self.rhs, y, h)
-            n2 = problem.dim**2
-            lam0 = self.lambda0[:1]
-            rows = (y[:n2].reshape(1, problem.dim, -1), lam0, y[None, n2:].real, t / lam0)
-        return _observables(problem.basis, problem.forbidden, problem.psi_i, *rows, self.F0)
+            return _constant_rows(problem, MultiplierVector(lam0, self.lambdas[0]), times)
+        N = problem.dim
+        n2 = N * N
+        k = np.searchsorted(self.times, times, side="right") - 1
+        k = np.clip(k, 0, self.times.size - 2)
+        V = np.empty((times.size, N, N), dtype=complex)
+        lams = np.empty((times.size, problem.n_forbidden))
+        for a in range(0, times.size, _AT_BLOCK):
+            r = slice(a, a + _AT_BLOCK)
+            left = k[r]
+            y = np.concatenate((self.V[left].reshape(-1, n2), self.lambdas[left]), axis=1)
+            y = rk4_step(self.rhs, y, (times[r] - self.times[left])[:, None])
+            V[r] = y[:, :n2].reshape(-1, N, N)
+            lams[r] = y[:, n2:].real
+        lam0s = np.full(times.size, lam0)
+        return V, lam0s, lams, times / lam0s
 
-    def trajectory(self, problem: ControlProblem, rows: Optional[int] = None) -> Trajectory:
-        """The validated trajectory over the first `rows` rows (default: all)."""
-        r = slice(0, rows)
-        return finalize_trajectory(
-            basis=problem.basis,
-            forbidden=problem.forbidden,
-            omega=problem.omega,
-            psi_i=problem.psi_i,
-            times=self.times[r],
-            V=self.V[r],
-            lambda0=self.lambda0[r],
-            lambdas=self.lambdas[r],
-            tau_acc=self.tau_acc[r],
-            F0=self.F0,
-            U_direct=None if self.U_direct is None else self.U_direct[r],
-        )
+    def at(self, problem: ControlProblem, times):
+        """(U, F, H, psi) at each of `times` (one time or an array) as stacks."""
+        return _observables(problem, *self.rows_at(problem, times), self.F0)
+
+    def direct(self, problem: ControlProblem, times: np.ndarray) -> Callable:
+        """The cross-check: H on `times` -> U_d there, from U_d(0) = 1.
+
+        U_d solves i dU/dt = H U by RK4 on the grid (`_direct_propagators`)
+        with -iH at the ends and the midpoint of each step from this pass.
+        On the exact flow all three come from e^{iGt} in the eigenbasis of
+        G, where H(t) is F(0) with phased entries minus a diagonal; on a
+        stepped pass the ends are the given H samples and the midpoints come
+        from `at`.
+        """
+        if self.rhs is not None:
+            return lambda H: _direct_propagators(
+                times, lambda r: -1.0j * H[r], lambda t: -1.0j * self.at(problem, t)[2]
+            )
+        lam0 = self.lambda0[0]
+        G = g_operator(MultiplierVector(lam0, self.lambdas[0]), problem.basis, problem.forbidden)
+        w, Q = np.linalg.eigh(G)
+        Ft = (Q.conj().T @ self.F0 @ Q) / lam0
+        W = np.diag(w)
+
+        def minus_ih(t: np.ndarray) -> np.ndarray:
+            ph = np.exp(1.0j * np.outer(t, w))
+            return -1.0j * (ph[:, :, None] * Ft * ph.conj()[:, None, :] - W)
+
+        U_d = _direct_propagators(times, lambda r: minus_ih(times[r]), minus_ih)
+        return lambda H: _bmm(_bmm(Q, U_d), Q.conj().T)
+
+    def trajectory(
+        self,
+        problem: ControlProblem,
+        times: Optional[np.ndarray] = None,
+        renormalized: Optional[float] = None,
+    ) -> Trajectory:
+        """The validated trajectory on `times` (default: the pass's own rows).
+
+        Other times take their rows from `rows_at`.  A `renormalized` value
+        c divides the multipliers and F(0) and multiplies tau, which leaves
+        V, U and H unchanged, as in `constant_flow`.  `u_mismatch` is
+        measured against the cross-check `direct` on the same grid.
+        """
+        if times is None:
+            times, rows = self.times, (self.V, self.lambda0, self.lambdas, self.tau_acc)
+        else:
+            rows = self.rows_at(problem, times)
+        direct = self.direct(problem, times)
+        return finalize_trajectory(problem, times, rows, self.F0, renormalized, direct)
 
 
 def integrate_blocks(
@@ -697,8 +708,6 @@ def integrate_blocks(
     H0: np.ndarray,
     t_max: float,
     dt: Optional[float] = None,
-    *,
-    direct: bool = True,
 ) -> Iterator[PassSamples]:
     """The samples of `integrate`, yielded as they grow.
 
@@ -709,8 +718,9 @@ def integrate_blocks(
     pass that restarts at half the step is abandoned, and the next yield
     opens the new pass with `start == 0`.  The exact path (a closed
     forbidden set) yields its complete window at once.  A caller may stop
-    iterating at any block.  Without `direct` no cross-check channel is
-    carried (`U_direct` is None), as for a root scan that never reads it.
+    iterating at any block.  No cross-check is carried: it is built after
+    the pass, on the grid a trajectory is sampled on
+    (`PassSamples.trajectory`).
 
     A pass takes at most `_MAX_SAMPLES` steps: a finer `dt` is a
     ValueError, and a halving restart that would need more an
@@ -747,39 +757,34 @@ def integrate_blocks(
     if closure_residual(Xf, commutator_tensor(problem.basis, problem.forbidden)) <= CLOSURE_TOL:
         times = np.arange(n_steps + 1) * (t_max / n_steps)
         times[-1] = t_max
-        U_direct = _direct_propagators(G0, F0, lam0, times) if direct else None
-        yield PassSamples(
-            times, *_constant_rows(problem, m0, times), U_direct, F0, n_steps, 0, None
-        )
+        yield PassSamples(times, *_constant_rows(problem, m0, times), F0, n_steps, 0, None)
         return
 
     N = problem.dim
     n2 = N * N
-    rhs = stepped_rhs(F0, Xf, lam0, w, direct)
-    bare_rhs = stepped_rhs(F0, Xf, lam0, w, direct=False) if direct else rhs
-    eye = np.eye(N, dtype=complex).ravel()
-    y0 = np.concatenate((eye, m0.lambdas, eye if direct else ()))
+    rhs = stepped_rhs(F0, Xf, lam0, w)
+    y0 = np.concatenate((np.eye(N, dtype=complex).ravel(), m0.lambdas))
     last_err: Optional[Exception] = None
     for halving in range(21):
         if halving:
             n_steps = max(1, math.ceil(t_max / (dt / 2**halving) - 1e-12))
             if n_steps > _MAX_SAMPLES:
                 raise ArithmeticError(
-                    f"frame unitarity drifted beyond 1e-6 at step size {step:.3e}, and "
-                    f"halving it needs {n_steps} steps, more than {_MAX_SAMPLES}"
+                    f"frame unitarity drifted beyond {_UNITARITY_TOL:g} at step size "
+                    f"{step:.3e}, and halving it needs {n_steps} steps, more than "
+                    f"{_MAX_SAMPLES}"
                 ) from last_err
         step = t_max / n_steps
         times = np.arange(n_steps + 1) * step
         times[-1] = t_max
-        ys = np.empty((n_steps + 1, y0.size), dtype=complex)
+        ys = np.empty((n_steps + 1, n2 + M), dtype=complex)
         lam0s = np.full(n_steps + 1, lam0)
         taus = times / lam0
 
         def rows(m: int, start: int) -> PassSamples:
-            Ud = ys[:m, n2 + M :].reshape(m, N, N) if direct else None
             return PassSamples(
-                times[:m], ys[:m, :n2].reshape(m, N, N), lam0s[:m], ys[:m, n2 : n2 + M].real,
-                taus[:m], Ud, F0, n_steps, start, bare_rhs,
+                times[:m], ys[:m, :n2].reshape(m, N, N), lam0s[:m], ys[:m, n2:].real,
+                taus[:m], F0, n_steps, start, rhs,
             )
 
         y = ys[0] = y0
@@ -790,7 +795,7 @@ def integrate_blocks(
             if i % _CHECK_EVERY == 0:
                 V = y[0:n2].reshape(N, N)
                 drift = float(np.linalg.norm(V.conj().T @ V - np.eye(N)))
-                if not drift <= 1e-6:
+                if not drift <= _UNITARITY_TOL:
                     drifted = True
                     break
                 uu, _, vt = np.linalg.svd(V)
@@ -801,7 +806,7 @@ def integrate_blocks(
                 start = i + 1
         if drifted:
             last_err = ArithmeticError(
-                f"frame unitarity drifted beyond 1e-6 at step size {step:.3e}"
+                f"frame unitarity drifted beyond {_UNITARITY_TOL:g} at step size {step:.3e}"
             )
             continue
         yield rows(n_steps + 1, start)
@@ -827,19 +832,21 @@ def integrate(
     Exact path (eta = 0: a forbidden set closed under i[.,.], decided
     from the commutator tensor): the multipliers and G are constant,
     V(t) = exp(iGt) comes from one eigendecomposition of G and
-    tau = t/lambda_0.  Nothing is stepped except the cross-check U_d,
-    which is propagated with RK4 on the same grid from H at the exact
-    frames.
+    tau = t/lambda_0.
 
     Stepped path (a forbidden set that is not closed): fixed-step RK4
-    (`rk4_step` on `stepped_rhs`) on the vector concatenating V, the
-    lambda_j and the cross-check U_d (i dU_d/dt = H U_d); lambda_0 is
-    constant and tau = t/lambda_0.  V is re-unitarized every 100 steps by
-    polar projection; if its unitarity has drifted beyond 1e-6 at such a
-    checkpoint the whole integration restarts at half the step (at most
-    20 halvings, and never past `_MAX_SAMPLES` steps), preserving a
-    uniform grid.  `integrate_blocks` yields the same samples checkpoint
-    by checkpoint.
+    (`rk4_step` on `stepped_rhs`) on the vector concatenating V and the
+    lambda_j; lambda_0 is constant and tau = t/lambda_0.  V is
+    re-unitarized every 100 steps by polar projection; if its unitarity has
+    drifted beyond the validation's 1e-8 at such a checkpoint the whole
+    integration restarts at half the step (at most 20 halvings, and never
+    past `_MAX_SAMPLES` steps), preserving a uniform grid.
+    `integrate_blocks` yields the same samples checkpoint by checkpoint.
+
+    On either path the cross-check U_d (i dU_d/dt = H U_d) is propagated
+    with RK4 on the same grid after the pass, from H at the samples and at
+    the half steps (`PassSamples.direct`); `u_mismatch` is its largest gap
+    to U.
     """
     for samples in integrate_blocks(problem, m0, H0, t_max, dt):
         pass

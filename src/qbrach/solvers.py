@@ -37,10 +37,8 @@ from .dynamics import (
     _observables,
     _validate_h0,
     constant_flow,
-    finalize_trajectory,
     forbidden_sum,
     g_operator,
-    integrate,
     integrate_blocks,
 )
 from .states import PureState, boundary_data, free_hamiltonian
@@ -180,34 +178,24 @@ def _analytic_dt(
     coef = (2.0 * g_op) ** 2 * c1 / (6.0 * omega * f0_norm)
     dt = math.sqrt(target / coef)
     dt = min(default, dt)
-    return max(dt, T / _MAX_SAMPLES)
-
-
-def _renormalize(traj: Trajectory, c: float) -> Trajectory:
-    """Divide all multipliers (and F) by c; U, H, V, psi are unchanged."""
-    if abs(c) < 1e-300:
-        raise SingularGaugeError("cannot renormalize by a vanishing endpoint value")
-    return finalize_trajectory(
-        basis=traj.basis,
-        forbidden=traj.forbidden,
-        omega=traj.omega,
-        psi_i=PureState(traj.psi[0]),
-        times=traj.times,
-        V=traj.V,
-        lambda0=traj.lambda0 / c,
-        lambdas=traj.lambdas / c,
-        tau_acc=traj.tau_acc * c,
-        F0=traj.F[0] / c,
-        renormalized=True,
-        u_mismatch=traj.u_mismatch,
-    )
+    # at the cap, T/dt must not round up past _MAX_SAMPLES, which `_grid` refuses
+    return max(dt, T / _MAX_SAMPLES * (1.0 + 1e-12))
 
 
 def _grid(T: float, step: float) -> np.ndarray:
-    """Uniform samples of [0, T], at least four, no further apart than `step`."""
+    """Uniform samples of [0, T], at least four, no further apart than `step`.
+
+    More than `_MAX_SAMPLES` steps is a ValueError, raised before anything
+    is allocated.
+    """
     if not 0 < step < math.inf:
         raise ValueError(f"sample step dt must be positive and finite, got {step}")
     n = max(3, math.ceil(T / step - 1e-12))
+    if n > _MAX_SAMPLES:
+        raise ValueError(
+            f"dt = {step:g} needs {n} samples over T = {T:g}, more than "
+            f"{_MAX_SAMPLES}; use a coarser step"
+        )
     return np.linspace(0.0, T, n + 1)
 
 
@@ -304,7 +292,7 @@ def solve_closed_subalgebra(
         F0 = m0.lambda0 * (H0 + G)
         scan = _closed_scan(G, F0, m0.lambda0, t_max)
         rows = _constant_rows(problem, m0, scan)
-        Hs = _observables(problem.basis, problem.forbidden, problem.psi_i, *rows, F0)[2]
+        Hs = _observables(problem, *rows, F0)[2]
         xf = problem.forbidden_generators()
         term = float(np.abs(np.real(np.einsum("kab,jba->kj", Hs, xf))).max()) / w
         if term > 1e-8:
@@ -327,7 +315,7 @@ def solve_closed_subalgebra(
     F0 = m0.lambda0 * (H0 + G)
     scan = _closed_scan(G, F0, m0.lambda0, t_max)
     rows = _constant_rows(problem, m0, scan)
-    block = PassSamples(scan, *rows, None, F0, scan.size - 1, 0, None)
+    block = PassSamples(scan, *rows, F0, scan.size - 1, 0, None)
     T, value, _ = _endpoint_search(problem, [block])
     if T is None:
         if problem.psi_f is None:
@@ -335,7 +323,7 @@ def solve_closed_subalgebra(
                 "endpoint function is identically zero for this seed and no "
                 "target state was given; every stopping time is extremal"
             )
-        psis = _observables(problem.basis, problem.forbidden, problem.psi_i, *rows, F0)[3]
+        psis = _observables(problem, *rows, F0)[3]
         T = _first_fidelity_time(
             problem.psi_f.amplitudes, psis, scan, lambda t: block.at(problem, t)[3][0]
         )
@@ -883,8 +871,7 @@ def _endpoint_search(
         m = smp.times.size
         r = slice(start, m)
         _, Fb, Hb, psib = _observables(
-            problem.basis, problem.forbidden, problem.psi_i,
-            smp.V[r], smp.lambda0[r], smp.lambdas[r], smp.tau_acc[r], smp.F0,
+            problem, smp.V[r], smp.lambda0[r], smp.lambdas[r], smp.tau_acc[r], smp.F0
         )
         s[r] = np.einsum("ka,kab,kbc,kc->k", psib.conj(), Hb, Fb, psib).imag / w2
         live = live or not float(np.abs(s[r]).max()) < 1e-12
@@ -942,11 +929,13 @@ def shoot(
     re-unitarization checkpoint (every 100 steps) once its drift check
     has passed, and runs no further than the first checkpoint past the
     sample T needs; a closed forbidden set yields its exact flow at once.
-    The first pass carries no U_d cross-check channel; the system is then
-    re-integrated with it on [0, T] and renormalized so the
-    endpoint evaluates to 1.  T is the one a scan of the whole window
-    would find; but a frame drift beyond the checkpoint where the pass
-    stops no longer triggers a restart at half the step.
+    That one pass is the whole integration: the certified trajectory is
+    the pass evaluated on a uniform grid of [0, T] (`PassSamples.trajectory`,
+    one batched RK4 step from the sample left of each grid time), in the
+    gauge where the endpoint evaluates to 1, with the U_d cross-check built
+    on that grid.  T is the one a scan of the whole window would find; but
+    a frame drift beyond the checkpoint where the pass stops no longer
+    triggers a restart at half the step.
 
     Seeds for which s vanishes identically (e.g. no forbidden directions)
     admit every stopping time; then `target_bures_angle` selects T as the
@@ -965,8 +954,7 @@ def shoot(
     H0, m0 = _project_seed(problem, H0_seed, m0_seed)
     psi_i = problem.psi_i.amplitudes
 
-    blocks = integrate_blocks(problem, m0, H0, t_max, dt, direct=False)
-    T, _, smp = _endpoint_search(problem, blocks)
+    T, _, smp = _endpoint_search(problem, integrate_blocks(problem, m0, H0, t_max, dt))
     if T is None:
         if target_bures_angle is None:
             raise NoSolutionError(
@@ -978,8 +966,10 @@ def shoot(
             psi = smp.at(problem, t)[3][0]
             return math.acos(min(1.0, abs(np.vdot(psi_i, psi))))
 
-        raw = smp.trajectory(problem)  # the whole window: s stayed below 1e-12
-        ang = np.arccos(np.minimum(1.0, np.abs(raw.psi @ psi_i.conj())))
+        # the whole window: s stayed below 1e-12
+        rows = (smp.V, smp.lambda0, smp.lambdas, smp.tau_acc)
+        psis = _observables(problem, *rows, smp.F0)[3]
+        ang = np.arccos(np.minimum(1.0, np.abs(psis @ psi_i.conj())))
         hit = np.nonzero(ang >= target_bures_angle)[0]
         if hit.size == 0:
             raise NoSolutionError(
@@ -987,8 +977,8 @@ def shoot(
                 f"(0, {t_max:g}]"
             )
         k = int(hit[0])
-        lo = float(raw.times[max(k - 1, 0)])
-        hi = float(raw.times[k])
+        lo = float(smp.times[max(k - 1, 0)])
+        hi = float(smp.times[k])
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             if angle_at(mid) >= target_bures_angle:
@@ -1004,14 +994,16 @@ def shoot(
     G0 = forbidden_sum(m0.lambdas / lam0, problem.forbidden_generators())
     dt_fine = _analytic_dt(w, G0, smp.F0, T, target=2.5e-7, default=dt, conservative=True)
     n = _grid(T, dt_fine).size - 1
-    final_raw = integrate(problem, m0, H0, T, T / n)
-    re_T, im_T = endpoint_constraint(final_raw.psi[-1], final_raw.H[-1], final_raw.F[-1])
+    times = np.arange(n + 1) * (T / n)
+    times[-1] = T
+    _, F, H, psi = smp.at(problem, T)
+    re_T = endpoint_constraint(psi[0], H[0], F[0])[0]
     if abs(re_T) < 1e-6 * w**2:
         raise NoSolutionError(
-            "endpoint real part vanished on re-integration; the multiplier "
+            "endpoint real part vanishes at T; the multiplier "
             "renormalization does not exist at this root"
         )
-    traj = _renormalize(final_raw, re_T)
+    traj = smp.trajectory(problem, times, renormalized=re_T)
     report = certify(traj, Tolerances.integrated(), renormalized=True)
     return ExtremalSolution(
         kind=SolutionKind.SHOT,

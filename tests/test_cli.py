@@ -161,6 +161,12 @@ def test_shoot_refuses_a_step_beyond_the_work_cap(closed_file, capsys):
     assert "more than 200000" in capsys.readouterr().err
 
 
+def test_solve_free_refuses_a_step_beyond_the_work_cap(free_file, capsys):
+    # T = pi/2 at dt = 1e-7 is 1.6e7 samples: refused as invalid input
+    assert main(["solve-free", "-i", free_file, "--dt", "1e-7"]) == 1
+    assert "more than 200000" in capsys.readouterr().err
+
+
 def test_shoot_halving_beyond_the_work_cap_exits_3(tmp_path, monkeypatch, capsys):
     # recipe seed 7 drifts at dt = 0.3; with the cap made small, the
     # halving restart it needs is a numerical failure naming the step

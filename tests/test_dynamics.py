@@ -103,7 +103,7 @@ def test_g_operator_cases():
 
 def multiplier_rates(problem, lam0, lams, V, F0):
     """d(lambda_j)/dt from the lambda slots of `stepped_rhs` at the frame V."""
-    rhs = stepped_rhs(F0, problem.forbidden_generators(), lam0, problem.omega, direct=False)
+    rhs = stepped_rhs(F0, problem.forbidden_generators(), lam0, problem.omega)
     k = rhs(np.concatenate((V.ravel(), np.asarray(lams, dtype=float))))
     n2 = problem.dim**2
     assert k.size == n2 + problem.n_forbidden
@@ -173,7 +173,7 @@ def test_multiplier_rhs_guards_the_lambda0_rate():
     rhs = stepped_rhs(f0 + 0.5j * np.eye(3), problem.forbidden_generators(), 1.0, 1.0)
     eye = np.eye(3, dtype=complex).ravel()
     with pytest.raises(ArithmeticError, match="antisymmetry"):
-        rhs(np.concatenate((eye, m0.lambdas, eye)))
+        rhs(np.concatenate((eye, m0.lambdas)))
 
 
 def test_eta_matrix_single_direction_is_zero():
@@ -339,15 +339,31 @@ def test_integrate_refuses_work_beyond_the_cap(monkeypatch):
         next(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.005))
     with pytest.raises(ValueError, match="more than 100"):
         integrate(helpers.m1_problem(1.0), MultiplierVector(1.0, [2.5]), SY, t_max=1.0, dt=0.005)
-    # strong multipliers drift the frame beyond 1e-6 at the first
+    # strong multipliers drift the frame beyond 1e-8 at the first
     # checkpoint of 100 steps of 0.05; the halving would need 200 steps
     strong = MultiplierVector(1.0, 10.0 * m0.lambdas)
     with pytest.raises(ArithmeticError, match="step size 5.000e-02.*200 steps"):
         integrate(problem, strong, h0, t_max=5.0, dt=0.05)
-    # within the cap the pass restarts at half the step and completes
-    monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 200)
+    # within the cap the pass restarts at half the step until every
+    # checkpoint holds the frame to 1e-8: twice here
+    monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 400)
     last = list(dynamics.integrate_blocks(problem, strong, h0, t_max=5.0, dt=0.05))[-1]
-    assert last.n_steps == 200 and last.times.size == 201
+    assert last.n_steps == 400 and last.times.size == 401
+
+
+def test_checkpoint_holds_the_frame_to_the_validation_bound(monkeypatch):
+    # at a step of 0.025 the strong seed-7 frame drifts by about 3e-7 over
+    # 100 steps: inside a 1e-6 checkpoint bound but outside the 1e-8 that
+    # Trajectory validation puts on U, so the pass halves its step and the
+    # trajectory validates, or it is a numerical failure, never invalid input
+    problem, h0, m0 = helpers.su4_shoot_seed(7)
+    strong = MultiplierVector(1.0, 10.0 * m0.lambdas)
+    traj = integrate(problem, strong, h0, t_max=5.0, dt=0.025)
+    assert traj.n_samples == 401
+    assert traj.u_mismatch <= Tolerances.integrated().u_mismatch
+    monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 200)
+    with pytest.raises(ArithmeticError, match="beyond 1e-08 at step size 2.500e-02"):
+        integrate(problem, strong, h0, t_max=5.0, dt=0.025)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -419,8 +435,9 @@ def test_constant_flow_reproduces_exact_integration():
 
 @pytest.mark.parametrize("dim", [2, 4])
 def test_direct_propagators_match_sequential_rk4(dim):
-    # the batched, prefix-chained cross-check channel against the plain
-    # step-by-step RK4 loop it replaces, over more than one block
+    # the batched, prefix-chained cross-check against the plain
+    # step-by-step RK4 loop, over more than one block, with -iH handed in
+    # at the ends and midpoints of the steps as a pass's evaluator does
     rng = np.random.default_rng(dim)
     basis = build_gellmann_basis(dim)
     g = np.tensordot(rng.normal(size=dim - 1), basis.generators[-(dim - 1):], axes=1)
@@ -433,6 +450,15 @@ def test_direct_propagators_match_sequential_rk4(dim):
         v = helpers.expm_herm(g, -t)
         return -1j * (v @ f0 @ v.conj().T / lam0 - g)
 
+    calls = []
+
+    def ends(r):
+        calls.append((r.start, r.stop))
+        return np.array([minus_ih(x) for x in times[r]])
+
+    def mids(t):
+        return np.array([minus_ih(x) for x in t])
+
     u = np.eye(dim, dtype=complex)
     ref = [u]
     for t in times[:-1]:
@@ -442,8 +468,51 @@ def test_direct_propagators_match_sequential_rk4(dim):
         k4 = minus_ih(t + h) @ (u + h * k3)
         u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         ref.append(u)
-    got = dynamics._direct_propagators(g, f0, lam0, times)
+    got = dynamics._direct_propagators(times, ends, mids)
+    block = dynamics._DIRECT_BLOCK
+    assert calls == [(0, block + 1), (block, times.size)]
     assert float(np.abs(got - np.array(ref)).max()) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [7, 90])
+def test_batched_at_matches_scalar_calls(seed):
+    # a stepped pass (seed 7) and the exact flow of a closed set (seed 90):
+    # the batched evaluation, across a block boundary, equals one call per
+    # time, on samples (steps of size 0), at both ends of the window and
+    # between samples
+    problem, h0, m0 = helpers.su4_shoot_seed(seed)
+    smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
+    assert (smp.rhs is None) == (seed == 90)
+    rng = np.random.default_rng(seed)
+    times = np.concatenate(
+        (smp.times[[0, 1, 37, -2, -1]], np.sort(rng.uniform(0.0, 1.0, dynamics._AT_BLOCK + 20)))
+    )
+    batched = smp.at(problem, times)
+    for k, t in enumerate(times):
+        for name, got, one in zip(("U", "F", "H", "psi"), batched, smp.at(problem, t)):
+            gap = float(np.abs(got[k] - one[0]).max())
+            assert gap <= 1e-14 * max(1.0, float(np.abs(one).max())), (name, t)
+    # on a sample the evaluation is the sample itself
+    rows = smp.rows_at(problem, smp.times[:3])
+    np.testing.assert_array_equal(rows[0], smp.V[:3])
+    np.testing.assert_array_equal(rows[2], smp.lambdas[:3])
+
+
+@pytest.mark.parametrize("seed", [7, 90])
+def test_perturbed_pass_sample_fails_the_cross_check(seed):
+    # the cross-check is built after the pass from the pass's own values;
+    # a sample knocked off the flow (a unitary rotation of one frame, which
+    # keeps the trajectory valid) shows up in u_mismatch
+    problem, h0, m0 = helpers.su4_shoot_seed(seed)
+    smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
+    tol = Tolerances.integrated().u_mismatch
+    assert smp.trajectory(problem).u_mismatch <= 1e-9
+    V = smp.V.copy()
+    V[50] = helpers.expm_herm(problem.basis.generators[0], 1e-4) @ V[50]
+    bad = smp._replace(V=V).trajectory(problem)
+    assert bad.u_mismatch > tol
+    report = certify(bad, Tolerances.integrated())
+    assert not report.verdict["u_mismatch"]
 
 
 @pytest.mark.parametrize("seed", [2, 7])
@@ -475,7 +544,7 @@ def test_integrate_closed_non_abelian_su4_is_exact():
     # the stepped system at a fine step, from the same seed, as reference
     n2 = problem.dim**2
     f0 = m0.lambda0 * (h0 + g_operator(m0, problem.basis, problem.forbidden))
-    rhs = stepped_rhs(f0, problem.forbidden_generators(), m0.lambda0, problem.omega, direct=False)
+    rhs = stepped_rhs(f0, problem.forbidden_generators(), m0.lambda0, problem.omega)
     y = np.concatenate((np.eye(problem.dim, dtype=complex).ravel(), m0.lambdas))
     for _ in range(1000):
         y = dynamics.rk4_step(rhs, y, 1e-3)

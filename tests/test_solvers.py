@@ -128,6 +128,19 @@ def test_solve_free_rejects_bad_omega():
         solve_free(helpers.KET0, helpers.KET1, omega=0.0)
 
 
+def test_analytic_grids_refuse_work_beyond_the_cap():
+    # a user step that needs more than _MAX_SAMPLES steps is refused before
+    # the grid is built; the step _analytic_dt clamps to is never refused
+    with pytest.raises(ValueError, match="more than 200000"):
+        solvers._grid(1.0, 1e-7)
+    with pytest.raises(ValueError, match="more than 200000"):
+        solve_free(helpers.KET0, helpers.KET1, omega=1.0, dt=1e-7)
+    f0 = np.diag([1.0, -1.0]).astype(complex) + 0.5 * SY
+    for T in np.random.default_rng(0).uniform(1e-3, 1e3, 50):
+        step = solvers._analytic_dt(1.0, 1e6 * SY, f0, T)
+        assert solvers._grid(T, step).size == solvers._MAX_SAMPLES + 1
+
+
 # ------------------------------------------------------ two-qubit instance
 
 
@@ -657,21 +670,19 @@ def test_shoot_pass1_stops_just_past_the_first_root(caplog):
 
 
 def test_shoot_pass1_carries_no_cross_check_channel(monkeypatch):
-    # pass 1 only feeds the root search, which never reads U_d: on the
-    # exact path the batched U_d propagation runs once, for pass 2 inside
-    # integrate; on the stepped path no pass-1 block carries U_d
-    sizes = []
+    # shoot integrates once: pass 1 only feeds the root search, and the
+    # certified trajectory and its U_d cross-check are evaluated from pass
+    # 1's samples, so integrate never runs and the batched U_d propagation
+    # runs once, on the certified grid, on the exact and the stepped path
+    grids = []
     direct_propagators = dynamics._direct_propagators
 
-    def counted(*args):
-        sizes.append(args[-1].size)
-        return direct_propagators(*args)
+    def counted(times, ends, mids):
+        grids.append(times)
+        return direct_propagators(times, ends, mids)
 
-    monkeypatch.setattr(dynamics, "_direct_propagators", counted)
-    problem, h0, m0 = helpers.su4_shoot_seed(90)
-    sol = shoot(problem, h0, m0, t_max=3.0)
-    assert sizes == [sol.trajectory.n_samples]
-    assert sol.report.passed
+    def forbidden(*args, **kwargs):
+        raise AssertionError("shoot re-integrated")
 
     blocks = []
     integrate_blocks = solvers.integrate_blocks
@@ -681,13 +692,37 @@ def test_shoot_pass1_carries_no_cross_check_channel(monkeypatch):
             blocks.append(block)
             yield block
 
+    monkeypatch.setattr(dynamics, "_direct_propagators", counted)
+    monkeypatch.setattr(dynamics, "integrate", forbidden)
+    monkeypatch.setattr(solvers, "integrate", forbidden, raising=False)
     monkeypatch.setattr(solvers, "integrate_blocks", recorded)
-    problem, h0, m0 = helpers.su4_shoot_seed(7)
+    for seed, n_blocks in ((90, 1), (7, 10)):
+        grids.clear()
+        blocks.clear()
+        problem, h0, m0 = helpers.su4_shoot_seed(seed)
+        sol = shoot(problem, h0, m0, t_max=3.0)
+        assert len(blocks) == n_blocks
+        assert all((b.rhs is None) == (seed == 90) for b in blocks)
+        assert len(grids) == 1
+        np.testing.assert_array_equal(grids[0], sol.trajectory.times)
+        assert 0.0 < sol.trajectory.u_mismatch and sol.report.verdict["u_mismatch"]
+        assert sol.report.passed
+
+
+@pytest.mark.parametrize("seed", [2, 7])
+def test_shoot_trajectory_matches_integrate_on_its_grid(seed):
+    # the trajectory evaluated from pass 1's samples agrees with a fresh
+    # integration of the renormalized seed on the same grid
+    problem, h0, m0 = helpers.su4_shoot_seed(seed)
     sol = shoot(problem, h0, m0, t_max=3.0)
-    assert len(blocks) == 10
-    assert all(b.U_direct is None and b.rhs is not None for b in blocks)
-    # pass 2 still measures the cross-check
-    assert 0.0 < sol.trajectory.u_mismatch and sol.report.verdict["u_mismatch"]
+    traj = sol.trajectory
+    n = traj.n_samples - 1
+    ref = dynamics.integrate(problem, sol.multipliers0, sol.H0, sol.T, sol.T / n)
+    np.testing.assert_array_equal(ref.times, traj.times)
+    for name in ("V", "U", "H", "F", "psi", "lambda0", "lambdas", "tau_acc"):
+        got, want = getattr(traj, name), getattr(ref, name)
+        assert float(np.abs(got - want).max()) <= 1e-12 * float(np.abs(want).max()), name
+    assert abs(traj.u_mismatch - ref.u_mismatch) <= 1e-12
 
 
 def test_shoot_t_is_step_converged():
