@@ -420,12 +420,24 @@ def _observables(
     phases = np.exp(-1.0j * np.outer(tau_acc, w_eig))
     expF = np.einsum("ab,kb,cb->kac", Q, phases, Q.conj())
     U = V @ expF
+    F, H = _hamiltonians(problem, V, lambda0, lambdas, F0)
+    psi = np.einsum("kab,b->ka", U, problem.psi_i.amplitudes)
+    return U, F, H, psi
+
+
+def _hamiltonians(
+    problem: ControlProblem,
+    V: np.ndarray,
+    lambda0: np.ndarray,
+    lambdas: np.ndarray,
+    F0: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(F, H) on a stack of frame samples: F = V F(0) V^dag, H = F/lambda_0 - G."""
     F = V @ F0 @ np.conj(np.transpose(V, (0, 2, 1)))
     H = F / lambda0[:, None, None] - forbidden_sum(
         lambdas / lambda0[:, None], problem.forbidden_generators()
     )
-    psi = np.einsum("kab,b->ka", U, problem.psi_i.amplitudes)
-    return U, F, H, psi
+    return F, H
 
 
 def finalize_trajectory(
@@ -661,13 +673,17 @@ class PassSamples(NamedTuple):
         with -iH at the ends and the midpoint of each step from this pass.
         On the exact flow all three come from e^{iGt} in the eigenbasis of
         G, where H(t) is F(0) with phased entries minus a diagonal; on a
-        stepped pass the ends are the given H samples and the midpoints come
-        from `at`.
+        stepped pass the ends are the given H samples and each midpoint H
+        is F/lambda_0 - G on the `rows_at` rows there (no U, psi or
+        eigendecomposition), the same arithmetic as the H of `at`.
         """
         if self.rhs is not None:
-            return lambda H: _direct_propagators(
-                times, lambda r: -1.0j * H[r], lambda t: -1.0j * self.at(problem, t)[2]
-            )
+
+            def mids(t: np.ndarray) -> np.ndarray:
+                V, lam0, lams, _ = self.rows_at(problem, t)
+                return -1.0j * _hamiltonians(problem, V, lam0, lams, self.F0)[1]
+
+            return lambda H: _direct_propagators(times, lambda r: -1.0j * H[r], mids)
         lam0 = self.lambda0[0]
         G = g_operator(MultiplierVector(lam0, self.lambdas[0]), problem.basis, problem.forbidden)
         w, Q = np.linalg.eigh(G)

@@ -807,20 +807,83 @@ def _project_seed(
     return scale * H0_eff, MultiplierVector(lam0, scale * lams)
 
 
+# the most evaluations of f one `_bracketed_root` call makes; bisection
+# alone takes a scan bracket [t_k, t_k+1] to a few ulp in about 40 halvings,
+# on a smooth s(t) a handful of evaluations do, and the cap bounds the work
+# where the interpolation stalls
+_ROOT_EVALS = 100
+
+
+def _bracketed_root(
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float
+) -> Tuple[float, float, int]:
+    """(t, f(t), evaluations) for a root of f bracketed by [a, b].
+
+    Chandrupatla's safeguarded inverse quadratic interpolation (Adv. Eng.
+    Software 28 (1997) 145), a variant of Brent's method (Algorithms for
+    Minimization without Derivatives, 1973, ch. 4) that falls back to
+    bisection whenever the last three points do not look like a smooth
+    crossing, so a flat (multiple) root costs about as many evaluations
+    as bisection.  fa = f(a) and fb = f(b) are given, must not have the
+    same sign and cost no evaluation; the first step is the secant one,
+    and every iterate lies strictly inside the current bracket.  It stops
+    when f is exactly 0, when the bracket is narrower than 2 eps |t| (a
+    few ulp of t), or after `_ROOT_EVALS` evaluations, returning the end
+    of the last bracket with the smaller |f|.
+    """
+    a, b = float(a), float(b)
+    if fa == 0.0:
+        return a, fa, 0
+    if fb == 0.0:
+        return b, fb, 0
+    if (fa > 0.0) == (fb > 0.0):
+        raise ValueError(f"f({a!r}) = {fa:g} and f({b!r}) = {fb:g} do not bracket a root")
+    eps = np.finfo(float).eps
+    # a is the newest point, b the end across the root from it and c the
+    # point a replaced; the next point is a + x (b - a), first the secant one
+    x = fa / (fa - fb)
+    evals = 0
+    while True:
+        tol = eps * max(abs(a), abs(b))
+        if 2.0 * tol > abs(b - a) or evals == _ROOT_EVALS:
+            return (a, fa, evals) if abs(fa) <= abs(fb) else (b, fb, evals)
+        lim = tol / abs(b - a)
+        t = a + min(1.0 - lim, max(lim, x)) * (b - a)
+        ft = f(t)
+        evals += 1
+        if ft == 0.0:
+            return t, ft, evals
+        if (ft > 0.0) == (fa > 0.0):
+            c, fc = a, fa
+        else:
+            b, c, fb, fc = a, b, fa, fb
+        a, fa = t, ft
+        xi = (a - b) / (c - b)
+        phi = (fa - fb) / (fc - fb)
+        if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:  # inverse quadratic
+            x = fa / (fb - fa) * fc / (fb - fc)
+            x += (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+        else:
+            x = 0.5
+
+
 def _endpoint_search(
     problem: ControlProblem, blocks: Iterable[PassSamples]
 ) -> Tuple[Optional[float], Optional[complex], PassSamples]:
     """(T, <psi|HF|psi> at T, last block) of a pass's first accepted endpoint root.
 
     The blocks of one pass are scanned for s(t) = Im<psi|HF|psi>/omega^2
-    as they arrive: a sign change is bisected to |s| <= 1e-10 and polished
-    with three finite-difference Newton steps (evaluating `PassSamples.at`),
-    an interior sample with |s| <= 1e-10 is taken as it is, and the first
-    root with |Im| <= 1e-10 omega^2 and |Re| >= 1e-6 omega^2 ends the
-    search.  Rejected candidates and the stopping step are logged at debug
-    level.  T and the value are None when max|s| < 1e-12 on the whole
-    window (every stopping time is extremal); NoSolutionError when s is
-    not that small but no root is accepted.
+    as they arrive: a sign change between two samples is resolved by
+    `_bracketed_root`, seeded with the two sampled values and evaluating
+    `PassSamples.at` inside the bracket (the count is logged at debug
+    level), an interior sample with |s| <= 1e-10 is taken as it is, and
+    the first root with |Im| <= 1e-10 omega^2 and |Re| >= 1e-6 omega^2
+    ends the search.  Rejected candidates and the stopping step are
+    logged at debug level.  T and the value are None when max|s| < 1e-12
+    on the whole window (every stopping time is extremal); NoSolutionError
+    when s is not that small but no root is accepted, naming the closest
+    approach of s to zero: the smallest interior local minimum of |s| on
+    the samples and its time.
     """
     w2 = problem.omega**2
     floor = 1e-6 * w2
@@ -834,28 +897,19 @@ def _endpoint_search(
         """Locate the root of s bracketed at sample k; (root, <psi|HF|psi>)."""
         times = smp.times
         if abs(s[k]) <= 1e-10 and times[k] > 0:
-            root = float(times[k])
-        else:
-            lo, hi = float(times[k]), float(times[k + 1])
-            slo = s[k]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                sm = bc_at(mid).imag / w2
-                if slo * sm <= 0:
-                    hi = mid
-                else:
-                    lo, slo = mid, sm
-            root = 0.5 * (lo + hi)
-            delta = max(1e-9 * max(1.0, root), 1e-12)
-            for _ in range(3):
-                f0v = bc_at(root).imag
-                dfd = (bc_at(root + delta).imag - bc_at(root - delta).imag) / (2.0 * delta)
-                if dfd == 0.0:
-                    break
-                cand = root - f0v / dfd
-                if times[k] <= cand <= times[k + 1]:
-                    root = cand
-        return root, bc_at(root)
+            return float(times[k]), bc_at(float(times[k]))
+        values = {}
+
+        def s_at(t: float) -> float:
+            values[t] = bc_at(t)
+            return values[t].imag / w2
+
+        root, _, evals = _bracketed_root(s_at, times[k], times[k + 1], s[k], s[k + 1])
+        log.debug(
+            "endpoint search: resolved [%.12g, %.12g] in %d evaluations",
+            times[k], times[k + 1], evals,
+        )
+        return root, values[root] if root in values else bc_at(root)
 
     # The candidates and their resolution are those of a scan of the whole
     # window: a bracket [t_k, t_k+1] is resolved only once sample k+2
@@ -906,9 +960,18 @@ def _endpoint_search(
         stop, n_steps, smp.times[stop], m - 1,
     )
     if live and T is None:
+        mag = np.abs(s)
+        dips = 1 + np.nonzero((mag[1:-1] <= mag[:-2]) & (mag[1:-1] <= mag[2:]))[0]
+        if dips.size:
+            k = int(dips[np.argmin(mag[dips])])
+            closest = f"closest approach |s| = {mag[k]:.2e} omega^2 at t = {smp.times[k]:.4g}"
+        else:
+            closest = "|s| has no interior local minimum"
+        changes = int(np.count_nonzero(s[:-1] * s[1:] < 0))
         raise NoSolutionError(
             "no root of Im<psi|HF|psi> with nonzero real part found in "
-            f"(0, {smp.times[-1]:g}]"
+            f"(0, {smp.times[-1]:g}]; {closest}, "
+            + (f"{changes} sign change(s), each root rejected" if changes else "no sign change")
         )
     return T, value, smp
 
@@ -939,7 +1002,9 @@ def shoot(
 
     Seeds for which s vanishes identically (e.g. no forbidden directions)
     admit every stopping time; then `target_bures_angle` selects T as the
-    first time the Bures angle from psi_i reaches that value.
+    first time the Bures angle from psi_i reaches that value, resolved
+    between the two samples around it by `_bracketed_root`, the solver
+    that resolves the endpoint brackets.
     """
     w = problem.omega
     N = problem.dim
@@ -954,7 +1019,7 @@ def shoot(
     H0, m0 = _project_seed(problem, H0_seed, m0_seed)
     psi_i = problem.psi_i.amplitudes
 
-    T, _, smp = _endpoint_search(problem, integrate_blocks(problem, m0, H0, t_max, dt))
+    T, value, smp = _endpoint_search(problem, integrate_blocks(problem, m0, H0, t_max, dt))
     if T is None:
         if target_bures_angle is None:
             raise NoSolutionError(
@@ -977,15 +1042,12 @@ def shoot(
                 f"(0, {t_max:g}]"
             )
         k = int(hit[0])
-        lo = float(smp.times[max(k - 1, 0)])
-        hi = float(smp.times[k])
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if angle_at(mid) >= target_bures_angle:
-                hi = mid
-            else:
-                lo = mid
-        T = 0.5 * (lo + hi)
+        T = float(smp.times[k])
+        if k > 0:
+            T = _bracketed_root(
+                lambda t: angle_at(t) - target_bures_angle, smp.times[k - 1], T,
+                ang[k - 1] - target_bures_angle, ang[k] - target_bures_angle,
+            )[0]
 
     # the certified grid must keep the second-order differencing truncation
     # of the report's residuals well inside the 1e-6 integrated verdicts,
@@ -996,8 +1058,10 @@ def shoot(
     n = _grid(T, dt_fine).size - 1
     times = np.arange(n + 1) * (T / n)
     times[-1] = T
-    _, F, H, psi = smp.at(problem, T)
-    re_T = endpoint_constraint(psi[0], H[0], F[0])[0]
+    if value is None:
+        _, F, H, psi = smp.at(problem, T)
+        value = complex(*endpoint_constraint(psi[0], H[0], F[0]))
+    re_T = value.real
     if abs(re_T) < 1e-6 * w**2:
         raise NoSolutionError(
             "endpoint real part vanishes at T; the multiplier "

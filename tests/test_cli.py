@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -185,6 +186,33 @@ def test_shoot_halving_beyond_the_work_cap_exits_3(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 100)
     assert main(["shoot", "-i", str(path), "--t-max", "30", "--dt", "0.3"]) == 3
     assert "step size 3.000e-01" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed, closest, t", [(144, 3.85e-2, 1.454), (168, 9.13e-3, 1.435)])
+def test_shoot_without_a_root_exits_2_naming_the_closest_approach(
+    seed, closest, t, tmp_path, capsys
+):
+    problem, h0, m0 = helpers.su4_shoot_seed(seed)
+    doc = {
+        "version": 1,
+        "dimension": 4,
+        "omega": 1.0,
+        "basis": "gellmann",
+        "psi_i": pairs(problem.psi_i.amplitudes),
+        "forbidden": list(problem.forbidden),
+        "solver_params": {
+            "H0": pairs(h0), "lambda0": 1.0, "lambdas": m0.lambdas.tolist(), "t_max": 3.0
+        },
+    }
+    path = tmp_path / f"seed{seed}.json"
+    path.write_text(json.dumps(doc))
+    assert main(["shoot", "-i", str(path)]) == 2
+    found = re.search(
+        r"closest approach \|s\| = (\S+) omega\^2 at t = (\S+), no sign change",
+        capsys.readouterr().err,
+    )
+    assert float(found.group(1)) == pytest.approx(closest, rel=1e-2)
+    assert float(found.group(2)) == pytest.approx(t, abs=2e-3)
 
 
 # ------------------------------------------------------------------ sweeps

@@ -498,6 +498,39 @@ def test_batched_at_matches_scalar_calls(seed):
     np.testing.assert_array_equal(rows[2], smp.lambdas[:3])
 
 
+def test_stepped_cross_check_midpoints_read_only_h(monkeypatch):
+    # on a stepped pass the cross-check's midpoint -iH is F/lambda_0 - G on
+    # the dense-output rows, bit for bit the H of `at`, and building it
+    # takes no U, psi or eigendecomposition of F(0) (no `_observables`)
+    problem, h0, m0 = helpers.su4_shoot_seed(7)
+    smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
+    assert smp.rhs is not None
+    times = np.linspace(0.0, 1.0, 1201)  # three blocks of the propagation
+    H = smp.at(problem, times)[2]
+    mids = []
+    direct_propagators = dynamics._direct_propagators
+
+    def recorded(times, ends, mid_h):
+        def kept(t):
+            mids.append((t, mid_h(t)))
+            return mids[-1][1]
+
+        return direct_propagators(times, ends, kept)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the cross-check built U, F, H and psi")
+
+    monkeypatch.setattr(dynamics, "_direct_propagators", recorded)
+    monkeypatch.setattr(dynamics, "_observables", forbidden)
+    U_d = smp.direct(problem, times)(H)
+    monkeypatch.undo()
+    assert len(mids) == 3
+    for t, got in mids:
+        np.testing.assert_array_equal(got, -1.0j * smp.at(problem, t)[2])
+    np.testing.assert_array_equal(U_d, smp.direct(problem, times)(H))
+    assert float(np.abs(U_d - smp.at(problem, times)[0]).max()) <= 1e-9
+
+
 @pytest.mark.parametrize("seed", [7, 90])
 def test_perturbed_pass_sample_fails_the_cross_check(seed):
     # the cross-check is built after the pass from the pass's own values;

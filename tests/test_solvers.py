@@ -734,6 +734,84 @@ def test_shoot_t_is_step_converged():
     assert abs(coarse.T - fine.T) <= 1e-10 * fine.T
 
 
+_JUST_ABOVE_3 = math.nextafter(3.0, 4.0)
+
+
+@pytest.mark.parametrize(
+    "f, root",
+    [
+        (math.sin, math.pi),
+        (lambda t: t - 3.0, 3.0),  # the root is the left end
+        (lambda t: t - 3.5, 3.5),  # the root is the right end
+        (lambda t: (t - 3.3) ** 3, 3.3),  # a flat crossing
+        (lambda t: t - _JUST_ABOVE_3, _JUST_ABOVE_3),  # 1 ulp from an end
+        (lambda t: math.tanh(1e6 * (t - 3.2)), 3.2),  # a steep crossing
+    ],
+    ids=["sin", "left-end", "right-end", "cubic", "ulp-from-end", "steep"],
+)
+def test_bracketed_root_reaches_a_few_ulp_within_the_cap(f, root):
+    seen = []
+
+    def counted(t):
+        seen.append(t)
+        return f(t)
+
+    t, ft, evals = solvers._bracketed_root(counted, 3.0, 3.5, f(3.0), f(3.5))
+    assert abs(t - root) <= 4 * math.ulp(root)
+    assert ft == f(t)
+    assert evals == len(seen) < solvers._ROOT_EVALS
+    assert all(3.0 < s < 3.5 for s in seen)
+    if f(3.0) == 0.0 or f(3.5) == 0.0:
+        assert evals == 0
+
+
+def test_bracketed_root_is_superlinear_on_a_smooth_crossing():
+    # bisection would need 50 halvings of [3, 3.5] to reach a few ulp
+    evals = solvers._bracketed_root(math.sin, 3.0, 3.5, math.sin(3.0), math.sin(3.5))[2]
+    assert evals <= 6
+    with pytest.raises(ValueError, match="do not bracket"):
+        solvers._bracketed_root(math.sin, 2.0, 3.0, math.sin(2.0), math.sin(3.0))
+
+
+def test_shoot_resolves_its_bracket_in_a_handful_of_evaluations(caplog, monkeypatch):
+    # every single-time evaluation of the pass is one `PassSamples.at`
+    # call; the endpoint search logs its count per resolved bracket
+    at_calls = []
+    at = dynamics.PassSamples.at
+
+    def counted(self, problem, times):
+        at_calls.append(times)
+        return at(self, problem, times)
+
+    monkeypatch.setattr(dynamics.PassSamples, "at", counted)
+    problem, h0, m0 = helpers.su4_shoot_seed(7)
+    with caplog.at_level(logging.DEBUG, logger="qbrach"):
+        sol = shoot(problem, h0, m0, t_max=3.0)
+    assert sol.T == pytest.approx(0.90530825891501188, abs=1e-12)
+    resolved = re.findall(
+        r"endpoint search: resolved \[(\S+), (\S+)\] in (\d+) evaluations", caplog.text
+    )
+    assert len(resolved) == 1
+    lo, hi, evals = resolved[0]
+    assert float(lo) <= sol.T <= float(hi)
+    assert 1 <= int(evals) <= 15
+    assert len(at_calls) <= 15
+
+
+@pytest.mark.parametrize("seed, closest, t", [(144, 3.85e-2, 1.454), (168, 9.13e-3, 1.435)])
+def test_shoot_without_a_root_reports_the_closest_approach(seed, closest, t):
+    # the recipe seeds left out of the benchmark pool: s = Im<psi|HF|psi>/omega^2
+    # dips towards zero once in the window but never changes sign
+    problem, h0, m0 = helpers.su4_shoot_seed(seed)
+    with pytest.raises(NoSolutionError) as err:
+        shoot(problem, h0, m0, t_max=3.0)
+    found = re.search(
+        r"closest approach \|s\| = (\S+) omega\^2 at t = (\S+), no sign change", str(err.value)
+    )
+    assert float(found.group(1)) == pytest.approx(closest, rel=1e-2)
+    assert float(found.group(2)) == pytest.approx(t, abs=2e-3)
+
+
 def test_shoot_logs_rejected_candidates_and_scans_the_whole_window(caplog):
     # scaling lambda_0 and the lambda_j together keeps G and the roots of
     # seed 7 but scales Re<psi|HF|psi> (constant along the flow) to 1e-7,
@@ -741,7 +819,7 @@ def test_shoot_logs_rejected_candidates_and_scans_the_whole_window(caplog):
     problem, h0, m0 = helpers.su4_shoot_seed(7)
     tiny = MultiplierVector(1e-7, 1e-7 * m0.lambdas)
     with caplog.at_level(logging.DEBUG, logger="qbrach"):
-        with pytest.raises(NoSolutionError):
+        with pytest.raises(NoSolutionError, match=r"sign change\(s\), each root rejected"):
             shoot(problem, h0, tiny, t_max=3.0)
     rejected = re.findall(
         r"rejected endpoint candidate at t = (\S+): \|Re\| = (\S+) < floor", caplog.text
