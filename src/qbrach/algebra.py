@@ -8,6 +8,8 @@ N >= 2) and Pauli strings (N = 2^n), both Hermitian, traceless and
 deterministically ordered.  `basis_of` builds either by its kind name,
 once per (kind, dimension).  Closure under i[.,.] is read from the
 stacked commutators of a subset (`commutator_tensor`, `closure_residual`).
+`stack_product` multiplies stacks of small matrices, the products every
+sampled trajectory is built from.
 """
 
 from __future__ import annotations
@@ -28,12 +30,17 @@ __all__ = [
     "commutator_tensor",
     "hermitian_commutator",
     "is_closed_subalgebra",
+    "stack_product",
 ]
 
 _SUPERSCRIPTS = {1: "¹", 2: "²", 3: "³"}
 
 # largest `closure_residual` of a subset taken as closed under i[.,.]
 CLOSURE_TOL = 1e-10
+
+# largest dimension `basis_of` builds: a basis holds (N^2 - 1) N^2 complex
+# numbers, 268 MB at N = 64 and about 26 GB at N = 200
+MAX_DIM = 64
 
 _PAULI = {
     0: np.eye(2, dtype=complex),
@@ -179,11 +186,14 @@ def build_pauli_string_basis(n_qubits: int) -> GeneratorBasis:
 def basis_of(kind: str, dim: int) -> GeneratorBasis:
     """The basis of su(dim) named by `kind`, built once and then shared.
 
-    `kind` is "gellmann" (any dim >= 2) or "pauli_strings" (dim a power
-    of two), the value a `GeneratorBasis` records as its `kind`.  Callers
+    `kind` is "gellmann" (dim >= 2) or "pauli_strings" (dim a power of
+    two), the value a `GeneratorBasis` records as its `kind`.  Callers
     that read `kind` from a file pass str(kind), so that a malformed value
-    is an unknown kind rather than an unhashable cache key.
+    is an unknown kind rather than an unhashable cache key.  A dimension
+    above `MAX_DIM` is refused before anything is allocated.
     """
+    if not dim <= MAX_DIM:
+        raise ValueError(f"dimension {dim} is above the largest supported, {MAX_DIM}")
     if kind == "gellmann":
         return build_gellmann_basis(dim)
     if kind == "pauli_strings":
@@ -192,6 +202,24 @@ def basis_of(kind: str, dim: int) -> GeneratorBasis:
             raise ValueError(f"pauli_strings basis needs a power-of-two dimension, got {dim}")
         return build_pauli_string_basis(n)
     raise ValueError(f"unknown basis kind {kind!r}")
+
+
+def stack_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a stack (..., N, N) times a stack of the same length or one
+    fixed N x N matrix, on either side; strided operands are fine.
+
+    For N <= 3 this is N broadcast multiply-adds, about four times faster
+    than np.matmul at N = 2, where matmul's cost is a per-matrix overhead;
+    larger N go to np.matmul.  A stack is never reshaped into one tall
+    GEMM, whose multithreaded BLAS call is far slower on these sizes.
+    """
+    N = a.shape[-1]
+    if N > 3:
+        return np.matmul(a, b)
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for j in range(1, N):
+        out += a[..., :, j, None] * b[..., None, j, :]
+    return out
 
 
 def _check_hermitian(a: np.ndarray, name: str, tol: float = 1e-10) -> None:

@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .algebra import basis_of
-from .dynamics import ControlProblem, MultiplierVector, Trajectory, _from_pairs
+from .dynamics import _MAX_SAMPLES, ControlProblem, MultiplierVector, Trajectory, _from_pairs
 from .solvers import (
     ExtremalSolution,
     NoSolutionError,
@@ -61,6 +61,8 @@ def _read_problem(path: str, solvers: Tuple[str, ...]) -> dict:
     """A problem file, parsed once; its optional "solver" field must be one of `solvers`."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("a problem file holds one JSON object")
     solver = data.get("solver")
     if solver is not None and solver not in solvers:
         raise ValueError(
@@ -69,37 +71,65 @@ def _read_problem(path: str, solvers: Tuple[str, ...]) -> dict:
     return data
 
 
+# what a value of the wrong type or shape in a problem file raises while it
+# is parsed; every one of them is invalid input
+_MALFORMED = (TypeError, IndexError, OverflowError)
+
+
 def _load_problem(path: str, solvers: Tuple[str, ...]) -> Tuple[ControlProblem, dict]:
     data = _read_problem(path, solvers)
-    if int(data.get("version", 1)) != 1:
-        raise ValueError(f"unsupported problem-file version {data.get('version')}")
-    if "dimension" not in data or "omega" not in data or "psi_i" not in data:
-        raise ValueError("problem file needs 'dimension', 'omega' and 'psi_i'")
-    basis = basis_of(str(data.get("basis", "gellmann")), int(data["dimension"]))
-    psi_i = PureState(_from_pairs(data["psi_i"]))
-    psi_f = PureState(_from_pairs(data["psi_f"])) if data.get("psi_f") is not None else None
-    forbidden = tuple(data.get("forbidden", ()))
-    problem = ControlProblem(
-        basis=basis,
-        psi_i=psi_i,
-        omega=float(data["omega"]),
-        forbidden=forbidden,
-        psi_f=psi_f,
-    )
-    return problem, dict(data.get("solver_params", {}))
+    try:
+        if int(data.get("version", 1)) != 1:
+            raise ValueError(f"unsupported problem-file version {data.get('version')}")
+        if "dimension" not in data or "omega" not in data or "psi_i" not in data:
+            raise ValueError("problem file needs 'dimension', 'omega' and 'psi_i'")
+        basis = basis_of(str(data.get("basis", "gellmann")), int(data["dimension"]))
+        psi_i = PureState(_from_pairs(data["psi_i"]))
+        psi_f = PureState(_from_pairs(data["psi_f"])) if data.get("psi_f") is not None else None
+        forbidden = tuple(data.get("forbidden", ()))
+        problem = ControlProblem(
+            basis=basis,
+            psi_i=psi_i,
+            omega=float(data["omega"]),
+            forbidden=forbidden,
+            psi_f=psi_f,
+        )
+        return problem, dict(data.get("solver_params", {}))
+    except _MALFORMED as exc:
+        raise ValueError(f"malformed problem file: {exc}") from exc
 
 
 def _seed_from_params(params: dict, problem: ControlProblem) -> Tuple[np.ndarray, MultiplierVector]:
     if "H0" not in params:
         raise ValueError("solver_params must supply the seed Hamiltonian 'H0' as [re, im] pairs")
-    H0 = _from_pairs(params["H0"])
-    lam0 = float(params.get("lambda0", 1.0))
-    lams = np.asarray(params.get("lambdas", np.zeros(problem.n_forbidden)), dtype=float)
+    try:
+        H0 = _from_pairs(params["H0"])
+        lam0 = float(params.get("lambda0", 1.0))
+        lams = np.asarray(params.get("lambdas", np.zeros(problem.n_forbidden)), dtype=float)
+    except _MALFORMED as exc:
+        raise ValueError(f"malformed solver_params: {exc}") from exc
     return H0, MultiplierVector(lam0, lams)
 
 
+def _number(flag: Optional[float], params: dict, key: str) -> Optional[float]:
+    """The command-line value, else solver_params[key] as a float, else None."""
+    if flag is not None:
+        return flag
+    value = params.get(key)
+    if value is None:
+        return None
+    try:
+        return float(value)
+    except _MALFORMED + (ValueError,) as exc:
+        raise ValueError(f"solver_params.{key} must be a number, got {value!r}") from exc
+
+
 def _parse_grid(spec: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Parse 'a,b,n x c,d,m' (or with the multiplication sign) into two grids."""
+    """Parse 'a,b,n x c,d,m' (or with the multiplication sign) into two grids.
+
+    A grid of more than `_MAX_SAMPLES` cells is refused before either half
+    is built.
+    """
     txt = spec.replace("×", "x")
     if "x" in txt:
         left, _, right = txt.partition("x")
@@ -111,7 +141,7 @@ def _parse_grid(spec: str) -> Tuple[np.ndarray, np.ndarray]:
                 "grid must be 'min,max,n x min,max,m' (six numbers); got " + spec
             )
         halves = [",".join(flat[:3]), ",".join(flat[3:])]
-    grids = []
+    specs = []
     for half in halves:
         vals = [p.strip() for p in half.split(",") if p.strip() != ""]
         if len(vals) != 3:
@@ -121,8 +151,11 @@ def _parse_grid(spec: str) -> Tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"grid bounds must be finite: {half!r}")
         if n < 1:
             raise ValueError(f"grid count must be at least 1, got {n}")
-        grids.append(np.linspace(lo, hi, n))
-    return grids[0], grids[1]
+        specs.append((lo, hi, n))
+    cells = specs[0][2] * specs[1][2]
+    if cells > _MAX_SAMPLES:
+        raise ValueError(f"the grid has {cells} cells, more than {_MAX_SAMPLES}")
+    return tuple(np.linspace(*spec) for spec in specs)
 
 
 def _solution_out(args, sol: ExtremalSolution) -> None:
@@ -146,8 +179,7 @@ def _cmd_solve_free(args) -> int:
     problem, params = _load_problem(args.input, ("free",))
     if problem.psi_f is None:
         raise ValueError("solve-free needs 'psi_f' in the problem file")
-    dt = args.dt if args.dt is not None else params.get("dt")
-    sol = solve_free(problem.psi_i, problem.psi_f, problem.omega, dt=dt)
+    sol = solve_free(problem.psi_i, problem.psi_f, problem.omega, dt=_number(args.dt, params, "dt"))
     _solution_out(args, sol)
     return 0
 
@@ -155,11 +187,10 @@ def _cmd_solve_free(args) -> int:
 def _cmd_solve_closed(args) -> int:
     problem, params = _load_problem(args.input, ("closed_subalgebra",))
     H0, m0 = _seed_from_params(params, problem)
-    t_max = args.t_max if args.t_max is not None else params.get("t_max")
+    t_max = _number(args.t_max, params, "t_max")
     if t_max is None:
         raise ValueError("solve-closed needs --t-max (or solver_params.t_max)")
-    dt = args.dt if args.dt is not None else params.get("dt")
-    sol = solve_closed_subalgebra(problem, H0, m0, float(t_max), dt=dt)
+    sol = solve_closed_subalgebra(problem, H0, m0, t_max, dt=_number(args.dt, params, "dt"))
     _solution_out(args, sol)
     return 0
 
@@ -206,20 +237,16 @@ def _cmd_solve_2qubit(args) -> int:
 def _cmd_shoot(args) -> int:
     problem, params = _load_problem(args.input, ("shot", "shoot"))
     H0, m0 = _seed_from_params(params, problem)
-    t_max = args.t_max if args.t_max is not None else params.get("t_max")
+    t_max = _number(args.t_max, params, "t_max")
     if t_max is None:
         raise ValueError("shoot needs --t-max (or solver_params.t_max)")
-    dt = args.dt if args.dt is not None else params.get("dt")
-    target = params.get("target_bures_angle")
-    if args.target_bures_angle is not None:
-        target = args.target_bures_angle
     sol = shoot(
         problem,
         H0,
         m0,
-        float(t_max),
-        dt=dt,
-        target_bures_angle=float(target) if target is not None else None,
+        t_max,
+        dt=_number(args.dt, params, "dt"),
+        target_bures_angle=_number(args.target_bures_angle, params, "target_bures_angle"),
     )
     _solution_out(args, sol)
     return 0

@@ -48,7 +48,14 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import CLOSURE_TOL, GeneratorBasis, basis_of, closure_residual, commutator_tensor
+from .algebra import (
+    CLOSURE_TOL,
+    GeneratorBasis,
+    basis_of,
+    closure_residual,
+    commutator_tensor,
+    stack_product,
+)
 from .states import PureState
 from .verify import _constraint_profiles, speed_profile
 
@@ -142,8 +149,11 @@ def _as_pairs(a: np.ndarray) -> list:
 
 
 def _from_pairs(data) -> np.ndarray:
+    """Nested lists of [re, im] pairs -> complex array; any other shape is a ValueError."""
     arr = np.asarray(data, dtype=float)
-    return arr[..., 0] + 1.0j * arr[..., 1]
+    if arr.ndim < 2 or arr.shape[-1] != 2:
+        raise ValueError(f"expected an array of [re, im] pairs, got shape {arr.shape}")
+    return np.ascontiguousarray(arr).view(complex)[..., 0]
 
 
 # the largest unitarity drift |U^dag U - 1| (Frobenius) a trajectory may
@@ -207,7 +217,7 @@ class Trajectory:
         if K > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("time grid must be strictly increasing")
         U = stacks["U"]
-        uni = np.einsum("kji,kjl->kil", U.conj(), U) - np.eye(N)
+        uni = stack_product(U.conj().swapaxes(-1, -2), U) - np.eye(N)
         uni_err = float(np.sqrt(np.abs(np.einsum("kij,kij->k", uni, uni.conj()))).max())
         if not uni_err <= _UNITARITY_TOL:
             raise ValueError(f"U is not unitary on the grid: max drift {uni_err:.3e}")
@@ -346,21 +356,7 @@ def constant_g_frames(G: np.ndarray, times: np.ndarray) -> np.ndarray:
     if not G.any():
         return np.broadcast_to(np.eye(G.shape[0], dtype=complex), (times.size, *G.shape)).copy()
     w, Q = np.linalg.eigh(G)
-    phases = np.exp(1.0j * np.outer(times, w))
-    return np.einsum("ab,kb,cb->kac", Q, phases, Q.conj())
-
-
-def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched product of small matrices, one broadcast term per inner index.
-
-    On stacks of 2x2 matrices this is about five times faster than
-    np.matmul, whose cost is dominated by a per-matrix overhead; at 4x4
-    the two are about even.
-    """
-    out = a[..., :, 0, None] * b[..., None, 0, :]
-    for j in range(1, a.shape[-1]):
-        out += a[..., :, j, None] * b[..., None, j, :]
-    return out
+    return stack_product(Q * np.exp(1.0j * np.outer(times, w))[:, None, :], Q.conj().T)
 
 
 # steps per block of the direct cross-check propagation, and rows per
@@ -368,6 +364,37 @@ def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # few blocks of matrices whatever the window length
 _DIRECT_BLOCK = 512
 _AT_BLOCK = 1024
+
+# maps per chunk of the prefix product `_chained`
+_SCAN_CHUNK = 8
+
+
+def _chained(P: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """out[k] = P[k] P[k-1] ... P[0] carry over a stack P of N x N maps.
+
+    A work-efficient prefix product (Blelloch, CMU-CS-90-190, 1990): the
+    maps of each chunk of `_SCAN_CHUNK` are chained in place, the chunk
+    totals are chained the same way from `carry`, and one product per map
+    applies the chain of the chunks before it.  That is about two products
+    per map, where a Hillis-Steele scan takes log2 of the length.
+    """
+    n, N = P.shape[0], P.shape[-1]
+    if n <= _SCAN_CHUNK:
+        out = np.empty((n, N, N), dtype=complex)
+        for k in range(n):
+            carry = out[k] = stack_product(P[k], carry)
+        return out
+    c = -(-n // _SCAN_CHUNK)
+    W = np.empty((c * _SCAN_CHUNK, N, N), dtype=complex)
+    W[:n] = P
+    W[n:] = np.eye(N)  # identities pad the last chunk
+    W = W.reshape(c, _SCAN_CHUNK, N, N)
+    for j in range(1, _SCAN_CHUNK):
+        W[:, j] = stack_product(W[:, j], W[:, j - 1])
+    carries = np.empty((c, N, N), dtype=complex)
+    carries[0] = carry
+    carries[1:] = _chained(W[:-1, -1], carry)
+    return stack_product(W, carries[:, None]).reshape(-1, N, N)[:n]
 
 
 def _direct_propagators(
@@ -380,8 +407,8 @@ def _direct_propagators(
     `ends(r)` is -iH at times[r] and `mids(t)` is -iH at an array of times,
     here the midpoints of the steps, both in one fixed frame (the result is
     in that frame).  Each step's RK4 map is built as a batch and the maps
-    are chained by a prefix product, block by block.  Nothing here uses
-    U = V exp(-i F(0) tau).
+    are chained by a prefix product (`_chained`), block by block.  Nothing
+    here uses U = V exp(-i F(0) tau).
     """
     n = times.size - 1
     out = None
@@ -395,15 +422,11 @@ def _direct_propagators(
             out[0] = eye
         h = np.diff(t)[:, None, None]
         k1 = A[:-1]
-        k2 = _bmm(Am, eye + 0.5 * h * k1)
-        k3 = _bmm(Am, eye + 0.5 * h * k2)
-        k4 = _bmm(A[1:], eye + h * k3)
+        k2 = stack_product(Am, eye + 0.5 * h * k1)
+        k3 = stack_product(Am, eye + 0.5 * h * k2)
+        k4 = stack_product(A[1:], eye + h * k3)
         P = eye + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        s = 1
-        while s < P.shape[0]:
-            P[s:] = _bmm(P[s:], P[:-s])
-            s *= 2
-        out[a + 1 : b + 1] = _bmm(P, out[a])
+        out[a + 1 : b + 1] = _chained(P, out[a])
     return out
 
 
@@ -417,9 +440,8 @@ def _observables(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(U, F, H, psi) on a stack of frame samples; see finalize_trajectory."""
     w_eig, Q = np.linalg.eigh(F0)
-    phases = np.exp(-1.0j * np.outer(tau_acc, w_eig))
-    expF = np.einsum("ab,kb,cb->kac", Q, phases, Q.conj())
-    U = V @ expF
+    expF = stack_product(Q * np.exp(-1.0j * np.outer(tau_acc, w_eig))[:, None, :], Q.conj().T)
+    U = stack_product(V, expF)
     F, H = _hamiltonians(problem, V, lambda0, lambdas, F0)
     psi = np.einsum("kab,b->ka", U, problem.psi_i.amplitudes)
     return U, F, H, psi
@@ -433,7 +455,7 @@ def _hamiltonians(
     F0: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(F, H) on a stack of frame samples: F = V F(0) V^dag, H = F/lambda_0 - G."""
-    F = V @ F0 @ np.conj(np.transpose(V, (0, 2, 1)))
+    F = stack_product(stack_product(V, F0), V.conj().swapaxes(-1, -2))
     H = F / lambda0[:, None, None] - forbidden_sum(
         lambdas / lambda0[:, None], problem.forbidden_generators()
     )
@@ -695,7 +717,7 @@ class PassSamples(NamedTuple):
             return -1.0j * (ph[:, :, None] * Ft * ph.conj()[:, None, :] - W)
 
         U_d = _direct_propagators(times, lambda r: minus_ih(times[r]), minus_ih)
-        return lambda H: _bmm(_bmm(Q, U_d), Q.conj().T)
+        return lambda H: stack_product(stack_product(Q, U_d), Q.conj().T)
 
     def trajectory(
         self,

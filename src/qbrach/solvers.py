@@ -323,10 +323,13 @@ def solve_closed_subalgebra(
                 "endpoint function is identically zero for this seed and no "
                 "target state was given; every stopping time is extremal"
             )
-        psis = _observables(problem, *rows, F0)[3]
-        T = _first_fidelity_time(
-            problem.psi_f.amplitudes, psis, scan, lambda t: block.at(problem, t)[3][0]
-        )
+        _, _, Hs, psis = _observables(problem, *rows, F0)
+
+        def h_psi(t: float) -> Tuple[np.ndarray, np.ndarray]:
+            _, _, H, psi = block.at(problem, t)
+            return H[0], psi[0]
+
+        T = _first_fidelity_time(problem.psi_f.amplitudes, Hs, psis, scan, h_psi)
         if T is None:
             raise NoSolutionError(
                 "the flow never reaches the target state within the window "
@@ -370,56 +373,44 @@ def _closed_scan(G: np.ndarray, F0: np.ndarray, lam0: float, t_max: float) -> np
 
 def _first_fidelity_time(
     target: np.ndarray,
+    H: np.ndarray,
     psis: np.ndarray,
     scan: np.ndarray,
-    psi_at: Callable[[float], np.ndarray],
+    at: Callable[[float], Tuple[np.ndarray, np.ndarray]],
     fid_tol: float = 1e-9,
 ) -> Optional[float]:
     """Earliest time where |<target|psi(t)>| reaches 1 - fid_tol.
 
-    Scans the sampled fidelity for local maxima near 1, then polishes each
-    candidate with golden-section refinement plus a parabolic vertex step.
+    `H` and `psis` are the flow on `scan`, and `at(t)` gives (H, psi) at one
+    time.  A maximum of the fidelity f = |a|^2, a = <target|psi>, is a
+    root of its time derivative 2 Im(conj(a) <target|H|psi>), which
+    crosses zero linearly where f itself is flat, so `_bracketed_root`
+    resolves each sampled maximum near 1 from the two scan samples around
+    it; a fidelity still rising at the end of the window is taken there.
     """
 
-    def fid(t: float) -> float:
-        return abs(np.vdot(target, psi_at(t)))
+    tc = target.conj()
 
-    f_scan = np.abs(psis @ target.conj())
-    order = [
-        k
-        for k in range(1, len(scan) - 1)
-        if f_scan[k] >= f_scan[k - 1] and f_scan[k] >= f_scan[k + 1]
-    ]
-    if f_scan[-1] >= f_scan[-2]:
-        order.append(len(scan) - 1)
-    for k in sorted(order):
-        if f_scan[k] < 0.99:
+    def rate(H_t: np.ndarray, psi_t: np.ndarray) -> np.ndarray:
+        h_psi = np.einsum("...ab,...b->...a", H_t, psi_t)
+        return 2.0 * (np.conj(psi_t @ tc) * (h_psi @ tc)).imag
+
+    f_scan = np.abs(psis @ tc)
+    d = rate(H, psis)
+    peaks = np.nonzero((d[:-1] > 0.0) & (d[1:] <= 0.0))[0].tolist()
+    if d[-1] > 0.0:
+        peaks.append(len(scan) - 1)
+    for k in peaks:
+        if k == len(scan) - 1:
+            t = float(scan[k])
+        elif max(f_scan[k], f_scan[k + 1]) < 0.99:
             continue
-        lo = scan[max(k - 1, 0)]
-        hi = scan[min(k + 1, len(scan) - 1)]
-        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c = b - inv_phi * (b - a)
-        d = a + inv_phi * (b - a)
-        fc, fd = fid(c), fid(d)
-        for _ in range(60):
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - inv_phi * (b - a)
-                fc = fid(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + inv_phi * (b - a)
-                fd = fid(d)
-        t_best = 0.5 * (a + b)
-        # parabolic vertex on 1 - f^2, which is quadratic at the optimum
-        h = max(1e-9, 1e-7 * (hi - lo))
-        g0, g1, g2 = 1 - fid(t_best - h) ** 2, 1 - fid(t_best) ** 2, 1 - fid(t_best + h) ** 2
-        denom = g0 - 2 * g1 + g2
-        if denom > 0:
-            t_best = t_best + h * (g0 - g2) / (2 * denom)
-        if fid(t_best) >= 1.0 - fid_tol:
-            return float(t_best)
+        else:
+            t = _bracketed_root(
+                lambda x: float(rate(*at(x))), scan[k], scan[k + 1], d[k], d[k + 1]
+            )[0]
+        if abs(np.vdot(target, at(t)[1])) >= 1.0 - fid_tol:
+            return t
     return None
 
 
@@ -584,10 +575,15 @@ def sweep_m1(
     `re_field` = Re<psi(T)|H F|psi(T)> in the raw gauge, which equals
     omega^2 identically along this flow.  Rows index lambda1_tilde, columns
     index T.  Fields are computed from the propagated states, not from any
-    closed-form shortcut, so they double as a consistency check.
+    closed-form shortcut, so they double as a consistency check.  A grid
+    of more than `_MAX_SAMPLES` cells is a ValueError.
     """
     lt = np.asarray(lambda1_tilde, dtype=float).ravel()
     ts = np.asarray(T_values, dtype=float).ravel()
+    if lt.size * ts.size > _MAX_SAMPLES:
+        raise ValueError(
+            f"a {lt.size} x {ts.size} sweep grid has more than {_MAX_SAMPLES} cells"
+        )
     if not (np.all(np.isfinite(lt)) and np.all(np.isfinite(ts))):
         raise ValueError("sweep grid values must be finite")
     if np.any(ts <= 0):

@@ -42,6 +42,8 @@ class PureState:
             raise ValueError(f"state vector needs dimension >= 2, got {amp.size}")
         if not np.all(np.isfinite(amp)):
             raise ValueError("state vector has non-finite amplitudes")
+        if not np.abs(amp).max() <= 2.0:  # a norm that would overflow is not 1 either
+            raise ValueError("state vector is not normalized: an amplitude exceeds 2")
         nrm = float(np.linalg.norm(amp))
         if abs(nrm - 1.0) > 1e-9:
             raise ValueError(f"state vector is not normalized: ||psi|| = {nrm:.12g}")

@@ -18,6 +18,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .algebra import stack_product
+
 __all__ = [
     "Tolerances",
     "VerificationReport",
@@ -219,7 +221,7 @@ def _conservation_residuals(traj) -> Tuple[float, float, float]:
     if traj.times.size < 3:
         raise ValueError("need at least 3 samples to difference dF/dt")
     fdot = np.gradient(traj.F, traj.times, axis=0, edge_order=2)
-    resid = fdot + 1.0j * (traj.H @ traj.F - traj.F @ traj.H)
+    resid = fdot + 1.0j * (stack_product(traj.H, traj.F) - stack_product(traj.F, traj.H))
     fnorm = max(float(np.linalg.norm(traj.F[0])), _TINY)
     per_sample = np.linalg.norm(resid.reshape(resid.shape[0], -1), axis=1)
     chko = float(per_sample.max()) / (traj.omega * fnorm)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbrach.algebra import (
+    MAX_DIM,
     basis_of,
     build_gellmann_basis,
     build_pauli_string_basis,
@@ -12,6 +13,7 @@ from qbrach.algebra import (
     hermitian_commutator,
     is_closed_subalgebra,
     pauli_string_label,
+    stack_product,
 )
 from qbrach.solvers import TWO_QUBIT_FORBIDDEN
 
@@ -273,3 +275,58 @@ def test_closure_rejects_empty_subset():
     basis = build_gellmann_basis(2)
     with pytest.raises(ValueError):
         is_closed_subalgebra(basis, ())
+
+
+@pytest.mark.parametrize("kind", ["gellmann", "pauli_strings"])
+@pytest.mark.parametrize("dim", [MAX_DIM + 1, 10**6])
+def test_basis_of_refuses_a_dimension_above_the_cap(kind, dim):
+    # a basis holds (N^2 - 1) N^2 complex numbers; the cap is checked before
+    # anything is built
+    with pytest.raises(ValueError, match="largest supported"):
+        basis_of(kind, dim)
+
+
+def test_basis_of_builds_at_small_dimensions_under_the_cap():
+    assert basis_of("gellmann", 5).dim == 5
+    assert basis_of("pauli_strings", 8).dim == 8
+
+
+# ---------------------------------------------------------- stack products
+
+
+def _complex_stack(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _assert_product(got, ref):
+    scale = float(np.abs(ref).max())
+    assert got.shape == ref.shape
+    assert float(np.abs(got - ref).max()) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 513, 1025])
+def test_stack_product_matches_matmul(n, k):
+    # both sides of the broadcast/matmul switch at N = 3, a stack times a
+    # stack and a stack times one fixed matrix on either side
+    rng = np.random.default_rng(100 * n + k)
+    a, b = _complex_stack(rng, k, n, n), _complex_stack(rng, k, n, n)
+    m = _complex_stack(rng, n, n)
+    _assert_product(stack_product(a, b), np.matmul(a, b))
+    _assert_product(stack_product(a, m), np.einsum("kab,bc->kac", a, m))
+    _assert_product(stack_product(m, b), np.einsum("ab,kbc->kac", m, b))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stack_product_takes_strided_operands(n):
+    # the V of a stepped pass is a strided view into rows of (V, lambda_j),
+    # and U^dag is a transposed view; neither is copied first
+    rng = np.random.default_rng(n)
+    k, m = 37, 3
+    state = _complex_stack(rng, k, n * n + m)
+    V = state[:, : n * n].reshape(k, n, n)
+    assert not V.flags.c_contiguous
+    U = _complex_stack(rng, k, n, n)
+    Ud = U.conj().swapaxes(-1, -2)
+    _assert_product(stack_product(V, Ud), np.matmul(V, Ud))
+    _assert_product(stack_product(Ud[:19], V[::2]), np.matmul(Ud[:19], V[::2]))

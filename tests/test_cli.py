@@ -7,9 +7,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import helpers
 from qbrach import dynamics
+from qbrach.algebra import MAX_DIM
 from qbrach.cli import _write_json, main
 from qbrach.solvers import (
     solve_closed_subalgebra,
@@ -441,6 +443,34 @@ def test_exit_code_validation_errors(tmp_path, free_file, closed_file):
     assert main(["solve-m1"]) == 1
 
 
+@pytest.mark.parametrize("dimension", [MAX_DIM + 1, 10**6])
+@pytest.mark.parametrize("command", ["solve-free", "shoot"])
+def test_exit_code_dimension_above_the_cap(dimension, command, free_file, tmp_path, capsys):
+    # a basis of su(N) holds (N^2 - 1) N^2 complex numbers, so the dimension
+    # is refused before the basis is built
+    data = json.loads(open(free_file).read())
+    data["dimension"] = dimension
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(data))
+    assert main([command, "-i", str(big)]) == 1
+    assert "largest supported" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "grid", [f"0,1,{dynamics._MAX_SAMPLES + 1} x 0.1,0.3,1", "0,1,1000 x 0.1,0.3,1000"]
+)
+def test_exit_code_sweep_grid_above_the_cap(grid, capsys):
+    assert main(["sweep-m1", "--grid", grid]) == 1
+    assert "cells" in capsys.readouterr().err
+
+
+def test_sweep_m1_refuses_a_grid_above_the_cap():
+    with pytest.raises(ValueError, match="cells"):
+        sweep_m1(np.zeros(dynamics._MAX_SAMPLES + 1), [1.0])
+    with pytest.raises(ValueError, match="cells"):
+        sweep_m1(np.zeros(1000), np.ones(1000))
+
+
 def test_exit_code_nan_amplitude(free_file, tmp_path, capsys):
     data = json.loads(open(free_file).read())
     data["psi_i"][0][0] = float("nan")
@@ -552,3 +582,86 @@ def test_exit_code_non_finite_scale(
         files[inf_omega_file] = str(bad)
     assert main([arg.format(**files) for arg in argv]) == 1
     assert "invalid input" in capsys.readouterr().err
+
+
+# ------------------------------------------------------ fuzzed problem files
+
+_JUNK = [None, "x", [], {}, [[1.0]], True]
+_BAD_NUMBERS = [0.0, -1.0, 1e-300, 1e300, math.nan, math.inf, -math.inf, "1.0"]
+
+# per field of a problem file, values that are malformed, out of range or
+# non-finite; a list entry is taken as it is
+_MALFORMED_FIELDS = {
+    "version": [2, "x"],
+    "dimension": [MAX_DIM + 1, 10**6, 0, 1, -3, 2.5, "2", 5] + _BAD_NUMBERS + _JUNK,
+    "omega": _BAD_NUMBERS + _JUNK,
+    "basis": ["pauli_strings", "nope", 5, None],
+    "psi_i": [[0.6, 0.8], [[[0.6, 0.0], [0.8, 0.0]]], [[1.0, 0.0]], [[1e300, 0.0], [0.0, 0.0]],
+              [[math.nan, 0.0], [1.0, 0.0]], [[math.inf, 0.0], [0.0, math.inf]],
+              [[1.0, 0.0], [1.0, 0.0]]] + _JUNK,
+    "forbidden": [[-1], [100], ["zz"], ["d1"], [0, 0], 5, [[1]], [1.5]] + _JUNK,
+    "solver_params": _JUNK + [5],
+    "H0": [[[1.0, 0.0]], [[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+           [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+           [[[math.inf, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-math.inf, 0.0]]]] + _JUNK,
+    "lambda0": _BAD_NUMBERS + _JUNK,
+    "lambdas": [[1.0] * 7, [math.nan], [math.inf, 1.0, 1.0]] + _JUNK,
+    "t_max": _BAD_NUMBERS + _JUNK,
+    "dt": [1e-9] + _BAD_NUMBERS + _JUNK,
+    "target_bures_angle": [0.5, 2.0] + _BAD_NUMBERS,
+}
+_PARAM_KEYS = ("H0", "lambda0", "lambdas", "t_max", "dt", "target_bures_angle")
+
+
+@st.composite
+def _problem_files(draw):
+    """A well-formed problem for every subcommand it is handed to, with up
+    to three fields then replaced by malformed values."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    basis = helpers.build_gellmann_basis(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    omega = draw(st.floats(min_value=0.25, max_value=2.0))
+    forbidden = sorted(draw(st.sets(st.integers(0, basis.size - 1), max_size=min(3, n * n - 2))))
+    allowed = [m for m in range(basis.size) if m not in forbidden]
+    h0 = np.tensordot(rng.normal(size=len(allowed)), basis.generators[allowed], axes=1)
+    h0 *= math.sqrt(2.0) * omega / math.sqrt(np.real(np.trace(h0 @ h0)))
+    doc = {
+        "version": 1,
+        "dimension": n,
+        "omega": omega,
+        "basis": "gellmann",
+        "psi_i": pairs(helpers.random_state(rng, n).amplitudes),
+        "psi_f": pairs(helpers.random_state(rng, n).amplitudes),
+        "forbidden": forbidden,
+        "solver_params": {
+            "H0": pairs(h0),
+            "lambda0": 1.0,
+            "lambdas": (0.5 * rng.normal(size=len(forbidden))).tolist(),
+            "t_max": draw(st.sampled_from([0.05, 0.3])),
+        },
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(_MALFORMED_FIELDS)), max_size=3)):
+        value = draw(st.sampled_from(_MALFORMED_FIELDS[key]))
+        if key in _PARAM_KEYS:
+            if isinstance(doc["solver_params"], dict):
+                doc["solver_params"][key] = value
+        else:
+            doc["psi_f" if key == "psi_i" and draw(st.booleans()) else key] = value
+    return doc
+
+
+@settings(
+    max_examples=100,
+    deadline=5000,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(command=st.sampled_from(["solve-free", "solve-closed", "shoot"]), doc=_problem_files())
+def test_fuzzed_problem_file_exits_with_a_documented_code(command, doc, tmp_path):
+    # whatever a problem file holds, the CLI answers with exit code 0, 1, 2
+    # or 3 and never lets an exception escape; the windows and energy
+    # scales drawn here keep every valid problem to a few hundred steps
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert main([command, "-i", str(path), "-o", str(out)]) in (0, 1, 2, 3)

@@ -474,6 +474,32 @@ def test_direct_propagators_match_sequential_rk4(dim):
     assert float(np.abs(got - np.array(ref)).max()) <= 1e-12
 
 
+def _random_unitaries(rng, k, n):
+    z = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 513, 1025])
+def test_chained_prefix_product_matches_sequential_product(n, k):
+    # the work-efficient scan against the plain left-to-right chain, on
+    # both sides of the chunk size (8) and of the cross-check block (512),
+    # from a carry that is not the identity and on a strided stack
+    rng = np.random.default_rng(10 * n + k)
+    maps = _random_unitaries(rng, 2 * k, n)[::2]
+    assert k == 1 or not maps.flags.c_contiguous
+    carry = _random_unitaries(rng, 1, n)[0]
+    ref = np.empty((k, n, n), dtype=complex)
+    acc = carry
+    for j in range(k):
+        acc = ref[j] = maps[j] @ acc
+    got = dynamics._chained(maps, carry)
+    assert got.shape == ref.shape
+    assert float(np.abs(got - ref).max()) <= 1e-14
+
+
 @pytest.mark.parametrize("seed", [7, 90])
 def test_batched_at_matches_scalar_calls(seed):
     # a stepped pass (seed 7) and the exact flow of a closed set (seed 90):
