@@ -108,6 +108,8 @@ def _seed_from_params(params: dict, problem: ControlProblem) -> Tuple[np.ndarray
         lams = np.asarray(params.get("lambdas", np.zeros(problem.n_forbidden)), dtype=float)
     except _MALFORMED as exc:
         raise ValueError(f"malformed solver_params: {exc}") from exc
+    if lam0 == 0.0:
+        raise ValueError("solver_params.lambda0 = 0 is a singular gauge")
     return H0, MultiplierVector(lam0, lams)
 
 
@@ -345,7 +347,11 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--output", "-o", default=None, help="output JSON (default stdout)")
         p.add_argument("--csv", default=None, help="also write a plot-ready CSV table")
-        p.add_argument("--dt", type=float, default=None, help="sample/integration step")
+        p.add_argument(
+            "--dt", type=float, default=None,
+            help="sample step (solve-free, solve-2qubit); cap on the certified sample step "
+            "(solve-closed); integration step and that cap (shoot); a cap is <= 1e-3/omega",
+        )
 
     p = sub.add_parser("solve-free", help="unrestricted minimum-time evolution")
     common(p, needs_input=True)

@@ -19,14 +19,15 @@ a trajectory is sampled on, never carried in the stepped state.
 When the forbidden set is closed under i[.,.] (every i[X_j, X_l] in its
 span, e.g. commuting generators or at most one) eta vanishes along the
 flow and the multipliers stay constant.  The flow is then closed-form:
-G is constant and V(t) = exp(iGt).  `constant_flow` is the one sampler of
-this flow, for `integrate` on a closed set and for every analytic solver.
-The commutator tensor of the forbidden set is built only for that closure
-test.  Other forbidden sets are stepped with fixed-step RK4: one step
-function (`rk4_step`) on one right-hand side (`stepped_rhs`), whose state
-is (V, lambda_j).  `integrate_blocks` yields the samples at each
-re-unitarization checkpoint, so a caller such as `shoot` can stop a pass
-early, and `PassSamples.at` evaluates a pass at any batch of times, one
+G is constant and V(t) = exp(iGt).  `constant_flow` samples this flow for
+the analytic solvers, and `exact_pass` is the pass of it that `integrate`
+and both root-searching solvers take.  The commutator tensor of the
+forbidden set is built only for that closure test.  Other forbidden sets
+are stepped with fixed-step RK4: one step function (`rk4_step`) on one
+right-hand side (`stepped_rhs`), whose state is (V, lambda_j).
+`integrate_blocks` yields the samples at each re-unitarization
+checkpoint, so a caller such as `shoot` can stop a pass early, and
+`PassSamples.at` evaluates a pass at any batch of times, one
 RK4 step from the sample to the left of each.
 
 The multiplier equations
@@ -43,6 +44,7 @@ per-step hot path the solvers contract every G = sum_j c_j X_j with
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
@@ -91,8 +93,13 @@ class ControlProblem:
     allowed: Tuple[int, ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not 0 < self.omega < math.inf:
-            raise ValueError(f"energy scale omega must be positive and finite, got {self.omega}")
+        w = float(self.omega)
+        # omega^2 and 1/omega^2 are normal floats exactly when 2^-1022 <= omega^2 <= 2^1022
+        if not (0 < w < math.inf and sys.float_info.min <= w * w <= 1.0 / sys.float_info.min):
+            raise ValueError(
+                f"energy scale omega must be positive and finite, with omega^2 and "
+                f"1/omega^2 normal floats, got {self.omega}"
+            )
         if self.psi_i.dim != self.basis.dim:
             raise ValueError(
                 f"psi_i dimension {self.psi_i.dim} != basis dimension {self.basis.dim}"
@@ -336,7 +343,7 @@ def forbidden_sum(coeffs: np.ndarray, Xf: np.ndarray) -> np.ndarray:
 
 def g_operator(m: MultiplierVector, basis: GeneratorBasis, forbidden: Sequence[int]) -> np.ndarray:
     """G = sum_j (lambda_j/lambda_0) X_j over the forbidden directions."""
-    if abs(m.lambda0) < 1e-12:
+    if m.lambda0 == 0.0:
         raise SingularGaugeError(
             "lambda_0 vanished; G = sum_j (lambda_j/lambda_0) X_j is undefined"
         )
@@ -641,9 +648,8 @@ class PassSamples(NamedTuple):
     that is new since the previous block of the same pass; 0 opens a pass
     (the first one, or a restart at half the step).  `F0` is F(0).  `rhs`
     is a stepped pass's `stepped_rhs`, None on the exact flow.  A pass is
-    defined at any time of its window (`rows_at`, `at`), and a trajectory
-    on any grid of it carries the cross-check U_d built from those values
-    (`trajectory`).
+    defined at any time of its window (`rows_at`, `at`), and so is the
+    cross-check U_d on any grid of it (`direct`).
     """
 
     times: np.ndarray
@@ -719,25 +725,40 @@ class PassSamples(NamedTuple):
         U_d = _direct_propagators(times, lambda r: minus_ih(times[r]), minus_ih)
         return lambda H: stack_product(stack_product(Q, U_d), Q.conj().T)
 
-    def trajectory(
-        self,
-        problem: ControlProblem,
-        times: Optional[np.ndarray] = None,
-        renormalized: Optional[float] = None,
-    ) -> Trajectory:
-        """The validated trajectory on `times` (default: the pass's own rows).
+    def trajectory(self, problem: ControlProblem) -> Trajectory:
+        """The validated trajectory on the pass's own rows; `u_mismatch` is
+        measured against the cross-check `direct` on the same grid."""
+        rows = (self.V, self.lambda0, self.lambdas, self.tau_acc)
+        direct = self.direct(problem, self.times)
+        return finalize_trajectory(problem, self.times, rows, self.F0, None, direct)
 
-        Other times take their rows from `rows_at`.  A `renormalized` value
-        c divides the multipliers and F(0) and multiplies tau, which leaves
-        V, U and H unchanged, as in `constant_flow`.  `u_mismatch` is
-        measured against the cross-check `direct` on the same grid.
-        """
-        if times is None:
-            times, rows = self.times, (self.V, self.lambda0, self.lambdas, self.tau_acc)
-        else:
-            rows = self.rows_at(problem, times)
-        direct = self.direct(problem, times)
-        return finalize_trajectory(problem, times, rows, self.F0, renormalized, direct)
+
+def exact_pass(
+    problem: ControlProblem, m0: MultiplierVector, H0: np.ndarray, t_max: float,
+    dt: Optional[float] = None,
+) -> PassSamples:
+    """The constant-multiplier flow of the seed (H0, m0) on [0, t_max] as one pass.
+
+    The uniform grid resolves the flow's fastest rate, 2 (rho(G) +
+    rho(F(0))/|lambda_0|) with rho the spectral radius: 4/pi steps per
+    unit of rate times t_max and at least 400, or steps of `dt` where
+    those are finer.  A window the rate rule gives more than 50,000 steps
+    is a ValueError: it is refused, not thinned.
+    """
+    G = g_operator(m0, problem.basis, problem.forbidden)
+    F0 = m0.lambda0 * (H0 + G)
+    g_rad, f_rad = (float(np.abs(np.linalg.eigvalsh(A)).max()) for A in (G, F0))
+    rate = 2.0 * (g_rad + f_rad / abs(m0.lambda0))
+    n = max(400, math.ceil(t_max * rate * 4.0 / math.pi))
+    if n > 50_000:
+        raise ValueError(
+            f"the window t_max = {t_max:g} needs {n} root-scan samples at this "
+            "seed's rates, more than 50000; shorten t_max"
+        )
+    if dt is not None:
+        n = max(n, math.ceil(t_max / dt - 1e-12))
+    times = np.linspace(0.0, t_max, n + 1)
+    return PassSamples(times, *_constant_rows(problem, m0, times), F0, n, 0, None)
 
 
 def integrate_blocks(
@@ -755,10 +776,10 @@ def integrate_blocks(
     final partial segment has passed a drift check, as in `integrate`.  A
     pass that restarts at half the step is abandoned, and the next yield
     opens the new pass with `start == 0`.  The exact path (a closed
-    forbidden set) yields its complete window at once.  A caller may stop
-    iterating at any block.  No cross-check is carried: it is built after
-    the pass, on the grid a trajectory is sampled on
-    (`PassSamples.trajectory`).
+    forbidden set) yields its complete window at once (`exact_pass`).  A
+    caller may stop iterating at any block.  No cross-check is carried: it
+    is built after the pass, on the grid a trajectory is sampled on
+    (`PassSamples.direct`).
 
     A pass takes at most `_MAX_SAMPLES` steps: a finer `dt` is a
     ValueError, and a halving restart that would need more an
@@ -766,12 +787,8 @@ def integrate_blocks(
     """
     H0 = np.asarray(H0, dtype=complex)
     _validate_h0(problem, H0)
-    if m0.size != problem.n_forbidden:
-        raise ValueError(
-            f"multiplier vector length {m0.size} != forbidden set size {problem.n_forbidden}"
-        )
     lam0 = m0.lambda0
-    if abs(lam0) < 1e-10:
+    if lam0 == 0.0:
         raise SingularGaugeError("lambda_0(0) = 0 is a singular gauge")
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
@@ -787,17 +804,13 @@ def integrate_blocks(
             f"{_MAX_SAMPLES}; use a coarser step"
         )
 
-    M = problem.n_forbidden
     Xf = problem.forbidden_generators()
-    G0 = g_operator(m0, problem.basis, problem.forbidden)
-    F0 = lam0 * (H0 + G0)
-
     if closure_residual(Xf, commutator_tensor(problem.basis, problem.forbidden)) <= CLOSURE_TOL:
-        times = np.arange(n_steps + 1) * (t_max / n_steps)
-        times[-1] = t_max
-        yield PassSamples(times, *_constant_rows(problem, m0, times), F0, n_steps, 0, None)
+        yield exact_pass(problem, m0, H0, t_max, dt)
         return
 
+    M = problem.n_forbidden
+    F0 = lam0 * (H0 + g_operator(m0, problem.basis, problem.forbidden))
     N = problem.dim
     n2 = N * N
     rhs = stepped_rhs(F0, Xf, lam0, w)
@@ -870,7 +883,8 @@ def integrate(
     Exact path (eta = 0: a forbidden set closed under i[.,.], decided
     from the commutator tensor): the multipliers and G are constant,
     V(t) = exp(iGt) comes from one eigendecomposition of G and
-    tau = t/lambda_0.
+    tau = t/lambda_0.  Its grid (`exact_pass`) has more steps than
+    ceil(t_max/dt) where the flow's rates need them.
 
     Stepped path (a forbidden set that is not closed): fixed-step RK4
     (`rk4_step` on `stepped_rhs`) on the vector concatenating V and the

@@ -1,14 +1,16 @@
 """Extremal-solution generators.
 
-Four analytic fast paths — unrestricted (free) evolution, closed-subalgebra
-restrictions with constant multipliers, the single-forbidden-direction
-two-level problem, and the restricted two-qubit example — plus the general
-forward-shooting generator that integrates the coupled system until the
-endpoint condition Im<psi|H F|psi> = 0 is met with a nonzero real part.
-The four analytic paths sample their trajectories with
-`dynamics.constant_flow`, the one sampler of the constant-multiplier flow
-of a closed forbidden subalgebra (eta = 0).  The closed-subalgebra solver
-and `shoot` share one seed projection and one endpoint root search.
+Three analytic fast paths — unrestricted (free) evolution, the
+single-forbidden-direction two-level problem and the restricted two-qubit
+example — sample their trajectories with `dynamics.constant_flow`, the
+constant-multiplier flow of a closed forbidden subalgebra (eta = 0).  The
+general forward-shooting generator `shoot` runs one pass of the coupled
+system until the endpoint condition Im<psi|H F|psi> = 0 is met with a
+nonzero real part.  The closed-subalgebra solver is its eta = 0 case: it
+checks the closure and hands the exact pass (`dynamics.exact_pass`) to
+the core both share (`_extremal`), which owns the endpoint root search,
+the choice of T when the endpoint function vanishes identically, the
+certified grid, the renormalization and the certificate.
 
 All returned trajectories are renormalized: the multipliers are divided by
 c = Re<psi(T)|H(T)F(T)|psi(T)> so the endpoint constraint evaluates to 1.
@@ -24,7 +26,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import basis_of, is_closed_subalgebra
+from .algebra import CLOSURE_TOL, basis_of, closure_residual, commutator_tensor
 from .dynamics import (
     ControlProblem,
     MultiplierVector,
@@ -33,10 +35,11 @@ from .dynamics import (
     Trajectory,
     _MAX_SAMPLES,
     _as_pairs,
-    _constant_rows,
     _observables,
     _validate_h0,
     constant_flow,
+    exact_pass,
+    finalize_trajectory,
     forbidden_sum,
     g_operator,
     integrate_blocks,
@@ -262,12 +265,15 @@ def solve_closed_subalgebra(
 ) -> ExtremalSolution:
     """Constant-multiplier solution on a closed forbidden subalgebra.
 
-    H(t) = e^{iGt} H(0) e^{-iGt} and U(t) = e^{iGt} e^{-i(H(0)+G)t}.  The
-    seed is projected and rescaled as in `shoot`, and T is the root
-    `shoot`'s endpoint search accepts on the exact flow, scanned finely
-    enough to see its fastest oscillation.  When Im<psi|HF|psi> vanishes
-    identically (G central for the flow, e.g. [G, H0] = 0 or no forbidden
-    directions) T is where the flow reaches psi_f, which is then required.
+    H(t) = e^{iGt} H(0) e^{-iGt} and U(t) = e^{iGt} e^{-i(H(0)+G)t}.  This
+    is `shoot` on the exact flow: the seed is projected as there, and the
+    same core (`_extremal`) takes T from the one pass (`exact_pass`, fine
+    enough to see the flow's fastest oscillation) and certifies the
+    trajectory, here with the analytic tolerances and without the U_d
+    cross-check.  When Im<psi|HF|psi> vanishes identically (G central for
+    the flow, e.g. [G, H0] = 0 or no forbidden directions) T is where the
+    flow first reaches psi_f, which is then required.  `dt` caps the
+    certified sample step.
 
     A forbidden set that spans no subalgebra is still accepted when the
     seed as given keeps every forbidden trace Tr[H(t)X_j] at zero on the
@@ -278,23 +284,17 @@ def solve_closed_subalgebra(
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     H0 = np.asarray(H0, dtype=complex)
-    closed, closure_resid = True, 0.0
-    if problem.forbidden:
-        closed, closure_resid = is_closed_subalgebra(problem.basis, problem.forbidden)
+    Xf = problem.forbidden_generators()
+    closure_resid = closure_residual(Xf, commutator_tensor(problem.basis, problem.forbidden))
     _validate_h0(problem, H0)
-    w = problem.omega
-    if not closed:
+    if closure_resid > CLOSURE_TOL:
         # The set spans no subalgebra, but the constant-multiplier flow is
         # still exact for this seed iff the forbidden traces vanish along it:
         # Tr[H(t)X_j] = (N/lambda0)[lambda_j(t) - lambda_j(0)], so a vanishing
         # trace on the window is equivalent to the multipliers staying put.
-        G = g_operator(m0, problem.basis, problem.forbidden)
-        F0 = m0.lambda0 * (H0 + G)
-        scan = _closed_scan(G, F0, m0.lambda0, t_max)
-        rows = _constant_rows(problem, m0, scan)
-        Hs = _observables(problem, *rows, F0)[2]
-        xf = problem.forbidden_generators()
-        term = float(np.abs(np.real(np.einsum("kab,jba->kj", Hs, xf))).max()) / w
+        smp = exact_pass(problem, m0, H0, t_max)
+        Hs = smp.at(problem, smp.times)[2]
+        term = float(np.abs(np.real(np.einsum("kab,jba->kj", Hs, Xf))).max()) / problem.omega
         if term > 1e-8:
             raise NotClosedError(
                 "the forbidden set is not closed under i[.,.] (worst projection "
@@ -311,107 +311,8 @@ def solve_closed_subalgebra(
             term,
         )
     H0, m0 = _project_seed(problem, H0, m0)
-    G = g_operator(m0, problem.basis, problem.forbidden)
-    F0 = m0.lambda0 * (H0 + G)
-    scan = _closed_scan(G, F0, m0.lambda0, t_max)
-    rows = _constant_rows(problem, m0, scan)
-    block = PassSamples(scan, *rows, F0, scan.size - 1, 0, None)
-    T, value, _ = _endpoint_search(problem, [block])
-    if T is None:
-        if problem.psi_f is None:
-            raise NoSolutionError(
-                "endpoint function is identically zero for this seed and no "
-                "target state was given; every stopping time is extremal"
-            )
-        _, _, Hs, psis = _observables(problem, *rows, F0)
-
-        def h_psi(t: float) -> Tuple[np.ndarray, np.ndarray]:
-            _, _, H, psi = block.at(problem, t)
-            return H[0], psi[0]
-
-        T = _first_fidelity_time(problem.psi_f.amplitudes, Hs, psis, scan, h_psi)
-        if T is None:
-            raise NoSolutionError(
-                "the flow never reaches the target state within the window "
-                f"(0, {t_max:g}]"
-            )
-        _, F, H, psi = block.at(problem, T)
-        value = complex(*endpoint_constraint(psi[0], H[0], F[0]))
-        if abs(value.real) < 1e-6 * w**2:
-            raise NoSolutionError(
-                "endpoint real part vanishes at the matched time; the multiplier "
-                "renormalization that sets the constraint to 1 does not exist"
-            )
-    re_T = value.real
-    step = dt if dt is not None else _analytic_dt(w, G, F0, T)
-    traj = constant_flow(problem, m0, F0, _grid(T, step), renormalized=re_T)
-    report = certify(traj, Tolerances.analytic(), renormalized=True)
-    return ExtremalSolution(
-        kind=SolutionKind.CLOSED_SUBALGEBRA,
-        T=float(T),
-        H0=H0,
-        multipliers0=MultiplierVector(m0.lambda0 / re_T, m0.lambdas / re_T),
-        trajectory=traj,
-        report=report,
-    )
-
-
-def _closed_scan(G: np.ndarray, F0: np.ndarray, lam0: float, t_max: float) -> np.ndarray:
-    """Root-scan grid on [0, t_max] resolving rates up to the spectral radii of
-    G and F(0)/lambda_0; a window needing more than 50k samples is refused."""
-    g_rad = float(np.abs(np.linalg.eigvalsh(G)).max())
-    f_rad = float(np.abs(np.linalg.eigvalsh(F0)).max())
-    rate = 2.0 * (g_rad + f_rad / abs(lam0))
-    n_scan = max(400, math.ceil(t_max * rate * 4.0 / math.pi))
-    if n_scan > 50_000:
-        raise ValueError(
-            f"the window t_max = {t_max:g} needs {n_scan} root-scan samples at this "
-            "seed's rates, more than 50000; shorten t_max"
-        )
-    return np.linspace(0.0, t_max, n_scan + 1)
-
-
-def _first_fidelity_time(
-    target: np.ndarray,
-    H: np.ndarray,
-    psis: np.ndarray,
-    scan: np.ndarray,
-    at: Callable[[float], Tuple[np.ndarray, np.ndarray]],
-    fid_tol: float = 1e-9,
-) -> Optional[float]:
-    """Earliest time where |<target|psi(t)>| reaches 1 - fid_tol.
-
-    `H` and `psis` are the flow on `scan`, and `at(t)` gives (H, psi) at one
-    time.  A maximum of the fidelity f = |a|^2, a = <target|psi>, is a
-    root of its time derivative 2 Im(conj(a) <target|H|psi>), which
-    crosses zero linearly where f itself is flat, so `_bracketed_root`
-    resolves each sampled maximum near 1 from the two scan samples around
-    it; a fidelity still rising at the end of the window is taken there.
-    """
-
-    tc = target.conj()
-
-    def rate(H_t: np.ndarray, psi_t: np.ndarray) -> np.ndarray:
-        h_psi = np.einsum("...ab,...b->...a", H_t, psi_t)
-        return 2.0 * (np.conj(psi_t @ tc) * (h_psi @ tc)).imag
-
-    f_scan = np.abs(psis @ tc)
-    d = rate(H, psis)
-    peaks = np.nonzero((d[:-1] > 0.0) & (d[1:] <= 0.0))[0].tolist()
-    if d[-1] > 0.0:
-        peaks.append(len(scan) - 1)
-    for k in peaks:
-        if k == len(scan) - 1:
-            t = float(scan[k])
-        elif max(f_scan[k], f_scan[k + 1]) < 0.99:
-            continue
-        else:
-            t = _bracketed_root(
-                lambda x: float(rate(*at(x))), scan[k], scan[k + 1], d[k], d[k + 1]
-            )[0]
-        if abs(np.vdot(target, at(t)[1])) >= 1.0 - fid_tol:
-            return t
-    return None
+    blocks = [exact_pass(problem, m0, H0, t_max)]
+    return _extremal(problem, SolutionKind.CLOSED_SUBALGEBRA, H0, m0, blocks, dt, problem.psi_f)
 
 
 # -- two-level, one forbidden direction --------------------------------------
@@ -759,14 +660,17 @@ def _project_seed(
 ) -> Tuple[np.ndarray, MultiplierVector]:
     """(H0, m0) of a seed projected onto the structure the endpoint needs.
 
-    The seed F(0) = lambda_0 (H0 + G(0)) keeps only its first-row/column
-    block in the psi_i frame (the removed magnitude is logged), the
-    multipliers are re-extracted from the projection and everything is
-    rescaled to the energy shell Tr[H0^2] = 2 omega^2.
+    The seed F(0) = lambda_0 H0 + sum_j lambda_j X_j keeps only its
+    first-row/column block in the psi_i frame (the removed share is
+    logged), the multipliers are re-extracted from the projection and
+    everything is rescaled to the energy shell Tr[H0^2] = 2 omega^2 in the
+    gauge lambda_0 = 1, where Re<psi|HF|psi> = Tr[H0^2]/2 = omega^2 at
+    t = 0.  Only lambda_0 = 0 is a singular gauge: the seed is first
+    scaled by the power of two that brings its largest multiplier into
+    [1/2, 1), which is exact and keeps any finite gauge clear of overflow.
     """
-    w = problem.omega
     lam0 = m0_seed.lambda0
-    if abs(lam0) < 1e-12:
+    if lam0 == 0.0:
         raise SingularGaugeError("lambda_0(0) = 0 is a singular gauge")
     if m0_seed.size != problem.n_forbidden:
         raise ValueError(
@@ -775,32 +679,34 @@ def _project_seed(
         )
     psi_i = problem.psi_i.amplitudes
     Xf = problem.forbidden_generators()
-    F_seed = lam0 * (H0_seed + forbidden_sum(m0_seed.lambdas / lam0, Xf))
+    c = math.ldexp(1.0, -math.frexp(np.abs(m0_seed.lambdas).max(initial=abs(lam0)))[1])
+    F_seed = (c * lam0) * H0_seed + forbidden_sum(c * m0_seed.lambdas, Xf)
+    f_norm = float(np.linalg.norm(F_seed))
     fpsi = F_seed @ psi_i
     col = fpsi - complex(psi_i.conj() @ fpsi) * psi_i  # Pi_perp F0 psi_i
     F_proj = np.outer(col, psi_i.conj())
     F_proj = F_proj + F_proj.conj().T
     removed = float(np.linalg.norm(F_seed - F_proj))
-    if removed > 1e-12 * max(1.0, float(np.linalg.norm(F_seed))):
+    if removed > 1e-12 * f_norm:
         log.warning(
-            "seed F(0) violated the first-row/column structure; removed "
-            "component of magnitude %.3e", removed,
+            "seed F(0) violated the first-row/column structure; removed a "
+            "component of relative magnitude %.3e", removed / f_norm,
         )
-    if float(np.linalg.norm(F_proj)) < 1e-12 * w:
+    if float(np.linalg.norm(F_proj)) <= 1e-12 * f_norm:
         raise ValueError(
             "seed F(0) vanishes after structure projection; no evolution "
             "direction survives"
         )
     lams = np.real(np.einsum("jab,ba->j", Xf, F_proj)) / problem.dim
-    H0_eff = (F_proj - forbidden_sum(lams, Xf)) / lam0
+    H0_eff = F_proj - forbidden_sum(lams, Xf)
     h_norm_sq = float(np.real(np.einsum("ab,ba->", H0_eff, H0_eff)))
-    if h_norm_sq < 1e-24 * w**2:
+    if h_norm_sq <= 1e-24 * f_norm**2:
         raise ValueError(
             "the allowed component of the projected seed vanishes; "
             "Tr[H0^2] = 2 omega^2 cannot be met"
         )
-    scale = math.sqrt(2.0 * w**2 / h_norm_sq)
-    return scale * H0_eff, MultiplierVector(lam0, scale * lams)
+    scale = math.copysign(math.sqrt(2.0 * problem.omega**2 / h_norm_sq), lam0)
+    return scale * H0_eff, MultiplierVector(1.0, scale * lams)
 
 
 # the most evaluations of f one `_bracketed_root` call makes; bisection
@@ -972,6 +878,90 @@ def _endpoint_search(
     return T, value, smp
 
 
+def _degenerate_time(
+    problem: ControlProblem, smp: PassSamples, psi_f: Optional[PureState],
+    bures_angle: Optional[float],
+) -> Optional[float]:
+    """T on a whole pass along which Im<psi|HF|psi> vanishes identically.
+
+    Given `psi_f` it is the first time the flow reaches psi_f: a maximum of
+    the fidelity |a|^2, a = <psi_f|psi>, is a root of its rate
+    2 Im(conj(a) <psi_f|H|psi>), accepted where |a| >= 1 - 1e-9.  Otherwise
+    it is the first time the Bures angle from psi_i reaches `bures_angle`.
+    Either scalar (minus the rate, or the angle less its target) is
+    sampled on the pass, and each pair of samples across which it rises
+    through zero is resolved by `_bracketed_root`, in order, until one is
+    accepted; None when none is.
+    """
+    ref = (problem.psi_i if psi_f is None else psi_f).amplitudes.conj()
+
+    def g(H: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        a = psi @ ref
+        if psi_f is None:
+            return np.arccos(np.minimum(1.0, np.abs(a))) - bures_angle
+        return -2.0 * (np.conj(a) * (np.einsum("kab,kb->ka", H, psi) @ ref)).imag
+
+    times = smp.times
+    gs = g(*_observables(problem, smp.V, smp.lambda0, smp.lambdas, smp.tau_acc, smp.F0)[2:])
+    for k in np.nonzero((gs[:-1] < 0.0) & (gs[1:] >= 0.0))[0]:
+        T = _bracketed_root(
+            lambda t: float(g(*smp.at(problem, t)[2:])[0]), times[k], times[k + 1], gs[k], gs[k + 1]
+        )[0]
+        if psi_f is None or abs(smp.at(problem, T)[3][0] @ ref) >= 1.0 - 1e-9:
+            return T
+    return None
+
+
+def _extremal(
+    problem: ControlProblem, kind: SolutionKind, H0: np.ndarray, m0: MultiplierVector,
+    blocks: Iterable[PassSamples], dt: Optional[float], psi_f: Optional[PureState] = None,
+    bures_angle: Optional[float] = None,
+) -> ExtremalSolution:
+    """The certified extremal of a projected seed (H0, m0) from its one pass.
+
+    T is the pass's first accepted endpoint root (`_endpoint_search`), or,
+    where Im<psi|HF|psi> vanishes identically, the time `_degenerate_time`
+    selects from `psi_f` or `bures_angle`.  The certified grid is uniform
+    on [0, T], its step from `_analytic_dt`: a truncation target of a
+    quarter of the chko tolerance, the conservative commutator bound
+    exactly on a stepped pass (G rotates there), and a cap of 1e-3/omega
+    and `dt`.  The trajectory is the pass on that grid, in the gauge where
+    the endpoint evaluates to 1; that renormalization exists, as
+    Re<psi|HF|psi> = omega^2 in the gauge of the projected seed.  A SHOT
+    is judged with the integrated tolerances and carries the U_d
+    cross-check (`PassSamples.direct`); the closed-subalgebra solution is
+    judged with the analytic ones and carries none.
+    """
+    if dt is not None and not 0 < dt < math.inf:
+        raise ValueError(f"step dt must be positive and finite, got {dt}")
+    w = problem.omega
+    T, value, smp = _endpoint_search(problem, blocks)
+    if T is None:
+        if psi_f is None and bures_angle is None:
+            raise NoSolutionError(
+                "Im<psi|HF|psi> vanishes identically along this seed, so every "
+                "stopping time is extremal; a target state (solve-closed) or "
+                "target_bures_angle (shoot) selects one"
+            )
+        T = _degenerate_time(problem, smp, psi_f, bures_angle)
+        if T is None:
+            goal = "the target state" if psi_f is not None else f"Bures angle {bures_angle:g}"
+            raise NoSolutionError(f"the flow never reaches {goal} within (0, {smp.times[-1]:g}]")
+        _, F, H, psi = smp.at(problem, T)
+        value = complex(*endpoint_constraint(psi[0], H[0], F[0]))
+    re_T = value.real
+    shot = kind is SolutionKind.SHOT
+    tols = Tolerances.integrated() if shot else Tolerances.analytic()
+    G = g_operator(m0, problem.basis, problem.forbidden)
+    cap = 1e-3 / w if dt is None else min(dt, 1e-3 / w)
+    step = _analytic_dt(w, G, smp.F0, T, tols.chko / 4.0, cap, conservative=smp.rhs is not None)
+    times = _grid(T, step)
+    direct = smp.direct(problem, times) if shot else None
+    traj = finalize_trajectory(problem, times, smp.rows_at(problem, times), smp.F0, re_T, direct)
+    m = MultiplierVector(m0.lambda0 / re_T, m0.lambdas / re_T)
+    return ExtremalSolution(kind, float(T), H0, m, traj, certify(traj, tols, renormalized=True))
+
+
 def shoot(
     problem: ControlProblem,
     H0_seed: np.ndarray,
@@ -982,30 +972,27 @@ def shoot(
 ) -> ExtremalSolution:
     """Forward-shoot the coupled system until the endpoint condition holds.
 
-    The seed is projected and rescaled (`_project_seed`).  The first
-    integration pass stops at the first accepted root of Im<psi|HF|psi>
-    (`_endpoint_search`): a stepped pass is scanned at each
-    re-unitarization checkpoint (every 100 steps) once its drift check
-    has passed, and runs no further than the first checkpoint past the
-    sample T needs; a closed forbidden set yields its exact flow at once.
-    That one pass is the whole integration: the certified trajectory is
-    the pass evaluated on a uniform grid of [0, T] (`PassSamples.trajectory`,
-    one batched RK4 step from the sample left of each grid time), in the
-    gauge where the endpoint evaluates to 1, with the U_d cross-check built
-    on that grid.  T is the one a scan of the whole window would find; but
-    a frame drift beyond the checkpoint where the pass stops no longer
-    triggers a restart at half the step.
+    The seed is projected and rescaled (`_project_seed`), and its one
+    integration pass (`integrate_blocks`, step `dt`) goes to the core it
+    shares with `solve_closed_subalgebra` (`_extremal`).  The pass stops
+    at the first accepted root of Im<psi|HF|psi> (`_endpoint_search`): a
+    stepped pass is scanned at each re-unitarization checkpoint (every 100
+    steps) once its drift check has passed, and runs no further than the
+    first checkpoint past the sample T needs; a closed forbidden set
+    yields its exact flow at once, on a grid fine enough for the flow's
+    rates whatever `dt` (`exact_pass`).  That one pass is the whole
+    integration: the certified trajectory is the pass evaluated on a
+    uniform grid of [0, T] (`PassSamples.rows_at`, one batched RK4 step
+    from the sample left of each grid time), with the U_d cross-check
+    built on that grid.  T is the one a scan of the whole window would
+    find; but a frame drift beyond the checkpoint where the pass stops no
+    longer triggers a restart at half the step.
 
     Seeds for which s vanishes identically (e.g. no forbidden directions)
     admit every stopping time; then `target_bures_angle` selects T as the
-    first time the Bures angle from psi_i reaches that value, resolved
-    between the two samples around it by `_bracketed_root`, the solver
-    that resolves the endpoint brackets.
+    first time the Bures angle from psi_i reaches that value.
     """
-    w = problem.omega
     N = problem.dim
-    if dt is None:
-        dt = 1e-3 / w
     H0_seed = np.asarray(H0_seed, dtype=complex)
     if H0_seed.shape != (N, N):
         raise ValueError(f"H0 seed has shape {H0_seed.shape}, expected ({N}, {N})")
@@ -1013,63 +1000,5 @@ def shoot(
     if herm > 1e-10 * max(1.0, float(np.linalg.norm(H0_seed))):
         raise ValueError(f"H0 seed is not Hermitian (deviation {herm:.3e})")
     H0, m0 = _project_seed(problem, H0_seed, m0_seed)
-    psi_i = problem.psi_i.amplitudes
-
-    T, value, smp = _endpoint_search(problem, integrate_blocks(problem, m0, H0, t_max, dt))
-    if T is None:
-        if target_bures_angle is None:
-            raise NoSolutionError(
-                "the endpoint condition is satisfied identically along this "
-                "seed; pass target_bures_angle to select a stopping time"
-            )
-
-        def angle_at(t: float) -> float:
-            psi = smp.at(problem, t)[3][0]
-            return math.acos(min(1.0, abs(np.vdot(psi_i, psi))))
-
-        # the whole window: s stayed below 1e-12
-        rows = (smp.V, smp.lambda0, smp.lambdas, smp.tau_acc)
-        psis = _observables(problem, *rows, smp.F0)[3]
-        ang = np.arccos(np.minimum(1.0, np.abs(psis @ psi_i.conj())))
-        hit = np.nonzero(ang >= target_bures_angle)[0]
-        if hit.size == 0:
-            raise NoSolutionError(
-                f"the Bures angle never reaches {target_bures_angle:g} within "
-                f"(0, {t_max:g}]"
-            )
-        k = int(hit[0])
-        T = float(smp.times[k])
-        if k > 0:
-            T = _bracketed_root(
-                lambda t: angle_at(t) - target_bures_angle, smp.times[k - 1], T,
-                ang[k - 1] - target_bures_angle, ang[k] - target_bures_angle,
-            )[0]
-
-    # the certified grid must keep the second-order differencing truncation
-    # of the report's residuals well inside the 1e-6 integrated verdicts,
-    # which needs a finer step than root location when G is strong
-    lam0 = m0.lambda0
-    G0 = forbidden_sum(m0.lambdas / lam0, problem.forbidden_generators())
-    dt_fine = _analytic_dt(w, G0, smp.F0, T, target=2.5e-7, default=dt, conservative=True)
-    n = _grid(T, dt_fine).size - 1
-    times = np.arange(n + 1) * (T / n)
-    times[-1] = T
-    if value is None:
-        _, F, H, psi = smp.at(problem, T)
-        value = complex(*endpoint_constraint(psi[0], H[0], F[0]))
-    re_T = value.real
-    if abs(re_T) < 1e-6 * w**2:
-        raise NoSolutionError(
-            "endpoint real part vanishes at T; the multiplier "
-            "renormalization does not exist at this root"
-        )
-    traj = smp.trajectory(problem, times, renormalized=re_T)
-    report = certify(traj, Tolerances.integrated(), renormalized=True)
-    return ExtremalSolution(
-        kind=SolutionKind.SHOT,
-        T=float(T),
-        H0=H0,
-        multipliers0=MultiplierVector(lam0 / re_T, m0.lambdas / re_T),
-        trajectory=traj,
-        report=report,
-    )
+    blocks = integrate_blocks(problem, m0, H0, t_max, dt)
+    return _extremal(problem, SolutionKind.SHOT, H0, m0, blocks, dt, bures_angle=target_bures_angle)

@@ -158,6 +158,17 @@ def test_shoot_subcommand(closed_file, tmp_path, capsys):
     assert doc["T"] == pytest.approx(0.07619481378479523, abs=1e-9)
 
 
+def test_shoot_step_caps_the_certified_step_on_a_closed_set(closed_file, capsys):
+    # the pass step does not coarsen the certified grid past 1e-3/omega,
+    # where the aa residual would fail its 1e-6 omega verdict
+    assert main(["solve-closed", "-i", closed_file]) == 0
+    closed = json.loads(capsys.readouterr().out)
+    assert main(["shoot", "-i", closed_file, "--dt", "1e-3"]) == 0
+    shot = json.loads(capsys.readouterr().out)
+    assert shot["T"] == pytest.approx(closed["T"], abs=1e-12)
+    assert shot["report"]["verdict"]["aa"] is True
+
+
 def test_shoot_refuses_a_step_beyond_the_work_cap(closed_file, capsys):
     # 5e8 steps over t_max = 0.5: refused before any step, as invalid input
     assert main(["shoot", "-i", closed_file, "--dt", "1e-9"]) == 1
@@ -525,7 +536,7 @@ def test_missing_subcommand_exits():
 
 
 @pytest.mark.parametrize(
-    "argv, inf_omega_file",
+    "argv, bad_field",
     [
         (["sweep-m1", "--grid", "0,0.02,3 x 0.1,0.3,4", "--omega", "0"], None),
         (["sweep-m1", "--grid", "0,0.02,3 x 0.1,0.3,4", "--omega", "inf"], None),
@@ -533,8 +544,13 @@ def test_missing_subcommand_exits():
           "--omega", "inf"], None),
         (["shoot", "-i", "{closed}", "--t-max", "inf"], None),
         (["solve-closed", "-i", "{closed}", "--t-max", "inf"], None),
-        (["solve-free", "-i", "{free}"], "free"),
-        (["solve-closed", "-i", "{closed}"], "closed"),
+        (["solve-free", "-i", "{free}"], ("free", "omega", math.inf)),
+        (["solve-closed", "-i", "{closed}"], ("closed", "omega", math.inf)),
+        (["solve-free", "-i", "{free}"], ("free", "omega", 1e-300)),
+        (["solve-free", "-i", "{free}"], ("free", "omega", 1e300)),
+        (["shoot", "-i", "{closed}"], ("closed", "omega", 1e300)),
+        (["solve-closed", "-i", "{closed}"], ("closed", "lambda0", 0.0)),
+        (["shoot", "-i", "{closed}"], ("closed", "lambda0", 0.0)),
         (["solve-free", "-i", "{free}", "--dt", "0"], None),
         (["solve-free", "-i", "{trivial}", "--dt", "0"], None),
         (["solve-2qubit", "--omega-b", "1", "--omega", "10", "--dt", "0"], None),
@@ -554,6 +570,11 @@ def test_missing_subcommand_exits():
         "closed-t-max-inf",
         "free-file-omega-inf",
         "closed-file-omega-inf",
+        "free-file-omega-1e-300",
+        "free-file-omega-1e300",
+        "shoot-file-omega-1e300",
+        "closed-file-lambda0-0",
+        "shoot-file-lambda0-0",
         "free-dt-0",
         "free-trivial-dt-0",
         "2qubit-dt-0",
@@ -568,18 +589,21 @@ def test_missing_subcommand_exits():
 )
 @pytest.mark.filterwarnings("error")
 def test_exit_code_non_finite_scale(
-    argv, inf_omega_file, tmp_path, free_file, trivial_file, closed_file, capsys
+    argv, bad_field, tmp_path, free_file, trivial_file, closed_file, capsys
 ):
-    # a non-finite or non-positive omega, t_max, dt or sweep grid value is
-    # a validation error, rejected before any arithmetic can warn
+    # a non-finite or non-positive omega, t_max, dt or sweep grid value, an
+    # omega whose square or inverse square is not a normal float, and the
+    # singular gauge lambda0 = 0 are validation errors, rejected before any
+    # arithmetic can warn
     files = {"free": free_file, "trivial": trivial_file, "closed": closed_file}
-    if inf_omega_file is not None:
-        with open(files[inf_omega_file]) as fh:
+    if bad_field is not None:
+        name, key, value = bad_field
+        with open(files[name]) as fh:
             data = json.load(fh)
-        data["omega"] = float("inf")
-        bad = tmp_path / "inf.json"
+        (data if key == "omega" else data["solver_params"])[key] = value
+        bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
-        files[inf_omega_file] = str(bad)
+        files[name] = str(bad)
     assert main([arg.format(**files) for arg in argv]) == 1
     assert "invalid input" in capsys.readouterr().err
 

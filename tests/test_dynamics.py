@@ -201,13 +201,14 @@ def test_multiplier_rhs_empty_forbidden():
 
 def test_multiplier_rhs_rejects_singular_gauge():
     # lambda_0 is constant along the flow, so the one check of a singular
-    # gauge is integrate_blocks' test of lambda_0(0), on either path
+    # gauge is integrate_blocks' test of lambda_0(0), on either path; only
+    # lambda_0 = 0 is singular, whatever its sign bit
     exact = ControlProblem(
         basis=build_gellmann_basis(2), psi_i=helpers.KET0, omega=1.0, forbidden=(2,)
     )
     problem, m0, h0 = su3_drifting_instance()
     for prob, lams, h in ((exact, [1.0], SY), (problem, m0.lambdas, h0)):
-        for lam0 in (0.0, 1e-11):
+        for lam0 in (0.0, -0.0):
             with pytest.raises(SingularGaugeError):
                 next(dynamics.integrate_blocks(prob, MultiplierVector(lam0, lams), h, t_max=1.0))
 

@@ -566,15 +566,34 @@ def test_closed_solver_rejects_singular_gauge():
 
 
 def test_shoot_agrees_with_closed_solver():
+    # on a closed set shoot's pass is the exact flow on a grid that resolves
+    # its rates, so a coarse integration step cannot step over the first root
     omega = 10.0
     problem = helpers.m1_problem(omega)
     closed = solve_closed_subalgebra(
         problem, omega * SY, MultiplierVector(1.0, [2.5]), t_max=0.5
     )
-    shot = shoot(problem, omega * SY, MultiplierVector(1.0, [2.5]), t_max=0.5)
-    assert shot.kind is SolutionKind.SHOT
-    assert shot.T == pytest.approx(closed.T, abs=1e-12)
-    assert shot.report.passed
+    for dt in (None, 0.05, 0.25):
+        shot = shoot(problem, omega * SY, MultiplierVector(1.0, [2.5]), t_max=0.5, dt=dt)
+        assert shot.kind is SolutionKind.SHOT
+        assert shot.T == pytest.approx(closed.T, abs=1e-12), dt
+        assert shot.report.passed, dt
+
+
+@pytest.mark.parametrize("lam0", [1e-300, 1e-11, 1e-8, -1.0, 1e3, 1e300])
+@pytest.mark.parametrize("solver", [solve_closed_subalgebra, shoot])
+def test_seed_gauge_leaves_the_solution_unchanged(solver, lam0):
+    # (lambda_0, lambda_1) = c (1, 2.5) is one seed for every finite c != 0:
+    # the projection returns the gauge lambda_0 = 1, so the endpoint
+    # acceptance and the renormalized multipliers do not depend on c
+    omega = 10.0
+    problem = helpers.m1_problem(omega)
+    ref = solver(problem, omega * SY, MultiplierVector(1.0, [2.5]), t_max=0.5)
+    sol = solver(problem, omega * SY, MultiplierVector(lam0, [2.5 * lam0]), t_max=0.5)
+    assert sol.T == pytest.approx(ref.T, abs=1e-12)
+    assert sol.multipliers0.lambda0 == pytest.approx(ref.multipliers0.lambda0, rel=1e-12)
+    np.testing.assert_allclose(sol.multipliers0.lambdas, ref.multipliers0.lambdas, rtol=1e-12)
+    assert sol.report.passed
 
 
 def test_closed_solver_projects_the_seed_as_shoot_does(caplog):
@@ -823,15 +842,21 @@ def test_shoot_without_a_root_reports_the_closest_approach(seed, closest, t):
     assert float(found.group(2)) == pytest.approx(t, abs=2e-3)
 
 
-def test_shoot_logs_rejected_candidates_and_scans_the_whole_window(caplog):
-    # scaling lambda_0 and the lambda_j together keeps G and the roots of
-    # seed 7 but scales Re<psi|HF|psi> (constant along the flow) to 1e-7,
-    # below the 1e-6 floor, so every candidate is rejected
+def test_shoot_logs_rejected_candidates_and_scans_the_whole_window(caplog, monkeypatch):
+    # in the gauge lambda_0 = 1 the projection returns, Re<psi|HF|psi> is
+    # omega^2 on every seed, so a real part below the 1e-6 floor is
+    # simulated: scaled to 1e-7 at seed 7's roots, every candidate is rejected
+    endpoint_constraint = solvers.endpoint_constraint
+
+    def faint(psi, H, F):
+        re, im = endpoint_constraint(psi, H, F)
+        return 1e-7 * re, im
+
+    monkeypatch.setattr(solvers, "endpoint_constraint", faint)
     problem, h0, m0 = helpers.su4_shoot_seed(7)
-    tiny = MultiplierVector(1e-7, 1e-7 * m0.lambdas)
     with caplog.at_level(logging.DEBUG, logger="qbrach"):
         with pytest.raises(NoSolutionError, match=r"sign change\(s\), each root rejected"):
-            shoot(problem, h0, tiny, t_max=3.0)
+            shoot(problem, h0, m0, t_max=3.0)
     rejected = re.findall(
         r"rejected endpoint candidate at t = (\S+): \|Re\| = (\S+) < floor", caplog.text
     )
