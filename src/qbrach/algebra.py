@@ -9,7 +9,8 @@ deterministically ordered.  `basis_of` builds either by its kind name,
 once per (kind, dimension).  Closure under i[.,.] is read from the
 stacked commutators of a subset (`commutator_tensor`, `closure_residual`).
 `stack_product` multiplies stacks of small matrices, the products every
-sampled trajectory is built from.
+sampled trajectory is built from, and `forbidden_sum` is the one
+contraction sum_j c_j X_j every G is assembled by.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "build_pauli_string_basis",
     "closure_residual",
     "commutator_tensor",
+    "forbidden_sum",
     "hermitian_commutator",
     "is_closed_subalgebra",
     "stack_product",
@@ -220,6 +222,15 @@ def stack_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for j in range(1, N):
         out += a[..., :, j, None] * b[..., None, j, :]
     return out
+
+
+def forbidden_sum(coeffs: np.ndarray, Xf: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[..., j] X_j over a stack Xf of forbidden generators.
+
+    G = forbidden_sum(lambdas / lambda0, Xf); a leading sample axis on
+    `coeffs` gives a stack of G.  An empty stack gives zero matrices.
+    """
+    return np.tensordot(coeffs, Xf, axes=1)
 
 
 def _check_hermitian(a: np.ndarray, name: str, tol: float = 1e-10) -> None:

@@ -209,6 +209,10 @@ def _cmd_solve_m1(args) -> int:
     omega = args.omega if args.omega is not None else file_omega
     if omega_b is None or phi is None or omega is None:
         raise ValueError("solve-m1 needs --omega-b, --phi and --omega")
+    if _number(args.dt, params, "dt") is not None:
+        raise ValueError(
+            "solve-m1 takes no --dt: each branch's certified step follows from its flow"
+        )
     branches = solve_m1_two_level(
         float(omega_b),
         float(phi),
@@ -349,8 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--csv", default=None, help="also write a plot-ready CSV table")
         p.add_argument(
             "--dt", type=float, default=None,
-            help="sample step (solve-free, solve-2qubit); cap on the certified sample step "
-            "(solve-closed); integration step and that cap (shoot); a cap is <= 1e-3/omega",
+            help="cap on the certified sample step, itself at most 1e-3/omega (1.5e-3/omega "
+            "for solve-free); for shoot also the integration step; solve-m1 takes none",
         )
 
     p = sub.add_parser("solve-free", help="unrestricted minimum-time evolution")

@@ -19,16 +19,17 @@ a trajectory is sampled on, never carried in the stepped state.
 When the forbidden set is closed under i[.,.] (every i[X_j, X_l] in its
 span, e.g. commuting generators or at most one) eta vanishes along the
 flow and the multipliers stay constant.  The flow is then closed-form:
-G is constant and V(t) = exp(iGt).  `constant_flow` samples this flow for
-the analytic solvers, and `exact_pass` is the pass of it that `integrate`
-and both root-searching solvers take.  The commutator tensor of the
-forbidden set is built only for that closure test.  Other forbidden sets
-are stepped with fixed-step RK4: one step function (`rk4_step`) on one
-right-hand side (`stepped_rhs`), whose state is (V, lambda_j).
-`integrate_blocks` yields the samples at each re-unitarization
-checkpoint, so a caller such as `shoot` can stop a pass early, and
-`PassSamples.at` evaluates a pass at any batch of times, one
-RK4 step from the sample to the left of each.
+G is constant and V(t) = exp(iGt).  `_constant_rows` samples this flow
+on any grid, for the analytic solvers' trajectories and for
+`exact_pass`, the pass of it that `integrate` and both root-searching
+solvers take; `finalize_trajectory` turns any rows, of either flow, into
+a validated `Trajectory`.  The commutator tensor of the forbidden set is
+built only for that closure test.  Other forbidden sets are stepped with
+fixed-step RK4: one step function (`rk4_step`) on one right-hand side
+(`stepped_rhs`), whose state is (V, lambda_j).  `integrate_blocks`
+yields the samples at each re-unitarization checkpoint, so a caller such
+as `shoot` can stop a pass early, and `PassSamples.at` evaluates a pass
+at any batch of times, one RK4 step from the sample to the left of each.
 
 The multiplier equations
 
@@ -37,8 +38,8 @@ The multiplier equations
 are written once, inside `stepped_rhs`, through the identity
 sum_l eta_jl lambda_l = Tr[X_j i[G, F]]; d(lambda_0)/dt, which vanishes by
 the antisymmetry of eta, is evaluated there only as a guard.  Outside that
-per-step hot path the solvers contract every G = sum_j c_j X_j with
-`forbidden_sum`.
+per-step hot path every G = sum_j c_j X_j is contracted by
+`algebra.forbidden_sum`.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .algebra import (
     basis_of,
     closure_residual,
     commutator_tensor,
+    forbidden_sum,
     stack_product,
 )
 from .states import PureState
@@ -66,7 +68,6 @@ __all__ = [
     "MultiplierVector",
     "Trajectory",
     "SingularGaugeError",
-    "constant_flow",
     "g_operator",
     "integrate",
 ]
@@ -332,15 +333,6 @@ class Trajectory:
 # -- pointwise assembly ----------------------------------------------------
 
 
-def forbidden_sum(coeffs: np.ndarray, Xf: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[..., j] X_j over a stack Xf of forbidden generators.
-
-    G = forbidden_sum(lambdas / lambda0, Xf); a leading sample axis on
-    `coeffs` gives a stack of G.  An empty stack gives zero matrices.
-    """
-    return np.tensordot(coeffs, Xf, axes=1)
-
-
 def g_operator(m: MultiplierVector, basis: GeneratorBasis, forbidden: Sequence[int]) -> np.ndarray:
     """G = sum_j (lambda_j/lambda_0) X_j over the forbidden directions."""
     if m.lambda0 == 0.0:
@@ -515,27 +507,6 @@ def _constant_rows(
     V = constant_g_frames(g_operator(m, problem.basis, problem.forbidden), times)
     lams = np.repeat(m.lambdas[None, :], times.size, axis=0)
     return V, np.full(times.size, m.lambda0), lams, times / m.lambda0
-
-
-def constant_flow(
-    problem: ControlProblem,
-    m: MultiplierVector,
-    F0: np.ndarray,
-    times: np.ndarray,
-    renormalized: Optional[float] = None,
-) -> Trajectory:
-    """The validated trajectory of the constant-multiplier flow on `times`.
-
-    This is the exact flow whenever eta vanishes along it (a closed
-    forbidden subalgebra, pairwise commuting or at most one forbidden
-    generator): V(t) = e^{iGt}, G = sum_j (lambda_j/lambda_0) X_j, constant
-    multipliers, tau = t/lambda_0 and U(t) = V(t) e^{-i F(0) tau}.  `m` and
-    F(0) are given in one gauge; `renormalized`, when given, is the value
-    c of Re<psi|HF|psi> in that gauge, and the multipliers and F(0) are
-    divided by c so the trajectory is marked renormalized.
-    """
-    times = np.asarray(times, dtype=float)
-    return finalize_trajectory(problem, times, _constant_rows(problem, m, times), F0, renormalized)
 
 
 def _validate_h0(problem: ControlProblem, H0: np.ndarray, tol: float = 1e-8) -> None:

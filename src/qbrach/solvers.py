@@ -2,15 +2,18 @@
 
 Three analytic fast paths — unrestricted (free) evolution, the
 single-forbidden-direction two-level problem and the restricted two-qubit
-example — sample their trajectories with `dynamics.constant_flow`, the
-constant-multiplier flow of a closed forbidden subalgebra (eta = 0).  The
-general forward-shooting generator `shoot` runs one pass of the coupled
-system until the endpoint condition Im<psi|H F|psi> = 0 is met with a
-nonzero real part.  The closed-subalgebra solver is its eta = 0 case: it
-checks the closure and hands the exact pass (`dynamics.exact_pass`) to
-the core both share (`_extremal`), which owns the endpoint root search,
-the choice of T when the endpoint function vanishes identically, the
-certified grid, the renormalization and the certificate.
+example — are the constant-multiplier flow of a closed forbidden
+subalgebra (eta = 0) with a closed-form T; each keeps only that T, its
+seed in the gauge lambda_0 = 1 and its own check that the flow reaches
+the target.  The general forward-shooting generator `shoot` runs one
+pass of the coupled system until the endpoint condition
+Im<psi|H F|psi> = 0 is met with a nonzero real part.  The
+closed-subalgebra solver is its eta = 0 case: it checks the closure and
+hands the exact pass (`dynamics.exact_pass`) to the core both share
+(`_extremal`), which owns the endpoint root search and the choice of T
+when the endpoint function vanishes identically.  All five end in one
+tail (`_certified`): the certified grid, whose step `dt` only caps, the
+trajectory, the renormalization and the certificate.
 
 All returned trajectories are renormalized: the multipliers are divided by
 c = Re<psi(T)|H(T)F(T)|psi(T)> so the endpoint constraint evaluates to 1.
@@ -26,7 +29,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import CLOSURE_TOL, basis_of, closure_residual, commutator_tensor
+from .algebra import CLOSURE_TOL, basis_of, closure_residual, commutator_tensor, forbidden_sum
 from .dynamics import (
     ControlProblem,
     MultiplierVector,
@@ -35,12 +38,11 @@ from .dynamics import (
     Trajectory,
     _MAX_SAMPLES,
     _as_pairs,
+    _constant_rows,
     _observables,
     _validate_h0,
-    constant_flow,
     exact_pass,
     finalize_trajectory,
-    forbidden_sum,
     g_operator,
     integrate_blocks,
 )
@@ -191,8 +193,6 @@ def _grid(T: float, step: float) -> np.ndarray:
     More than `_MAX_SAMPLES` steps is a ValueError, raised before anything
     is allocated.
     """
-    if not 0 < step < math.inf:
-        raise ValueError(f"sample step dt must be positive and finite, got {step}")
     n = max(3, math.ceil(T / step - 1e-12))
     if n > _MAX_SAMPLES:
         raise ValueError(
@@ -200,6 +200,51 @@ def _grid(T: float, step: float) -> np.ndarray:
             f"{_MAX_SAMPLES}; use a coarser step"
         )
     return np.linspace(0.0, T, n + 1)
+
+
+def _step_cap(dt: Optional[float], default: float) -> float:
+    """The cap on a certified sample step: min(dt, default), or `default`.
+
+    A `dt` that is not positive and finite is a ValueError, raised before
+    any work.
+    """
+    if dt is None:
+        return default
+    if not 0 < dt < math.inf:
+        raise ValueError(f"step dt must be positive and finite, got {dt}")
+    return min(dt, default)
+
+
+def _certified(
+    problem: ControlProblem, kind: SolutionKind, H0: np.ndarray, m0: MultiplierVector,
+    T: float, re_T: float, cap: float, smp: Optional[PassSamples] = None,
+    branch: Optional[Tuple[int, int]] = None,
+) -> ExtremalSolution:
+    """The certified extremal of the seed (H0, m0) on [0, T]: every solver's tail.
+
+    The grid is uniform on [0, T], its step from `_analytic_dt` on
+    G = g_operator(m0) and F(0): a truncation target of a quarter of the
+    chko tolerance, the conservative commutator bound exactly on a stepped
+    pass (G rotates there) and the cap `cap`.  The rows are the pass `smp`
+    on that grid or, without a pass, the constant-multiplier flow of the
+    seed, F(0) = lambda_0 (H0 + G).  `re_T` is Re<psi|HF|psi> at T in the
+    seed's gauge; the trajectory and the multipliers are divided by it, so
+    the endpoint evaluates to 1.  A SHOT is judged with the integrated
+    tolerances and carries the U_d cross-check (`PassSamples.direct`);
+    every other kind is judged with the analytic ones and carries none.
+    """
+    shot = kind is SolutionKind.SHOT
+    tols = Tolerances.integrated() if shot else Tolerances.analytic()
+    G = g_operator(m0, problem.basis, problem.forbidden)
+    F0 = m0.lambda0 * (H0 + G) if smp is None else smp.F0
+    stepped = smp is not None and smp.rhs is not None
+    times = _grid(T, _analytic_dt(problem.omega, G, F0, T, tols.chko / 4.0, cap, stepped))
+    rows = _constant_rows(problem, m0, times) if smp is None else smp.rows_at(problem, times)
+    direct = smp.direct(problem, times) if shot else None
+    traj = finalize_trajectory(problem, times, rows, F0, re_T, direct)
+    m = MultiplierVector(m0.lambda0 / re_T, m0.lambdas / re_T)
+    report = certify(traj, tols, renormalized=True)
+    return ExtremalSolution(kind, float(T), H0, m, traj, report, branch)
 
 
 # -- free evolution ----------------------------------------------------------
@@ -212,45 +257,29 @@ def solve_free(
 
     The multipliers carry lambda_0 = 1/omega^2, the value that normalizes
     the endpoint constraint <psi_f|H F|psi_f> to exactly 1 (F = lambda_0 H
-    and <H^2> = omega^2 on the two-dimensional evolution subspace).
+    and <H^2> = omega^2 on the two-dimensional evolution subspace).  As G
+    vanishes, the sample step is the cap: `dt`, at most 1.5e-3/omega.
     Identical endpoints (Bures angle 0) return the trivial T = 0 solution
     with no trajectory.
     """
     problem = ControlProblem(basis_of("gellmann", psi_i.dim), psi_i, omega)
     boundary = boundary_data(psi_i, psi_f)
-    T = boundary.omega_b / omega
-    times = _grid(T, 1.5e-3 / omega if dt is None else dt)  # checks dt before T = 0 returns
-    N = psi_i.dim
-    lam0 = 1.0 / omega**2
+    cap = _step_cap(dt, 1.5e-3 / omega)
     if boundary.psi_perp is None:
-        return ExtremalSolution(
-            kind=SolutionKind.FREE,
-            T=0.0,
-            H0=np.zeros((N, N), dtype=complex),
-            multipliers0=MultiplierVector(lam0, np.zeros(0)),
-            trajectory=None,
-            report=None,
-        )
-    H_F = free_hamiltonian(psi_i, boundary, omega)
+        N = psi_i.dim
+        m0 = MultiplierVector(1.0 / omega**2, np.zeros(0))
+        return ExtremalSolution(SolutionKind.FREE, 0.0, np.zeros((N, N), complex), m0, None, None)
     # in the gauge lambda_0 = 1, F = H and Re<psi|HF|psi> = <H^2> = omega^2
-    traj = constant_flow(
-        problem, MultiplierVector(1.0, np.zeros(0)), H_F, times, renormalized=omega**2
-    )
-    fid = abs(np.vdot(psi_f.amplitudes, traj.psi[-1]))
+    H_F = free_hamiltonian(psi_i, boundary, omega)
+    m0 = MultiplierVector(1.0, np.zeros(0))
+    sol = _certified(problem, SolutionKind.FREE, H_F, m0, boundary.omega_b / omega, omega**2, cap)
+    fid = abs(np.vdot(psi_f.amplitudes, sol.trajectory.psi[-1]))
     if fid < 1.0 - 1e-9:
         raise ArithmeticError(
             f"free propagation missed the target state (fidelity {fid:.12f}); "
             "the constant-H construction is inconsistent"
         )
-    report = certify(traj, Tolerances.analytic(), renormalized=True)
-    return ExtremalSolution(
-        kind=SolutionKind.FREE,
-        T=T,
-        H0=H_F,
-        multipliers0=MultiplierVector(lam0, np.zeros(0)),
-        trajectory=traj,
-        report=report,
-    )
+    return sol
 
 
 # -- closed subalgebra -------------------------------------------------------
@@ -318,6 +347,11 @@ def solve_closed_subalgebra(
 # -- two-level, one forbidden direction --------------------------------------
 
 
+def _m1_problem(omega: float) -> ControlProblem:
+    """The two-level problem: evolution from |+x> with sigma_z forbidden."""
+    return ControlProblem(basis_of("gellmann", 2), PureState(M1_PSI_I), omega, forbidden=(2,))
+
+
 def m1_trajectory(
     lambda1: float,
     T: float,
@@ -338,16 +372,15 @@ def m1_trajectory(
     """
     if not T > 0:
         raise ValueError(f"duration must be positive, got {T}")
-    basis = basis_of("gellmann", 2)
-    problem = ControlProblem(basis, PureState(M1_PSI_I), omega, forbidden=(2,))
-    sz = basis.generators[2]
-    F0 = omega * basis.generators[1] + lambda1 * sz
+    problem = _m1_problem(omega)
+    sz = problem.basis.generators[2]
+    F0 = omega * problem.basis.generators[1] + lambda1 * sz
     if n_samples is None:
         times = _grid(T, _analytic_dt(omega, lambda1 * sz, F0, T))
     else:
         times = np.linspace(0.0, T, n_samples + 1)
-    c = omega**2 if renormalize else None
-    return constant_flow(problem, MultiplierVector(1.0, [lambda1]), F0, times, renormalized=c)
+    rows = _constant_rows(problem, MultiplierVector(1.0, [lambda1]), times)
+    return finalize_trajectory(problem, times, rows, F0, omega**2 if renormalize else None)
 
 
 def m1_final_state(omega_b: float, phi: float) -> PureState:
@@ -436,29 +469,22 @@ def solve_m1_two_level(
             "trajectory may not exist for this endpoint pair"
         )
     found.sort(key=lambda item: item[0])
+    problem = _m1_problem(omega)
+    H0 = omega * problem.basis.generators[1]
     solutions = []
-    basis = basis_of("gellmann", 2)
-    sy = basis.generators[1]
     for T, lam1, k, l in found:
-        traj = m1_trajectory(lam1, T, omega, renormalize=True)
-        fid = abs(np.vdot(target.amplitudes, traj.psi[-1]))
+        # Re<psi|HF|psi> = omega^2 along this flow in the gauge lambda_0 = 1
+        sol = _certified(
+            problem, SolutionKind.M1_TWO_LEVEL, H0, MultiplierVector(1.0, [lam1]), T,
+            omega**2, 1e-3 / omega, branch=(k, l),
+        )
+        fid = abs(np.vdot(target.amplitudes, sol.trajectory.psi[-1]))
         if fid < 1.0 - 1e-9:
             raise ArithmeticError(
                 f"branch (k={k}, l={l}) passed the matching residuals but "
                 f"missed the target state (fidelity {fid:.12f})"
             )
-        report = certify(traj, Tolerances.analytic(), renormalized=True)
-        solutions.append(
-            ExtremalSolution(
-                kind=SolutionKind.M1_TWO_LEVEL,
-                T=T,
-                H0=omega * sy,
-                multipliers0=MultiplierVector(1.0 / omega**2, [lam1 / omega**2]),
-                trajectory=traj,
-                report=report,
-                branch=(k, l),
-            )
-        )
+        solutions.append(sol)
     return solutions
 
 
@@ -616,6 +642,7 @@ def solve_two_qubit_example(
     T = sqrt(2) Omega_B / omega — a factor sqrt(2) slower than the free
     bound, with energy spread omega/sqrt(2) throughout.  The final state is
     cos(Omega_B) e^{-i pi/2} |11> + sin(Omega_B) |00> up to a global phase.
+    `dt` caps the certified sample step, which is at most 1e-3/omega.
     """
     if not 0 < omega_b <= math.pi / 2:
         raise ValueError(f"Bures angle must lie in (0, pi/2], got {omega_b}")
@@ -623,33 +650,25 @@ def solve_two_qubit_example(
     ket11 = np.zeros(4, dtype=complex)
     ket11[3] = 1.0
     problem = ControlProblem(basis, PureState(ket11), omega, forbidden=TWO_QUBIT_FORBIDDEN)
+    cap = _step_cap(dt, 1e-3 / omega)
     mu = omega / math.sqrt(2.0)
-    H0, F0 = build_two_qubit_f0(mu, 0.0, 0.0, omega=omega)
-    T = math.sqrt(2.0) * omega_b / omega
-    lam11 = -mu
-    idx11 = basis.index_of("σ1¹σ2¹")
+    H0 = build_two_qubit_f0(mu, 0.0, 0.0, omega=omega)[0]
     lams = np.zeros(problem.n_forbidden)
-    lams[problem.forbidden.index(idx11)] = lam11
-    step = dt if dt is not None else _analytic_dt(omega, lam11 * basis.generators[idx11], F0, T)
-    c = omega**2  # Re<psi|HF|psi> along this flow
-    traj = constant_flow(problem, MultiplierVector(1.0, lams), F0, _grid(T, step), renormalized=c)
+    lams[problem.forbidden.index(basis.index_of("σ1¹σ2¹"))] = -mu
+    # Re<psi|HF|psi> = omega^2 along this flow in the gauge lambda_0 = 1
+    T = math.sqrt(2.0) * omega_b / omega
+    sol = _certified(
+        problem, SolutionKind.TWO_QUBIT_EXAMPLE, H0, MultiplierVector(1.0, lams), T, omega**2, cap
+    )
     ket00 = np.zeros(4, dtype=complex)
     ket00[0] = 1.0
     expected = math.cos(omega_b) * ket11 + 1.0j * math.sin(omega_b) * ket00
-    gap = float(np.linalg.norm(traj.psi[-1] - expected))
+    gap = float(np.linalg.norm(sol.trajectory.psi[-1] - expected))
     if gap > 1e-9:
         raise ArithmeticError(
             f"propagated final state deviates from the closed form by {gap:.3e}"
         )
-    report = certify(traj, Tolerances.analytic(), renormalized=True)
-    return ExtremalSolution(
-        kind=SolutionKind.TWO_QUBIT_EXAMPLE,
-        T=T,
-        H0=H0,
-        multipliers0=MultiplierVector(1.0 / c, lams / c),
-        trajectory=traj,
-        report=report,
-    )
+    return sol
 
 
 # -- general forward shooting ------------------------------------------------
@@ -921,20 +940,14 @@ def _extremal(
 
     T is the pass's first accepted endpoint root (`_endpoint_search`), or,
     where Im<psi|HF|psi> vanishes identically, the time `_degenerate_time`
-    selects from `psi_f` or `bures_angle`.  The certified grid is uniform
-    on [0, T], its step from `_analytic_dt`: a truncation target of a
-    quarter of the chko tolerance, the conservative commutator bound
-    exactly on a stepped pass (G rotates there), and a cap of 1e-3/omega
-    and `dt`.  The trajectory is the pass on that grid, in the gauge where
-    the endpoint evaluates to 1; that renormalization exists, as
-    Re<psi|HF|psi> = omega^2 in the gauge of the projected seed.  A SHOT
-    is judged with the integrated tolerances and carries the U_d
-    cross-check (`PassSamples.direct`); the closed-subalgebra solution is
-    judged with the analytic ones and carries none.
+    selects from `psi_f` or `bures_angle`.  The certified trajectory is
+    the pass on [0, T] (`_certified`, its step capped by 1e-3/omega and
+    `dt`), in the gauge where the endpoint evaluates to 1; that
+    renormalization exists, as Re<psi|HF|psi> = omega^2 in the gauge of
+    the projected seed.  A `dt` that is not positive and finite is refused
+    before the pass.
     """
-    if dt is not None and not 0 < dt < math.inf:
-        raise ValueError(f"step dt must be positive and finite, got {dt}")
-    w = problem.omega
+    cap = _step_cap(dt, 1e-3 / problem.omega)
     T, value, smp = _endpoint_search(problem, blocks)
     if T is None:
         if psi_f is None and bures_angle is None:
@@ -949,17 +962,7 @@ def _extremal(
             raise NoSolutionError(f"the flow never reaches {goal} within (0, {smp.times[-1]:g}]")
         _, F, H, psi = smp.at(problem, T)
         value = complex(*endpoint_constraint(psi[0], H[0], F[0]))
-    re_T = value.real
-    shot = kind is SolutionKind.SHOT
-    tols = Tolerances.integrated() if shot else Tolerances.analytic()
-    G = g_operator(m0, problem.basis, problem.forbidden)
-    cap = 1e-3 / w if dt is None else min(dt, 1e-3 / w)
-    step = _analytic_dt(w, G, smp.F0, T, tols.chko / 4.0, cap, conservative=smp.rhs is not None)
-    times = _grid(T, step)
-    direct = smp.direct(problem, times) if shot else None
-    traj = finalize_trajectory(problem, times, smp.rows_at(problem, times), smp.F0, re_T, direct)
-    m = MultiplierVector(m0.lambda0 / re_T, m0.lambdas / re_T)
-    return ExtremalSolution(kind, float(T), H0, m, traj, certify(traj, tols, renormalized=True))
+    return _certified(problem, kind, H0, m0, T, value.real, cap, smp)
 
 
 def shoot(

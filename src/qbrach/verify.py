@@ -13,12 +13,12 @@ norms by ||F(0)||.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .algebra import stack_product
+from .algebra import forbidden_sum, stack_product
 
 __all__ = [
     "Tolerances",
@@ -124,27 +124,9 @@ class VerificationReport:
         return self.verdict.get("overall", False)
 
     def as_dict(self) -> dict:
-        out = {
-            "traceless_max": self.traceless_max,
-            "norm_max": self.norm_max,
-            "term_max": self.term_max,
-            "chko_residual": self.chko_residual,
-            "initial_cond_residual": self.initial_cond_residual,
-            "endpoint_re": self.endpoint_re,
-            "endpoint_im": self.endpoint_im,
-            "speed_max_excess": self.speed_max_excess,
-            "trf2_drift": self.trf2_drift,
-            "aa_identity_max": self.aa_identity_max,
-            "eig_drift_max": self.eig_drift_max,
-            "lambda0_drift": self.lambda0_drift,
-            "endpoint_equiv_gap": self.endpoint_equiv_gap,
-            "speed_decomp_gap": self.speed_decomp_gap,
-            "equivalence_max": self.equivalence_max,
-            "u_mismatch": self.u_mismatch,
-            "omega": self.omega,
-            "renormalized": self.renormalized,
-            "verdict": dict(self.verdict),
-        }
+        """Every field in declaration order, `gate_endpoint` last and only when set."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "gate_endpoint"}
+        out["verdict"] = dict(self.verdict)
         if self.gate_endpoint is not None:
             out["gate_endpoint"] = self.gate_endpoint
         return out
@@ -297,11 +279,7 @@ def speed_profile(traj, omega: float) -> Tuple[np.ndarray, float]:
 
 
 def _g_stack(traj) -> np.ndarray:
-    K, N = traj.psi.shape
-    if not traj.forbidden:
-        return np.zeros((K, N, N), dtype=complex)
-    xf = traj.forbidden_generators()
-    return np.tensordot(traj.lambdas / traj.lambda0[:, None], xf, axes=1)
+    return forbidden_sum(traj.lambdas / traj.lambda0[:, None], traj.forbidden_generators())
 
 
 def speed_decomposition_mismatch(traj, omega: float) -> float:

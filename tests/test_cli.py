@@ -175,6 +175,16 @@ def test_shoot_refuses_a_step_beyond_the_work_cap(closed_file, capsys):
     assert "more than 200000" in capsys.readouterr().err
 
 
+def test_solve_2qubit_dt_caps_the_certified_step(capsys):
+    # a step coarser than the default 1e-3/omega is capped, not used, so
+    # the solution passes its certificate and is written
+    argv = ["solve-2qubit", "--omega-b", "1.5707963", "--omega", "10"]
+    assert main(argv + ["--dt", "1e-3"]) == 0
+    capped = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capped == capsys.readouterr().out
+
+
 def test_solve_free_refuses_a_step_beyond_the_work_cap(free_file, capsys):
     # T = pi/2 at dt = 1e-7 is 1.6e7 samples: refused as invalid input
     assert main(["solve-free", "-i", free_file, "--dt", "1e-7"]) == 1
@@ -452,6 +462,9 @@ def test_exit_code_validation_errors(tmp_path, free_file, closed_file):
     assert main(["solve-closed", "-i", str(noseed)]) == 1
     # solve-m1 without its required numbers
     assert main(["solve-m1"]) == 1
+    # solve-m1 has no step to cap: --dt is refused, not ignored
+    m1 = ["solve-m1", "--omega-b", repr(DESIGNED_OB), "--phi", repr(DESIGNED_PHI), "--omega", "10"]
+    assert main(m1 + ["--dt", "1e-9"]) == 1
 
 
 @pytest.mark.parametrize("dimension", [MAX_DIM + 1, 10**6])

@@ -7,14 +7,19 @@ import pytest
 
 import helpers
 from qbrach import dynamics
-from qbrach.algebra import build_gellmann_basis, commutator_tensor, is_closed_subalgebra
+from qbrach.algebra import (
+    build_gellmann_basis,
+    commutator_tensor,
+    forbidden_sum,
+    is_closed_subalgebra,
+)
 from qbrach.dynamics import (
     ControlProblem,
     MultiplierVector,
     SingularGaugeError,
     Trajectory,
-    constant_flow,
-    forbidden_sum,
+    _constant_rows,
+    finalize_trajectory,
     g_operator,
     integrate,
     stepped_rhs,
@@ -414,18 +419,20 @@ def test_integrate_commuting_forbidden_set_is_exact():
 
 def test_constant_flow_reproduces_exact_integration():
     # on the commuting su(4) set integrate samples the constant-multiplier
-    # flow; constant_flow gives the same trajectory, and renormalizing it
-    # rescales the multipliers but leaves the motion unchanged
+    # flow; its rows on the same grid give the same trajectory, and
+    # renormalizing them rescales the multipliers but leaves the motion
+    # unchanged
     problem, h0, m0 = helpers.su4_shoot_seed(183)
     traj = integrate(problem, m0, h0, t_max=1.0, dt=1e-3)
     f0 = m0.lambda0 * (h0 + g_operator(m0, problem.basis, problem.forbidden))
-    flow = constant_flow(problem, m0, f0, traj.times)
+    rows = _constant_rows(problem, m0, traj.times)
+    flow = finalize_trajectory(problem, traj.times, rows, f0)
     assert not flow.renormalized
     for name in ("V", "U", "H", "F", "psi"):
         gap = float(np.abs(getattr(flow, name) - getattr(traj, name)).max())
         assert gap <= 1e-13, name
     c = 2.5
-    rescaled = constant_flow(problem, m0, f0, traj.times, renormalized=c)
+    rescaled = finalize_trajectory(problem, traj.times, rows, f0, renormalized=c)
     assert rescaled.renormalized
     np.testing.assert_array_equal(rescaled.lambda0, m0.lambda0 / c)
     for name in ("V", "U", "H", "psi"):

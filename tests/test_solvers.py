@@ -141,6 +141,20 @@ def test_analytic_grids_refuse_work_beyond_the_cap():
         assert solvers._grid(T, step).size == solvers._MAX_SAMPLES + 1
 
 
+def test_analytic_dt_is_a_cap_on_the_certified_step():
+    # a step coarser than the default is capped to it: the certificate
+    # passes and the trajectory is the default one bit for bit
+    sol = solve_two_qubit_example(np.pi / 2, 10.0, dt=1e-3)
+    ref = solve_two_qubit_example(np.pi / 2, 10.0)
+    assert sol.report.passed
+    for name in ("times", "V", "U", "H", "F", "psi", "lambdas", "tau_acc"):
+        np.testing.assert_array_equal(getattr(sol.trajectory, name), getattr(ref.trajectory, name))
+    coarse = solve_free(helpers.KET0, helpers.KET1, omega=1.0, dt=1.0)
+    np.testing.assert_array_equal(
+        coarse.trajectory.psi, solve_free(helpers.KET0, helpers.KET1, omega=1.0).trajectory.psi
+    )
+
+
 # ------------------------------------------------------ two-qubit instance
 
 
