@@ -114,7 +114,7 @@ def _seed_from_params(params: dict, problem: ControlProblem) -> Tuple[np.ndarray
 
 
 def _number(flag: Optional[float], params: dict, key: str) -> Optional[float]:
-    """The command-line value, else solver_params[key] as a float, else None."""
+    """The command-line value, else params[key] as a float, else None."""
     if flag is not None:
         return flag
     value = params.get(key)
@@ -123,7 +123,15 @@ def _number(flag: Optional[float], params: dict, key: str) -> Optional[float]:
     try:
         return float(value)
     except _MALFORMED + (ValueError,) as exc:
-        raise ValueError(f"solver_params.{key} must be a number, got {value!r}") from exc
+        raise ValueError(f"{key} must be a number, got {value!r}") from exc
+
+
+def _count(params: dict, key: str, default: int) -> int:
+    """params[key] as a whole number, else `default`."""
+    value = _number(None, params, key)
+    if value is not None and not value.is_integer():
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return default if value is None else int(value)
 
 
 def _parse_grid(spec: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -198,15 +206,16 @@ def _cmd_solve_closed(args) -> int:
 
 
 def _cmd_solve_m1(args) -> int:
+    data: dict = {}
     params: dict = {}
-    file_omega = None
     if args.input:
         data = _read_problem(args.input, ("m1_two_level",))
-        params = dict(data.get("solver_params", {}))
-        file_omega = data.get("omega")
-    omega_b = args.omega_b if args.omega_b is not None else params.get("omega_b")
-    phi = args.phi if args.phi is not None else params.get("phi")
-    omega = args.omega if args.omega is not None else file_omega
+        params = data.get("solver_params", {})
+        if not isinstance(params, dict):
+            raise ValueError("solver_params must be a JSON object")
+    omega_b = _number(args.omega_b, params, "omega_b")
+    phi = _number(args.phi, params, "phi")
+    omega = _number(args.omega, data, "omega")
     if omega_b is None or phi is None or omega is None:
         raise ValueError("solve-m1 needs --omega-b, --phi and --omega")
     if _number(args.dt, params, "dt") is not None:
@@ -214,11 +223,7 @@ def _cmd_solve_m1(args) -> int:
             "solve-m1 takes no --dt: each branch's certified step follows from its flow"
         )
     branches = solve_m1_two_level(
-        float(omega_b),
-        float(phi),
-        float(omega),
-        k_max=int(params.get("k_max", 20)),
-        l_max=int(params.get("l_max", 20)),
+        omega_b, phi, omega, k_max=_count(params, "k_max", 20), l_max=_count(params, "l_max", 20)
     )
     doc = {
         "kind": "m1_two_level",
@@ -354,7 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--dt", type=float, default=None,
             help="cap on the certified sample step, itself at most 1e-3/omega (1.5e-3/omega "
-            "for solve-free); for shoot also the integration step; solve-m1 takes none",
+            "for solve-free); refused where it needs more than 200,000 samples; for shoot "
+            "also the integration step; solve-m1 takes none",
         )
 
     p = sub.add_parser("solve-free", help="unrestricted minimum-time evolution")

@@ -12,9 +12,10 @@ reassembled algebraically at every instant,
 and the conserved operator is obtained by conjugation, F(t) = U F(0) U^dag
 = V F(0) V^dag, which keeps its spectrum exactly fixed.  The propagator is
 U(t) = V(t) exp(-i F(0) tau(t)).  A direct RK4 integration of
-i dU/dt = H U, with H taken from the pass at each step's ends and
-midpoint, is the one cross-check; it is built after the pass on the grid
-a trajectory is sampled on, never carried in the stepped state.
+i dU/dt = H U is the one cross-check, of either flow: H at each step's
+ends is the trajectory's own, and H at its midpoint comes from the pass
+(`PassSamples.rows_at`).  It is built after the pass on the grid a
+trajectory is sampled on, never carried in the stepped state.
 
 When the forbidden set is closed under i[.,.] (every i[X_j, X_l] in its
 span, e.g. commuting generators or at most one) eta vanishes along the
@@ -668,33 +669,17 @@ class PassSamples(NamedTuple):
     def direct(self, problem: ControlProblem, times: np.ndarray) -> Callable:
         """The cross-check: H on `times` -> U_d there, from U_d(0) = 1.
 
-        U_d solves i dU/dt = H U by RK4 on the grid (`_direct_propagators`)
-        with -iH at the ends and the midpoint of each step from this pass.
-        On the exact flow all three come from e^{iGt} in the eigenbasis of
-        G, where H(t) is F(0) with phased entries minus a diagonal; on a
-        stepped pass the ends are the given H samples and each midpoint H
-        is F/lambda_0 - G on the `rows_at` rows there (no U, psi or
-        eigendecomposition), the same arithmetic as the H of `at`.
+        U_d solves i dU/dt = H U by RK4 on the grid (`_direct_propagators`),
+        -iH at each step's ends from the given H samples and at its midpoint
+        from F/lambda_0 - G on the `rows_at` rows there (no U, psi or
+        eigendecomposition), on the stepped and the exact flow alike.
         """
-        if self.rhs is not None:
 
-            def mids(t: np.ndarray) -> np.ndarray:
-                V, lam0, lams, _ = self.rows_at(problem, t)
-                return -1.0j * _hamiltonians(problem, V, lam0, lams, self.F0)[1]
+        def mids(t: np.ndarray) -> np.ndarray:
+            V, lam0, lams, _ = self.rows_at(problem, t)
+            return -1.0j * _hamiltonians(problem, V, lam0, lams, self.F0)[1]
 
-            return lambda H: _direct_propagators(times, lambda r: -1.0j * H[r], mids)
-        lam0 = self.lambda0[0]
-        G = g_operator(MultiplierVector(lam0, self.lambdas[0]), problem.basis, problem.forbidden)
-        w, Q = np.linalg.eigh(G)
-        Ft = (Q.conj().T @ self.F0 @ Q) / lam0
-        W = np.diag(w)
-
-        def minus_ih(t: np.ndarray) -> np.ndarray:
-            ph = np.exp(1.0j * np.outer(t, w))
-            return -1.0j * (ph[:, :, None] * Ft * ph.conj()[:, None, :] - W)
-
-        U_d = _direct_propagators(times, lambda r: minus_ih(times[r]), minus_ih)
-        return lambda H: stack_product(stack_product(Q, U_d), Q.conj().T)
+        return lambda H: _direct_propagators(times, lambda r: -1.0j * H[r], mids)
 
     def trajectory(self, problem: ControlProblem) -> Trajectory:
         """The validated trajectory on the pass's own rows; `u_mismatch` is
@@ -786,16 +771,7 @@ def integrate_blocks(
     n2 = N * N
     rhs = stepped_rhs(F0, Xf, lam0, w)
     y0 = np.concatenate((np.eye(N, dtype=complex).ravel(), m0.lambdas))
-    last_err: Optional[Exception] = None
-    for halving in range(21):
-        if halving:
-            n_steps = max(1, math.ceil(t_max / (dt / 2**halving) - 1e-12))
-            if n_steps > _MAX_SAMPLES:
-                raise ArithmeticError(
-                    f"frame unitarity drifted beyond {_UNITARITY_TOL:g} at step size "
-                    f"{step:.3e}, and halving it needs {n_steps} steps, more than "
-                    f"{_MAX_SAMPLES}"
-                ) from last_err
+    while True:
         step = t_max / n_steps
         times = np.arange(n_steps + 1) * step
         times[-1] = t_max
@@ -811,14 +787,12 @@ def integrate_blocks(
 
         y = ys[0] = y0
         start = 0
-        drifted = False
         for i in range(1, n_steps + 1):
             y = rk4_step(rhs, y, step)
             if i % _CHECK_EVERY == 0:
                 V = y[0:n2].reshape(N, N)
                 drift = float(np.linalg.norm(V.conj().T @ V - np.eye(N)))
                 if not drift <= _UNITARITY_TOL:
-                    drifted = True
                     break
                 uu, _, vt = np.linalg.svd(V)
                 y[0:n2] = (uu @ vt).ravel()
@@ -826,16 +800,18 @@ def integrate_blocks(
             if i % _CHECK_EVERY == 0 and i < n_steps:
                 yield rows(i + 1, start)
                 start = i + 1
-        if drifted:
-            last_err = ArithmeticError(
-                f"frame unitarity drifted beyond {_UNITARITY_TOL:g} at step size {step:.3e}"
+        else:
+            yield rows(n_steps + 1, start)
+            return
+        # the frame drifted: the whole pass restarts at half the step
+        dt /= 2.0
+        n_steps = max(1, math.ceil(t_max / dt - 1e-12))
+        if n_steps > _MAX_SAMPLES:
+            raise ArithmeticError(
+                f"frame unitarity drifted beyond {_UNITARITY_TOL:g} at step size "
+                f"{step:.3e}, and halving it needs {n_steps} steps, more than "
+                f"{_MAX_SAMPLES}"
             )
-            continue
-        yield rows(n_steps + 1, start)
-        return
-    raise ArithmeticError(
-        "frame unitarity could not be maintained after 20 step halvings"
-    ) from last_err
 
 
 def integrate(
@@ -862,8 +838,8 @@ def integrate(
     lambda_j; lambda_0 is constant and tau = t/lambda_0.  V is
     re-unitarized every 100 steps by polar projection; if its unitarity has
     drifted beyond the validation's 1e-8 at such a checkpoint the whole
-    integration restarts at half the step (at most 20 halvings, and never
-    past `_MAX_SAMPLES` steps), preserving a uniform grid.
+    integration restarts at half the step (never past `_MAX_SAMPLES`
+    steps), preserving a uniform grid.
     `integrate_blocks` yields the same samples checkpoint by checkpoint.
 
     On either path the cross-check U_d (i dU_d/dt = H U_d) is propagated

@@ -7,12 +7,13 @@ subalgebra (eta = 0) with a closed-form T; each keeps only that T, its
 seed in the gauge lambda_0 = 1 and its own check that the flow reaches
 the target.  The general forward-shooting generator `shoot` runs one
 pass of the coupled system until the endpoint condition
-Im<psi|H F|psi> = 0 is met with a nonzero real part.  The
-closed-subalgebra solver is its eta = 0 case: it checks the closure and
-hands the exact pass (`dynamics.exact_pass`) to the core both share
-(`_extremal`), which owns the endpoint root search and the choice of T
-when the endpoint function vanishes identically.  All five end in one
-tail (`_certified`): the certified grid, whose step `dt` only caps, the
+Im<psi|H F|psi> = 0 is met.  The closed-subalgebra solver is its
+eta = 0 case: it checks the closure and hands the exact pass
+(`dynamics.exact_pass`) to the core both share (`_extremal`).  One scan
+of a pass (`_root_scan`) finds T there: the endpoint root, or, where the
+endpoint function vanishes identically, where the flow reaches a target.
+All five end in one tail (`_certified`): the certified grid, whose own
+step is lifted to T/`_MAX_SAMPLES` and which `dt` only caps, the
 trajectory, the renormalization and the certificate.
 
 All returned trajectories are renormalized: the multipliers are divided by
@@ -168,7 +169,8 @@ def _analytic_dt(
     Commuting G and F(0) (constant F) fall back to the default step.
     With `conservative` the commutator norm is replaced by its bound
     2 ||G||_op ||F(0)||, appropriate when G(t) rotates away from G(0)
-    (only Tr[G^2] is conserved, not the commutator with F).
+    (only Tr[G^2] is conserved, not the commutator with F).  Either step
+    is lifted to T/`_MAX_SAMPLES`, so `_grid` never refuses it.
     """
     if default is None:
         default = 1e-3 / omega
@@ -178,12 +180,11 @@ def _analytic_dt(
         c1 = 2.0 * g_op * f0_norm
     else:
         c1 = float(np.linalg.norm(G @ F0 - F0 @ G))
-    if c1 <= 1e-12 * omega * f0_norm:
-        return default
-    coef = (2.0 * g_op) ** 2 * c1 / (6.0 * omega * f0_norm)
-    dt = math.sqrt(target / coef)
-    dt = min(default, dt)
-    # at the cap, T/dt must not round up past _MAX_SAMPLES, which `_grid` refuses
+    dt = default
+    if c1 > 1e-12 * omega * f0_norm:
+        coef = (2.0 * g_op) ** 2 * c1 / (6.0 * omega * f0_norm)
+        dt = min(default, math.sqrt(target / coef))
+    # at the lift, T/dt must not round up past _MAX_SAMPLES, which `_grid` refuses
     return max(dt, T / _MAX_SAMPLES * (1.0 + 1e-12))
 
 
@@ -202,32 +203,35 @@ def _grid(T: float, step: float) -> np.ndarray:
     return np.linspace(0.0, T, n + 1)
 
 
-def _step_cap(dt: Optional[float], default: float) -> float:
-    """The cap on a certified sample step: min(dt, default), or `default`.
+def _step_cap(dt: Optional[float]) -> float:
+    """A user's cap on the certified sample step: `dt`, or inf without one.
 
     A `dt` that is not positive and finite is a ValueError, raised before
     any work.
     """
     if dt is None:
-        return default
+        return math.inf
     if not 0 < dt < math.inf:
         raise ValueError(f"step dt must be positive and finite, got {dt}")
-    return min(dt, default)
+    return dt
 
 
 def _certified(
     problem: ControlProblem, kind: SolutionKind, H0: np.ndarray, m0: MultiplierVector,
     T: float, re_T: float, cap: float, smp: Optional[PassSamples] = None,
-    branch: Optional[Tuple[int, int]] = None,
+    branch: Optional[Tuple[int, int]] = None, default: Optional[float] = None,
 ) -> ExtremalSolution:
     """The certified extremal of the seed (H0, m0) on [0, T]: every solver's tail.
 
-    The grid is uniform on [0, T], its step from `_analytic_dt` on
+    The grid is uniform on [0, T].  Its own step is `_analytic_dt` on
     G = g_operator(m0) and F(0): a truncation target of a quarter of the
     chko tolerance, the conservative commutator bound exactly on a stepped
-    pass (G rotates there) and the cap `cap`.  The rows are the pass `smp`
-    on that grid or, without a pass, the constant-multiplier flow of the
-    seed, F(0) = lambda_0 (H0 + G).  `re_T` is Re<psi|HF|psi> at T in the
+    pass (G rotates there), at most `default` (1e-3/omega when None) and
+    lifted to T/`_MAX_SAMPLES`.  A user's `cap` (`_step_cap`) only refines
+    that step, and one needing more than `_MAX_SAMPLES` steps is refused
+    (`_grid`).  The rows are the pass `smp` on that grid or, without a
+    pass, the constant-multiplier flow of the seed, F(0) = lambda_0
+    (H0 + G).  `re_T` is Re<psi|HF|psi> at T in the
     seed's gauge; the trajectory and the multipliers are divided by it, so
     the endpoint evaluates to 1.  A SHOT is judged with the integrated
     tolerances and carries the U_d cross-check (`PassSamples.direct`);
@@ -238,7 +242,8 @@ def _certified(
     G = g_operator(m0, problem.basis, problem.forbidden)
     F0 = m0.lambda0 * (H0 + G) if smp is None else smp.F0
     stepped = smp is not None and smp.rhs is not None
-    times = _grid(T, _analytic_dt(problem.omega, G, F0, T, tols.chko / 4.0, cap, stepped))
+    own = _analytic_dt(problem.omega, G, F0, T, tols.chko / 4.0, default, stepped)
+    times = _grid(T, min(cap, own))
     rows = _constant_rows(problem, m0, times) if smp is None else smp.rows_at(problem, times)
     direct = smp.direct(problem, times) if shot else None
     traj = finalize_trajectory(problem, times, rows, F0, re_T, direct)
@@ -258,13 +263,13 @@ def solve_free(
     The multipliers carry lambda_0 = 1/omega^2, the value that normalizes
     the endpoint constraint <psi_f|H F|psi_f> to exactly 1 (F = lambda_0 H
     and <H^2> = omega^2 on the two-dimensional evolution subspace).  As G
-    vanishes, the sample step is the cap: `dt`, at most 1.5e-3/omega.
+    vanishes, the sample step is 1.5e-3/omega, or `dt` where that is finer.
     Identical endpoints (Bures angle 0) return the trivial T = 0 solution
     with no trajectory.
     """
     problem = ControlProblem(basis_of("gellmann", psi_i.dim), psi_i, omega)
     boundary = boundary_data(psi_i, psi_f)
-    cap = _step_cap(dt, 1.5e-3 / omega)
+    cap = _step_cap(dt)
     if boundary.psi_perp is None:
         N = psi_i.dim
         m0 = MultiplierVector(1.0 / omega**2, np.zeros(0))
@@ -272,7 +277,8 @@ def solve_free(
     # in the gauge lambda_0 = 1, F = H and Re<psi|HF|psi> = <H^2> = omega^2
     H_F = free_hamiltonian(psi_i, boundary, omega)
     m0 = MultiplierVector(1.0, np.zeros(0))
-    sol = _certified(problem, SolutionKind.FREE, H_F, m0, boundary.omega_b / omega, omega**2, cap)
+    T = boundary.omega_b / omega
+    sol = _certified(problem, SolutionKind.FREE, H_F, m0, T, omega**2, cap, default=1.5e-3 / omega)
     fid = abs(np.vdot(psi_f.amplitudes, sol.trajectory.psi[-1]))
     if fid < 1.0 - 1e-9:
         raise ArithmeticError(
@@ -425,12 +431,18 @@ def solve_m1_two_level(
     boundary-matching residuals vanish within match_tol.  The returned
     list is sorted by duration (the global minimum first).  An empty
     surviving set raises: the extremal-time trajectory need not exist for
-    arbitrary (Omega_B, phi).
+    arbitrary (Omega_B, phi).  A negative count, or more than
+    `_MAX_SAMPLES` pairs (k_max + 1)(2 l_max + 1), is a ValueError.
     """
     if not 0 < omega_b < math.pi / 2:
         raise ValueError(f"Bures angle must lie in (0, pi/2), got {omega_b}")
     if not 0 < omega < math.inf:
         raise ValueError(f"energy scale omega must be positive and finite, got {omega}")
+    if min(k_max, l_max) < 0 or (k_max + 1) * (2 * l_max + 1) > _MAX_SAMPLES:
+        raise ValueError(
+            f"branch counts k_max = {k_max} and l_max = {l_max} must be non-negative and "
+            f"give at most {_MAX_SAMPLES} pairs (k_max + 1)(2 l_max + 1)"
+        )
     if abs(math.sin(phi)) < 1e-12:
         raise ValueError(
             "phi equal to a multiple of pi makes the constraint non-binding "
@@ -476,7 +488,7 @@ def solve_m1_two_level(
         # Re<psi|HF|psi> = omega^2 along this flow in the gauge lambda_0 = 1
         sol = _certified(
             problem, SolutionKind.M1_TWO_LEVEL, H0, MultiplierVector(1.0, [lam1]), T,
-            omega**2, 1e-3 / omega, branch=(k, l),
+            omega**2, math.inf, branch=(k, l),
         )
         fid = abs(np.vdot(target.amplitudes, sol.trajectory.psi[-1]))
         if fid < 1.0 - 1e-9:
@@ -650,7 +662,7 @@ def solve_two_qubit_example(
     ket11 = np.zeros(4, dtype=complex)
     ket11[3] = 1.0
     problem = ControlProblem(basis, PureState(ket11), omega, forbidden=TWO_QUBIT_FORBIDDEN)
-    cap = _step_cap(dt, 1e-3 / omega)
+    cap = _step_cap(dt)
     mu = omega / math.sqrt(2.0)
     H0 = build_two_qubit_f0(mu, 0.0, 0.0, omega=omega)[0]
     lams = np.zeros(problem.n_forbidden)
@@ -788,147 +800,70 @@ def _bracketed_root(
             x = 0.5
 
 
-def _endpoint_search(
-    problem: ControlProblem, blocks: Iterable[PassSamples]
-) -> Tuple[Optional[float], Optional[complex], PassSamples]:
-    """(T, <psi|HF|psi> at T, last block) of a pass's first accepted endpoint root.
+def _root_scan(
+    problem: ControlProblem, blocks: Iterable[PassSamples],
+    scalar: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    accept: Callable[[PassSamples, float], bool],
+) -> Tuple[Optional[float], PassSamples, np.ndarray]:
+    """(T, last block, sampled values) of the first accepted root of a scalar on a pass.
 
-    The blocks of one pass are scanned for s(t) = Im<psi|HF|psi>/omega^2
-    as they arrive: a sign change between two samples is resolved by
-    `_bracketed_root`, seeded with the two sampled values and evaluating
-    `PassSamples.at` inside the bracket (the count is logged at debug
-    level), an interior sample with |s| <= 1e-10 is taken as it is, and
-    the first root with |Im| <= 1e-10 omega^2 and |Re| >= 1e-6 omega^2
-    ends the search.  Rejected candidates and the stopping step are
-    logged at debug level.  T and the value are None when max|s| < 1e-12
-    on the whole window (every stopping time is extremal); NoSolutionError
-    when s is not that small but no root is accepted, naming the closest
-    approach of s to zero: the smallest interior local minimum of |s| on
-    the samples and its time.
+    `scalar(F, H, psi)` maps stacks of samples to one value each.  The
+    blocks of one pass are scanned as they arrive (`start == 0` opens the
+    pass anew) and the candidates taken in order: an interior sample with
+    |value| <= 1e-10 as it is, a strict sign change resolved by
+    `_bracketed_root` from the two sampled values, evaluating
+    `PassSamples.at` inside the bracket.  The first candidate t with
+    `accept(block, t)` is T; T is None when none is, and then the values
+    cover the whole pass.  Evaluation counts, rejected candidates and the
+    stopping step are logged at debug level.  The candidates and their
+    resolution are those of a scan of the whole window: a bracket
+    [t_k, t_k+1] is resolved only once sample k+2 exists, so `at` picks
+    the same left samples, and nothing is resolved until max|value| >=
+    1e-12, the test that tells a scalar vanishing identically apart.
     """
-    w2 = problem.omega**2
-    floor = 1e-6 * w2
-    T = value = None
+    T = None
 
-    def bc_at(t: float) -> complex:
-        _, F, H, psi = smp.at(problem, t)
-        return complex(*endpoint_constraint(psi[0], H[0], F[0]))
+    def value_at(t: float) -> float:
+        return float(scalar(*smp.at(problem, t)[1:])[0])
 
-    def resolve(k: int) -> Tuple[float, complex]:
-        """Locate the root of s bracketed at sample k; (root, <psi|HF|psi>)."""
-        times = smp.times
-        if abs(s[k]) <= 1e-10 and times[k] > 0:
-            return float(times[k]), bc_at(float(times[k]))
-        values = {}
-
-        def s_at(t: float) -> float:
-            values[t] = bc_at(t)
-            return values[t].imag / w2
-
-        root, _, evals = _bracketed_root(s_at, times[k], times[k + 1], s[k], s[k + 1])
-        log.debug(
-            "endpoint search: resolved [%.12g, %.12g] in %d evaluations",
-            times[k], times[k + 1], evals,
-        )
-        return root, values[root] if root in values else bc_at(root)
-
-    # The candidates and their resolution are those of a scan of the whole
-    # window: a bracket [t_k, t_k+1] is resolved only once sample k+2
-    # exists (or the window is complete), so `at` picks the same left
-    # samples, and nothing is resolved until max|s| >= 1e-12, the test
-    # that tells a degenerate endpoint function apart.
     for smp in blocks:
-        n_steps, start = smp.n_steps, smp.start
-        if start == 0:  # a new pass: the first one or a restart at half the step
+        n_steps, start, times = smp.n_steps, smp.start, smp.times
+        if start == 0:
             s = np.empty(n_steps + 1)
-            live = False
-            nxt = 0
-        m = smp.times.size
+            live, nxt = False, 0
+        m = times.size
         r = slice(start, m)
-        _, Fb, Hb, psib = _observables(
+        s[r] = scalar(*_observables(
             problem, smp.V[r], smp.lambda0[r], smp.lambdas[r], smp.tau_acc[r], smp.F0
-        )
-        s[r] = np.einsum("ka,kab,kbc,kc->k", psib.conj(), Hb, Fb, psib).imag / w2
+        )[1:])
         live = live or not float(np.abs(s[r]).max()) < 1e-12
         if not live:
             continue
         last = n_steps - 1 if m == n_steps + 1 else m - 3
         for k in range(nxt, last + 1):
-            crossing = s[k] * s[k + 1] < 0
-            if not (crossing or (abs(s[k]) <= 1e-10 and 0 < k < n_steps)):
-                continue
-            root, v = resolve(k)
-            if not abs(v.imag) <= 1e-10 * w2:
+            if abs(s[k]) <= 1e-10 and k > 0:
+                root = float(times[k])
+            elif s[k] * s[k + 1] < 0:
+                root, _, evals = _bracketed_root(value_at, times[k], times[k + 1], s[k], s[k + 1])
                 log.debug(
-                    "endpoint search: rejected endpoint candidate at t = %.12g: |Im| "
-                    "residual %.3e above %.1e", root, abs(v.imag), 1e-10 * w2,
-                )
-            elif not abs(v.real) >= floor:
-                log.debug(
-                    "endpoint search: rejected endpoint candidate at t = %.12g: |Re| = "
-                    "%.3e < floor %.1e", root, abs(v.real), floor,
+                    "root scan: resolved [%.12g, %.12g] in %d evaluations",
+                    times[k], times[k + 1], evals,
                 )
             else:
-                T, value = root, v
-                last = k
+                continue
+            if accept(smp, root):
+                T, last = root, k
                 break
+            log.debug("root scan: rejected candidate at t = %.12g", root)
         nxt = last + 1
         if T is not None:
             break
     stop = min(nxt + 1, n_steps) if T is not None else n_steps
     log.debug(
-        "endpoint search: pass 1 stopped at step %d of %d (t = %.6g); %d steps integrated",
-        stop, n_steps, smp.times[stop], m - 1,
+        "root scan: pass 1 stopped at step %d of %d (t = %.6g); %d steps integrated",
+        stop, n_steps, times[stop], m - 1,
     )
-    if live and T is None:
-        mag = np.abs(s)
-        dips = 1 + np.nonzero((mag[1:-1] <= mag[:-2]) & (mag[1:-1] <= mag[2:]))[0]
-        if dips.size:
-            k = int(dips[np.argmin(mag[dips])])
-            closest = f"closest approach |s| = {mag[k]:.2e} omega^2 at t = {smp.times[k]:.4g}"
-        else:
-            closest = "|s| has no interior local minimum"
-        changes = int(np.count_nonzero(s[:-1] * s[1:] < 0))
-        raise NoSolutionError(
-            "no root of Im<psi|HF|psi> with nonzero real part found in "
-            f"(0, {smp.times[-1]:g}]; {closest}, "
-            + (f"{changes} sign change(s), each root rejected" if changes else "no sign change")
-        )
-    return T, value, smp
-
-
-def _degenerate_time(
-    problem: ControlProblem, smp: PassSamples, psi_f: Optional[PureState],
-    bures_angle: Optional[float],
-) -> Optional[float]:
-    """T on a whole pass along which Im<psi|HF|psi> vanishes identically.
-
-    Given `psi_f` it is the first time the flow reaches psi_f: a maximum of
-    the fidelity |a|^2, a = <psi_f|psi>, is a root of its rate
-    2 Im(conj(a) <psi_f|H|psi>), accepted where |a| >= 1 - 1e-9.  Otherwise
-    it is the first time the Bures angle from psi_i reaches `bures_angle`.
-    Either scalar (minus the rate, or the angle less its target) is
-    sampled on the pass, and each pair of samples across which it rises
-    through zero is resolved by `_bracketed_root`, in order, until one is
-    accepted; None when none is.
-    """
-    ref = (problem.psi_i if psi_f is None else psi_f).amplitudes.conj()
-
-    def g(H: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        a = psi @ ref
-        if psi_f is None:
-            return np.arccos(np.minimum(1.0, np.abs(a))) - bures_angle
-        return -2.0 * (np.conj(a) * (np.einsum("kab,kb->ka", H, psi) @ ref)).imag
-
-    times = smp.times
-    gs = g(*_observables(problem, smp.V, smp.lambda0, smp.lambdas, smp.tau_acc, smp.F0)[2:])
-    for k in np.nonzero((gs[:-1] < 0.0) & (gs[1:] >= 0.0))[0]:
-        T = _bracketed_root(
-            lambda t: float(g(*smp.at(problem, t)[2:])[0]), times[k], times[k + 1], gs[k], gs[k + 1]
-        )[0]
-        if psi_f is None or abs(smp.at(problem, T)[3][0] @ ref) >= 1.0 - 1e-9:
-            return T
-    return None
+    return T, smp, s
 
 
 def _extremal(
@@ -938,17 +873,45 @@ def _extremal(
 ) -> ExtremalSolution:
     """The certified extremal of a projected seed (H0, m0) from its one pass.
 
-    T is the pass's first accepted endpoint root (`_endpoint_search`), or,
-    where Im<psi|HF|psi> vanishes identically, the time `_degenerate_time`
-    selects from `psi_f` or `bures_angle`.  The certified trajectory is
-    the pass on [0, T] (`_certified`, its step capped by 1e-3/omega and
-    `dt`), in the gauge where the endpoint evaluates to 1; that
-    renormalization exists, as Re<psi|HF|psi> = omega^2 in the gauge of
-    the projected seed.  A `dt` that is not positive and finite is refused
-    before the pass.
+    T is the first root of s = Im<psi|HF|psi>/omega^2 that `_root_scan`
+    finds with |Im| <= 1e-10 omega^2; NoSolutionError when s is not
+    negligible but no root is accepted, naming the closest approach of s
+    to zero (the smallest interior local minimum of |s| on the samples).
+    Only where s vanishes identically (every stopping time is extremal)
+    the scan runs once more, on the complete pass: given `psi_f`, T is the
+    first root of minus the fidelity rate 2 Im(conj(a) <psi_f|H|psi>),
+    a = <psi_f|psi>, with |a| >= 1 - 1e-9; otherwise where the Bures angle
+    from psi_i first reaches `bures_angle`.  The certified trajectory is
+    the pass on [0, T] (`_certified`, its step capped by `dt`) in the
+    gauge where the endpoint evaluates to 1, which exists, as
+    Re<psi|HF|psi> = omega^2 in the gauge of the projected seed.
     """
-    cap = _step_cap(dt, 1e-3 / problem.omega)
-    T, value, smp = _endpoint_search(problem, blocks)
+    cap = _step_cap(dt)
+    w2 = problem.omega**2
+
+    def endpoint(smp: PassSamples, t: float) -> complex:
+        _, F, H, psi = smp.at(problem, t)
+        return complex(*endpoint_constraint(psi[0], H[0], F[0]))
+
+    T, smp, s = _root_scan(
+        problem, blocks,
+        lambda F, H, psi: np.einsum("ka,kab,kbc,kc->k", psi.conj(), H, F, psi).imag / w2,
+        lambda block, t: abs(endpoint(block, t).imag) <= 1e-10 * w2,
+    )
+    if T is None and not float(np.abs(s).max()) < 1e-12:
+        mag = np.abs(s)
+        dips = 1 + np.nonzero((mag[1:-1] <= mag[:-2]) & (mag[1:-1] <= mag[2:]))[0]
+        if dips.size:
+            k = int(dips[np.argmin(mag[dips])])
+            closest = f"closest approach |s| = {mag[k]:.2e} omega^2 at t = {smp.times[k]:.4g}"
+        else:
+            closest = "|s| has no interior local minimum"
+        changes = int(np.count_nonzero(s[:-1] * s[1:] < 0))
+        raise NoSolutionError(
+            "no accepted root of Im<psi|HF|psi> found in "
+            f"(0, {smp.times[-1]:g}]; {closest}, "
+            + (f"{changes} sign change(s), each root rejected" if changes else "no sign change")
+        )
     if T is None:
         if psi_f is None and bures_angle is None:
             raise NoSolutionError(
@@ -956,13 +919,22 @@ def _extremal(
                 "stopping time is extremal; a target state (solve-closed) or "
                 "target_bures_angle (shoot) selects one"
             )
-        T = _degenerate_time(problem, smp, psi_f, bures_angle)
+        ref = (problem.psi_i if psi_f is None else psi_f).amplitudes.conj()
+
+        def target(F: np.ndarray, H: np.ndarray, psi: np.ndarray) -> np.ndarray:
+            a = psi @ ref
+            if psi_f is None:
+                return np.arccos(np.minimum(1.0, np.abs(a))) - bures_angle
+            return -2.0 * (np.conj(a) * (np.einsum("kab,kb->ka", H, psi) @ ref)).imag
+
+        def reached(block: PassSamples, t: float) -> bool:
+            return psi_f is None or abs(block.at(problem, t)[3][0] @ ref) >= 1.0 - 1e-9
+
+        T = _root_scan(problem, [smp._replace(start=0)], target, reached)[0]
         if T is None:
             goal = "the target state" if psi_f is not None else f"Bures angle {bures_angle:g}"
             raise NoSolutionError(f"the flow never reaches {goal} within (0, {smp.times[-1]:g}]")
-        _, F, H, psi = smp.at(problem, T)
-        value = complex(*endpoint_constraint(psi[0], H[0], F[0]))
-    return _certified(problem, kind, H0, m0, T, value.real, cap, smp)
+    return _certified(problem, kind, H0, m0, T, endpoint(smp, T).real, cap, smp)
 
 
 def shoot(
@@ -978,7 +950,7 @@ def shoot(
     The seed is projected and rescaled (`_project_seed`), and its one
     integration pass (`integrate_blocks`, step `dt`) goes to the core it
     shares with `solve_closed_subalgebra` (`_extremal`).  The pass stops
-    at the first accepted root of Im<psi|HF|psi> (`_endpoint_search`): a
+    at the first accepted root of Im<psi|HF|psi> (`_root_scan`): a
     stepped pass is scanned at each re-unitarization checkpoint (every 100
     steps) once its drift check has passed, and runs no further than the
     first checkpoint past the sample T needs; a closed forbidden set

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import helpers
-from qbrach import dynamics
+from qbrach import dynamics, solvers
 from qbrach.algebra import MAX_DIM
 from qbrach.cli import _write_json, main
 from qbrach.solvers import (
@@ -189,6 +189,22 @@ def test_solve_free_refuses_a_step_beyond_the_work_cap(free_file, capsys):
     # T = pi/2 at dt = 1e-7 is 1.6e7 samples: refused as invalid input
     assert main(["solve-free", "-i", free_file, "--dt", "1e-7"]) == 1
     assert "more than 200000" in capsys.readouterr().err
+
+
+def test_a_dt_beyond_the_work_cap_is_refused_by_every_solver(
+    free_file, closed_file, monkeypatch, capsys
+):
+    # --dt stays a cap: one needing more samples than _MAX_SAMPLES (made
+    # small, so that no test starts the work it bounds) is invalid input,
+    # never lifted to a coarser step
+    monkeypatch.setattr(solvers, "_MAX_SAMPLES", 1000)
+    for argv in (
+        ["solve-free", "-i", free_file],
+        ["solve-closed", "-i", closed_file],
+        ["solve-2qubit", "--omega-b", "1.5707963", "--omega", "10"],
+    ):
+        assert main(argv + ["--dt", "1e-5"]) == 1, argv[0]
+        assert "more than 1000" in capsys.readouterr().err
 
 
 def test_shoot_halving_beyond_the_work_cap_exits_3(tmp_path, monkeypatch, capsys):
@@ -465,6 +481,39 @@ def test_exit_code_validation_errors(tmp_path, free_file, closed_file):
     # solve-m1 has no step to cap: --dt is refused, not ignored
     m1 = ["solve-m1", "--omega-b", repr(DESIGNED_OB), "--phi", repr(DESIGNED_PHI), "--omega", "10"]
     assert main(m1 + ["--dt", "1e-9"]) == 1
+
+
+def _m1_file(tmp_path, **fields):
+    doc = {"omega": 10.0, "solver_params": {"omega_b": DESIGNED_OB, "phi": DESIGNED_PHI}}
+    for key, value in fields.items():
+        (doc if key == "omega" else doc["solver_params"])[key] = value
+    path = tmp_path / "m1.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_exit_code_solve_m1_problem_file_fields(tmp_path, monkeypatch, capsys):
+    # every field of an m1 problem file is parsed as a number (the counts as
+    # whole numbers) and refused as invalid input otherwise; a count of
+    # branch pairs (k_max + 1)(2 l_max + 1) above _MAX_SAMPLES, made small
+    # here so that no test starts the work it bounds, is refused before any
+    assert main(["solve-m1", "-i", _m1_file(tmp_path, k_max=3.0, l_max=3)]) == 0
+    assert json.loads(capsys.readouterr().out)["T_min"] == pytest.approx(DESIGNED_T, abs=1e-12)
+    monkeypatch.setattr(solvers, "_MAX_SAMPLES", 1000)
+    for fields in (
+        {"omega_b": [0.67]},
+        {"omega": [10]},
+        {"phi": "x"},
+        {"l_max": math.inf},
+        {"k_max": math.nan},
+        {"k_max": 2.5},
+        {"k_max": -1},
+        {"l_max": [20]},
+        {"k_max": 200},
+    ):
+        assert main(["solve-m1", "-i", _m1_file(tmp_path, **fields)]) == 1, fields
+        assert "invalid input" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dimension", [MAX_DIM + 1, 10**6])

@@ -141,6 +141,27 @@ def test_analytic_grids_refuse_work_beyond_the_cap():
         assert solvers._grid(T, step).size == solvers._MAX_SAMPLES + 1
 
 
+def test_own_step_is_lifted_and_a_finer_dt_is_refused(monkeypatch):
+    # the cap is made small so that no test starts the work it bounds: each
+    # solver's own step is lifted to T/_MAX_SAMPLES, while a user's dt stays
+    # a cap and is refused where it needs more samples than that
+    monkeypatch.setattr(solvers, "_MAX_SAMPLES", 300)
+    problem = helpers.m1_problem(10.0)
+    solves = [
+        lambda dt: solve_free(helpers.KET0, helpers.KET1, omega=1.0, dt=dt),
+        lambda dt: solve_closed_subalgebra(
+            problem, 10.0 * SY, MultiplierVector(1.0, [2.5]), t_max=0.5, dt=dt
+        ),
+        lambda dt: solve_two_qubit_example(np.pi / 2, 10.0, dt=dt),
+        lambda dt: shoot(problem, 10.0 * SY, MultiplierVector(1.0, [2.5]), t_max=0.5, dt=dt),
+    ]
+    for solve in solves:
+        sol = solve(None)
+        assert sol.trajectory.n_samples == 301
+        with pytest.raises(ValueError, match="more than 300"):
+            solve(sol.T / 400)
+
+
 def test_analytic_dt_is_a_cap_on_the_certified_step():
     # a step coarser than the default is capped to it: the certificate
     # passes and the trajectory is the default one bit for bit
@@ -319,6 +340,17 @@ def test_m1_enumeration_agrees_with_grid_oracle():
 def test_m1_unreachable_pair_raises():
     with pytest.raises(NoSolutionError):
         solve_m1_two_level(np.pi / 3, np.pi / 2, omega=1.0)
+
+
+def test_m1_enumeration_refuses_negative_or_too_many_branches(monkeypatch):
+    # 4 x 7 pairs hold the global minimum of the full enumeration
+    sol = solve_m1_two_level(DESIGNED_OB, DESIGNED_PHI, 10.0, k_max=3, l_max=3)[0]
+    assert sol.branch == (2, 0) and sol.T == DESIGNED_T and sol.report.passed
+    # the cap is made small so that no test starts the work it bounds
+    monkeypatch.setattr(solvers, "_MAX_SAMPLES", 500)
+    for k_max, l_max in ((-1, 20), (20, -1), (20, 20)):
+        with pytest.raises(ValueError, match="must be non-negative and give at most 500"):
+            solve_m1_two_level(DESIGNED_OB, DESIGNED_PHI, 10.0, k_max=k_max, l_max=l_max)
 
 
 def test_m1_unreachable_pair_confirmed_by_grid_oracle():
@@ -817,9 +849,42 @@ def test_bracketed_root_is_superlinear_on_a_smooth_crossing():
         solvers._bracketed_root(math.sin, 2.0, 3.0, math.sin(2.0), math.sin(3.0))
 
 
+def test_root_scan_takes_a_near_zero_sample_and_restarts_with_a_new_pass():
+    # on the free qubit from |0> with H = sigma_y, <1|psi(t)> = sin t exactly
+    problem = ControlProblem(basis=helpers.build_gellmann_basis(2), psi_i=helpers.KET0, omega=1.0)
+    m0 = MultiplierVector(1.0, [])
+    coarse = dynamics.exact_pass(problem, m0, SY, 2.0)
+    fine = dynamics.exact_pass(problem, m0, SY, 2.0, dt=2.0 / 600)
+    assert (coarse.n_steps, fine.n_steps) == (400, 600)
+    # a touch of zero from above is no sign change: only the sample within
+    # 1e-10 of zero is a candidate, taken as it is
+    t0 = float(coarse.times[137])
+    T = solvers._root_scan(
+        problem, [coarse], lambda F, H, psi: (psi[:, 1].real - math.sin(t0)) ** 2 + 1e-11,
+        lambda block, t: True,
+    )[0]
+    assert T == t0
+    # a block with start == 0 opens the pass anew (a restart at half the
+    # step): the root the abandoned pass brackets is found again on the new one
+    head = coarse._replace(**{name: getattr(coarse, name)[:101] for name in (
+        "times", "V", "lambda0", "lambdas", "tau_acc")})
+    accepted = []
+
+    def on_fine_pass(block, t):
+        accepted.append(block.n_steps)
+        return block.n_steps == 600
+
+    T, last, s = solvers._root_scan(
+        problem, [head, fine], lambda F, H, psi: psi[:, 1].real - math.sin(0.3123),
+        on_fine_pass,
+    )
+    assert T == pytest.approx(0.3123, abs=1e-14)
+    assert accepted == [400, 600] and last is fine and s.size == 601
+
+
 def test_shoot_resolves_its_bracket_in_a_handful_of_evaluations(caplog, monkeypatch):
     # every single-time evaluation of the pass is one `PassSamples.at`
-    # call; the endpoint search logs its count per resolved bracket
+    # call; the root scan logs its count per resolved bracket
     at_calls = []
     at = dynamics.PassSamples.at
 
@@ -833,7 +898,7 @@ def test_shoot_resolves_its_bracket_in_a_handful_of_evaluations(caplog, monkeypa
         sol = shoot(problem, h0, m0, t_max=3.0)
     assert sol.T == pytest.approx(0.90530825891501188, abs=1e-12)
     resolved = re.findall(
-        r"endpoint search: resolved \[(\S+), (\S+)\] in (\d+) evaluations", caplog.text
+        r"root scan: resolved \[(\S+), (\S+)\] in (\d+) evaluations", caplog.text
     )
     assert len(resolved) == 1
     lo, hi, evals = resolved[0]
@@ -857,26 +922,25 @@ def test_shoot_without_a_root_reports_the_closest_approach(seed, closest, t):
 
 
 def test_shoot_logs_rejected_candidates_and_scans_the_whole_window(caplog, monkeypatch):
-    # in the gauge lambda_0 = 1 the projection returns, Re<psi|HF|psi> is
-    # omega^2 on every seed, so a real part below the 1e-6 floor is
-    # simulated: scaled to 1e-7 at seed 7's roots, every candidate is rejected
+    # a root is accepted where |Im<psi|HF|psi>| <= 1e-10 omega^2; an offset
+    # of 1e-9 omega^2 in the acceptance's evaluation rejects every root of
+    # seed 7 while the scan still brackets and resolves each one
     endpoint_constraint = solvers.endpoint_constraint
 
-    def faint(psi, H, F):
+    def offset(psi, H, F):
         re, im = endpoint_constraint(psi, H, F)
-        return 1e-7 * re, im
+        return re, im + 1e-9 * problem.omega**2
 
-    monkeypatch.setattr(solvers, "endpoint_constraint", faint)
+    monkeypatch.setattr(solvers, "endpoint_constraint", offset)
     problem, h0, m0 = helpers.su4_shoot_seed(7)
     with caplog.at_level(logging.DEBUG, logger="qbrach"):
         with pytest.raises(NoSolutionError, match=r"sign change\(s\), each root rejected"):
             shoot(problem, h0, m0, t_max=3.0)
-    rejected = re.findall(
-        r"rejected endpoint candidate at t = (\S+): \|Re\| = (\S+) < floor", caplog.text
-    )
-    assert len(rejected) >= 2
-    assert float(rejected[0][0]) == pytest.approx(0.905, abs=0.005)
-    assert all(float(v) == pytest.approx(1e-7, rel=1e-3) for _, v in rejected)
+    rejected = re.findall(r"root scan: rejected candidate at t = (\S+)", caplog.text)
+    resolved = re.findall(r"root scan: resolved \[(\S+), (\S+)\]", caplog.text)
+    assert len(rejected) == len(resolved) >= 2
+    assert float(rejected[0]) == pytest.approx(0.905, abs=0.005)
+    assert all(float(lo) <= float(t) <= float(hi) for t, (lo, hi) in zip(rejected, resolved))
     assert "pass 1 stopped at step 3000 of 3000" in caplog.text
 
 
