@@ -168,13 +168,19 @@ def _parse_grid(spec: str) -> Tuple[np.ndarray, np.ndarray]:
     return tuple(np.linspace(*spec) for spec in specs)
 
 
+def _refuse_failed(*sols: ExtremalSolution) -> None:
+    """ArithmeticError (exit 3) when a solution's certificate fails."""
+    for sol in sols:
+        if sol.report is not None and not sol.report.passed:
+            failed = [k for k, ok in sol.report.verdict.items() if not ok and k != "overall"]
+            raise ArithmeticError(
+                f"the solution fails its certificate ({', '.join(failed)}); nothing written"
+            )
+
+
 def _solution_out(args, sol: ExtremalSolution) -> None:
     """Write a solution; one whose certificate fails is refused, nothing written."""
-    if sol.report is not None and not sol.report.passed:
-        failed = [k for k, ok in sol.report.verdict.items() if not ok and k != "overall"]
-        raise ArithmeticError(
-            f"the solution fails its certificate ({', '.join(failed)}); nothing written"
-        )
+    _refuse_failed(sol)
     _write_json(sol.to_dict(), args.output)
     if getattr(args, "csv", None):
         if sol.trajectory is None:
@@ -225,6 +231,7 @@ def _cmd_solve_m1(args) -> int:
     branches = solve_m1_two_level(
         omega_b, phi, omega, k_max=_count(params, "k_max", 20), l_max=_count(params, "l_max", 20)
     )
+    _refuse_failed(*branches)
     doc = {
         "kind": "m1_two_level",
         "T_min": branches[0].T,
@@ -360,7 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--dt", type=float, default=None,
             help="cap on the certified sample step, itself at most 1e-3/omega (1.5e-3/omega "
             "for solve-free); refused where it needs more than 200,000 samples; for shoot "
-            "also the integration step; solve-m1 takes none",
+            "also the integration step, which is otherwise resolved to the flow's rates; "
+            "solve-m1 takes none",
         )
 
     p = sub.add_parser("solve-free", help="unrestricted minimum-time evolution")

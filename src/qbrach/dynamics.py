@@ -25,12 +25,15 @@ on any grid, for the analytic solvers' trajectories and for
 `exact_pass`, the pass of it that `integrate` and both root-searching
 solvers take; `finalize_trajectory` turns any rows, of either flow, into
 a validated `Trajectory`.  The commutator tensor of the forbidden set is
-built only for that closure test.  Other forbidden sets are stepped with
-fixed-step RK4: one step function (`rk4_step`) on one right-hand side
-(`stepped_rhs`), whose state is (V, lambda_j).  `integrate_blocks`
-yields the samples at each re-unitarization checkpoint, so a caller such
-as `shoot` can stop a pass early, and `PassSamples.at` evaluates a pass
-at any batch of times, one RK4 step from the sample to the left of each.
+built only for that closure test.  Other forbidden sets are stepped at a
+fixed step by Butcher's sixth-order Runge-Kutta method: one step function
+(`rk6_step`) on one right-hand side (`stepped_rhs`), whose state is
+(V, lambda_j).  Without a given step the pass steps at 0.05/r, with r a
+bound on the flow's rates that holds along the whole pass (`_pass_rate`).
+`integrate_blocks` yields the samples at each re-unitarization
+checkpoint, so a caller such as `shoot` can stop a pass early, and
+`PassSamples.at` evaluates a pass at any batch of times, one `rk6_step`
+from the sample to the left of each.
 
 The multiplier equations
 
@@ -360,7 +363,7 @@ def constant_g_frames(G: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 # steps per block of the direct cross-check propagation, and rows per
-# batched RK4 step of `PassSamples.rows_at`; both bound the temporaries to a
+# batched step of `PassSamples.rows_at`; both bound the temporaries to a
 # few blocks of matrices whatever the window length
 _DIRECT_BLOCK = 512
 _AT_BLOCK = 1024
@@ -592,24 +595,44 @@ def stepped_rhs(
     return rhs
 
 
-def rk4_step(rhs, y: np.ndarray, h) -> np.ndarray:
-    """One classical RK4 step of dy/dt = rhs(y) of size h.
+def rk6_step(rhs, y: np.ndarray, h) -> np.ndarray:
+    """One step of Butcher's seven-stage sixth-order Runge-Kutta method
+    (J. Austral. Math. Soc. 4 (1964) 179) of dy/dt = rhs(y) of size h.
 
-    On a stack of states h may be a column of step sizes, one per row.
+    The tableau, each row with its common denominator: c = (0, 1/3, 2/3,
+    1/3, 1/2, 1/2, 1); a_2 = (1)/3, a_3 = (0, 2)/3, a_4 = (1, 4, -1)/12,
+    a_5 = (-1, 18, -3, -6)/16, a_6 = (0, 9, -3, -6, 4)/8, a_7 = (9, -36,
+    63, 72, 0, -64)/44; b = (11, 0, 81, 81, -32, -32, 11)/120.  On a
+    stack of states h may be a column of step sizes, one per row.
     """
-    half = 0.5 * h
     k1 = rhs(y)
-    k2 = rhs(y + half * k1)
-    k3 = rhs(y + half * k2)
-    k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    k2 = rhs(y + (h / 3.0) * k1)
+    k3 = rhs(y + (h / 1.5) * k2)
+    k4 = rhs(y + (h / 12.0) * (k1 + 4.0 * k2 - k3))
+    k5 = rhs(y + (h / 16.0) * (18.0 * k2 - k1 - 3.0 * k3 - 6.0 * k4))
+    k6 = rhs(y + (h / 8.0) * (9.0 * k2 - 3.0 * k3 - 6.0 * k4 + 4.0 * k5))
+    k7 = rhs(y + (h / 44.0) * (9.0 * k1 - 36.0 * k2 + 63.0 * k3 + 72.0 * k4 - 64.0 * k6))
+    return y + (h / 120.0) * (11.0 * (k1 + k7) + 81.0 * (k3 + k4) - 32.0 * (k5 + k6))
 
 
-# steps between the re-unitarization checkpoints of the stepped path
-_CHECK_EVERY = 100
+# a stepped pass's own step is this fraction of 1/r, with r the rate bound
+# of `_pass_rate`; its re-unitarization checkpoints are this far apart in
+# units of 1/omega (100 steps at a step of 1e-3/omega)
+_STEP_PER_RATE = 0.05
+_CHECK_SPAN = 0.1
 
 # the most steps of one integration pass, a halving restart included
 _MAX_SAMPLES = 200_000
+
+
+def _pass_rate(G: np.ndarray, F0: np.ndarray, lambda0: float) -> float:
+    """r = 2 (||G(0)||_F + rho(F(0))/|lambda_0|), a bound on the stepped flow's rates.
+
+    It holds along the whole pass: Tr[G^2] is conserved (eta is
+    antisymmetric) and F(t) is isospectral to F(0).
+    """
+    f_rad = float(np.abs(np.linalg.eigvalsh(F0)).max())
+    return 2.0 * (float(np.linalg.norm(G)) + f_rad / abs(lambda0))
 
 
 class PassSamples(NamedTuple):
@@ -638,9 +661,10 @@ class PassSamples(NamedTuple):
         """(V, lambda_0, lambda_j, tau) at each of `times` in the window.
 
         A constant-multiplier pass takes its exact flow.  A stepped pass
-        takes, for each time t, one RK4 step of size t - t_k from the
+        takes, for each time t, one `rk6_step` of size t - t_k from the
         sample t_k just left of t (of size 0 on a sample): a dense output
-        of the pass, evaluated for a block of times in one batch.
+        of the pass's own order, evaluated for a block of times in one
+        batch.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
         lam0 = self.lambda0[0]
@@ -656,7 +680,7 @@ class PassSamples(NamedTuple):
             r = slice(a, a + _AT_BLOCK)
             left = k[r]
             y = np.concatenate((self.V[left].reshape(-1, n2), self.lambdas[left]), axis=1)
-            y = rk4_step(self.rhs, y, (times[r] - self.times[left])[:, None])
+            y = rk6_step(self.rhs, y, (times[r] - self.times[left])[:, None])
             V[r] = y[:, :n2].reshape(-1, N, N)
             lams[r] = y[:, n2:].real
         lam0s = np.full(times.size, lam0)
@@ -724,20 +748,24 @@ def integrate_blocks(
     t_max: float,
     dt: Optional[float] = None,
 ) -> Iterator[PassSamples]:
-    """The samples of `integrate`, yielded as they grow.
+    """The samples of one integration pass of [0, t_max], yielded as they grow.
 
-    A stepped pass yields at every re-unitarization checkpoint (every
-    `_CHECK_EVERY` steps) once the frame-drift check there has passed, and
-    once more when it is complete, so every yielded row but those of the
-    final partial segment has passed a drift check, as in `integrate`.  A
-    pass that restarts at half the step is abandoned, and the next yield
-    opens the new pass with `start == 0`.  The exact path (a closed
-    forbidden set) yields its complete window at once (`exact_pass`).  A
-    caller may stop iterating at any block.  No cross-check is carried: it
-    is built after the pass, on the grid a trajectory is sampled on
-    (`PassSamples.direct`).
+    A stepped pass (a forbidden set that is not closed) takes `rk6_step`
+    on `stepped_rhs` at a uniform step: `dt`, or without one
+    min(t_max, 0.05/r) with r the pass's rate bound (`_pass_rate`).  It
+    yields at every re-unitarization checkpoint (every max(1,
+    round(0.1/(omega step))) steps, 100 at a step of 1e-3/omega) once the
+    frame-drift check there has passed, and once more when it is
+    complete, so every yielded row but those of the final partial segment
+    has passed a drift check, as in `integrate`.  A pass that restarts at
+    half the step is abandoned, and the next yield opens the new pass with
+    `start == 0`.  The exact path (a closed forbidden set) yields its
+    complete window at once (`exact_pass`, no coarser than `dt`, or
+    1e-3/omega without one).  A caller may stop iterating at any block.
+    No cross-check is carried: it is built after the pass, on the grid a
+    trajectory is sampled on (`PassSamples.direct`).
 
-    A pass takes at most `_MAX_SAMPLES` steps: a finer `dt` is a
+    A pass takes at most `_MAX_SAMPLES` steps: a finer step is a
     ValueError, and a halving restart that would need more an
     ArithmeticError.
     """
@@ -748,31 +776,33 @@ def integrate_blocks(
         raise SingularGaugeError("lambda_0(0) = 0 is a singular gauge")
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    w = problem.omega
-    if dt is None:
-        dt = 1e-3 / w
-    if not 0 < dt <= t_max:
+    if dt is not None and not 0 < dt <= t_max:
         raise ValueError(f"dt must lie in (0, t_max], got {dt}")
+    w = problem.omega
+    Xf = problem.forbidden_generators()
+    closed = closure_residual(Xf, commutator_tensor(problem.basis, problem.forbidden)) <= CLOSURE_TOL
+    G = g_operator(m0, problem.basis, problem.forbidden)
+    F0 = lam0 * (H0 + G)
+    if dt is None:
+        dt = 1e-3 / w if closed else min(t_max, _STEP_PER_RATE / _pass_rate(G, F0, lam0))
     n_steps = max(1, math.ceil(t_max / dt - 1e-12))
     if n_steps > _MAX_SAMPLES:
         raise ValueError(
             f"dt = {dt:g} needs {n_steps} steps over t_max = {t_max:g}, more than "
             f"{_MAX_SAMPLES}; use a coarser step"
         )
-
-    Xf = problem.forbidden_generators()
-    if closure_residual(Xf, commutator_tensor(problem.basis, problem.forbidden)) <= CLOSURE_TOL:
+    if closed:
         yield exact_pass(problem, m0, H0, t_max, dt)
         return
 
     M = problem.n_forbidden
-    F0 = lam0 * (H0 + g_operator(m0, problem.basis, problem.forbidden))
     N = problem.dim
     n2 = N * N
     rhs = stepped_rhs(F0, Xf, lam0, w)
     y0 = np.concatenate((np.eye(N, dtype=complex).ravel(), m0.lambdas))
     while True:
         step = t_max / n_steps
+        every = max(1, round(_CHECK_SPAN / (w * step)))
         times = np.arange(n_steps + 1) * step
         times[-1] = t_max
         ys = np.empty((n_steps + 1, n2 + M), dtype=complex)
@@ -788,8 +818,8 @@ def integrate_blocks(
         y = ys[0] = y0
         start = 0
         for i in range(1, n_steps + 1):
-            y = rk4_step(rhs, y, step)
-            if i % _CHECK_EVERY == 0:
+            y = rk6_step(rhs, y, step)
+            if i % every == 0:
                 V = y[0:n2].reshape(N, N)
                 drift = float(np.linalg.norm(V.conj().T @ V - np.eye(N)))
                 if not drift <= _UNITARITY_TOL:
@@ -797,7 +827,7 @@ def integrate_blocks(
                 uu, _, vt = np.linalg.svd(V)
                 y[0:n2] = (uu @ vt).ravel()
             ys[i] = y
-            if i % _CHECK_EVERY == 0 and i < n_steps:
+            if i % every == 0 and i < n_steps:
                 yield rows(i + 1, start)
                 start = i + 1
         else:
@@ -823,9 +853,9 @@ def integrate(
 ) -> Trajectory:
     """Sample the coupled frame/multiplier system on a uniform grid.
 
-    The grid has n = ceil(t_max/dt) steps and ends exactly at t_max.  F(0)
-    is fixed once from the seed, F(0) = lambda_0(0) (H0 + G(0)), and only
-    conjugated afterwards.
+    The grid has n = ceil(t_max/dt) steps, with dt = 1e-3/omega when None,
+    and ends exactly at t_max.  F(0) is fixed once from the seed, F(0) =
+    lambda_0(0) (H0 + G(0)), and only conjugated afterwards.
 
     Exact path (eta = 0: a forbidden set closed under i[.,.], decided
     from the commutator tensor): the multipliers and G are constant,
@@ -833,13 +863,14 @@ def integrate(
     tau = t/lambda_0.  Its grid (`exact_pass`) has more steps than
     ceil(t_max/dt) where the flow's rates need them.
 
-    Stepped path (a forbidden set that is not closed): fixed-step RK4
-    (`rk4_step` on `stepped_rhs`) on the vector concatenating V and the
-    lambda_j; lambda_0 is constant and tau = t/lambda_0.  V is
-    re-unitarized every 100 steps by polar projection; if its unitarity has
-    drifted beyond the validation's 1e-8 at such a checkpoint the whole
-    integration restarts at half the step (never past `_MAX_SAMPLES`
-    steps), preserving a uniform grid.
+    Stepped path (a forbidden set that is not closed): fixed-step
+    sixth-order Runge-Kutta (`rk6_step` on `stepped_rhs`) on the vector
+    concatenating V and the lambda_j; lambda_0 is constant and tau =
+    t/lambda_0.  V is re-unitarized by polar projection at checkpoints
+    0.1/omega apart (every 100 steps at dt = 1e-3/omega); if its unitarity
+    has drifted beyond the validation's 1e-8 at such a checkpoint the
+    whole integration restarts at half the step (never past
+    `_MAX_SAMPLES` steps), preserving a uniform grid.
     `integrate_blocks` yields the same samples checkpoint by checkpoint.
 
     On either path the cross-check U_d (i dU_d/dt = H U_d) is propagated
@@ -847,6 +878,8 @@ def integrate(
     the half steps (`PassSamples.direct`); `u_mismatch` is its largest gap
     to U.
     """
+    if dt is None:
+        dt = 1e-3 / problem.omega
     for samples in integrate_blocks(problem, m0, H0, t_max, dt):
         pass
     return samples.trajectory(problem)

@@ -866,6 +866,11 @@ def _root_scan(
     return T, smp, s
 
 
+# samples of the fine grid over [t_k-1, t_k+1] that resolves the sampled
+# closest approach of s to zero at t_k
+_CLOSEST_GRID = 257
+
+
 def _extremal(
     problem: ControlProblem, kind: SolutionKind, H0: np.ndarray, m0: MultiplierVector,
     blocks: Iterable[PassSamples], dt: Optional[float], psi_f: Optional[PureState] = None,
@@ -876,7 +881,8 @@ def _extremal(
     T is the first root of s = Im<psi|HF|psi>/omega^2 that `_root_scan`
     finds with |Im| <= 1e-10 omega^2; NoSolutionError when s is not
     negligible but no root is accepted, naming the closest approach of s
-    to zero (the smallest interior local minimum of |s| on the samples).
+    to zero (the smallest interior local minimum of |s| on the samples,
+    resolved on a fine grid of the pass over its two neighbouring steps).
     Only where s vanishes identically (every stopping time is extremal)
     the scan runs once more, on the complete pass: given `psi_f`, T is the
     first root of minus the fidelity rate 2 Im(conj(a) <psi_f|H|psi>),
@@ -893,17 +899,22 @@ def _extremal(
         _, F, H, psi = smp.at(problem, t)
         return complex(*endpoint_constraint(psi[0], H[0], F[0]))
 
+    def im_part(F: np.ndarray, H: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        return np.einsum("ka,kab,kbc,kc->k", psi.conj(), H, F, psi).imag / w2
+
     T, smp, s = _root_scan(
-        problem, blocks,
-        lambda F, H, psi: np.einsum("ka,kab,kbc,kc->k", psi.conj(), H, F, psi).imag / w2,
-        lambda block, t: abs(endpoint(block, t).imag) <= 1e-10 * w2,
+        problem, blocks, im_part, lambda block, t: abs(endpoint(block, t).imag) <= 1e-10 * w2
     )
     if T is None and not float(np.abs(s).max()) < 1e-12:
         mag = np.abs(s)
         dips = 1 + np.nonzero((mag[1:-1] <= mag[:-2]) & (mag[1:-1] <= mag[2:]))[0]
         if dips.size:
             k = int(dips[np.argmin(mag[dips])])
-            closest = f"closest approach |s| = {mag[k]:.2e} omega^2 at t = {smp.times[k]:.4g}"
+            # the sampled minimum, resolved on a fine grid of the pass around it
+            fine = np.linspace(smp.times[k - 1], smp.times[k + 1], _CLOSEST_GRID)
+            near = np.abs(im_part(*smp.at(problem, fine)[1:]))
+            j = int(np.argmin(near))
+            closest = f"closest approach |s| = {near[j]:.2e} omega^2 at t = {fine[j]:.4g}"
         else:
             closest = "|s| has no interior local minimum"
         changes = int(np.count_nonzero(s[:-1] * s[1:] < 0))
@@ -948,20 +959,22 @@ def shoot(
     """Forward-shoot the coupled system until the endpoint condition holds.
 
     The seed is projected and rescaled (`_project_seed`), and its one
-    integration pass (`integrate_blocks`, step `dt`) goes to the core it
-    shares with `solve_closed_subalgebra` (`_extremal`).  The pass stops
-    at the first accepted root of Im<psi|HF|psi> (`_root_scan`): a
-    stepped pass is scanned at each re-unitarization checkpoint (every 100
-    steps) once its drift check has passed, and runs no further than the
-    first checkpoint past the sample T needs; a closed forbidden set
-    yields its exact flow at once, on a grid fine enough for the flow's
-    rates whatever `dt` (`exact_pass`).  That one pass is the whole
+    integration pass (`integrate_blocks`) goes to the core it shares with
+    `solve_closed_subalgebra` (`_extremal`).  A stepped pass takes
+    sixth-order Runge-Kutta steps of `dt`, or without one of 0.05/r with
+    r the flow's rate bound (`dynamics._pass_rate`).  The pass stops at
+    the first accepted root of Im<psi|HF|psi> (`_root_scan`): a stepped
+    pass is scanned at each re-unitarization checkpoint (0.1/omega apart)
+    once its drift check has passed, and runs no further than the first
+    checkpoint past the sample T needs; a closed forbidden set yields its
+    exact flow at once, on a grid fine enough for the flow's rates
+    whatever `dt` (`exact_pass`).  That one pass is the whole
     integration: the certified trajectory is the pass evaluated on a
-    uniform grid of [0, T] (`PassSamples.rows_at`, one batched RK4 step
-    from the sample left of each grid time), with the U_d cross-check
-    built on that grid.  T is the one a scan of the whole window would
-    find; but a frame drift beyond the checkpoint where the pass stops no
-    longer triggers a restart at half the step.
+    uniform grid of [0, T] (`PassSamples.rows_at`, one batched
+    Runge-Kutta step from the sample left of each grid time), with the
+    U_d cross-check built on that grid.  T is the one a scan of the whole
+    window would find; but a frame drift beyond the checkpoint where the
+    pass stops no longer triggers a restart at half the step.
 
     Seeds for which s vanishes identically (e.g. no forbidden directions)
     admit every stopping time; then `target_bures_angle` selects T as the

@@ -592,6 +592,20 @@ def test_failing_certificate_is_refused(closed_file, tmp_path, monkeypatch, caps
     assert not out.exists()
 
 
+def test_solve_m1_refuses_a_branch_whose_certificate_fails(tmp_path, monkeypatch, capsys):
+    # with _MAX_SAMPLES made small, each branch's certified grid is lifted
+    # to 1,000 steps, too coarse for its conservation residuals: solve-m1
+    # keeps the rule of every solver, exit 3 with the failed verdicts named
+    # and nothing written
+    monkeypatch.setattr(solvers, "_MAX_SAMPLES", 1000)
+    out = tmp_path / "m1.json"
+    argv = ["solve-m1", "--omega-b", repr(DESIGNED_OB), "--phi", repr(DESIGNED_PHI)]
+    assert main(argv + ["--omega", "10", "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "fails its certificate (" in err and "chko" in err
+    assert not out.exists()
+
+
 def test_missing_subcommand_exits():
     with pytest.raises(SystemExit):
         main([])

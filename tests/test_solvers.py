@@ -731,18 +731,39 @@ def test_shoot_pass1_stops_just_past_the_first_root(caplog):
     problem, h0, m0 = helpers.su4_shoot_seed(7)
     with caplog.at_level(logging.DEBUG, logger="qbrach"):
         sol = shoot(problem, h0, m0, t_max=3.0)
-    # the T of a scan of the whole 3000-step window
+    # the T of a scan of the whole window
     assert sol.T == pytest.approx(0.90530825891501188, abs=1e-12)
     found = re.search(
         r"pass 1 stopped at step (\d+) of (\d+) .*; (\d+) steps integrated", caplog.text
     )
     stop, n_steps, stepped = (int(g) for g in found.groups())
     step = 3.0 / n_steps
-    assert n_steps == 3000
+    # the window takes the rate rule's 229 steps, no longer than 0.05/r
+    G = dynamics.g_operator(sol.multipliers0, problem.basis, problem.forbidden)
+    F0 = sol.multipliers0.lambda0 * (sol.H0 + G)
+    assert n_steps == 229
+    assert step <= 0.05 / dynamics._pass_rate(G, F0, sol.multipliers0.lambda0) < 3.0 / 228
     assert sol.T <= stop * step <= sol.T + 2 * step
-    # the pass runs on to the first re-unitarization checkpoint (every
-    # 100 steps) at or after that sample, and no further
-    assert stepped == 100 * math.ceil(stop / 100)
+    # the pass runs on to the first re-unitarization checkpoint (0.1/omega
+    # apart, every 8 steps here) at or after that sample, and no further
+    every = round(0.1 / step)
+    assert every == 8
+    assert stepped == every * math.ceil(stop / every)
+
+
+@pytest.mark.parametrize("seed", [7, 50])
+def test_shoot_default_pass_steps_at_the_flow_rate(seed):
+    # without a dt the stepped pass takes a step resolved to the flow's
+    # rate bound, far fewer than the 3,000 of a step of 1e-3/omega, and
+    # lands on the T of that finer pass
+    problem, h0, m0 = helpers.su4_shoot_seed(seed)
+    H0, m = solvers._project_seed(problem, h0, m0)
+    n_steps = list(dynamics.integrate_blocks(problem, m, H0, t_max=3.0))[-1].n_steps
+    assert n_steps < 3000
+    fine = shoot(problem, h0, m0, t_max=3.0, dt=1e-3)
+    sol = shoot(problem, h0, m0, t_max=3.0)
+    assert sol.T == pytest.approx(fine.T, rel=1e-12)
+    assert sol.report.passed
 
 
 def test_shoot_pass1_carries_no_cross_check_channel(monkeypatch):
@@ -772,7 +793,7 @@ def test_shoot_pass1_carries_no_cross_check_channel(monkeypatch):
     monkeypatch.setattr(dynamics, "integrate", forbidden)
     monkeypatch.setattr(solvers, "integrate", forbidden, raising=False)
     monkeypatch.setattr(solvers, "integrate_blocks", recorded)
-    for seed, n_blocks in ((90, 1), (7, 10)):
+    for seed, n_blocks in ((90, 1), (7, 9)):
         grids.clear()
         blocks.clear()
         problem, h0, m0 = helpers.su4_shoot_seed(seed)
@@ -802,8 +823,9 @@ def test_shoot_trajectory_matches_integrate_on_its_grid(seed):
 
 
 def test_shoot_t_is_step_converged():
-    # an accuracy pin on the stepper: quartering the step moves T of a
-    # non-closed seed by no more than 1e-10 relative
+    # an accuracy pin on the stepper: a step of 2.5e-4, about 50 times finer
+    # than the default rate-resolved one, moves T of a non-closed seed by no
+    # more than 1e-10 relative
     problem, h0, m0 = helpers.su4_shoot_seed(7)
     coarse = shoot(problem, h0, m0, t_max=3.0)
     fine = shoot(problem, h0, m0, t_max=3.0, dt=0.25e-3)
@@ -941,7 +963,8 @@ def test_shoot_logs_rejected_candidates_and_scans_the_whole_window(caplog, monke
     assert len(rejected) == len(resolved) >= 2
     assert float(rejected[0]) == pytest.approx(0.905, abs=0.005)
     assert all(float(lo) <= float(t) <= float(hi) for t, (lo, hi) in zip(rejected, resolved))
-    assert "pass 1 stopped at step 3000 of 3000" in caplog.text
+    stop, n_steps = re.search(r"pass 1 stopped at step (\d+) of (\d+) ", caplog.text).groups()
+    assert stop == n_steps
 
 
 def test_shoot_projects_structure_violating_seed(caplog):
