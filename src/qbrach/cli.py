@@ -271,15 +271,19 @@ def _cmd_shoot(args) -> int:
 
 
 def _verify_one(traj_dict: dict, embedded: Optional[dict], args) -> bool:
-    traj = Trajectory.from_dict(traj_dict)
+    try:
+        traj = Trajectory.from_dict(traj_dict)
+        stored = None if embedded is None else embedded.items()
+    except _MALFORMED + (AttributeError,) as exc:
+        raise ValueError(f"malformed trajectory or report: {exc}") from exc
     tols = Tolerances.analytic() if args.tol == "analytic" else Tolerances.integrated()
     report = certify(traj, tols, gate=args.gate)
     sys.stdout.write(report.render_table() + "\n")
     ok = report.passed
-    if embedded is not None:
+    if stored is not None:
         worst = 0.0
         fresh = report.as_dict()
-        for key, old in embedded.items():
+        for key, old in stored:
             if key in ("verdict",) or key not in fresh:
                 continue
             new = fresh[key]
@@ -301,24 +305,34 @@ def _verify_one(traj_dict: dict, embedded: Optional[dict], args) -> bool:
 def _cmd_verify(args) -> int:
     with open(args.path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    try:
+        if "branches" in data:
+            found = [
+                (f"-- branch {k} --\n", sol.get("trajectory"), sol.get("report"))
+                for k, sol in enumerate(data["branches"])
+            ]
+        elif "trajectory" in data:
+            found = [("", data["trajectory"], data.get("report"))]
+        elif "times" in data:
+            found = [("", data, None)]
+        else:
+            raise ValueError(
+                "unrecognized file: expected a solution (with 'trajectory'), a "
+                "branch list, or a bare trajectory (with 'times')"
+            )
+    except _MALFORMED + (AttributeError,) as exc:
+        raise ValueError(f"malformed solution file: {exc}") from exc
+    if not found:
+        raise ValueError("malformed solution file: the branch list is empty")
     ok = True
-    if "branches" in data:
-        for k, sol in enumerate(data["branches"]):
-            sys.stdout.write(f"-- branch {k} --\n")
-            if sol.get("trajectory") is None:
-                raise ValueError(f"branch {k} carries no trajectory")
-            ok = _verify_one(sol["trajectory"], sol.get("report"), args) and ok
-    elif "trajectory" in data:
-        if data["trajectory"] is None:
-            raise ValueError("the solution carries no trajectory (degenerate T = 0)")
-        ok = _verify_one(data["trajectory"], data.get("report"), args)
-    elif "times" in data:
-        ok = _verify_one(data, None, args)
-    else:
-        raise ValueError(
-            "unrecognized file: expected a solution (with 'trajectory'), a "
-            "branch list, or a bare trajectory (with 'times')"
-        )
+    for k, (heading, traj, report) in enumerate(found):
+        sys.stdout.write(heading)
+        if traj is None:
+            raise ValueError(
+                f"branch {k} carries no trajectory" if heading
+                else "the solution carries no trajectory (degenerate T = 0)"
+            )
+        ok = _verify_one(traj, report, args) and ok
     return 0 if ok else 1
 
 
@@ -365,10 +379,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--csv", default=None, help="also write a plot-ready CSV table")
         p.add_argument(
             "--dt", type=float, default=None,
-            help="cap on the certified sample step, itself at most 1e-3/omega (1.5e-3/omega "
-            "for solve-free); refused where it needs more than 200,000 samples; for shoot "
-            "also the integration step, which is otherwise resolved to the flow's rates; "
-            "solve-m1 takes none",
+            help="cap on every step: the certified sample step, itself at most 1e-3/omega "
+            "(1.5e-3/omega for solve-free), and for shoot the integration step, itself "
+            "resolved to the flow's rates; refused where it needs more than 200,000 "
+            "samples; solve-m1 takes none",
         )
 
     p = sub.add_parser("solve-free", help="unrestricted minimum-time evolution")

@@ -28,12 +28,14 @@ a validated `Trajectory`.  The commutator tensor of the forbidden set is
 built only for that closure test.  Other forbidden sets are stepped at a
 fixed step by Butcher's sixth-order Runge-Kutta method: one step function
 (`rk6_step`) on one right-hand side (`stepped_rhs`), whose state is
-(V, lambda_j).  Without a given step the pass steps at 0.05/r, with r a
-bound on the flow's rates that holds along the whole pass (`_pass_rate`).
-`integrate_blocks` yields the samples at each re-unitarization
-checkpoint, so a caller such as `shoot` can stop a pass early, and
-`PassSamples.at` evaluates a pass at any batch of times, one `rk6_step`
-from the sample to the left of each.
+(V, lambda_j).  The pass steps at 0.05/r, with r a bound on the flow's
+rates that holds along the whole pass (`_pass_rate`), or at a given step
+where that is finer.  Sixth order holds the frame unitary to rounding at
+that step, so the frame is never projected; `integrate_blocks` checks its
+drift at each checkpoint and yields the samples there, so a caller such
+as `shoot` can stop a pass early, and `PassSamples.at` evaluates a pass
+at any batch of times, one `rk6_step` from the sample to the left of
+each.
 
 The multiplier equations
 
@@ -169,7 +171,7 @@ def _from_pairs(data) -> np.ndarray:
 
 
 # the largest unitarity drift |U^dag U - 1| (Frobenius) a trajectory may
-# have; a stepped pass holds its frame V to the same bound at every
+# have; a stepped pass checks its frame V against the same bound at every
 # checkpoint, so the samples it yields pass the validation
 _UNITARITY_TOL = 1e-8
 
@@ -616,12 +618,12 @@ def rk6_step(rhs, y: np.ndarray, h) -> np.ndarray:
 
 
 # a stepped pass's own step is this fraction of 1/r, with r the rate bound
-# of `_pass_rate`; its re-unitarization checkpoints are this far apart in
-# units of 1/omega (100 steps at a step of 1e-3/omega)
+# of `_pass_rate`; its drift checkpoints are this far apart in units of
+# 1/omega (100 steps at a step of 1e-3/omega)
 _STEP_PER_RATE = 0.05
 _CHECK_SPAN = 0.1
 
-# the most steps of one integration pass, a halving restart included
+# the most steps of one integration pass
 _MAX_SAMPLES = 200_000
 
 
@@ -639,9 +641,8 @@ class PassSamples(NamedTuple):
     """Rows [0, m) of one integration pass on its uniform grid.
 
     `n_steps` counts the steps of the whole window [0, t_max], so the pass
-    is complete when there are n_steps + 1 rows.  `start` is the first row
-    that is new since the previous block of the same pass; 0 opens a pass
-    (the first one, or a restart at half the step).  `F0` is F(0).  `rhs`
+    is complete when there are n_steps + 1 rows; each block of a pass
+    extends the one before it.  `F0` is F(0).  `rhs`
     is a stepped pass's `stepped_rhs`, None on the exact flow.  A pass is
     defined at any time of its window (`rows_at`, `at`), and so is the
     cross-check U_d on any grid of it (`direct`).
@@ -654,7 +655,6 @@ class PassSamples(NamedTuple):
     tau_acc: np.ndarray
     F0: np.ndarray
     n_steps: int
-    start: int
     rhs: Optional[Callable[[np.ndarray], np.ndarray]]
 
     def rows_at(self, problem: ControlProblem, times) -> Tuple[np.ndarray, ...]:
@@ -738,7 +738,7 @@ def exact_pass(
     if dt is not None:
         n = max(n, math.ceil(t_max / dt - 1e-12))
     times = np.linspace(0.0, t_max, n + 1)
-    return PassSamples(times, *_constant_rows(problem, m0, times), F0, n, 0, None)
+    return PassSamples(times, *_constant_rows(problem, m0, times), F0, n, None)
 
 
 def integrate_blocks(
@@ -751,23 +751,21 @@ def integrate_blocks(
     """The samples of one integration pass of [0, t_max], yielded as they grow.
 
     A stepped pass (a forbidden set that is not closed) takes `rk6_step`
-    on `stepped_rhs` at a uniform step: `dt`, or without one
-    min(t_max, 0.05/r) with r the pass's rate bound (`_pass_rate`).  It
-    yields at every re-unitarization checkpoint (every max(1,
-    round(0.1/(omega step))) steps, 100 at a step of 1e-3/omega) once the
-    frame-drift check there has passed, and once more when it is
-    complete, so every yielded row but those of the final partial segment
-    has passed a drift check, as in `integrate`.  A pass that restarts at
-    half the step is abandoned, and the next yield opens the new pass with
-    `start == 0`.  The exact path (a closed forbidden set) yields its
-    complete window at once (`exact_pass`, no coarser than `dt`, or
-    1e-3/omega without one).  A caller may stop iterating at any block.
-    No cross-check is carried: it is built after the pass, on the grid a
-    trajectory is sampled on (`PassSamples.direct`).
+    on `stepped_rhs` at a uniform step of min(t_max, 0.05/r, `dt`), with r
+    the pass's rate bound (`_pass_rate`).  It checks the frame's drift
+    |V^dag V - 1| at every checkpoint (every max(1, round(0.1/(omega
+    step))) steps, 100 at a step of 1e-3/omega) and at its last step, and
+    yields there, so every yielded row has passed a drift check.  A
+    drift beyond `_UNITARITY_TOL` is an ArithmeticError naming the drift
+    and the step: the pass never projects its frame and never restarts.
+    The exact path (a closed forbidden set) yields its complete window at
+    once (`exact_pass`, no coarser than `dt`).  A caller may stop
+    iterating at any block.  No cross-check is carried: it is built after
+    the pass, on the grid a trajectory is sampled on
+    (`PassSamples.direct`).
 
-    A pass takes at most `_MAX_SAMPLES` steps: a finer step is a
-    ValueError, and a halving restart that would need more an
-    ArithmeticError.
+    A pass takes at most `_MAX_SAMPLES` steps: a `dt` that needs more is a
+    ValueError, and so is a window whose own step needs more.
     """
     H0 = np.asarray(H0, dtype=complex)
     _validate_h0(problem, H0)
@@ -776,72 +774,58 @@ def integrate_blocks(
         raise SingularGaugeError("lambda_0(0) = 0 is a singular gauge")
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    if dt is not None and not 0 < dt <= t_max:
-        raise ValueError(f"dt must lie in (0, t_max], got {dt}")
+    if dt is not None:
+        if not 0 < dt <= t_max:
+            raise ValueError(f"dt must lie in (0, t_max], got {dt}")
+        n = math.ceil(t_max / dt - 1e-12)
+        if n > _MAX_SAMPLES:
+            raise ValueError(
+                f"dt = {dt:g} needs {n} steps over t_max = {t_max:g}, more than "
+                f"{_MAX_SAMPLES}; use a coarser step"
+            )
     w = problem.omega
     Xf = problem.forbidden_generators()
-    closed = closure_residual(Xf, commutator_tensor(problem.basis, problem.forbidden)) <= CLOSURE_TOL
-    G = g_operator(m0, problem.basis, problem.forbidden)
-    F0 = lam0 * (H0 + G)
-    if dt is None:
-        dt = 1e-3 / w if closed else min(t_max, _STEP_PER_RATE / _pass_rate(G, F0, lam0))
-    n_steps = max(1, math.ceil(t_max / dt - 1e-12))
-    if n_steps > _MAX_SAMPLES:
-        raise ValueError(
-            f"dt = {dt:g} needs {n_steps} steps over t_max = {t_max:g}, more than "
-            f"{_MAX_SAMPLES}; use a coarser step"
-        )
-    if closed:
+    if closure_residual(Xf, commutator_tensor(problem.basis, problem.forbidden)) <= CLOSURE_TOL:
         yield exact_pass(problem, m0, H0, t_max, dt)
         return
+    G = g_operator(m0, problem.basis, problem.forbidden)
+    F0 = lam0 * (H0 + G)
+    step = min(t_max, _STEP_PER_RATE / _pass_rate(G, F0, lam0), math.inf if dt is None else dt)
+    n_steps = max(1, math.ceil(t_max / step - 1e-12))
+    if n_steps > _MAX_SAMPLES:
+        raise ValueError(
+            f"the window t_max = {t_max:g} needs {n_steps} steps at this seed's rates, "
+            f"more than {_MAX_SAMPLES}; shorten t_max"
+        )
 
     M = problem.n_forbidden
     N = problem.dim
     n2 = N * N
     rhs = stepped_rhs(F0, Xf, lam0, w)
-    y0 = np.concatenate((np.eye(N, dtype=complex).ravel(), m0.lambdas))
-    while True:
-        step = t_max / n_steps
-        every = max(1, round(_CHECK_SPAN / (w * step)))
-        times = np.arange(n_steps + 1) * step
-        times[-1] = t_max
-        ys = np.empty((n_steps + 1, n2 + M), dtype=complex)
-        lam0s = np.full(n_steps + 1, lam0)
-        taus = times / lam0
-
-        def rows(m: int, start: int) -> PassSamples:
-            return PassSamples(
-                times[:m], ys[:m, :n2].reshape(m, N, N), lam0s[:m], ys[:m, n2:].real,
-                taus[:m], F0, n_steps, start, rhs,
-            )
-
-        y = ys[0] = y0
-        start = 0
-        for i in range(1, n_steps + 1):
-            y = rk6_step(rhs, y, step)
-            if i % every == 0:
-                V = y[0:n2].reshape(N, N)
-                drift = float(np.linalg.norm(V.conj().T @ V - np.eye(N)))
-                if not drift <= _UNITARITY_TOL:
-                    break
-                uu, _, vt = np.linalg.svd(V)
-                y[0:n2] = (uu @ vt).ravel()
-            ys[i] = y
-            if i % every == 0 and i < n_steps:
-                yield rows(i + 1, start)
-                start = i + 1
-        else:
-            yield rows(n_steps + 1, start)
-            return
-        # the frame drifted: the whole pass restarts at half the step
-        dt /= 2.0
-        n_steps = max(1, math.ceil(t_max / dt - 1e-12))
-        if n_steps > _MAX_SAMPLES:
+    step = t_max / n_steps
+    every = max(1, round(_CHECK_SPAN / (w * step)))
+    times = np.arange(n_steps + 1) * step
+    times[-1] = t_max
+    ys = np.empty((n_steps + 1, n2 + M), dtype=complex)
+    lam0s = np.full(n_steps + 1, lam0)
+    taus = times / lam0
+    y = ys[0] = np.concatenate((np.eye(N, dtype=complex).ravel(), m0.lambdas))
+    for i in range(1, n_steps + 1):
+        y = ys[i] = rk6_step(rhs, y, step)
+        if i % every and i < n_steps:
+            continue
+        V = y[:n2].reshape(N, N)
+        drift = float(np.linalg.norm(V.conj().T @ V - np.eye(N)))
+        if not drift <= _UNITARITY_TOL:
             raise ArithmeticError(
-                f"frame unitarity drifted beyond {_UNITARITY_TOL:g} at step size "
-                f"{step:.3e}, and halving it needs {n_steps} steps, more than "
-                f"{_MAX_SAMPLES}"
+                f"frame unitarity drifted by {drift:.3e}, beyond {_UNITARITY_TOL:g}, "
+                f"by step {i} at step size {step:.3e}"
             )
+        m = i + 1
+        yield PassSamples(
+            times[:m], ys[:m, :n2].reshape(m, N, N), lam0s[:m], ys[:m, n2:].real,
+            taus[:m], F0, n_steps, rhs,
+        )
 
 
 def integrate(
@@ -853,8 +837,8 @@ def integrate(
 ) -> Trajectory:
     """Sample the coupled frame/multiplier system on a uniform grid.
 
-    The grid has n = ceil(t_max/dt) steps, with dt = 1e-3/omega when None,
-    and ends exactly at t_max.  F(0) is fixed once from the seed, F(0) =
+    The grid is the pass's own (`integrate_blocks`) at dt = 1e-3/omega
+    when None, and ends exactly at t_max.  F(0) is fixed once from the seed, F(0) =
     lambda_0(0) (H0 + G(0)), and only conjugated afterwards.
 
     Exact path (eta = 0: a forbidden set closed under i[.,.], decided
@@ -865,13 +849,13 @@ def integrate(
 
     Stepped path (a forbidden set that is not closed): fixed-step
     sixth-order Runge-Kutta (`rk6_step` on `stepped_rhs`) on the vector
-    concatenating V and the lambda_j; lambda_0 is constant and tau =
-    t/lambda_0.  V is re-unitarized by polar projection at checkpoints
-    0.1/omega apart (every 100 steps at dt = 1e-3/omega); if its unitarity
-    has drifted beyond the validation's 1e-8 at such a checkpoint the
-    whole integration restarts at half the step (never past
-    `_MAX_SAMPLES` steps), preserving a uniform grid.
-    `integrate_blocks` yields the same samples checkpoint by checkpoint.
+    concatenating V and the lambda_j, at a step of min(dt, 0.05/r) with r
+    the flow's rate bound; lambda_0 is constant and tau = t/lambda_0.  V
+    is never projected: its unitarity drift is checked against the
+    validation's 1e-8 at checkpoints 0.1/omega apart (every 100 steps at
+    dt = 1e-3/omega) and at the end, and a drift beyond it is an
+    ArithmeticError.  `integrate_blocks` yields the same samples
+    checkpoint by checkpoint.
 
     On either path the cross-check U_d (i dU_d/dt = H U_d) is propagated
     with RK4 on the same grid after the pass, from H at the samples and at

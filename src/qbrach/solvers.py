@@ -808,10 +808,10 @@ def _root_scan(
     """(T, last block, sampled values) of the first accepted root of a scalar on a pass.
 
     `scalar(F, H, psi)` maps stacks of samples to one value each.  The
-    blocks of one pass are scanned as they arrive (`start == 0` opens the
-    pass anew) and the candidates taken in order: an interior sample with
-    |value| <= 1e-10 as it is, a strict sign change resolved by
-    `_bracketed_root` from the two sampled values, evaluating
+    blocks of one pass are scanned as they arrive, each on the rows past
+    the prefix scanned so far, and the candidates taken in order: an
+    interior sample with |value| <= 1e-10 as it is, a strict sign change
+    resolved by `_bracketed_root` from the two sampled values, evaluating
     `PassSamples.at` inside the bracket.  The first candidate t with
     `accept(block, t)` is T; T is None when none is, and then the values
     cover the whole pass.  Evaluation counts, rejected candidates and the
@@ -821,18 +821,17 @@ def _root_scan(
     the same left samples, and nothing is resolved until max|value| >=
     1e-12, the test that tells a scalar vanishing identically apart.
     """
-    T = None
+    T, s, done, live, nxt = None, None, 0, False, 0
 
     def value_at(t: float) -> float:
         return float(scalar(*smp.at(problem, t)[1:])[0])
 
     for smp in blocks:
-        n_steps, start, times = smp.n_steps, smp.start, smp.times
-        if start == 0:
+        n_steps, times = smp.n_steps, smp.times
+        if s is None:
             s = np.empty(n_steps + 1)
-            live, nxt = False, 0
         m = times.size
-        r = slice(start, m)
+        r, done = slice(done, m), m
         s[r] = scalar(*_observables(
             problem, smp.V[r], smp.lambda0[r], smp.lambdas[r], smp.tau_acc[r], smp.F0
         )[1:])
@@ -941,7 +940,7 @@ def _extremal(
         def reached(block: PassSamples, t: float) -> bool:
             return psi_f is None or abs(block.at(problem, t)[3][0] @ ref) >= 1.0 - 1e-9
 
-        T = _root_scan(problem, [smp._replace(start=0)], target, reached)[0]
+        T = _root_scan(problem, [smp], target, reached)[0]
         if T is None:
             goal = "the target state" if psi_f is not None else f"Bures angle {bures_angle:g}"
             raise NoSolutionError(f"the flow never reaches {goal} within (0, {smp.times[-1]:g}]")
@@ -961,20 +960,19 @@ def shoot(
     The seed is projected and rescaled (`_project_seed`), and its one
     integration pass (`integrate_blocks`) goes to the core it shares with
     `solve_closed_subalgebra` (`_extremal`).  A stepped pass takes
-    sixth-order Runge-Kutta steps of `dt`, or without one of 0.05/r with
-    r the flow's rate bound (`dynamics._pass_rate`).  The pass stops at
+    sixth-order Runge-Kutta steps of 0.05/r, with r the flow's rate
+    bound (`dynamics._pass_rate`), or of `dt` where that is finer: `dt`
+    only caps the step, here as on the certified grid.  The pass stops at
     the first accepted root of Im<psi|HF|psi> (`_root_scan`): a stepped
-    pass is scanned at each re-unitarization checkpoint (0.1/omega apart)
-    once its drift check has passed, and runs no further than the first
-    checkpoint past the sample T needs; a closed forbidden set yields its
-    exact flow at once, on a grid fine enough for the flow's rates
-    whatever `dt` (`exact_pass`).  That one pass is the whole
-    integration: the certified trajectory is the pass evaluated on a
-    uniform grid of [0, T] (`PassSamples.rows_at`, one batched
-    Runge-Kutta step from the sample left of each grid time), with the
-    U_d cross-check built on that grid.  T is the one a scan of the whole
-    window would find; but a frame drift beyond the checkpoint where the
-    pass stops no longer triggers a restart at half the step.
+    pass is scanned at each drift checkpoint (0.1/omega apart) once its
+    check has passed, and runs no further than the first checkpoint past
+    the sample T needs; a closed forbidden set yields its exact flow at
+    once, on a grid fine enough for the flow's rates whatever `dt`
+    (`exact_pass`).  That one pass is the whole integration: the
+    certified trajectory is the pass evaluated on a uniform grid of
+    [0, T] (`PassSamples.rows_at`, one batched Runge-Kutta step from the
+    sample left of each grid time), with the U_d cross-check built on
+    that grid.  T is the one a scan of the whole window would find.
 
     Seeds for which s vanishes identically (e.g. no forbidden directions)
     admit every stopping time; then `target_bures_angle` selects T as the

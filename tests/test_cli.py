@@ -207,9 +207,8 @@ def test_a_dt_beyond_the_work_cap_is_refused_by_every_solver(
         assert "more than 1000" in capsys.readouterr().err
 
 
-def test_shoot_halving_beyond_the_work_cap_exits_3(tmp_path, monkeypatch, capsys):
-    # recipe seed 7 drifts at dt = 0.3; with the cap made small, the
-    # halving restart it needs is a numerical failure naming the step
+def test_shoot_drift_exits_3_and_the_work_cap_exits_1(tmp_path, monkeypatch, capsys):
+    # recipe seed 7's pass at its own step needs 229 steps over t_max = 3
     problem, h0, m0 = helpers.su4_shoot_seed(7)
     doc = {
         "version": 1,
@@ -222,9 +221,22 @@ def test_shoot_halving_beyond_the_work_cap_exits_3(tmp_path, monkeypatch, capsys
     }
     path = tmp_path / "seed7.json"
     path.write_text(json.dumps(doc))
+    argv = ["shoot", "-i", str(path), "--t-max", "3"]
+    # a frame that drifts beyond the validation's 1e-8 at a checkpoint (at
+    # 40 times the own step) is a numerical failure naming the step
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_STEP_PER_RATE", 2.0)
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"numerical failure: frame unitarity drifted .* step size", err)
+    # with the cap made small, the window and a user's finer dt are each
+    # refused as invalid input, the first naming t_max
     monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 100)
-    assert main(["shoot", "-i", str(path), "--t-max", "30", "--dt", "0.3"]) == 3
-    assert "step size 3.000e-01" in capsys.readouterr().err
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "needs 229 steps at this seed's rates, more than 100; shorten t_max" in err
+    assert main(argv + ["--dt", "0.01"]) == 1
+    assert "dt = 0.01 needs 300 steps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed, closest, t", [(144, 3.85e-2, 1.454), (168, 9.13e-3, 1.435)])
@@ -412,6 +424,30 @@ def test_verify_flags_nan_in_embedded_report(closed_file, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "max deviation nan" in text
     assert "round-trip FAIL" in text
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        "trajectory",
+        {"trajectory": [1]},
+        {"branches": [1]},
+        {"branches": {"a": 1}},
+        {"branches": []},
+        None,  # a valid solution whose embedded report is no object
+    ],
+    ids=["string", "list-trajectory", "number-branch", "branch-object", "no-branch", "list-report"],
+)
+def test_verify_refuses_a_malformed_file_as_invalid_input(doc, closed_file, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    if doc is None:
+        main(["solve-closed", "-i", closed_file, "-o", str(path)])
+        doc = json.loads(path.read_text())
+        doc["report"] = [1]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert "invalid input: malformed" in capsys.readouterr().err
 
 
 def test_verify_rejects_degenerate_solution(tmp_path, capsys):

@@ -341,38 +341,34 @@ def test_integrate_refuses_work_beyond_the_cap(monkeypatch):
     problem, h0, m0 = helpers.su4_shoot_seed(7)
     # a user step finer than the cap allows is refused before any step,
     # on the stepped path and on the exact one
-    with pytest.raises(ValueError, match="200 steps .* more than 100"):
+    with pytest.raises(ValueError, match="dt = 0.005 needs 200 steps .* 100; use a coarser"):
         next(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.005))
-    with pytest.raises(ValueError, match="more than 100"):
+    with pytest.raises(ValueError, match="more than 100; use a coarser step"):
         integrate(helpers.m1_problem(1.0), MultiplierVector(1.0, [2.5]), SY, t_max=1.0, dt=0.005)
-    # strong multipliers drift the frame beyond 1e-8 at the first
-    # checkpoint at steps of 0.2 and of 0.1 (one step each); with the cap
-    # at 50 the first halving fits and the second would need 100 steps
-    strong = MultiplierVector(1.0, 10.0 * m0.lambdas)
-    monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 50)
-    with pytest.raises(ArithmeticError, match="step size 1.000e-01.*100 steps"):
-        integrate(problem, strong, h0, t_max=5.0, dt=0.2)
-    # within the cap the pass restarts at half the step until every
-    # checkpoint holds the frame to 1e-8: twice here
-    monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 100)
-    last = list(dynamics.integrate_blocks(problem, strong, h0, t_max=5.0, dt=0.2))[-1]
-    assert last.n_steps == 100 and last.times.size == 101
+    # a window whose own rate-resolved step needs more is refused naming
+    # t_max, with or without a coarser dt, since dt only caps that step
+    for dt in (None, 0.5):
+        with pytest.raises(ValueError, match="t_max = 3 needs 176 steps .* 100; shorten t_max"):
+            next(dynamics.integrate_blocks(problem, m0, h0, t_max=3.0, dt=dt))
 
 
 def test_checkpoint_holds_the_frame_to_the_validation_bound(monkeypatch):
-    # at a step of 0.025 the strong seed-7 frame drifts by about 2e-8 over
-    # the 4 steps to the first checkpoint: inside a 1e-6 checkpoint bound
-    # but outside the 1e-8 that Trajectory validation puts on U, so the pass
-    # halves its step and the trajectory validates, or it is a numerical
-    # failure, never invalid input
+    # with 30 times seed 7's multipliers, the pass at its own step holds
+    # the frame unitary to rounding with no projection, far inside the
+    # 1e-8 that Trajectory validation puts on U
     problem, h0, m0 = helpers.su4_shoot_seed(7)
     strong = MultiplierVector(1.0, 30.0 * m0.lambdas)
-    traj = integrate(problem, strong, h0, t_max=5.0, dt=0.025)
-    assert traj.n_samples == 401
-    assert traj.u_mismatch <= Tolerances.integrated().u_mismatch
-    monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 200)
-    with pytest.raises(ArithmeticError, match="beyond 1e-08 at step size 2.500e-02"):
-        integrate(problem, strong, h0, t_max=5.0, dt=0.025)
+    last = list(dynamics.integrate_blocks(problem, strong, h0, t_max=5.0))[-1]
+    V = last.V
+    drift = np.linalg.norm(V.conj().swapaxes(1, 2) @ V - np.eye(4), axis=(1, 2)).max()
+    assert drift <= 1e-8
+    assert last.trajectory(problem).u_mismatch <= Tolerances.integrated().u_mismatch
+    # at 20 times the step the frame drifts by about 3e-8 over the 4 steps
+    # to the first checkpoint: a numerical failure naming the drift and the
+    # step, never a restart and never invalid input
+    monkeypatch.setattr(dynamics, "_STEP_PER_RATE", 1.0)
+    with pytest.raises(ArithmeticError, match="beyond 1e-08, by step 4 at step size 2.577e-02"):
+        next(dynamics.integrate_blocks(problem, strong, h0, t_max=5.0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -587,16 +583,20 @@ def test_perturbed_pass_sample_fails_the_cross_check(seed):
 
 @pytest.mark.parametrize("seed", [2, 7])
 def test_integrate_non_commuting_su4_is_sixth_order(seed):
-    # the stepped sixth-order path: U(T) error against a fine-step
-    # reference falls by 2^6 when the step halves, at steps whose errors
-    # (2e-12 to 4e-8 on these seeds) stay well above rounding
+    # the stepped sixth-order step: the error of V(1), and so of U(1),
+    # against a fine-step reference falls by 2^6 when the step halves, at
+    # steps coarser than a pass's own, whose errors stay well above rounding
     problem, h0, m0 = helpers.su4_shoot_seed(seed)
     assert not is_closed_subalgebra(problem.basis, problem.forbidden)[0]
-    ref = integrate(problem, m0, h0, t_max=1.0, dt=0.005).U[-1]
-    errs = [
-        float(np.linalg.norm(integrate(problem, m0, h0, t_max=1.0, dt=dt).U[-1] - ref))
-        for dt in (0.2, 0.1)
-    ]
+    ref = integrate(problem, m0, h0, t_max=1.0, dt=0.005).V[-1]
+    f0 = m0.lambda0 * (h0 + g_operator(m0, problem.basis, problem.forbidden))
+    rhs = stepped_rhs(f0, problem.forbidden_generators(), m0.lambda0, problem.omega)
+    errs = []
+    for h in (0.2, 0.1):
+        y = np.concatenate((np.eye(problem.dim, dtype=complex).ravel(), m0.lambdas))
+        for _ in range(round(1.0 / h)):
+            y = dynamics.rk6_step(rhs, y, h)
+        errs.append(float(np.linalg.norm(y[: problem.dim**2].reshape(ref.shape) - ref)))
     assert 48.0 <= errs[0] / errs[1] <= 80.0
 
 

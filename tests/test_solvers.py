@@ -718,13 +718,15 @@ def test_shoot_four_level_random_seed():
 def test_shoot_closed_non_abelian_seed_takes_the_exact_flow(caplog):
     # recipe seed 90 forbids a closed set whose generators do not commute;
     # pass 1 samples the exact flow on the whole window at once instead of
-    # stepping to the checkpoint past the root
+    # stepping to the checkpoint past the root, on the grid of its rate
+    # rule, the one solve_closed_subalgebra takes (here its floor of 400)
     problem, h0, m0 = helpers.su4_shoot_seed(90)
     with caplog.at_level(logging.DEBUG, logger="qbrach"):
         sol = shoot(problem, h0, m0, t_max=3.0)
     assert sol.T == pytest.approx(1.3106731910989768, abs=1e-12)
     assert sol.report.passed
-    assert re.search(r"pass 1 stopped at step \d+ of 3000 .*; 3000 steps integrated", caplog.text)
+    assert dynamics.exact_pass(problem, sol.multipliers0, sol.H0, 3.0).n_steps == 400
+    assert re.search(r"pass 1 stopped at step \d+ of 400 .*; 400 steps integrated", caplog.text)
 
 
 def test_shoot_pass1_stops_just_past_the_first_root(caplog):
@@ -744,7 +746,7 @@ def test_shoot_pass1_stops_just_past_the_first_root(caplog):
     assert n_steps == 229
     assert step <= 0.05 / dynamics._pass_rate(G, F0, sol.multipliers0.lambda0) < 3.0 / 228
     assert sol.T <= stop * step <= sol.T + 2 * step
-    # the pass runs on to the first re-unitarization checkpoint (0.1/omega
+    # the pass runs on to the first drift checkpoint (0.1/omega
     # apart, every 8 steps here) at or after that sample, and no further
     every = round(0.1 / step)
     assert every == 8
@@ -755,7 +757,8 @@ def test_shoot_pass1_stops_just_past_the_first_root(caplog):
 def test_shoot_default_pass_steps_at_the_flow_rate(seed):
     # without a dt the stepped pass takes a step resolved to the flow's
     # rate bound, far fewer than the 3,000 of a step of 1e-3/omega, and
-    # lands on the T of that finer pass
+    # lands on the T of that finer pass; a coarser dt only caps that step,
+    # so it changes nothing
     problem, h0, m0 = helpers.su4_shoot_seed(seed)
     H0, m = solvers._project_seed(problem, h0, m0)
     n_steps = list(dynamics.integrate_blocks(problem, m, H0, t_max=3.0))[-1].n_steps
@@ -764,6 +767,7 @@ def test_shoot_default_pass_steps_at_the_flow_rate(seed):
     sol = shoot(problem, h0, m0, t_max=3.0)
     assert sol.T == pytest.approx(fine.T, rel=1e-12)
     assert sol.report.passed
+    assert shoot(problem, h0, m0, t_max=3.0, dt=0.3).T == sol.T
 
 
 def test_shoot_pass1_carries_no_cross_check_channel(monkeypatch):
@@ -871,7 +875,7 @@ def test_bracketed_root_is_superlinear_on_a_smooth_crossing():
         solvers._bracketed_root(math.sin, 2.0, 3.0, math.sin(2.0), math.sin(3.0))
 
 
-def test_root_scan_takes_a_near_zero_sample_and_restarts_with_a_new_pass():
+def test_root_scan_takes_a_near_zero_sample():
     # on the free qubit from |0> with H = sigma_y, <1|psi(t)> = sin t exactly
     problem = ControlProblem(basis=helpers.build_gellmann_basis(2), psi_i=helpers.KET0, omega=1.0)
     m0 = MultiplierVector(1.0, [])
@@ -886,22 +890,6 @@ def test_root_scan_takes_a_near_zero_sample_and_restarts_with_a_new_pass():
         lambda block, t: True,
     )[0]
     assert T == t0
-    # a block with start == 0 opens the pass anew (a restart at half the
-    # step): the root the abandoned pass brackets is found again on the new one
-    head = coarse._replace(**{name: getattr(coarse, name)[:101] for name in (
-        "times", "V", "lambda0", "lambdas", "tau_acc")})
-    accepted = []
-
-    def on_fine_pass(block, t):
-        accepted.append(block.n_steps)
-        return block.n_steps == 600
-
-    T, last, s = solvers._root_scan(
-        problem, [head, fine], lambda F, H, psi: psi[:, 1].real - math.sin(0.3123),
-        on_fine_pass,
-    )
-    assert T == pytest.approx(0.3123, abs=1e-14)
-    assert accepted == [400, 600] and last is fine and s.size == 601
 
 
 def test_shoot_resolves_its_bracket_in_a_handful_of_evaluations(caplog, monkeypatch):
