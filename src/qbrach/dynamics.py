@@ -12,10 +12,11 @@ reassembled algebraically at every instant,
 and the conserved operator is obtained by conjugation, F(t) = U F(0) U^dag
 = V F(0) V^dag, which keeps its spectrum exactly fixed.  The propagator is
 U(t) = V(t) exp(-i F(0) tau(t)).  A direct RK4 integration of
-i dU/dt = H U is the one cross-check, of either flow: H at each step's
-ends is the trajectory's own, and H at its midpoint comes from the pass
-(`PassSamples.rows_at`).  It is built after the pass on the grid a
-trajectory is sampled on, never carried in the stepped state.
+i dU/dt = H U is the one cross-check, of either flow, and it reads nothing
+but a trajectory's own H samples: H at each step's ends is the sample
+there, and H at its midpoint the cubic through the four nearest samples
+(`_midpoints`).  It is built on the grid a trajectory is sampled on, never
+carried in the stepped state.
 
 When the forbidden set is closed under i[.,.] (every i[X_j, X_l] in its
 span, e.g. commuting generators or at most one) eta vanishes along the
@@ -402,30 +403,47 @@ def _chained(P: np.ndarray, carry: np.ndarray) -> np.ndarray:
     return stack_product(W, carries[:, None]).reshape(-1, N, N)[:n]
 
 
-def _direct_propagators(
-    times: np.ndarray,
-    ends: Callable[[slice], np.ndarray],
-    mids: Callable[[np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """RK4 solution of i dU/dt = H U on `times`, from U(0) = 1.
+def _midpoints(H: np.ndarray, a: int, b: int) -> np.ndarray:
+    """H at the midpoints of steps a..b-1 of a uniform grid, from its samples H.
 
-    `ends(r)` is -iH at times[r] and `mids(t)` is -iH at an array of times,
-    here the midpoints of the steps, both in one fixed frame (the result is
-    in that frame).  Each step's RK4 map is built as a batch and the maps
-    are chained by a prefix product (`_chained`), block by block.  Nothing
-    here uses U = V exp(-i F(0) tau).
+    Each is the cubic through the four nearest samples, (-H_{k-1} + 9 H_k
+    + 9 H_{k+1} - H_{k+2})/16, which errs by O(step^4).  Past either end
+    of the grid the missing sample is extrapolated by the interpolant
+    through the first (last) min(4, K) samples, which gives the one-sided
+    (5 H_0 + 15 H_1 - 5 H_2 + H_3)/16 and its mirror, and on a grid of 2
+    or 3 samples the line or parabola through all of them.
+    """
+    K = H.shape[0]
+    p = min(4, K)
+    # that interpolant at one step past the end: sum_j (-1)^j C(p, j+1) H_j
+    ghost = np.array([(-1) ** j * math.comb(p, j + 1) for j in range(p)], dtype=float)
+    parts = [H[max(a - 1, 0) : b + 2]]
+    if a == 0:
+        parts.insert(0, np.tensordot(ghost, H[:p], axes=1)[None])
+    if b + 2 > K:
+        parts.append(np.tensordot(ghost, H[: -p - 1 : -1], axes=1)[None])
+    W = np.concatenate(parts)
+    return (9.0 * (W[1:-2] + W[2:-1]) - W[:-3] - W[3:]) / 16.0
+
+
+def _direct_propagators(times: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """RK4 solution of i dU/dt = H U on a uniform grid `times`, from U(0) = 1.
+
+    `H` holds the samples on `times`, in one fixed frame (the result is in
+    that frame).  -iH at each step's ends is the sample there and at its
+    midpoint the interpolant `_midpoints`, formed block by block, so the
+    check is fourth order.  Each step's RK4 map is built as a batch and the
+    maps are chained by a prefix product (`_chained`), block by block.
+    Nothing here uses U = V exp(-i F(0) tau).
     """
     n = times.size - 1
-    out = None
+    eye = np.eye(H.shape[-1])
+    out = np.empty((n + 1, *eye.shape), dtype=complex)
+    out[0] = eye
     for a in range(0, n, _DIRECT_BLOCK):
         b = min(a + _DIRECT_BLOCK, n)
-        t = times[a : b + 1]
-        A, Am = ends(slice(a, b + 1)), mids(0.5 * (t[:-1] + t[1:]))
-        if out is None:
-            eye = np.eye(A.shape[-1])
-            out = np.empty((n + 1, *eye.shape), dtype=complex)
-            out[0] = eye
-        h = np.diff(t)[:, None, None]
+        A, Am = -1.0j * H[a : b + 1], -1.0j * _midpoints(H, a, b)
+        h = np.diff(times[a : b + 1])[:, None, None]
         k1 = A[:-1]
         k2 = stack_product(Am, eye + 0.5 * h * k1)
         k3 = stack_product(Am, eye + 0.5 * h * k2)
@@ -447,24 +465,12 @@ def _observables(
     w_eig, Q = np.linalg.eigh(F0)
     expF = stack_product(Q * np.exp(-1.0j * np.outer(tau_acc, w_eig))[:, None, :], Q.conj().T)
     U = stack_product(V, expF)
-    F, H = _hamiltonians(problem, V, lambda0, lambdas, F0)
-    psi = np.einsum("kab,b->ka", U, problem.psi_i.amplitudes)
-    return U, F, H, psi
-
-
-def _hamiltonians(
-    problem: ControlProblem,
-    V: np.ndarray,
-    lambda0: np.ndarray,
-    lambdas: np.ndarray,
-    F0: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(F, H) on a stack of frame samples: F = V F(0) V^dag, H = F/lambda_0 - G."""
     F = stack_product(stack_product(V, F0), V.conj().swapaxes(-1, -2))
     H = F / lambda0[:, None, None] - forbidden_sum(
         lambdas / lambda0[:, None], problem.forbidden_generators()
     )
-    return F, H
+    psi = np.einsum("kab,b->ka", U, problem.psi_i.amplitudes)
+    return U, F, H, psi
 
 
 def finalize_trajectory(
@@ -473,7 +479,7 @@ def finalize_trajectory(
     rows: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     F0: np.ndarray,
     renormalized: Optional[float] = None,
-    U_direct: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    cross_check: bool = False,
 ) -> Trajectory:
     """The validated trajectory of the frame rows (V, lambda_0, lambda_j, tau).
 
@@ -482,9 +488,9 @@ def finalize_trajectory(
     its own exponential); H(t) = F(t)/lambda_0(t) - G(t); psi = U psi_i.
     A `renormalized` value c divides the multipliers and F(0) and
     multiplies tau, which leaves V, U and H unchanged, and marks the
-    trajectory renormalized.  `U_direct`, when given, maps the H samples to
-    the cross-check propagator on `times`; `u_mismatch` is its largest
-    Frobenius gap to U.
+    trajectory renormalized.  With `cross_check`, U_d is propagated from
+    the H samples on `times` alone (`_direct_propagators`), and
+    `u_mismatch` is its largest Frobenius gap to U.
     """
     times = np.asarray(times, dtype=float)
     V, lam0, lams, tau = rows
@@ -496,8 +502,9 @@ def finalize_trajectory(
     lams = np.ascontiguousarray(lams, dtype=float)
     U, F, H, psi = _observables(problem, V, lam0, lams, tau, F0)
     u_mismatch = 0.0
-    if U_direct is not None:
-        u_mismatch = float(np.linalg.norm((U - U_direct(H)).reshape(times.size, -1), axis=1).max())
+    if cross_check:
+        U_d = _direct_propagators(times, H)
+        u_mismatch = float(np.linalg.norm((U - U_d).reshape(times.size, -1), axis=1).max())
     return Trajectory(
         times=times, V=V, U=U, H=H, F=F, psi=psi, lambda0=lam0, lambdas=lams, tau_acc=tau,
         omega=problem.omega, basis=problem.basis, forbidden=problem.forbidden,
@@ -644,8 +651,7 @@ class PassSamples(NamedTuple):
     is complete when there are n_steps + 1 rows; each block of a pass
     extends the one before it.  `F0` is F(0).  `rhs`
     is a stepped pass's `stepped_rhs`, None on the exact flow.  A pass is
-    defined at any time of its window (`rows_at`, `at`), and so is the
-    cross-check U_d on any grid of it (`direct`).
+    defined at any time of its window (`rows_at`, `at`).
     """
 
     times: np.ndarray
@@ -690,27 +696,11 @@ class PassSamples(NamedTuple):
         """(U, F, H, psi) at each of `times` (one time or an array) as stacks."""
         return _observables(problem, *self.rows_at(problem, times), self.F0)
 
-    def direct(self, problem: ControlProblem, times: np.ndarray) -> Callable:
-        """The cross-check: H on `times` -> U_d there, from U_d(0) = 1.
-
-        U_d solves i dU/dt = H U by RK4 on the grid (`_direct_propagators`),
-        -iH at each step's ends from the given H samples and at its midpoint
-        from F/lambda_0 - G on the `rows_at` rows there (no U, psi or
-        eigendecomposition), on the stepped and the exact flow alike.
-        """
-
-        def mids(t: np.ndarray) -> np.ndarray:
-            V, lam0, lams, _ = self.rows_at(problem, t)
-            return -1.0j * _hamiltonians(problem, V, lam0, lams, self.F0)[1]
-
-        return lambda H: _direct_propagators(times, lambda r: -1.0j * H[r], mids)
-
     def trajectory(self, problem: ControlProblem) -> Trajectory:
-        """The validated trajectory on the pass's own rows; `u_mismatch` is
-        measured against the cross-check `direct` on the same grid."""
+        """The validated trajectory on the pass's own rows, with the U_d
+        cross-check on the same grid."""
         rows = (self.V, self.lambda0, self.lambdas, self.tau_acc)
-        direct = self.direct(problem, self.times)
-        return finalize_trajectory(problem, self.times, rows, self.F0, None, direct)
+        return finalize_trajectory(problem, self.times, rows, self.F0, cross_check=True)
 
 
 def exact_pass(
@@ -760,9 +750,8 @@ def integrate_blocks(
     and the step: the pass never projects its frame and never restarts.
     The exact path (a closed forbidden set) yields its complete window at
     once (`exact_pass`, no coarser than `dt`).  A caller may stop
-    iterating at any block.  No cross-check is carried: it is built after
-    the pass, on the grid a trajectory is sampled on
-    (`PassSamples.direct`).
+    iterating at any block.  No cross-check is carried: it is built from
+    the H samples of the trajectory a pass gives (`finalize_trajectory`).
 
     A pass takes at most `_MAX_SAMPLES` steps: a `dt` that needs more is a
     ValueError, and so is a window whose own step needs more.
@@ -837,9 +826,11 @@ def integrate(
 ) -> Trajectory:
     """Sample the coupled frame/multiplier system on a uniform grid.
 
-    The grid is the pass's own (`integrate_blocks`) at dt = 1e-3/omega
-    when None, and ends exactly at t_max.  F(0) is fixed once from the seed, F(0) =
-    lambda_0(0) (H0 + G(0)), and only conjugated afterwards.
+    The grid is the pass's own (`integrate_blocks`), its step capped by
+    `dt` or, without one, by min(1e-3/omega, t_max), and ends at t_max; a
+    window the default needs more than `_MAX_SAMPLES` steps for is refused
+    naming t_max.  F(0) = lambda_0(0) (H0 + G(0)) is fixed once from the seed
+    and only conjugated afterwards.
 
     Exact path (eta = 0: a forbidden set closed under i[.,.], decided
     from the commutator tensor): the multipliers and G are constant,
@@ -858,12 +849,17 @@ def integrate(
     checkpoint by checkpoint.
 
     On either path the cross-check U_d (i dU_d/dt = H U_d) is propagated
-    with RK4 on the same grid after the pass, from H at the samples and at
-    the half steps (`PassSamples.direct`); `u_mismatch` is its largest gap
-    to U.
+    on the same grid from the H samples alone (`_direct_propagators`);
+    `u_mismatch` is its largest gap to U.
     """
-    if dt is None:
+    if dt is None and 0 < t_max < math.inf:  # integrate_blocks refuses any other t_max
         dt = 1e-3 / problem.omega
+        if (n := math.ceil(t_max / dt - 1e-12)) > _MAX_SAMPLES:
+            raise ValueError(
+                f"the window t_max = {t_max:g} needs {n} steps at the default step 1e-3/omega "
+                f"= {dt:g}, more than {_MAX_SAMPLES}; shorten t_max or give a coarser dt"
+            )
+        dt = min(dt, t_max)
     for samples in integrate_blocks(problem, m0, H0, t_max, dt):
         pass
     return samples.trajectory(problem)

@@ -234,8 +234,8 @@ def _certified(
     (H0 + G).  `re_T` is Re<psi|HF|psi> at T in the
     seed's gauge; the trajectory and the multipliers are divided by it, so
     the endpoint evaluates to 1.  A SHOT is judged with the integrated
-    tolerances and carries the U_d cross-check (`PassSamples.direct`);
-    every other kind is judged with the analytic ones and carries none.
+    tolerances and carries the U_d cross-check, from the grid's H samples
+    alone; every other kind is judged with the analytic ones and none.
     """
     shot = kind is SolutionKind.SHOT
     tols = Tolerances.integrated() if shot else Tolerances.analytic()
@@ -245,8 +245,7 @@ def _certified(
     own = _analytic_dt(problem.omega, G, F0, T, tols.chko / 4.0, default, stepped)
     times = _grid(T, min(cap, own))
     rows = _constant_rows(problem, m0, times) if smp is None else smp.rows_at(problem, times)
-    direct = smp.direct(problem, times) if shot else None
-    traj = finalize_trajectory(problem, times, rows, F0, re_T, direct)
+    traj = finalize_trajectory(problem, times, rows, F0, re_T, cross_check=shot)
     m = MultiplierVector(m0.lambda0 / re_T, m0.lambdas / re_T)
     report = certify(traj, tols, renormalized=True)
     return ExtremalSolution(kind, float(T), H0, m, traj, report, branch)
@@ -971,8 +970,9 @@ def shoot(
     (`exact_pass`).  That one pass is the whole integration: the
     certified trajectory is the pass evaluated on a uniform grid of
     [0, T] (`PassSamples.rows_at`, one batched Runge-Kutta step from the
-    sample left of each grid time), with the U_d cross-check built on
-    that grid.  T is the one a scan of the whole window would find.
+    sample left of each grid time), with the U_d cross-check taken from
+    that grid's H samples alone.  T is the one a scan of the whole window
+    would find.
 
     Seeds for which s vanishes identically (e.g. no forbidden directions)
     admit every stopping time; then `target_bures_angle` selects T as the

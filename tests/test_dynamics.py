@@ -352,6 +352,20 @@ def test_integrate_refuses_work_beyond_the_cap(monkeypatch):
             next(dynamics.integrate_blocks(problem, m0, h0, t_max=3.0, dt=dt))
 
 
+def test_integrate_refusal_names_the_default_step():
+    # without a dt the refusal names t_max and the default step 1e-3/omega,
+    # not a dt nobody chose; an explicit dt keeps its own message
+    problem, m0 = helpers.m1_problem(1.0), MultiplierVector(1.0, [2.5])
+    with pytest.raises(
+        ValueError,
+        match=r"t_max = 300 needs 300000 steps at the default step 1e-3/omega = 0\.001, "
+        "more than 200000; shorten t_max or give a coarser dt",
+    ):
+        integrate(problem, m0, SY, t_max=300.0)
+    with pytest.raises(ValueError, match=r"dt = 0\.001 needs 300000 steps .* coarser step"):
+        integrate(problem, m0, SY, t_max=300.0, dt=1e-3)
+
+
 def test_checkpoint_holds_the_frame_to_the_validation_bound(monkeypatch):
     # with 30 times seed 7's multipliers, the pass at its own step holds
     # the frame unitary to rounding with no projection, far inside the
@@ -441,10 +455,11 @@ def test_constant_flow_reproduces_exact_integration():
 
 
 @pytest.mark.parametrize("dim", [2, 4])
-def test_direct_propagators_match_sequential_rk4(dim):
+def test_direct_propagators_match_sequential_rk4(dim, monkeypatch):
     # the batched, prefix-chained cross-check against the plain
-    # step-by-step RK4 loop, over more than one block, with -iH handed in
-    # at the ends and midpoints of the steps as a pass's evaluator does
+    # step-by-step RK4 loop, over more than one block, with -iH at each
+    # step's midpoint the cubic through the four nearest samples (one-sided
+    # on the first and the last step): the samples are all it reads
     rng = np.random.default_rng(dim)
     basis = build_gellmann_basis(dim)
     g = np.tensordot(rng.normal(size=dim - 1), basis.generators[-(dim - 1):], axes=1)
@@ -452,33 +467,100 @@ def test_direct_propagators_match_sequential_rk4(dim):
     f0 = f0 + f0.conj().T
     lam0, h = 0.8, 2e-3
     times = np.arange(dynamics._DIRECT_BLOCK + 90) * h
+    n = times.size - 1
+    V = np.array([helpers.expm_herm(g, -t) for t in times])
+    H = V @ f0 @ V.conj().transpose(0, 2, 1) / lam0 - g
 
-    def minus_ih(t):
-        v = helpers.expm_herm(g, -t)
-        return -1j * (v @ f0 @ v.conj().T / lam0 - g)
-
-    calls = []
-
-    def ends(r):
-        calls.append((r.start, r.stop))
-        return np.array([minus_ih(x) for x in times[r]])
-
-    def mids(t):
-        return np.array([minus_ih(x) for x in t])
+    def mid(k):
+        if k == 0:
+            first, w = 0, (5, 15, -5, 1)
+        elif k == n - 1:
+            first, w = n - 3, (1, -5, 15, 5)
+        else:
+            first, w = k - 1, (-1, 9, 9, -1)
+        return sum(c * H[first + i] for i, c in enumerate(w)) / 16
 
     u = np.eye(dim, dtype=complex)
     ref = [u]
-    for t in times[:-1]:
-        k1 = minus_ih(t) @ u
-        k2 = minus_ih(t + h / 2) @ (u + h / 2 * k1)
-        k3 = minus_ih(t + h / 2) @ (u + h / 2 * k2)
-        k4 = minus_ih(t + h) @ (u + h * k3)
+    for k in range(n):
+        a, m, b = -1j * H[k], -1j * mid(k), -1j * H[k + 1]
+        k1 = a @ u
+        k2 = m @ (u + h / 2 * k1)
+        k3 = m @ (u + h / 2 * k2)
+        k4 = b @ (u + h * k3)
         u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         ref.append(u)
-    got = dynamics._direct_propagators(times, ends, mids)
+    # the steps are chained block by block: one top-level prefix product each
+    top, depth, chained = [], [0], dynamics._chained
+
+    def recorded(P, carry):
+        if not depth[0]:
+            top.append(P.shape[0])
+        depth[0] += 1
+        try:
+            return chained(P, carry)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(dynamics, "_chained", recorded)
+    got = dynamics._direct_propagators(times, H)
     block = dynamics._DIRECT_BLOCK
-    assert calls == [(0, block + 1), (block, times.size)]
+    assert top == [block, n - block]
     assert float(np.abs(got - np.array(ref)).max()) <= 1e-12
+
+
+def test_direct_propagators_are_fourth_order():
+    # on H(t) = e^{i lambda sz t} omega sy e^{-i lambda sz t}, whose
+    # propagator e^{i lambda sz t} e^{-i(omega sy + lambda sz)t} is closed
+    # form, halving the step cuts the error of U_d(1) by about 2^4: the
+    # interpolated midpoints keep RK4's order
+    lam, w = 2.5, 1.0
+    errs = []
+    for n in (40, 80):
+        times = np.linspace(0.0, 1.0, n + 1)
+        V = np.array([helpers.expm_herm(SZ, -lam * t) for t in times])
+        H = w * V @ SY @ V.conj().transpose(0, 2, 1)
+        ref = helpers.m1_reference_u(lam, w, times)
+        errs.append(float(np.linalg.norm(dynamics._direct_propagators(times, H)[-1] - ref[-1])))
+    assert 12.0 <= errs[0] / errs[1] <= 20.0
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5])
+def test_direct_propagators_take_grids_of_two_samples_and_more(K):
+    # a grid of 2 or 3 samples takes the line or the parabola through all
+    # of them, a longer one cubics: on an H(t) polynomial of the degree
+    # they reproduce, the midpoints are exact, and U_d is RK4 with H
+    # evaluated at the midpoints
+    rng = np.random.default_rng(K)
+    B = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    B = B + B.conj().transpose(0, 2, 1)
+
+    def h_at(t):
+        return sum(B[p] * t**p for p in range(min(K, 4)))
+
+    times = np.linspace(0.0, 0.3, K)
+    got = dynamics._direct_propagators(times, np.array([h_at(t) for t in times]))
+    u = np.eye(3, dtype=complex)
+    assert got.shape == (K, 3, 3)
+    np.testing.assert_array_equal(got[0], u)
+    for k, (t, h) in enumerate(zip(times[:-1], np.diff(times))):
+        a, m, b = (-1j * h_at(x) for x in (t, t + h / 2, t + h))
+        k1 = a @ u
+        k2 = m @ (u + h / 2 * k1)
+        k3 = m @ (u + h / 2 * k2)
+        u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + b @ (u + h * k3))
+        assert float(np.abs(got[k + 1] - u).max()) <= 1e-13
+
+
+@pytest.mark.parametrize("t_max, K", [(5e-4, 2), (1.5e-3, 3)])
+def test_integrate_below_one_default_step(t_max, K):
+    # a window below one default step of 1e-3/omega is one step, and a
+    # window of one and a half is two: the cross-check takes those grids,
+    # its midpoint on the line through two samples erring by O(step^2)
+    problem, m0, h0 = su3_drifting_instance()
+    traj = integrate(problem, m0, h0, t_max=t_max)
+    assert traj.n_samples == K and traj.times[-1] == t_max
+    assert 0.0 < traj.u_mismatch <= 1e-9
 
 
 def _random_unitaries(rng, k, n):
@@ -531,37 +613,43 @@ def test_batched_at_matches_scalar_calls(seed):
     np.testing.assert_array_equal(rows[2], smp.lambdas[:3])
 
 
-def test_stepped_cross_check_midpoints_read_only_h(monkeypatch):
-    # on a stepped pass the cross-check's midpoint -iH is F/lambda_0 - G on
-    # the dense-output rows, bit for bit the H of `at`, and building it
-    # takes no U, psi or eigendecomposition of F(0) (no `_observables`)
-    problem, h0, m0 = helpers.su4_shoot_seed(7)
+@pytest.mark.parametrize("seed", [7, 90])
+def test_cross_check_reads_only_the_h_samples(seed, monkeypatch):
+    # on a stepped pass (seed 7) and on the exact flow (seed 90) the
+    # cross-check of a pass's trajectory is the propagation of its own H
+    # samples on its own grid: it evaluates no row of the pass, and builds
+    # no U, F, H or psi of its own
+    problem, h0, m0 = helpers.su4_shoot_seed(seed)
     smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
-    assert smp.rhs is not None
-    times = np.linspace(0.0, 1.0, 1201)  # three blocks of the propagation
-    H = smp.at(problem, times)[2]
-    mids = []
+    calls = []
     direct_propagators = dynamics._direct_propagators
 
-    def recorded(times, ends, mid_h):
-        def kept(t):
-            mids.append((t, mid_h(t)))
-            return mids[-1][1]
-
-        return direct_propagators(times, ends, kept)
+    def recorded(times, H):
+        calls.append((times, H))
+        monkeypatch.setattr(dynamics, "_observables", forbidden)
+        try:
+            return direct_propagators(times, H)
+        finally:
+            monkeypatch.setattr(dynamics, "_observables", observables)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the cross-check built U, F, H and psi")
 
+    def no_rows(*args, **kwargs):
+        raise AssertionError("the cross-check evaluated rows of the pass")
+
+    observables = dynamics._observables
     monkeypatch.setattr(dynamics, "_direct_propagators", recorded)
-    monkeypatch.setattr(dynamics, "_observables", forbidden)
-    U_d = smp.direct(problem, times)(H)
+    monkeypatch.setattr(dynamics.PassSamples, "rows_at", no_rows)
+    traj = smp.trajectory(problem)
     monkeypatch.undo()
-    assert len(mids) == 3
-    for t, got in mids:
-        np.testing.assert_array_equal(got, -1.0j * smp.at(problem, t)[2])
-    np.testing.assert_array_equal(U_d, smp.direct(problem, times)(H))
-    assert float(np.abs(U_d - smp.at(problem, times)[0]).max()) <= 1e-9
+    assert len(calls) == 1
+    times, H = calls[0]
+    np.testing.assert_array_equal(times, smp.times)
+    np.testing.assert_array_equal(H, traj.H)
+    U_d = dynamics._direct_propagators(traj.times, traj.H)
+    gap = np.linalg.norm((traj.U - U_d).reshape(traj.n_samples, -1), axis=1).max()
+    assert traj.u_mismatch == float(gap) <= 1e-9
 
 
 @pytest.mark.parametrize("seed", [7, 90])

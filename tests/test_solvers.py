@@ -774,13 +774,16 @@ def test_shoot_pass1_carries_no_cross_check_channel(monkeypatch):
     # shoot integrates once: pass 1 only feeds the root search, and the
     # certified trajectory and its U_d cross-check are evaluated from pass
     # 1's samples, so integrate never runs and the batched U_d propagation
-    # runs once, on the certified grid, on the exact and the stepped path
+    # runs once, on the certified grid, on the exact and the stepped path.
+    # The cross-check reads the grid's own H samples, so the rows of the
+    # pass `shoot` evaluates are the root scan's, one per evaluation, the
+    # endpoint at T and the K rows of the grid: no K - 1 midpoints
     grids = []
     direct_propagators = dynamics._direct_propagators
 
-    def counted(times, ends, mids):
+    def counted(times, H):
         grids.append(times)
-        return direct_propagators(times, ends, mids)
+        return direct_propagators(times, H)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("shoot re-integrated")
@@ -793,13 +796,31 @@ def test_shoot_pass1_carries_no_cross_check_channel(monkeypatch):
             blocks.append(block)
             yield block
 
+    rows, scans = [], []
+    rows_at, root_scan = dynamics.PassSamples.rows_at, solvers._root_scan
+
+    def counted_rows(self, problem, times):
+        rows.append(np.atleast_1d(times).size)
+        return rows_at(self, problem, times)
+
+    def scanned(*args, **kwargs):
+        start = len(rows)
+        try:
+            return root_scan(*args, **kwargs)
+        finally:
+            scans.append((start, len(rows)))
+
     monkeypatch.setattr(dynamics, "_direct_propagators", counted)
     monkeypatch.setattr(dynamics, "integrate", forbidden)
     monkeypatch.setattr(solvers, "integrate", forbidden, raising=False)
     monkeypatch.setattr(solvers, "integrate_blocks", recorded)
+    monkeypatch.setattr(dynamics.PassSamples, "rows_at", counted_rows)
+    monkeypatch.setattr(solvers, "_root_scan", scanned)
     for seed, n_blocks in ((90, 1), (7, 9)):
         grids.clear()
         blocks.clear()
+        rows.clear()
+        scans.clear()
         problem, h0, m0 = helpers.su4_shoot_seed(seed)
         sol = shoot(problem, h0, m0, t_max=3.0)
         assert len(blocks) == n_blocks
@@ -808,6 +829,11 @@ def test_shoot_pass1_carries_no_cross_check_channel(monkeypatch):
         np.testing.assert_array_equal(grids[0], sol.trajectory.times)
         assert 0.0 < sol.trajectory.u_mismatch and sol.report.verdict["u_mismatch"]
         assert sol.report.passed
+        K = sol.trajectory.n_samples
+        assert scans == [(0, len(rows) - 2)]
+        assert 0 < len(rows) - 2 and set(rows[:-2]) == {1}
+        assert rows[-2:] == [1, K]
+        assert sum(rows) == K + len(rows) - 1
 
 
 @pytest.mark.parametrize("seed", [2, 7])
