@@ -36,16 +36,20 @@ that step, so the frame is never projected; `integrate_blocks` checks its
 drift at each checkpoint and yields the samples there, so a caller such
 as `shoot` can stop a pass early, and `PassSamples.at` evaluates a pass
 at any batch of times, one `rk6_step` from the sample to the left of
-each.
+each, whose stages take the whole batch through the GEMM-shaped stacked
+form of `stepped_rhs`.
 
 The multiplier equations
 
     d(lambda_j)/dt = (1/N) sum_l eta_jl lambda_l,  eta_jl = Tr[H i[X_j, X_l]],
 
 are written once, inside `stepped_rhs`, through the identity
-sum_l eta_jl lambda_l = Tr[X_j i[G, F]]; d(lambda_0)/dt, which vanishes by
-the antisymmetry of eta, is evaluated there only as a guard.  Outside that
-per-step hot path every G = sum_j c_j X_j is contracted by
+sum_l eta_jl lambda_l = Tr[X_j i[G, F]], in a single-state and a stacked
+form of the same arithmetic.  d(lambda_0)/dt, which vanishes by the
+antisymmetry of eta, is evaluated only as a guard (`_check_lambda0_rate`),
+on slopes already formed: at the pass's start and drift checkpoints and
+at the samples a batch of dense output steps from.  Outside the
+right-hand side every G = sum_j c_j X_j is contracted by
 `algebra.forbidden_sum`.
 """
 
@@ -367,9 +371,11 @@ def constant_g_frames(G: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 # steps per block of the direct cross-check propagation, and rows per
 # batched step of `PassSamples.rows_at`; both bound the temporaries to a
-# few blocks of matrices whatever the window length
+# few blocks of matrices whatever the window length.  At N = 4 the
+# stacked right-hand side measured about 0.5 us a row on 256 rows and
+# 1.1 to 1.4 us on 1,024, whose temporaries outgrow the cache
 _DIRECT_BLOCK = 512
-_AT_BLOCK = 1024
+_AT_BLOCK = 256
 
 # maps per chunk of the prefix product `_chained`
 _SCAN_CHUNK = 8
@@ -550,27 +556,31 @@ def _validate_h0(problem: ControlProblem, H0: np.ndarray, tol: float = 1e-8) -> 
             )
 
 
-def stepped_rhs(
-    F0: np.ndarray,
-    Xf: np.ndarray,
-    lambda0: float,
-    omega: float,
-):
+def stepped_rhs(F0: np.ndarray, Xf: np.ndarray, lambda0: float):
     """Right-hand side of the stepped frame/multiplier system.
 
     A state is a row concatenating V (N*N entries) and the lambda_j; the
-    right-hand side takes a single state or a stack of them along leading
-    axes.  lambda_0 is constant and tau = t/lambda_0, so neither is
-    stepped, and the cross-check U_d is not part of the state.  With
-    G = sum_l (lambda_l/lambda_0) X_l and F = V F(0) V^dag, [G, H] =
-    [G, F]/lambda_0 gives
+    right-hand side takes a single state or a stack of them, one per row.
+    lambda_0 is constant and tau = t/lambda_0, so neither is stepped, and
+    the cross-check U_d is not part of the state.  With G = sum_l
+    (lambda_l/lambda_0) X_l and F = V F(0) V^dag, [G, H] = [G, F]/lambda_0
+    gives
 
         sum_l eta_jl lambda_l = Tr[X_j i[G, F]] = 2 Re Tr[X_j (iG V) F(0) V^dag],
 
-    which reuses dV/dt = iG V and costs one contraction with the
-    transposed forbidden generators `Xf`.  d(lambda_0)/dt =
-    -lambda.(eta lambda)/(2 omega^2 lambda_0) vanishes by the antisymmetry
-    of eta; it is evaluated for every row of every call as a guard.
+    which reuses dV/dt = iG V.  A single state, which the pass steps,
+    takes three N x N products and one contraction with the transposed
+    forbidden generators `Xf`.  A stack of K states takes no product per
+    row: X_l V for every l and row is one GEMM of the stacked generators
+    (M*N x N) with the frames side by side (N x K*N), dV = iG V is M
+    broadcast multiply-adds of those with the coefficients
+    i lambda_l/lambda_0, dV F(0) is one tall GEMM, and, the X_j being
+    Hermitian, Tr[X_j dV F(0) V^dag] = <X_j V, dV F(0)>_F is one
+    contraction of the two.  At N = 4, M = 3 a stack of 256 measured
+    about 0.5 us a row this way, against 1.4 to 2.1 us with three
+    products per row (BLAS on one thread).
+    d(lambda_0)/dt is not formed here: `_check_lambda0_rate` guards it on
+    the slopes the callers already hold.
     """
     N = F0.shape[0]
     M = Xf.shape[0]
@@ -578,43 +588,70 @@ def stepped_rhs(
     iXf2 = Xf.reshape(M, n2) * (1.0j / lambda0)
     # (iG F).ravel() @ XfT2 = (2/N) Tr[X_j iG F], whose real part is d(lambda_j)/dt
     XfT2 = (np.ascontiguousarray(Xf.transpose(0, 2, 1)).reshape(M, n2) * (2.0 / N)).T
-    dlam0_per = -N / (2.0 * omega**2 * lambda0)
+    Xs = Xf.reshape(M * N, N)
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        lead = y.shape[:-1]
-        V = y[..., :n2].reshape(lead + (N, N))
-        lams = y[..., n2:].real
-        iG = (lams @ iXf2).reshape(lead + (N, N))
-        dV = iG @ V
-        FV = F0 @ V.conj().swapaxes(-1, -2)  # F = V FV
-        dlams = ((dV @ FV).reshape(lead + (n2,)) @ XfT2).real
-        if y.ndim == 1:  # one state, the per-step hot path: float arithmetic
-            dlam0 = float(lams @ dlams) * dlam0_per
-            bad = abs(dlam0) > 1e-9 * omega * (1.0 + float(lams @ lams) / omega**2)
-        else:
-            dlam0 = (lams * dlams).sum(-1) * dlam0_per
-            bad = (abs(dlam0) > 1e-9 * omega * (1.0 + (lams * lams).sum(-1) / omega**2)).any()
-        if bad:
-            raise ArithmeticError(
-                "the contraction sum_jl lambda_j lambda_l eta_jl must vanish by antisymmetry "
-                f"of eta, but d(lambda_0)/dt = {float(np.abs(dlam0).max()):.3e}"
-            )
-        return np.concatenate((dV.reshape(lead + (n2,)), dlams), axis=-1)
+        if y.ndim == 1:
+            V = y[:n2].reshape(N, N)
+            dV = (y[n2:].real @ iXf2).reshape(N, N) @ V
+            dlams = ((dV @ (F0 @ V.conj().T)).ravel() @ XfT2).real
+            return np.concatenate((dV.ravel(), dlams))
+        K = y.shape[0]
+        # column k*N + b of the frames side by side is column b of V_k, so
+        # XV[l, a, k*N + b] = (X_l V_k)[a, b], and dV is laid out the same
+        frames = y[:, :n2].reshape(K, N, N).transpose(1, 0, 2).reshape(N, K * N)
+        XV = (Xs @ frames).reshape(M, N, K * N)
+        c = np.repeat(y[:, n2:].real.T * (1.0j / lambda0), N, axis=1)
+        dV = c[0] * XV[0]
+        for l in range(1, M):
+            dV += c[l] * XV[l]
+        dVF = dV.reshape(N * K, N) @ F0
+        # Re<X_j V, dV F(0)>_F as a sum over the [re, im] pairs of both
+        dlams = np.einsum(
+            "jakb,akb->kj", XV.view(float).reshape(M, N, K, 2 * N),
+            dVF.view(float).reshape(N, K, 2 * N),
+        )
+        dV = dV.reshape(N, K, N).transpose(1, 0, 2).reshape(K, n2)
+        return np.concatenate((dV, dlams * (2.0 / N)), axis=1)
 
     return rhs
 
 
-def rk6_step(rhs, y: np.ndarray, h) -> np.ndarray:
+def _check_lambda0_rate(
+    problem: ControlProblem, lambda0: float, y: np.ndarray, dy: np.ndarray
+) -> None:
+    """Guard the conservation of lambda_0 at states y with slopes dy = rhs(y).
+
+    d(lambda_0)/dt = -lambda.(eta lambda)/(2 omega^2 lambda_0) =
+    -N lambda.(d lambda/dt)/(2 omega^2 lambda_0) vanishes by the
+    antisymmetry of eta, which needs a Hermitian F(0); beyond 1e-9 omega
+    (1 + |lambda|^2/omega^2) on any row it is an ArithmeticError.  The
+    pass runs it on y(0) and at every drift checkpoint, and
+    `PassSamples.rows_at` on the slopes at its left samples.
+    """
+    N, w = problem.dim, problem.omega
+    lams, dlams = y[..., N * N :].real, dy[..., N * N :].real
+    dlam0 = (lams * dlams).sum(-1) * (-N / (2.0 * w**2 * lambda0))
+    if np.any(np.abs(dlam0) > 1e-9 * w * (1.0 + (lams * lams).sum(-1) / w**2)):
+        raise ArithmeticError(
+            "the contraction sum_jl lambda_j lambda_l eta_jl must vanish by antisymmetry "
+            f"of eta, but d(lambda_0)/dt = {float(np.abs(dlam0).max()):.3e}"
+        )
+
+
+def rk6_step(rhs, y: np.ndarray, h, k1: np.ndarray) -> np.ndarray:
     """One step of Butcher's seven-stage sixth-order Runge-Kutta method
     (J. Austral. Math. Soc. 4 (1964) 179) of dy/dt = rhs(y) of size h.
 
     The tableau, each row with its common denominator: c = (0, 1/3, 2/3,
     1/3, 1/2, 1/2, 1); a_2 = (1)/3, a_3 = (0, 2)/3, a_4 = (1, 4, -1)/12,
     a_5 = (-1, 18, -3, -6)/16, a_6 = (0, 9, -3, -6, 4)/8, a_7 = (9, -36,
-    63, 72, 0, -64)/44; b = (11, 0, 81, 81, -32, -32, 11)/120.  On a
-    stack of states h may be a column of step sizes, one per row.
+    63, 72, 0, -64)/44; b = (11, 0, 81, 81, -32, -32, 11)/120.  The first
+    stage k1 = rhs(y) is the caller's, which the pass carries into its
+    checks and `PassSamples.rows_at` shares among the rows that start from
+    one sample, so a step evaluates rhs six times.  On a stack of states h
+    may be a column of step sizes, one per row.
     """
-    k1 = rhs(y)
     k2 = rhs(y + (h / 3.0) * k1)
     k3 = rhs(y + (h / 1.5) * k2)
     k4 = rhs(y + (h / 12.0) * (k1 + 4.0 * k2 - k3))
@@ -670,7 +707,9 @@ class PassSamples(NamedTuple):
         takes, for each time t, one `rk6_step` of size t - t_k from the
         sample t_k just left of t (of size 0 on a sample): a dense output
         of the pass's own order, evaluated for a block of times in one
-        batch.
+        batch of the stacked `stepped_rhs`.  The first stage, the slope at
+        t_k, is evaluated once per distinct sample of a block and guarded
+        by `_check_lambda0_rate`; the rows share it.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
         lam0 = self.lambda0[0]
@@ -684,9 +723,12 @@ class PassSamples(NamedTuple):
         lams = np.empty((times.size, problem.n_forbidden))
         for a in range(0, times.size, _AT_BLOCK):
             r = slice(a, a + _AT_BLOCK)
-            left = k[r]
-            y = np.concatenate((self.V[left].reshape(-1, n2), self.lambdas[left]), axis=1)
-            y = rk6_step(self.rhs, y, (times[r] - self.times[left])[:, None])
+            nodes, left = np.unique(k[r], return_inverse=True)
+            y = np.concatenate((self.V[nodes].reshape(-1, n2), self.lambdas[nodes]), axis=1)
+            dy = self.rhs(y)
+            _check_lambda0_rate(problem, lam0, y, dy)
+            h = (times[r] - self.times[k[r]])[:, None]
+            y = rk6_step(self.rhs, y[left], h, dy[left])
             V[r] = y[:, :n2].reshape(-1, N, N)
             lams[r] = y[:, n2:].real
         lam0s = np.full(times.size, lam0)
@@ -748,6 +790,9 @@ def integrate_blocks(
     yields there, so every yielded row has passed a drift check.  A
     drift beyond `_UNITARITY_TOL` is an ArithmeticError naming the drift
     and the step: the pass never projects its frame and never restarts.
+    The slope at each sample is carried into the next step as its first
+    stage, and at y(0) and every checkpoint `_check_lambda0_rate` guards
+    it.
     The exact path (a closed forbidden set) yields its complete window at
     once (`exact_pass`, no coarser than `dt`).  A caller may stop
     iterating at any block.  No cross-check is carried: it is built from
@@ -790,7 +835,7 @@ def integrate_blocks(
     M = problem.n_forbidden
     N = problem.dim
     n2 = N * N
-    rhs = stepped_rhs(F0, Xf, lam0, w)
+    rhs = stepped_rhs(F0, Xf, lam0)
     step = t_max / n_steps
     every = max(1, round(_CHECK_SPAN / (w * step)))
     times = np.arange(n_steps + 1) * step
@@ -799,10 +844,14 @@ def integrate_blocks(
     lam0s = np.full(n_steps + 1, lam0)
     taus = times / lam0
     y = ys[0] = np.concatenate((np.eye(N, dtype=complex).ravel(), m0.lambdas))
+    dy = rhs(y)
+    _check_lambda0_rate(problem, lam0, y, dy)
     for i in range(1, n_steps + 1):
-        y = ys[i] = rk6_step(rhs, y, step)
+        y = ys[i] = rk6_step(rhs, y, step, dy)
+        dy = rhs(y)
         if i % every and i < n_steps:
             continue
+        _check_lambda0_rate(problem, lam0, y, dy)
         V = y[:n2].reshape(N, N)
         drift = float(np.linalg.norm(V.conj().T @ V - np.eye(N)))
         if not drift <= _UNITARITY_TOL:

@@ -108,7 +108,7 @@ def test_g_operator_cases():
 
 def multiplier_rates(problem, lam0, lams, V, F0):
     """d(lambda_j)/dt from the lambda slots of `stepped_rhs` at the frame V."""
-    rhs = stepped_rhs(F0, problem.forbidden_generators(), lam0, problem.omega)
+    rhs = stepped_rhs(F0, problem.forbidden_generators(), lam0)
     k = rhs(np.concatenate((V.ravel(), np.asarray(lams, dtype=float))))
     n2 = problem.dim**2
     assert k.size == n2 + problem.n_forbidden
@@ -142,21 +142,29 @@ def pauli_pair_instance():
     return problem, MultiplierVector(1.0, [0.3, -0.6]), omega * SY
 
 
-@pytest.mark.parametrize("case", ["pauli-pair", "su3", "su4-2", "su4-7"])
-def test_multiplier_rates_match_the_commutator_tensor(case):
-    # the rates of stepped_rhs, from the one-commutator contraction
-    # Tr[X_j i[G, F]], against (1/N) eta lambda with eta_jl = Tr[H i[X_j, X_l]]
-    # built from the commutator tensor, at a random frame and multipliers
+RATE_CASES = ["pauli-pair", "su3", "su4-2", "su4-7"]
+
+
+def rate_instance(case):
+    """(problem, m0, F(0)) of a case of RATE_CASES."""
     if case == "pauli-pair":
         problem, m0, h0 = pauli_pair_instance()
     elif case == "su3":
         problem, m0, h0 = su3_drifting_instance()
     else:
         problem, h0, m0 = helpers.su4_shoot_seed(int(case[-1]))
+    return problem, m0, m0.lambda0 * (h0 + g_operator(m0, problem.basis, problem.forbidden))
+
+
+@pytest.mark.parametrize("case", RATE_CASES)
+def test_multiplier_rates_match_the_commutator_tensor(case):
+    # the rates of stepped_rhs, from the one-commutator contraction
+    # Tr[X_j i[G, F]], against (1/N) eta lambda with eta_jl = Tr[H i[X_j, X_l]]
+    # built from the commutator tensor, at a random frame and multipliers
+    problem, m0, f0 = rate_instance(case)
     N, M = problem.dim, problem.n_forbidden
     rng = np.random.default_rng(11)
     xf = problem.forbidden_generators()
-    f0 = m0.lambda0 * (h0 + g_operator(m0, problem.basis, problem.forbidden))
     for _ in range(5):
         v, _ = np.linalg.qr(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
         lam0 = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
@@ -169,16 +177,73 @@ def test_multiplier_rates_match_the_commutator_tensor(case):
         assert float(np.abs(got - want).max()) <= 1e-13
 
 
-def test_multiplier_rhs_guards_the_lambda0_rate():
+@pytest.mark.parametrize("case", RATE_CASES)
+def test_stacked_rhs_matches_the_single_state_rhs(case):
+    # the stacked right-hand side (GEMMs over the whole stack) against the
+    # single-state one (three N x N products) row by row, at random frames
+    # and multipliers; N = 2 and 3 take the stacked shapes off N = 4
+    problem, m0, f0 = rate_instance(case)
+    N, M = problem.dim, problem.n_forbidden
+    rng = np.random.default_rng(3)
+    rhs = stepped_rhs(f0, problem.forbidden_generators(), -0.8 * m0.lambda0)
+    V, _ = np.linalg.qr(rng.normal(size=(37, N, N)) + 1j * rng.normal(size=(37, N, N)))
+    y = np.concatenate((V.reshape(37, N * N), rng.normal(size=(37, M)) * problem.omega), axis=1)
+    stacked = rhs(y)
+    assert stacked.shape == y.shape
+    for row, got in zip(y, stacked):
+        one = rhs(row)
+        assert float(np.abs(got - one).max()) <= 1e-14 * float(np.abs(one).max())
+
+
+def test_lambda0_rate_guard(monkeypatch):
     # d(lambda_0)/dt = -lambda.(eta lambda)/(2 omega^2 lambda_0) vanishes by
     # the antisymmetry of eta, which needs a Hermitian F; a non-Hermitian
-    # F(0) breaks it, and every call checks
+    # F(0) breaks it.  The right-hand side does not check: the guard reads
+    # the slopes its callers have formed, directly, in a pass and in a
+    # pass's dense output
     problem, m0, h0 = su3_drifting_instance()
     f0 = m0.lambda0 * (h0 + g_operator(m0, problem.basis, problem.forbidden))
-    rhs = stepped_rhs(f0 + 0.5j * np.eye(3), problem.forbidden_generators(), 1.0, 1.0)
-    eye = np.eye(3, dtype=complex).ravel()
+    xf, eye = problem.forbidden_generators(), np.eye(3)
+    bad_rhs = stepped_rhs(f0 + 0.5j * eye, xf, 1.0)
+    y = np.concatenate((eye.ravel() + 0j, m0.lambdas))
+    dynamics._check_lambda0_rate(problem, 1.0, y, stepped_rhs(f0, xf, 1.0)(y))
     with pytest.raises(ArithmeticError, match="antisymmetry"):
-        rhs(np.concatenate((eye, m0.lambdas)))
+        dynamics._check_lambda0_rate(problem, 1.0, y, bad_rhs(y))
+    ys = np.stack((y, y))
+    dys = np.stack((stepped_rhs(f0, xf, 1.0)(y), bad_rhs(y)))
+    with pytest.raises(ArithmeticError, match="antisymmetry"):
+        dynamics._check_lambda0_rate(problem, 1.0, ys, dys)
+    smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
+    with pytest.raises(ArithmeticError, match="antisymmetry"):
+        smp._replace(rhs=bad_rhs).rows_at(problem, [0.5])
+    # the same F(0) inside a pass fails its first check, before any block
+    monkeypatch.setattr(
+        dynamics, "stepped_rhs", lambda F0, Xf, lam0: stepped_rhs(F0 + 0.5j * eye, Xf, lam0)
+    )
+    with pytest.raises(ArithmeticError, match="antisymmetry"):
+        next(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))
+
+
+def test_pass_guards_lambda0_at_its_checkpoints(monkeypatch):
+    # the pass checks y(0) and the state at every drift checkpoint (each
+    # block's last row), with the slope rhs(y) there
+    problem, m0, h0 = su3_drifting_instance()
+    seen = []
+    check = dynamics._check_lambda0_rate
+
+    def recorded(problem, lambda0, y, dy):
+        seen.append((y.copy(), dy.copy()))
+        check(problem, lambda0, y, dy)
+
+    monkeypatch.setattr(dynamics, "_check_lambda0_rate", recorded)
+    blocks = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))
+    monkeypatch.undo()
+    n2 = problem.dim**2
+    last = [np.concatenate((b.V[-1].ravel(), b.lambdas[-1])) for b in blocks]
+    assert len(seen) == 1 + len(blocks) and len(blocks) > 1
+    for (y, dy), want in zip(seen, [blocks[0].V[0].ravel(), *(row[:n2] for row in last)]):
+        np.testing.assert_array_equal(y[:n2], want)
+        np.testing.assert_array_equal(dy, blocks[-1].rhs(y))
 
 
 def test_eta_matrix_single_direction_is_zero():
@@ -613,6 +678,32 @@ def test_batched_at_matches_scalar_calls(seed):
     np.testing.assert_array_equal(rows[2], smp.lambdas[:3])
 
 
+@pytest.mark.parametrize("case", ["su3", "su4-7"])
+def test_rows_at_is_one_single_state_step(case):
+    # the batched dense output (stacked right-hand side, one first stage
+    # per left sample) against one rk6_step of the single-state right-hand
+    # side from the sample left of each time: on samples, between them,
+    # and across a block boundary of the batch
+    if case == "su3":
+        problem, m0, h0 = su3_drifting_instance()
+    else:
+        problem, h0, m0 = helpers.su4_shoot_seed(7)
+    smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
+    rng = np.random.default_rng(4)
+    times = np.concatenate(
+        (smp.times[[0, 1, 37, -2, -1]], np.sort(rng.uniform(0.0, 1.0, dynamics._AT_BLOCK + 20)))
+    )
+    V, _, lams, _ = smp.rows_at(problem, times)
+    n2 = problem.dim**2
+    for t, v, lam in zip(times, V, lams):
+        k = min(int(np.searchsorted(smp.times, t, side="right")) - 1, smp.times.size - 2)
+        y = np.concatenate((smp.V[k].ravel(), smp.lambdas[k]))
+        y = dynamics.rk6_step(smp.rhs, y, t - smp.times[k], smp.rhs(y))
+        want = np.concatenate((y[:n2], y[n2:].real))
+        got = np.concatenate((v.ravel(), lam))
+        assert float(np.abs(got - want).max()) <= 1e-14 * float(np.abs(want).max()), t
+
+
 @pytest.mark.parametrize("seed", [7, 90])
 def test_cross_check_reads_only_the_h_samples(seed, monkeypatch):
     # on a stepped pass (seed 7) and on the exact flow (seed 90) the
@@ -678,12 +769,12 @@ def test_integrate_non_commuting_su4_is_sixth_order(seed):
     assert not is_closed_subalgebra(problem.basis, problem.forbidden)[0]
     ref = integrate(problem, m0, h0, t_max=1.0, dt=0.005).V[-1]
     f0 = m0.lambda0 * (h0 + g_operator(m0, problem.basis, problem.forbidden))
-    rhs = stepped_rhs(f0, problem.forbidden_generators(), m0.lambda0, problem.omega)
+    rhs = stepped_rhs(f0, problem.forbidden_generators(), m0.lambda0)
     errs = []
     for h in (0.2, 0.1):
         y = np.concatenate((np.eye(problem.dim, dtype=complex).ravel(), m0.lambdas))
         for _ in range(round(1.0 / h)):
-            y = dynamics.rk6_step(rhs, y, h)
+            y = dynamics.rk6_step(rhs, y, h, rhs(y))
         errs.append(float(np.linalg.norm(y[: problem.dim**2].reshape(ref.shape) - ref)))
     assert 48.0 <= errs[0] / errs[1] <= 80.0
 
@@ -703,10 +794,10 @@ def test_integrate_closed_non_abelian_su4_is_exact():
     # the stepped system at a fine step, from the same seed, as reference
     n2 = problem.dim**2
     f0 = m0.lambda0 * (h0 + g_operator(m0, problem.basis, problem.forbidden))
-    rhs = stepped_rhs(f0, problem.forbidden_generators(), m0.lambda0, problem.omega)
+    rhs = stepped_rhs(f0, problem.forbidden_generators(), m0.lambda0)
     y = np.concatenate((np.eye(problem.dim, dtype=complex).ravel(), m0.lambdas))
     for _ in range(1000):
-        y = dynamics.rk6_step(rhs, y, 1e-3)
+        y = dynamics.rk6_step(rhs, y, 1e-3, rhs(y))
     V, lams, tau = y[:n2].reshape(problem.dim, -1), y[n2:].real, 1.0 / m0.lambda0
     w, q = np.linalg.eigh(f0)
     u_ref = V @ (q * np.exp(-1j * w * tau)) @ q.conj().T
