@@ -206,13 +206,12 @@ def test_lambda0_rate_guard(monkeypatch):
     xf, eye = problem.forbidden_generators(), np.eye(3)
     bad_rhs = stepped_rhs(f0 + 0.5j * eye, xf, 1.0)
     y = np.concatenate((eye.ravel() + 0j, m0.lambdas))
-    dynamics._check_lambda0_rate(problem, 1.0, y, stepped_rhs(f0, xf, 1.0)(y))
+    good = stepped_rhs(f0, xf, 1.0)(y)
+    dynamics._check_lambda0_rate(problem, 1.0, y, good)
     with pytest.raises(ArithmeticError, match="antisymmetry"):
         dynamics._check_lambda0_rate(problem, 1.0, y, bad_rhs(y))
-    ys = np.stack((y, y))
-    dys = np.stack((stepped_rhs(f0, xf, 1.0)(y), bad_rhs(y)))
     with pytest.raises(ArithmeticError, match="antisymmetry"):
-        dynamics._check_lambda0_rate(problem, 1.0, ys, dys)
+        dynamics._check_lambda0_rate(problem, 1.0, np.stack((y, y)), np.stack((good, bad_rhs(y))))
     smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
     with pytest.raises(ArithmeticError, match="antisymmetry"):
         smp._replace(rhs=bad_rhs).rows_at(problem, [0.5])
@@ -238,11 +237,10 @@ def test_pass_guards_lambda0_at_its_checkpoints(monkeypatch):
     monkeypatch.setattr(dynamics, "_check_lambda0_rate", recorded)
     blocks = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))
     monkeypatch.undo()
-    n2 = problem.dim**2
-    last = [np.concatenate((b.V[-1].ravel(), b.lambdas[-1])) for b in blocks]
     assert len(seen) == 1 + len(blocks) and len(blocks) > 1
-    for (y, dy), want in zip(seen, [blocks[0].V[0].ravel(), *(row[:n2] for row in last)]):
-        np.testing.assert_array_equal(y[:n2], want)
+    frames = [blocks[0].V[0]] + [b.V[-1] for b in blocks]
+    for (y, dy), V in zip(seen, frames):
+        np.testing.assert_array_equal(y[: V.size], V.ravel())
         np.testing.assert_array_equal(dy, blocks[-1].rhs(y))
 
 
