@@ -44,11 +44,62 @@ log = logging.getLogger("qbrach")
 # -- output ------------------------------------------------------------------
 
 
+def _float_array_text(a: np.ndarray) -> str:
+    """A float array as JSON text: its shape as nested brackets of %r, filled in one step."""
+    template = "%r"
+    for n in reversed(a.shape):
+        template = "[" + ",".join([template] * n) + "]"
+    text = template % tuple(a.ravel().tolist())
+    if "n" in text:  # only nan and inf hold an n: a finite float's repr has none
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
+def _emit(obj, out: list) -> None:
+    """Append the compact JSON text of `obj` to `out`, piece by piece."""
+    if isinstance(obj, dict):
+        out.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"a JSON object key must be a string, got {key!r}")
+            out.append(("," if i else "") + json.dumps(key) + ":")
+            _emit(value, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, value in enumerate(obj):
+            if i:
+                out.append(",")
+            _emit(value, out)
+        out.append("]")
+    elif isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.dtype.itemsize <= 8:
+            out.append(_float_array_text(obj))
+        elif obj.dtype.kind in "biu":
+            out.append(json.dumps(obj.tolist(), separators=(",", ":")))
+        else:
+            raise TypeError(
+                f"an array of dtype {obj.dtype} is not JSON serializable; "
+                "complex arrays are written as [re, im] pairs"
+            )
+    else:
+        out.append(json.dumps(obj))
+
+
 def _write_json(doc: dict, path: Optional[str]) -> None:
-    """Write `doc` as compact JSON to `path`, or to stdout for None or "-"."""
-    text = json.dumps(doc, separators=(",", ":"))
+    """Write `doc` as compact JSON to `path`, or to stdout for None or "-".
+
+    The text is json.dumps(doc, separators=(",", ":")) with every array
+    leaf taken as its tolist(), byte for byte; a float array is written in
+    one step rather than walked element by element.  The whole text is
+    rendered before the file is opened, so an error writes nothing.
+    """
+    out: list = []
+    _emit(doc, out)
+    text = "".join(out)
     if path is None or path == "-":
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
+        sys.stdout.write("\n")  # not text + "\n": no second copy of the whole text
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -344,7 +395,7 @@ def _cmd_sweep_m1(args) -> int:
     doc = {
         "kind": "sweep_m1",
         "omega": args.omega,
-        **{name: values.tolist() for name, values in fields.items()},
+        **fields,
     }
     _write_json(doc, args.output)
     if args.csv:

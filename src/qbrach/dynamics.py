@@ -162,9 +162,9 @@ class MultiplierVector:
         return self.lambdas.size
 
 
-def _as_pairs(a: np.ndarray) -> list:
-    """Complex array -> nested lists of [re, im] pairs (row-major)."""
-    return np.stack([a.real, a.imag], axis=-1).tolist()
+def _as_pairs(a: np.ndarray) -> np.ndarray:
+    """Complex array -> a new float array with a trailing [re, im] axis."""
+    return np.stack([a.real, a.imag], axis=-1)
 
 
 def _from_pairs(data) -> np.ndarray:
@@ -289,10 +289,10 @@ class Trajectory:
             "forbidden": [self.basis.labels[j] for j in self.forbidden],
             "renormalized": self.renormalized,
             "u_mismatch": self.u_mismatch,
-            "times": self.times.tolist(),
-            "lambda0": self.lambda0.tolist(),
-            "lambdas": self.lambdas.tolist(),
-            "tau_acc": self.tau_acc.tolist(),
+            "times": self.times.copy(),
+            "lambda0": self.lambda0.copy(),
+            "lambdas": self.lambdas.copy(),
+            "tau_acc": self.tau_acc.copy(),
             "psi": _as_pairs(self.psi),
             "V": _as_pairs(self.V),
             "U": _as_pairs(self.U),

@@ -144,7 +144,7 @@ class ExtremalSolution:
             "branch": list(self.branch) if self.branch is not None else None,
             "multipliers0": {
                 "lambda0": self.multipliers0.lambda0,
-                "lambdas": self.multipliers0.lambdas.tolist(),
+                "lambdas": self.multipliers0.lambdas.copy(),
             },
             "H0": _as_pairs(np.asarray(self.H0, dtype=complex)),
             "report": self.report.as_dict() if self.report is not None else None,

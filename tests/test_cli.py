@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import helpers
-from qbrach import dynamics, solvers
+from qbrach import cli, dynamics, solvers
 from qbrach.algebra import MAX_DIM
 from qbrach.cli import _write_json, main
 from qbrach.solvers import (
@@ -307,6 +307,8 @@ def test_sweep_m1_bad_grids(grid):
 
 def assert_same_floats(got, want, path="doc"):
     """`got` (parsed output) has the structure of `want`, every float equal by float.hex."""
+    if isinstance(want, np.ndarray):
+        want = want.tolist()
     if isinstance(want, dict):
         assert list(got) == list(want), path
         for key in want:
@@ -339,13 +341,93 @@ def test_json_output_floats_are_exact(capsys):
     fields = sweep_m1(np.linspace(0, 0.02, 3), np.linspace(0.1, 0.3, 4), omega=7.5)
     assert_same_floats(doc["omega"], 7.5)
     for name, values in fields.items():
-        assert_same_floats(doc[name], values.tolist(), name)
+        assert_same_floats(doc[name], values, name)
 
 
 def test_json_writer_keeps_non_finite_tokens(tmp_path):
     path = tmp_path / "tokens.json"
     _write_json({"x": [float("nan"), float("inf"), -float("inf"), 0.1]}, str(path))
     assert path.read_text() == '{"x":[NaN,Infinity,-Infinity,0.1]}'
+
+
+def _listed(doc):
+    """`doc` with every array leaf replaced by its tolist()."""
+    if isinstance(doc, dict):
+        return {key: _listed(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_listed(value) for value in doc]
+    return doc.tolist() if isinstance(doc, np.ndarray) else doc
+
+
+def _written(doc, tmp_path):
+    path = tmp_path / "doc.json"
+    _write_json(doc, str(path))
+    return path.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, fixture",
+    [
+        (["solve-free", "-i"], "free_file"),
+        (["solve-closed", "-i"], "closed_file"),
+        (["shoot", "-i"], "closed_file"),
+        (["solve-2qubit", "--omega-b", "1.5707963", "--omega", "10"], None),
+        (["solve-m1", "--omega-b", repr(DESIGNED_OB), "--phi", repr(DESIGNED_PHI),
+          "--omega", "10.0"], None),
+        (["sweep-m1", "--grid", "0,0.02,3 x 0.1,0.3,4", "--omega", "7.5"], None),
+    ],
+)
+def test_json_writer_matches_json_dumps_on_every_cli_document(
+    argv, fixture, request, tmp_path, monkeypatch
+):
+    # the writer's text is json.dumps of the same document with its arrays
+    # as nested lists, byte for byte
+    if fixture is not None:
+        argv = argv + [request.getfixturevalue(fixture)]
+    docs = []
+    monkeypatch.setattr(cli, "_write_json", lambda doc, path: docs.append(doc))
+    assert main(argv) == 0
+    (doc,) = docs
+    assert _written(doc, tmp_path) == json.dumps(_listed(doc), separators=(",", ":"))
+    if argv[0] == "solve-free":
+        # M = 0: the multipliers are an array of shape (K, 0)
+        lambdas = doc["trajectory"]["lambdas"]
+        assert lambdas.shape == (len(doc["trajectory"]["times"]), 0)
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.array([-0.0, 5e-324, 1e-5, 1e-4, 0.1, 1e16, 1e22, math.nan, math.inf, -math.inf]),
+        np.array([[0.1, -math.inf], [math.nan, 2.5e-300]]),
+        np.array(1.5),
+        np.array([0.1, 1e-7], dtype=np.float32),
+        np.zeros(0),
+        np.zeros((3, 0)),
+        np.zeros((0, 2)),
+        np.array([True, False]),
+        np.array([[1, -2], [3, 2**40]]),
+        np.zeros(0, dtype=bool),
+    ],
+)
+def test_json_writer_matches_json_dumps_on_array_leaves(array, tmp_path):
+    doc = {"a": array, "rows": [array, {"k": array}], "n": 1}
+    assert _written(doc, tmp_path) == json.dumps(_listed(doc), separators=(",", ":"))
+
+
+@pytest.mark.parametrize(
+    "leaf",
+    [np.array([1j]), np.array([0.5, None], dtype=object), {1: 0.5}]
+    # a long double wider than float64 has no float repr
+    + ([np.array([0.5], dtype=np.longdouble)] if np.dtype(np.longdouble).itemsize > 8 else []),
+)
+def test_json_writer_refuses_a_complex_or_object_array_and_a_non_string_key(leaf, tmp_path):
+    # complex arrays are written as [re, im] pairs; the refusal comes before
+    # the file is opened
+    path = tmp_path / "x.json"
+    with pytest.raises(TypeError):
+        _write_json({"ok": np.zeros(2), "x": leaf}, str(path))
+    assert not path.exists()
 
 
 # ------------------------------------------------------------------ verify

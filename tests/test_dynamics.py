@@ -13,6 +13,7 @@ from qbrach.algebra import (
     forbidden_sum,
     is_closed_subalgebra,
 )
+from qbrach.cli import _write_json
 from qbrach.dynamics import (
     ControlProblem,
     MultiplierVector,
@@ -828,7 +829,7 @@ def test_trajectory_json_file_round_trip(tmp_path):
     problem = helpers.m1_problem(1.0)
     traj = integrate(problem, MultiplierVector(1.0, [2.5]), SY, t_max=0.1, dt=1e-3)
     path = tmp_path / "traj.json"
-    path.write_text(json.dumps(traj.to_dict()))
+    _write_json(traj.to_dict(), str(path))
     back = Trajectory.from_dict(json.loads(path.read_text()))
     np.testing.assert_array_equal(back.U, traj.U)
 

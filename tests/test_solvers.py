@@ -10,7 +10,7 @@ import pytest
 
 import helpers
 from qbrach import dynamics, solvers
-from qbrach.dynamics import ControlProblem, MultiplierVector, SingularGaugeError
+from qbrach.dynamics import ControlProblem, MultiplierVector, SingularGaugeError, Trajectory
 from qbrach.solvers import (
     TWO_QUBIT_FORBIDDEN,
     ExtremalSolution,
@@ -1020,3 +1020,23 @@ def test_extremal_solution_serialization():
     assert data["report"]["verdict"]["endpoint_im"] is True
     assert data["trajectory"]["dimension"] == 2
     assert data["multipliers0"]["lambda0"] == pytest.approx(1.0)
+
+
+def test_serialized_arrays_are_copies():
+    # the arrays of a document are its own: writing to them leaves the
+    # solution and its trajectory as they were
+    sol = solve_free(helpers.KET0, helpers.KET1, omega=1.0)
+    traj = sol.trajectory
+    times, U, H0 = traj.times.copy(), traj.U.copy(), np.array(sol.H0, copy=True)
+    data = traj.to_dict()
+    data["times"][:] = -1.0
+    data["U"][3][0][1][0] += 0.05
+    data = sol.to_dict()
+    data["H0"][:] = 7.0
+    data["trajectory"]["U"][:] = 0.0
+    np.testing.assert_array_equal(traj.times, times)
+    np.testing.assert_array_equal(traj.U, U)
+    np.testing.assert_array_equal(sol.H0, H0)
+    back = Trajectory.from_dict(traj.to_dict())
+    for name in ("times", "V", "U", "H", "F", "psi", "lambda0", "lambdas", "tau_acc"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(traj, name), err_msg=name)
