@@ -44,12 +44,16 @@ log = logging.getLogger("qbrach")
 # -- output ------------------------------------------------------------------
 
 
+def _nested(shape, cell: str) -> str:
+    """`cell` once per element, in the nested brackets JSON writes an array of `shape` in."""
+    for n in reversed(shape):
+        cell = "[" + ",".join([cell] * n) + "]"
+    return cell
+
+
 def _float_array_text(a: np.ndarray) -> str:
     """A float array as JSON text: its shape as nested brackets of %r, filled in one step."""
-    template = "%r"
-    for n in reversed(a.shape):
-        template = "[" + ",".join([template] * n) + "]"
-    text = template % tuple(a.ravel().tolist())
+    text = _nested(a.shape, "%r") % tuple(a.ravel().tolist())
     if "n" in text:  # only nan and inf hold an n: a finite float's repr has none
         text = text.replace("nan", "NaN").replace("inf", "Infinity")
     return text
@@ -103,6 +107,128 @@ def _write_json(doc: dict, path: Optional[str]) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+# -- input -------------------------------------------------------------------
+
+_WS = b" \t\n\r"
+_NOT_SKELETON = bytes(sorted(set(range(256)) - set(b"[],")))
+_FIELDS = bytes.maketrans(b"[]\t\n\r", b"     ")  # one line of comma-separated fields
+_DIGITS = b"0123456789"
+
+
+def _shape(skel: bytes) -> list:
+    """The shape a regular array's skeleton (its brackets and commas) spells,
+    read off the first block at each depth."""
+    ndim = len(skel) - len(skel.lstrip(b"["))
+    shape = [skel.find(b"]") - ndim + 1]  # the first row's commas, plus one
+    size = shape[0] + 1  # the skeleton length of one block at the current depth
+    for depth in range(ndim - 2, 0, -1):
+        n, at = 1, depth + 1 + size  # just past the block's first child
+        while skel[at:at + 1] == b",":
+            n, at = n + 1, at + 1 + size
+        shape.insert(0, n)
+        size = 2 + n * size + n - 1
+    if ndim > 1:
+        shape.insert(0, (len(skel) - 1) // (size + 1))
+    return shape
+
+
+def _number_array(span: bytes) -> Optional[np.ndarray]:
+    """The float64 array a regular JSON array of floats spells, else None.
+
+    None leaves `span` to json.loads: it holds no float (an int list or an
+    empty one keeps json's types), something other than finite numbers (a
+    NaN or infinity, which no trajectory may hold, included), a token
+    float() reads but JSON does not (01, .5, 1., +1), or rows of unequal
+    length.  Each value is float() of its token, bit for bit.
+    """
+    spaced = span.translate(None, b"0123456789-[],")
+    marks = spaced.translate(None, _WS)  # what marks a float: + . e E
+    if not marks or marks.translate(None, b"+.eE"):
+        return None
+    compact = span.translate(None, _WS) if len(spaced) > len(marks) else span
+    c = np.frombuffer(compact, np.uint8)
+    opens, closes, pluses, dots, commas = (np.flatnonzero(c == b) for b in b"[]+.,")
+    starts = np.concatenate([opens, commas]) + 1  # where each value starts
+    signed = c[starts] == 45
+    starts += signed  # its digits, past a minus sign
+    zero = c[starts] == 48
+    neighbours = [  # positions, and the bytes each may hold
+        (opens[1:] - 1, b"[,"),
+        (closes[:-1] + 1, b"],"),
+        (pluses - 1, b"eE"),
+        (dots - 1, _DIGITS),
+        (dots + 1, _DIGITS),
+        (starts[zero] + 1, b".eE],"),  # no leading zero
+        (starts[zero & signed] + 1, b".eE"),  # json reads -0 as the int 0
+    ]
+    if not all(np.isin(c[at], list(allowed)).all() for at, allowed in neighbours):
+        return None
+    skel = span.translate(None, _NOT_SKELETON)
+    try:
+        values = np.loadtxt(
+            [span.translate(_FIELDS).decode("ascii")], delimiter=",", comments=None, ndmin=1
+        ).reshape(_shape(skel))  # reshape refuses a rank numpy has no arrays of
+    except ValueError:  # a token float() refuses, inner whitespace, or too few or many
+        return None
+    return values if _nested(values.shape, "").encode() == skel else None
+
+
+def _read_json(path: str):
+    """json.load of a UTF-8 file, with each regular array of floats a float64 ndarray.
+
+    A member's array value is found from the positions of '"', ':', '{' and
+    '}' outside strings (quote parity, backslash escapes honoured) and read
+    by `_number_array`; the rest of the text goes to one json.loads, each
+    such array replaced by a string no string of the document can equal.
+    A file json.load refuses raises what json.load raises.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    buf = np.frombuffer(raw, np.uint8)
+    marks = np.flatnonzero((buf == 34) | (buf == 58) | (buf == 123) | (buf == 125))
+    quote = buf[marks] == 34
+    for i in np.flatnonzero(quote & (buf[marks - 1] == 92)).tolist():
+        p = marks[i] - 1
+        while p >= 0 and raw[p] == 92:
+            p -= 1
+        quote[i] = (marks[i] - 1 - p) % 2 == 0  # an even run of backslashes escapes nothing
+    outside = np.searchsorted(marks[quote], marks) % 2 == 0
+    stops = marks[quote | outside].tolist() + [len(raw)]
+    pieces, arrays, done = [], [], 0
+    for i, stop in enumerate(stops[:-1]):
+        if raw[stop] != 58:  # a member's value follows its ':'
+            continue
+        start, end = stop + 1, stops[i + 1]
+        while start < end and raw[start] in _WS:
+            start += 1
+        while end > start and raw[end - 1] in b" \t\n\r,":
+            end -= 1
+        if raw[start:start + 1] != b"[" or raw[end - 1] != 93:
+            continue
+        array = _number_array(raw[start:end])
+        if array is not None:
+            pieces += [raw[done:start], b'"\\u0000%d"' % len(arrays)]
+            arrays.append(array)
+            done = end
+    pieces.append(raw[done:])
+    rest = b"".join(pieces)
+
+    def fill(obj: dict) -> dict:
+        for key, value in obj.items():
+            if type(value) is str and value[:1] == "\0":
+                obj[key] = arrays[int(value[1:])]
+        return obj
+
+    # only a \u0000 escape puts a NUL in a string, so without one in the text
+    # no string of the document starts like a placeholder
+    if rest.count(b"\\u0000") == len(arrays):
+        try:
+            return json.loads(rest.decode("utf-8"), object_hook=fill)
+        except ValueError:  # json.load's own error on the whole text follows
+            pass
+    return json.loads(raw.decode("utf-8"))
 
 
 # -- problem files -----------------------------------------------------------
@@ -354,8 +480,7 @@ def _verify_one(traj_dict: dict, embedded: Optional[dict], args) -> bool:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(args.path)
     try:
         if "branches" in data:
             found = [

@@ -168,7 +168,11 @@ def _as_pairs(a: np.ndarray) -> np.ndarray:
 
 
 def _from_pairs(data) -> np.ndarray:
-    """Nested lists of [re, im] pairs -> complex array; any other shape is a ValueError."""
+    """[re, im] pairs, as a float array or nested lists -> complex array.
+
+    A float64 array (as `cli._read_json` gives) is viewed, not copied; any
+    other shape than (..., 2) is a ValueError.
+    """
     arr = np.asarray(data, dtype=float)
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise ValueError(f"expected an array of [re, im] pairs, got shape {arr.shape}")
