@@ -365,18 +365,18 @@ def _written(doc, tmp_path):
     return path.read_text()
 
 
-@pytest.mark.parametrize(
-    "argv, fixture",
-    [
-        (["solve-free", "-i"], "free_file"),
-        (["solve-closed", "-i"], "closed_file"),
-        (["shoot", "-i"], "closed_file"),
-        (["solve-2qubit", "--omega-b", "1.5707963", "--omega", "10"], None),
-        (["solve-m1", "--omega-b", repr(DESIGNED_OB), "--phi", repr(DESIGNED_PHI),
-          "--omega", "10.0"], None),
-        (["sweep-m1", "--grid", "0,0.02,3 x 0.1,0.3,4", "--omega", "7.5"], None),
-    ],
-)
+CLI_DOCUMENTS = [
+    (["solve-free", "-i"], "free_file"),
+    (["solve-closed", "-i"], "closed_file"),
+    (["shoot", "-i"], "closed_file"),
+    (["solve-2qubit", "--omega-b", "1.5707963", "--omega", "10"], None),
+    (["solve-m1", "--omega-b", repr(DESIGNED_OB), "--phi", repr(DESIGNED_PHI),
+      "--omega", "10.0"], None),
+    (["sweep-m1", "--grid", "0,0.02,3 x 0.1,0.3,4", "--omega", "7.5"], None),
+]
+
+
+@pytest.mark.parametrize("argv, fixture", CLI_DOCUMENTS)
 def test_json_writer_matches_json_dumps_on_every_cli_document(
     argv, fixture, request, tmp_path, monkeypatch
 ):
@@ -428,6 +428,162 @@ def test_json_writer_refuses_a_complex_or_object_array_and_a_non_string_key(leaf
     with pytest.raises(TypeError):
         _write_json({"ok": np.zeros(2), "x": leaf}, str(path))
     assert not path.exists()
+
+
+# ------------------------------------------------------------- JSON input
+
+# the canonical compact text, json.dumps' default (the layout of a file a
+# script edits and writes back) and an indented one
+LAYOUTS = {"compact": {"separators": (",", ":")}, "default": {}, "indent": {"indent": 1}}
+
+
+def assert_read_as_json(got, want, path="doc"):
+    """`got` (cli._read_json) is `want` (json.loads), but for lists read as
+    float64 arrays: those equal np.asarray(want, dtype=float) bit for bit."""
+    if isinstance(got, np.ndarray):
+        ref = np.asarray(want, dtype=float)
+        assert type(want) is list and got.dtype == np.float64, path
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), path
+        return
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            assert_read_as_json(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_read_as_json(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert got.hex() == want.hex(), path
+    else:
+        assert got == want, path
+
+
+def _read(text, tmp_path):
+    path = tmp_path / "read.json"
+    path.write_text(text, encoding="utf-8")
+    return cli._read_json(str(path))
+
+
+@pytest.mark.parametrize("argv, fixture", CLI_DOCUMENTS)
+def test_read_json_matches_json_loads_on_every_cli_document(argv, fixture, request, tmp_path):
+    if fixture is not None:
+        argv = argv + [request.getfixturevalue(fixture)]
+    out = tmp_path / "doc.json"
+    assert main(argv + ["-o", str(out)]) == 0
+    want = json.loads(out.read_text())
+    for layout, options in LAYOUTS.items():
+        got = _read(json.dumps(want, **options), tmp_path)
+        assert_read_as_json(got, want, layout)
+        if argv[0] == "sweep-m1":
+            assert isinstance(got["amplitude"], np.ndarray), layout
+            continue
+        traj = (got["branches"][0] if "branches" in got else got)["trajectory"]
+        for key in ("times", "lambda0", "tau_acc", "psi", "V", "U", "H", "F"):
+            assert isinstance(traj[key], np.ndarray), (layout, key)
+        # M = 0 multipliers hold no float: json's list of K empty lists
+        assert isinstance(traj["lambdas"], list) == (argv[0] == "solve-free"), layout
+
+
+# strings that look like arrays, numbers or escapes
+TRICKY_STRINGS = ["[1.5, 2.5]", "0123", 'a "quoted" [0.5]', 'one " :[0.5]', "back\\slash\\",
+                  ':{"x":[1.5]}', "é"]
+
+
+@pytest.mark.parametrize(
+    "values, as_array",
+    [
+        ([-0.0, 5e-324, 1e-05, 1e16, 1e22, 3, -7, 0], True),
+        ([[0.1, -math.inf], [math.nan, 2.5e-300]], False),  # non-finite: json's floats
+        ([[[1.5, 2]], [[-3, 4e-7]]], True),
+        ([1.5], True),
+        ([[1, 2], [3, -4]], False),  # ints only: json's ints
+        ([[], []], False),
+        ([[1.5], [2.5, 3.5]], False),  # ragged
+        ([[1.5, 2.5], [3.5], [4.5, 5.5], [6.5]], False),  # ragged, as many as a 3 x 2
+        ([1.5, "x"], False),
+        ([1.5, None, True], False),
+    ],
+    ids=["values", "non-finite", "rank-3", "one", "ints", "empty", "ragged", "ragged-6", "string",
+         "literals"],
+)
+def test_read_json_matches_json_loads_on_edge_values(values, as_array, tmp_path):
+    doc = {  # the strings first: an escaped quote must not hide the arrays after it
+        "s": TRICKY_STRINGS,
+        "a": values,
+        "rows": [{"t": s, "k": values} for s in TRICKY_STRINGS],
+        "n": 1, "x": None, "b": True, "f": -0.0, "e": {},
+    }
+    for layout, options in LAYOUTS.items():
+        text = json.dumps(doc, **options)
+        got = _read(text, tmp_path)
+        assert_read_as_json(got, json.loads(text), layout)
+        assert isinstance(got["a"], np.ndarray) == as_array, layout
+
+
+def assert_reads_as_json_loads(text, tmp_path):
+    """cli._read_json of `text` is json.loads of it, or fails with its error."""
+    try:
+        want = json.loads(text)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(json.JSONDecodeError, match=re.escape(str(exc))):
+            _read(text, tmp_path)
+    else:
+        assert_read_as_json(_read(text, tmp_path), want)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"a": [1.5, 2.5], "t": "\\u00000"}',  # decodes as the first array's placeholder
+        '{"t": "\\u0000", "a": [[1.5]]}',
+        '{"a": [1.5], "t": "\\\\u00000", "u": ["\\"\\u00000\\""]}',  # its text
+        '{"a": [0.5, -0], "b": [-0.0, 0e0, -0E1]}',  # json reads -0 as the int 0
+        '{"a": [[0.5,]1.5]}',
+        '{"a": [0.5[,1.5]]}',
+        '{"a": [[0.5, 1.5] ,\n [2.5 ,3.5 ]], "b": [1.5, 2.5}',
+    ],
+    ids=["placeholder", "nul", "placeholder-text", "minus-zero", "after-close", "before-open",
+         "unclosed"],
+)
+def test_read_json_matches_json_loads_on_text(text, tmp_path):
+    # a string that reads like the reader's placeholder for an array stays
+    # a string; a number after ']' or before '[' is refused as json refuses it
+    assert_reads_as_json_loads(text, tmp_path)
+
+
+# what an edit writes into a document's text, in place of a number or
+# between two bytes: JSON's punctuation, the bytes of numbers, numbers, and
+# tokens float() reads but JSON does not
+EDITS = list('0123456789.-+eE[],"\\:{} \n') + [
+    "-0", "-0.0", "0e0", "1E+05", "01", "-01", ".5", "1.", "+1", "1e+", "nan", "NaN", "\\u0000"
+]
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    rows=st.lists(st.lists(st.sampled_from([0.5, -0.0, 1e-05, 1e22, 3, 0]), min_size=2, max_size=2),
+                  max_size=3),
+    layout=st.sampled_from(sorted(LAYOUTS)),
+    edits=st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from(EDITS), st.booleans()),
+                   min_size=1, max_size=2),
+)
+def test_read_json_agrees_with_json_loads_on_edited_text(rows, layout, edits, tmp_path):
+    # an edit leaves a document both read alike or one both refuse alike
+    text = json.dumps({"a": rows, "s": "x[0.5]", "b": {"c": rows, "d": [rows, 0.5]}},
+                      **LAYOUTS[layout])
+    for at, piece, whole_number in edits:
+        numbers = [m.span() for m in re.finditer(r"-?[0-9][-+.0-9eE]*", text)]
+        start, end = (numbers[at % len(numbers)] if whole_number and numbers
+                      else (at % (len(text) + 1),) * 2)
+        text = text[:start] + piece + text[end:]
+    assert_reads_as_json_loads(text, tmp_path)
 
 
 # ------------------------------------------------------------------ verify
@@ -508,28 +664,77 @@ def test_verify_flags_nan_in_embedded_report(closed_file, tmp_path, capsys):
     assert "round-trip FAIL" in text
 
 
+def _edited(change):
+    """An edit of a written solution's text: `change` applied to its document."""
+    def edit(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc, separators=(",", ":"))
+    return edit
+
+
+def _ragged_h(doc):
+    doc["trajectory"]["H"][3].pop()
+
+
+def _string_in_v(doc):
+    doc["trajectory"]["V"][2][0][1][0] = "x"
+
+
+def _first_time_as(token):
+    return lambda text: text.replace('"times":[0.0,', f'"times":[{token},', 1)
+
+
 @pytest.mark.parametrize(
-    "doc",
+    "doc, message",
     [
-        "trajectory",
-        {"trajectory": [1]},
-        {"branches": [1]},
-        {"branches": {"a": 1}},
-        {"branches": []},
-        None,  # a valid solution whose embedded report is no object
+        ("trajectory", "malformed"),
+        ({"trajectory": [1]}, "malformed"),
+        ({"branches": [1]}, "malformed"),
+        ({"branches": {"a": 1}}, "malformed"),
+        ({"branches": []}, "malformed"),
+        (_edited(lambda doc: doc.update(report=[1])), "malformed"),  # a report that is no object
+        (_edited(_ragged_h), "setting an array element with a sequence"),
+        (_edited(_string_in_v), "could not convert string to float"),
+        # tokens float() reads but JSON does not
+        *[(_first_time_as(token), None) for token in ("01.5", ".5", "1.", "+1", "nan")],
+        (lambda text: text[: text.index('"H":') + 1000], None),  # truncated mid-array
     ],
-    ids=["string", "list-trajectory", "number-branch", "branch-object", "no-branch", "list-report"],
+    ids=["string", "list-trajectory", "number-branch", "branch-object", "no-branch", "list-report",
+         "ragged-H", "string-in-V", "times-01.5", "times-.5", "times-1.", "times-+1", "times-nan",
+         "truncated"],
 )
-def test_verify_refuses_a_malformed_file_as_invalid_input(doc, closed_file, tmp_path, capsys):
+def test_verify_refuses_a_malformed_file_as_invalid_input(
+    doc, message, closed_file, tmp_path, capsys
+):
+    # a callable edits the text of a valid solution; a message of None
+    # stands for json's own on the file's syntax error
     path = tmp_path / "bad.json"
-    if doc is None:
+    if callable(doc):
         main(["solve-closed", "-i", closed_file, "-o", str(path)])
-        doc = json.loads(path.read_text())
-        doc["report"] = [1]
-    path.write_text(json.dumps(doc))
+        text = doc(path.read_text())
+    else:
+        text = json.dumps(doc)
+    path.write_text(text)
+    if message is None:
+        with pytest.raises(json.JSONDecodeError) as syntax:
+            json.loads(text)
+        message = str(syntax.value)
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1
-    assert "invalid input: malformed" in capsys.readouterr().err
+    assert f"invalid input: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16"])
+def test_verify_refuses_a_solution_file_not_in_utf8(encoding, closed_file, tmp_path, capsys):
+    # json.loads of bytes would take a byte-order mark or UTF-16; json.load
+    # of the file read as UTF-8 takes neither
+    path = tmp_path / "sol.json"
+    main(["solve-closed", "-i", closed_file, "-o", str(path)])
+    path.write_bytes(path.read_text().encode(encoding))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert "invalid input:" in capsys.readouterr().err
 
 
 def test_verify_rejects_degenerate_solution(tmp_path, capsys):
