@@ -7,7 +7,7 @@ Two constructions are provided: generalized Gell-Mann matrices (any
 N >= 2) and Pauli strings (N = 2^n), both Hermitian, traceless and
 deterministically ordered.  `basis_of` builds either by its kind name,
 once per (kind, dimension).  Closure under i[.,.] is read from the
-stacked commutators of a subset (`commutator_tensor`, `closure_residual`).
+stacked commutators of a subset (`commutator_tensor`, `is_closed_subalgebra`).
 `stack_product` multiplies stacks of small matrices, the products every
 sampled trajectory is built from, and `forbidden_sum` is the one
 contraction sum_j c_j X_j every G is assembled by.
@@ -27,7 +27,6 @@ __all__ = [
     "basis_of",
     "build_gellmann_basis",
     "build_pauli_string_basis",
-    "closure_residual",
     "commutator_tensor",
     "forbidden_sum",
     "hermitian_commutator",
@@ -37,7 +36,7 @@ __all__ = [
 
 _SUPERSCRIPTS = {1: "¹", 2: "²", 3: "³"}
 
-# largest `closure_residual` of a subset taken as closed under i[.,.]
+# largest projection residual of a subset taken as closed under i[.,.]
 CLOSURE_TOL = 1e-10
 
 # largest dimension `basis_of` builds: a basis holds (N^2 - 1) N^2 complex
@@ -239,10 +238,10 @@ def forbidden_sum(coeffs: np.ndarray, Xf: np.ndarray) -> np.ndarray:
     return np.tensordot(coeffs, Xf, axes=1)
 
 
-def _check_hermitian(a: np.ndarray, name: str, tol: float = 1e-10) -> None:
+def _check_hermitian(a: np.ndarray, name: str) -> None:
     scale = max(1.0, float(np.linalg.norm(a)))
     dev = float(np.linalg.norm(a - a.conj().T))
-    if dev > tol * scale:
+    if dev > 1e-10 * scale:
         raise ValueError(f"{name} is not Hermitian (deviation {dev:.3e})")
 
 
@@ -276,26 +275,19 @@ def commutator_tensor(basis: GeneratorBasis, subset: Sequence) -> np.ndarray:
     return K
 
 
-def closure_residual(gens: np.ndarray, K: np.ndarray) -> float:
-    """Largest Frobenius norm of a K[j, l] minus its projection onto span(gens),
-    for K the `commutator_tensor` of the subset stacked in `gens`."""
-    N = gens.shape[-1]
-    coeff = np.real(np.einsum("mij,pqji->pqm", gens, K)) / N
-    resid = K - np.einsum("pqm,mij->pqij", coeff, gens)
-    return float(np.linalg.norm(resid, axis=(2, 3)).max(initial=0.0))
-
-
-def is_closed_subalgebra(
-    basis: GeneratorBasis, subset: Sequence[int], tol: float = CLOSURE_TOL
-) -> Tuple[bool, float]:
+def is_closed_subalgebra(basis: GeneratorBasis, subset: Sequence[int]) -> Tuple[bool, float]:
     """Whether span{X_j : j in subset} is closed under i[.,.].
 
     Returns (closed, worst_residual) where the residual of a pair is the
     Frobenius norm of i[X_j, X_l] minus its orthogonal projection onto the
-    subset's span.  A singleton (or any abelian set) is trivially closed.
+    subset's span; closed means a worst residual of at most CLOSURE_TOL.
+    A singleton (or any abelian set) is trivially closed.
     """
     idx = [basis.index_of(j) for j in subset]
     if not idx:
         raise ValueError("subset must be nonempty")
-    worst = closure_residual(basis.generators[idx], commutator_tensor(basis, idx))
-    return worst <= tol, worst
+    gens, K = basis.generators[idx], commutator_tensor(basis, idx)
+    coeff = np.real(np.einsum("mij,pqji->pqm", gens, K)) / basis.dim
+    resid = K - np.einsum("pqm,mij->pqij", coeff, gens)
+    worst = float(np.linalg.norm(resid, axis=(2, 3)).max())
+    return worst <= CLOSURE_TOL, worst

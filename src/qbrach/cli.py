@@ -5,7 +5,8 @@ verify, sweep-m1.  Solutions are written as compact JSON with floats in
 Python's shortest round-trip form: every float64 reads back bit for bit,
 identical inputs give byte-identical output, and NaN and infinities are
 written as the NaN, Infinity and -Infinity tokens.  `--csv` adds a
-plot-ready table of t, multipliers, energy spread and constraint residuals.
+plot-ready table of t, multipliers, energy spread and constraint residuals,
+written by np.savetxt.
 Exit codes: 0 success, 1 validation failure, 2 no solution, 3 numerical
 failure, which includes a solution that fails its own certificate (it is
 not written).  Set QB_LOG=debug|info|warning for logging verbosity.
@@ -59,48 +60,36 @@ def _float_array_text(a: np.ndarray) -> str:
     return text
 
 
-def _emit(obj, out: list) -> None:
-    """Append the compact JSON text of `obj` to `out`, piece by piece."""
-    if isinstance(obj, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"a JSON object key must be a string, got {key!r}")
-            out.append(("," if i else "") + json.dumps(key) + ":")
-            _emit(value, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(value, out)
-        out.append("]")
-    elif isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and obj.dtype.itemsize <= 8:
-            out.append(_float_array_text(obj))
-        elif obj.dtype.kind in "biu":
-            out.append(json.dumps(obj.tolist(), separators=(",", ":")))
-        else:
-            raise TypeError(
-                f"an array of dtype {obj.dtype} is not JSON serializable; "
-                "complex arrays are written as [re, im] pairs"
-            )
-    else:
-        out.append(json.dumps(obj))
-
-
 def _write_json(doc: dict, path: Optional[str]) -> None:
     """Write `doc` as compact JSON to `path`, or to stdout for None or "-".
 
     The text is json.dumps(doc, separators=(",", ":")) with every array
-    leaf taken as its tolist(), byte for byte; a float array is written in
-    one step rather than walked element by element.  The whole text is
-    rendered before the file is opened, so an error writes nothing.
+    leaf taken as its tolist(), byte for byte.  json.dumps writes a float
+    array as a placeholder string, and its text, made in one step, is
+    spliced in afterwards: `_read_json`'s convention in reverse.  The whole
+    text is rendered before the file is opened, so an error writes nothing.
     """
-    out: list = []
-    _emit(doc, out)
-    text = "".join(out)
+    arrays: list = []
+
+    def leaf(a):
+        if not isinstance(a, np.ndarray):
+            raise TypeError(f"an object of type {type(a).__name__} is not JSON serializable")
+        if a.dtype.kind in "biu":
+            return a.tolist()
+        if a.dtype.kind != "f" or a.dtype.itemsize > 8:
+            raise TypeError(
+                f"an array of dtype {a.dtype} is not JSON serializable; "
+                "complex arrays are written as [re, im] pairs"
+            )
+        arrays.append(_float_array_text(a))
+        return "\0"
+
+    pieces = json.dumps(doc, separators=(",", ":"), default=leaf).split('"\\u0000"')
+    if len(pieces) != len(arrays) + 1:
+        raise ValueError('a string of the document holds "\\u0000", the array placeholder')
+    parts = [""] * (2 * len(pieces) - 1)
+    parts[::2], parts[1::2] = pieces, arrays
+    text = "".join(parts)
     if path is None or path == "-":
         sys.stdout.write(text)
         sys.stdout.write("\n")  # not text + "\n": no second copy of the whole text
@@ -524,14 +513,11 @@ def _cmd_sweep_m1(args) -> int:
     }
     _write_json(doc, args.output)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("lambda1_tilde,T,amplitude,im_field,re_field\n")
-            for i, lam in enumerate(fields["lambda1_tilde"]):
-                for j, t in enumerate(fields["T"]):
-                    fh.write(
-                        f"{lam:.17g},{t:.17g},{fields['amplitude'][i, j]:.17g},"
-                        f"{fields['im_field'][i, j]:.17g},{fields['re_field'][i, j]:.17g}\n"
-                    )
+        names = ("lambda1_tilde", "T", "amplitude", "im_field", "re_field")
+        lam, t = np.meshgrid(fields["lambda1_tilde"], fields["T"], indexing="ij")
+        table = np.column_stack([lam.ravel(), t.ravel()] + [fields[n].ravel() for n in names[2:]])
+        np.savetxt(args.csv, table, fmt="%.17g", delimiter=",", header=",".join(names),
+                   comments="", encoding="utf-8")
     return 0
 
 

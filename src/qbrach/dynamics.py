@@ -62,15 +62,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import (
-    CLOSURE_TOL,
-    GeneratorBasis,
-    basis_of,
-    closure_residual,
-    commutator_tensor,
-    forbidden_sum,
-    stack_product,
-)
+from .algebra import GeneratorBasis, basis_of, forbidden_sum, is_closed_subalgebra, stack_product
 from .states import PureState
 from .verify import _constraint_profiles, speed_profile
 
@@ -276,9 +268,6 @@ class Trajectory:
     def dim(self) -> int:
         return self.basis.dim
 
-    def multipliers(self, k: int) -> MultiplierVector:
-        return MultiplierVector(lambda0=self.lambda0[k], lambdas=self.lambdas[k])
-
     def forbidden_generators(self) -> np.ndarray:
         return self.basis.generators[list(self.forbidden)]
 
@@ -308,18 +297,23 @@ class Trajectory:
     def from_dict(data: dict) -> "Trajectory":
         basis = basis_of(str(data["basis"]), int(data["dimension"]))
         forbidden = tuple(basis.index_of(j) for j in data["forbidden"])
+
+        def read(name: str, convert=lambda v: np.asarray(v, dtype=float)):
+            try:
+                return convert(data[name])
+            except ValueError as exc:
+                raise ValueError(f"trajectory field {name!r}: {exc}") from exc
+
         return Trajectory(
-            times=np.asarray(data["times"], dtype=float),
-            V=_from_pairs(data["V"]),
-            U=_from_pairs(data["U"]),
-            H=_from_pairs(data["H"]),
-            F=_from_pairs(data["F"]),
-            psi=_from_pairs(data["psi"]),
-            lambda0=np.asarray(data["lambda0"], dtype=float),
-            lambdas=np.asarray(data["lambdas"], dtype=float).reshape(
-                len(data["times"]), len(forbidden)
-            ),
-            tau_acc=np.asarray(data["tau_acc"], dtype=float),
+            times=read("times"),
+            V=read("V", _from_pairs),
+            U=read("U", _from_pairs),
+            H=read("H", _from_pairs),
+            F=read("F", _from_pairs),
+            psi=read("psi", _from_pairs),
+            lambda0=read("lambda0"),
+            lambdas=read("lambdas").reshape(len(data["times"]), len(forbidden)),
+            tau_acc=read("tau_acc"),
             omega=float(data["omega"]),
             basis=basis,
             forbidden=forbidden,
@@ -338,11 +332,9 @@ class Trajectory:
             names.append(f"lambda_{self.basis.labels[j]}")
         cols += [de, traceless, norm_resid, term]
         names += ["delta_e", "resid_traceless", "resid_norm", "resid_term_max"]
-        table = np.column_stack(cols)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(names) + "\n")
-            for row in table:
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        # UTF-8: the Pauli-string labels of the header are not Latin-1
+        np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",",
+                   header=",".join(names), comments="", encoding="utf-8")
 
 
 # -- pointwise assembly ----------------------------------------------------
@@ -532,8 +524,8 @@ def _constant_rows(
     return V, np.full(times.size, m.lambda0), lams, times / m.lambda0
 
 
-def _validate_h0(problem: ControlProblem, H0: np.ndarray, tol: float = 1e-8) -> None:
-    w = problem.omega
+def _validate_h0(problem: ControlProblem, H0: np.ndarray) -> None:
+    w, tol = problem.omega, 1e-8
     if H0.shape != (problem.dim, problem.dim):
         raise ValueError(f"H0 has shape {H0.shape}, expected square of dim {problem.dim}")
     if not np.all(np.isfinite(H0)):
@@ -822,8 +814,7 @@ def integrate_blocks(
                 f"{_MAX_SAMPLES}; use a coarser step"
             )
     w = problem.omega
-    Xf = problem.forbidden_generators()
-    if closure_residual(Xf, commutator_tensor(problem.basis, problem.forbidden)) <= CLOSURE_TOL:
+    if not problem.forbidden or is_closed_subalgebra(problem.basis, problem.forbidden)[0]:
         yield exact_pass(problem, m0, H0, t_max, dt)
         return
     G = g_operator(m0, problem.basis, problem.forbidden)
@@ -839,7 +830,7 @@ def integrate_blocks(
     M = problem.n_forbidden
     N = problem.dim
     n2 = N * N
-    rhs = stepped_rhs(F0, Xf, lam0)
+    rhs = stepped_rhs(F0, problem.forbidden_generators(), lam0)
     step = t_max / n_steps
     every = max(1, round(_CHECK_SPAN / (w * step)))
     times = np.arange(n_steps + 1) * step

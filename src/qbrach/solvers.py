@@ -30,7 +30,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import CLOSURE_TOL, basis_of, closure_residual, commutator_tensor, forbidden_sum
+from .algebra import basis_of, forbidden_sum, is_closed_subalgebra
 from .dynamics import (
     ControlProblem,
     MultiplierVector,
@@ -319,9 +319,11 @@ def solve_closed_subalgebra(
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     H0 = np.asarray(H0, dtype=complex)
     Xf = problem.forbidden_generators()
-    closure_resid = closure_residual(Xf, commutator_tensor(problem.basis, problem.forbidden))
+    closed, closure_resid = (
+        is_closed_subalgebra(problem.basis, problem.forbidden) if problem.forbidden else (True, 0.0)
+    )
     _validate_h0(problem, H0)
-    if closure_resid > CLOSURE_TOL:
+    if not closed:
         # The set spans no subalgebra, but the constant-multiplier flow is
         # still exact for this seed iff the forbidden traces vanish along it:
         # Tr[H(t)X_j] = (N/lambda0)[lambda_j(t) - lambda_j(0)], so a vanishing
@@ -419,7 +421,6 @@ def solve_m1_two_level(
     omega: float,
     k_max: int = 20,
     l_max: int = 20,
-    match_tol: float = 1e-9,
 ) -> List[ExtremalSolution]:
     """Enumerate extremal branches of the forbidden-sigma_z two-level problem.
 
@@ -427,7 +428,7 @@ def solve_m1_two_level(
     condition lambda_1 cos(2 Lambda_1 T) = 0 with lambda_1 != 0) and
     lambda_1 T = [arccot(sin phi tan 2Omega_B) + l pi]/2; a pair (k, l)
     survives only if the duration radicand is positive and all three
-    boundary-matching residuals vanish within match_tol.  The returned
+    boundary-matching residuals vanish within 1e-9.  The returned
     list is sorted by duration (the global minimum first).  An empty
     surviving set raises: the extremal-time trajectory need not exist for
     arbitrary (Omega_B, phi).  A negative count, or more than
@@ -470,7 +471,7 @@ def solve_m1_two_level(
             r1 = sign_k * cos_t + math.cos(phi) * sin2ob
             r2 = sign_k * sin_t * math.sin(2.0 * b) - cos2ob
             r3 = sign_k * sin_t * math.cos(2.0 * b) - math.sin(phi) * sin2ob
-            if max(abs(r1), abs(r2), abs(r3)) > match_tol:
+            if max(abs(r1), abs(r2), abs(r3)) > 1e-9:
                 continue
             found.append((T, b / T, k, l))
     if not found:

@@ -132,16 +132,14 @@ def free_hamiltonian(psi_i: PureState, boundary: BoundaryData, omega: float) -> 
     return omega * (upper + upper.conj().T)
 
 
-def is_trivially_restricted(
-    problem, boundary: BoundaryData, tol: float = 1e-9
-) -> Tuple[bool, Optional[int]]:
+def is_trivially_restricted(problem, boundary: BoundaryData) -> Tuple[bool, Optional[int]]:
     """Whether the forbidden directions are non-binding for this boundary pair.
 
     The restriction has no effect exactly when the free Hamiltonian already
     satisfies every constraint, i.e. Tr[H_F X_j] = 0 for all forbidden j.
     Each trace equals 2 omega Im[<psi_perp|X_j|psi_i> e^{i phi}], so the
     test is omega-independent.  Returns (True, None) if all vanish within
-    tol, else (False, j) with the first forbidden basis index j violating it.
+    1e-9, else (False, j) with the first forbidden basis index j violating it.
 
     For orthogonal boundary pairs the verdict applies to the recorded phase
     gauge (phi = 0); other gauges of the degenerate family may differ.
@@ -158,6 +156,6 @@ def is_trivially_restricted(
     for j in problem.forbidden:
         x = problem.basis.generators[problem.basis.index_of(j)]
         w = np.imag(phase * (bra_perp @ x @ ket_i))
-        if abs(w) > tol:
+        if abs(w) > 1e-9:
             return False, problem.basis.index_of(j)
     return True, None

@@ -19,6 +19,7 @@ from qbrach.solvers import (
     solve_two_qubit_example,
     sweep_m1,
 )
+from qbrach.verify import _constraint_profiles, speed_profile
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -290,9 +291,38 @@ def test_sweep_m1_csv(tmp_path):
         main(["sweep-m1", "--grid", "0,0.02,3x0.1,0.3,4", "--csv", str(csv), "-o", str(tmp_path / "s.json")])
         == 0
     )
-    lines = csv.read_text().strip().splitlines()
-    assert lines[0] == "lambda1_tilde,T,amplitude,im_field,re_field"
-    assert len(lines) == 3 * 4 + 1
+    fields = sweep_m1(np.linspace(0, 0.02, 3), np.linspace(0.1, 0.3, 4), omega=10.0)
+    names = ("amplitude", "im_field", "re_field")
+    rows = [
+        [lam, t, *(fields[name][i, j] for name in names)]
+        for i, lam in enumerate(fields["lambda1_tilde"])
+        for j, t in enumerate(fields["T"])
+    ]
+    assert len(rows) == 3 * 4
+    header = "lambda1_tilde,T,amplitude,im_field,re_field"
+    assert csv.read_bytes() == row_loop_csv(header, rows)
+
+
+def row_loop_csv(header, rows):
+    """The bytes of a CSV table formatted row by row, each number as %.17g."""
+    lines = [header] + [",".join(f"{x:.17g}" for x in row) for row in rows]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def test_trajectory_csv_matches_a_row_loop(tmp_path):
+    # the Pauli-string labels of solve-2qubit's header are not Latin-1
+    traj = solve_two_qubit_example(1.5707963, 10.0).trajectory
+    path = tmp_path / "q2.csv"
+    traj.to_csv(str(path))
+    labels = [f"lambda_{traj.basis.labels[j]}" for j in traj.forbidden]
+    header = ",".join(["t", "lambda0", *labels, "delta_e", "resid_traceless", "resid_norm",
+                       "resid_term_max"])
+    assert max(map(ord, header)) > 255
+    de, _ = speed_profile(traj, traj.omega)
+    table = np.column_stack(
+        [traj.times, traj.lambda0, traj.lambdas, de, *_constraint_profiles(traj, traj.omega)]
+    )
+    assert path.read_bytes() == row_loop_csv(header, table)
 
 
 @pytest.mark.parametrize(
@@ -417,16 +447,24 @@ def test_json_writer_matches_json_dumps_on_array_leaves(array, tmp_path):
 
 @pytest.mark.parametrize(
     "leaf",
-    [np.array([1j]), np.array([0.5, None], dtype=object), {1: 0.5}]
+    [np.array([1j]), np.array([0.5, None], dtype=object)]
     # a long double wider than float64 has no float repr
     + ([np.array([0.5], dtype=np.longdouble)] if np.dtype(np.longdouble).itemsize > 8 else []),
 )
-def test_json_writer_refuses_a_complex_or_object_array_and_a_non_string_key(leaf, tmp_path):
+def test_json_writer_refuses_a_complex_or_object_array(leaf, tmp_path):
     # complex arrays are written as [re, im] pairs; the refusal comes before
     # the file is opened
     path = tmp_path / "x.json"
     with pytest.raises(TypeError):
         _write_json({"ok": np.zeros(2), "x": leaf}, str(path))
+    assert not path.exists()
+
+
+def test_json_writer_refuses_a_string_equal_to_its_array_placeholder(tmp_path):
+    # the string would be taken for an array's place in the text
+    path = tmp_path / "x.json"
+    with pytest.raises(ValueError, match="placeholder"):
+        _write_json({"s": "\0", "a": np.zeros(2)}, str(path))
     assert not path.exists()
 
 
@@ -694,8 +732,8 @@ def _first_time_as(token):
         ({"branches": {"a": 1}}, "malformed"),
         ({"branches": []}, "malformed"),
         (_edited(lambda doc: doc.update(report=[1])), "malformed"),  # a report that is no object
-        (_edited(_ragged_h), "setting an array element with a sequence"),
-        (_edited(_string_in_v), "could not convert string to float"),
+        (_edited(_ragged_h), "trajectory field 'H': setting an array element with a sequence"),
+        (_edited(_string_in_v), "trajectory field 'V': could not convert string to float"),
         # tokens float() reads but JSON does not
         *[(_first_time_as(token), None) for token in ("01.5", ".5", "1.", "+1", "nan")],
         (lambda text: text[: text.index('"H":') + 1000], None),  # truncated mid-array
