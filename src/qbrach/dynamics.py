@@ -11,12 +11,8 @@ reassembled algebraically at every instant,
 
 and the conserved operator is obtained by conjugation, F(t) = U F(0) U^dag
 = V F(0) V^dag, which keeps its spectrum exactly fixed.  The propagator is
-U(t) = V(t) exp(-i F(0) tau(t)).  A direct RK4 integration of
-i dU/dt = H U is the one cross-check, of either flow, and it reads nothing
-but a trajectory's own H samples: H at each step's ends is the sample
-there, and H at its midpoint the cubic through the four nearest samples
-(`_midpoints`).  It is built on the grid a trajectory is sampled on, never
-carried in the stepped state.
+U(t) = V(t) exp(-i F(0) tau(t)).  Nothing here propagates i dU/dt = H U:
+`verify.certify` checks that equation on a trajectory's own samples.
 
 When the forbidden set is closed under i[.,.] (every i[X_j, X_l] in its
 span, e.g. commuting generators or at most one) eta vanishes along the
@@ -185,10 +181,8 @@ class Trajectory:
     `lambdas` has one column per forbidden index (possibly zero columns).
     `renormalized` records whether the multipliers (and with them F) have
     been rescaled so the endpoint constraint evaluates to 1 rather than to
-    a generic nonzero real value.  `u_mismatch` is the recorded maximum
-    Frobenius gap between U from the frame factorization and U from the
-    direct cross-check propagation of i dU/dt = H U.  `F_spectrum` holds
-    the eigenvalues of every F sample, computed once by the validation.
+    a generic nonzero real value.  `F_spectrum` holds the eigenvalues of
+    every F sample, computed once by the validation.
     """
 
     times: np.ndarray
@@ -204,7 +198,6 @@ class Trajectory:
     basis: GeneratorBasis
     forbidden: Tuple[int, ...]
     renormalized: bool = False
-    u_mismatch: float = 0.0
     F_spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -281,7 +274,6 @@ class Trajectory:
             "basis": self.basis.kind,
             "forbidden": [self.basis.labels[j] for j in self.forbidden],
             "renormalized": self.renormalized,
-            "u_mismatch": self.u_mismatch,
             "times": self.times.copy(),
             "lambda0": self.lambda0.copy(),
             "lambdas": self.lambdas.copy(),
@@ -318,7 +310,6 @@ class Trajectory:
             basis=basis,
             forbidden=forbidden,
             renormalized=bool(data.get("renormalized", False)),
-            u_mismatch=float(data.get("u_mismatch", 0.0)),
         )
 
     def to_csv(self, path: str) -> None:
@@ -365,94 +356,11 @@ def constant_g_frames(G: np.ndarray, times: np.ndarray) -> np.ndarray:
     return stack_product(Q * np.exp(1.0j * np.outer(times, w))[:, None, :], Q.conj().T)
 
 
-# steps per block of the direct cross-check propagation, and rows per
-# batched step of `PassSamples.rows_at`; both bound the temporaries to a
-# few blocks of matrices whatever the window length.  At N = 4 the
-# stacked right-hand side measured about 0.5 us a row on 256 rows and
-# 1.1 to 1.4 us on 1,024, whose temporaries outgrow the cache
-_DIRECT_BLOCK = 512
+# rows per batched step of `PassSamples.rows_at`, which bounds the
+# temporaries to a few blocks of matrices whatever the window length.  At
+# N = 4 the stacked right-hand side measured about 0.5 us a row on 256
+# rows and 1.1 to 1.4 us on 1,024, whose temporaries outgrow the cache
 _AT_BLOCK = 256
-
-# maps per chunk of the prefix product `_chained`
-_SCAN_CHUNK = 8
-
-
-def _chained(P: np.ndarray, carry: np.ndarray) -> np.ndarray:
-    """out[k] = P[k] P[k-1] ... P[0] carry over a stack P of N x N maps.
-
-    A work-efficient prefix product (Blelloch, CMU-CS-90-190, 1990): the
-    maps of each chunk of `_SCAN_CHUNK` are chained in place, the chunk
-    totals are chained the same way from `carry`, and one product per map
-    applies the chain of the chunks before it.  That is about two products
-    per map, where a Hillis-Steele scan takes log2 of the length.
-    """
-    n, N = P.shape[0], P.shape[-1]
-    if n <= _SCAN_CHUNK:
-        out = np.empty((n, N, N), dtype=complex)
-        for k in range(n):
-            carry = out[k] = stack_product(P[k], carry)
-        return out
-    c = -(-n // _SCAN_CHUNK)
-    W = np.empty((c * _SCAN_CHUNK, N, N), dtype=complex)
-    W[:n] = P
-    W[n:] = np.eye(N)  # identities pad the last chunk
-    W = W.reshape(c, _SCAN_CHUNK, N, N)
-    for j in range(1, _SCAN_CHUNK):
-        W[:, j] = stack_product(W[:, j], W[:, j - 1])
-    carries = np.empty((c, N, N), dtype=complex)
-    carries[0] = carry
-    carries[1:] = _chained(W[:-1, -1], carry)
-    return stack_product(W, carries[:, None]).reshape(-1, N, N)[:n]
-
-
-def _midpoints(H: np.ndarray, a: int, b: int) -> np.ndarray:
-    """H at the midpoints of steps a..b-1 of a uniform grid, from its samples H.
-
-    Each is the cubic through the four nearest samples, (-H_{k-1} + 9 H_k
-    + 9 H_{k+1} - H_{k+2})/16, which errs by O(step^4).  Past either end
-    of the grid the missing sample is extrapolated by the interpolant
-    through the first (last) min(4, K) samples, which gives the one-sided
-    (5 H_0 + 15 H_1 - 5 H_2 + H_3)/16 and its mirror, and on a grid of 2
-    or 3 samples the line or parabola through all of them.
-    """
-    K = H.shape[0]
-    p = min(4, K)
-    # that interpolant at one step past the end: sum_j (-1)^j C(p, j+1) H_j
-    ghost = np.array([(-1) ** j * math.comb(p, j + 1) for j in range(p)], dtype=float)
-    parts = [H[max(a - 1, 0) : b + 2]]
-    if a == 0:
-        parts.insert(0, np.tensordot(ghost, H[:p], axes=1)[None])
-    if b + 2 > K:
-        parts.append(np.tensordot(ghost, H[: -p - 1 : -1], axes=1)[None])
-    W = np.concatenate(parts)
-    return (9.0 * (W[1:-2] + W[2:-1]) - W[:-3] - W[3:]) / 16.0
-
-
-def _direct_propagators(times: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """RK4 solution of i dU/dt = H U on a uniform grid `times`, from U(0) = 1.
-
-    `H` holds the samples on `times`, in one fixed frame (the result is in
-    that frame).  -iH at each step's ends is the sample there and at its
-    midpoint the interpolant `_midpoints`, formed block by block, so the
-    check is fourth order.  Each step's RK4 map is built as a batch and the
-    maps are chained by a prefix product (`_chained`), block by block.
-    Nothing here uses U = V exp(-i F(0) tau).
-    """
-    n = times.size - 1
-    eye = np.eye(H.shape[-1])
-    out = np.empty((n + 1, *eye.shape), dtype=complex)
-    out[0] = eye
-    for a in range(0, n, _DIRECT_BLOCK):
-        b = min(a + _DIRECT_BLOCK, n)
-        A, Am = -1.0j * H[a : b + 1], -1.0j * _midpoints(H, a, b)
-        h = np.diff(times[a : b + 1])[:, None, None]
-        k1 = A[:-1]
-        k2 = stack_product(Am, eye + 0.5 * h * k1)
-        k3 = stack_product(Am, eye + 0.5 * h * k2)
-        k4 = stack_product(A[1:], eye + h * k3)
-        P = eye + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        out[a + 1 : b + 1] = _chained(P, out[a])
-    return out
 
 
 def _observables(
@@ -481,7 +389,6 @@ def finalize_trajectory(
     rows: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     F0: np.ndarray,
     renormalized: Optional[float] = None,
-    cross_check: bool = False,
 ) -> Trajectory:
     """The validated trajectory of the frame rows (V, lambda_0, lambda_j, tau).
 
@@ -490,9 +397,7 @@ def finalize_trajectory(
     its own exponential); H(t) = F(t)/lambda_0(t) - G(t); psi = U psi_i.
     A `renormalized` value c divides the multipliers and F(0) and
     multiplies tau, which leaves V, U and H unchanged, and marks the
-    trajectory renormalized.  With `cross_check`, U_d is propagated from
-    the H samples on `times` alone (`_direct_propagators`), and
-    `u_mismatch` is its largest Frobenius gap to U.
+    trajectory renormalized.
     """
     times = np.asarray(times, dtype=float)
     V, lam0, lams, tau = rows
@@ -503,14 +408,10 @@ def finalize_trajectory(
     V = np.ascontiguousarray(V, dtype=complex)
     lams = np.ascontiguousarray(lams, dtype=float)
     U, F, H, psi = _observables(problem, V, lam0, lams, tau, F0)
-    u_mismatch = 0.0
-    if cross_check:
-        U_d = _direct_propagators(times, H)
-        u_mismatch = float(np.linalg.norm((U - U_d).reshape(times.size, -1), axis=1).max())
     return Trajectory(
         times=times, V=V, U=U, H=H, F=F, psi=psi, lambda0=lam0, lambdas=lams, tau_acc=tau,
         omega=problem.omega, basis=problem.basis, forbidden=problem.forbidden,
-        renormalized=renormalized is not None, u_mismatch=u_mismatch,
+        renormalized=renormalized is not None,
     )
 
 
@@ -557,10 +458,9 @@ def stepped_rhs(F0: np.ndarray, Xf: np.ndarray, lambda0: float):
 
     A state is a row concatenating V (N*N entries) and the lambda_j; the
     right-hand side takes a single state or a stack of them, one per row.
-    lambda_0 is constant and tau = t/lambda_0, so neither is stepped, and
-    the cross-check U_d is not part of the state.  With G = sum_l
-    (lambda_l/lambda_0) X_l and F = V F(0) V^dag, [G, H] = [G, F]/lambda_0
-    gives
+    lambda_0 is constant and tau = t/lambda_0, so neither is stepped.
+    With G = sum_l (lambda_l/lambda_0) X_l and F = V F(0) V^dag,
+    [G, H] = [G, F]/lambda_0 gives
 
         sum_l eta_jl lambda_l = Tr[X_j i[G, F]] = 2 Re Tr[X_j (iG V) F(0) V^dag],
 
@@ -735,10 +635,9 @@ class PassSamples(NamedTuple):
         return _observables(problem, *self.rows_at(problem, times), self.F0)
 
     def trajectory(self, problem: ControlProblem) -> Trajectory:
-        """The validated trajectory on the pass's own rows, with the U_d
-        cross-check on the same grid."""
+        """The validated trajectory on the pass's own rows."""
         rows = (self.V, self.lambda0, self.lambdas, self.tau_acc)
-        return finalize_trajectory(problem, self.times, rows, self.F0, cross_check=True)
+        return finalize_trajectory(problem, self.times, rows, self.F0)
 
 
 def exact_pass(
@@ -779,7 +678,7 @@ def integrate_blocks(
     """The samples of one integration pass of [0, t_max], yielded as they grow.
 
     A stepped pass (a forbidden set that is not closed) takes `rk6_step`
-    on `stepped_rhs` at a uniform step of min(t_max, 0.05/r, `dt`), with r
+    on `stepped_rhs` at a uniform step of min(t_max/2, 0.05/r, `dt`), with r
     the pass's rate bound (`_pass_rate`).  It checks the frame's drift
     |V^dag V - 1| at every checkpoint (every max(1, round(0.1/(omega
     step))) steps, 100 at a step of 1e-3/omega) and at its last step, and
@@ -791,8 +690,7 @@ def integrate_blocks(
     it.
     The exact path (a closed forbidden set) yields its complete window at
     once (`exact_pass`, no coarser than `dt`).  A caller may stop
-    iterating at any block.  No cross-check is carried: it is built from
-    the H samples of the trajectory a pass gives (`finalize_trajectory`).
+    iterating at any block.
 
     A pass takes at most `_MAX_SAMPLES` steps: a `dt` that needs more is a
     ValueError, and so is a window whose own step needs more.
@@ -820,7 +718,7 @@ def integrate_blocks(
     G = g_operator(m0, problem.basis, problem.forbidden)
     F0 = lam0 * (H0 + G)
     step = min(t_max, _STEP_PER_RATE / _pass_rate(G, F0, lam0), math.inf if dt is None else dt)
-    n_steps = max(1, math.ceil(t_max / step - 1e-12))
+    n_steps = max(2, math.ceil(t_max / step - 1e-12))
     if n_steps > _MAX_SAMPLES:
         raise ValueError(
             f"the window t_max = {t_max:g} needs {n_steps} steps at this seed's rates, "
@@ -892,9 +790,8 @@ def integrate(
     ArithmeticError.  `integrate_blocks` yields the same samples
     checkpoint by checkpoint.
 
-    On either path the cross-check U_d (i dU_d/dt = H U_d) is propagated
-    on the same grid from the H samples alone (`_direct_propagators`);
-    `u_mismatch` is its largest gap to U.
+    A stepped grid has at least two steps, so the trajectory can be
+    certified: `verify.certify` differences dF/dt over three samples.
     """
     if dt is None and 0 < t_max < math.inf:  # integrate_blocks refuses any other t_max
         dt = 1e-3 / problem.omega

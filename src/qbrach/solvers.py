@@ -234,18 +234,16 @@ def _certified(
     (H0 + G).  `re_T` is Re<psi|HF|psi> at T in the
     seed's gauge; the trajectory and the multipliers are divided by it, so
     the endpoint evaluates to 1.  A SHOT is judged with the integrated
-    tolerances and carries the U_d cross-check, from the grid's H samples
-    alone; every other kind is judged with the analytic ones and none.
+    tolerances, every other kind with the analytic ones.
     """
-    shot = kind is SolutionKind.SHOT
-    tols = Tolerances.integrated() if shot else Tolerances.analytic()
+    tols = Tolerances.integrated() if kind is SolutionKind.SHOT else Tolerances.analytic()
     G = g_operator(m0, problem.basis, problem.forbidden)
     F0 = m0.lambda0 * (H0 + G) if smp is None else smp.F0
     stepped = smp is not None and smp.rhs is not None
     own = _analytic_dt(problem.omega, G, F0, T, tols.chko / 4.0, default, stepped)
     times = _grid(T, min(cap, own))
     rows = _constant_rows(problem, m0, times) if smp is None else smp.rows_at(problem, times)
-    traj = finalize_trajectory(problem, times, rows, F0, re_T, cross_check=shot)
+    traj = finalize_trajectory(problem, times, rows, F0, re_T)
     m = MultiplierVector(m0.lambda0 / re_T, m0.lambdas / re_T)
     report = certify(traj, tols, renormalized=True)
     return ExtremalSolution(kind, float(T), H0, m, traj, report, branch)
@@ -303,11 +301,10 @@ def solve_closed_subalgebra(
     is `shoot` on the exact flow: the seed is projected as there, and the
     same core (`_extremal`) takes T from the one pass (`exact_pass`, fine
     enough to see the flow's fastest oscillation) and certifies the
-    trajectory, here with the analytic tolerances and without the U_d
-    cross-check.  When Im<psi|HF|psi> vanishes identically (G central for
-    the flow, e.g. [G, H0] = 0 or no forbidden directions) T is where the
-    flow first reaches psi_f, which is then required.  `dt` caps the
-    certified sample step.
+    trajectory, here with the analytic tolerances.  When Im<psi|HF|psi>
+    vanishes identically (G central for the flow, e.g. [G, H0] = 0 or no
+    forbidden directions) T is where the flow first reaches psi_f, which
+    is then required.  `dt` caps the certified sample step.
 
     A forbidden set that spans no subalgebra is still accepted when the
     seed as given keeps every forbidden trace Tr[H(t)X_j] at zero on the
@@ -971,9 +968,8 @@ def shoot(
     (`exact_pass`).  That one pass is the whole integration: the
     certified trajectory is the pass evaluated on a uniform grid of
     [0, T] (`PassSamples.rows_at`, one batched Runge-Kutta step from the
-    sample left of each grid time), with the U_d cross-check taken from
-    that grid's H samples alone.  T is the one a scan of the whole window
-    would find.
+    sample left of each grid time).  T is the one a scan of the whole
+    window would find.
 
     Seeds for which s vanishes identically (e.g. no forbidden directions)
     admit every stopping time; then `target_bures_angle` selects T as the

@@ -689,6 +689,65 @@ def test_verify_detects_tampered_hamiltonian(closed_file, tmp_path, capsys):
     assert "round-trip FAIL" in text
 
 
+def test_verify_detects_a_u_that_does_not_solve_its_h(tmp_path, capsys):
+    # recipe seed 7's shot solution with every U(t) replaced by
+    # U(t) e^{-iAt/2}, A Hermitian and supported off psi_i: U stays unitary
+    # and psi(t) = U(t) psi_i is unchanged, so of all the verdicts only the
+    # check of i dU/dt = H U fails
+    problem, h0, m0 = helpers.su4_shoot_seed(7)
+    doc = {
+        "version": 1,
+        "dimension": 4,
+        "omega": 1.0,
+        "basis": "gellmann",
+        "psi_i": pairs(problem.psi_i.amplitudes),
+        "forbidden": list(problem.forbidden),
+        "solver_params": {
+            "H0": pairs(h0), "lambda0": 1.0, "lambdas": m0.lambdas.tolist(), "t_max": 3.0,
+        },
+    }
+    path = tmp_path / "shot.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "shot_sol.json"
+    assert main(["shoot", "-i", str(path), "-o", str(out)]) == 0
+    sol = json.loads(out.read_text())
+    traj = sol["trajectory"]
+    U = dynamics._from_pairs(traj["U"])
+    psi_i = dynamics._from_pairs(traj["psi"])[0]
+    rng = np.random.default_rng(0)
+    B = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    Q = np.eye(4) - np.outer(psi_i, psi_i.conj())
+    A = Q @ (B + B.conj().T) @ Q
+    w, q = np.linalg.eigh(A)
+    drift = (q * np.exp(-0.5j * np.outer(traj["times"], w))[:, None, :]) @ q.conj().T
+    assert float(np.abs(U @ drift - U).max()) > 0.1
+    traj["U"] = pairs(U @ drift)
+    out.write_text(json.dumps(sol))
+    capsys.readouterr()
+    assert main(["verify", str(out), "--tol", "integrated"]) == 1
+    text = capsys.readouterr().out
+    assert re.findall(r"^(\S+) +\S+  FAIL$", text, re.M) == ["u_mismatch"]
+    assert "round-trip FAIL" in text
+
+
+def test_verify_reads_a_document_that_carries_the_old_u_mismatch(closed_file, tmp_path, capsys):
+    # documents once stored the solver's own u_mismatch in the trajectory
+    # and in the report (0.0 for the analytic kinds): the trajectory's is
+    # not read, the report's has no fresh counterpart, and u_defect judges
+    out = tmp_path / "sol.json"
+    assert main(["solve-closed", "-i", closed_file, "-o", str(out)]) == 0
+    sol = json.loads(out.read_text())
+    assert "u_defect" in sol["report"] and "u_mismatch" not in sol["trajectory"]
+    sol["trajectory"]["u_mismatch"] = 0.0
+    sol["report"]["u_mismatch"] = 0.0
+    out.write_text(json.dumps(sol))
+    capsys.readouterr()
+    assert main(["verify", str(out), "--tol", "analytic"]) == 0
+    text = capsys.readouterr().out
+    assert "FAIL" not in text
+    assert "round-trip agreement with embedded report: max deviation 0.000e+00" in text
+
+
 def test_verify_flags_nan_in_embedded_report(closed_file, tmp_path, capsys):
     out = tmp_path / "sol.json"
     main(["solve-closed", "-i", closed_file, "-o", str(out)])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
-from qbrach import dynamics
+from qbrach import dynamics, verify
 from qbrach.algebra import (
     build_gellmann_basis,
     commutator_tensor,
@@ -335,7 +335,7 @@ def test_integrate_single_forbidden_direction_matches_closed_form():
     assert gap <= 1e-8
     # multipliers are frozen when only one direction is forbidden
     np.testing.assert_allclose(traj.lambdas, lam1, atol=1e-12)
-    assert traj.u_mismatch <= 1e-8
+    assert certify(traj).u_defect <= 1e-8
 
 
 def test_integrate_conserves_invariants():
@@ -440,7 +440,7 @@ def test_checkpoint_holds_the_frame_to_the_validation_bound(monkeypatch):
     V = last.V
     drift = np.linalg.norm(V.conj().swapaxes(1, 2) @ V - np.eye(4), axis=(1, 2)).max()
     assert drift <= 1e-8
-    assert last.trajectory(problem).u_mismatch <= Tolerances.integrated().u_mismatch
+    assert certify(last.trajectory(problem)).u_defect <= Tolerances.integrated().u_mismatch
     # at 20 times the step the frame drifts by about 3e-8 over the 4 steps
     # to the first checkpoint: a numerical failure naming the drift and the
     # step, never a restart and never invalid input
@@ -488,8 +488,8 @@ def test_integrate_commuting_forbidden_set_is_exact():
         for k, t in enumerate(traj.times)
     )
     assert worst <= 1e-12
-    assert traj.u_mismatch <= 1e-8
     report = certify(traj, Tolerances.integrated())
+    assert report.u_defect <= 1e-8
     failed = [k for k in POINTWISE_VERDICTS if not report.verdict[k]]
     assert not failed
 
@@ -518,22 +518,44 @@ def test_constant_flow_reproduces_exact_integration():
     assert float(np.abs(rescaled.F - traj.F / c).max()) <= 1e-13
 
 
+def _random_unitaries(rng, k, n):
+    z = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def _rk4_defect(times, h_ends, h_mids, U):
+    """sum_k ||U_{k+1} - RK4 step of i dU/dt = H U from U_k||_F, step by step."""
+    total = 0.0
+    for k, h in enumerate(np.diff(times)):
+        a, m, b = -1j * h_ends[k], -1j * h_mids[k], -1j * h_ends[k + 1]
+        u = U[k]
+        k1 = a @ u
+        k2 = m @ (u + h / 2 * k1)
+        k3 = m @ (u + h / 2 * k2)
+        k4 = b @ (u + h * k3)
+        total += float(np.linalg.norm(U[k + 1] - u - h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)))
+    return total
+
+
 @pytest.mark.parametrize("dim", [2, 4])
-def test_direct_propagators_match_sequential_rk4(dim, monkeypatch):
-    # the batched, prefix-chained cross-check against the plain
-    # step-by-step RK4 loop, over more than one block, with -iH at each
-    # step's midpoint the cubic through the four nearest samples (one-sided
-    # on the first and the last step): the samples are all it reads
+def test_u_defect_matches_sequential_rk4_steps(dim, monkeypatch):
+    # the batched per-step check against a plain step-by-step loop, over
+    # more than one block, with -iH at each step's midpoint the cubic
+    # through the four nearest samples (one-sided on the first and the
+    # last step), on stored U far from the flow of H so every step counts
     rng = np.random.default_rng(dim)
     basis = build_gellmann_basis(dim)
     g = np.tensordot(rng.normal(size=dim - 1), basis.generators[-(dim - 1):], axes=1)
     f0 = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     f0 = f0 + f0.conj().T
     lam0, h = 0.8, 2e-3
-    times = np.arange(dynamics._DIRECT_BLOCK + 90) * h
+    times = np.arange(verify._DIRECT_BLOCK + 90) * h
     n = times.size - 1
     V = np.array([helpers.expm_herm(g, -t) for t in times])
     H = V @ f0 @ V.conj().transpose(0, 2, 1) / lam0 - g
+    U = _random_unitaries(rng, n + 1, dim)
 
     def mid(k):
         if k == 0:
@@ -544,56 +566,42 @@ def test_direct_propagators_match_sequential_rk4(dim, monkeypatch):
             first, w = k - 1, (-1, 9, 9, -1)
         return sum(c * H[first + i] for i, c in enumerate(w)) / 16
 
-    u = np.eye(dim, dtype=complex)
-    ref = [u]
-    for k in range(n):
-        a, m, b = -1j * H[k], -1j * mid(k), -1j * H[k + 1]
-        k1 = a @ u
-        k2 = m @ (u + h / 2 * k1)
-        k3 = m @ (u + h / 2 * k2)
-        k4 = b @ (u + h * k3)
-        u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        ref.append(u)
-    # the steps are chained block by block: one top-level prefix product each
-    top, depth, chained = [], [0], dynamics._chained
+    ref = _rk4_defect(times, H, [mid(k) for k in range(n)], U)
+    # the steps are checked block by block
+    blocks, midpoints = [], verify._midpoints
 
-    def recorded(P, carry):
-        if not depth[0]:
-            top.append(P.shape[0])
-        depth[0] += 1
-        try:
-            return chained(P, carry)
-        finally:
-            depth[0] -= 1
+    def recorded(H, a, b):
+        blocks.append((a, b))
+        return midpoints(H, a, b)
 
-    monkeypatch.setattr(dynamics, "_chained", recorded)
-    got = dynamics._direct_propagators(times, H)
-    block = dynamics._DIRECT_BLOCK
-    assert top == [block, n - block]
-    assert float(np.abs(got - np.array(ref)).max()) <= 1e-12
+    monkeypatch.setattr(verify, "_midpoints", recorded)
+    got = verify._u_defect(times, H, U)
+    block = verify._DIRECT_BLOCK
+    assert blocks == [(0, block), (block, n)]
+    assert abs(got - ref) <= 1e-12 * ref
 
 
-def test_direct_propagators_are_fourth_order():
+def test_u_defect_is_fourth_order():
     # on H(t) = e^{i lambda sz t} omega sy e^{-i lambda sz t}, whose
     # propagator e^{i lambda sz t} e^{-i(omega sy + lambda sz)t} is closed
-    # form, halving the step cuts the error of U_d(1) by about 2^4: the
-    # interpolated midpoints keep RK4's order
+    # form, halving the step cuts the summed defect of that propagator by
+    # about 2^4: the interpolated midpoints keep RK4's order
     lam, w = 2.5, 1.0
-    errs = []
-    for n in (40, 80):
+    defects = []
+    for n in (40, 80, 160):
         times = np.linspace(0.0, 1.0, n + 1)
         V = np.array([helpers.expm_herm(SZ, -lam * t) for t in times])
         H = w * V @ SY @ V.conj().transpose(0, 2, 1)
-        ref = helpers.m1_reference_u(lam, w, times)
-        errs.append(float(np.linalg.norm(dynamics._direct_propagators(times, H)[-1] - ref[-1])))
-    assert 12.0 <= errs[0] / errs[1] <= 20.0
+        defects.append(verify._u_defect(times, H, helpers.m1_reference_u(lam, w, times)))
+    for coarse, fine in zip(defects, defects[1:]):
+        assert 12.0 <= coarse / fine <= 20.0
 
 
 @pytest.mark.parametrize("K", [2, 3, 4, 5])
-def test_direct_propagators_take_grids_of_two_samples_and_more(K):
+def test_u_defect_takes_grids_of_two_samples_and_more(K):
     # a grid of 2 or 3 samples takes the line or the parabola through all
     # of them, a longer one cubics: on an H(t) polynomial of the degree
-    # they reproduce, the midpoints are exact, and U_d is RK4 with H
+    # they reproduce, the midpoints are exact, and the check is RK4 with H
     # evaluated at the midpoints
     rng = np.random.default_rng(K)
     B = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
@@ -603,54 +611,27 @@ def test_direct_propagators_take_grids_of_two_samples_and_more(K):
         return sum(B[p] * t**p for p in range(min(K, 4)))
 
     times = np.linspace(0.0, 0.3, K)
-    got = dynamics._direct_propagators(times, np.array([h_at(t) for t in times]))
-    u = np.eye(3, dtype=complex)
-    assert got.shape == (K, 3, 3)
-    np.testing.assert_array_equal(got[0], u)
-    for k, (t, h) in enumerate(zip(times[:-1], np.diff(times))):
-        a, m, b = (-1j * h_at(x) for x in (t, t + h / 2, t + h))
-        k1 = a @ u
-        k2 = m @ (u + h / 2 * k1)
-        k3 = m @ (u + h / 2 * k2)
-        u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + b @ (u + h * k3))
-        assert float(np.abs(got[k + 1] - u).max()) <= 1e-13
+    U = _random_unitaries(rng, K, 3)
+    got = verify._u_defect(times, np.array([h_at(t) for t in times]), U)
+    mids = [h_at(t + h / 2) for t, h in zip(times, np.diff(times))]
+    ref = _rk4_defect(times, [h_at(t) for t in times], mids, U)
+    assert abs(got - ref) <= 1e-13 * ref
 
 
-@pytest.mark.parametrize("t_max, K", [(5e-4, 2), (1.5e-3, 3)])
+@pytest.mark.parametrize("t_max, K", [(5e-4, 3), (1.5e-3, 3)])
 def test_integrate_below_one_default_step(t_max, K):
-    # a window below one default step of 1e-3/omega is one step, and a
-    # window of one and a half is two: the cross-check takes those grids,
-    # its midpoint on the line through two samples erring by O(step^2)
+    # a window below one default step of 1e-3/omega is two steps, as is a
+    # window of one and a half: three samples, which certify differences
+    # dF/dt over, and the check of U against H takes those grids, its
+    # midpoints on the parabola through them.  The seed is not projected
+    # onto the structure of F(0), so only the verdicts that need no such
+    # structure are asked to pass
     problem, m0, h0 = su3_drifting_instance()
     traj = integrate(problem, m0, h0, t_max=t_max)
     assert traj.n_samples == K and traj.times[-1] == t_max
-    assert 0.0 < traj.u_mismatch <= 1e-9
-
-
-def _random_unitaries(rng, k, n):
-    z = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    return q * (d / np.abs(d))[:, None, :]
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
-@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 513, 1025])
-def test_chained_prefix_product_matches_sequential_product(n, k):
-    # the work-efficient scan against the plain left-to-right chain, on
-    # both sides of the chunk size (8) and of the cross-check block (512),
-    # from a carry that is not the identity and on a strided stack
-    rng = np.random.default_rng(10 * n + k)
-    maps = _random_unitaries(rng, 2 * k, n)[::2]
-    assert k == 1 or not maps.flags.c_contiguous
-    carry = _random_unitaries(rng, 1, n)[0]
-    ref = np.empty((k, n, n), dtype=complex)
-    acc = carry
-    for j in range(k):
-        acc = ref[j] = maps[j] @ acc
-    got = dynamics._chained(maps, carry)
-    assert got.shape == ref.shape
-    assert float(np.abs(got - ref).max()) <= 1e-14
+    report = certify(traj, Tolerances.integrated())
+    assert 0.0 < report.u_defect <= 1e-9
+    assert all(report.verdict[k] for k in ("chko", "aa", "u_mismatch"))
 
 
 @pytest.mark.parametrize("seed", [7, 90])
@@ -704,58 +685,51 @@ def test_rows_at_is_one_single_state_step(case):
 
 
 @pytest.mark.parametrize("seed", [7, 90])
-def test_cross_check_reads_only_the_h_samples(seed, monkeypatch):
-    # on a stepped pass (seed 7) and on the exact flow (seed 90) the
-    # cross-check of a pass's trajectory is the propagation of its own H
-    # samples on its own grid: it evaluates no row of the pass, and builds
-    # no U, F, H or psi of its own
+def test_u_defect_reads_only_the_samples(seed, monkeypatch):
+    # on a stepped pass (seed 7) and on the exact flow (seed 90) certify
+    # checks U against H once, from the trajectory's own times, H and U:
+    # it evaluates no row of the pass, and builds no U, F, H or psi of
+    # its own
     problem, h0, m0 = helpers.su4_shoot_seed(seed)
     smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
+    traj = smp.trajectory(problem)
     calls = []
-    direct_propagators = dynamics._direct_propagators
+    u_defect = verify._u_defect
 
-    def recorded(times, H):
-        calls.append((times, H))
-        monkeypatch.setattr(dynamics, "_observables", forbidden)
-        try:
-            return direct_propagators(times, H)
-        finally:
-            monkeypatch.setattr(dynamics, "_observables", observables)
+    def recorded(times, H, U):
+        calls.append((times, H, U))
+        return u_defect(times, H, U)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the cross-check built U, F, H and psi")
+        raise AssertionError("the check built U, F, H and psi")
 
     def no_rows(*args, **kwargs):
-        raise AssertionError("the cross-check evaluated rows of the pass")
+        raise AssertionError("the check evaluated rows of the pass")
 
-    observables = dynamics._observables
-    monkeypatch.setattr(dynamics, "_direct_propagators", recorded)
+    monkeypatch.setattr(verify, "_u_defect", recorded)
+    monkeypatch.setattr(dynamics, "_observables", forbidden)
     monkeypatch.setattr(dynamics.PassSamples, "rows_at", no_rows)
-    traj = smp.trajectory(problem)
+    report = certify(traj, Tolerances.integrated())
     monkeypatch.undo()
     assert len(calls) == 1
-    times, H = calls[0]
-    np.testing.assert_array_equal(times, smp.times)
-    np.testing.assert_array_equal(H, traj.H)
-    U_d = dynamics._direct_propagators(traj.times, traj.H)
-    gap = np.linalg.norm((traj.U - U_d).reshape(traj.n_samples, -1), axis=1).max()
-    assert traj.u_mismatch == float(gap) <= 1e-9
+    times, H, U = calls[0]
+    assert times is traj.times and H is traj.H and U is traj.U
+    assert report.u_defect == u_defect(traj.times, traj.H, traj.U) <= 1e-9
 
 
 @pytest.mark.parametrize("seed", [7, 90])
 def test_perturbed_pass_sample_fails_the_cross_check(seed):
-    # the cross-check is built after the pass from the pass's own values;
-    # a sample knocked off the flow (a unitary rotation of one frame, which
-    # keeps the trajectory valid) shows up in u_mismatch
+    # the check reads the pass's own values after the pass; a sample
+    # knocked off the flow (a unitary rotation of one frame, which keeps
+    # the trajectory valid) shows up in u_defect
     problem, h0, m0 = helpers.su4_shoot_seed(seed)
     smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
     tol = Tolerances.integrated().u_mismatch
-    assert smp.trajectory(problem).u_mismatch <= 1e-9
+    assert certify(smp.trajectory(problem)).u_defect <= 1e-9
     V = smp.V.copy()
     V[50] = helpers.expm_herm(problem.basis.generators[0], 1e-4) @ V[50]
-    bad = smp._replace(V=V).trajectory(problem)
-    assert bad.u_mismatch > tol
-    report = certify(bad, Tolerances.integrated())
+    report = certify(smp._replace(V=V).trajectory(problem), Tolerances.integrated())
+    assert report.u_defect > tol
     assert not report.verdict["u_mismatch"]
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import helpers
-from qbrach import dynamics, solvers
+from qbrach import dynamics, solvers, verify
 from qbrach.dynamics import ControlProblem, MultiplierVector, SingularGaugeError, Trajectory
 from qbrach.solvers import (
     TWO_QUBIT_FORBIDDEN,
@@ -29,7 +29,7 @@ from qbrach.solvers import (
     sweep_m1,
 )
 from qbrach.states import PureState
-from qbrach.verify import endpoint_constraint
+from qbrach.verify import certify, endpoint_constraint
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -770,20 +770,20 @@ def test_shoot_default_pass_steps_at_the_flow_rate(seed):
     assert shoot(problem, h0, m0, t_max=3.0, dt=0.3).T == sol.T
 
 
-def test_shoot_pass1_carries_no_cross_check_channel(monkeypatch):
+def test_shoot_checks_u_against_h_once_in_certify(monkeypatch):
     # shoot integrates once: pass 1 only feeds the root search, and the
-    # certified trajectory and its U_d cross-check are evaluated from pass
-    # 1's samples, so integrate never runs and the batched U_d propagation
-    # runs once, on the certified grid, on the exact and the stepped path.
-    # The cross-check reads the grid's own H samples, so the rows of the
-    # pass `shoot` evaluates are the root scan's, one per evaluation, the
-    # endpoint at T and the K rows of the grid: no K - 1 midpoints
+    # certified trajectory is evaluated from pass 1's samples, so integrate
+    # never runs.  U is checked against H once, by certify, on the
+    # certified grid, on the exact and the stepped path.  The check reads
+    # the grid's own samples, so the rows of the pass `shoot` evaluates
+    # are the root scan's, one per evaluation, the endpoint at T and the K
+    # rows of the grid: no K - 1 midpoints
     grids = []
-    direct_propagators = dynamics._direct_propagators
+    u_defect = verify._u_defect
 
-    def counted(times, H):
+    def counted(times, H, U):
         grids.append(times)
-        return direct_propagators(times, H)
+        return u_defect(times, H, U)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("shoot re-integrated")
@@ -810,7 +810,7 @@ def test_shoot_pass1_carries_no_cross_check_channel(monkeypatch):
         finally:
             scans.append((start, len(rows)))
 
-    monkeypatch.setattr(dynamics, "_direct_propagators", counted)
+    monkeypatch.setattr(verify, "_u_defect", counted)
     monkeypatch.setattr(dynamics, "integrate", forbidden)
     monkeypatch.setattr(solvers, "integrate", forbidden, raising=False)
     monkeypatch.setattr(solvers, "integrate_blocks", recorded)
@@ -827,7 +827,7 @@ def test_shoot_pass1_carries_no_cross_check_channel(monkeypatch):
         assert all((b.rhs is None) == (seed == 90) for b in blocks)
         assert len(grids) == 1
         np.testing.assert_array_equal(grids[0], sol.trajectory.times)
-        assert 0.0 < sol.trajectory.u_mismatch and sol.report.verdict["u_mismatch"]
+        assert 0.0 < sol.report.u_defect and sol.report.verdict["u_mismatch"]
         assert sol.report.passed
         K = sol.trajectory.n_samples
         assert scans == [(0, len(rows) - 2)]
@@ -848,7 +848,7 @@ def test_shoot_trajectory_matches_integrate_on_its_grid(seed):
     for name in ("V", "U", "H", "F", "psi", "lambda0", "lambdas", "tau_acc"):
         got, want = getattr(traj, name), getattr(ref, name)
         assert float(np.abs(got - want).max()) <= 1e-12 * float(np.abs(want).max()), name
-    assert abs(traj.u_mismatch - ref.u_mismatch) <= 1e-12
+    assert abs(sol.report.u_defect - certify(ref).u_defect) <= 1e-12
 
 
 def test_shoot_t_is_step_converged():

@@ -1,5 +1,6 @@
 """Residual checks and the certification report."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -251,7 +252,7 @@ def test_certify_report_serialization_and_table(free_traj):
         "endpoint_equiv_gap",
         "speed_decomp_gap",
         "equivalence_max",
-        "u_mismatch",
+        "u_defect",
         "omega",
         "renormalized",
         "verdict",
@@ -276,10 +277,18 @@ def test_certify_table_marks_failures(off_traj):
     assert table.splitlines()[-1].endswith("FAIL")
 
 
-def test_certify_flags_recorded_u_mismatch(m1_traj):
-    data = m1_traj.to_dict()
-    data["u_mismatch"] = 1.0
-    tampered = Trajectory.from_dict(data)
+def test_certify_flags_a_u_that_does_not_solve_its_h(m1_traj):
+    # U(t) e^{-iAt/2} with A supported off psi_i is unitary and carries
+    # psi_i to the same psi(t), so only the check of i dU/dt = H U sees it
+    assert m1_traj.to_dict().keys().isdisjoint({"u_mismatch", "u_defect"})
+    report = certify(m1_traj, Tolerances.analytic(), renormalized=True)
+    assert report.passed and report.u_defect <= 1e-8
+    perp = np.array([-m1_traj.psi[0][1].conj(), m1_traj.psi[0][0].conj()])
+    A = 4.0 * m1_traj.omega * np.outer(perp, perp.conj())
+    drift = np.array([helpers.expm_herm(A, t / 2.0) for t in m1_traj.times])
+    tampered = dataclasses.replace(m1_traj, U=m1_traj.U @ drift)
+    assert float(np.abs(tampered.U - m1_traj.U).max()) > 0.1
     report = certify(tampered, Tolerances.analytic(), renormalized=True)
+    assert report.u_defect > 0.1
     assert report.verdict["u_mismatch"] is False
     assert not report.passed
