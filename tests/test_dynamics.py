@@ -685,11 +685,11 @@ def test_rows_at_is_one_single_state_step(case):
 
 
 @pytest.mark.parametrize("seed", [7, 90])
-def test_u_defect_reads_only_the_samples(seed, monkeypatch):
+def test_cross_check_reads_only_the_h_samples(seed, monkeypatch):
     # on a stepped pass (seed 7) and on the exact flow (seed 90) certify
-    # checks U against H once, from the trajectory's own times, H and U:
-    # it evaluates no row of the pass, and builds no U, F, H or psi of
-    # its own
+    # cross-checks U against H once, from the trajectory's own times and
+    # H and U samples: it evaluates no row of the pass, and builds no U,
+    # F, H or psi of its own
     problem, h0, m0 = helpers.su4_shoot_seed(seed)
     smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
     traj = smp.trajectory(problem)

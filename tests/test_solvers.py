@@ -770,10 +770,11 @@ def test_shoot_default_pass_steps_at_the_flow_rate(seed):
     assert shoot(problem, h0, m0, t_max=3.0, dt=0.3).T == sol.T
 
 
-def test_shoot_checks_u_against_h_once_in_certify(monkeypatch):
+def test_shoot_pass1_carries_no_cross_check_channel(monkeypatch):
     # shoot integrates once: pass 1 only feeds the root search, and the
     # certified trajectory is evaluated from pass 1's samples, so integrate
-    # never runs.  U is checked against H once, by certify, on the
+    # never runs.  Neither pass 1 nor the trajectory built from it checks
+    # U against H: that is done once, by certify, on the
     # certified grid, on the exact and the stepped path.  The check reads
     # the grid's own samples, so the rows of the pass `shoot` evaluates
     # are the root scan's, one per evaluation, the endpoint at T and the K

@@ -277,6 +277,23 @@ def test_certify_table_marks_failures(off_traj):
     assert table.splitlines()[-1].endswith("FAIL")
 
 
+def test_certify_flags_recorded_u_mismatch(m1_traj):
+    # a document whose recorded U does not solve its own H fails the
+    # u_mismatch verdict, even when it carries the old layout's stored
+    # u_mismatch member claiming a clean check: certify reads only the
+    # recorded times, H and U
+    perp = np.array([-m1_traj.psi[0][1].conj(), m1_traj.psi[0][0].conj()])
+    A = 4.0 * m1_traj.omega * np.outer(perp, perp.conj())
+    drift = np.array([helpers.expm_herm(A, t / 2.0) for t in m1_traj.times])
+    data = dataclasses.replace(m1_traj, U=m1_traj.U @ drift).to_dict()
+    data["u_mismatch"] = 0.0
+    tampered = Trajectory.from_dict(data)
+    report = certify(tampered, Tolerances.analytic(), renormalized=True)
+    assert report.u_defect > 0.1
+    assert report.verdict["u_mismatch"] is False
+    assert not report.passed
+
+
 def test_certify_flags_a_u_that_does_not_solve_its_h(m1_traj):
     # U(t) e^{-iAt/2} with A supported off psi_i is unitary and carries
     # psi_i to the same psi(t), so only the check of i dU/dt = H U sees it
