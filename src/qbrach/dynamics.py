@@ -21,8 +21,8 @@ G is constant and V(t) = exp(iGt).  `_constant_rows` samples this flow
 on any grid, for the analytic solvers' trajectories and for
 `exact_pass`, the pass of it that `integrate` and both root-searching
 solvers take; `finalize_trajectory` turns any rows, of either flow, into
-a validated `Trajectory`.  The commutator tensor of the forbidden set is
-built only for that closure test.  Other forbidden sets are stepped at a
+a validated `Trajectory`.  `algebra.is_closed_subalgebra` decides the
+closure and forms no commutator.  Other forbidden sets are stepped at a
 fixed step by Butcher's sixth-order Runge-Kutta method: one step function
 (`rk6_step`) on one right-hand side (`stepped_rhs`), whose state is
 (V, lambda_j).  The pass steps at 0.05/r, with r a bound on the flow's
@@ -775,7 +775,7 @@ def integrate(
     and only conjugated afterwards.
 
     Exact path (eta = 0: a forbidden set closed under i[.,.], decided
-    from the commutator tensor): the multipliers and G are constant,
+    by `is_closed_subalgebra`): the multipliers and G are constant,
     V(t) = exp(iGt) comes from one eigendecomposition of G and
     tau = t/lambda_0.  Its grid (`exact_pass`) has more steps than
     ceil(t_max/dt) where the flow's rates need them.

@@ -307,45 +307,44 @@ def solve_closed_subalgebra(
     is then required.  `dt` caps the certified sample step.
 
     A forbidden set that spans no subalgebra is still accepted when the
-    seed as given keeps every forbidden trace Tr[H(t)X_j] at zero on the
+    projected seed keeps every forbidden trace Tr[H(t)X_j] at zero on the
     whole window, because that trace measures exactly the multiplier drift
     the closure assumption is meant to rule out; otherwise NotClosedError.
-    The certificate then judges the flow of the projected seed.
+    The trace is checked on the same pass the solution is taken from.
     """
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     H0 = np.asarray(H0, dtype=complex)
-    Xf = problem.forbidden_generators()
     closed, closure_resid = (
         is_closed_subalgebra(problem.basis, problem.forbidden) if problem.forbidden else (True, 0.0)
     )
     _validate_h0(problem, H0)
+    H0, m0 = _project_seed(problem, H0, m0)
+    smp = exact_pass(problem, m0, H0, t_max)
     if not closed:
         # The set spans no subalgebra, but the constant-multiplier flow is
         # still exact for this seed iff the forbidden traces vanish along it:
         # Tr[H(t)X_j] = (N/lambda0)[lambda_j(t) - lambda_j(0)], so a vanishing
         # trace on the window is equivalent to the multipliers staying put.
-        smp = exact_pass(problem, m0, H0, t_max)
         Hs = smp.at(problem, smp.times)[2]
+        Xf = problem.forbidden_generators()
         term = float(np.abs(np.real(np.einsum("kab,jba->kj", Hs, Xf))).max()) / problem.omega
         if term > 1e-8:
             raise NotClosedError(
                 "the forbidden set is not closed under i[.,.] (worst projection "
-                f"residual {closure_resid:.3e}) and the seed's constant-multiplier "
-                f"flow violates the forbidden-direction traces (max |Tr[H(t)X_j]| "
-                f"= {term:.3e} omega); this solver does not apply"
+                f"residual {closure_resid:.3e}) and the projected seed's "
+                "constant-multiplier flow violates the forbidden-direction traces "
+                f"(max |Tr[H(t)X_j]| = {term:.3e} omega); this solver does not apply"
             )
         log.warning(
             "forbidden set is not closed (projection residual %.3e); "
-            "proceeding because the seed keeps every forbidden trace "
-            "below %.1e omega on the window, which makes the "
+            "proceeding because the projected seed keeps every forbidden "
+            "trace below %.1e omega on the window, which makes the "
             "constant-multiplier flow exact for this seed",
             closure_resid,
             term,
         )
-    H0, m0 = _project_seed(problem, H0, m0)
-    blocks = [exact_pass(problem, m0, H0, t_max)]
-    return _extremal(problem, SolutionKind.CLOSED_SUBALGEBRA, H0, m0, blocks, dt, problem.psi_f)
+    return _extremal(problem, SolutionKind.CLOSED_SUBALGEBRA, H0, m0, [smp], dt, problem.psi_f)
 
 
 # -- two-level, one forbidden direction --------------------------------------

@@ -291,8 +291,10 @@ def speed_decomposition_mismatch(traj, omega: float) -> float:
     Normalized by omega^2; both sides are evaluated independently from the
     stored samples.
     """
-    de, _ = speed_profile(traj, omega)
-    G = _g_stack(traj)
+    return _decomposition_gap(traj, omega, speed_profile(traj, omega)[0], _g_stack(traj))
+
+
+def _decomposition_gap(traj, omega: float, de: np.ndarray, G: np.ndarray) -> float:
     trg2 = np.real(np.einsum("kab,kba->k", G, G))
     gpsi = np.einsum("kab,kb->ka", G, traj.psi)
     g_mean = np.real(np.einsum("ka,ka->k", traj.psi.conj(), gpsi))
@@ -413,7 +415,8 @@ def certify(
     re, im = endpoint_constraint(traj.psi[-1], traj.H[-1], traj.F[-1])
     gate_val = endpoint_constraint_gate(traj.H[-1], traj.F[-1]) if gate else None
     de, excess = speed_profile(traj, w)
-    decomp = speed_decomposition_mismatch(traj, w)
+    G = _g_stack(traj)
+    decomp = _decomposition_gap(traj, w, de, G)
 
     vals = 2 * w**2 * traj.lambda0**2 + N * np.einsum("km,km->k", traj.lambdas, traj.lambdas)
     trf2_drift = float(vals.max() - vals.min()) / max(abs(float(vals[0])), _TINY)
@@ -429,7 +432,7 @@ def certify(
     ) ** 2
     aa = float(np.abs(np.sqrt(np.maximum(g_tt, 0.0)) - de).max())
 
-    G_T = _g_stack(traj)[-1]
+    G_T = G[-1]
     comm = 1.0j * (traj.H[-1] @ G_T - G_T @ traj.H[-1])
     c2 = float(np.real(traj.psi[-1].conj() @ (comm @ traj.psi[-1])))
     equiv_gap = abs(im + traj.lambda0[-1] * c2 / 2.0) / w**2

@@ -1,9 +1,14 @@
-"""Shared builders for the test suite: random states, reference propagators
-and seeded shooting problems."""
+"""Shared builders for the test suite: random states, reference propagators,
+the dense commutator stack and seeded shooting problems."""
 
 import numpy as np
 
-from qbrach.algebra import build_gellmann_basis, build_pauli_string_basis
+from qbrach.algebra import (
+    CLOSURE_TOL,
+    build_gellmann_basis,
+    build_pauli_string_basis,
+    hermitian_commutator,
+)
 from qbrach.dynamics import ControlProblem, MultiplierVector
 from qbrach.states import PureState
 
@@ -18,6 +23,30 @@ def expm_herm(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via eigendecomposition."""
     w, q = np.linalg.eigh(h)
     return (q * np.exp(-1j * w * t)) @ q.conj().T
+
+
+def commutator_tensor(basis, subset) -> np.ndarray:
+    """Stack K[j, l] = i[X_j, X_l] over the pairs of a subset, exactly antisymmetric."""
+    idx = [basis.index_of(j) for j in subset]
+    M, N = len(idx), basis.dim
+    K = np.zeros((M, M, N, N), dtype=complex)
+    for p in range(M):
+        for q in range(p + 1, M):
+            c = hermitian_commutator(basis.generators[idx[p]], basis.generators[idx[q]])
+            K[p, q] = c
+            K[q, p] = -c
+    return K
+
+
+def dense_closure(basis, subset):
+    """(closed, worst residual) from the projection of every pair's commutator
+    onto the subset's span, the reference `is_closed_subalgebra` must match."""
+    idx = [basis.index_of(j) for j in subset]
+    gens, K = basis.generators[idx], commutator_tensor(basis, idx)
+    coeff = np.real(np.einsum("mij,pqji->pqm", gens, K)) / basis.dim
+    resid = K - np.einsum("pqm,mij->pqij", coeff, gens)
+    worst = float(np.linalg.norm(resid, axis=(2, 3)).max())
+    return worst <= CLOSURE_TOL, worst
 
 
 def random_state(rng: np.random.Generator, n: int) -> PureState:

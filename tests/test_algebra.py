@@ -1,15 +1,17 @@
 """Generator bases, commutators, structure constants and closure checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helpers
 from qbrach.algebra import (
     MAX_DIM,
     basis_of,
     build_gellmann_basis,
     build_pauli_string_basis,
-    commutator_tensor,
     hermitian_commutator,
     is_closed_subalgebra,
     pauli_string_label,
@@ -180,45 +182,16 @@ def test_coefficients_round_trip(seed):
 
 
 # ---------------------------------------------------- structure constants
-# The coefficients of i[X_j, X_l] are read from the commutator stack the
-# solvers integrate with, `commutator_tensor`, by `basis.coefficients`.
-
-
-def test_structure_tensor_su2():
-    basis = build_gellmann_basis(2)
-    K = commutator_tensor(basis, (0, 1, 2))
-    assert K.shape == (3, 3, 2, 2)
-    np.testing.assert_allclose(basis.coefficients(K[0, 1]), [0.0, 0.0, -2.0], atol=1e-13)
-    # antisymmetry is exact: the reversed pair is the stored negation
-    np.testing.assert_array_equal(K[1, 0], -K[0, 1])
-    np.testing.assert_array_equal(K[2, 2], np.zeros((2, 2)))
-    # no two Pauli matrices commute
-    assert all(K[p, q].any() for p, q in ((0, 1), (0, 2), (1, 2)))
-
-
-def test_structure_tensor_accepts_labels():
-    basis = build_gellmann_basis(2)
-    K = commutator_tensor(basis, ("s12", "a12"))
-    np.testing.assert_array_equal(K, commutator_tensor(basis, (0, 1)))
-    np.testing.assert_allclose(basis.coefficients(K[0, 1]), [0.0, 0.0, -2.0], atol=1e-13)
-
-
-def test_structure_tensor_empty_subset():
-    basis = build_gellmann_basis(2)
-    K = commutator_tensor(basis, ())
-    assert K.shape == (0, 0, 2, 2)
-    with pytest.raises(IndexError):
-        K[0, 1]
+# The coefficients of i[X_j, X_l] are read by `basis.coefficients`.
 
 
 def test_structure_tensor_reconstructs_commutators():
     basis = build_gellmann_basis(3)
     subset = (0, 2, 5, 7)
-    K = commutator_tensor(basis, subset)
-    for p, j in enumerate(subset):
-        for q, l in enumerate(subset):
+    for j in subset:
+        for l in subset:
             comm = hermitian_commutator(basis.generators[j], basis.generators[l])
-            rebuilt = np.einsum("m,mij->ij", basis.coefficients(K[p, q]), basis.generators)
+            rebuilt = np.einsum("m,mij->ij", basis.coefficients(comm), basis.generators)
             np.testing.assert_allclose(rebuilt, comm, atol=1e-10)
 
 
@@ -269,6 +242,50 @@ def test_restricted_two_qubit_set_is_open():
     idx = [basis.index_of(lab) for lab in TWO_QUBIT_FORBIDDEN]
     overlap = basis.coefficients(escaped)[idx]
     np.testing.assert_allclose(overlap, 0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "kind, dim",
+    [("pauli_strings", 2), ("pauli_strings", 4), ("pauli_strings", 8)]
+    + [("gellmann", n) for n in (2, 3, 4, 5)],
+)
+def test_closure_matches_the_dense_commutator_projection(kind, dim):
+    # random subsets, mostly open, and random sets of commuting diagonal
+    # generators and the whole basis, which are closed, against the
+    # projection of every pair's commutator built one by one
+    basis = basis_of(kind, dim)
+    diagonal = [j for j, x in enumerate(basis.generators) if not (x - np.diag(np.diag(x))).any()]
+    rng = np.random.default_rng(dim)
+    subsets = [range(basis.size)]
+    for _ in range(12):
+        pool = diagonal if rng.random() < 0.3 else range(basis.size)
+        size = int(rng.integers(1, len(pool) + 1))
+        subsets.append(rng.choice(pool, size=size, replace=False).tolist())
+    verdicts = set()
+    for subset in subsets:
+        closed, resid = is_closed_subalgebra(basis, subset)
+        want_closed, want_resid = helpers.dense_closure(basis, subset)
+        assert closed == want_closed
+        assert abs(resid - want_resid) <= 1e-12
+        verdicts.add(closed)
+    assert verdicts == {True, False}
+
+
+def test_four_qubit_chain_set_is_open():
+    # every Pauli string of weight >= 3 and every two-body string between
+    # sites that are not neighbours on the open chain: M = 216 of su(16).
+    # Two anticommuting strings give i[P_a, P_b] = +-2 P_ab, so an escaped
+    # product string has residual 2 sqrt(N) = 8
+    basis = build_pauli_string_basis(4)
+    subset = []
+    for code, word in enumerate(itertools.product(range(4), repeat=4)):
+        sites = np.flatnonzero(word)
+        if sites.size >= 3 or (sites.size == 2 and sites[1] - sites[0] > 1):
+            subset.append(code - 1)
+    assert len(subset) == 216
+    closed, resid = is_closed_subalgebra(basis, subset)
+    assert closed is False
+    np.testing.assert_allclose(resid, 8.0, rtol=1e-12)
 
 
 def test_closure_rejects_empty_subset():

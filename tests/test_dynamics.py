@@ -9,7 +9,6 @@ import helpers
 from qbrach import dynamics, verify
 from qbrach.algebra import (
     build_gellmann_basis,
-    commutator_tensor,
     forbidden_sum,
     is_closed_subalgebra,
 )
@@ -166,12 +165,13 @@ def test_multiplier_rates_match_the_commutator_tensor(case):
     N, M = problem.dim, problem.n_forbidden
     rng = np.random.default_rng(11)
     xf = problem.forbidden_generators()
+    K = helpers.commutator_tensor(problem.basis, problem.forbidden)
     for _ in range(5):
         v, _ = np.linalg.qr(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
         lam0 = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
         lams = rng.normal(size=M) * problem.omega
         h = v @ f0 @ v.conj().T / lam0 - forbidden_sum(lams / lam0, xf)
-        eta = np.einsum("jlab,ba->jl", commutator_tensor(problem.basis, problem.forbidden), h).real
+        eta = np.einsum("jlab,ba->jl", K, h).real
         np.testing.assert_allclose(eta, -eta.T, atol=0.0)
         want = eta @ lams / N
         got = multiplier_rates(problem, lam0, lams, v, f0)
@@ -475,7 +475,7 @@ def test_integrate_commuting_forbidden_set_is_exact():
     # shooting projects its seed onto the structure the certificate expects
     problem, h0, m0 = helpers.su4_shoot_seed(183)
     assert problem.forbidden == (12, 13, 14)
-    assert not commutator_tensor(problem.basis, problem.forbidden).any()
+    assert not helpers.commutator_tensor(problem.basis, problem.forbidden).any()
     sol = shoot(problem, h0, m0, t_max=3.0)
     h0, m0 = sol.H0, sol.multipliers0
     traj = integrate(problem, m0, h0, t_max=3.0)
@@ -757,7 +757,7 @@ def test_integrate_closed_non_abelian_su4_is_exact():
     # eta vanishes along the flow, so integrate samples the exact flow in
     # one block, with constant multipliers, instead of stepping it
     problem, h0, m0 = helpers.su4_shoot_seed(0)
-    assert commutator_tensor(problem.basis, problem.forbidden).any()
+    assert helpers.commutator_tensor(problem.basis, problem.forbidden).any()
     assert is_closed_subalgebra(problem.basis, problem.forbidden)[0]
     blocks = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))
     assert len(blocks) == 1 and blocks[0].rhs is None

@@ -576,14 +576,35 @@ def test_closed_solver_two_qubit_open_set_accepted_with_warning(caplog):
 
 
 def test_closed_solver_rejects_drifting_open_set():
+    # sigma_x, sigma_y forbidden from |0>: the projected seed keeps only the
+    # first-row/column block, which lies inside the forbidden span
     basis = helpers.m1_problem(1.0).basis
     problem = ControlProblem(
         basis=basis, psi_i=helpers.KET0, omega=1.0, forbidden=(0, 1)
     )
-    with pytest.raises(NotClosedError):
+    with pytest.raises(ValueError, match="allowed component of the projected seed vanishes"):
         solve_closed_subalgebra(
             problem, SZ, MultiplierVector(1.0, [0.5, 0.5]), t_max=1.0
         )
+
+
+def test_closed_solver_checks_the_projected_seed():
+    # s12, s13 of su(3) span no subalgebra.  With zero multipliers the seed as
+    # given never moves, so its forbidden traces stay zero, but the projected
+    # seed's flow drifts off them: the solver refuses it rather than return a
+    # solution that fails its own trace verdict
+    basis = helpers.build_gellmann_basis(3)
+    x = {lab: basis.generators[basis.index_of(lab)] for lab in ("s23", "a12", "a23", "d1", "d2")}
+    h0 = math.sqrt(2.0 / 33.0) * (2 * x["s23"] + x["a12"] - x["a23"] - x["d1"] - 2 * x["d2"])
+    problem = ControlProblem(
+        basis=basis,
+        psi_i=PureState([0.6, 0.8j, 0.0]),
+        omega=1.0,
+        forbidden=(basis.index_of("s12"), basis.index_of("s13")),
+        psi_f=helpers.ket(3, 2),
+    )
+    with pytest.raises(NotClosedError, match="projected seed"):
+        solve_closed_subalgebra(problem, h0, MultiplierVector(1.0, [0.0, 0.0]), t_max=5.0)
 
 
 def test_closed_solver_window_too_short():

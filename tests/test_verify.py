@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import helpers
+from qbrach import verify
 from qbrach.dynamics import Trajectory
 from qbrach.solvers import (
     build_two_qubit_f0,
@@ -180,6 +181,22 @@ def test_speed_decomposition_identity(free_traj, m1_traj):
     assert speed_decomposition_mismatch(m1_traj, m1_traj.omega) <= 1e-8
     sol = solve_two_qubit_example(0.7, 10.0)
     assert speed_decomposition_mismatch(sol.trajectory, 10.0) <= 1e-8
+
+
+def test_certify_builds_the_speed_profile_and_g_stack_once(m1_traj, monkeypatch):
+    # DeltaE(t) and the G stack feed the speed verdicts, the decomposition
+    # gap and the endpoint equivalence; certify forms each once
+    calls = {"speed_profile": 0, "_g_stack": 0}
+    for name in calls:
+
+        def counted(*args, _fn=getattr(verify, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    report = certify(m1_traj)
+    assert calls == {"speed_profile": 1, "_g_stack": 1}
+    assert report.speed_decomp_gap == speed_decomposition_mismatch(m1_traj, m1_traj.omega)
 
 
 # ------------------------------------------------------------- equivalence
