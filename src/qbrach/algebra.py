@@ -9,8 +9,10 @@ deterministically ordered.  `basis_of` builds either by its kind name,
 once per (kind, dimension).  Closure of a subset under i[.,.] is read
 from the generators outside it (`is_closed_subalgebra`).
 `stack_product` multiplies stacks of small matrices, the products every
-sampled trajectory is built from, and `forbidden_sum` is the one
-contraction sum_j c_j X_j every G is assembled by.
+sampled trajectory is built from (a stack times one fixed matrix as one
+tall GEMM), `stack_spectra` gives the eigenvalues of such a stack (in
+closed form at N = 2) for the trajectory validation, and `forbidden_sum`
+is the one contraction sum_j c_j X_j every G is assembled by.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "hermitian_commutator",
     "is_closed_subalgebra",
     "stack_product",
+    "stack_spectra",
 ]
 
 _SUPERSCRIPTS = {1: "¹", 2: "²", 3: "³"}
@@ -208,24 +211,48 @@ def stack_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for a stack (..., N, N) times a stack of the same length or one
     fixed N x N matrix, on either side; strided operands are fine.
 
-    For N <= 3 this is N broadcast multiply-adds, about four times faster
-    than np.matmul at N = 2, where matmul's cost is a per-matrix overhead;
-    larger N go to np.matmul, at about 0.3 us a matrix at N = 4.  A stack
-    times one fixed matrix would be faster as one tall GEMM ((K*N x N)
-    times N x N): at N = 4 and K = 256 to 5,000 that measured 0.03 to
-    0.05 us a matrix with OpenBLAS on one thread and on its default two,
-    against 0.29 to 0.40 us for np.matmul.  This function does not
-    reshape, so each product it gives keeps its rounding whichever the
-    operands; `dynamics.stepped_rhs` lays out its stacked form as GEMMs
-    of its own.
+    A stack times one fixed matrix on its right is one tall GEMM, (K*N x N)
+    times N x N, whatever N: at K = 5,001 it took 0.06 / 0.17 / 0.15 ms
+    at N = 2 / 3 / 4 against 0.34 / 0.97 / 1.28 ms for the per-matrix
+    forms below (best of 7, OpenBLAS on one thread).  Its rounding is the
+    GEMM's: at N >= 4 the same bits as np.matmul, at N = 2 and 3 within
+    rounding of the broadcast form.  Other products at N <= 3 are N
+    broadcast multiply-adds, about four times faster than np.matmul at
+    N = 2, where matmul's cost is a per-matrix overhead; larger N go to
+    np.matmul, at about 0.3 us a matrix at N = 4.
     """
     N = a.shape[-1]
+    if b.ndim == 2:
+        return (a.reshape(-1, N) @ b).reshape(a.shape)
     if N > 3:
         return np.matmul(a, b)
     out = a[..., :, 0, None] * b[..., None, 0, :]
     for j in range(1, N):
         out += a[..., :, j, None] * b[..., None, j, :]
     return out
+
+
+def stack_spectra(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a stack (..., N, N) of Hermitian matrices,
+    as np.linalg.eigvalsh gives them, reading only the lower triangle.
+
+    At N = 2 they are m -+ r in closed form, with m the mean of the real
+    diagonal and r = hypot(half its difference, |a_10|): 0.09 ms for
+    5,001 matrices against 2.3 ms for eigvalsh (best of 5), and equal to
+    it within rounding (4.4e-15 at a spectral scale of 4.3).  As with
+    eigvalsh there, a matrix with a non-finite entry in its lower
+    triangle gives NaN eigenvalues, and no warning.  Larger N go to
+    eigvalsh.
+    """
+    if a.shape[-1] != 2:
+        return np.linalg.eigvalsh(a)
+    d0, d1 = a[..., 0, 0].real, a[..., 1, 1].real
+    with np.errstate(invalid="ignore"):
+        m = 0.5 * d0 + 0.5 * d1
+        r = np.hypot(0.5 * d0 - 0.5 * d1, np.abs(a[..., 1, 0]))
+        # short of overflow, m + r is finite exactly when every entry read is
+        r = np.where(np.isfinite(m + r), r, np.nan)
+        return np.stack([m - r, m + r], axis=-1)
 
 
 def forbidden_sum(coeffs: np.ndarray, Xf: np.ndarray) -> np.ndarray:
@@ -270,7 +297,8 @@ def is_closed_subalgebra(basis: GeneratorBasis, subset: Sequence[int]) -> Tuple[
     A singleton (or any abelian set) is trivially closed.  The basis is
     orthonormal and complete, so by Parseval the squared residual is
     (1/N) sum_{c outside} Tr(X_c i[X_a, X_b])^2 = (4/N) sum (Im Tr(X_a X_c X_b))^2:
-    two GEMMs per generator outside the subset, and no commutator formed.
+    per generator outside the subset one complex GEMM and two real ones
+    for the imaginary part alone, and no commutator formed.
     """
     idx = [basis.index_of(j) for j in subset]
     if not idx:
@@ -279,8 +307,11 @@ def is_closed_subalgebra(basis: GeneratorBasis, subset: Sequence[int]) -> Tuple[
     sub = basis.generators[idx]
     stacked = sub.reshape(M * N, N)
     flat_t = sub.transpose(0, 2, 1).reshape(M, N * N).T  # column b: X_b^T row-major
+    re_t, im_t = flat_t.real.copy(), flat_t.imag.copy()
     acc = np.zeros((M, M))
     for c in np.delete(np.arange(basis.size), idx):
-        acc += ((stacked @ basis.generators[c]).reshape(M, N * N) @ flat_t).imag ** 2
+        p = (stacked @ basis.generators[c]).reshape(M, N * N)
+        # Im(P B) = Re P Im B + Im P Re B: the real part is never formed
+        acc += (p.real @ im_t + p.imag @ re_t) ** 2
     worst = 2.0 * math.sqrt(float(acc.max()) / N)
     return worst <= CLOSURE_TOL, worst

@@ -58,7 +58,8 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import GeneratorBasis, basis_of, forbidden_sum, is_closed_subalgebra, stack_product
+from .algebra import GeneratorBasis, basis_of, forbidden_sum, is_closed_subalgebra
+from .algebra import stack_product, stack_spectra
 from .states import PureState
 from .verify import _constraint_profiles, speed_profile
 
@@ -109,10 +110,11 @@ class ControlProblem:
                 f"psi_f dimension {self.psi_f.dim} != basis dimension {self.basis.dim}"
             )
         idx = tuple(self.basis.index_of(j) for j in self.forbidden)
-        if len(set(idx)) != len(idx):
+        excluded = set(idx)
+        if len(excluded) != len(idx):
             raise ValueError("forbidden set contains duplicate generators")
         object.__setattr__(self, "forbidden", idx)
-        allowed = tuple(i for i in range(self.basis.size) if i not in set(idx))
+        allowed = tuple(i for i in range(self.basis.size) if i not in excluded)
         if self.allowed is not None and tuple(self.allowed) != allowed:
             raise ValueError("allowed set must be the complement of the forbidden set")
         object.__setattr__(self, "allowed", allowed)
@@ -182,7 +184,10 @@ class Trajectory:
     `renormalized` records whether the multipliers (and with them F) have
     been rescaled so the endpoint constraint evaluates to 1 rather than to
     a generic nonzero real value.  `F_spectrum` holds the eigenvalues of
-    every F sample, computed once by the validation.
+    every F sample, computed once by the validation (`algebra.stack_spectra`,
+    in closed form at N = 2).  The validation refuses a U that is not
+    unitary, a psi that is not U psi(0), an F whose spectrum drifts and a
+    non-finite entry in any sample array or multiplier.
     """
 
     times: np.ndarray
@@ -222,6 +227,13 @@ class Trajectory:
         tau = np.asarray(self.tau_acc, dtype=float).ravel()
         if lam0.size != K or tau.size != K:
             raise ValueError("multiplier/tau arrays must match the time grid length")
+        # F's lower triangle is left to the isospectrality check, whose
+        # spectrum reads it: a non-finite entry there gives NaN eigenvalues
+        finite = dict(stacks, F=np.triu(stacks["F"], 1), times=times, lambda0=lam0,
+                      lambdas=lams, tau_acc=tau)
+        for name, arr in finite.items():
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has a non-finite entry")
         if K > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("time grid must be strictly increasing")
         U = stacks["U"]
@@ -235,7 +247,7 @@ class Trajectory:
             raise ValueError(
                 f"psi(t) != U(t) psi(0) on the grid: max gap {prop_err:.3e}"
             )
-        eigs = np.linalg.eigvalsh(stacks["F"])
+        eigs = stack_spectra(stacks["F"])
         spec_tol = 1e-7 * max(1.0, float(np.abs(eigs[0]).max()))
         spec_err = float(np.abs(eigs - eigs[0]).max())
         if not spec_err <= spec_tol:

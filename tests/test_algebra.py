@@ -16,6 +16,7 @@ from qbrach.algebra import (
     is_closed_subalgebra,
     pauli_string_label,
     stack_product,
+    stack_spectra,
 )
 from qbrach.solvers import TWO_QUBIT_FORBIDDEN
 
@@ -332,6 +333,8 @@ def test_stack_product_matches_matmul(n, k):
     _assert_product(stack_product(a, b), np.matmul(a, b))
     _assert_product(stack_product(a, m), np.einsum("kab,bc->kac", a, m))
     _assert_product(stack_product(m, b), np.einsum("ab,kbc->kac", m, b))
+    c = a.reshape(1, k, n, n)
+    _assert_product(stack_product(c, m), np.einsum("jkab,bc->jkac", c, m))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -347,3 +350,49 @@ def test_stack_product_takes_strided_operands(n):
     Ud = U.conj().swapaxes(-1, -2)
     _assert_product(stack_product(V, Ud), np.matmul(V, Ud))
     _assert_product(stack_product(Ud[:19], V[::2]), np.matmul(Ud[:19], V[::2]))
+    # one fixed matrix on the right is one tall GEMM of the stack's rows
+    m = _complex_stack(rng, n, n)
+    for a in (V, Ud, V[::2]):
+        _assert_product(stack_product(a, m), np.einsum("kab,bc->kac", a, m))
+
+
+def _hermitian_2x2_stacks():
+    rng = np.random.default_rng(23)
+    z = _complex_stack(rng, 500, 2, 2)
+    rand = z + z.conj().swapaxes(-1, -2)
+    diag = np.zeros((6, 2, 2), dtype=complex)
+    diag[:, 0, 0] = [3.0, -1.0, 0.0, 2.5, -7.0, 1e-300]
+    diag[:, 1, 1] = [-2.0, -1.0, 0.0, 2.5, 4.0, 0.0]
+    ident = np.arange(-3.0, 4.0)[:, None, None] * np.eye(2)
+    # eigvalsh reads the lower triangle only, and Re of the diagonal
+    skew = rand.copy()
+    skew[:, 0, 1] = _complex_stack(rng, 500)
+    skew[:, 0, 0] += 1j * rng.normal(size=500)
+    stacks = {"random": rand, "diagonal": diag, "identity": ident,
+              "zero": np.zeros((4, 2, 2), dtype=complex), "upper disagrees": skew}
+    for scale in (1e-150, 1e150):
+        stacks[f"random x {scale:g}"] = scale * rand
+    return stacks
+
+
+@pytest.mark.parametrize("name", list(_hermitian_2x2_stacks()))
+def test_stack_spectra_matches_eigvalsh_at_n2(name):
+    a = _hermitian_2x2_stacks()[name]
+    got, ref = stack_spectra(a), np.linalg.eigvalsh(a)
+    assert got.shape == ref.shape
+    # within 1e-13 |lambda|max of each matrix, which is stricter than
+    # 1e-13 max(1, |lambda|max) and holds at the scales 1e-150 and 1e150
+    scale = np.abs(ref).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+    assert np.all(got[..., 0] <= got[..., 1])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_stack_spectra_above_n2_is_eigvalsh(n, monkeypatch):
+    z = _complex_stack(np.random.default_rng(n), 9, n, n)
+    a = z + z.conj().swapaxes(-1, -2)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: calls.append(x) or eigvalsh(x))
+    np.testing.assert_array_equal(stack_spectra(a), eigvalsh(a))
+    assert len(calls) == 1 and calls[0] is a

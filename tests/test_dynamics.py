@@ -24,7 +24,7 @@ from qbrach.dynamics import (
     integrate,
     stepped_rhs,
 )
-from qbrach.solvers import shoot
+from qbrach.solvers import shoot, solve_two_qubit_example
 from qbrach.states import PureState
 from qbrach.verify import Tolerances, certify
 
@@ -836,14 +836,33 @@ def test_trajectory_rejects_tampered_data():
         Trajectory.from_dict(data)
 
 
-@pytest.mark.parametrize("field", ["U", "psi"])
+@pytest.mark.parametrize(
+    "field", ["U", "psi", "V", "H", "F", "times", "lambda0", "lambdas", "tau_acc"]
+)
 def test_trajectory_rejects_non_finite_samples(field):
-    problem = helpers.m1_problem(1.0)
-    traj = integrate(problem, MultiplierVector(1.0, [2.5]), SY, t_max=0.1, dt=1e-3)
-    data = traj.to_dict()
-    data[field][3][0][0] = float("nan")
-    with pytest.raises(ValueError):
-        Trajectory.from_dict(data)
+    # each field is named, at N = 2 and N = 4; F's entry sits in its
+    # strictly upper triangle, which the spectrum never reads
+    m1 = integrate(helpers.m1_problem(1.0), MultiplierVector(1.0, [2.5]), SY, t_max=0.1, dt=1e-3)
+    two_qubit = solve_two_qubit_example(0.7, 1.0).trajectory
+    for traj in (m1, two_qubit):
+        for bad in (np.nan, np.inf):
+            data = traj.to_dict()
+            data[field][(3, 0, 1, 0)[: data[field].ndim]] = bad
+            with pytest.raises(ValueError, match=f"^{field} has a non-finite entry"):
+                Trajectory.from_dict(data)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 1), (1, 0)])
+def test_trajectory_refuses_a_non_finite_f_as_not_isospectral(entry, bad):
+    # at N = 2 the spectrum is in closed form; any non-finite entry it reads
+    # gives NaN eigenvalues and the isospectrality check refuses them
+    traj = integrate(helpers.m1_problem(1.0), MultiplierVector(1.0, [2.5]), SY, t_max=0.1, dt=1e-3)
+    for k in (0, 3):
+        data = traj.to_dict()
+        data["F"][(k, *entry, 0)] = bad
+        with pytest.raises(ValueError, match="not isospectral"):
+            Trajectory.from_dict(data)
 
 
 def test_trajectory_rejects_inconsistent_grid():
