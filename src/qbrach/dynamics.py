@@ -28,24 +28,24 @@ fixed step by Butcher's sixth-order Runge-Kutta method: one step function
 (V, lambda_j).  The pass steps at 0.05/r, with r a bound on the flow's
 rates that holds along the whole pass (`_pass_rate`), or at a given step
 where that is finer.  Sixth order holds the frame unitary to rounding at
-that step, so the frame is never projected; `integrate_blocks` checks its
-drift at each checkpoint and yields the samples there, so a caller such
-as `shoot` can stop a pass early, and `PassSamples.at` evaluates a pass
-at any batch of times, one `rk6_step` from the sample to the left of
-each, whose stages take the whole batch through the GEMM-shaped stacked
-form of `stepped_rhs`.
+that step, so the frame is never projected; `integrate_blocks` keeps the
+slope at every sample, checks the frame's drift at each checkpoint and
+yields the samples there, so a caller such as `shoot` can stop a pass
+early.  `PassSamples.at` evaluates a pass at any batch of times by
+Hermite interpolation of four neighbouring samples and their slopes: a
+dense output of higher order than the step that evaluates no right-hand
+side.
 
 The multiplier equations
 
     d(lambda_j)/dt = (1/N) sum_l eta_jl lambda_l,  eta_jl = Tr[H i[X_j, X_l]],
 
 are written once, inside `stepped_rhs`, through the identity
-sum_l eta_jl lambda_l = Tr[X_j i[G, F]], in a single-state and a stacked
-form of the same arithmetic.  d(lambda_0)/dt, which vanishes by the
-antisymmetry of eta, is evaluated only as a guard (`_check_lambda0_rate`),
-on slopes already formed: at the pass's start and drift checkpoints and
-at the samples a batch of dense output steps from.  Outside the
-right-hand side every G = sum_j c_j X_j is contracted by
+sum_l eta_jl lambda_l = Tr[X_j i[G, F]].  d(lambda_0)/dt, which vanishes
+by the antisymmetry of eta, is evaluated only as a guard
+(`_check_lambda0_rate`), on slopes already formed: at the pass's start
+and drift checkpoints and at the samples a dense output interpolates.
+Outside the right-hand side every G = sum_j c_j X_j is contracted by
 `algebra.forbidden_sum`.
 """
 
@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -368,13 +368,6 @@ def constant_g_frames(G: np.ndarray, times: np.ndarray) -> np.ndarray:
     return stack_product(Q * np.exp(1.0j * np.outer(times, w))[:, None, :], Q.conj().T)
 
 
-# rows per batched step of `PassSamples.rows_at`, which bounds the
-# temporaries to a few blocks of matrices whatever the window length.  At
-# N = 4 the stacked right-hand side measured about 0.5 us a row on 256
-# rows and 1.1 to 1.4 us on 1,024, whose temporaries outgrow the cache
-_AT_BLOCK = 256
-
-
 def _observables(
     problem: ControlProblem,
     V: np.ndarray,
@@ -468,27 +461,17 @@ def _validate_h0(problem: ControlProblem, H0: np.ndarray) -> None:
 def stepped_rhs(F0: np.ndarray, Xf: np.ndarray, lambda0: float):
     """Right-hand side of the stepped frame/multiplier system.
 
-    A state is a row concatenating V (N*N entries) and the lambda_j; the
-    right-hand side takes a single state or a stack of them, one per row.
-    lambda_0 is constant and tau = t/lambda_0, so neither is stepped.
-    With G = sum_l (lambda_l/lambda_0) X_l and F = V F(0) V^dag,
+    A state concatenates V (N*N entries) and the lambda_j; lambda_0 is
+    constant and tau = t/lambda_0, so neither is stepped.  With
+    G = sum_l (lambda_l/lambda_0) X_l and F = V F(0) V^dag,
     [G, H] = [G, F]/lambda_0 gives
 
         sum_l eta_jl lambda_l = Tr[X_j i[G, F]] = 2 Re Tr[X_j (iG V) F(0) V^dag],
 
-    which reuses dV/dt = iG V.  A single state, which the pass steps,
-    takes three N x N products and one contraction with the transposed
-    forbidden generators `Xf`.  A stack of K states takes no product per
-    row: X_l V for every l and row is one GEMM of the stacked generators
-    (M*N x N) with the frames side by side (N x K*N), dV = iG V is M
-    broadcast multiply-adds of those with the coefficients
-    i lambda_l/lambda_0, dV F(0) is one tall GEMM, and, the X_j being
-    Hermitian, Tr[X_j dV F(0) V^dag] = <X_j V, dV F(0)>_F is one
-    contraction of the two.  At N = 4, M = 3 a stack of 256 measured
-    about 0.5 us a row this way, against 1.4 to 2.1 us with three
-    products per row (BLAS on one thread).
-    d(lambda_0)/dt is not formed here: `_check_lambda0_rate` guards it on
-    the slopes the callers already hold.
+    which reuses dV/dt = iG V: three N x N products and one contraction
+    with the transposed forbidden generators `Xf`.  d(lambda_0)/dt is not
+    formed here: `_check_lambda0_rate` guards it on the slopes the callers
+    already hold.
     """
     N = F0.shape[0]
     M = Xf.shape[0]
@@ -496,31 +479,12 @@ def stepped_rhs(F0: np.ndarray, Xf: np.ndarray, lambda0: float):
     iXf2 = Xf.reshape(M, n2) * (1.0j / lambda0)
     # (iG F).ravel() @ XfT2 = (2/N) Tr[X_j iG F], whose real part is d(lambda_j)/dt
     XfT2 = (np.ascontiguousarray(Xf.transpose(0, 2, 1)).reshape(M, n2) * (2.0 / N)).T
-    Xs = Xf.reshape(M * N, N)
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        if y.ndim == 1:
-            V = y[:n2].reshape(N, N)
-            dV = (y[n2:].real @ iXf2).reshape(N, N) @ V
-            dlams = ((dV @ (F0 @ V.conj().T)).ravel() @ XfT2).real
-            return np.concatenate((dV.ravel(), dlams))
-        K = y.shape[0]
-        # column k*N + b of the frames side by side is column b of V_k, so
-        # XV[l, a, k*N + b] = (X_l V_k)[a, b], and dV is laid out the same
-        frames = y[:, :n2].reshape(K, N, N).transpose(1, 0, 2).reshape(N, K * N)
-        XV = (Xs @ frames).reshape(M, N, K * N)
-        c = np.repeat(y[:, n2:].real.T * (1.0j / lambda0), N, axis=1)
-        dV = c[0] * XV[0]
-        for l in range(1, M):
-            dV += c[l] * XV[l]
-        dVF = dV.reshape(N * K, N) @ F0
-        # Re<X_j V, dV F(0)>_F as a sum over the [re, im] pairs of both
-        dlams = np.einsum(
-            "jakb,akb->kj", XV.view(float).reshape(M, N, K, 2 * N),
-            dVF.view(float).reshape(N, K, 2 * N),
-        )
-        dV = dV.reshape(N, K, N).transpose(1, 0, 2).reshape(K, n2)
-        return np.concatenate((dV, dlams * (2.0 / N)), axis=1)
+        V = y[:n2].reshape(N, N)
+        dV = (y[n2:].real @ iXf2).reshape(N, N) @ V
+        dlams = ((dV @ (F0 @ V.conj().T)).ravel() @ XfT2).real
+        return np.concatenate((dV.ravel(), dlams))
 
     return rhs
 
@@ -535,7 +499,8 @@ def _check_lambda0_rate(
     antisymmetry of eta, which needs a Hermitian F(0); beyond 1e-9 omega
     (1 + |lambda|^2/omega^2) on any row it is an ArithmeticError.  The
     pass runs it on y(0) and at every drift checkpoint, and
-    `PassSamples.rows_at` on the slopes at its left samples.
+    `PassSamples.rows_at` on the stored slopes of the samples it
+    interpolates.
     """
     N, w = problem.dim, problem.omega
     lams, dlams = y[..., N * N :].real, dy[..., N * N :].real
@@ -555,10 +520,9 @@ def rk6_step(rhs, y: np.ndarray, h, k1: np.ndarray) -> np.ndarray:
     1/3, 1/2, 1/2, 1); a_2 = (1)/3, a_3 = (0, 2)/3, a_4 = (1, 4, -1)/12,
     a_5 = (-1, 18, -3, -6)/16, a_6 = (0, 9, -3, -6, 4)/8, a_7 = (9, -36,
     63, 72, 0, -64)/44; b = (11, 0, 81, 81, -32, -32, 11)/120.  The first
-    stage k1 = rhs(y) is the caller's, which the pass carries into its
-    checks and `PassSamples.rows_at` shares among the rows that start from
-    one sample, so a step evaluates rhs six times.  On a stack of states h
-    may be a column of step sizes, one per row.
+    stage k1 = rhs(y) is the caller's: the pass keeps it as the slope of
+    the sample y, for its checks and its dense output, so a step
+    evaluates rhs six times.
     """
     k2 = rhs(y + (h / 3.0) * k1)
     k3 = rhs(y + (h / 1.5) * k2)
@@ -594,8 +558,8 @@ class PassSamples(NamedTuple):
 
     `n_steps` counts the steps of the whole window [0, t_max], so the pass
     is complete when there are n_steps + 1 rows; each block of a pass
-    extends the one before it.  `F0` is F(0).  `rhs`
-    is a stepped pass's `stepped_rhs`, None on the exact flow.  A pass is
+    extends the one before it.  `F0` is F(0).  `slopes` holds a stepped
+    pass's right-hand side at each row, None on the exact flow.  A pass is
     defined at any time of its window (`rows_at`, `at`).
     """
 
@@ -606,41 +570,67 @@ class PassSamples(NamedTuple):
     tau_acc: np.ndarray
     F0: np.ndarray
     n_steps: int
-    rhs: Optional[Callable[[np.ndarray], np.ndarray]]
+    slopes: Optional[np.ndarray]
 
     def rows_at(self, problem: ControlProblem, times) -> Tuple[np.ndarray, ...]:
         """(V, lambda_0, lambda_j, tau) at each of `times` in the window.
 
         A constant-multiplier pass takes its exact flow.  A stepped pass
-        takes, for each time t, one `rk6_step` of size t - t_k from the
-        sample t_k just left of t (of size 0 on a sample): a dense output
-        of the pass's own order, evaluated for a block of times in one
-        batch of the stacked `stepped_rhs`.  The first stage, the slope at
-        t_k, is evaluated once per distinct sample of a block and guarded
-        by `_check_lambda0_rate`; the rows share it.
+        takes, for a time t in [t_k, t_k+1], the Hermite interpolant of the
+        samples and slopes of the stencil of p = min(4, n_steps + 1)
+        samples from min(max(k - 1, 0), n_steps + 1 - p), of degree 2p - 1
+        (Hairer, Norsett & Wanner, Solving ODEs I, II.6): a dense output of
+        higher order than the step that evaluates no right-hand side.  Its
+        weights are exactly 0 and 1 on the nodes, so a row on a sample is
+        that sample, and it is C^1 across samples.  The stencil depends on
+        k and `n_steps` alone, so a block gives the rows the complete pass
+        gives; a time whose stencil is not sampled yet is a ValueError.
+        `_check_lambda0_rate` guards the stencil samples' slopes.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
         lam0 = self.lambda0[0]
-        if self.rhs is None:
+        if self.slopes is None:
             return _constant_rows(problem, MultiplierVector(lam0, self.lambdas[0]), times)
-        N = problem.dim
+        N, n = problem.dim, self.n_steps
         n2 = N * N
-        k = np.searchsorted(self.times, times, side="right") - 1
-        k = np.clip(k, 0, self.times.size - 2)
-        V = np.empty((times.size, N, N), dtype=complex)
-        lams = np.empty((times.size, problem.n_forbidden))
-        for a in range(0, times.size, _AT_BLOCK):
-            r = slice(a, a + _AT_BLOCK)
-            nodes, left = np.unique(k[r], return_inverse=True)
-            y = np.concatenate((self.V[nodes].reshape(-1, n2), self.lambdas[nodes]), axis=1)
-            dy = self.rhs(y)
-            _check_lambda0_rate(problem, lam0, y, dy)
-            h = (times[r] - self.times[k[r]])[:, None]
-            y = rk6_step(self.rhs, y[left], h, dy[left])
-            V[r] = y[:, :n2].reshape(-1, N, N)
-            lams[r] = y[:, n2:].real
+        p = min(4, n + 1)
+        k = np.clip(np.searchsorted(self.times, times, side="right") - 1, 0, n - 1)
+        start = np.clip(k - 1, 0, n + 1 - p)
+        used = slice(int(start.min()), int(start.max()) + p)
+        if used.stop > self.times.size:
+            raise ValueError(
+                f"a time needs samples up to {used.stop - 1} of the pass, "
+                f"which has {self.times.size - 1} so far"
+            )
+        y = np.concatenate((self.V[used].reshape(-1, n2), self.lambdas[used]), axis=1)
+        _check_lambda0_rate(problem, lam0, y, self.slopes[used])
+        # in units of the step from the stencil's first sample: the nodes
+        # s_j and d_j = s - s_j, exactly 0 on the node t_j
+        h = self.times[1]
+        s = (self.times[start[:, None] + np.arange(p)] - self.times[start, None]) / h
+        d = ((times - self.times[start]) / h)[:, None] - s
+        # the value weights sum to 1, so the interpolant is the nearest
+        # node's sample plus a small correction: it rounds less than the
+        # weighted sum, and on a node the correction is exactly 0
+        near = start + np.argmin(np.abs(d), axis=1)
+        V0, lams0 = self.V[near], self.lambdas[near]
+        dV = np.zeros_like(V0)
+        dlams = np.zeros_like(lams0)
+        for j in range(p):
+            # L_j^2, and L_j'(s_j) as the sum of 1/(s_j - s_i)
+            L2, dL = 1.0, 0.0
+            for i in range(p):
+                if i != j:
+                    L2 = L2 * (d[:, i] / (s[:, j] - s[:, i])) ** 2
+                    dL = dL + 1.0 / (s[:, j] - s[:, i])
+            a = (1.0 - 2.0 * dL * d[:, j]) * L2
+            b = h * d[:, j] * L2
+            f = self.slopes[start + j]
+            dV += a[:, None, None] * (self.V[start + j] - V0)
+            dV += b[:, None, None] * f[:, :n2].reshape(-1, N, N)
+            dlams += a[:, None] * (self.lambdas[start + j] - lams0) + b[:, None] * f[:, n2:].real
         lam0s = np.full(times.size, lam0)
-        return V, lam0s, lams, times / lam0s
+        return V0 + dV, lam0s, lams0 + dlams, times / lam0s
 
     def at(self, problem: ControlProblem, times):
         """(U, F, H, psi) at each of `times` (one time or an array) as stacks."""
@@ -697,9 +687,9 @@ def integrate_blocks(
     yields there, so every yielded row has passed a drift check.  A
     drift beyond `_UNITARITY_TOL` is an ArithmeticError naming the drift
     and the step: the pass never projects its frame and never restarts.
-    The slope at each sample is carried into the next step as its first
-    stage, and at y(0) and every checkpoint `_check_lambda0_rate` guards
-    it.
+    The slope at each sample is kept (`PassSamples.slopes`): it is the
+    next step's first stage and the dense output's derivative, and at y(0)
+    and every checkpoint `_check_lambda0_rate` guards it.
     The exact path (a closed forbidden set) yields its complete window at
     once (`exact_pass`, no coarser than `dt`).  A caller may stop
     iterating at any block.
@@ -748,12 +738,13 @@ def integrate_blocks(
     ys = np.empty((n_steps + 1, n2 + M), dtype=complex)
     lam0s = np.full(n_steps + 1, lam0)
     taus = times / lam0
+    slopes = np.empty_like(ys)
     y = ys[0] = np.concatenate((np.eye(N, dtype=complex).ravel(), m0.lambdas))
-    dy = rhs(y)
+    dy = slopes[0] = rhs(y)
     _check_lambda0_rate(problem, lam0, y, dy)
     for i in range(1, n_steps + 1):
         y = ys[i] = rk6_step(rhs, y, step, dy)
-        dy = rhs(y)
+        dy = slopes[i] = rhs(y)
         if i % every and i < n_steps:
             continue
         _check_lambda0_rate(problem, lam0, y, dy)
@@ -767,7 +758,7 @@ def integrate_blocks(
         m = i + 1
         yield PassSamples(
             times[:m], ys[:m, :n2].reshape(m, N, N), lam0s[:m], ys[:m, n2:].real,
-            taus[:m], F0, n_steps, rhs,
+            taus[:m], F0, n_steps, slopes[:m],
         )
 
 

@@ -239,7 +239,7 @@ def _certified(
     tols = Tolerances.integrated() if kind is SolutionKind.SHOT else Tolerances.analytic()
     G = g_operator(m0, problem.basis, problem.forbidden)
     F0 = m0.lambda0 * (H0 + G) if smp is None else smp.F0
-    stepped = smp is not None and smp.rhs is not None
+    stepped = smp is not None and smp.slopes is not None
     own = _analytic_dt(problem.omega, G, F0, T, tols.chko / 4.0, default, stepped)
     times = _grid(T, min(cap, own))
     rows = _constant_rows(problem, m0, times) if smp is None else smp.rows_at(problem, times)
@@ -813,9 +813,10 @@ def _root_scan(
     cover the whole pass.  Evaluation counts, rejected candidates and the
     stopping step are logged at debug level.  The candidates and their
     resolution are those of a scan of the whole window: a bracket
-    [t_k, t_k+1] is resolved only once sample k+2 exists, so `at` picks
-    the same left samples, and nothing is resolved until max|value| >=
-    1e-12, the test that tells a scalar vanishing identically apart.
+    [t_k, t_k+1] is resolved only once every sample of its dense-output
+    stencil exists, sample max(k + 2, 3) (`PassSamples.rows_at`), and
+    nothing is resolved until max|value| >= 1e-12, the test that tells a
+    scalar vanishing identically apart.
     """
     T, s, done, live, nxt = None, None, 0, False, 0
 
@@ -834,7 +835,7 @@ def _root_scan(
         live = live or not float(np.abs(s[r]).max()) < 1e-12
         if not live:
             continue
-        last = n_steps - 1 if m == n_steps + 1 else m - 3
+        last = n_steps - 1 if m == n_steps + 1 else m - 3 if m > 3 else -1
         for k in range(nxt, last + 1):
             if abs(s[k]) <= 1e-10 and k > 0:
                 root = float(times[k])
@@ -966,9 +967,9 @@ def shoot(
     once, on a grid fine enough for the flow's rates whatever `dt`
     (`exact_pass`).  That one pass is the whole integration: the
     certified trajectory is the pass evaluated on a uniform grid of
-    [0, T] (`PassSamples.rows_at`, one batched Runge-Kutta step from the
-    sample left of each grid time).  T is the one a scan of the whole
-    window would find.
+    [0, T] (`PassSamples.rows_at`, the Hermite interpolant of the pass's
+    own samples and slopes around each grid time).  T is the one a scan
+    of the whole window would find.
 
     Seeds for which s vanishes identically (e.g. no forbidden directions)
     admit every stopping time; then `target_bures_angle` selects T as the

@@ -1,6 +1,8 @@
 """Shared builders for the test suite: random states, reference propagators,
 the dense commutator stack and seeded shooting problems."""
 
+import itertools
+
 import numpy as np
 
 from qbrach.algebra import (
@@ -105,6 +107,34 @@ def su4_shoot_seed(seed: int, omega: float = 1.0):
     h0 *= np.sqrt(2.0) * omega / np.sqrt(np.real(np.einsum("ab,ba->", h0, h0)))
     m0 = MultiplierVector(1.0, rng.normal(size=3) * 0.5)
     return problem, h0, m0
+
+
+def four_qubit_chain_set():
+    """Indices, in the 4-qubit Pauli-string basis, of every string of
+    weight >= 3 and every two-body string between sites that are not
+    neighbours on the open chain: M = 216 of su(16)."""
+    subset = []
+    for code, word in enumerate(itertools.product(range(4), repeat=4)):
+        sites = np.flatnonzero(word)
+        if sites.size >= 3 or (sites.size == 2 and sites[1] - sites[0] > 1):
+            subset.append(code - 1)
+    return subset
+
+
+def chain_shoot_seed(seed: int):
+    """A reproducible shooting instance on the 4-qubit chain set at omega =
+    1: a random initial state, a random allowed-span seed Hamiltonian at
+    the right norm and small random seed multipliers."""
+    rng = np.random.default_rng(seed)
+    basis = build_pauli_string_basis(4)
+    forbidden = tuple(four_qubit_chain_set())
+    problem = ControlProblem(
+        basis=basis, psi_i=random_state(rng, 16), omega=1.0, forbidden=forbidden
+    )
+    allowed = list(problem.allowed)
+    h0 = np.einsum("m,mij->ij", rng.normal(size=len(allowed)), basis.generators[allowed])
+    h0 *= np.sqrt(2.0) / np.sqrt(np.real(np.einsum("ab,ba->", h0, h0)))
+    return problem, h0, MultiplierVector(1.0, rng.normal(size=len(forbidden)) * 0.05)
 
 
 def two_qubit_kets():

@@ -1,7 +1,5 @@
 """Generator bases, commutators, structure constants and closure checks."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -278,11 +276,7 @@ def test_four_qubit_chain_set_is_open():
     # Two anticommuting strings give i[P_a, P_b] = +-2 P_ab, so an escaped
     # product string has residual 2 sqrt(N) = 8
     basis = build_pauli_string_basis(4)
-    subset = []
-    for code, word in enumerate(itertools.product(range(4), repeat=4)):
-        sites = np.flatnonzero(word)
-        if sites.size >= 3 or (sites.size == 2 and sites[1] - sites[0] > 1):
-            subset.append(code - 1)
+    subset = helpers.four_qubit_chain_set()
     assert len(subset) == 216
     closed, resid = is_closed_subalgebra(basis, subset)
     assert closed is False
@@ -396,3 +390,20 @@ def test_stack_spectra_above_n2_is_eigvalsh(n, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: calls.append(x) or eigvalsh(x))
     np.testing.assert_array_equal(stack_spectra(a), eigvalsh(a))
     assert len(calls) == 1 and calls[0] is a
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_stack_spectra_gives_nan_for_a_non_finite_lower_triangle(n, bad):
+    # eigvalsh gives finite eigenvalues for a NaN and raises for an inf; a
+    # matrix with either on its diagonal or below it gets NaN eigenvalues
+    # instead, the others eigvalsh's.  The upper triangle is not read
+    z = _complex_stack(np.random.default_rng(n), 4, n, n)
+    a = z + z.conj().swapaxes(-1, -2)
+    ref = np.linalg.eigvalsh(a)
+    a[1, n - 1, n - 1] = bad
+    a[2, n - 1, 0] = bad
+    a[3, 0, n - 1] = bad
+    got = stack_spectra(a)
+    assert np.isnan(got[1:3]).all()
+    np.testing.assert_array_equal(got[[0, 3]], ref[[0, 3]])

@@ -1,6 +1,7 @@
 """Coupled frame/multiplier integration and the trajectory container."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from qbrach.dynamics import (
     integrate,
     stepped_rhs,
 )
-from qbrach.solvers import shoot, solve_two_qubit_example
+from qbrach.solvers import shoot, solve_free, solve_two_qubit_example
 from qbrach.states import PureState
 from qbrach.verify import Tolerances, certify
 
@@ -178,30 +179,12 @@ def test_multiplier_rates_match_the_commutator_tensor(case):
         assert float(np.abs(got - want).max()) <= 1e-13
 
 
-@pytest.mark.parametrize("case", RATE_CASES)
-def test_stacked_rhs_matches_the_single_state_rhs(case):
-    # the stacked right-hand side (GEMMs over the whole stack) against the
-    # single-state one (three N x N products) row by row, at random frames
-    # and multipliers; N = 2 and 3 take the stacked shapes off N = 4
-    problem, m0, f0 = rate_instance(case)
-    N, M = problem.dim, problem.n_forbidden
-    rng = np.random.default_rng(3)
-    rhs = stepped_rhs(f0, problem.forbidden_generators(), -0.8 * m0.lambda0)
-    V, _ = np.linalg.qr(rng.normal(size=(37, N, N)) + 1j * rng.normal(size=(37, N, N)))
-    y = np.concatenate((V.reshape(37, N * N), rng.normal(size=(37, M)) * problem.omega), axis=1)
-    stacked = rhs(y)
-    assert stacked.shape == y.shape
-    for row, got in zip(y, stacked):
-        one = rhs(row)
-        assert float(np.abs(got - one).max()) <= 1e-14 * float(np.abs(one).max())
-
-
 def test_lambda0_rate_guard(monkeypatch):
     # d(lambda_0)/dt = -lambda.(eta lambda)/(2 omega^2 lambda_0) vanishes by
     # the antisymmetry of eta, which needs a Hermitian F; a non-Hermitian
     # F(0) breaks it.  The right-hand side does not check: the guard reads
     # the slopes its callers have formed, directly, in a pass and in a
-    # pass's dense output
+    # pass's dense output, which reads the slopes the pass stored
     problem, m0, h0 = su3_drifting_instance()
     f0 = m0.lambda0 * (h0 + g_operator(m0, problem.basis, problem.forbidden))
     xf, eye = problem.forbidden_generators(), np.eye(3)
@@ -214,8 +197,11 @@ def test_lambda0_rate_guard(monkeypatch):
     with pytest.raises(ArithmeticError, match="antisymmetry"):
         dynamics._check_lambda0_rate(problem, 1.0, np.stack((y, y)), np.stack((good, bad_rhs(y))))
     smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
+    states = np.concatenate((smp.V.reshape(-1, 9), smp.lambdas), axis=1)
+    bad_slopes = np.stack([bad_rhs(y) for y in states])
+    smp.rows_at(problem, [0.5])
     with pytest.raises(ArithmeticError, match="antisymmetry"):
-        smp._replace(rhs=bad_rhs).rows_at(problem, [0.5])
+        smp._replace(slopes=bad_slopes).rows_at(problem, [0.5])
     # the same F(0) inside a pass fails its first check, before any block
     monkeypatch.setattr(
         dynamics, "stepped_rhs", lambda F0, Xf, lam0: stepped_rhs(F0 + 0.5j * eye, Xf, lam0)
@@ -239,10 +225,10 @@ def test_pass_guards_lambda0_at_its_checkpoints(monkeypatch):
     blocks = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))
     monkeypatch.undo()
     assert len(seen) == 1 + len(blocks) and len(blocks) > 1
-    frames = [blocks[0].V[0]] + [b.V[-1] for b in blocks]
-    for (y, dy), V in zip(seen, frames):
-        np.testing.assert_array_equal(y[: V.size], V.ravel())
-        np.testing.assert_array_equal(dy, blocks[-1].rhs(y))
+    rows = [0] + [b.times.size - 1 for b in blocks]
+    for (y, dy), k in zip(seen, rows):
+        np.testing.assert_array_equal(y[:9], blocks[-1].V[k].ravel())
+        np.testing.assert_array_equal(dy, blocks[-1].slopes[k])
 
 
 def test_eta_matrix_single_direction_is_zero():
@@ -637,16 +623,13 @@ def test_integrate_below_one_default_step(t_max, K):
 @pytest.mark.parametrize("seed", [7, 90])
 def test_batched_at_matches_scalar_calls(seed):
     # a stepped pass (seed 7) and the exact flow of a closed set (seed 90):
-    # the batched evaluation, across a block boundary, equals one call per
-    # time, on samples (steps of size 0), at both ends of the window and
-    # between samples
+    # the batched evaluation equals one call per time, on samples, at both
+    # ends of the window and between samples
     problem, h0, m0 = helpers.su4_shoot_seed(seed)
     smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
-    assert (smp.rhs is None) == (seed == 90)
+    assert (smp.slopes is None) == (seed == 90)
     rng = np.random.default_rng(seed)
-    times = np.concatenate(
-        (smp.times[[0, 1, 37, -2, -1]], np.sort(rng.uniform(0.0, 1.0, dynamics._AT_BLOCK + 20)))
-    )
+    times = np.concatenate((smp.times[[0, 1, 37, -2, -1]], np.sort(rng.uniform(0.0, 1.0, 276))))
     batched = smp.at(problem, times)
     for k, t in enumerate(times):
         for name, got, one in zip(("U", "F", "H", "psi"), batched, smp.at(problem, t)):
@@ -658,30 +641,134 @@ def test_batched_at_matches_scalar_calls(seed):
     np.testing.assert_array_equal(rows[2], smp.lambdas[:3])
 
 
-@pytest.mark.parametrize("case", ["su3", "su4-7"])
-def test_rows_at_is_one_single_state_step(case):
-    # the batched dense output (stacked right-hand side, one first stage
-    # per left sample) against one rk6_step of the single-state right-hand
-    # side from the sample left of each time: on samples, between them,
-    # and across a block boundary of the batch
+def stepped_instance(case):
+    """(problem, m0, H0) of a stepped case: "su3" or "su4-<recipe seed>"."""
     if case == "su3":
-        problem, m0, h0 = su3_drifting_instance()
-    else:
-        problem, h0, m0 = helpers.su4_shoot_seed(7)
+        return su3_drifting_instance()
+    problem, h0, m0 = helpers.su4_shoot_seed(int(case[4:]))
+    return problem, m0, h0
+
+
+@pytest.mark.parametrize("case", ["su3", "su4-7"])
+def test_hermite_rows_agree_with_one_rk6_step(case):
+    # the Hermite dense output of the pass's samples and slopes against one
+    # rk6_step of the right-hand side from the sample left of each time,
+    # on samples, between them and at both ends of the window: at dt =
+    # 0.01 the two agree to rounding
+    problem, m0, h0 = stepped_instance(case)
     smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
+    rhs = stepped_rhs(smp.F0, problem.forbidden_generators(), smp.lambda0[0])
     rng = np.random.default_rng(4)
-    times = np.concatenate(
-        (smp.times[[0, 1, 37, -2, -1]], np.sort(rng.uniform(0.0, 1.0, dynamics._AT_BLOCK + 20)))
-    )
+    times = np.concatenate((smp.times[[0, 1, 37, -2, -1]], np.sort(rng.uniform(0.0, 1.0, 276))))
     V, _, lams, _ = smp.rows_at(problem, times)
     n2 = problem.dim**2
     for t, v, lam in zip(times, V, lams):
         k = min(int(np.searchsorted(smp.times, t, side="right")) - 1, smp.times.size - 2)
         y = np.concatenate((smp.V[k].ravel(), smp.lambdas[k]))
-        y = dynamics.rk6_step(smp.rhs, y, t - smp.times[k], smp.rhs(y))
+        y = dynamics.rk6_step(rhs, y, t - smp.times[k], rhs(y))
         want = np.concatenate((y[:n2], y[n2:].real))
         got = np.concatenate((v.ravel(), lam))
         assert float(np.abs(got - want).max()) <= 1e-14 * float(np.abs(want).max()), t
+
+
+@pytest.mark.parametrize("case", ["su3", "su4-7"])
+def test_dense_output_on_a_sample_is_the_sample(case):
+    # the interpolation weights are exactly 0 and 1 on the nodes, so the
+    # rows on the pass's own times are its samples bit for bit
+    problem, m0, h0 = stepped_instance(case)
+    smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
+    V, lam0, lams, tau = smp.rows_at(problem, smp.times)
+    assert V.tobytes() == np.ascontiguousarray(smp.V).tobytes()
+    assert lams.tobytes() == np.ascontiguousarray(smp.lambdas).tobytes()
+    np.testing.assert_array_equal(lam0, smp.lambda0)
+    np.testing.assert_array_equal(tau, smp.tau_acc)
+
+
+@pytest.mark.parametrize("case", ["su3", "su4-7"])
+def test_dense_output_is_c1_across_samples(case):
+    # at every interior sample the one-sided second-order differences of
+    # the interpolant from the left and from the right both give the
+    # stored slope: no jump for certify's differences to see
+    problem, m0, h0 = stepped_instance(case)
+    smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
+    t, e = smp.times[1:-1], 1e-6
+
+    def y(times):
+        V, _, lams, _ = smp.rows_at(problem, times)
+        return np.concatenate((V.reshape(times.size, -1), lams), axis=1)
+
+    y0 = y(t)
+    right = (4.0 * y(t + e) - y(t + 2.0 * e) - 3.0 * y0) / (2.0 * e)
+    left = (3.0 * y0 - 4.0 * y(t - e) + y(t - 2.0 * e)) / (2.0 * e)
+    slopes = smp.slopes[1:-1]
+    tol = 1e-8 * float(np.abs(slopes).max())
+    assert float(np.abs(right - left).max()) <= tol
+    assert float(np.abs(right - slopes).max()) <= tol
+
+
+@pytest.mark.parametrize("case", ["su3", "su4-2"])
+def test_dense_output_error_falls_2_6_per_halving(case, monkeypatch):
+    # a pass thinned to every fourth sample of a pass at a quarter of its
+    # step, against that pass's samples in between: the samples are shared,
+    # so the error is the dense output's alone (degree 7, about 2^8 per
+    # halving).  The step is lifted off the rate bound, so dt sets it
+    problem, m0, h0 = stepped_instance(case)
+    monkeypatch.setattr(dynamics, "_STEP_PER_RATE", math.inf)
+    errs = []
+    for n in (5, 10, 20):
+        fine = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=1.0 / (4 * n)))[-1]
+        assert fine.n_steps == 4 * n
+        rows = (fine.times, fine.V, fine.lambda0, fine.lambdas, fine.tau_acc)
+        coarse = dynamics.PassSamples(*(a[::4] for a in rows), fine.F0, n, fine.slopes[::4])
+        V, _, lams, _ = coarse.rows_at(problem, fine.times)
+        errs.append(max(float(np.abs(V - fine.V).max()), float(np.abs(lams - fine.lambdas).max())))
+    assert errs[0] / errs[1] >= 64.0 and errs[1] / errs[2] >= 64.0
+
+
+def test_dense_output_of_a_pass_at_rest_is_its_sample():
+    # the value weights sum to 1 only up to rounding, so the interpolant is
+    # formed as the nearest sample plus a correction: on equal samples with
+    # zero slopes it is that sample exactly, at any time
+    problem, h0, m0 = helpers.su4_shoot_seed(7)
+    smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
+    rest = smp._replace(
+        V=np.broadcast_to(smp.V[37], smp.V.shape),
+        lambdas=np.broadcast_to(smp.lambdas[37], smp.lambdas.shape),
+        slopes=np.zeros_like(smp.slopes),
+    )
+    V, _, lams, _ = rest.rows_at(problem, np.linspace(0.0, 1.0, 997))
+    assert np.all(V == smp.V[37]) and np.all(lams == smp.lambdas[37])
+
+
+def test_rows_at_evaluates_no_right_hand_side(monkeypatch):
+    # the pass evaluates the right-hand side seven times a step, and its
+    # dense output, on any batch of times, never
+    calls = []
+
+    def counted(F0, Xf, lam0):
+        rhs = stepped_rhs(F0, Xf, lam0)
+        return lambda y: calls.append(1) or rhs(y)
+
+    monkeypatch.setattr(dynamics, "stepped_rhs", counted)
+    problem, h0, m0 = helpers.su4_shoot_seed(7)
+    smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
+    assert len(calls) == 1 + 7 * smp.n_steps
+    smp.at(problem, np.linspace(0.0, 1.0, 1001))
+    smp.at(problem, 0.5)
+    assert len(calls) == 1 + 7 * smp.n_steps
+
+
+def test_rows_at_refuses_a_time_whose_stencil_is_not_sampled():
+    # a time in [t_k, t_k+1] needs samples up to max(k + 2, 3): on a block
+    # that is short of them it is a ValueError, not an extrapolation
+    problem, h0, m0 = helpers.su4_shoot_seed(7)
+    blocks = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))
+    first, m = blocks[0], blocks[0].times.size
+    assert len(blocks) > 1 and m > 4
+    t = first.times[m - 3] + 0.5 * first.times[1]
+    np.testing.assert_array_equal(first.rows_at(problem, t)[0], blocks[-1].rows_at(problem, t)[0])
+    with pytest.raises(ValueError, match="needs samples up to"):
+        first.rows_at(problem, first.times[m - 2])
 
 
 @pytest.mark.parametrize("seed", [7, 90])
@@ -760,7 +847,7 @@ def test_integrate_closed_non_abelian_su4_is_exact():
     assert helpers.commutator_tensor(problem.basis, problem.forbidden).any()
     assert is_closed_subalgebra(problem.basis, problem.forbidden)[0]
     blocks = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))
-    assert len(blocks) == 1 and blocks[0].rhs is None
+    assert len(blocks) == 1 and blocks[0].slopes is None
     traj = integrate(problem, m0, h0, t_max=1.0, dt=0.01)
     assert np.all(traj.lambda0 == m0.lambda0)
     assert np.all(traj.lambdas == m0.lambdas)
@@ -861,6 +948,20 @@ def test_trajectory_refuses_a_non_finite_f_as_not_isospectral(entry, bad):
     for k in (0, 3):
         data = traj.to_dict()
         data["F"][(k, *entry, 0)] = bad
+        with pytest.raises(ValueError, match="not isospectral"):
+            Trajectory.from_dict(data)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_trajectory_refuses_a_non_finite_f_as_not_isospectral_above_n2(n, bad):
+    # above N = 2 the spectrum of a matrix with a non-finite entry on or
+    # below the diagonal is NaN as well, never eigvalsh's
+    rng = np.random.default_rng(n)
+    traj = solve_free(helpers.random_state(rng, n), helpers.random_state(rng, n), 1.0).trajectory
+    for entry in ((0, 0), (n - 1, n - 1), (n - 1, 0)):
+        data = traj.to_dict()
+        data["F"][(3, *entry, 0)] = bad
         with pytest.raises(ValueError, match="not isospectral"):
             Trajectory.from_dict(data)
 

@@ -846,7 +846,7 @@ def test_shoot_pass1_carries_no_cross_check_channel(monkeypatch):
         problem, h0, m0 = helpers.su4_shoot_seed(seed)
         sol = shoot(problem, h0, m0, t_max=3.0)
         assert len(blocks) == n_blocks
-        assert all((b.rhs is None) == (seed == 90) for b in blocks)
+        assert all((b.slopes is None) == (seed == 90) for b in blocks)
         assert len(grids) == 1
         np.testing.assert_array_equal(grids[0], sol.trajectory.times)
         assert 0.0 < sol.report.u_defect and sol.report.verdict["u_mismatch"]
@@ -939,6 +939,29 @@ def test_root_scan_takes_a_near_zero_sample():
     assert T == t0
 
 
+@pytest.mark.parametrize("t_max", [0.02, 0.1])
+def test_root_scan_by_blocks_matches_the_complete_pass(t_max, monkeypatch):
+    # a drift checkpoint at every step makes the first block two samples,
+    # shorter than the dense output's stencil; at n_steps = 2 (t_max =
+    # 0.02) and 10, a root in the first step and one in the second are
+    # found at the same T scanning the blocks as they come as scanning the
+    # complete pass
+    monkeypatch.setattr(dynamics, "_CHECK_SPAN", 0.0)
+    problem, h0, m0 = helpers.su4_shoot_seed(7)
+    blocks = list(dynamics.integrate_blocks(problem, m0, h0, t_max=t_max, dt=0.01))
+    whole = blocks[-1]
+    assert blocks[0].times.size == 2 and whole.n_steps == round(t_max / 0.01) == len(blocks)
+    for t_root in (0.006, 0.016):
+        c = whole.at(problem, t_root)[3][0, 0].real
+
+        def scalar(F, H, psi):
+            return psi[:, 0].real - c
+
+        T = solvers._root_scan(problem, blocks, scalar, lambda block, t: True)[0]
+        assert T == solvers._root_scan(problem, [whole], scalar, lambda block, t: True)[0]
+        assert T == pytest.approx(t_root, abs=1e-12)
+
+
 def test_shoot_resolves_its_bracket_in_a_handful_of_evaluations(caplog, monkeypatch):
     # every single-time evaluation of the pass is one `PassSamples.at`
     # call; the root scan logs its count per resolved bracket
@@ -976,6 +999,22 @@ def test_shoot_without_a_root_reports_the_closest_approach(seed, closest, t):
     )
     assert float(found.group(1)) == pytest.approx(closest, rel=1e-2)
     assert float(found.group(2)) == pytest.approx(t, abs=2e-3)
+
+
+def test_shoot_on_the_four_qubit_chain_names_its_closest_approach():
+    # the 4-qubit chain set (M = 216, N = 16): s dips towards zero in the
+    # window but never changes sign.  The closest approach is resolved on a
+    # 257-point grid of the pass, its dense output, which evaluates no
+    # right-hand side
+    problem, h0, m0 = helpers.chain_shoot_seed(2)
+    assert problem.n_forbidden == 216
+    with pytest.raises(NoSolutionError) as err:
+        shoot(problem, h0, m0, t_max=3.0)
+    found = re.search(
+        r"closest approach \|s\| = (\S+) omega\^2 at t = (\S+), no sign change", str(err.value)
+    )
+    assert float(found.group(1)) == pytest.approx(0.242, rel=1e-2)
+    assert float(found.group(2)) == pytest.approx(2.803, abs=2e-3)
 
 
 def test_shoot_logs_rejected_candidates_and_scans_the_whole_window(caplog, monkeypatch):
