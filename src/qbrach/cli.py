@@ -447,7 +447,7 @@ def _verify_one(traj_dict: dict, embedded: Optional[dict], args) -> bool:
     sys.stdout.write(report.render_table() + "\n")
     ok = report.passed
     if stored is not None:
-        worst = 0.0
+        worst, worst_key = 0.0, None
         fresh = report.as_dict()
         for key, old in stored:
             if key in ("verdict",) or key not in fresh:
@@ -458,12 +458,15 @@ def _verify_one(traj_dict: dict, embedded: Optional[dict], args) -> bool:
             if isinstance(old, (int, float)) and isinstance(new, (int, float)):
                 dev = abs(float(new) - float(old))
                 if math.isnan(dev) or dev > worst:  # max() would drop a NaN
-                    worst = dev
+                    worst, worst_key = dev, key
         sys.stdout.write(
             f"round-trip agreement with embedded report: max deviation {worst:.3e}\n"
         )
         if not worst <= 1e-12:
-            sys.stdout.write("round-trip FAIL: recomputed residuals deviate beyond 1e-12\n")
+            sys.stdout.write(
+                f"round-trip FAIL: recomputed {worst_key} deviates from the embedded "
+                f"report by {worst:.3e}, beyond 1e-12\n"
+            )
             ok = False
     return ok
 
@@ -541,10 +544,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--csv", default=None, help="also write a plot-ready CSV table")
         p.add_argument(
             "--dt", type=float, default=None,
-            help="cap on every step: the certified sample step, itself at most 1e-3/omega "
-            "(1.5e-3/omega for solve-free), and for shoot the integration step, itself "
-            "resolved to the flow's rates; refused where it needs more than 200,000 "
-            "samples; solve-m1 takes none",
+            help="cap on every step: the certified sample step, itself sized to the "
+            "flow's rates for the fourth-order certificate, and for shoot the integration "
+            "step, itself resolved to the flow's rates; refused where it needs more than "
+            "200,000 samples; solve-m1 takes none",
         )
 
     p = sub.add_parser("solve-free", help="unrestricted minimum-time evolution")

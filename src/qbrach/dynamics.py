@@ -174,10 +174,14 @@ def _from_pairs(data) -> np.ndarray:
 # checkpoint, so the samples it yields pass the validation
 _UNITARITY_TOL = 1e-8
 
+# the largest relative gap between a trajectory's step and its mean step:
+# `verify.certify` differences and interpolates with fixed uniform-grid weights
+_UNIFORM_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled extremal evolution on a uniform-in-construction time grid.
+    """Sampled extremal evolution on a uniform time grid.
 
     All matrix stacks are sample-major: V[k] is the frame at times[k], etc.
     `lambdas` has one column per forbidden index (possibly zero columns).
@@ -185,9 +189,10 @@ class Trajectory:
     been rescaled so the endpoint constraint evaluates to 1 rather than to
     a generic nonzero real value.  `F_spectrum` holds the eigenvalues of
     every F sample, computed once by the validation (`algebra.stack_spectra`,
-    in closed form at N = 2).  The validation refuses a U that is not
-    unitary, a psi that is not U psi(0), an F whose spectrum drifts and a
-    non-finite entry in any sample array or multiplier.
+    in closed form at N = 2).  The validation refuses a time grid that is
+    not uniform to `_UNIFORM_TOL`, a U that is not unitary, a psi that is
+    not U psi(0), an F whose spectrum drifts and a non-finite entry in any
+    sample array or multiplier.
     """
 
     times: np.ndarray
@@ -234,8 +239,17 @@ class Trajectory:
         for name, arr in finite.items():
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} has a non-finite entry")
-        if K > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("time grid must be strictly increasing")
+        if K > 1:
+            steps = np.diff(times)
+            if not np.all(steps > 0):
+                raise ValueError("time grid must be strictly increasing")
+            mean = (times[-1] - times[0]) / (K - 1)
+            off = float(np.abs(steps - mean).max()) / mean
+            if not off <= _UNIFORM_TOL:
+                raise ValueError(
+                    f"time grid must be uniform: a step differs from the mean step by "
+                    f"{off:.3e} of it, beyond {_UNIFORM_TOL:g}"
+                )
         U = stacks["U"]
         uni = stack_product(U.conj().swapaxes(-1, -2), U) - np.eye(N)
         uni_err = float(np.sqrt(np.abs(np.einsum("kij,kij->k", uni, uni.conj()))).max())

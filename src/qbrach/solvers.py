@@ -41,6 +41,7 @@ from .dynamics import (
     _as_pairs,
     _constant_rows,
     _observables,
+    _pass_rate,
     _validate_h0,
     exact_pass,
     finalize_trajectory,
@@ -68,10 +69,6 @@ __all__ = [
 ]
 
 log = logging.getLogger("qbrach")
-
-# finite-difference truncation budget for analytic sample grids; keeps the
-# conservation-law residual at ~2.5e-9, comfortably inside the 1e-8 verdict
-_TRUNCATION_TARGET = 2.5e-9
 
 # two-level boundary convention: evolution starts at |+x> and the
 # orthogonal complement is |-x>
@@ -152,49 +149,34 @@ class ExtremalSolution:
         }
 
 
-def _analytic_dt(
-    omega: float,
-    G: np.ndarray,
-    F0: np.ndarray,
-    T: float,
-    target: float = _TRUNCATION_TARGET,
-    default: Optional[float] = None,
-    conservative: bool = False,
+def _certified_step(
+    omega: float, G: np.ndarray, F0: np.ndarray, lambda0: float, T: float, tols: Tolerances
 ) -> float:
-    """Grid step keeping the finite-difference conservation residual small.
+    """Own step of a certified grid on [0, T], sized for the fourth-order certificate.
 
-    The differencing truncation of dF/dt for F(t) = e^{iGt} F(0) e^{-iGt}
-    is bounded by (2||G||_op)^2 ||[G, F(0)]|| dt^2 / 6; the step is chosen
-    so that, normalized by omega ||F(0)||, it stays near `target`.
-    Commuting G and F(0) (constant F) fall back to the default step.
-    With `conservative` the commutator norm is replaced by its bound
-    2 ||G||_op ||F(0)||, appropriate when G(t) rotates away from G(0)
-    (only Tr[G^2] is conserved, not the commutator with F).  Either step
-    is lifted to T/`_MAX_SAMPLES`, so `_grid` never refuses it.
+    `verify._derivative` errs by at most h^4 ||f^(5)||/5, the factor of its
+    worst one-sided row.  Along the flow of the seed (G, F(0), lambda_0)
+    every time derivative of F is bounded by r^n ||F(0)||, with r the
+    rate bound `dynamics._pass_rate`, which holds on a stepped pass as on
+    the constant-multiplier flow.  So the step h = (5 tau omega /
+    r^5)^(1/4) keeps that truncation, normalized by omega ||F(0)||, at tau
+    = min(chko, aa)/4 of the tolerances `tols`.  It is lifted to
+    T/`_MAX_SAMPLES`, so `_grid` never refuses it.
     """
-    if default is None:
-        default = 1e-3 / omega
-    f0_norm = float(np.linalg.norm(F0))
-    g_op = float(np.abs(np.linalg.eigvalsh(G)).max())
-    if conservative:
-        c1 = 2.0 * g_op * f0_norm
-    else:
-        c1 = float(np.linalg.norm(G @ F0 - F0 @ G))
-    dt = default
-    if c1 > 1e-12 * omega * f0_norm:
-        coef = (2.0 * g_op) ** 2 * c1 / (6.0 * omega * f0_norm)
-        dt = min(default, math.sqrt(target / coef))
-    # at the lift, T/dt must not round up past _MAX_SAMPLES, which `_grid` refuses
-    return max(dt, T / _MAX_SAMPLES * (1.0 + 1e-12))
+    r = _pass_rate(G, F0, lambda0)
+    tau = min(tols.chko, tols.aa) / 4.0
+    step = (5.0 * tau * omega / r**5) ** 0.25
+    # at the lift, T/step must not round up past _MAX_SAMPLES, which `_grid` refuses
+    return max(step, T / _MAX_SAMPLES * (1.0 + 1e-12))
 
 
 def _grid(T: float, step: float) -> np.ndarray:
-    """Uniform samples of [0, T], at least four, no further apart than `step`.
+    """Uniform samples of [0, T], at least five, no further apart than `step`.
 
     More than `_MAX_SAMPLES` steps is a ValueError, raised before anything
     is allocated.
     """
-    n = max(3, math.ceil(T / step - 1e-12))
+    n = max(4, math.ceil(T / step - 1e-12))
     if n > _MAX_SAMPLES:
         raise ValueError(
             f"dt = {step:g} needs {n} samples over T = {T:g}, more than "
@@ -219,16 +201,14 @@ def _step_cap(dt: Optional[float]) -> float:
 def _certified(
     problem: ControlProblem, kind: SolutionKind, H0: np.ndarray, m0: MultiplierVector,
     T: float, re_T: float, cap: float, smp: Optional[PassSamples] = None,
-    branch: Optional[Tuple[int, int]] = None, default: Optional[float] = None,
+    branch: Optional[Tuple[int, int]] = None,
 ) -> ExtremalSolution:
     """The certified extremal of the seed (H0, m0) on [0, T]: every solver's tail.
 
-    The grid is uniform on [0, T].  Its own step is `_analytic_dt` on
-    G = g_operator(m0) and F(0): a truncation target of a quarter of the
-    chko tolerance, the conservative commutator bound exactly on a stepped
-    pass (G rotates there), at most `default` (1e-3/omega when None) and
-    lifted to T/`_MAX_SAMPLES`.  A user's `cap` (`_step_cap`) only refines
-    that step, and one needing more than `_MAX_SAMPLES` steps is refused
+    The grid is uniform on [0, T].  Its own step is `_certified_step` on
+    G = g_operator(m0) and F(0), one rule for every solver, lifted to
+    T/`_MAX_SAMPLES`.  A user's `cap` (`_step_cap`) only refines that
+    step, and one needing more than `_MAX_SAMPLES` steps is refused
     (`_grid`).  The rows are the pass `smp` on that grid or, without a
     pass, the constant-multiplier flow of the seed, F(0) = lambda_0
     (H0 + G).  `re_T` is Re<psi|HF|psi> at T in the
@@ -239,8 +219,7 @@ def _certified(
     tols = Tolerances.integrated() if kind is SolutionKind.SHOT else Tolerances.analytic()
     G = g_operator(m0, problem.basis, problem.forbidden)
     F0 = m0.lambda0 * (H0 + G) if smp is None else smp.F0
-    stepped = smp is not None and smp.slopes is not None
-    own = _analytic_dt(problem.omega, G, F0, T, tols.chko / 4.0, default, stepped)
+    own = _certified_step(problem.omega, G, F0, m0.lambda0, T, tols)
     times = _grid(T, min(cap, own))
     rows = _constant_rows(problem, m0, times) if smp is None else smp.rows_at(problem, times)
     traj = finalize_trajectory(problem, times, rows, F0, re_T)
@@ -259,8 +238,8 @@ def solve_free(
 
     The multipliers carry lambda_0 = 1/omega^2, the value that normalizes
     the endpoint constraint <psi_f|H F|psi_f> to exactly 1 (F = lambda_0 H
-    and <H^2> = omega^2 on the two-dimensional evolution subspace).  As G
-    vanishes, the sample step is 1.5e-3/omega, or `dt` where that is finer.
+    and <H^2> = omega^2 on the two-dimensional evolution subspace).  The
+    sample step is `_certified_step`'s, or `dt` where that is finer.
     Identical endpoints (Bures angle 0) return the trivial T = 0 solution
     with no trajectory.
     """
@@ -275,7 +254,7 @@ def solve_free(
     H_F = free_hamiltonian(psi_i, boundary, omega)
     m0 = MultiplierVector(1.0, np.zeros(0))
     T = boundary.omega_b / omega
-    sol = _certified(problem, SolutionKind.FREE, H_F, m0, T, omega**2, cap, default=1.5e-3 / omega)
+    sol = _certified(problem, SolutionKind.FREE, H_F, m0, T, omega**2, cap)
     fid = abs(np.vdot(psi_f.amplitudes, sol.trajectory.psi[-1]))
     if fid < 1.0 - 1e-9:
         raise ArithmeticError(
@@ -372,6 +351,8 @@ def m1_trajectory(
 
     With renormalize=True the multipliers are divided by omega^2, the value
     of Re<psi|HF|psi> along this flow, so the endpoint real part becomes 1.
+    Without `n_samples` the grid step is `_certified_step`'s for the
+    analytic tolerances.
     """
     if not T > 0:
         raise ValueError(f"duration must be positive, got {T}")
@@ -379,7 +360,7 @@ def m1_trajectory(
     sz = problem.basis.generators[2]
     F0 = omega * problem.basis.generators[1] + lambda1 * sz
     if n_samples is None:
-        times = _grid(T, _analytic_dt(omega, lambda1 * sz, F0, T))
+        times = _grid(T, _certified_step(omega, lambda1 * sz, F0, 1.0, T, Tolerances.analytic()))
     else:
         times = np.linspace(0.0, T, n_samples + 1)
     rows = _constant_rows(problem, MultiplierVector(1.0, [lambda1]), times)
@@ -650,7 +631,8 @@ def solve_two_qubit_example(
     T = sqrt(2) Omega_B / omega — a factor sqrt(2) slower than the free
     bound, with energy spread omega/sqrt(2) throughout.  The final state is
     cos(Omega_B) e^{-i pi/2} |11> + sin(Omega_B) |00> up to a global phase.
-    `dt` caps the certified sample step, which is at most 1e-3/omega.
+    `dt` caps the certified sample step, which is otherwise
+    `_certified_step`'s.
     """
     if not 0 < omega_b <= math.pi / 2:
         raise ValueError(f"Bures angle must lie in (0, pi/2], got {omega_b}")

@@ -6,8 +6,9 @@ forbidden directions), the conservation-law residual dF/dt + i[H, F] = 0
 and its initial structure {F(0), P(0)} = F(0), the endpoint condition
 <psi(T)|H(T)F(T)|psi(T)> = 1 (gate variant: Tr[H(T)F(T)] = 1), the speed
 bound DeltaE <= omega with its multiplier decomposition, conservation of
-Tr[F^2], the metric identity sqrt(g_tt) = DeltaE, and the propagator's
-own equation i dU/dt = H U on the stored samples (`_u_defect`).
+Tr[F^2], the metric identity sqrt(g_tt) = DeltaE, the propagator's own
+equation i dU/dt = H U on the stored samples (`_u_defect`), and the speed
+theorem's efficiency arccos|<psi(0)|psi(T)>|/(omega T) <= 1.
 Residuals are dimensionless: traces are normalized by powers of omega and
 operator norms by ||F(0)||.
 """
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import forbidden_sum, stack_product
 
@@ -32,6 +34,7 @@ __all__ = [
     "endpoint_constraint_gate",
     "speed_profile",
     "speed_decomposition_mismatch",
+    "speed_efficiency",
     "equivalence_check",
     "equivalence_residuals",
     "certify",
@@ -47,7 +50,8 @@ class Tolerances:
     Scale conventions: `speed_excess` and `aa` multiply omega;
     `endpoint_im` and `endpoint_re_floor` multiply omega^2; `eig_drift`
     multiplies max(1, spectral radius of F(0)); everything else applies to
-    an already-dimensionless residual.
+    an already-dimensionless residual.  `speed_excess` also bounds
+    `speed_efficiency` - 1, the same slack integrated over [0, T].
     """
 
     traceless: float = 1e-8
@@ -99,6 +103,9 @@ class VerificationReport:
     part is what makes the renormalization possible).  `gate_endpoint` is
     present only when the gate-target variant was requested.  `u_defect`
     (`_u_defect`) is judged by the `u_mismatch` verdict and tolerance.
+    `speed_efficiency` is the Bures angle travelled over omega T, at most 1
+    by the speed theorem; its verdict allows 1 + `speed_excess`, the slack
+    the energy spread has at each sample.
     """
 
     traceless_max: float
@@ -117,6 +124,7 @@ class VerificationReport:
     speed_decomp_gap: float
     equivalence_max: float
     u_defect: float
+    speed_efficiency: float
     omega: float
     renormalized: bool
     gate_endpoint: Optional[float] = None
@@ -153,6 +161,7 @@ class VerificationReport:
             "endpoint_equiv": self.endpoint_equiv_gap,
             "speed_decomp": self.speed_decomp_gap,
             "u_mismatch": self.u_defect,
+            "speed_efficiency": self.speed_efficiency,
         }
         rows = []
         for name in sorted(self.verdict):
@@ -198,6 +207,65 @@ def check_constraints(traj, omega: float) -> Tuple[float, float, float]:
     return tuple(float(r.max()) for r in _constraint_profiles(traj, omega))
 
 
+# The interpolation weights below are ratios of integers, each rounded
+# once by Python's correctly rounded int / int.
+
+
+def _lagrange_rows(p: int, num: int, den: int) -> list:
+    """Weights of the interpolant through samples at 0..p-1 at x = num/den:
+    L_j(x) = prod_{i != j} (x - i)/(j - i)."""
+    return [
+        math.prod(num - i * den for i in range(p) if i != j)
+        / math.prod(den * (j - i) for i in range(p) if i != j)
+        for j in range(p)
+    ]
+
+
+def _derivative_rows(p: int) -> np.ndarray:
+    """D[i, j] = L_j'(i): the derivative of the interpolant through samples
+    at 0..p-1, at each of them (Fornberg's weights on a unit grid)."""
+
+    def prod(x: int, skip: tuple) -> int:
+        return math.prod(x - m for m in range(p) if m not in skip)
+
+    def weight(i: int, j: int) -> float:
+        if i == j:  # the sum over k != i of 1/(i - k)
+            return sum(prod(i, (i, k)) for k in range(p) if k != i) / prod(i, (i,))
+        return prod(i, (i, j)) / prod(j, (j,))
+
+    return np.array([[weight(i, j) for j in range(p)] for i in range(p)])
+
+
+# `_derivative`'s rows on a grid of p = min(5, K) samples, per unit step:
+# for p = 5 the central (1, -8, 0, 8, -1)/12, which errs by h^4 f^(5)/30,
+# and the one-sided rows of the two samples at each end, the worst of
+# which, (-25, 48, -36, 16, -3)/12, errs by h^4 f^(5)/5
+_DIFF_ROWS = {p: _derivative_rows(p) for p in range(2, 6)}
+
+
+def _derivative(f: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """df/dt on a uniform grid from the samples f (sample-major).
+
+    At each sample it is the derivative of the degree-(p - 1) interpolant
+    through the p = min(5, K) nearest samples: inside the grid the
+    five-point (f_{k-2} - 8 f_{k-1} + 8 f_{k+1} - f_{k+2})/12h, at the two
+    samples of either end the one-sided rows of `_DIFF_ROWS`, and on a
+    grid of fewer than 5 samples the interpolant through all of them.  It
+    is fourth order on 5 samples or more.  The step is the mean step,
+    which `Trajectory` holds every step to.
+    """
+    K = times.size
+    p = min(5, K)
+    D = _DIFF_ROWS[p] * ((K - 1) / (times[-1] - times[0]))
+    if K < 5:
+        return np.tensordot(D, f, axes=1)
+    out = np.empty(f.shape, dtype=np.result_type(f, float))
+    out[:2] = np.tensordot(D[:2], f[:5], axes=1)
+    out[-2:] = np.tensordot(D[3:], f[-5:], axes=1)
+    out[2:-2] = D[2, 0] * (f[:-4] - f[4:]) + D[2, 1] * (f[1:-3] - f[3:-1])
+    return out
+
+
 def _conservation_residuals(traj) -> Tuple[float, float, float]:
     """(chko, state form, anticommutator form) from one dF/dt + i[H, F].
 
@@ -205,7 +273,7 @@ def _conservation_residuals(traj) -> Tuple[float, float, float]:
     """
     if traj.times.size < 3:
         raise ValueError("need at least 3 samples to difference dF/dt")
-    fdot = np.gradient(traj.F, traj.times, axis=0, edge_order=2)
+    fdot = _derivative(traj.F, traj.times)
     resid = fdot + 1.0j * (stack_product(traj.H, traj.F) - stack_product(traj.F, traj.H))
     fnorm = max(float(np.linalg.norm(traj.F[0])), _TINY)
     per_sample = np.linalg.norm(resid.reshape(resid.shape[0], -1), axis=1)
@@ -224,9 +292,10 @@ def _conservation_residuals(traj) -> Tuple[float, float, float]:
 def chko_residual(traj) -> float:
     """Max normalized Frobenius norm of dF/dt + i[H, F] on the grid.
 
-    dF/dt uses second-order central differences (second-order one-sided at
-    the boundary samples), so for an exact trajectory the residual is the
-    O(dt^2) differencing truncation.  Normalization: omega ||F(0)||_F.
+    dF/dt is `_derivative`, fourth order (five-point central differences,
+    one-sided rows at the two samples of either end), so for an exact
+    trajectory the residual is the O(dt^4) differencing truncation.
+    Normalization: omega ||F(0)||_F.
     """
     return _conservation_residuals(traj)[0]
 
@@ -281,6 +350,22 @@ def speed_profile(traj, omega: float) -> Tuple[np.ndarray, float]:
     return de, float((de - omega).max())
 
 
+def speed_efficiency(traj) -> float:
+    """arccos|<psi(0)|psi(T)>| / (omega T): the share of the speed limit used.
+
+    The Bures angle travelled is at most the integral of DeltaE, itself at
+    most omega T, so the efficiency is at most 1, and 1 exactly on a
+    geodesic at full speed.  The angle is taken as atan2 of the overlap's
+    orthogonal and parallel parts, which keeps its precision where the
+    overlap is near 1 and arccos would lose half the digits.
+    """
+    psi0, psiT = traj.psi[0], traj.psi[-1]
+    overlap = complex(np.vdot(psi0, psiT))
+    across = float(np.linalg.norm(psiT - overlap * psi0))
+    angle = math.atan2(across, abs(overlap))
+    return angle / (traj.omega * float(traj.times[-1] - traj.times[0]))
+
+
 def _g_stack(traj) -> np.ndarray:
     return forbidden_sum(traj.lambdas / traj.lambda0[:, None], traj.forbidden_generators())
 
@@ -322,43 +407,62 @@ def equivalence_check(traj) -> float:
 # blocks of matrices whatever the trajectory's length
 _DIRECT_BLOCK = 512
 
+# the stage times of Butcher's sixth-order Runge-Kutta method strictly
+# inside a step, in units of the step, as (numerator, denominator)
+_STAGES = ((1, 3), (1, 2), (2, 3))
 
-def _midpoints(H: np.ndarray, a: int, b: int) -> np.ndarray:
-    """H at the midpoints of steps a..b-1 of a uniform grid, from its samples H.
+# `_u_defect`'s weights of H at those stage times on a grid of p = min(6, K)
+# samples: _STAGE_ROWS[p][o, c] holds the degree-(p - 1) interpolant's
+# weights on a stencil's p samples at stage c of the stencil's step o
+_STAGE_ROWS = {
+    p: np.array([[_lagrange_rows(p, o * d + n, d) for n, d in _STAGES] for o in range(p - 1)])
+    for p in range(2, 7)
+}
 
-    Each is the cubic through the four nearest samples, (-H_{k-1} + 9 H_k
-    + 9 H_{k+1} - H_{k+2})/16, which errs by O(step^4).  Past either end
-    of the grid the missing sample is extrapolated by the interpolant
-    through the first (last) min(4, K) samples, which gives the one-sided
-    (5 H_0 + 15 H_1 - 5 H_2 + H_3)/16 and its mirror, and on a grid of 2
-    or 3 samples the line or parabola through all of them.
+
+def _stage_hamiltonians(H: np.ndarray, a: int, b: int) -> np.ndarray:
+    """H at t_k + (1/3, 1/2, 2/3) h for the steps k = a..b-1 of a uniform grid.
+
+    The result is a (3, N, N, b - a) stack, the steps on the last axis.
+    Step k's stencil is the p = min(6, K) samples from s_k = min(max(k -
+    2, 0), K - p): the six nearest samples, one-sided on the two steps at
+    either end, and all of them on a grid of fewer than 6.  Each value is
+    the degree-(p - 1) interpolant through the stencil (`_STAGE_ROWS`),
+    which errs by O(step^6).  Steps sharing their place o = k - s_k in
+    the stencil (all inner steps do) are formed together, as one product
+    of a strided view of their stencils with the weights.
     """
     K = H.shape[0]
-    p = min(4, K)
-    # that interpolant at one step past the end: sum_j (-1)^j C(p, j+1) H_j
-    ghost = np.array([(-1) ** j * math.comb(p, j + 1) for j in range(p)], dtype=float)
-    parts = [H[max(a - 1, 0) : b + 2]]
-    if a == 0:
-        parts.insert(0, np.tensordot(ghost, H[:p], axes=1)[None])
-    if b + 2 > K:
-        parts.append(np.tensordot(ghost, H[: -p - 1 : -1], axes=1)[None])
-    W = np.concatenate(parts)
-    return (9.0 * (W[1:-2] + W[2:-1]) - W[:-3] - W[3:]) / 16.0
+    p = min(6, K)
+    k = np.arange(a, b)
+    s = np.clip(k - 2, 0, K - p)
+    o = k - s
+    lo, hi = int(s[0]), int(s[-1]) + p
+    # stencils[..., i, j] is sample lo + i + j: a view, no copy per stencil
+    stencils = sliding_window_view(np.moveaxis(H[lo:hi], 0, -1), p, axis=-1)
+    out = np.empty((3, *H.shape[1:], b - a), dtype=complex)
+    cuts = [0, *(1 + np.flatnonzero(np.diff(o))), b - a]
+    for i0, i1 in zip(cuts, cuts[1:]):
+        first = int(s[i0]) - lo
+        rows = stencils[..., first : first + i1 - i0, :] @ _STAGE_ROWS[p][o[i0]].T
+        out[..., i0:i1] = np.moveaxis(rows, -1, 0)
+    return out
 
 
 def _u_defect(times: np.ndarray, H: np.ndarray, U: np.ndarray) -> float:
-    """sum_k ||U_{k+1} - P_k U_k||_F, P_k one RK4 step of i dU/dt = H U.
+    """sum_k ||U_{k+1} - P_k U_k||_F, P_k one RK6 step of i dU/dt = H U.
 
-    -iH at each step's ends is the sample there and at its midpoint the
-    interpolant `_midpoints`, so each step errs by O(step^5).  P_k is the
-    RK4 map of a skew-Hermitian generator, so ||P_k||_2 = 1 + O(step^5),
-    and by the triangle inequality the sum bounds, to that order, the
-    largest gap between U and the RK4 propagation of the H samples from
-    U_0.  It reads `times`, `H` and `U` alone, block by block, with the
-    steps on the last axis: a product of two blocks is then N broadcast
-    multiply-adds that each sweep the whole block, with no per-matrix
-    overhead.  On the CLI's solutions (N = 2 to 5, K = 962 to 13,971)
-    that took 10 to 35 % less time than `stack_product` (one core).
+    P_k is one step of Butcher's sixth-order method (the tableau of
+    `dynamics.rk6_step`), its stages at t_k + (0, 1/3, 2/3, 1/3, 1/2, 1/2,
+    1) h.  -iH at the step's ends is the sample there and at its inner
+    stage times the interpolant `_stage_hamiltonians`, so each step errs
+    by O(step^7).  P_k is the RK6 map of a skew-Hermitian generator, so
+    ||P_k||_2 = 1 + O(step^7), and by the triangle inequality the sum
+    bounds, to that order, the largest gap between U and the RK6
+    propagation of the H samples from U_0.  It reads `times`, `H` and `U`
+    alone, block by block, with the steps on the last axis: a product of
+    two blocks is then N broadcast multiply-adds that each sweep the whole
+    block, with no per-matrix overhead.
     """
 
     def product(A, X):
@@ -370,18 +474,22 @@ def _u_defect(times: np.ndarray, H: np.ndarray, U: np.ndarray) -> float:
     total = 0.0
     for a in range(0, times.size - 1, _DIRECT_BLOCK):
         b = min(a + _DIRECT_BLOCK, times.size - 1)
-        blocks = (H[a : b + 1], U[a : b + 1], _midpoints(H, a, b))
-        Hs, Us, Hm = (np.moveaxis(x, 0, -1).copy() for x in blocks)
-        c = -0.5j * np.diff(times[a : b + 1])  # -i step/2
+        h13, h12, h23 = _stage_hamiltonians(H, a, b)
+        ends, Us = (np.moveaxis(x[a : b + 1], 0, -1).copy() for x in (H, U))
+        g = -1.0j * np.diff(times[a : b + 1])  # -i step
         Uk = Us[..., :-1]
-        k = product(Hs[..., :-1], Uk)
-        acc = k.copy()
-        k = product(Hm, Uk + c * k)
-        acc += 2.0 * k
-        k = product(Hm, Uk + c * k)
-        acc += 2.0 * k
-        acc += product(Hs[..., 1:], Uk + (2.0 * c) * k)
-        gap = Us[..., 1:] - Uk - (c / 3.0) * acc
+        q1 = product(ends[..., :-1], Uk)
+        q2 = product(h13, Uk + (g / 3.0) * q1)
+        q3 = product(h23, Uk + (g / 1.5) * q2)
+        q4 = product(h13, Uk + (g / 12.0) * (q1 + 4.0 * q2 - q3))
+        q5 = product(h12, Uk + (g / 16.0) * (18.0 * q2 - q1 - 3.0 * q3 - 6.0 * q4))
+        q6 = product(h12, Uk + (g / 8.0) * (9.0 * q2 - 3.0 * q3 - 6.0 * q4 + 4.0 * q5))
+        q7 = product(
+            ends[..., 1:],
+            Uk + (g / 44.0) * (9.0 * q1 - 36.0 * q2 + 63.0 * q3 + 72.0 * q4 - 64.0 * q6),
+        )
+        step = 11.0 * (q1 + q7) + 81.0 * (q3 + q4) - 32.0 * (q5 + q6)
+        gap = Us[..., 1:] - Uk - (g / 120.0) * step
         total += float(np.linalg.norm(gap, axis=(0, 1)).sum())
     return total
 
@@ -426,7 +534,7 @@ def certify(
     eig_scale = max(1.0, float(np.abs(eigs[0]).max()))
     eig_drift = float(np.abs(eigs - eigs[0]).max())
 
-    psi_dot = np.gradient(traj.psi, traj.times, axis=0, edge_order=2)
+    psi_dot = _derivative(traj.psi, traj.times)
     g_tt = np.real(np.einsum("ka,ka->k", psi_dot.conj(), psi_dot)) - np.abs(
         np.einsum("ka,ka->k", traj.psi.conj(), psi_dot)
     ) ** 2
@@ -439,6 +547,7 @@ def certify(
 
     eq_max = max(state_form, anti_form)
     u_defect = _u_defect(traj.times, traj.H, traj.U)
+    efficiency = speed_efficiency(traj)
 
     verdict = {
         "traceless": bool(traceless <= tol.traceless),
@@ -461,6 +570,7 @@ def certify(
         "endpoint_equiv": bool(equiv_gap <= tol.endpoint_equiv),
         "speed_decomp": bool(decomp <= tol.speed_decomp),
         "u_mismatch": bool(u_defect <= tol.u_mismatch),
+        "speed_efficiency": bool(efficiency <= 1.0 + tol.speed_excess),
     }
     if gate_val is not None:
         verdict["gate_endpoint"] = bool(abs(gate_val) <= tol.gate)
@@ -482,6 +592,7 @@ def certify(
         speed_decomp_gap=decomp,
         equivalence_max=eq_max,
         u_defect=u_defect,
+        speed_efficiency=efficiency,
         omega=w,
         renormalized=renormalized,
         gate_endpoint=gate_val,

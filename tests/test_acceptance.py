@@ -196,6 +196,12 @@ def test_02_two_qubit_restricted_transport():
     assert elapsed < 1.0
 
 
+# the conservation-law residual above which test_03 reads its truncation
+# law: 20 times the rounding floor of its differences at dt = 1e-3, about
+# 5e-12
+CHKO_RESOLVED = 1e-10
+
+
 def test_03_two_level_integration_matches_closed_form():
     name = "two-level integration vs closed form"
     try:
@@ -205,7 +211,7 @@ def test_03_two_level_integration_matches_closed_form():
         kept = []
         worst_u = 0.0
         worst_u_fine = 0.0
-        chko_ratios = []
+        chko_pairs = []
         u_ratios = []
         t0 = time.perf_counter()
         for i in range(20):
@@ -221,7 +227,7 @@ def test_03_two_level_integration_matches_closed_form():
                 fine = integrate(
                     problem, MultiplierVector(1.0, [lam]), sy, t_max=5.0, dt=5e-4
                 )
-                chko_ratios.append(chko_residual(traj) / chko_residual(fine))
+                chko_pairs.append((chko_residual(traj), chko_residual(fine)))
                 ref_f = helpers.m1_reference_u(lam, 1.0, fine.times)
                 err_f = float(
                     np.linalg.norm(
@@ -236,9 +242,13 @@ def test_03_two_level_integration_matches_closed_form():
     except Exception as exc:
         _report(3, name, False, f"(error: {exc})")
         raise
-    ratios_ok = all(3.0 <= r <= 5.0 for r in chko_ratios)
+    resolved = [coarse >= CHKO_RESOLVED for coarse, _ in chko_pairs]
+    ratios_ok = all(
+        12.0 <= coarse / fine <= 20.0 if res else max(coarse, fine) < CHKO_RESOLVED
+        for (coarse, fine), res in zip(chko_pairs, resolved)
+    )
     ok = worst_u <= 1e-7 and ratios_ok and worst_u_fine <= 1e-7 and elapsed < 10.0
-    chko_txt = "/".join(f"{r:.2f}" for r in chko_ratios)
+    chko_txt = "/".join(f"{coarse / fine:.2f}" for coarse, fine in chko_pairs)
     u_txt = "/".join(f"{r:.1f}" for r in u_ratios)
     _report(
         3,
@@ -248,13 +258,19 @@ def test_03_two_level_integration_matches_closed_form():
         f"residual ratios {chko_txt}, propagator-error ratios {u_txt}, {elapsed:.1f}s)",
     )
     assert worst_u <= 1e-7
-    # halving the step divides the conservation-law residual by 4 (within
-    # 25%): that is the quantity limited by the second-order differencing
-    # step.  The propagator error itself sits at the rounding-accumulation
+    # halving the step divides the conservation-law residual by 16 (within
+    # 25%) where the truncation of the fourth-order differencing shows
+    # above rounding (two of the three pairs, both near 12.5); the third
+    # pair's flow is slow enough that both residuals sit at the rounding
+    # floor.  The propagator error itself sits at the rounding-accumulation
     # floor (~1e-10 over 5000 steps), so its halving ratio is reported but
     # only bounded, not pinned to a scaling law.
-    for r in chko_ratios:
-        assert 3.0 <= r <= 5.0
+    assert any(resolved)
+    for (coarse, fine), res in zip(chko_pairs, resolved):
+        if res:
+            assert 12.0 <= coarse / fine <= 20.0
+        else:
+            assert max(coarse, fine) < CHKO_RESOLVED
     assert worst_u_fine <= 1e-7
     assert elapsed < 10.0
 

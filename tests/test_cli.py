@@ -160,8 +160,8 @@ def test_shoot_subcommand(closed_file, tmp_path, capsys):
 
 
 def test_shoot_step_caps_the_certified_step_on_a_closed_set(closed_file, capsys):
-    # the pass step does not coarsen the certified grid past 1e-3/omega,
-    # where the aa residual would fail its 1e-6 omega verdict
+    # the pass step does not coarsen the certified grid past its own
+    # rate-sized step, which keeps the aa residual in its 1e-6 omega verdict
     assert main(["solve-closed", "-i", closed_file]) == 0
     closed = json.loads(capsys.readouterr().out)
     assert main(["shoot", "-i", closed_file, "--dt", "1e-3"]) == 0
@@ -177,8 +177,8 @@ def test_shoot_refuses_a_step_beyond_the_work_cap(closed_file, capsys):
 
 
 def test_solve_2qubit_dt_caps_the_certified_step(capsys):
-    # a step coarser than the default 1e-3/omega is capped, not used, so
-    # the solution passes its certificate and is written
+    # a step coarser than the grid's own rate-sized step is capped, not
+    # used, so the solution passes its certificate and is written
     argv = ["solve-2qubit", "--omega-b", "1.5707963", "--omega", "10"]
     assert main(argv + ["--dt", "1e-3"]) == 0
     capped = capsys.readouterr().out
@@ -758,7 +758,40 @@ def test_verify_flags_nan_in_embedded_report(closed_file, tmp_path, capsys):
     assert main(["verify", str(out), "--tol", "analytic"]) == 1
     text = capsys.readouterr().out
     assert "max deviation nan" in text
-    assert "round-trip FAIL" in text
+    assert "round-trip FAIL: recomputed chko_residual deviates" in text
+
+
+def test_verify_names_the_field_that_deviates_most(closed_file, tmp_path, capsys):
+    # an embedded residual moved by 1e-9 and another by 1e-11: the round
+    # trip fails, the deviation line keeps its form, and the FAIL line
+    # names the field that deviates most
+    out = tmp_path / "sol.json"
+    assert main(["solve-closed", "-i", closed_file, "-o", str(out)]) == 0
+    sol = json.loads(out.read_text())
+    sol["report"]["aa_identity_max"] += 1e-9
+    sol["report"]["chko_residual"] += 1e-11
+    out.write_text(json.dumps(sol))
+    capsys.readouterr()
+    assert main(["verify", str(out), "--tol", "analytic"]) == 1
+    text = capsys.readouterr().out
+    assert re.search(r"max deviation 1\.0\d\de-09$", text, re.M)
+    assert re.search(r"^round-trip FAIL: recomputed aa_identity_max deviates .* beyond 1e-12$",
+                     text, re.M)
+    assert re.findall(r"^(\S+) +\S+  FAIL$", text, re.M) == []
+
+
+def test_verify_refuses_a_trajectory_on_a_non_uniform_grid(closed_file, tmp_path, capsys):
+    # certify differences and interpolates with uniform-grid weights: one
+    # sample time moved by 1e-6 of a step is invalid input, exit 1
+    out = tmp_path / "sol.json"
+    assert main(["solve-closed", "-i", closed_file, "-o", str(out)]) == 0
+    sol = json.loads(out.read_text())
+    times = sol["trajectory"]["times"]
+    times[7] += 1e-6 * (times[1] - times[0])
+    out.write_text(json.dumps(sol))
+    capsys.readouterr()
+    assert main(["verify", str(out), "--tol", "analytic"]) == 1
+    assert "time grid must be uniform" in capsys.readouterr().err
 
 
 def _edited(change):
@@ -1014,13 +1047,16 @@ def test_failing_certificate_is_refused(closed_file, tmp_path, monkeypatch, caps
 
 def test_solve_m1_refuses_a_branch_whose_certificate_fails(tmp_path, monkeypatch, capsys):
     # with _MAX_SAMPLES made small, each branch's certified grid is lifted
-    # to 1,000 steps, too coarse for its conservation residuals: solve-m1
-    # keeps the rule of every solver, exit 3 with the failed verdicts named
-    # and nothing written
-    monkeypatch.setattr(solvers, "_MAX_SAMPLES", 1000)
+    # to 100 steps (from 1,368), too coarse for its conservation residuals:
+    # solve-m1 keeps the rule of every solver, exit 3 with the failed
+    # verdicts named and nothing written.  The 4 x 7 branch pairs, which
+    # hold the global minimum, stay within that cap
+    monkeypatch.setattr(solvers, "_MAX_SAMPLES", 100)
     out = tmp_path / "m1.json"
-    argv = ["solve-m1", "--omega-b", repr(DESIGNED_OB), "--phi", repr(DESIGNED_PHI)]
-    assert main(argv + ["--omega", "10", "-o", str(out)]) == 3
+    problem = tmp_path / "m1_problem.json"
+    problem.write_text(json.dumps({"omega": 10.0, "solver_params": {"k_max": 3, "l_max": 3}}))
+    argv = ["solve-m1", "-i", str(problem), "--omega-b", repr(DESIGNED_OB)]
+    assert main(argv + ["--phi", repr(DESIGNED_PHI), "-o", str(out)]) == 3
     err = capsys.readouterr().err
     assert "fails its certificate (" in err and "chko" in err
     assert not out.exists()

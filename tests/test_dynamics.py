@@ -511,26 +511,44 @@ def _random_unitaries(rng, k, n):
     return q * (d / np.abs(d))[:, None, :]
 
 
-def _rk4_defect(times, h_ends, h_mids, U):
-    """sum_k ||U_{k+1} - RK4 step of i dU/dt = H U from U_k||_F, step by step."""
+def _rk6_defect(times, h_ends, h_stages, U):
+    """sum_k ||U_{k+1} - RK6 step of i dU/dt = H U from U_k||_F, step by step.
+
+    Butcher's tableau, its stages at t_k + (0, 1/3, 2/3, 1/3, 1/2, 1/2, 1) h;
+    h_stages[k] holds H at t_k + (1/3, 1/2, 2/3) h."""
     total = 0.0
     for k, h in enumerate(np.diff(times)):
-        a, m, b = -1j * h_ends[k], -1j * h_mids[k], -1j * h_ends[k + 1]
+        h13, h12, h23 = h_stages[k]
+        c = [0.0, h13, h23, h13, h12, h12, 0.0]
+        c[0], c[6] = h_ends[k], h_ends[k + 1]
+        a = [
+            [],
+            [1 / 3],
+            [0, 2 / 3],
+            [1 / 12, 4 / 12, -1 / 12],
+            [-1 / 16, 18 / 16, -3 / 16, -6 / 16],
+            [0, 9 / 8, -3 / 8, -6 / 8, 4 / 8],
+            [9 / 44, -36 / 44, 63 / 44, 72 / 44, 0, -64 / 44],
+        ]
         u = U[k]
-        k1 = a @ u
-        k2 = m @ (u + h / 2 * k1)
-        k3 = m @ (u + h / 2 * k2)
-        k4 = b @ (u + h * k3)
-        total += float(np.linalg.norm(U[k + 1] - u - h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)))
+        ks = []
+        for i in range(7):
+            x = u + h * sum(w * kj for w, kj in zip(a[i], ks))
+            ks.append(-1j * c[i] @ x)
+        b = (11, 0, 81, 81, -32, -32, 11)
+        total += float(np.linalg.norm(U[k + 1] - u - h / 120 * sum(w * kj for w, kj in zip(b, ks))))
     return total
 
 
+_STAGE_FRACTIONS = (1 / 3, 1 / 2, 2 / 3)
+
+
 @pytest.mark.parametrize("dim", [2, 4])
-def test_u_defect_matches_sequential_rk4_steps(dim, monkeypatch):
+def test_u_defect_matches_sequential_rk6_steps(dim, monkeypatch):
     # the batched per-step check against a plain step-by-step loop, over
-    # more than one block, with -iH at each step's midpoint the cubic
-    # through the four nearest samples (one-sided on the first and the
-    # last step), on stored U far from the flow of H so every step counts
+    # more than one block, with -iH at each step's inner stage times the
+    # quintic through the six nearest samples (one-sided on the two steps
+    # at either end), on stored U far from the flow of H so every step counts
     rng = np.random.default_rng(dim)
     basis = build_gellmann_basis(dim)
     g = np.tensordot(rng.normal(size=dim - 1), basis.generators[-(dim - 1):], axes=1)
@@ -541,37 +559,40 @@ def test_u_defect_matches_sequential_rk4_steps(dim, monkeypatch):
     n = times.size - 1
     V = np.array([helpers.expm_herm(g, -t) for t in times])
     H = V @ f0 @ V.conj().transpose(0, 2, 1) / lam0 - g
+
+    def quintic(k, c):
+        # Lagrange weights of the six samples from `first` at t_k + c h
+        first = min(max(k - 2, 0), n - 5)
+        x = k - first + c
+        out = 0
+        for j in range(6):
+            w = np.prod([(x - i) / (j - i) for i in range(6) if i != j])
+            out = out + w * H[first + j]
+        return out
+
+    stages = [[quintic(k, c) for c in _STAGE_FRACTIONS] for k in range(n)]
     U = _random_unitaries(rng, n + 1, dim)
-
-    def mid(k):
-        if k == 0:
-            first, w = 0, (5, 15, -5, 1)
-        elif k == n - 1:
-            first, w = n - 3, (1, -5, 15, 5)
-        else:
-            first, w = k - 1, (-1, 9, 9, -1)
-        return sum(c * H[first + i] for i, c in enumerate(w)) / 16
-
-    ref = _rk4_defect(times, H, [mid(k) for k in range(n)], U)
+    ref = _rk6_defect(times, H, stages, U)
     # the steps are checked block by block
-    blocks, midpoints = [], verify._midpoints
+    blocks, stage_hamiltonians = [], verify._stage_hamiltonians
 
     def recorded(H, a, b):
         blocks.append((a, b))
-        return midpoints(H, a, b)
+        return stage_hamiltonians(H, a, b)
 
-    monkeypatch.setattr(verify, "_midpoints", recorded)
+    monkeypatch.setattr(verify, "_stage_hamiltonians", recorded)
     got = verify._u_defect(times, H, U)
     block = verify._DIRECT_BLOCK
     assert blocks == [(0, block), (block, n)]
     assert abs(got - ref) <= 1e-12 * ref
 
 
-def test_u_defect_is_fourth_order():
+def test_u_defect_is_sixth_order():
     # on H(t) = e^{i lambda sz t} omega sy e^{-i lambda sz t}, whose
     # propagator e^{i lambda sz t} e^{-i(omega sy + lambda sz)t} is closed
     # form, halving the step cuts the summed defect of that propagator by
-    # about 2^4: the interpolated midpoints keep RK4's order
+    # about 2^6: the interpolated stage values keep RK6's order.  The
+    # defects (2.0e-8 down to 4.4e-12) stay far above the rounding floor
     lam, w = 2.5, 1.0
     defects = []
     for n in (40, 80, 160):
@@ -580,27 +601,27 @@ def test_u_defect_is_fourth_order():
         H = w * V @ SY @ V.conj().transpose(0, 2, 1)
         defects.append(verify._u_defect(times, H, helpers.m1_reference_u(lam, w, times)))
     for coarse, fine in zip(defects, defects[1:]):
-        assert 12.0 <= coarse / fine <= 20.0
+        assert 52.0 <= coarse / fine <= 80.0
 
 
-@pytest.mark.parametrize("K", [2, 3, 4, 5])
+@pytest.mark.parametrize("K", [2, 3, 4, 5, 6, 7])
 def test_u_defect_takes_grids_of_two_samples_and_more(K):
-    # a grid of 2 or 3 samples takes the line or the parabola through all
-    # of them, a longer one cubics: on an H(t) polynomial of the degree
-    # they reproduce, the midpoints are exact, and the check is RK4 with H
-    # evaluated at the midpoints
+    # a grid of fewer than 6 samples takes the interpolant through all of
+    # them, a longer one quintics through six: on an H(t) polynomial of a
+    # degree up to min(6, K) - 1, the one they reproduce, the stage values
+    # are exact, and the check is RK6 with H evaluated at the stage times
     rng = np.random.default_rng(K)
-    B = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    B = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
     B = B + B.conj().transpose(0, 2, 1)
 
     def h_at(t):
-        return sum(B[p] * t**p for p in range(min(K, 4)))
+        return sum(B[p] * t**p for p in range(min(K, 6)))
 
     times = np.linspace(0.0, 0.3, K)
     U = _random_unitaries(rng, K, 3)
     got = verify._u_defect(times, np.array([h_at(t) for t in times]), U)
-    mids = [h_at(t + h / 2) for t, h in zip(times, np.diff(times))]
-    ref = _rk4_defect(times, [h_at(t) for t in times], mids, U)
+    stages = [[h_at(t + c * h) for c in _STAGE_FRACTIONS] for t, h in zip(times, np.diff(times))]
+    ref = _rk6_defect(times, [h_at(t) for t in times], stages, U)
     assert abs(got - ref) <= 1e-13 * ref
 
 
@@ -609,7 +630,7 @@ def test_integrate_below_one_default_step(t_max, K):
     # a window below one default step of 1e-3/omega is two steps, as is a
     # window of one and a half: three samples, which certify differences
     # dF/dt over, and the check of U against H takes those grids, its
-    # midpoints on the parabola through them.  The seed is not projected
+    # stage values on the parabola through them.  The seed is not projected
     # onto the structure of F(0), so only the verdicts that need no such
     # structure are asked to pass
     problem, m0, h0 = su3_drifting_instance()

@@ -29,7 +29,7 @@ from qbrach.solvers import (
     sweep_m1,
 )
 from qbrach.states import PureState
-from qbrach.verify import certify, endpoint_constraint
+from qbrach.verify import Tolerances, certify, endpoint_constraint
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -130,22 +130,23 @@ def test_solve_free_rejects_bad_omega():
 
 def test_analytic_grids_refuse_work_beyond_the_cap():
     # a user step that needs more than _MAX_SAMPLES steps is refused before
-    # the grid is built; the step _analytic_dt clamps to is never refused
+    # the grid is built; the step _certified_step clamps to is never refused
     with pytest.raises(ValueError, match="more than 200000"):
         solvers._grid(1.0, 1e-7)
     with pytest.raises(ValueError, match="more than 200000"):
         solve_free(helpers.KET0, helpers.KET1, omega=1.0, dt=1e-7)
     f0 = np.diag([1.0, -1.0]).astype(complex) + 0.5 * SY
     for T in np.random.default_rng(0).uniform(1e-3, 1e3, 50):
-        step = solvers._analytic_dt(1.0, 1e6 * SY, f0, T)
+        step = solvers._certified_step(1.0, 1e6 * SY, f0, 1.0, T, Tolerances.analytic())
         assert solvers._grid(T, step).size == solvers._MAX_SAMPLES + 1
 
 
 def test_own_step_is_lifted_and_a_finer_dt_is_refused(monkeypatch):
     # the cap is made small so that no test starts the work it bounds: each
-    # solver's own step is lifted to T/_MAX_SAMPLES, while a user's dt stays
-    # a cap and is refused where it needs more samples than that
-    monkeypatch.setattr(solvers, "_MAX_SAMPLES", 300)
+    # solver's own step (82 to 1,833 steps here) is lifted to
+    # T/_MAX_SAMPLES, while a user's dt stays a cap and is refused where it
+    # needs more samples than that
+    monkeypatch.setattr(solvers, "_MAX_SAMPLES", 60)
     problem = helpers.m1_problem(10.0)
     solves = [
         lambda dt: solve_free(helpers.KET0, helpers.KET1, omega=1.0, dt=dt),
@@ -157,8 +158,8 @@ def test_own_step_is_lifted_and_a_finer_dt_is_refused(monkeypatch):
     ]
     for solve in solves:
         sol = solve(None)
-        assert sol.trajectory.n_samples == 301
-        with pytest.raises(ValueError, match="more than 300"):
+        assert sol.trajectory.n_samples == 61
+        with pytest.raises(ValueError, match="more than 60"):
             solve(sol.T / 400)
 
 
@@ -987,6 +988,27 @@ def test_shoot_resolves_its_bracket_in_a_handful_of_evaluations(caplog, monkeypa
     assert len(at_calls) <= 15
 
 
+def test_every_pool_seed_passes_within_the_speed_limit():
+    # the 198 recipe seeds of the benchmark pool (0-199 but 144 and 168):
+    # each shot passes its certificate, its conservation residuals within a
+    # quarter of their tolerances, and covers its Bures angle no faster
+    # than the speed theorem allows, arccos|<psi(0)|psi(T)>| <= omega T
+    tol = Tolerances.integrated()
+    worst = {"chko": 0.0, "aa": 0.0, "equivalence": 0.0, "efficiency": 0.0}
+    for seed in range(200):
+        if seed in (144, 168):
+            continue
+        problem, h0, m0 = helpers.su4_shoot_seed(seed)
+        report = shoot(problem, h0, m0, t_max=3.0).report
+        assert report.passed, seed
+        worst["chko"] = max(worst["chko"], report.chko_residual / tol.chko)
+        worst["aa"] = max(worst["aa"], report.aa_identity_max / (tol.aa * problem.omega))
+        worst["equivalence"] = max(worst["equivalence"], report.equivalence_max / tol.equivalence)
+        worst["efficiency"] = max(worst["efficiency"], report.speed_efficiency)
+    assert max(worst["chko"], worst["aa"], worst["equivalence"]) <= 0.25, worst
+    assert worst["efficiency"] <= 1.0
+
+
 @pytest.mark.parametrize("seed, closest, t", [(144, 3.85e-2, 1.454), (168, 9.13e-3, 1.435)])
 def test_shoot_without_a_root_reports_the_closest_approach(seed, closest, t):
     # the recipe seeds left out of the benchmark pool: s = Im<psi|HF|psi>/omega^2
@@ -999,6 +1021,26 @@ def test_shoot_without_a_root_reports_the_closest_approach(seed, closest, t):
     )
     assert float(found.group(1)) == pytest.approx(closest, rel=1e-2)
     assert float(found.group(2)) == pytest.approx(t, abs=2e-3)
+
+
+def test_shoot_on_the_four_qubit_chain_certifies_on_a_grid_near_the_pass(monkeypatch):
+    # chain seed 1 finds its root at T = 0.5896: the certified grid, sized
+    # by the rate bound for the fourth-order certificate, holds at most 4
+    # times the pass's own steps on [0, T], and the solution passes
+    steps = []
+    integrate_blocks = solvers.integrate_blocks
+
+    def recorded(*args, **kwargs):
+        for block in integrate_blocks(*args, **kwargs):
+            steps.append(float(block.times[1]))
+            yield block
+
+    monkeypatch.setattr(solvers, "integrate_blocks", recorded)
+    problem, h0, m0 = helpers.chain_shoot_seed(1)
+    sol = shoot(problem, h0, m0, t_max=3.0)
+    assert sol.report.passed
+    assert sol.T == pytest.approx(0.589616496587697, rel=1e-12)
+    assert sol.trajectory.n_samples - 1 <= 4.0 * sol.T / steps[0]
 
 
 def test_shoot_on_the_four_qubit_chain_names_its_closest_approach():

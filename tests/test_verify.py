@@ -90,15 +90,19 @@ def test_constraints_detect_forbidden_component(m1_traj):
 
 def test_chko_residual_zero_for_constant_flow(free_traj):
     # constant F: interior differences vanish identically, only the
-    # second-order one-sided edge stencils leave rounding-level residue
+    # fourth-order one-sided edge stencils leave rounding-level residue
     assert chko_residual(free_traj) <= 1e-12
 
 
-def test_chko_residual_has_second_order_truncation():
+def test_chko_residual_has_fourth_order_truncation():
+    # dF/dt is fourth order: halving the step divides the residual by 2^4.
+    # On these grids the residual (5.7e-10 and 3.6e-11) is far above the
+    # rounding floor, so the truncation law shows
     lam1, T, omega = 2.5, 0.35, 10.0
     coarse = chko_residual(m1_trajectory(lam1, T, omega, n_samples=200))
     fine = chko_residual(m1_trajectory(lam1, T, omega, n_samples=400))
-    assert coarse / fine == pytest.approx(4.0, abs=0.8)
+    assert fine >= 1e-12
+    assert 12.0 <= coarse / fine <= 20.0
 
 
 def test_chko_residual_needs_three_samples():
@@ -174,6 +178,30 @@ def test_speed_profile_two_qubit_runs_slower():
     de, excess = speed_profile(traj, traj.omega)
     np.testing.assert_allclose(de, traj.omega / np.sqrt(2.0), atol=1e-9)
     assert excess < 0
+
+
+def test_speed_efficiency_is_one_free_and_one_over_root_two_restricted(free_traj):
+    # the speed theorem: the Bures angle travelled is at most omega T.  Free
+    # evolution runs the geodesic at full speed; the restricted two-qubit
+    # example covers its angle sqrt 2 times slower
+    report = certify(free_traj, Tolerances.analytic(), renormalized=True)
+    assert report.speed_efficiency == pytest.approx(1.0, abs=1e-12)
+    assert report.verdict["speed_efficiency"] is True
+    assert verify.speed_efficiency(free_traj) == report.speed_efficiency
+    sol = solve_two_qubit_example(0.7, 10.0)
+    assert sol.report.speed_efficiency == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+    assert sol.report.verdict["speed_efficiency"] is True
+    assert "speed_efficiency" in sol.report.render_table()
+
+
+def test_speed_efficiency_verdict_fails_beyond_the_speed_limit(free_traj):
+    # the same path labelled as covered in half the time claims twice the
+    # speed limit: the efficiency reads 2 and its verdict fails
+    data = free_traj.to_dict()
+    data["times"] = data["times"] / 2.0
+    report = certify(Trajectory.from_dict(data), Tolerances.analytic(), renormalized=True)
+    assert report.speed_efficiency == pytest.approx(2.0, rel=1e-12)
+    assert report.verdict["speed_efficiency"] is False
 
 
 def test_speed_decomposition_identity(free_traj, m1_traj):
@@ -270,6 +298,7 @@ def test_certify_report_serialization_and_table(free_traj):
         "speed_decomp_gap",
         "equivalence_max",
         "u_defect",
+        "speed_efficiency",
         "omega",
         "renormalized",
         "verdict",
