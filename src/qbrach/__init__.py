@@ -14,7 +14,6 @@ from .algebra import (
     basis_of,
     build_gellmann_basis,
     build_pauli_string_basis,
-    hermitian_commutator,
     is_closed_subalgebra,
 )
 from .states import (
@@ -56,7 +55,6 @@ from .verify import (
     check_constraints,
     chko_residual,
     endpoint_constraint,
-    endpoint_constraint_gate,
     equivalence_check,
     initial_condition_residual,
     speed_profile,
@@ -69,7 +67,6 @@ __all__ = [
     "basis_of",
     "build_gellmann_basis",
     "build_pauli_string_basis",
-    "hermitian_commutator",
     "is_closed_subalgebra",
     "BoundaryData",
     "DegenerateProblemError",
@@ -103,7 +100,6 @@ __all__ = [
     "check_constraints",
     "chko_residual",
     "endpoint_constraint",
-    "endpoint_constraint_gate",
     "equivalence_check",
     "initial_condition_residual",
     "speed_profile",

@@ -1,4 +1,4 @@
-"""su(N) generator bases, commutators and subalgebra closure.
+"""su(N) generator bases, expansion coefficients and subalgebra closure.
 
 All bases follow the normalization Tr(X_i X_j) = N delta_ij, so projection
 coefficients onto a basis element are Tr(A X_m)/N (`coefficients`); the
@@ -30,7 +30,6 @@ __all__ = [
     "build_gellmann_basis",
     "build_pauli_string_basis",
     "forbidden_sum",
-    "hermitian_commutator",
     "is_closed_subalgebra",
     "stack_product",
     "stack_spectra",
@@ -268,30 +267,6 @@ def forbidden_sum(coeffs: np.ndarray, Xf: np.ndarray) -> np.ndarray:
     `coeffs` gives a stack of G.  An empty stack gives zero matrices.
     """
     return np.tensordot(coeffs, Xf, axes=1)
-
-
-def _check_hermitian(a: np.ndarray, name: str) -> None:
-    scale = max(1.0, float(np.linalg.norm(a)))
-    dev = float(np.linalg.norm(a - a.conj().T))
-    if dev > 1e-10 * scale:
-        raise ValueError(f"{name} is not Hermitian (deviation {dev:.3e})")
-
-
-def hermitian_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """i[A, B] = i(AB - BA) for Hermitian A, B; the result is Hermitian.
-
-    Traceless inputs give a traceless result.  Example (Pauli algebra):
-    hermitian_commutator(sigma_z, sigma_x) = -2 sigma_y.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    _check_hermitian(a, "first operand")
-    _check_hermitian(b, "second operand")
-    c = 1.0j * (a @ b - b @ a)
-    # enforce exact Hermiticity against rounding in the products
-    return 0.5 * (c + c.conj().T)
 
 
 def is_closed_subalgebra(basis: GeneratorBasis, subset: Sequence[int]) -> Tuple[bool, float]:

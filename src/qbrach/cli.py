@@ -7,7 +7,7 @@ identical inputs give byte-identical output, and NaN and infinities are
 written as the NaN, Infinity and -Infinity tokens.  `--csv` adds a
 plot-ready table of t, multipliers, energy spread and constraint residuals,
 written by np.savetxt.
-Exit codes: 0 success, 1 validation failure, 2 no solution, 3 numerical
+Exit codes: 0 success, 1 usage or validation error, 2 no solution, 3 numerical
 failure, which includes a solution that fails its own certificate (it is
 not written).  Set QB_LOG=debug|info|warning for logging verbosity.
 """
@@ -443,17 +443,15 @@ def _verify_one(traj_dict: dict, embedded: Optional[dict], args) -> bool:
     except _MALFORMED + (AttributeError,) as exc:
         raise ValueError(f"malformed trajectory or report: {exc}") from exc
     tols = Tolerances.analytic() if args.tol == "analytic" else Tolerances.integrated()
-    report = certify(traj, tols, gate=args.gate)
+    report = certify(traj, tols)
     sys.stdout.write(report.render_table() + "\n")
     ok = report.passed
     if stored is not None:
         worst, worst_key = 0.0, None
         fresh = report.as_dict()
         for key, old in stored:
-            if key in ("verdict",) or key not in fresh:
-                continue
-            new = fresh[key]
-            if isinstance(old, bool) or isinstance(new, bool) or old is None or new is None:
+            new = fresh.get(key)
+            if isinstance(old, bool) or isinstance(new, bool):
                 continue
             if isinstance(old, (int, float)) and isinstance(new, (int, float)):
                 dev = abs(float(new) - float(old))
@@ -527,8 +525,16 @@ def _cmd_sweep_m1(args) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1, the invalid-input code: 2 means no solution."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbrach",
         description="Minimum-time quantum evolution under energy and "
         "forbidden-direction constraints: solvers and verification.",
@@ -590,11 +596,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("analytic", "integrated"),
         default="integrated",
         help="tolerance preset (default integrated)",
-    )
-    p.add_argument(
-        "--gate",
-        action="store_true",
-        help="also check the trace form Tr[H(T)F(T)] = 1",
     )
     p.set_defaults(func=_cmd_verify)
 

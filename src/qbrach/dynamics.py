@@ -785,11 +785,9 @@ def integrate(
 ) -> Trajectory:
     """Sample the coupled frame/multiplier system on a uniform grid.
 
-    The grid is the pass's own (`integrate_blocks`), its step capped by
-    `dt` or, without one, by min(1e-3/omega, t_max), and ends at t_max; a
-    window the default needs more than `_MAX_SAMPLES` steps for is refused
-    naming t_max.  F(0) = lambda_0(0) (H0 + G(0)) is fixed once from the seed
-    and only conjugated afterwards.
+    The grid is the complete pass of `integrate_blocks` at its own step,
+    capped by `dt`, and ends at t_max.  F(0) = lambda_0(0) (H0 + G(0)) is
+    fixed once from the seed and only conjugated afterwards.
 
     Exact path (eta = 0: a forbidden set closed under i[.,.], decided
     by `is_closed_subalgebra`): the multipliers and G are constant,
@@ -810,14 +808,6 @@ def integrate(
     A stepped grid has at least two steps, so the trajectory can be
     certified: `verify.certify` differences dF/dt over three samples.
     """
-    if dt is None and 0 < t_max < math.inf:  # integrate_blocks refuses any other t_max
-        dt = 1e-3 / problem.omega
-        if (n := math.ceil(t_max / dt - 1e-12)) > _MAX_SAMPLES:
-            raise ValueError(
-                f"the window t_max = {t_max:g} needs {n} steps at the default step 1e-3/omega "
-                f"= {dt:g}, more than {_MAX_SAMPLES}; shorten t_max or give a coarser dt"
-            )
-        dt = min(dt, t_max)
     for samples in integrate_blocks(problem, m0, H0, t_max, dt):
         pass
     return samples.trajectory(problem)

@@ -4,8 +4,8 @@ Every check evaluates one defining property of the extremal system:
 the three Hamiltonian constraints (tracelessness, energy normalization,
 forbidden directions), the conservation-law residual dF/dt + i[H, F] = 0
 and its initial structure {F(0), P(0)} = F(0), the endpoint condition
-<psi(T)|H(T)F(T)|psi(T)> = 1 (gate variant: Tr[H(T)F(T)] = 1), the speed
-bound DeltaE <= omega with its multiplier decomposition, conservation of
+<psi(T)|H(T)F(T)|psi(T)> = 1 of a state target, the speed bound
+DeltaE <= omega with its multiplier decomposition, conservation of
 Tr[F^2], the metric identity sqrt(g_tt) = DeltaE, the propagator's own
 equation i dU/dt = H U on the stored samples (`_u_defect`), and the speed
 theorem's efficiency arccos|<psi(0)|psi(T)>|/(omega T) <= 1.
@@ -31,7 +31,6 @@ __all__ = [
     "chko_residual",
     "initial_condition_residual",
     "endpoint_constraint",
-    "endpoint_constraint_gate",
     "speed_profile",
     "speed_decomposition_mismatch",
     "speed_efficiency",
@@ -62,7 +61,6 @@ class Tolerances:
     endpoint_re: float = 1e-8
     endpoint_im: float = 1e-8
     endpoint_re_floor: float = 1e-6
-    gate: float = 1e-8
     speed_excess: float = 1e-9
     trf2: float = 1e-8
     lambda0: float = 1e-9
@@ -88,7 +86,6 @@ class Tolerances:
             chko=1e-6,
             endpoint_re=1e-6,
             endpoint_im=1e-6,
-            gate=1e-6,
             equivalence=1e-6,
             u_mismatch=1e-6,
         )
@@ -100,8 +97,7 @@ class VerificationReport:
 
     `endpoint_re` is judged against 1 when the multipliers were
     renormalized, otherwise only against a nonzero floor (a nonzero real
-    part is what makes the renormalization possible).  `gate_endpoint` is
-    present only when the gate-target variant was requested.  `u_defect`
+    part is what makes the renormalization possible).  `u_defect`
     (`_u_defect`) is judged by the `u_mismatch` verdict and tolerance.
     `speed_efficiency` is the Bures angle travelled over omega T, at most 1
     by the speed theorem; its verdict allows 1 + `speed_excess`, the slack
@@ -127,7 +123,6 @@ class VerificationReport:
     speed_efficiency: float
     omega: float
     renormalized: bool
-    gate_endpoint: Optional[float] = None
     verdict: Dict[str, bool] = field(default_factory=dict)
 
     @property
@@ -135,11 +130,9 @@ class VerificationReport:
         return self.verdict.get("overall", False)
 
     def as_dict(self) -> dict:
-        """Every field in declaration order, `gate_endpoint` last and only when set."""
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "gate_endpoint"}
+        """Every field in declaration order, the verdicts as a copy."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["verdict"] = dict(self.verdict)
-        if self.gate_endpoint is not None:
-            out["gate_endpoint"] = self.gate_endpoint
         return out
 
     def render_table(self) -> str:
@@ -151,7 +144,6 @@ class VerificationReport:
             "initial_cond": self.initial_cond_residual,
             "endpoint_re": self.endpoint_re,
             "endpoint_im": self.endpoint_im,
-            "gate_endpoint": self.gate_endpoint,
             "speed_excess": self.speed_max_excess,
             "trf2": self.trf2_drift,
             "lambda0": self.lambda0_drift,
@@ -167,10 +159,8 @@ class VerificationReport:
         for name in sorted(self.verdict):
             if name == "overall":
                 continue
-            value = mapping.get(name)
             flag = "PASS" if self.verdict[name] else "FAIL"
-            shown = "n/a" if value is None else f"{value:.6e}"
-            rows.append(f"{name:<16} {shown:>14}  {flag}")
+            rows.append(f"{name:<16} {mapping[name]:>14.6e}  {flag}")
         status = "PASS" if self.passed else "FAIL"
         rows.append(f"{'overall':<16} {'':>14}  {status}")
         return "\n".join(rows)
@@ -322,23 +312,6 @@ def endpoint_constraint(psi_T, H_T: np.ndarray, F_T: np.ndarray) -> Tuple[float,
     amp = psi_T.amplitudes if hasattr(psi_T, "amplitudes") else np.asarray(psi_T, complex)
     val = complex(amp.conj() @ (H_T @ (F_T @ amp)))
     return val.real, val.imag
-
-
-def endpoint_constraint_gate(H_T: np.ndarray, F_T: np.ndarray) -> float:
-    """Tr[H(T)F(T)] - 1 for gate targets; also asserts Tr[F] = 0."""
-    H_T = np.asarray(H_T, dtype=complex)
-    F_T = np.asarray(F_T, dtype=complex)
-    trf = complex(np.trace(F_T))
-    if abs(trf) > 1e-9 * max(1.0, float(np.linalg.norm(F_T))):
-        raise ValueError(
-            f"companion condition Tr[F] = 0 violated: Tr[F] = {trf:.3e}"
-        )
-    val = complex(np.einsum("ab,ba->", H_T, F_T))
-    if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
-        raise ValueError(
-            f"Tr[HF] must be real for Hermitian H, F; got imaginary part {val.imag:.3e}"
-        )
-    return val.real - 1.0
 
 
 def speed_profile(traj, omega: float) -> Tuple[np.ndarray, float]:
@@ -501,15 +474,12 @@ def certify(
     traj,
     tolerances: Optional[Tolerances] = None,
     renormalized: Optional[bool] = None,
-    gate: bool = False,
 ) -> VerificationReport:
     """Evaluate every residual on a trajectory and attach verdicts.
 
     `renormalized` defaults to the trajectory's own flag; it decides
     whether the endpoint real part is compared against 1 or merely against
-    a nonzero floor.  The gate-endpoint residual Tr[HF] - 1 is evaluated
-    only on request: for state targets the renormalization fixes
-    <psi|HF|psi>, not the full trace, and the two normalizations differ.
+    a nonzero floor.
     """
     tol = tolerances if tolerances is not None else Tolerances.integrated()
     if renormalized is None:
@@ -521,7 +491,6 @@ def certify(
     icr = initial_condition_residual(traj.F[0], traj.psi[0])
     f0_norm = max(float(np.linalg.norm(traj.F[0])), _TINY)
     re, im = endpoint_constraint(traj.psi[-1], traj.H[-1], traj.F[-1])
-    gate_val = endpoint_constraint_gate(traj.H[-1], traj.F[-1]) if gate else None
     de, excess = speed_profile(traj, w)
     G = _g_stack(traj)
     decomp = _decomposition_gap(traj, w, de, G)
@@ -572,8 +541,6 @@ def certify(
         "u_mismatch": bool(u_defect <= tol.u_mismatch),
         "speed_efficiency": bool(efficiency <= 1.0 + tol.speed_excess),
     }
-    if gate_val is not None:
-        verdict["gate_endpoint"] = bool(abs(gate_val) <= tol.gate)
     verdict["overall"] = all(verdict.values())
     return VerificationReport(
         traceless_max=traceless,
@@ -595,6 +562,5 @@ def certify(
         speed_efficiency=efficiency,
         omega=w,
         renormalized=renormalized,
-        gate_endpoint=gate_val,
         verdict=verdict,
     )

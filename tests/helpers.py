@@ -5,12 +5,7 @@ import itertools
 
 import numpy as np
 
-from qbrach.algebra import (
-    CLOSURE_TOL,
-    build_gellmann_basis,
-    build_pauli_string_basis,
-    hermitian_commutator,
-)
+from qbrach.algebra import CLOSURE_TOL, build_gellmann_basis, build_pauli_string_basis
 from qbrach.dynamics import ControlProblem, MultiplierVector
 from qbrach.states import PureState
 
@@ -27,6 +22,11 @@ def expm_herm(h: np.ndarray, t: float) -> np.ndarray:
     return (q * np.exp(-1j * w * t)) @ q.conj().T
 
 
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """i[A, B], Hermitian for Hermitian A, B."""
+    return 1j * (a @ b - b @ a)
+
+
 def commutator_tensor(basis, subset) -> np.ndarray:
     """Stack K[j, l] = i[X_j, X_l] over the pairs of a subset, exactly antisymmetric."""
     idx = [basis.index_of(j) for j in subset]
@@ -34,7 +34,7 @@ def commutator_tensor(basis, subset) -> np.ndarray:
     K = np.zeros((M, M, N, N), dtype=complex)
     for p in range(M):
         for q in range(p + 1, M):
-            c = hermitian_commutator(basis.generators[idx[p]], basis.generators[idx[q]])
+            c = commutator(basis.generators[idx[p]], basis.generators[idx[q]])
             K[p, q] = c
             K[q, p] = -c
     return K

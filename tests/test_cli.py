@@ -120,6 +120,18 @@ def test_solve_closed_t_max_flag_overrides(closed_file, capsys):
     assert main(["solve-closed", "-i", closed_file, "--t-max", "0.01"]) == 2
 
 
+@pytest.mark.parametrize("command", ["solve-closed", "shoot"])
+def test_closed_window_beyond_the_root_scan_cap_exits_1(command, closed_file, tmp_path, capsys):
+    # the exact pass resolves the flow's rates on at most 50,000 samples:
+    # a window that needs more is refused as invalid input, nothing written
+    out = tmp_path / "out.json"
+    assert main([command, "-i", closed_file, "--t-max", "2000", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "t_max = 2000 needs 65230 root-scan samples" in err
+    assert "more than 50000; shorten t_max" in err
+    assert not out.exists()
+
+
 def test_solve_m1_flags(capsys):
     code = main(
         [
@@ -1063,8 +1075,35 @@ def test_solve_m1_refuses_a_branch_whose_certificate_fails(tmp_path, monkeypatch
 
 
 def test_missing_subcommand_exits():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main([])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify"], 1),
+        (["shoot", "--dt", "abc"], 1),
+        (["verify", "q2.json", "--bogus"], 1),
+        (["verify", "m1.json", "--gate"], 1),
+        (["sweep-m1"], 1),
+        (["--help"], 0),
+        (["verify", "--help"], 0),
+    ],
+    ids=[
+        "verify-no-path", "shoot-dt-abc", "verify-bogus", "verify-gate", "sweep-no-grid",
+        "help", "verify-help",
+    ],
+)
+def test_usage_errors_exit_1_and_help_exits_0(argv, code, capsys):
+    # argparse's own usage exit is 2, the no-solution code; a usage error
+    # is invalid input, exit 1, in every subcommand
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    assert "usage: qbrach" in (err if code else out)
 
 
 @pytest.mark.parametrize(

@@ -624,6 +624,20 @@ def test_closed_solver_degenerate_needs_target():
         solve_closed_subalgebra(problem, SY, MultiplierVector(1.0, []), t_max=2.0)
 
 
+def test_root_searching_solvers_refuse_a_window_beyond_the_root_scan_cap():
+    # the exact pass resolves the flow's rates on at most 50,000 samples,
+    # and refuses before sampling a window that needs more: here t_max =
+    # 2000 needs 65,230
+    omega = 10.0
+    problem = helpers.m1_problem(omega)
+    for solve in (solve_closed_subalgebra, shoot):
+        with pytest.raises(
+            ValueError,
+            match="t_max = 2000 needs 65230 root-scan samples .* more than 50000; shorten t_max",
+        ):
+            solve(problem, omega * SY, MultiplierVector(1.0, [2.5]), t_max=2000.0)
+
+
 def test_closed_solver_rejects_singular_gauge():
     problem = helpers.m1_problem(1.0)
     with pytest.raises(SingularGaugeError):

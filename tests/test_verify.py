@@ -21,7 +21,6 @@ from qbrach.verify import (
     check_constraints,
     chko_residual,
     endpoint_constraint,
-    endpoint_constraint_gate,
     equivalence_check,
     equivalence_residuals,
     initial_condition_residual,
@@ -30,7 +29,6 @@ from qbrach.verify import (
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # frozen reference point for an off-extremal evaluation: the flow with
@@ -149,20 +147,6 @@ def test_endpoint_constraint_off_extremal_point(off_traj):
     assert im == pytest.approx(OFF_ENDPOINT_IM, abs=1e-12)
 
 
-def test_endpoint_gate_variant(free_traj):
-    omega = free_traj.omega
-    h_t = free_traj.H[-1]
-    assert abs(endpoint_constraint_gate(h_t, h_t / (2 * omega**2))) <= 1e-12
-    # the raw single-direction gauge gives Tr[HF] = 2 omega^2
-    raw = m1_trajectory(2.5, 0.35, 10.0, renormalize=False)
-    gate = endpoint_constraint_gate(raw.H[-1], raw.F[-1])
-    assert gate == pytest.approx(2 * raw.omega**2 - 1.0, rel=1e-10)
-    with pytest.raises(ValueError):
-        endpoint_constraint_gate(SX, SZ + 0.5 * np.eye(2))
-    with pytest.raises(ValueError):
-        endpoint_constraint_gate(np.array([[0.0, 1.0], [0.0, 0.0]]), SY)
-
-
 # ------------------------------------------------------------------- speed
 
 
@@ -269,19 +253,11 @@ def test_certify_unrenormalized_uses_floor():
     assert report.endpoint_re == pytest.approx(raw.omega**2, rel=1e-10)
 
 
-def test_certify_gate_variant_reports_trace_normalization(free_traj):
-    report = certify(free_traj, Tolerances.analytic(), renormalized=True, gate=True)
-    # state renormalization fixes <psi|HF|psi> = 1, which puts the full
-    # trace at 2 on the two-level free flow: the gate variant must see that
-    assert report.gate_endpoint == pytest.approx(1.0, abs=1e-10)
-    assert report.verdict["gate_endpoint"] is False
-    assert "gate_endpoint" in report.as_dict()
-
-
 def test_certify_report_serialization_and_table(free_traj):
     report = certify(free_traj, Tolerances.analytic(), renormalized=True)
     data = report.as_dict()
-    for key in (
+    # every field in declaration order, the layout of a document's report
+    assert list(data) == [
         "traceless_max",
         "norm_max",
         "term_max",
@@ -302,9 +278,7 @@ def test_certify_report_serialization_and_table(free_traj):
         "omega",
         "renormalized",
         "verdict",
-    ):
-        assert key in data
-    assert "gate_endpoint" not in data
+    ]
     assert all(isinstance(v, bool) for v in data["verdict"].values())
     table = report.render_table()
     lines = table.splitlines()
