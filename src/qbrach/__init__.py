@@ -55,7 +55,6 @@ from .verify import (
     check_constraints,
     chko_residual,
     endpoint_constraint,
-    equivalence_check,
     initial_condition_residual,
     speed_profile,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "check_constraints",
     "chko_residual",
     "endpoint_constraint",
-    "equivalence_check",
     "initial_condition_residual",
     "speed_profile",
     "__version__",

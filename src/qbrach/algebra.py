@@ -68,16 +68,13 @@ class GeneratorBasis:
     generators: np.ndarray
     labels: Tuple[str, ...]
     kind: str
-    label_map: Dict[str, int] = field(default_factory=dict)
+    label_map: Dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = np.asarray(self.generators, dtype=complex)
         gens.setflags(write=False)
         object.__setattr__(self, "generators", gens)
-        if not self.label_map:
-            object.__setattr__(
-                self, "label_map", {lab: i for i, lab in enumerate(self.labels)}
-            )
+        object.__setattr__(self, "label_map", {lab: i for i, lab in enumerate(self.labels)})
         n = self.dim * self.dim - 1
         if gens.shape != (n, self.dim, self.dim):
             raise ValueError(

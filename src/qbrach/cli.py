@@ -550,10 +550,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--csv", default=None, help="also write a plot-ready CSV table")
         p.add_argument(
             "--dt", type=float, default=None,
-            help="cap on every step: the certified sample step, itself sized to the "
-            "flow's rates for the fourth-order certificate, and for shoot the integration "
-            "step, itself resolved to the flow's rates; refused where it needs more than "
-            "200,000 samples; solve-m1 takes none",
+            help="cap on every step, also where it exceeds the window: the certified "
+            "sample step, itself sized to the flow's rates for the fourth-order "
+            "certificate, and for shoot the pass step, itself 0.05/r at the flow's rate "
+            "bound r; refused where a grid needs more than 200,000 steps; solve-m1 "
+            "takes none",
         )
 
     p = sub.add_parser("solve-free", help="unrestricted minimum-time evolution")

@@ -25,13 +25,15 @@ a validated `Trajectory`.  `algebra.is_closed_subalgebra` decides the
 closure and forms no commutator.  Other forbidden sets are stepped at a
 fixed step by Butcher's sixth-order Runge-Kutta method: one step function
 (`rk6_step`) on one right-hand side (`stepped_rhs`), whose state is
-(V, lambda_j).  The pass steps at 0.05/r, with r a bound on the flow's
-rates that holds along the whole pass (`_pass_rate`), or at a given step
-where that is finer.  Sixth order holds the frame unitary to rounding at
-that step, so the frame is never projected; `integrate_blocks` keeps the
-slope at every sample, checks the frame's drift at each checkpoint and
-yields the samples there, so a caller such as `shoot` can stop a pass
-early.  `PassSamples.at` evaluates a pass at any batch of times by
+(V, lambda_j).  Every uniform grid, of either pass or of a certified
+trajectory, is `_grid`, at least four steps and at most `_MAX_SAMPLES`.
+Either pass steps at 0.05/r, with r a bound on the flow's rates that
+holds along the whole pass (`_pass_rate`), or at a given step `dt`
+where that is finer (`_step_cap`).  Sixth order holds the frame unitary
+to rounding at that step, so the frame is never projected;
+`integrate_blocks` keeps the slope at every sample, checks the frame's
+drift at each checkpoint and yields the samples there, so a caller such
+as `shoot` can stop a pass early.  `PassSamples.at` evaluates a pass at any batch of times by
 Hermite interpolation of four neighbouring samples and their slopes: a
 dense output of higher order than the step that evaluates no right-hand
 side.
@@ -553,8 +555,36 @@ def rk6_step(rhs, y: np.ndarray, h, k1: np.ndarray) -> np.ndarray:
 _STEP_PER_RATE = 0.05
 _CHECK_SPAN = 0.1
 
-# the most steps of one integration pass
+# the most steps of one uniform grid, an integration pass or a certified grid
 _MAX_SAMPLES = 200_000
+
+
+def _grid(T: float, step: float) -> np.ndarray:
+    """Uniform samples of [0, T], at least five, no further apart than `step`.
+
+    More than `_MAX_SAMPLES` steps is a ValueError, raised before anything
+    is allocated.
+    """
+    n = max(4, math.ceil(T / step - 1e-12))
+    if n > _MAX_SAMPLES:
+        raise ValueError(
+            f"[0, {T:g}] at steps of at most {step:.4g} needs {n} steps, more than "
+            f"{_MAX_SAMPLES}; use a coarser dt or a shorter window"
+        )
+    return np.linspace(0.0, T, n + 1)
+
+
+def _step_cap(dt: Optional[float]) -> float:
+    """A user's cap on a grid's step: `dt`, or inf without one.
+
+    A `dt` that is not positive and finite is a ValueError, raised before
+    any work.
+    """
+    if dt is None:
+        return math.inf
+    if not 0 < dt < math.inf:
+        raise ValueError(f"step dt must be positive and finite, got {dt}")
+    return dt
 
 
 def _pass_rate(G: np.ndarray, F0: np.ndarray, lambda0: float) -> float:
@@ -591,10 +621,10 @@ class PassSamples(NamedTuple):
 
         A constant-multiplier pass takes its exact flow.  A stepped pass
         takes, for a time t in [t_k, t_k+1], the Hermite interpolant of the
-        samples and slopes of the stencil of p = min(4, n_steps + 1)
-        samples from min(max(k - 1, 0), n_steps + 1 - p), of degree 2p - 1
-        (Hairer, Norsett & Wanner, Solving ODEs I, II.6): a dense output of
-        higher order than the step that evaluates no right-hand side.  Its
+        samples and slopes of the stencil of four samples from
+        min(max(k - 1, 0), n_steps - 3), of degree 7 (Hairer, Norsett &
+        Wanner, Solving ODEs I, II.6): a dense output of higher order than
+        the step that evaluates no right-hand side.  Its
         weights are exactly 0 and 1 on the nodes, so a row on a sample is
         that sample, and it is C^1 across samples.  The stencil depends on
         k and `n_steps` alone, so a block gives the rows the complete pass
@@ -605,9 +635,8 @@ class PassSamples(NamedTuple):
         lam0 = self.lambda0[0]
         if self.slopes is None:
             return _constant_rows(problem, MultiplierVector(lam0, self.lambdas[0]), times)
-        N, n = problem.dim, self.n_steps
+        N, n, p = problem.dim, self.n_steps, 4
         n2 = N * N
-        p = min(4, n + 1)
         k = np.clip(np.searchsorted(self.times, times, side="right") - 1, 0, n - 1)
         start = np.clip(k - 1, 0, n + 1 - p)
         used = slice(int(start.min()), int(start.max()) + p)
@@ -662,26 +691,15 @@ def exact_pass(
 ) -> PassSamples:
     """The constant-multiplier flow of the seed (H0, m0) on [0, t_max] as one pass.
 
-    The uniform grid resolves the flow's fastest rate, 2 (rho(G) +
-    rho(F(0))/|lambda_0|) with rho the spectral radius: 4/pi steps per
-    unit of rate times t_max and at least 400, or steps of `dt` where
-    those are finer.  A window the rate rule gives more than 50,000 steps
-    is a ValueError: it is refused, not thinned.
+    Its grid is the one a stepped pass of the same seed takes: steps of
+    0.05/r (`_pass_rate`), capped by `dt`, on at least four steps
+    (`_grid`).  The flow itself is exact at any time (`rows_at`), so the
+    grid only sets where the root scan looks.
     """
     G = g_operator(m0, problem.basis, problem.forbidden)
     F0 = m0.lambda0 * (H0 + G)
-    g_rad, f_rad = (float(np.abs(np.linalg.eigvalsh(A)).max()) for A in (G, F0))
-    rate = 2.0 * (g_rad + f_rad / abs(m0.lambda0))
-    n = max(400, math.ceil(t_max * rate * 4.0 / math.pi))
-    if n > 50_000:
-        raise ValueError(
-            f"the window t_max = {t_max:g} needs {n} root-scan samples at this "
-            "seed's rates, more than 50000; shorten t_max"
-        )
-    if dt is not None:
-        n = max(n, math.ceil(t_max / dt - 1e-12))
-    times = np.linspace(0.0, t_max, n + 1)
-    return PassSamples(times, *_constant_rows(problem, m0, times), F0, n, None)
+    times = _grid(t_max, min(t_max, _STEP_PER_RATE / _pass_rate(G, F0, m0.lambda0), _step_cap(dt)))
+    return PassSamples(times, *_constant_rows(problem, m0, times), F0, times.size - 1, None)
 
 
 def integrate_blocks(
@@ -693,23 +711,21 @@ def integrate_blocks(
 ) -> Iterator[PassSamples]:
     """The samples of one integration pass of [0, t_max], yielded as they grow.
 
-    A stepped pass (a forbidden set that is not closed) takes `rk6_step`
-    on `stepped_rhs` at a uniform step of min(t_max/2, 0.05/r, `dt`), with r
-    the pass's rate bound (`_pass_rate`).  It checks the frame's drift
-    |V^dag V - 1| at every checkpoint (every max(1, round(0.1/(omega
-    step))) steps, 100 at a step of 1e-3/omega) and at its last step, and
-    yields there, so every yielded row has passed a drift check.  A
-    drift beyond `_UNITARITY_TOL` is an ArithmeticError naming the drift
-    and the step: the pass never projects its frame and never restarts.
-    The slope at each sample is kept (`PassSamples.slopes`): it is the
-    next step's first stage and the dense output's derivative, and at y(0)
-    and every checkpoint `_check_lambda0_rate` guards it.
-    The exact path (a closed forbidden set) yields its complete window at
-    once (`exact_pass`, no coarser than `dt`).  A caller may stop
-    iterating at any block.
-
-    A pass takes at most `_MAX_SAMPLES` steps: a `dt` that needs more is a
-    ValueError, and so is a window whose own step needs more.
+    Either pass samples the uniform grid `_grid` of [0, t_max] at steps of
+    at most min(t_max, 0.05/r, `dt`), with r the pass's rate bound
+    (`_pass_rate`): `dt` only caps the step.  A stepped pass (a forbidden
+    set that is not closed) takes `rk6_step` on `stepped_rhs` there.  It
+    checks the frame's drift |V^dag V - 1| at every checkpoint (every
+    max(1, round(0.1/(omega step))) steps, 100 at a step of 1e-3/omega)
+    and at its last step, and yields there, so every yielded row has
+    passed a drift check.  A drift beyond `_UNITARITY_TOL` is an
+    ArithmeticError naming the drift and the step: the pass never
+    projects its frame and never restarts.  The slope at each sample is
+    kept (`PassSamples.slopes`): it is the next step's first stage and the
+    dense output's derivative, and at y(0) and every checkpoint
+    `_check_lambda0_rate` guards it.  The exact path (a closed forbidden set) yields its complete window at
+    once (`exact_pass`).  A caller may stop iterating at any block.  A
+    grid of more than `_MAX_SAMPLES` steps is a ValueError.
     """
     H0 = np.asarray(H0, dtype=complex)
     _validate_h0(problem, H0)
@@ -718,37 +734,20 @@ def integrate_blocks(
         raise SingularGaugeError("lambda_0(0) = 0 is a singular gauge")
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    if dt is not None:
-        if not 0 < dt <= t_max:
-            raise ValueError(f"dt must lie in (0, t_max], got {dt}")
-        n = math.ceil(t_max / dt - 1e-12)
-        if n > _MAX_SAMPLES:
-            raise ValueError(
-                f"dt = {dt:g} needs {n} steps over t_max = {t_max:g}, more than "
-                f"{_MAX_SAMPLES}; use a coarser step"
-            )
     w = problem.omega
     if not problem.forbidden or is_closed_subalgebra(problem.basis, problem.forbidden)[0]:
         yield exact_pass(problem, m0, H0, t_max, dt)
         return
     G = g_operator(m0, problem.basis, problem.forbidden)
     F0 = lam0 * (H0 + G)
-    step = min(t_max, _STEP_PER_RATE / _pass_rate(G, F0, lam0), math.inf if dt is None else dt)
-    n_steps = max(2, math.ceil(t_max / step - 1e-12))
-    if n_steps > _MAX_SAMPLES:
-        raise ValueError(
-            f"the window t_max = {t_max:g} needs {n_steps} steps at this seed's rates, "
-            f"more than {_MAX_SAMPLES}; shorten t_max"
-        )
+    times = _grid(t_max, min(t_max, _STEP_PER_RATE / _pass_rate(G, F0, lam0), _step_cap(dt)))
+    n_steps, step = times.size - 1, float(times[1])
 
     M = problem.n_forbidden
     N = problem.dim
     n2 = N * N
     rhs = stepped_rhs(F0, problem.forbidden_generators(), lam0)
-    step = t_max / n_steps
     every = max(1, round(_CHECK_SPAN / (w * step)))
-    times = np.arange(n_steps + 1) * step
-    times[-1] = t_max
     ys = np.empty((n_steps + 1, n2 + M), dtype=complex)
     lam0s = np.full(n_steps + 1, lam0)
     taus = times / lam0
@@ -785,28 +784,27 @@ def integrate(
 ) -> Trajectory:
     """Sample the coupled frame/multiplier system on a uniform grid.
 
-    The grid is the complete pass of `integrate_blocks` at its own step,
-    capped by `dt`, and ends at t_max.  F(0) = lambda_0(0) (H0 + G(0)) is
-    fixed once from the seed and only conjugated afterwards.
+    The grid is the complete pass of `integrate_blocks`, the same on both
+    paths: steps of 0.05/r with r the flow's rate bound, capped by `dt`,
+    ending at t_max.  F(0) = lambda_0(0) (H0 + G(0)) is fixed once from
+    the seed and only conjugated afterwards.
 
     Exact path (eta = 0: a forbidden set closed under i[.,.], decided
     by `is_closed_subalgebra`): the multipliers and G are constant,
     V(t) = exp(iGt) comes from one eigendecomposition of G and
-    tau = t/lambda_0.  Its grid (`exact_pass`) has more steps than
-    ceil(t_max/dt) where the flow's rates need them.
+    tau = t/lambda_0 (`exact_pass`).
 
     Stepped path (a forbidden set that is not closed): fixed-step
     sixth-order Runge-Kutta (`rk6_step` on `stepped_rhs`) on the vector
-    concatenating V and the lambda_j, at a step of min(dt, 0.05/r) with r
-    the flow's rate bound; lambda_0 is constant and tau = t/lambda_0.  V
-    is never projected: its unitarity drift is checked against the
-    validation's 1e-8 at checkpoints 0.1/omega apart (every 100 steps at
-    dt = 1e-3/omega) and at the end, and a drift beyond it is an
-    ArithmeticError.  `integrate_blocks` yields the same samples
-    checkpoint by checkpoint.
+    concatenating V and the lambda_j; lambda_0 is constant and
+    tau = t/lambda_0.  V is never projected: its unitarity drift is
+    checked against the validation's 1e-8 at checkpoints 0.1/omega apart
+    (every 100 steps at dt = 1e-3/omega) and at the end, and a drift
+    beyond it is an ArithmeticError.  `integrate_blocks` yields the same
+    samples checkpoint by checkpoint.
 
-    A stepped grid has at least two steps, so the trajectory can be
-    certified: `verify.certify` differences dF/dt over three samples.
+    A grid has at least four steps (`_grid`), so the trajectory can be
+    certified: `verify.certify` differences dF/dt over five samples.
     """
     for samples in integrate_blocks(problem, m0, H0, t_max, dt):
         pass

@@ -13,8 +13,10 @@ eta = 0 case: it checks the closure and hands the exact pass
 of a pass (`_root_scan`) finds T there: the endpoint root, or, where the
 endpoint function vanishes identically, where the flow reaches a target.
 All five end in one tail (`_certified`): the certified grid, whose own
-step is lifted to T/`_MAX_SAMPLES` and which `dt` only caps, the
-trajectory, the renormalization and the certificate.
+step is lifted to T/`dynamics._MAX_SAMPLES` and which `dt` only caps, the
+trajectory, the renormalization and the certificate.  Every grid, of a
+pass or certified, is `dynamics._grid`, and every `dt` is checked by
+`dynamics._step_cap`.
 
 All returned trajectories are renormalized: the multipliers are divided by
 c = Re<psi(T)|H(T)F(T)|psi(T)> so the endpoint constraint evaluates to 1.
@@ -30,6 +32,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import dynamics
 from .algebra import basis_of, forbidden_sum, is_closed_subalgebra
 from .dynamics import (
     ControlProblem,
@@ -37,11 +40,12 @@ from .dynamics import (
     PassSamples,
     SingularGaugeError,
     Trajectory,
-    _MAX_SAMPLES,
     _as_pairs,
     _constant_rows,
+    _grid,
     _observables,
     _pass_rate,
+    _step_cap,
     _validate_h0,
     exact_pass,
     finalize_trajectory,
@@ -161,41 +165,13 @@ def _certified_step(
     the constant-multiplier flow.  So the step h = (5 tau omega /
     r^5)^(1/4) keeps that truncation, normalized by omega ||F(0)||, at tau
     = min(chko, aa)/4 of the tolerances `tols`.  It is lifted to
-    T/`_MAX_SAMPLES`, so `_grid` never refuses it.
+    T/`dynamics._MAX_SAMPLES`, so `dynamics._grid` never refuses it.
     """
     r = _pass_rate(G, F0, lambda0)
     tau = min(tols.chko, tols.aa) / 4.0
     step = (5.0 * tau * omega / r**5) ** 0.25
-    # at the lift, T/step must not round up past _MAX_SAMPLES, which `_grid` refuses
-    return max(step, T / _MAX_SAMPLES * (1.0 + 1e-12))
-
-
-def _grid(T: float, step: float) -> np.ndarray:
-    """Uniform samples of [0, T], at least five, no further apart than `step`.
-
-    More than `_MAX_SAMPLES` steps is a ValueError, raised before anything
-    is allocated.
-    """
-    n = max(4, math.ceil(T / step - 1e-12))
-    if n > _MAX_SAMPLES:
-        raise ValueError(
-            f"dt = {step:g} needs {n} samples over T = {T:g}, more than "
-            f"{_MAX_SAMPLES}; use a coarser step"
-        )
-    return np.linspace(0.0, T, n + 1)
-
-
-def _step_cap(dt: Optional[float]) -> float:
-    """A user's cap on the certified sample step: `dt`, or inf without one.
-
-    A `dt` that is not positive and finite is a ValueError, raised before
-    any work.
-    """
-    if dt is None:
-        return math.inf
-    if not 0 < dt < math.inf:
-        raise ValueError(f"step dt must be positive and finite, got {dt}")
-    return dt
+    # at the lift, T/step must not round up past the cap, which `_grid` refuses
+    return max(step, T / dynamics._MAX_SAMPLES * (1.0 + 1e-12))
 
 
 def _certified(
@@ -205,15 +181,14 @@ def _certified(
 ) -> ExtremalSolution:
     """The certified extremal of the seed (H0, m0) on [0, T]: every solver's tail.
 
-    The grid is uniform on [0, T].  Its own step is `_certified_step` on
-    G = g_operator(m0) and F(0), one rule for every solver, lifted to
-    T/`_MAX_SAMPLES`.  A user's `cap` (`_step_cap`) only refines that
-    step, and one needing more than `_MAX_SAMPLES` steps is refused
-    (`_grid`).  The rows are the pass `smp` on that grid or, without a
-    pass, the constant-multiplier flow of the seed, F(0) = lambda_0
-    (H0 + G).  `re_T` is Re<psi|HF|psi> at T in the
-    seed's gauge; the trajectory and the multipliers are divided by it, so
-    the endpoint evaluates to 1.  A SHOT is judged with the integrated
+    The grid (`_grid`) is uniform on [0, T].  Its own step is
+    `_certified_step` on G = g_operator(m0) and F(0), one rule for every
+    solver.  A user's `cap` (`_step_cap`) only refines that step, and one
+    needing more than `dynamics._MAX_SAMPLES` steps is refused.  The rows
+    are the pass `smp` on that grid or, without a pass, the
+    constant-multiplier flow of the seed, F(0) = lambda_0 (H0 + G).
+    `re_T` is Re<psi|HF|psi> at T in the seed's gauge; the trajectory and
+    the multipliers are divided by it, so the endpoint evaluates to 1.  A SHOT is judged with the integrated
     tolerances, every other kind with the analytic ones.
     """
     tols = Tolerances.integrated() if kind is SolutionKind.SHOT else Tolerances.analytic()
@@ -278,12 +253,12 @@ def solve_closed_subalgebra(
 
     H(t) = e^{iGt} H(0) e^{-iGt} and U(t) = e^{iGt} e^{-i(H(0)+G)t}.  This
     is `shoot` on the exact flow: the seed is projected as there, and the
-    same core (`_extremal`) takes T from the one pass (`exact_pass`, fine
-    enough to see the flow's fastest oscillation) and certifies the
-    trajectory, here with the analytic tolerances.  When Im<psi|HF|psi>
-    vanishes identically (G central for the flow, e.g. [G, H0] = 0 or no
-    forbidden directions) T is where the flow first reaches psi_f, which
-    is then required.  `dt` caps the certified sample step.
+    same core (`_extremal`) takes T from the one pass (`exact_pass`, at
+    the stepped pass's own step) and certifies the trajectory, here with
+    the analytic tolerances.  When Im<psi|HF|psi> vanishes identically
+    (G central for the flow, e.g. [G, H0] = 0 or no forbidden directions)
+    T is where the flow first reaches psi_f, which is then required.
+    `dt` caps the certified sample step.
 
     A forbidden set that spans no subalgebra is still accepted when the
     projected seed keeps every forbidden trace Tr[H(t)X_j] at zero on the
@@ -409,16 +384,17 @@ def solve_m1_two_level(
     list is sorted by duration (the global minimum first).  An empty
     surviving set raises: the extremal-time trajectory need not exist for
     arbitrary (Omega_B, phi).  A negative count, or more than
-    `_MAX_SAMPLES` pairs (k_max + 1)(2 l_max + 1), is a ValueError.
+    `dynamics._MAX_SAMPLES` pairs (k_max + 1)(2 l_max + 1), is a ValueError.
     """
     if not 0 < omega_b < math.pi / 2:
         raise ValueError(f"Bures angle must lie in (0, pi/2), got {omega_b}")
     if not 0 < omega < math.inf:
         raise ValueError(f"energy scale omega must be positive and finite, got {omega}")
-    if min(k_max, l_max) < 0 or (k_max + 1) * (2 * l_max + 1) > _MAX_SAMPLES:
+    cap = dynamics._MAX_SAMPLES
+    if min(k_max, l_max) < 0 or (k_max + 1) * (2 * l_max + 1) > cap:
         raise ValueError(
             f"branch counts k_max = {k_max} and l_max = {l_max} must be non-negative and "
-            f"give at most {_MAX_SAMPLES} pairs (k_max + 1)(2 l_max + 1)"
+            f"give at most {cap} pairs (k_max + 1)(2 l_max + 1)"
         )
     if abs(math.sin(phi)) < 1e-12:
         raise ValueError(
@@ -492,13 +468,13 @@ def sweep_m1(
     omega^2 identically along this flow.  Rows index lambda1_tilde, columns
     index T.  Fields are computed from the propagated states, not from any
     closed-form shortcut, so they double as a consistency check.  A grid
-    of more than `_MAX_SAMPLES` cells is a ValueError.
+    of more than `dynamics._MAX_SAMPLES` cells is a ValueError.
     """
     lt = np.asarray(lambda1_tilde, dtype=float).ravel()
     ts = np.asarray(T_values, dtype=float).ravel()
-    if lt.size * ts.size > _MAX_SAMPLES:
+    if lt.size * ts.size > dynamics._MAX_SAMPLES:
         raise ValueError(
-            f"a {lt.size} x {ts.size} sweep grid has more than {_MAX_SAMPLES} cells"
+            f"a {lt.size} x {ts.size} sweep grid has more than {dynamics._MAX_SAMPLES} cells"
         )
     if not (np.all(np.isfinite(lt)) and np.all(np.isfinite(ts))):
         raise ValueError("sweep grid values must be finite")
@@ -938,20 +914,19 @@ def shoot(
 
     The seed is projected and rescaled (`_project_seed`), and its one
     integration pass (`integrate_blocks`) goes to the core it shares with
-    `solve_closed_subalgebra` (`_extremal`).  A stepped pass takes
-    sixth-order Runge-Kutta steps of 0.05/r, with r the flow's rate
-    bound (`dynamics._pass_rate`), or of `dt` where that is finer: `dt`
-    only caps the step, here as on the certified grid.  The pass stops at
-    the first accepted root of Im<psi|HF|psi> (`_root_scan`): a stepped
-    pass is scanned at each drift checkpoint (0.1/omega apart) once its
-    check has passed, and runs no further than the first checkpoint past
-    the sample T needs; a closed forbidden set yields its exact flow at
-    once, on a grid fine enough for the flow's rates whatever `dt`
-    (`exact_pass`).  That one pass is the whole integration: the
-    certified trajectory is the pass evaluated on a uniform grid of
-    [0, T] (`PassSamples.rows_at`, the Hermite interpolant of the pass's
-    own samples and slopes around each grid time).  T is the one a scan
-    of the whole window would find.
+    `solve_closed_subalgebra` (`_extremal`).  The pass samples steps of
+    0.05/r, with r the flow's rate bound (`dynamics._pass_rate`), or of
+    `dt` where that is finer: `dt` only caps the step, here as on the
+    certified grid.  A stepped pass takes sixth-order Runge-Kutta steps
+    there and stops at the first accepted root of Im<psi|HF|psi>
+    (`_root_scan`): it is scanned at each drift checkpoint (0.1/omega
+    apart) once its check has passed, and runs no further than the first
+    checkpoint past the sample T needs; a closed forbidden set yields its
+    exact flow on the same grid at once (`exact_pass`).  That one pass is
+    the whole integration: the certified trajectory is the pass evaluated
+    on a uniform grid of [0, T] (`PassSamples.rows_at`, the Hermite
+    interpolant of the pass's own samples and slopes around each grid
+    time).  T is the one a scan of the whole window would find.
 
     Seeds for which s vanishes identically (e.g. no forbidden directions)
     admit every stopping time; then `target_bures_angle` selects T as the

@@ -59,10 +59,6 @@ class PureState:
         """<self|other>."""
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def projector(self) -> np.ndarray:
-        """|psi><psi|."""
-        return np.outer(self.amplitudes, self.amplitudes.conj())
-
 
 @dataclass(frozen=True)
 class BoundaryData:

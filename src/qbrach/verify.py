@@ -32,9 +32,7 @@ __all__ = [
     "initial_condition_residual",
     "endpoint_constraint",
     "speed_profile",
-    "speed_decomposition_mismatch",
     "speed_efficiency",
-    "equivalence_check",
     "equivalence_residuals",
     "certify",
 ]
@@ -343,25 +341,6 @@ def _g_stack(traj) -> np.ndarray:
     return forbidden_sum(traj.lambdas / traj.lambda0[:, None], traj.forbidden_generators())
 
 
-def speed_decomposition_mismatch(traj, omega: float) -> float:
-    """Max gap between DeltaE^2 and its multiplier form omega^2 - (Tr[G^2]/2 - Var G).
-
-    Normalized by omega^2; both sides are evaluated independently from the
-    stored samples.
-    """
-    return _decomposition_gap(traj, omega, speed_profile(traj, omega)[0], _g_stack(traj))
-
-
-def _decomposition_gap(traj, omega: float, de: np.ndarray, G: np.ndarray) -> float:
-    trg2 = np.real(np.einsum("kab,kba->k", G, G))
-    gpsi = np.einsum("kab,kb->ka", G, traj.psi)
-    g_mean = np.real(np.einsum("ka,ka->k", traj.psi.conj(), gpsi))
-    g_sq = np.real(np.einsum("ka,ka->k", gpsi.conj(), gpsi))
-    var_g = g_sq - g_mean**2
-    rhs = omega**2 - (trg2 / 2.0 - var_g)
-    return float(np.abs(de**2 - rhs).max()) / omega**2
-
-
 def equivalence_residuals(traj) -> Tuple[float, float]:
     """The two equivalent reformulations of the conservation law.
 
@@ -369,11 +348,6 @@ def equivalence_residuals(traj) -> Tuple[float, float]:
     anticommutator form: max ||F P + P F - F||_F / ||F(0)||, P = |psi><psi|.
     """
     return _conservation_residuals(traj)[1:]
-
-
-def equivalence_check(traj) -> float:
-    """Worse of the two reformulation residuals (see equivalence_residuals)."""
-    return max(equivalence_residuals(traj))
 
 
 # steps per block of `_u_defect`, which bounds its temporaries to a few
@@ -493,7 +467,13 @@ def certify(
     re, im = endpoint_constraint(traj.psi[-1], traj.H[-1], traj.F[-1])
     de, excess = speed_profile(traj, w)
     G = _g_stack(traj)
-    decomp = _decomposition_gap(traj, w, de, G)
+    # DeltaE^2 against its multiplier form omega^2 - (Tr[G^2]/2 - Var G),
+    # both sides from the stored samples
+    trg2 = np.real(np.einsum("kab,kba->k", G, G))
+    gpsi = np.einsum("kab,kb->ka", G, traj.psi)
+    g_mean = np.real(np.einsum("ka,ka->k", traj.psi.conj(), gpsi))
+    var_g = np.real(np.einsum("ka,ka->k", gpsi.conj(), gpsi)) - g_mean**2
+    decomp = float(np.abs(de**2 - (w**2 - (trg2 / 2.0 - var_g))).max()) / w**2
 
     vals = 2 * w**2 * traj.lambda0**2 + N * np.einsum("km,km->k", traj.lambdas, traj.lambdas)
     trf2_drift = float(vals.max() - vals.min()) / max(abs(float(vals[0])), _TINY)

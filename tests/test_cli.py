@@ -85,6 +85,26 @@ def closed_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def shot_file(tmp_path):
+    # recipe seed 7: its forbidden set is not closed, so shoot steps it
+    problem, h0, m0 = helpers.su4_shoot_seed(7)
+    doc = {
+        "version": 1,
+        "dimension": 4,
+        "omega": 1.0,
+        "basis": "gellmann",
+        "psi_i": pairs(problem.psi_i.amplitudes),
+        "forbidden": list(problem.forbidden),
+        "solver_params": {
+            "H0": pairs(h0), "lambda0": 1.0, "lambdas": m0.lambdas.tolist(), "t_max": 3.0,
+        },
+    }
+    path = tmp_path / "shot.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 # ---------------------------------------------------------------- solving
 
 
@@ -122,13 +142,14 @@ def test_solve_closed_t_max_flag_overrides(closed_file, capsys):
 
 @pytest.mark.parametrize("command", ["solve-closed", "shoot"])
 def test_closed_window_beyond_the_root_scan_cap_exits_1(command, closed_file, tmp_path, capsys):
-    # the exact pass resolves the flow's rates on at most 50,000 samples:
-    # a window that needs more is refused as invalid input, nothing written
+    # the exact pass takes the stepped pass's grid, steps of 0.05/r on at
+    # most 200,000 steps: a window that needs more is refused as invalid
+    # input, nothing written
     out = tmp_path / "out.json"
     assert main([command, "-i", closed_file, "--t-max", "2000", "-o", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "t_max = 2000 needs 65230 root-scan samples" in err
-    assert "more than 50000; shorten t_max" in err
+    assert "[0, 2000] at steps of at most 0.001806 needs 1107464 steps" in err
+    assert "more than 200000; use a coarser dt or a shorter window" in err
     assert not out.exists()
 
 
@@ -210,7 +231,7 @@ def test_a_dt_beyond_the_work_cap_is_refused_by_every_solver(
     # --dt stays a cap: one needing more samples than _MAX_SAMPLES (made
     # small, so that no test starts the work it bounds) is invalid input,
     # never lifted to a coarser step
-    monkeypatch.setattr(solvers, "_MAX_SAMPLES", 1000)
+    monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 1000)
     for argv in (
         ["solve-free", "-i", free_file],
         ["solve-closed", "-i", closed_file],
@@ -220,21 +241,19 @@ def test_a_dt_beyond_the_work_cap_is_refused_by_every_solver(
         assert "more than 1000" in capsys.readouterr().err
 
 
-def test_shoot_drift_exits_3_and_the_work_cap_exits_1(tmp_path, monkeypatch, capsys):
+def test_shoot_dt_coarser_than_the_window_is_the_default_pass(shot_file, capsys):
+    # dt only caps the pass step, also where it exceeds t_max = 3: the
+    # solution is the default one byte for byte
+    assert main(["shoot", "-i", shot_file]) == 0
+    default = capsys.readouterr().out
+    assert main(["shoot", "-i", shot_file, "--dt", "5"]) == 0
+    assert capsys.readouterr().out == default
+    assert json.loads(default)["T"] == 0.9053082589150147
+
+
+def test_shoot_drift_exits_3_and_the_work_cap_exits_1(shot_file, monkeypatch, capsys):
     # recipe seed 7's pass at its own step needs 229 steps over t_max = 3
-    problem, h0, m0 = helpers.su4_shoot_seed(7)
-    doc = {
-        "version": 1,
-        "dimension": 4,
-        "omega": 1.0,
-        "basis": "gellmann",
-        "psi_i": pairs(problem.psi_i.amplitudes),
-        "forbidden": list(problem.forbidden),
-        "solver_params": {"H0": pairs(h0), "lambda0": 1.0, "lambdas": m0.lambdas.tolist()},
-    }
-    path = tmp_path / "seed7.json"
-    path.write_text(json.dumps(doc))
-    argv = ["shoot", "-i", str(path), "--t-max", "3"]
+    argv = ["shoot", "-i", shot_file]
     # a frame that drifts beyond the validation's 1e-8 at a checkpoint (at
     # 40 times the own step) is a numerical failure naming the step
     with monkeypatch.context() as m:
@@ -242,14 +261,14 @@ def test_shoot_drift_exits_3_and_the_work_cap_exits_1(tmp_path, monkeypatch, cap
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert re.search(r"numerical failure: frame unitarity drifted .* step size", err)
-    # with the cap made small, the window and a user's finer dt are each
-    # refused as invalid input, the first naming t_max
+    # with the cap made small, the window at its own step and a user's
+    # finer dt are each refused as invalid input, naming the step
     monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 100)
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert "needs 229 steps at this seed's rates, more than 100; shorten t_max" in err
+    assert "[0, 3] at steps of at most 0.01315 needs 229 steps, more than 100" in err
     assert main(argv + ["--dt", "0.01"]) == 1
-    assert "dt = 0.01 needs 300 steps" in capsys.readouterr().err
+    assert "[0, 3] at steps of at most 0.01 needs 300 steps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed, closest, t", [(144, 3.85e-2, 1.454), (168, 9.13e-3, 1.435)])
@@ -701,27 +720,13 @@ def test_verify_detects_tampered_hamiltonian(closed_file, tmp_path, capsys):
     assert "round-trip FAIL" in text
 
 
-def test_verify_detects_a_u_that_does_not_solve_its_h(tmp_path, capsys):
+def test_verify_detects_a_u_that_does_not_solve_its_h(shot_file, tmp_path, capsys):
     # recipe seed 7's shot solution with every U(t) replaced by
     # U(t) e^{-iAt/2}, A Hermitian and supported off psi_i: U stays unitary
     # and psi(t) = U(t) psi_i is unchanged, so of all the verdicts only the
     # check of i dU/dt = H U fails
-    problem, h0, m0 = helpers.su4_shoot_seed(7)
-    doc = {
-        "version": 1,
-        "dimension": 4,
-        "omega": 1.0,
-        "basis": "gellmann",
-        "psi_i": pairs(problem.psi_i.amplitudes),
-        "forbidden": list(problem.forbidden),
-        "solver_params": {
-            "H0": pairs(h0), "lambda0": 1.0, "lambdas": m0.lambdas.tolist(), "t_max": 3.0,
-        },
-    }
-    path = tmp_path / "shot.json"
-    path.write_text(json.dumps(doc))
     out = tmp_path / "shot_sol.json"
-    assert main(["shoot", "-i", str(path), "-o", str(out)]) == 0
+    assert main(["shoot", "-i", shot_file, "-o", str(out)]) == 0
     sol = json.loads(out.read_text())
     traj = sol["trajectory"]
     U = dynamics._from_pairs(traj["U"])
@@ -965,7 +970,7 @@ def test_exit_code_solve_m1_problem_file_fields(tmp_path, monkeypatch, capsys):
     # here so that no test starts the work it bounds, is refused before any
     assert main(["solve-m1", "-i", _m1_file(tmp_path, k_max=3.0, l_max=3)]) == 0
     assert json.loads(capsys.readouterr().out)["T_min"] == pytest.approx(DESIGNED_T, abs=1e-12)
-    monkeypatch.setattr(solvers, "_MAX_SAMPLES", 1000)
+    monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 1000)
     for fields in (
         {"omega_b": [0.67]},
         {"omega": [10]},
@@ -1063,7 +1068,7 @@ def test_solve_m1_refuses_a_branch_whose_certificate_fails(tmp_path, monkeypatch
     # solve-m1 keeps the rule of every solver, exit 3 with the failed
     # verdicts named and nothing written.  The 4 x 7 branch pairs, which
     # hold the global minimum, stay within that cap
-    monkeypatch.setattr(solvers, "_MAX_SAMPLES", 100)
+    monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 100)
     out = tmp_path / "m1.json"
     problem = tmp_path / "m1_problem.json"
     problem.write_text(json.dumps({"omega": 10.0, "solver_params": {"k_max": 3, "l_max": 3}}))

@@ -370,8 +370,9 @@ def test_integrate_rejects_bad_input():
         integrate(problem, MultiplierVector(1.0, [0.4]), h0, t_max=1.0)
     with pytest.raises(ValueError):
         integrate(problem, m0, h0, t_max=-1.0)
-    with pytest.raises(ValueError):
-        integrate(problem, m0, h0, t_max=1.0, dt=2.0)
+    for dt in (0.0, -1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            integrate(problem, m0, h0, t_max=1.0, dt=dt)
     with pytest.raises(ValueError):
         integrate(problem, m0, np.eye(3, dtype=complex), t_max=1.0)  # traceful
     skew = h0 + 1e-3 * 1j * np.eye(3)
@@ -385,20 +386,46 @@ def test_integrate_rejects_bad_input():
         integrate(problem, m0, touches_forbidden, t_max=1.0)
 
 
+def test_a_dt_coarser_than_the_window_is_the_default_grid():
+    # dt only caps the pass step, also where it exceeds t_max
+    problem, m0, h0 = su3_drifting_instance()
+    capped = integrate(problem, m0, h0, t_max=1.0, dt=2.0)
+    default = integrate(problem, m0, h0, t_max=1.0)
+    np.testing.assert_array_equal(capped.times, default.times)
+    np.testing.assert_array_equal(capped.U, default.U)
+
+
+@pytest.mark.parametrize("t_max, dt", [(1.0, None), (1.0, 5.0), (1.0, 0.004), (0.01, None)])
+def test_exact_and_stepped_passes_of_one_rate_take_the_same_grid(t_max, dt, monkeypatch):
+    # seed 90's closed set takes the exact flow and seed 7's open one is
+    # stepped; at one rate bound r both sample [0, t_max] at steps of
+    # min(t_max, 0.05/r, dt), at least four of them
+    monkeypatch.setattr(dynamics, "_pass_rate", lambda G, F0, lambda0: 20.0)
+    grids = []
+    for seed in (90, 7):
+        problem, h0, m0 = helpers.su4_shoot_seed(seed)
+        last = list(dynamics.integrate_blocks(problem, m0, h0, t_max=t_max, dt=dt))[-1]
+        assert (last.slopes is None) == (seed == 90)
+        grids.append(last.times)
+    np.testing.assert_array_equal(grids[0], grids[1])
+    step = min(t_max, 0.0025, math.inf if dt is None else dt)
+    assert grids[0].size == max(5, round(t_max / step) + 1) and grids[0][-1] == t_max
+
+
 def test_integrate_refuses_work_beyond_the_cap(monkeypatch):
     # the cap is made small so that no test starts the work it bounds
     monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 100)
     problem, h0, m0 = helpers.su4_shoot_seed(7)
     # a user step finer than the cap allows is refused before any step,
     # on the stepped path and on the exact one
-    with pytest.raises(ValueError, match="dt = 0.005 needs 200 steps .* 100; use a coarser"):
+    with pytest.raises(ValueError, match=r"\[0, 1\] at steps of at most 0.005 needs 200 steps"):
         next(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.005))
-    with pytest.raises(ValueError, match="more than 100; use a coarser step"):
+    with pytest.raises(ValueError, match="more than 100; use a coarser dt"):
         integrate(helpers.m1_problem(1.0), MultiplierVector(1.0, [2.5]), SY, t_max=1.0, dt=0.005)
-    # a window whose own rate-resolved step needs more is refused naming
-    # t_max, with or without a coarser dt, since dt only caps that step
+    # a window whose own rate-resolved step needs more is refused the same
+    # way, with or without a coarser dt, since dt only caps that step
     for dt in (None, 0.5):
-        with pytest.raises(ValueError, match="t_max = 3 needs 176 steps .* 100; shorten t_max"):
+        with pytest.raises(ValueError, match=r"\[0, 3\] at steps .* needs 176 steps, more than 100"):
             next(dynamics.integrate_blocks(problem, m0, h0, t_max=3.0, dt=dt))
 
 
@@ -611,17 +638,17 @@ def test_u_defect_takes_grids_of_two_samples_and_more(K):
     assert abs(got - ref) <= 1e-13 * ref
 
 
-@pytest.mark.parametrize("t_max, K", [(5e-4, 3), (1.5e-3, 3)])
+@pytest.mark.parametrize("t_max, K", [(5e-4, 5), (1.5e-3, 5)])
 def test_integrate_below_one_default_step(t_max, K):
-    # a window below one step of 1e-3 (the step capped at the window, as
-    # a step may not exceed it) is two steps, as is a window of one and a
-    # half: three samples, which certify differences dF/dt over, and the
-    # check of U against H takes those grids, its stage values on the
-    # parabola through them.  The seed is not projected onto the structure
-    # of F(0), so only the verdicts that need no such structure are asked
-    # to pass
+    # a window below one step of 1e-3 (dt only caps the step, so a coarser
+    # one is accepted) is four steps, the fewest a grid has, as is a window
+    # of one and a half: five samples, which certify differences dF/dt
+    # over, and the check of U against H takes those grids, its stage
+    # values on the quartic through them.  The seed is not projected onto
+    # the structure of F(0), so only the verdicts that need no such
+    # structure are asked to pass
     problem, m0, h0 = su3_drifting_instance()
-    traj = integrate(problem, m0, h0, t_max=t_max, dt=min(1e-3, t_max))
+    traj = integrate(problem, m0, h0, t_max=t_max, dt=1e-3)
     assert traj.n_samples == K and traj.times[-1] == t_max
     report = certify(traj, Tolerances.integrated())
     assert 0.0 < report.u_defect <= 1e-9

@@ -132,29 +132,30 @@ def test_analytic_grids_refuse_work_beyond_the_cap():
     # a user step that needs more than _MAX_SAMPLES steps is refused before
     # the grid is built; the step _certified_step clamps to is never refused
     with pytest.raises(ValueError, match="more than 200000"):
-        solvers._grid(1.0, 1e-7)
+        dynamics._grid(1.0, 1e-7)
     with pytest.raises(ValueError, match="more than 200000"):
         solve_free(helpers.KET0, helpers.KET1, omega=1.0, dt=1e-7)
     f0 = np.diag([1.0, -1.0]).astype(complex) + 0.5 * SY
     for T in np.random.default_rng(0).uniform(1e-3, 1e3, 50):
         step = solvers._certified_step(1.0, 1e6 * SY, f0, 1.0, T, Tolerances.analytic())
-        assert solvers._grid(T, step).size == solvers._MAX_SAMPLES + 1
+        assert dynamics._grid(T, step).size == dynamics._MAX_SAMPLES + 1
 
 
 def test_own_step_is_lifted_and_a_finer_dt_is_refused(monkeypatch):
     # the cap is made small so that no test starts the work it bounds: each
     # solver's own step (82 to 1,833 steps here) is lifted to
     # T/_MAX_SAMPLES, while a user's dt stays a cap and is refused where it
-    # needs more samples than that
-    monkeypatch.setattr(solvers, "_MAX_SAMPLES", 60)
+    # needs more samples than that.  The root-searching solvers' window,
+    # t_max = 0.1 past T = 0.076, is 56 steps of their pass
+    monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 60)
     problem = helpers.m1_problem(10.0)
     solves = [
         lambda dt: solve_free(helpers.KET0, helpers.KET1, omega=1.0, dt=dt),
         lambda dt: solve_closed_subalgebra(
-            problem, 10.0 * SY, MultiplierVector(1.0, [2.5]), t_max=0.5, dt=dt
+            problem, 10.0 * SY, MultiplierVector(1.0, [2.5]), t_max=0.1, dt=dt
         ),
         lambda dt: solve_two_qubit_example(np.pi / 2, 10.0, dt=dt),
-        lambda dt: shoot(problem, 10.0 * SY, MultiplierVector(1.0, [2.5]), t_max=0.5, dt=dt),
+        lambda dt: shoot(problem, 10.0 * SY, MultiplierVector(1.0, [2.5]), t_max=0.1, dt=dt),
     ]
     for solve in solves:
         sol = solve(None)
@@ -348,7 +349,7 @@ def test_m1_enumeration_refuses_negative_or_too_many_branches(monkeypatch):
     sol = solve_m1_two_level(DESIGNED_OB, DESIGNED_PHI, 10.0, k_max=3, l_max=3)[0]
     assert sol.branch == (2, 0) and sol.T == DESIGNED_T and sol.report.passed
     # the cap is made small so that no test starts the work it bounds
-    monkeypatch.setattr(solvers, "_MAX_SAMPLES", 500)
+    monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 500)
     for k_max, l_max in ((-1, 20), (20, -1), (20, 20)):
         with pytest.raises(ValueError, match="must be non-negative and give at most 500"):
             solve_m1_two_level(DESIGNED_OB, DESIGNED_PHI, 10.0, k_max=k_max, l_max=l_max)
@@ -625,15 +626,15 @@ def test_closed_solver_degenerate_needs_target():
 
 
 def test_root_searching_solvers_refuse_a_window_beyond_the_root_scan_cap():
-    # the exact pass resolves the flow's rates on at most 50,000 samples,
-    # and refuses before sampling a window that needs more: here t_max =
-    # 2000 needs 65,230
+    # the exact pass takes the stepped pass's grid, steps of 0.05/r on at
+    # most 200,000 steps, and refuses before sampling a window that needs
+    # more: here t_max = 2000 needs 1,107,464
     omega = 10.0
     problem = helpers.m1_problem(omega)
     for solve in (solve_closed_subalgebra, shoot):
         with pytest.raises(
             ValueError,
-            match="t_max = 2000 needs 65230 root-scan samples .* more than 50000; shorten t_max",
+            match=r"\[0, 2000\] at steps of at most 0.001806 needs 1107464 steps, more than 200000",
         ):
             solve(problem, omega * SY, MultiplierVector(1.0, [2.5]), t_max=2000.0)
 
@@ -707,7 +708,7 @@ def test_closed_solver_refuses_a_window_it_cannot_scan():
     # the scan that brackets the first root needs a sample per fraction of
     # the fastest period; past its cap the window is refused, not thinned
     problem = helpers.m1_problem(10.0)
-    with pytest.raises(ValueError, match="t_max"):
+    with pytest.raises(ValueError, match=r"\[0, 2000\] at steps of at most"):
         solve_closed_subalgebra(
             problem, 10.0 * SY, MultiplierVector(1.0, [2.5]), t_max=2000.0
         )
@@ -754,15 +755,16 @@ def test_shoot_four_level_random_seed():
 def test_shoot_closed_non_abelian_seed_takes_the_exact_flow(caplog):
     # recipe seed 90 forbids a closed set whose generators do not commute;
     # pass 1 samples the exact flow on the whole window at once instead of
-    # stepping to the checkpoint past the root, on the grid of its rate
-    # rule, the one solve_closed_subalgebra takes (here its floor of 400)
+    # stepping to the checkpoint past the root, on the grid a stepped pass
+    # takes at its rate bound, the one solve_closed_subalgebra takes (here
+    # 229 steps)
     problem, h0, m0 = helpers.su4_shoot_seed(90)
     with caplog.at_level(logging.DEBUG, logger="qbrach"):
         sol = shoot(problem, h0, m0, t_max=3.0)
     assert sol.T == pytest.approx(1.3106731910989768, abs=1e-12)
     assert sol.report.passed
-    assert dynamics.exact_pass(problem, sol.multipliers0, sol.H0, 3.0).n_steps == 400
-    assert re.search(r"pass 1 stopped at step \d+ of 400 .*; 400 steps integrated", caplog.text)
+    assert dynamics.exact_pass(problem, sol.multipliers0, sol.H0, 3.0).n_steps == 229
+    assert re.search(r"pass 1 stopped at step \d+ of 229 .*; 229 steps integrated", caplog.text)
 
 
 def test_shoot_pass1_stops_just_past_the_first_root(caplog):
@@ -941,12 +943,13 @@ def test_root_scan_takes_a_near_zero_sample():
     # on the free qubit from |0> with H = sigma_y, <1|psi(t)> = sin t exactly
     problem = ControlProblem(basis=helpers.build_gellmann_basis(2), psi_i=helpers.KET0, omega=1.0)
     m0 = MultiplierVector(1.0, [])
+    # the rate bound is r = 2, so the pass steps at 0.025 unless dt is finer
     coarse = dynamics.exact_pass(problem, m0, SY, 2.0)
     fine = dynamics.exact_pass(problem, m0, SY, 2.0, dt=2.0 / 600)
-    assert (coarse.n_steps, fine.n_steps) == (400, 600)
+    assert (coarse.n_steps, fine.n_steps) == (80, 600)
     # a touch of zero from above is no sign change: only the sample within
     # 1e-10 of zero is a candidate, taken as it is
-    t0 = float(coarse.times[137])
+    t0 = float(coarse.times[27])
     T = solvers._root_scan(
         problem, [coarse], lambda F, H, psi: (psi[:, 1].real - math.sin(t0)) ** 2 + 1e-11,
         lambda block, t: True,
@@ -954,13 +957,13 @@ def test_root_scan_takes_a_near_zero_sample():
     assert T == t0
 
 
-@pytest.mark.parametrize("t_max", [0.02, 0.1])
+@pytest.mark.parametrize("t_max", [0.04, 0.1])
 def test_root_scan_by_blocks_matches_the_complete_pass(t_max, monkeypatch):
     # a drift checkpoint at every step makes the first block two samples,
-    # shorter than the dense output's stencil; at n_steps = 2 (t_max =
-    # 0.02) and 10, a root in the first step and one in the second are
-    # found at the same T scanning the blocks as they come as scanning the
-    # complete pass
+    # shorter than the dense output's stencil; at n_steps = 4 (t_max =
+    # 0.04, the fewest steps a grid has) and 10, a root in the first step
+    # and one in the second are found at the same T scanning the blocks as
+    # they come as scanning the complete pass
     monkeypatch.setattr(dynamics, "_CHECK_SPAN", 0.0)
     problem, h0, m0 = helpers.su4_shoot_seed(7)
     blocks = list(dynamics.integrate_blocks(problem, m0, h0, t_max=t_max, dt=0.01))

@@ -25,7 +25,6 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 def test_pure_state_basics():
     psi = PureState([1.0, 0.0])
     assert psi.dim == 2
-    np.testing.assert_array_equal(psi.projector(), [[1, 0], [0, 0]])
     other = PureState([0.0, 1.0j])
     assert psi.overlap(other) == 0.0
     assert other.overlap(other) == pytest.approx(1.0)

@@ -21,10 +21,8 @@ from qbrach.verify import (
     check_constraints,
     chko_residual,
     endpoint_constraint,
-    equivalence_check,
     equivalence_residuals,
     initial_condition_residual,
-    speed_decomposition_mismatch,
     speed_profile,
 )
 
@@ -189,10 +187,10 @@ def test_speed_efficiency_verdict_fails_beyond_the_speed_limit(free_traj):
 
 
 def test_speed_decomposition_identity(free_traj, m1_traj):
-    assert speed_decomposition_mismatch(free_traj, free_traj.omega) <= 1e-8
-    assert speed_decomposition_mismatch(m1_traj, m1_traj.omega) <= 1e-8
+    assert certify(free_traj).speed_decomp_gap <= 1e-8
+    assert certify(m1_traj).speed_decomp_gap <= 1e-8
     sol = solve_two_qubit_example(0.7, 10.0)
-    assert speed_decomposition_mismatch(sol.trajectory, 10.0) <= 1e-8
+    assert sol.report.speed_decomp_gap <= 1e-8
 
 
 def test_certify_builds_the_speed_profile_and_g_stack_once(m1_traj, monkeypatch):
@@ -206,9 +204,8 @@ def test_certify_builds_the_speed_profile_and_g_stack_once(m1_traj, monkeypatch)
             return _fn(*args)
 
         monkeypatch.setattr(verify, name, counted)
-    report = certify(m1_traj)
+    certify(m1_traj)
     assert calls == {"speed_profile": 1, "_g_stack": 1}
-    assert report.speed_decomp_gap == speed_decomposition_mismatch(m1_traj, m1_traj.omega)
 
 
 # ------------------------------------------------------------- equivalence
@@ -221,7 +218,7 @@ def test_equivalence_residuals_on_extremal_flows(free_traj, m1_traj):
     state_form, anti_form = equivalence_residuals(m1_traj)
     assert state_form <= 1e-8
     assert anti_form <= 1e-8
-    assert equivalence_check(m1_traj) == max(state_form, anti_form)
+    assert certify(m1_traj).equivalence_max == max(state_form, anti_form)
 
 
 # ----------------------------------------------------------------- certify
