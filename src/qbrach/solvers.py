@@ -154,22 +154,49 @@ class ExtremalSolution:
 
 
 def _certified_step(
-    omega: float, G: np.ndarray, F0: np.ndarray, lambda0: float, T: float, tols: Tolerances
+    omega: float, G: np.ndarray, F0: np.ndarray, lambda0: float, T: float, tols: Tolerances,
+    stepped: bool,
 ) -> float:
     """Own step of a certified grid on [0, T], sized for the fourth-order certificate.
 
     `verify._derivative` errs by at most h^4 ||f^(5)||/5, the factor of its
-    worst one-sided row.  Along the flow of the seed (G, F(0), lambda_0)
-    every time derivative of F is bounded by r^n ||F(0)||, with r the
-    rate bound `dynamics._pass_rate`, which holds on a stepped pass as on
-    the constant-multiplier flow.  So the step h = (5 tau omega /
-    r^5)^(1/4) keeps that truncation, normalized by omega ||F(0)||, at tau
-    = min(chko, aa)/4 of the tolerances `tols`.  It is lifted to
-    T/`dynamics._MAX_SAMPLES`, so `dynamics._grid` never refuses it.
+    worst one-sided row.  Two checks difference the samples: chko, dF/dt
+    normalized by omega ||F(0)||_F, and aa, d psi/dt through sqrt(g_tt) =
+    ||(1 - P) psi'||, which is 1-Lipschitz in psi' (||1 - P|| = 1), so
+    that its error is at most that of psi'.  With B_c a bound on
+    ||F^(5)||_F/||F(0)||_F (chko) or on ||psi^(5)|| (aa, ||psi|| = 1),
+    the step h_c = (5 tau_c omega / B_c)^(1/4) keeps check c's truncation
+    at tau_c, a quarter of its tolerance in `tols`.  The step is the least
+    h_c; a B_c of 0 drops its check.  The flow of the seed (G, F(0),
+    lambda_0) sets the bounds:
+
+    - on a `stepped` pass the n-th time derivatives of F and psi are
+      bounded by r^n ||F(0)|| and r^n, with r the rate bound
+      `dynamics._pass_rate`: B_chko = B_aa = r^5;
+    - on the constant-multiplier flow F(t) = e^{iGt} F(0) e^{-iGt}, so
+      F^(n) = (i ad_G)^n F(0).  In G's eigenbasis (eigenvalues g_a) ad_G
+      scales entry (a, b) by g_a - g_b, at most spread(G) = g_max - g_min,
+      so ||F^(5)||_F <= spread(G)^4 ||[G, F(0)]||_F: B_chko is that over
+      ||F(0)||_F, 0 where G commutes with F(0).  And psi(t) = e^{iGt}
+      e^{-iAt} psi_i with A = F(0)/lambda_0, so by the binomial expansion
+      psi^(5) = sum_k C(5, k) (iG)^k e^{iGt} (-iA)^(5-k) e^{-iAt} psi_i,
+      whose norm is at most (||G||_2 + ||A||_2)^5: B_aa = (||G||_2 +
+      rho(F(0))/|lambda_0|)^5.
+
+    The step is lifted to T/`dynamics._MAX_SAMPLES`, so `dynamics._grid`
+    never refuses it.
     """
-    r = _pass_rate(G, F0, lambda0)
-    tau = min(tols.chko, tols.aa) / 4.0
-    step = (5.0 * tau * omega / r**5) ** 0.25
+    if stepped:
+        b_chko = b_aa = _pass_rate(G, F0, lambda0) ** 5
+    else:
+        g = np.linalg.eigvalsh(G)
+        f_rad = float(np.abs(np.linalg.eigvalsh(F0)).max())
+        comm = float(np.linalg.norm(G @ F0 - F0 @ G))
+        b_chko = float(g[-1] - g[0]) ** 4 * comm / float(np.linalg.norm(F0))
+        b_aa = (float(np.abs(g).max()) + f_rad / abs(lambda0)) ** 5
+    checks = ((tols.chko, b_chko), (tols.aa, b_aa))
+    step = min(((5.0 * (tol / 4.0) * omega / b) ** 0.25 for tol, b in checks if b > 0),
+               default=math.inf)
     # at the lift, T/step must not round up past the cap, which `_grid` refuses
     return max(step, T / dynamics._MAX_SAMPLES * (1.0 + 1e-12))
 
@@ -183,9 +210,11 @@ def _certified(
 
     The grid (`_grid`) is uniform on [0, T].  Its own step is
     `_certified_step` on G = g_operator(m0) and F(0), one rule for every
-    solver.  A user's `cap` (`_step_cap`) only refines that step, and one
-    needing more than `dynamics._MAX_SAMPLES` steps is refused.  The rows
-    are the pass `smp` on that grid or, without a pass, the
+    solver, at the bounds of the flow the rows come from: a stepped pass
+    (`smp` with slopes) or the constant-multiplier flow (no pass, or the
+    exact pass).  A user's `cap` (`_step_cap`) only refines that step, and
+    one needing more than `dynamics._MAX_SAMPLES` steps is refused.  The
+    rows are the pass `smp` on that grid or, without a pass, the
     constant-multiplier flow of the seed, F(0) = lambda_0 (H0 + G).
     `re_T` is Re<psi|HF|psi> at T in the seed's gauge; the trajectory and
     the multipliers are divided by it, so the endpoint evaluates to 1.  A SHOT is judged with the integrated
@@ -194,7 +223,8 @@ def _certified(
     tols = Tolerances.integrated() if kind is SolutionKind.SHOT else Tolerances.analytic()
     G = g_operator(m0, problem.basis, problem.forbidden)
     F0 = m0.lambda0 * (H0 + G) if smp is None else smp.F0
-    own = _certified_step(problem.omega, G, F0, m0.lambda0, T, tols)
+    stepped = smp is not None and smp.slopes is not None
+    own = _certified_step(problem.omega, G, F0, m0.lambda0, T, tols, stepped)
     times = _grid(T, min(cap, own))
     rows = _constant_rows(problem, m0, times) if smp is None else smp.rows_at(problem, times)
     traj = finalize_trajectory(problem, times, rows, F0, re_T)
@@ -214,7 +244,9 @@ def solve_free(
     The multipliers carry lambda_0 = 1/omega^2, the value that normalizes
     the endpoint constraint <psi_f|H F|psi_f> to exactly 1 (F = lambda_0 H
     and <H^2> = omega^2 on the two-dimensional evolution subspace).  The
-    sample step is `_certified_step`'s, or `dt` where that is finer.
+    sample step is `_certified_step`'s, or `dt` where that is finer: with
+    G = 0 only the aa check sizes it, at (5 tau omega/omega^5)^(1/4) =
+    0.0334/omega, so a grid of at most 47 steps (Bures angle pi/2).
     Identical endpoints (Bures angle 0) return the trivial T = 0 solution
     with no trajectory.
     """
@@ -327,7 +359,7 @@ def m1_trajectory(
     With renormalize=True the multipliers are divided by omega^2, the value
     of Re<psi|HF|psi> along this flow, so the endpoint real part becomes 1.
     Without `n_samples` the grid step is `_certified_step`'s for the
-    analytic tolerances.
+    analytic tolerances on this constant-multiplier flow.
     """
     if not T > 0:
         raise ValueError(f"duration must be positive, got {T}")
@@ -335,7 +367,8 @@ def m1_trajectory(
     sz = problem.basis.generators[2]
     F0 = omega * problem.basis.generators[1] + lambda1 * sz
     if n_samples is None:
-        times = _grid(T, _certified_step(omega, lambda1 * sz, F0, 1.0, T, Tolerances.analytic()))
+        own = _certified_step(omega, lambda1 * sz, F0, 1.0, T, Tolerances.analytic(), False)
+        times = _grid(T, own)
     else:
         times = np.linspace(0.0, T, n_samples + 1)
     rows = _constant_rows(problem, MultiplierVector(1.0, [lambda1]), times)
@@ -608,7 +641,8 @@ def solve_two_qubit_example(
     bound, with energy spread omega/sqrt(2) throughout.  The final state is
     cos(Omega_B) e^{-i pi/2} |11> + sin(Omega_B) |00> up to a global phase.
     `dt` caps the certified sample step, which is otherwise
-    `_certified_step`'s.
+    `_certified_step`'s on this constant-multiplier flow (about 1.3e-3 at
+    omega = 10: 171 steps at Omega_B = pi/2).
     """
     if not 0 < omega_b <= math.pi / 2:
         raise ValueError(f"Bures angle must lie in (0, pi/2], got {omega_b}")

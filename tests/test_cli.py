@@ -194,7 +194,7 @@ def test_shoot_subcommand(closed_file, tmp_path, capsys):
 
 def test_shoot_step_caps_the_certified_step_on_a_closed_set(closed_file, capsys):
     # the pass step does not coarsen the certified grid past its own
-    # rate-sized step, which keeps the aa residual in its 1e-6 omega verdict
+    # step, which keeps the aa residual in its 1e-6 omega verdict
     assert main(["solve-closed", "-i", closed_file]) == 0
     closed = json.loads(capsys.readouterr().out)
     assert main(["shoot", "-i", closed_file, "--dt", "1e-3"]) == 0
@@ -210,10 +210,10 @@ def test_shoot_refuses_a_step_beyond_the_work_cap(closed_file, capsys):
 
 
 def test_solve_2qubit_dt_caps_the_certified_step(capsys):
-    # a step coarser than the grid's own rate-sized step is capped, not
-    # used, so the solution passes its certificate and is written
+    # a step coarser than the grid's own step (about 1.3e-3 here) is
+    # capped, not used, so the solution passes its certificate and is written
     argv = ["solve-2qubit", "--omega-b", "1.5707963", "--omega", "10"]
-    assert main(argv + ["--dt", "1e-3"]) == 0
+    assert main(argv + ["--dt", "2e-3"]) == 0
     capped = capsys.readouterr().out
     assert main(argv) == 0
     assert capped == capsys.readouterr().out
@@ -1064,7 +1064,7 @@ def test_failing_certificate_is_refused(closed_file, tmp_path, monkeypatch, caps
 
 def test_solve_m1_refuses_a_branch_whose_certificate_fails(tmp_path, monkeypatch, capsys):
     # with _MAX_SAMPLES made small, each branch's certified grid is lifted
-    # to 100 steps (from 1,368), too coarse for its conservation residuals:
+    # to 100 steps (from 186), too coarse for its conservation residuals:
     # solve-m1 keeps the rule of every solver, exit 3 with the failed
     # verdicts named and nothing written.  The 4 x 7 branch pairs, which
     # hold the global minimum, stay within that cap

@@ -10,6 +10,7 @@ import pytest
 
 import helpers
 from qbrach import dynamics, solvers, verify
+from qbrach.algebra import basis_of, is_closed_subalgebra
 from qbrach.dynamics import ControlProblem, MultiplierVector, SingularGaugeError, Trajectory
 from qbrach.solvers import (
     TWO_QUBIT_FORBIDDEN,
@@ -137,37 +138,123 @@ def test_analytic_grids_refuse_work_beyond_the_cap():
         solve_free(helpers.KET0, helpers.KET1, omega=1.0, dt=1e-7)
     f0 = np.diag([1.0, -1.0]).astype(complex) + 0.5 * SY
     for T in np.random.default_rng(0).uniform(1e-3, 1e3, 50):
-        step = solvers._certified_step(1.0, 1e6 * SY, f0, 1.0, T, Tolerances.analytic())
-        assert dynamics._grid(T, step).size == dynamics._MAX_SAMPLES + 1
+        for stepped in (True, False):
+            step = solvers._certified_step(1.0, 1e8 * SY, f0, 1.0, T, Tolerances.analytic(), stepped)
+            assert dynamics._grid(T, step).size == dynamics._MAX_SAMPLES + 1
+
+
+def _constant_flow(kind, N, commuting, seed, omega=10.0):
+    """(problem, G, F(0), m0) of a random constant-multiplier flow.
+
+    H0 is random on the energy shell, or with `commuting` a polynomial in
+    G (then [G, F(0)] = 0); lambda_0 is random in sign and size."""
+    rng = np.random.default_rng([seed, N])
+    basis = basis_of(kind, N)
+    forbidden = tuple(sorted(rng.choice(basis.size, size=min(3, basis.size - 1), replace=False)))
+    problem = ControlProblem(basis, helpers.random_state(rng, N), omega, forbidden=forbidden)
+    lam0 = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+    m0 = MultiplierVector(lam0, lam0 * omega * rng.normal(size=len(forbidden)))
+    G = dynamics.g_operator(m0, basis, forbidden)
+    if commuting:
+        H0 = G + rng.normal() * (G @ G - np.trace(G @ G) / N * np.eye(N))
+    else:
+        H0 = np.einsum("m,mij->ij", rng.normal(size=basis.size), basis.generators)
+    H0 *= np.sqrt(2.0) * omega / np.sqrt(np.real(np.einsum("ab,ba->", H0, H0)))
+    return problem, G, lam0 * (H0 + G), m0
+
+
+@pytest.mark.parametrize("tols", [Tolerances.analytic(), Tolerances.integrated()])
+@pytest.mark.parametrize("commuting", [False, True])
+@pytest.mark.parametrize("kind, N", [("gellmann", 2), ("gellmann", 3), ("gellmann", 4),
+                                     ("pauli_strings", 2), ("pauli_strings", 4)])
+def test_constant_flow_grid_keeps_each_check_within_a_quarter_of_its_tolerance(
+    kind, N, commuting, tols
+):
+    # the certified step of the constant-multiplier flow is sized from each
+    # check's own fifth-derivative bound, at a quarter of its tolerance
+    for seed in range(3):
+        problem, G, F0, m0 = _constant_flow(kind, N, commuting, seed)
+        comm = np.linalg.norm(G @ F0 - F0 @ G) / np.linalg.norm(F0)
+        assert (comm < 1e-12) == commuting
+        T = 0.5
+        step = solvers._certified_step(problem.omega, G, F0, m0.lambda0, T, tols, False)
+        times = dynamics._grid(T, step)
+        traj = dynamics.finalize_trajectory(
+            problem, times, dynamics._constant_rows(problem, m0, times), F0
+        )
+        report = certify(traj, tols)
+        assert report.chko_residual <= tols.chko / 4
+        assert report.aa_identity_max <= tols.aa * problem.omega / 4
+        assert report.u_defect <= tols.u_mismatch / 100
+
+
+@pytest.mark.parametrize("omega, lam", [(10.0, 2.5), (10.0, 25.0), (3.0, 0.0)])
+def test_constant_flow_step_is_the_least_of_its_two_checks(omega, lam):
+    # the sigma_z-forbidden flow in closed form: spread(G) = 2 lambda,
+    # ||[G, F(0)]||_F/||F(0)||_F = 2 lambda omega/sqrt(omega^2 + lambda^2)
+    # and rho(F(0)) = sqrt(omega^2 + lambda^2).  At lambda = 2.5 the aa
+    # check sets the step, at 25 the chko check; at 0 G = 0 and chko drops
+    F0 = omega * SY + lam * SZ
+    rho = math.hypot(omega, lam)
+    for tols in (Tolerances.analytic(), Tolerances.integrated()):
+        b_chko = (2 * lam) ** 4 * 2 * lam * omega / rho
+        h_chko = (5 * tols.chko / 4 * omega / b_chko) ** 0.25 if b_chko else math.inf
+        h_aa = (5 * tols.aa / 4 * omega / (lam + rho) ** 5) ** 0.25
+        step = solvers._certified_step(omega, lam * SZ, F0, 1.0, 1.0, tols, False)
+        assert step == pytest.approx(min(h_chko, h_aa), rel=1e-12)
+        assert (h_chko < h_aa) == (lam == 25.0 and tols == Tolerances.analytic())
+
+
+@pytest.mark.parametrize("seed", [2, 7])
+def test_stepped_certified_step_is_the_rate_rule(seed):
+    # on a stepped pass both checks keep the rate bound r^5 and the step is
+    # (5 tau omega/r^5)^(1/4) at tau = min(chko, aa)/4, bit for bit
+    problem, h0, m0_seed = helpers.su4_shoot_seed(seed)
+    assert not is_closed_subalgebra(problem.basis, problem.forbidden)[0]
+    H0, m0 = solvers._project_seed(problem, h0, m0_seed)
+    G = dynamics.g_operator(m0, problem.basis, problem.forbidden)
+    F0 = m0.lambda0 * (H0 + G)
+    sol = shoot(problem, h0, m0_seed, t_max=3.0)
+    r = dynamics._pass_rate(G, F0, m0.lambda0)
+    for tols in (Tolerances.analytic(), Tolerances.integrated()):
+        tau = min(tols.chko, tols.aa) / 4.0
+        rule = max((5.0 * tau * 1.0 / r**5) ** 0.25, sol.T / dynamics._MAX_SAMPLES * (1.0 + 1e-12))
+        assert solvers._certified_step(1.0, G, F0, m0.lambda0, sol.T, tols, True) == rule
+        if tols == Tolerances.integrated():
+            assert sol.trajectory.n_samples == dynamics._grid(sol.T, rule).size
 
 
 def test_own_step_is_lifted_and_a_finer_dt_is_refused(monkeypatch):
-    # the cap is made small so that no test starts the work it bounds: each
-    # solver's own step (82 to 1,833 steps here) is lifted to
+    # the cap is made small so that no test starts the work it bounds, and
+    # below each solver's own grid: its own step is lifted to
     # T/_MAX_SAMPLES, while a user's dt stays a cap and is refused where it
-    # needs more samples than that.  The root-searching solvers' window,
-    # t_max = 0.1 past T = 0.076, is 56 steps of their pass
-    monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 60)
+    # needs more samples than that.  The own grids are 47 steps (free) and
+    # 171 (two-qubit); a root-searching solver's pass must fit under the
+    # cap, so the closed seed is lambda_1 = 25 over t_max = 0.04 (100 pass
+    # steps, 162 certified steps) and the shot is stepped recipe seed 7 over
+    # t_max = 1 (77 pass steps, 144 certified steps)
     problem = helpers.m1_problem(10.0)
+    shot = helpers.su4_shoot_seed(7)
     solves = [
-        lambda dt: solve_free(helpers.KET0, helpers.KET1, omega=1.0, dt=dt),
-        lambda dt: solve_closed_subalgebra(
-            problem, 10.0 * SY, MultiplierVector(1.0, [2.5]), t_max=0.1, dt=dt
-        ),
-        lambda dt: solve_two_qubit_example(np.pi / 2, 10.0, dt=dt),
-        lambda dt: shoot(problem, 10.0 * SY, MultiplierVector(1.0, [2.5]), t_max=0.1, dt=dt),
+        (40, lambda dt: solve_free(helpers.KET0, helpers.KET1, omega=1.0, dt=dt)),
+        (120, lambda dt: solve_closed_subalgebra(
+            problem, 10.0 * SY, MultiplierVector(1.0, [25.0]), t_max=0.04, dt=dt
+        )),
+        (120, lambda dt: solve_two_qubit_example(np.pi / 2, 10.0, dt=dt)),
+        (120, lambda dt: shoot(*shot, t_max=1.0, dt=dt)),
     ]
-    for solve in solves:
+    for cap, solve in solves:
+        monkeypatch.setattr(dynamics, "_MAX_SAMPLES", cap)
         sol = solve(None)
-        assert sol.trajectory.n_samples == 61
-        with pytest.raises(ValueError, match="more than 60"):
+        assert sol.trajectory.n_samples == cap + 1
+        with pytest.raises(ValueError, match=f"more than {cap}"):
             solve(sol.T / 400)
 
 
 def test_analytic_dt_is_a_cap_on_the_certified_step():
-    # a step coarser than the default is capped to it: the certificate
-    # passes and the trajectory is the default one bit for bit
-    sol = solve_two_qubit_example(np.pi / 2, 10.0, dt=1e-3)
+    # a step coarser than the default (about 1.3e-3 here) is capped to it:
+    # the certificate passes and the trajectory is the default one bit for bit
+    sol = solve_two_qubit_example(np.pi / 2, 10.0, dt=2e-3)
     ref = solve_two_qubit_example(np.pi / 2, 10.0)
     assert sol.report.passed
     for name in ("times", "V", "U", "H", "F", "psi", "lambdas", "tau_acc"):
@@ -702,16 +789,6 @@ def test_closed_solver_projects_the_seed_as_shoot_does(caplog):
     assert shot.report.passed
     assert closed.T == pytest.approx(shot.T, abs=1e-12)
     assert closed.T == pytest.approx(0.43075443973027655, abs=1e-12)
-
-
-def test_closed_solver_refuses_a_window_it_cannot_scan():
-    # the scan that brackets the first root needs a sample per fraction of
-    # the fastest period; past its cap the window is refused, not thinned
-    problem = helpers.m1_problem(10.0)
-    with pytest.raises(ValueError, match=r"\[0, 2000\] at steps of at most"):
-        solve_closed_subalgebra(
-            problem, 10.0 * SY, MultiplierVector(1.0, [2.5]), t_max=2000.0
-        )
 
 
 def test_shoot_free_seed_stops_at_target_angle():
