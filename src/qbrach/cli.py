@@ -25,7 +25,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .algebra import basis_of
-from .dynamics import _MAX_SAMPLES, ControlProblem, MultiplierVector, Trajectory, _from_pairs
+from .dynamics import (
+    _MAX_SAMPLES, ControlProblem, MultiplierVector, Trajectory, _from_pairs, _whole_number
+)
 from .solvers import (
     ExtremalSolution,
     NoSolutionError,
@@ -66,8 +68,8 @@ def _write_json(doc: dict, path: Optional[str]) -> None:
     The text is json.dumps(doc, separators=(",", ":")) with every array
     leaf taken as its tolist(), byte for byte.  json.dumps writes a float
     array as a placeholder string, and its text, made in one step, is
-    spliced in afterwards: `_read_json`'s convention in reverse.  The whole
-    text is rendered before the file is opened, so an error writes nothing.
+    spliced in afterwards.  The whole text is rendered before the file is
+    opened, so an error writes nothing.
     """
     arrays: list = []
 
@@ -100,135 +102,19 @@ def _write_json(doc: dict, path: Optional[str]) -> None:
 
 # -- input -------------------------------------------------------------------
 
-_WS = b" \t\n\r"
-_NOT_SKELETON = bytes(sorted(set(range(256)) - set(b"[],")))
-_FIELDS = bytes.maketrans(b"[]\t\n\r", b"     ")  # one line of comma-separated fields
-_DIGITS = b"0123456789"
 
-
-def _shape(skel: bytes) -> list:
-    """The shape a regular array's skeleton (its brackets and commas) spells,
-    read off the first block at each depth."""
-    ndim = len(skel) - len(skel.lstrip(b"["))
-    shape = [skel.find(b"]") - ndim + 1]  # the first row's commas, plus one
-    size = shape[0] + 1  # the skeleton length of one block at the current depth
-    for depth in range(ndim - 2, 0, -1):
-        n, at = 1, depth + 1 + size  # just past the block's first child
-        while skel[at:at + 1] == b",":
-            n, at = n + 1, at + 1 + size
-        shape.insert(0, n)
-        size = 2 + n * size + n - 1
-    if ndim > 1:
-        shape.insert(0, (len(skel) - 1) // (size + 1))
-    return shape
-
-
-def _number_array(span: bytes) -> Optional[np.ndarray]:
-    """The float64 array a regular JSON array of floats spells, else None.
-
-    None leaves `span` to json.loads: it holds no float (an int list or an
-    empty one keeps json's types), something other than finite numbers (a
-    NaN or infinity, which no trajectory may hold, included), a token
-    float() reads but JSON does not (01, .5, 1., +1), or rows of unequal
-    length.  Each value is float() of its token, bit for bit.
-    """
-    spaced = span.translate(None, b"0123456789-[],")
-    marks = spaced.translate(None, _WS)  # what marks a float: + . e E
-    if not marks or marks.translate(None, b"+.eE"):
-        return None
-    compact = span.translate(None, _WS) if len(spaced) > len(marks) else span
-    c = np.frombuffer(compact, np.uint8)
-    opens, closes, pluses, dots, commas = (np.flatnonzero(c == b) for b in b"[]+.,")
-    starts = np.concatenate([opens, commas]) + 1  # where each value starts
-    signed = c[starts] == 45
-    starts += signed  # its digits, past a minus sign
-    zero = c[starts] == 48
-    neighbours = [  # positions, and the bytes each may hold
-        (opens[1:] - 1, b"[,"),
-        (closes[:-1] + 1, b"],"),
-        (pluses - 1, b"eE"),
-        (dots - 1, _DIGITS),
-        (dots + 1, _DIGITS),
-        (starts[zero] + 1, b".eE],"),  # no leading zero
-        (starts[zero & signed] + 1, b".eE"),  # json reads -0 as the int 0
-    ]
-    if not all(np.isin(c[at], list(allowed)).all() for at, allowed in neighbours):
-        return None
-    skel = span.translate(None, _NOT_SKELETON)
-    try:
-        values = np.loadtxt(
-            [span.translate(_FIELDS).decode("ascii")], delimiter=",", comments=None, ndmin=1
-        ).reshape(_shape(skel))  # reshape refuses a rank numpy has no arrays of
-    except ValueError:  # a token float() refuses, inner whitespace, or too few or many
-        return None
-    return values if _nested(values.shape, "").encode() == skel else None
-
-
-def _read_json(path: str):
-    """json.load of a UTF-8 file, with each regular array of floats a float64 ndarray.
-
-    A member's array value is found from the positions of '"', ':', '{' and
-    '}' outside strings (quote parity, backslash escapes honoured) and read
-    by `_number_array`; the rest of the text goes to one json.loads, each
-    such array replaced by a string no string of the document can equal.
-    A file json.load refuses raises what json.load raises.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    buf = np.frombuffer(raw, np.uint8)
-    marks = np.flatnonzero((buf == 34) | (buf == 58) | (buf == 123) | (buf == 125))
-    quote = buf[marks] == 34
-    for i in np.flatnonzero(quote & (buf[marks - 1] == 92)).tolist():
-        p = marks[i] - 1
-        while p >= 0 and raw[p] == 92:
-            p -= 1
-        quote[i] = (marks[i] - 1 - p) % 2 == 0  # an even run of backslashes escapes nothing
-    outside = np.searchsorted(marks[quote], marks) % 2 == 0
-    stops = marks[quote | outside].tolist() + [len(raw)]
-    pieces, arrays, done = [], [], 0
-    for i, stop in enumerate(stops[:-1]):
-        if raw[stop] != 58:  # a member's value follows its ':'
-            continue
-        start, end = stop + 1, stops[i + 1]
-        while start < end and raw[start] in _WS:
-            start += 1
-        while end > start and raw[end - 1] in b" \t\n\r,":
-            end -= 1
-        if raw[start:start + 1] != b"[" or raw[end - 1] != 93:
-            continue
-        array = _number_array(raw[start:end])
-        if array is not None:
-            pieces += [raw[done:start], b'"\\u0000%d"' % len(arrays)]
-            arrays.append(array)
-            done = end
-    pieces.append(raw[done:])
-    rest = b"".join(pieces)
-
-    def fill(obj: dict) -> dict:
-        for key, value in obj.items():
-            if type(value) is str and value[:1] == "\0":
-                obj[key] = arrays[int(value[1:])]
-        return obj
-
-    # only a \u0000 escape puts a NUL in a string, so without one in the text
-    # no string of the document starts like a placeholder
-    if rest.count(b"\\u0000") == len(arrays):
-        try:
-            return json.loads(rest.decode("utf-8"), object_hook=fill)
-        except ValueError:  # json.load's own error on the whole text follows
-            pass
-    return json.loads(raw.decode("utf-8"))
-
-
-# -- problem files -----------------------------------------------------------
+def _read_object(path: str, kind: str) -> dict:
+    """json.load of a UTF-8 `kind` file, refused unless it holds one JSON object."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"a {kind} file holds one JSON object")
+    return data
 
 
 def _read_problem(path: str, solvers: Tuple[str, ...]) -> dict:
     """A problem file, parsed once; its optional "solver" field must be one of `solvers`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("a problem file holds one JSON object")
+    data = _read_object(path, "problem")
     solver = data.get("solver")
     if solver is not None and solver not in solvers:
         raise ValueError(
@@ -245,11 +131,12 @@ _MALFORMED = (TypeError, IndexError, OverflowError)
 def _load_problem(path: str, solvers: Tuple[str, ...]) -> Tuple[ControlProblem, dict]:
     data = _read_problem(path, solvers)
     try:
-        if int(data.get("version", 1)) != 1:
+        if _whole_number(data.get("version", 1), "version") != 1:
             raise ValueError(f"unsupported problem-file version {data.get('version')}")
         if "dimension" not in data or "omega" not in data or "psi_i" not in data:
             raise ValueError("problem file needs 'dimension', 'omega' and 'psi_i'")
-        basis = basis_of(str(data.get("basis", "gellmann")), int(data["dimension"]))
+        dimension = _whole_number(data["dimension"], "dimension")
+        basis = basis_of(str(data.get("basis", "gellmann")), dimension)
         psi_i = PureState(_from_pairs(data["psi_i"]))
         psi_f = PureState(_from_pairs(data["psi_f"])) if data.get("psi_f") is not None else None
         forbidden = tuple(data.get("forbidden", ()))
@@ -295,9 +182,7 @@ def _number(flag: Optional[float], params: dict, key: str) -> Optional[float]:
 def _count(params: dict, key: str, default: int) -> int:
     """params[key] as a whole number, else `default`."""
     value = _number(None, params, key)
-    if value is not None and not value.is_integer():
-        raise ValueError(f"{key} must be a whole number, got {value!r}")
-    return default if value is None else int(value)
+    return default if value is None else _whole_number(value, key)
 
 
 def _parse_grid(spec: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -470,7 +355,7 @@ def _verify_one(traj_dict: dict, embedded: Optional[dict], args) -> bool:
 
 
 def _cmd_verify(args) -> int:
-    data = _read_json(args.path)
+    data = _read_object(args.path, "solution")
     try:
         if "branches" in data:
             found = [

@@ -162,13 +162,21 @@ def _as_pairs(a: np.ndarray) -> np.ndarray:
 def _from_pairs(data) -> np.ndarray:
     """[re, im] pairs, as a float array or nested lists -> complex array.
 
-    A float64 array (as `cli._read_json` gives) is viewed, not copied; any
-    other shape than (..., 2) is a ValueError.
+    A contiguous float64 array is viewed, not copied; any other shape than
+    (..., 2) is a ValueError.
     """
     arr = np.asarray(data, dtype=float)
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise ValueError(f"expected an array of [re, im] pairs, got shape {arr.shape}")
     return np.ascontiguousarray(arr).view(complex)[..., 0]
+
+
+def _whole_number(value, name: str) -> int:
+    """`value` as an int; a ValueError where it has a fractional part, which int() drops."""
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(number)
 
 
 # the largest unitarity drift |U^dag U - 1| (Frobenius) a trajectory may
@@ -315,8 +323,9 @@ class Trajectory:
 
     @staticmethod
     def from_dict(data: dict) -> "Trajectory":
-        basis = basis_of(str(data["basis"]), int(data["dimension"]))
+        basis = basis_of(str(data["basis"]), _whole_number(data["dimension"], "dimension"))
         forbidden = tuple(basis.index_of(j) for j in data["forbidden"])
+        lambdas_shape = (len(data["times"]), len(forbidden))
 
         def read(name: str, convert=lambda v: np.asarray(v, dtype=float)):
             try:
@@ -332,7 +341,7 @@ class Trajectory:
             F=read("F", _from_pairs),
             psi=read("psi", _from_pairs),
             lambda0=read("lambda0"),
-            lambdas=read("lambdas").reshape(len(data["times"]), len(forbidden)),
+            lambdas=read("lambdas", lambda v: np.asarray(v, dtype=float).reshape(lambdas_shape)),
             tau_acc=read("tau_acc"),
             omega=float(data["omega"]),
             basis=basis,

@@ -506,153 +506,27 @@ def test_json_writer_refuses_a_string_equal_to_its_array_placeholder(tmp_path):
 LAYOUTS = {"compact": {"separators": (",", ":")}, "default": {}, "indent": {"indent": 1}}
 
 
-def assert_read_as_json(got, want, path="doc"):
-    """`got` (cli._read_json) is `want` (json.loads), but for lists read as
-    float64 arrays: those equal np.asarray(want, dtype=float) bit for bit."""
-    if isinstance(got, np.ndarray):
-        ref = np.asarray(want, dtype=float)
-        assert type(want) is list and got.dtype == np.float64, path
-        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), path
-        return
-    assert type(got) is type(want), path
-    if isinstance(want, dict):
-        assert list(got) == list(want), path
-        for key in want:
-            assert_read_as_json(got[key], want[key], f"{path}.{key}")
-    elif isinstance(want, list):
-        assert len(got) == len(want), path
-        for i, (g, w) in enumerate(zip(got, want)):
-            assert_read_as_json(g, w, f"{path}[{i}]")
-    elif isinstance(want, float):
-        assert got.hex() == want.hex(), path
-    else:
-        assert got == want, path
-
-
-def _read(text, tmp_path):
-    path = tmp_path / "read.json"
-    path.write_text(text, encoding="utf-8")
-    return cli._read_json(str(path))
-
-
-@pytest.mark.parametrize("argv, fixture", CLI_DOCUMENTS)
-def test_read_json_matches_json_loads_on_every_cli_document(argv, fixture, request, tmp_path):
+@pytest.mark.parametrize(
+    "argv, fixture", [(argv, fixture) for argv, fixture in CLI_DOCUMENTS if argv[0] != "sweep-m1"]
+)
+def test_verify_reads_every_cli_document_in_every_layout(argv, fixture, request, tmp_path, capsys):
+    # each layout reads back every float bit for bit: verify prints the same
+    # certificate, which matches the embedded report exactly
     if fixture is not None:
         argv = argv + [request.getfixturevalue(fixture)]
     out = tmp_path / "doc.json"
     assert main(argv + ["-o", str(out)]) == 0
-    want = json.loads(out.read_text())
+    doc = json.loads(out.read_text())
+    printed = {}
     for layout, options in LAYOUTS.items():
-        got = _read(json.dumps(want, **options), tmp_path)
-        assert_read_as_json(got, want, layout)
-        if argv[0] == "sweep-m1":
-            assert isinstance(got["amplitude"], np.ndarray), layout
-            continue
-        traj = (got["branches"][0] if "branches" in got else got)["trajectory"]
-        for key in ("times", "lambda0", "tau_acc", "psi", "V", "U", "H", "F"):
-            assert isinstance(traj[key], np.ndarray), (layout, key)
-        # M = 0 multipliers hold no float: json's list of K empty lists
-        assert isinstance(traj["lambdas"], list) == (argv[0] == "solve-free"), layout
-
-
-# strings that look like arrays, numbers or escapes
-TRICKY_STRINGS = ["[1.5, 2.5]", "0123", 'a "quoted" [0.5]', 'one " :[0.5]', "back\\slash\\",
-                  ':{"x":[1.5]}', "é"]
-
-
-@pytest.mark.parametrize(
-    "values, as_array",
-    [
-        ([-0.0, 5e-324, 1e-05, 1e16, 1e22, 3, -7, 0], True),
-        ([[0.1, -math.inf], [math.nan, 2.5e-300]], False),  # non-finite: json's floats
-        ([[[1.5, 2]], [[-3, 4e-7]]], True),
-        ([1.5], True),
-        ([[1, 2], [3, -4]], False),  # ints only: json's ints
-        ([[], []], False),
-        ([[1.5], [2.5, 3.5]], False),  # ragged
-        ([[1.5, 2.5], [3.5], [4.5, 5.5], [6.5]], False),  # ragged, as many as a 3 x 2
-        ([1.5, "x"], False),
-        ([1.5, None, True], False),
-    ],
-    ids=["values", "non-finite", "rank-3", "one", "ints", "empty", "ragged", "ragged-6", "string",
-         "literals"],
-)
-def test_read_json_matches_json_loads_on_edge_values(values, as_array, tmp_path):
-    doc = {  # the strings first: an escaped quote must not hide the arrays after it
-        "s": TRICKY_STRINGS,
-        "a": values,
-        "rows": [{"t": s, "k": values} for s in TRICKY_STRINGS],
-        "n": 1, "x": None, "b": True, "f": -0.0, "e": {},
-    }
-    for layout, options in LAYOUTS.items():
-        text = json.dumps(doc, **options)
-        got = _read(text, tmp_path)
-        assert_read_as_json(got, json.loads(text), layout)
-        assert isinstance(got["a"], np.ndarray) == as_array, layout
-
-
-def assert_reads_as_json_loads(text, tmp_path):
-    """cli._read_json of `text` is json.loads of it, or fails with its error."""
-    try:
-        want = json.loads(text)
-    except json.JSONDecodeError as exc:
-        with pytest.raises(json.JSONDecodeError, match=re.escape(str(exc))):
-            _read(text, tmp_path)
-    else:
-        assert_read_as_json(_read(text, tmp_path), want)
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        '{"a": [1.5, 2.5], "t": "\\u00000"}',  # decodes as the first array's placeholder
-        '{"t": "\\u0000", "a": [[1.5]]}',
-        '{"a": [1.5], "t": "\\\\u00000", "u": ["\\"\\u00000\\""]}',  # its text
-        '{"a": [0.5, -0], "b": [-0.0, 0e0, -0E1]}',  # json reads -0 as the int 0
-        '{"a": [[0.5,]1.5]}',
-        '{"a": [0.5[,1.5]]}',
-        '{"a": [[0.5, 1.5] ,\n [2.5 ,3.5 ]], "b": [1.5, 2.5}',
-    ],
-    ids=["placeholder", "nul", "placeholder-text", "minus-zero", "after-close", "before-open",
-         "unclosed"],
-)
-def test_read_json_matches_json_loads_on_text(text, tmp_path):
-    # a string that reads like the reader's placeholder for an array stays
-    # a string; a number after ']' or before '[' is refused as json refuses it
-    assert_reads_as_json_loads(text, tmp_path)
-
-
-# what an edit writes into a document's text, in place of a number or
-# between two bytes: JSON's punctuation, the bytes of numbers, numbers, and
-# tokens float() reads but JSON does not
-EDITS = list('0123456789.-+eE[],"\\:{} \n') + [
-    "-0", "-0.0", "0e0", "1E+05", "01", "-01", ".5", "1.", "+1", "1e+", "nan", "NaN", "\\u0000"
-]
-
-
-@settings(
-    max_examples=300,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(
-    rows=st.lists(st.lists(st.sampled_from([0.5, -0.0, 1e-05, 1e22, 3, 0]), min_size=2, max_size=2),
-                  max_size=3),
-    layout=st.sampled_from(sorted(LAYOUTS)),
-    edits=st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from(EDITS), st.booleans()),
-                   min_size=1, max_size=2),
-)
-def test_read_json_agrees_with_json_loads_on_edited_text(rows, layout, edits, tmp_path):
-    # an edit leaves a document both read alike or one both refuse alike
-    text = json.dumps({"a": rows, "s": "x[0.5]", "b": {"c": rows, "d": [rows, 0.5]}},
-                      **LAYOUTS[layout])
-    for at, piece, whole_number in edits:
-        numbers = [m.span() for m in re.finditer(r"-?[0-9][-+.0-9eE]*", text)]
-        start, end = (numbers[at % len(numbers)] if whole_number and numbers
-                      else (at % (len(text) + 1),) * 2)
-        text = text[:start] + piece + text[end:]
-    assert_reads_as_json_loads(text, tmp_path)
+        path = tmp_path / f"{layout}.json"
+        path.write_text(json.dumps(doc, **options))
+        capsys.readouterr()
+        assert main(["verify", str(path), "--tol", "analytic"]) == 0, layout
+        printed[layout] = capsys.readouterr().out
+    n_reports = len(doc.get("branches", [doc]))
+    assert printed["compact"].count("max deviation 0.000e+00\n") == n_reports
+    assert printed["default"] == printed["indent"] == printed["compact"]
 
 
 # ------------------------------------------------------------------ verify
@@ -832,10 +706,20 @@ def _first_time_as(token):
     return lambda text: text.replace('"times":[0.0,', f'"times":[{token},', 1)
 
 
+def _first_entry_as(field, token):
+    return lambda text: re.sub(rf'("{field}":\[+)[-+.0-9eE]+', rf"\g<1>{token}", text, count=1)
+
+
+def _replaced_once(old, new):
+    return lambda text: text.replace(old, new, 1)
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
-        ("trajectory", "malformed"),
+        # a value other than an object, one whose text names a key included
+        *[(value, "a solution file holds one JSON object")
+          for value in ("trajectory", "times", ["times"], 1.5, None)],
         ({"trajectory": [1]}, "malformed"),
         ({"branches": [1]}, "malformed"),
         ({"branches": {"a": 1}}, "malformed"),
@@ -843,13 +727,32 @@ def _first_time_as(token):
         (_edited(lambda doc: doc.update(report=[1])), "malformed"),  # a report that is no object
         (_edited(_ragged_h), "trajectory field 'H': setting an array element with a sequence"),
         (_edited(_string_in_v), "trajectory field 'V': could not convert string to float"),
+        (_edited(lambda doc: doc["trajectory"]["lambdas"].pop()),  # one row short
+         "trajectory field 'lambdas': cannot reshape"),
+        (_edited(lambda doc: doc["trajectory"].update(dimension=2.7)),  # int() would read 2
+         "dimension must be a whole number, got 2.7"),
         # tokens float() reads but JSON does not
         *[(_first_time_as(token), None) for token in ("01.5", ".5", "1.", "+1", "nan")],
         (lambda text: text[: text.index('"H":') + 1000], None),  # truncated mid-array
+        # JSON's syntax errors: a number after ']' or before '[', a trailing
+        # comma, an unclosed object, data after it, a raw control character
+        (_replaced_once("],[", "]0.5,["), None),
+        (_replaced_once(",[", ",0.5["), None),
+        (_replaced_once("]", ",]"), None),
+        (lambda text: text[:-1], None),
+        (lambda text: text + "[0.5]", None),
+        (_replaced_once('"times"', '"ti\x00mes"'), None),
+        # tokens json.load reads but JSON does not: a non-finite entry
+        (_first_time_as("NaN"), "times has a non-finite entry"),
+        (_first_time_as("-Infinity"), "times has a non-finite entry"),
+        (_first_entry_as("V", "NaN"), "V has a non-finite entry"),
+        (_first_entry_as("H", "Infinity"), "H has a non-finite entry"),
     ],
-    ids=["string", "list-trajectory", "number-branch", "branch-object", "no-branch", "list-report",
-         "ragged-H", "string-in-V", "times-01.5", "times-.5", "times-1.", "times-+1", "times-nan",
-         "truncated"],
+    ids=["string", "string-times", "list", "number", "null", "list-trajectory", "number-branch",
+         "branch-object", "no-branch", "list-report", "ragged-H", "string-in-V", "short-lambdas",
+         "dimension-2.7", "times-01.5", "times-.5", "times-1.", "times-+1", "times-nan",
+         "truncated", "after-close", "before-open", "trailing-comma", "unclosed", "extra-data",
+         "control-character", "times-NaN", "times-Infinity", "V-NaN", "H-Infinity"],
 )
 def test_verify_refuses_a_malformed_file_as_invalid_input(
     doc, message, closed_file, tmp_path, capsys
@@ -859,7 +762,9 @@ def test_verify_refuses_a_malformed_file_as_invalid_input(
     path = tmp_path / "bad.json"
     if callable(doc):
         main(["solve-closed", "-i", closed_file, "-o", str(path)])
-        text = doc(path.read_text())
+        written = path.read_text()
+        text = doc(written)
+        assert text != written
     else:
         text = json.dumps(doc)
     path.write_text(text)
@@ -870,6 +775,16 @@ def test_verify_refuses_a_malformed_file_as_invalid_input(
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1
     assert f"invalid input: {message}" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_sweep_document(tmp_path, capsys):
+    # a sweep's fields carry no trajectory to certify
+    path = tmp_path / "sweep.json"
+    assert main(["sweep-m1", "--grid", "0,0.02,3 x 0.1,0.3,4", "--omega", "7.5",
+                 "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert "invalid input: unrecognized file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16"])
@@ -951,6 +866,27 @@ def test_exit_code_validation_errors(tmp_path, free_file, closed_file):
     # solve-m1 has no step to cap: --dt is refused, not ignored
     m1 = ["solve-m1", "--omega-b", repr(DESIGNED_OB), "--phi", repr(DESIGNED_PHI), "--omega", "10"]
     assert main(m1 + ["--dt", "1e-9"]) == 1
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"version": 1.9}, {"dimension": 2.7}, {"version": 1.9, "dimension": 2.7}],
+    ids=["version", "dimension", "both"],
+)
+@pytest.mark.parametrize("command, fixture", [("solve-free", "free_file"),
+                                              ("solve-closed", "closed_file")])
+def test_problem_file_refuses_a_fractional_version_or_dimension(
+    fields, command, fixture, request, tmp_path, capsys
+):
+    # int() would truncate either to a problem the file does not state
+    data = json.loads(open(request.getfixturevalue(fixture)).read())
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**data, **fields}))
+    capsys.readouterr()
+    assert main([command, "-i", str(path)]) == 1
+    assert "must be a whole number" in capsys.readouterr().err
+    path.write_text(json.dumps({**data, "version": 1.0, "dimension": 2.0}))
+    assert main([command, "-i", str(path)]) == 0
 
 
 def _m1_file(tmp_path, **fields):
