@@ -87,8 +87,11 @@ class GeneratorBasis:
         return len(self.labels)
 
     def index_of(self, key) -> int:
-        """Resolve a generator reference (integer index or string label)."""
-        if isinstance(key, (int, np.integer)):
+        """Resolve a generator reference (integer index or string label).
+
+        A boolean is neither: it is looked up as a label, and so refused.
+        """
+        if isinstance(key, (int, np.integer)) and not isinstance(key, bool):
             idx = int(key)
             if not 0 <= idx < self.size:
                 raise IndexError(f"generator index {idx} out of range 0..{self.size - 1}")

@@ -26,7 +26,8 @@ import numpy as np
 
 from .algebra import basis_of
 from .dynamics import (
-    _MAX_SAMPLES, ControlProblem, MultiplierVector, Trajectory, _from_pairs, _whole_number
+    _MAX_SAMPLES, ControlProblem, MultiplierVector, Trajectory, _file_number, _from_pairs,
+    _number_array, _whole_number,
 )
 from .solvers import (
     ExtremalSolution,
@@ -128,6 +129,14 @@ def _read_problem(path: str, solvers: Tuple[str, ...]) -> dict:
 _MALFORMED = (TypeError, IndexError, OverflowError)
 
 
+def _field(data: dict, key: str, convert):
+    """convert(data[key]), with the field named in a refusal."""
+    try:
+        return convert(data[key])
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
 def _load_problem(path: str, solvers: Tuple[str, ...]) -> Tuple[ControlProblem, dict]:
     data = _read_problem(path, solvers)
     try:
@@ -137,13 +146,13 @@ def _load_problem(path: str, solvers: Tuple[str, ...]) -> Tuple[ControlProblem, 
             raise ValueError("problem file needs 'dimension', 'omega' and 'psi_i'")
         dimension = _whole_number(data["dimension"], "dimension")
         basis = basis_of(str(data.get("basis", "gellmann")), dimension)
-        psi_i = PureState(_from_pairs(data["psi_i"]))
-        psi_f = PureState(_from_pairs(data["psi_f"])) if data.get("psi_f") is not None else None
+        psi_i = PureState(_field(data, "psi_i", _from_pairs))
+        psi_f = PureState(_field(data, "psi_f", _from_pairs)) if data.get("psi_f") is not None else None
         forbidden = tuple(data.get("forbidden", ()))
         problem = ControlProblem(
             basis=basis,
             psi_i=psi_i,
-            omega=float(data["omega"]),
+            omega=_file_number(data["omega"], "omega"),
             forbidden=forbidden,
             psi_f=psi_f,
         )
@@ -156,9 +165,10 @@ def _seed_from_params(params: dict, problem: ControlProblem) -> Tuple[np.ndarray
     if "H0" not in params:
         raise ValueError("solver_params must supply the seed Hamiltonian 'H0' as [re, im] pairs")
     try:
-        H0 = _from_pairs(params["H0"])
-        lam0 = float(params.get("lambda0", 1.0))
-        lams = np.asarray(params.get("lambdas", np.zeros(problem.n_forbidden)), dtype=float)
+        H0 = _field(params, "H0", _from_pairs)
+        lam0 = _file_number(params.get("lambda0", 1.0), "lambda0")
+        lams = (_field(params, "lambdas", _number_array) if "lambdas" in params
+                else np.zeros(problem.n_forbidden))
     except _MALFORMED as exc:
         raise ValueError(f"malformed solver_params: {exc}") from exc
     if lam0 == 0.0:
@@ -167,16 +177,11 @@ def _seed_from_params(params: dict, problem: ControlProblem) -> Tuple[np.ndarray
 
 
 def _number(flag: Optional[float], params: dict, key: str) -> Optional[float]:
-    """The command-line value, else params[key] as a float, else None."""
+    """The command-line value, else the number params[key] as a float, else None."""
     if flag is not None:
         return flag
     value = params.get(key)
-    if value is None:
-        return None
-    try:
-        return float(value)
-    except _MALFORMED + (ValueError,) as exc:
-        raise ValueError(f"{key} must be a number, got {value!r}") from exc
+    return None if value is None else _file_number(value, key)
 
 
 def _count(params: dict, key: str, default: int) -> int:

@@ -54,8 +54,10 @@ Outside the right-hand side every G = sum_j c_j X_j is contracted by
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -159,24 +161,71 @@ def _as_pairs(a: np.ndarray) -> np.ndarray:
     return np.stack([a.real, a.imag], axis=-1)
 
 
-def _from_pairs(data) -> np.ndarray:
-    """[re, im] pairs, as a float array or nested lists -> complex array.
+def _is_number_type(kind: type) -> bool:
+    """Whether a value of type `kind` is a number of a file: real, not boolean."""
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
 
-    A contiguous float64 array is viewed, not copied; any other shape than
-    (..., 2) is a ValueError.
+
+def _file_number(value, name: str) -> float:
+    """A scalar number of a problem or trajectory file as a float.
+
+    Only a number is one: a string such as "10.0" or a boolean, which
+    float() would read, is a ValueError naming the field, and so is an
+    integer too large for a float.
     """
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim < 2 or arr.shape[-1] != 2:
-        raise ValueError(f"expected an array of [re, im] pairs, got shape {arr.shape}")
-    return np.ascontiguousarray(arr).view(complex)[..., 0]
+    if _is_number_type(type(value)):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def _whole_number(value, name: str) -> int:
     """`value` as an int; a ValueError where it has a fractional part, which int() drops."""
-    number = float(value)
+    number = _file_number(value, name)
     if not number.is_integer():
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(number)
+
+
+def _number_array(data) -> np.ndarray:
+    """An array field of a file, as nested lists or an array, as a float array.
+
+    A leaf that is not a number is a ValueError: a float conversion would
+    read a string such as "0.5" or a boolean.  The nesting (lists, or
+    arrays inside lists) is walked level by level, each level one flat
+    list, which costs no more than NumPy's own conversion of nested lists;
+    a ragged nesting or a non-numeric string keeps NumPy's own message.
+    """
+    if isinstance(data, np.ndarray) and data.dtype.kind in "fiu":
+        return data.astype(float, copy=False)
+    level, shape = [data], []
+    try:
+        while level and isinstance(level[0], (list, np.ndarray)):
+            (size,) = set(map(len, level))  # a ValueError where the lengths differ
+            shape.append(size)
+            level = list(chain.from_iterable(level))
+        numbers_only = all(map(_is_number_type, set(map(type, level))))
+    except (TypeError, ValueError):  # a leaf beside a list, or lists of unequal length
+        numbers_only = False
+    if not numbers_only:
+        np.asarray(data, dtype=float)  # raises for a ragged nesting or an unreadable token
+        bad = next(v for v in level if not _is_number_type(type(v)))
+        raise ValueError(f"expected numbers, got {bad!r}")
+    return np.array(level, dtype=float).reshape(shape)
+
+
+def _from_pairs(data) -> np.ndarray:
+    """[re, im] pairs, as a float array or nested lists of numbers -> complex array.
+
+    A contiguous float64 array is viewed, not copied; any other shape than
+    (..., 2) or a leaf that is not a number is a ValueError.
+    """
+    arr = _number_array(data)
+    if arr.ndim < 2 or arr.shape[-1] != 2:
+        raise ValueError(f"expected an array of [re, im] pairs, got shape {arr.shape}")
+    return np.ascontiguousarray(arr).view(complex)[..., 0]
 
 
 # the largest unitarity drift |U^dag U - 1| (Frobenius) a trajectory may
@@ -326,8 +375,11 @@ class Trajectory:
         basis = basis_of(str(data["basis"]), _whole_number(data["dimension"], "dimension"))
         forbidden = tuple(basis.index_of(j) for j in data["forbidden"])
         lambdas_shape = (len(data["times"]), len(forbidden))
+        renormalized = data.get("renormalized", False)
+        if not isinstance(renormalized, bool):
+            raise ValueError(f"renormalized must be true or false, got {renormalized!r}")
 
-        def read(name: str, convert=lambda v: np.asarray(v, dtype=float)):
+        def read(name: str, convert=_number_array):
             try:
                 return convert(data[name])
             except ValueError as exc:
@@ -341,12 +393,12 @@ class Trajectory:
             F=read("F", _from_pairs),
             psi=read("psi", _from_pairs),
             lambda0=read("lambda0"),
-            lambdas=read("lambdas", lambda v: np.asarray(v, dtype=float).reshape(lambdas_shape)),
+            lambdas=read("lambdas", lambda v: _number_array(v).reshape(lambdas_shape)),
             tau_acc=read("tau_acc"),
-            omega=float(data["omega"]),
+            omega=_file_number(data["omega"], "omega"),
             basis=basis,
             forbidden=forbidden,
-            renormalized=bool(data.get("renormalized", False)),
+            renormalized=renormalized,
         )
 
     def to_csv(self, path: str) -> None:
@@ -494,9 +546,12 @@ def stepped_rhs(F0: np.ndarray, Xf: np.ndarray, lambda0: float):
         sum_l eta_jl lambda_l = Tr[X_j i[G, F]] = 2 Re Tr[X_j (iG V) F(0) V^dag],
 
     which reuses dV/dt = iG V: three N x N products and one contraction
-    with the transposed forbidden generators `Xf`.  d(lambda_0)/dt is not
-    formed here: `_check_lambda0_rate` guards it on the slopes the callers
-    already hold.
+    with the transposed forbidden generators `Xf`.  At the sizes a pass
+    steps, a call costs NumPy's per-call overhead more than arithmetic, so
+    every product is `ndarray.dot` (cheaper to call than `@`) and dV and
+    the d(lambda_j)/dt are written into one new state-sized array.
+    d(lambda_0)/dt is not formed here: `_check_lambda0_rate` guards it on
+    the slopes the callers already hold.
     """
     N = F0.shape[0]
     M = Xf.shape[0]
@@ -506,10 +561,12 @@ def stepped_rhs(F0: np.ndarray, Xf: np.ndarray, lambda0: float):
     XfT2 = (np.ascontiguousarray(Xf.transpose(0, 2, 1)).reshape(M, n2) * (2.0 / N)).T
 
     def rhs(y: np.ndarray) -> np.ndarray:
+        out = np.empty_like(y)
         V = y[:n2].reshape(N, N)
-        dV = (y[n2:].real @ iXf2).reshape(N, N) @ V
-        dlams = ((dV @ (F0 @ V.conj().T)).ravel() @ XfT2).real
-        return np.concatenate((dV.ravel(), dlams))
+        dV = y[n2:].real.dot(iXf2).reshape(N, N).dot(V)
+        out[:n2] = dV.ravel()
+        out[n2:] = dV.dot(F0.dot(V.conj().T)).ravel().dot(XfT2).real
+        return out
 
     return rhs
 
@@ -537,25 +594,38 @@ def _check_lambda0_rate(
         )
 
 
+# Butcher's seven-stage sixth-order tableau (J. Austral. Math. Soc. 4
+# (1964) 179): row i of _RK6_A weighs stages 1..i in the input of stage
+# i + 1 (row 0, of the first stage, is empty), _RK6_B weighs the stages in
+# the step; the nodes are c = (0, 1/3, 2/3, 1/3, 1/2, 1/2, 1)
+_RK6_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1.0 / 3.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 2.0 / 3.0, 0.0, 0.0, 0.0, 0.0],
+    [1.0 / 12.0, 4.0 / 12.0, -1.0 / 12.0, 0.0, 0.0, 0.0],
+    [-1.0 / 16.0, 18.0 / 16.0, -3.0 / 16.0, -6.0 / 16.0, 0.0, 0.0],
+    [0.0, 9.0 / 8.0, -3.0 / 8.0, -6.0 / 8.0, 4.0 / 8.0, 0.0],
+    [9.0 / 44.0, -36.0 / 44.0, 63.0 / 44.0, 72.0 / 44.0, 0.0, -64.0 / 44.0],
+])
+_RK6_B = np.array([11.0, 0.0, 81.0, 81.0, -32.0, -32.0, 11.0]) / 120.0
+
+
 def rk6_step(rhs, y: np.ndarray, h, k1: np.ndarray) -> np.ndarray:
     """One step of Butcher's seven-stage sixth-order Runge-Kutta method
     (J. Austral. Math. Soc. 4 (1964) 179) of dy/dt = rhs(y) of size h.
 
-    The tableau, each row with its common denominator: c = (0, 1/3, 2/3,
-    1/3, 1/2, 1/2, 1); a_2 = (1)/3, a_3 = (0, 2)/3, a_4 = (1, 4, -1)/12,
-    a_5 = (-1, 18, -3, -6)/16, a_6 = (0, 9, -3, -6, 4)/8, a_7 = (9, -36,
-    63, 72, 0, -64)/44; b = (11, 0, 81, 81, -32, -32, 11)/120.  The first
-    stage k1 = rhs(y) is the caller's: the pass keeps it as the slope of
-    the sample y, for its checks and its dense output, so a step
-    evaluates rhs six times.
+    The tableau is `_RK6_A` and `_RK6_B`.  The stages fill the rows of one
+    stack K, so each stage's input y + h a_i.K and the step y + h b.K are
+    one product each.  The first stage k1 = rhs(y) is the caller's: the
+    pass keeps it as the slope of the sample y, for its checks and its
+    dense output, so a step evaluates rhs six times.
     """
-    k2 = rhs(y + (h / 3.0) * k1)
-    k3 = rhs(y + (h / 1.5) * k2)
-    k4 = rhs(y + (h / 12.0) * (k1 + 4.0 * k2 - k3))
-    k5 = rhs(y + (h / 16.0) * (18.0 * k2 - k1 - 3.0 * k3 - 6.0 * k4))
-    k6 = rhs(y + (h / 8.0) * (9.0 * k2 - 3.0 * k3 - 6.0 * k4 + 4.0 * k5))
-    k7 = rhs(y + (h / 44.0) * (9.0 * k1 - 36.0 * k2 + 63.0 * k3 + 72.0 * k4 - 64.0 * k6))
-    return y + (h / 120.0) * (11.0 * (k1 + k7) + 81.0 * (k3 + k4) - 32.0 * (k5 + k6))
+    K = np.empty((7, y.size), dtype=complex)
+    K[0] = k1
+    hA = h * _RK6_A
+    for i in range(1, 7):
+        K[i] = rhs(y + hA[i, :i].dot(K[:i]))
+    return y + (h * _RK6_B).dot(K)
 
 
 # a stepped pass's own step is this fraction of 1/r, with r the rate bound
@@ -665,19 +735,20 @@ class PassSamples(NamedTuple):
         # node's sample plus a small correction: it rounds less than the
         # weighted sum, and on a node the correction is exactly 0
         near = start + np.argmin(np.abs(d), axis=1)
+        # L_j^2 = prod_{i != j} (d_i / (s_j - s_i))^2 and L_j'(s_j) as the
+        # sum of 1/(s_j - s_i), for every node j at once: the pairs i = j
+        # are masked out (gap 1, ratio 1, inverse 0)
+        off = ~np.eye(p, dtype=bool)
+        gap = np.where(off, s[:, :, None] - s[:, None, :], 1.0)
+        L2 = (np.where(off, d[:, None, :] / gap, 1.0) ** 2).prod(-1)
+        dL = np.where(off, 1.0 / gap, 0.0).sum(-1)
+        A = (1.0 - 2.0 * dL * d) * L2
+        B = h * d * L2
         V0, lams0 = self.V[near], self.lambdas[near]
         dV = np.zeros_like(V0)
         dlams = np.zeros_like(lams0)
         for j in range(p):
-            # L_j^2, and L_j'(s_j) as the sum of 1/(s_j - s_i)
-            L2, dL = 1.0, 0.0
-            for i in range(p):
-                if i != j:
-                    L2 = L2 * (d[:, i] / (s[:, j] - s[:, i])) ** 2
-                    dL = dL + 1.0 / (s[:, j] - s[:, i])
-            a = (1.0 - 2.0 * dL * d[:, j]) * L2
-            b = h * d[:, j] * L2
-            f = self.slopes[start + j]
+            a, b, f = A[:, j], B[:, j], self.slopes[start + j]
             dV += a[:, None, None] * (self.V[start + j] - V0)
             dV += b[:, None, None] * f[:, :n2].reshape(-1, N, N)
             dlams += a[:, None] * (self.lambdas[start + j] - lams0) + b[:, None] * f[:, n2:].real

@@ -400,7 +400,8 @@ def _u_defect(times: np.ndarray, H: np.ndarray, U: np.ndarray) -> float:
     """sum_k ||U_{k+1} - P_k U_k||_F, P_k one RK6 step of i dU/dt = H U.
 
     P_k is one step of Butcher's sixth-order method (the tableau of
-    `dynamics.rk6_step`), its stages at t_k + (0, 1/3, 2/3, 1/3, 1/2, 1/2,
+    `dynamics.rk6_step`, `dynamics._RK6_A` and `_RK6_B`, here written out
+    per stage), its stages at t_k + (0, 1/3, 2/3, 1/3, 1/2, 1/2,
     1) h.  -iH at the step's ends is the sample there and at its inner
     stage times the interpolant `_stage_hamiltonians`, so each step errs
     by O(step^7).  P_k is the RK6 map of a skew-Hermitian generator, so

@@ -51,6 +51,47 @@ def dense_closure(basis, subset):
     return worst <= CLOSURE_TOL, worst
 
 
+def rk6_reference(rhs, y: np.ndarray, h: float, k1: np.ndarray) -> np.ndarray:
+    """One step of Butcher's sixth-order method with its seven stages written
+    out by hand, each row of the tableau over its common denominator: the
+    reference `dynamics.rk6_step` must match."""
+    k2 = rhs(y + (h / 3.0) * k1)
+    k3 = rhs(y + (h / 1.5) * k2)
+    k4 = rhs(y + (h / 12.0) * (k1 + 4.0 * k2 - k3))
+    k5 = rhs(y + (h / 16.0) * (18.0 * k2 - k1 - 3.0 * k3 - 6.0 * k4))
+    k6 = rhs(y + (h / 8.0) * (9.0 * k2 - 3.0 * k3 - 6.0 * k4 + 4.0 * k5))
+    k7 = rhs(y + (h / 44.0) * (9.0 * k1 - 36.0 * k2 + 63.0 * k3 + 72.0 * k4 - 64.0 * k6))
+    return y + (h / 120.0) * (11.0 * (k1 + k7) + 81.0 * (k3 + k4) - 32.0 * (k5 + k6))
+
+
+def hermite_rows_reference(smp, times: np.ndarray):
+    """(V, lambda_j) of a stepped pass's dense output at `times`, with the
+    Hermite weights formed node by node in a double loop over the four
+    stencil nodes: the reference `PassSamples.rows_at` must match."""
+    N, n, p, h = smp.V.shape[1], smp.n_steps, 4, smp.times[1]
+    n2 = N * N
+    k = np.clip(np.searchsorted(smp.times, times, side="right") - 1, 0, n - 1)
+    start = np.clip(k - 1, 0, n + 1 - p)
+    s = (smp.times[start[:, None] + np.arange(p)] - smp.times[start, None]) / h
+    d = ((times - smp.times[start]) / h)[:, None] - s
+    near = start + np.argmin(np.abs(d), axis=1)
+    V0, lams0 = smp.V[near], smp.lambdas[near]
+    dV, dlams = np.zeros_like(V0), np.zeros_like(lams0)
+    for j in range(p):
+        L2, dL = 1.0, 0.0
+        for i in range(p):
+            if i != j:
+                L2 = L2 * (d[:, i] / (s[:, j] - s[:, i])) ** 2
+                dL = dL + 1.0 / (s[:, j] - s[:, i])
+        a = (1.0 - 2.0 * dL * d[:, j]) * L2
+        b = h * d[:, j] * L2
+        f = smp.slopes[start + j]
+        dV += a[:, None, None] * (smp.V[start + j] - V0)
+        dV += b[:, None, None] * f[:, :n2].reshape(-1, N, N)
+        dlams += a[:, None] * (smp.lambdas[start + j] - lams0) + b[:, None] * f[:, n2:].real
+    return V0 + dV, lams0 + dlams
+
+
 def random_state(rng: np.random.Generator, n: int) -> PureState:
     amp = rng.normal(size=n) + 1j * rng.normal(size=n)
     return PureState(amp / np.linalg.norm(amp))

@@ -92,6 +92,9 @@ def test_index_of_accepts_labels_and_ints():
         basis.index_of(-1)
     with pytest.raises(KeyError):
         basis.index_of("sigma_q")
+    # a boolean is no index, though Python counts True as 1
+    with pytest.raises(KeyError):
+        basis.index_of(True)
 
 
 def test_build_gellmann_rejects_small_dimension():

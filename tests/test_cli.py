@@ -248,7 +248,7 @@ def test_shoot_dt_coarser_than_the_window_is_the_default_pass(shot_file, capsys)
     default = capsys.readouterr().out
     assert main(["shoot", "-i", shot_file, "--dt", "5"]) == 0
     assert capsys.readouterr().out == default
-    assert json.loads(default)["T"] == 0.9053082589150147
+    assert json.loads(default)["T"] == 0.9053082589150153
 
 
 def test_shoot_drift_exits_3_and_the_work_cap_exits_1(shot_file, monkeypatch, capsys):
@@ -731,6 +731,13 @@ def _replaced_once(old, new):
          "trajectory field 'lambdas': cannot reshape"),
         (_edited(lambda doc: doc["trajectory"].update(dimension=2.7)),  # int() would read 2
          "dimension must be a whole number, got 2.7"),
+        # a number or flag written as a JSON string: float() and bool() would read it
+        (_edited(lambda doc: doc["trajectory"].update(omega="10.0")),
+         "omega must be a number, got '10.0'"),
+        (_edited(lambda doc: doc["trajectory"].update(dimension="2")),
+         "dimension must be a number, got '2'"),
+        (_edited(lambda doc: doc["trajectory"].update(renormalized="false")),
+         "renormalized must be true or false, got 'false'"),
         # tokens float() reads but JSON does not
         *[(_first_time_as(token), None) for token in ("01.5", ".5", "1.", "+1", "nan")],
         (lambda text: text[: text.index('"H":') + 1000], None),  # truncated mid-array
@@ -750,7 +757,8 @@ def _replaced_once(old, new):
     ],
     ids=["string", "string-times", "list", "number", "null", "list-trajectory", "number-branch",
          "branch-object", "no-branch", "list-report", "ragged-H", "string-in-V", "short-lambdas",
-         "dimension-2.7", "times-01.5", "times-.5", "times-1.", "times-+1", "times-nan",
+         "dimension-2.7", "omega-string", "dimension-string", "renormalized-string",
+         "times-01.5", "times-.5", "times-1.", "times-+1", "times-nan",
          "truncated", "after-close", "before-open", "trailing-comma", "unclosed", "extra-data",
          "control-character", "times-NaN", "times-Infinity", "V-NaN", "H-Infinity"],
 )
@@ -887,6 +895,28 @@ def test_problem_file_refuses_a_fractional_version_or_dimension(
     assert "must be a whole number" in capsys.readouterr().err
     path.write_text(json.dumps({**data, "version": 1.0, "dimension": 2.0}))
     assert main([command, "-i", str(path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("dimension", "2"), ("omega", "10.0"), ("lambda0", "1.0"), ("t_max", True),
+     ("lambdas", ["0.5"]), ("lambdas", [True])],
+    ids=["dimension-string", "omega-string", "lambda0-string", "t_max-boolean",
+         "lambdas-string", "lambdas-boolean"],
+)
+def test_problem_file_refuses_a_number_written_as_a_string_or_boolean(
+    field, value, closed_file, tmp_path, capsys
+):
+    # float() and a float array conversion read "10.0" and true as numbers;
+    # a problem file's numbers are JSON numbers, and the refusal names its field
+    data = json.loads(open(closed_file).read())
+    (data["solver_params"] if field in _PARAM_KEYS else data)[field] = value
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["solve-closed", "-i", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid input" in err and field in err
 
 
 def _m1_file(tmp_path, **fields):

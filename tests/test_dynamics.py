@@ -720,6 +720,21 @@ def test_dense_output_on_a_sample_is_the_sample(case):
 
 
 @pytest.mark.parametrize("case", ["su3", "su4-7"])
+def test_dense_output_matches_the_node_by_node_weights(case):
+    # rows_at forms the Hermite weights of all four nodes in one broadcast;
+    # the double loop over the nodes gives the same rows to rounding, on
+    # samples, between them and at both ends of the window
+    problem, m0, h0 = stepped_instance(case)
+    smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
+    rng = np.random.default_rng(5)
+    times = np.concatenate((smp.times[[0, 1, 37, -2, -1]], np.sort(rng.uniform(0.0, 1.0, 276))))
+    V, _, lams, _ = smp.rows_at(problem, times)
+    V_ref, lams_ref = helpers.hermite_rows_reference(smp, times)
+    assert float(np.abs(V - V_ref).max()) <= 1e-15 * float(np.abs(V_ref).max())
+    assert float(np.abs(lams - lams_ref).max()) <= 1e-15 * float(np.abs(lams_ref).max())
+
+
+@pytest.mark.parametrize("case", ["su3", "su4-7"])
 def test_dense_output_is_c1_across_samples(case):
     # at every interior sample the one-sided second-order differences of
     # the interpolant from the left and from the right both give the
@@ -855,6 +870,36 @@ def test_perturbed_pass_sample_fails_the_cross_check(seed):
     assert not report.verdict["u_mismatch"]
 
 
+def test_rk6_tableau_meets_butchers_conditions():
+    # explicit stages whose rows sum to the nodes c, and weights that
+    # integrate 1, t, ..., t^5 exactly: the quadrature conditions of order 6
+    A, b = dynamics._RK6_A, dynamics._RK6_B
+    c = np.array([0.0, 1 / 3, 2 / 3, 1 / 3, 1 / 2, 1 / 2, 1.0])
+    assert A.shape == (7, 6) and b.shape == (7,)
+    assert not np.triu(A).any()
+    assert float(np.abs(A.sum(axis=1) - c).max()) <= 1e-15
+    assert abs(float(b.sum()) - 1.0) <= 1e-15
+    for q in range(1, 6):
+        assert abs(float(b @ c**q) - 1.0 / (q + 1)) <= 1e-15, q
+
+
+def test_rk6_step_matches_the_hand_expanded_stages():
+    # the tableau products of rk6_step give the step the seven stages
+    # written out by hand give, to rounding, from states along seed 7's pass
+    problem, h0, m0 = helpers.su4_shoot_seed(7)
+    smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=3.0))[-1]
+    n2 = problem.dim**2
+    rhs = stepped_rhs(smp.F0, problem.forbidden_generators(), m0.lambda0)
+    h = float(smp.times[1])
+    for k in range(0, smp.times.size, 25):
+        y = np.concatenate((smp.V[k].ravel(), smp.lambdas[k]))
+        k1 = rhs(y)
+        ref = helpers.rk6_reference(rhs, y, h, k1)
+        got = dynamics.rk6_step(rhs, y, h, k1)
+        assert float(np.linalg.norm(got - ref)) <= 1e-15 * float(np.linalg.norm(ref)), k
+        assert float(np.abs(ref[:n2] - y[:n2]).max()) > 1e-6  # the step moves the frame
+
+
 @pytest.mark.parametrize("seed", [2, 7])
 def test_integrate_non_commuting_su4_is_sixth_order(seed):
     # the stepped sixth-order step: the error of V(1), and so of U(1),
@@ -903,6 +948,14 @@ def test_integrate_closed_non_abelian_su4_is_exact():
 # -------------------------------------------------------------- Trajectory
 
 
+def _short_trajectory_doc() -> dict:
+    """A short trajectory's document as json.load gives it: lists, not arrays."""
+    problem = helpers.m1_problem(1.0)
+    traj = integrate(problem, MultiplierVector(1.0, [2.5]), SY, t_max=0.05, dt=1e-2)
+    return json.loads(json.dumps({k: v.tolist() if isinstance(v, np.ndarray) else v
+                                  for k, v in traj.to_dict().items()}))
+
+
 def test_trajectory_round_trip_is_exact():
     problem = helpers.m1_problem(1.0)
     traj = integrate(problem, MultiplierVector(1.0, [2.5]), SY, t_max=0.3, dt=1e-3)
@@ -919,6 +972,27 @@ def test_trajectory_round_trip_is_exact():
     assert back.omega == traj.omega
     assert back.renormalized == traj.renormalized
     assert back.forbidden == traj.forbidden
+
+
+@pytest.mark.parametrize(
+    "field, edit",
+    [("omega", lambda d: d.update(omega="1.0")),
+     ("dimension", lambda d: d.update(dimension="2")),
+     ("renormalized", lambda d: d.update(renormalized="false")),
+     ("renormalized", lambda d: d.update(renormalized=0)),
+     ("times", lambda d: d.update(times=["0.0"] + d["times"][1:])),
+     ("lambdas", lambda d: d.update(lambdas=[[True]] + d["lambdas"][1:])),
+     ("V", lambda d: d["V"][0][0][0].__setitem__(0, True))],
+    ids=["omega-string", "dimension-string", "renormalized-string", "renormalized-number",
+         "times-string", "lambdas-boolean", "V-boolean"],
+)
+def test_trajectory_from_dict_refuses_a_value_of_the_wrong_json_type(field, edit):
+    # float(), bool() and a float array conversion would read each of these
+    data = _short_trajectory_doc()
+    Trajectory.from_dict(data)
+    edit(data)
+    with pytest.raises(ValueError, match=field):
+        Trajectory.from_dict(data)
 
 
 def test_trajectory_json_file_round_trip(tmp_path):
