@@ -13,23 +13,14 @@ from .algebra import (
     GeneratorBasis,
     basis_of,
     build_gellmann_basis,
-    build_pauli_string_basis,
     is_closed_subalgebra,
 )
-from .states import (
-    BoundaryData,
-    DegenerateProblemError,
-    PureState,
-    boundary_data,
-    free_hamiltonian,
-    is_trivially_restricted,
-)
+from .states import DegenerateProblemError, PureState
 from .dynamics import (
     ControlProblem,
     MultiplierVector,
     SingularGaugeError,
     Trajectory,
-    g_operator,
     integrate,
 )
 from .solvers import (
@@ -37,10 +28,6 @@ from .solvers import (
     NoSolutionError,
     NotClosedError,
     SolutionKind,
-    build_two_qubit_f0,
-    m1_boundary,
-    m1_final_state,
-    m1_trajectory,
     shoot,
     solve_closed_subalgebra,
     solve_free,
@@ -48,16 +35,7 @@ from .solvers import (
     solve_two_qubit_example,
     sweep_m1,
 )
-from .verify import (
-    Tolerances,
-    VerificationReport,
-    certify,
-    check_constraints,
-    chko_residual,
-    endpoint_constraint,
-    initial_condition_residual,
-    speed_profile,
-)
+from .verify import Tolerances, VerificationReport, certify
 
 __version__ = "0.1.0"
 
@@ -65,28 +43,18 @@ __all__ = [
     "GeneratorBasis",
     "basis_of",
     "build_gellmann_basis",
-    "build_pauli_string_basis",
     "is_closed_subalgebra",
-    "BoundaryData",
     "DegenerateProblemError",
     "PureState",
-    "boundary_data",
-    "free_hamiltonian",
-    "is_trivially_restricted",
     "ControlProblem",
     "MultiplierVector",
     "SingularGaugeError",
     "Trajectory",
-    "g_operator",
     "integrate",
     "ExtremalSolution",
     "NoSolutionError",
     "NotClosedError",
     "SolutionKind",
-    "build_two_qubit_f0",
-    "m1_boundary",
-    "m1_final_state",
-    "m1_trajectory",
     "shoot",
     "solve_closed_subalgebra",
     "solve_free",
@@ -96,10 +64,5 @@ __all__ = [
     "Tolerances",
     "VerificationReport",
     "certify",
-    "check_constraints",
-    "chko_residual",
-    "endpoint_constraint",
-    "initial_condition_residual",
-    "speed_profile",
     "__version__",
 ]

@@ -326,10 +326,26 @@ def _cmd_shoot(args) -> int:
     return 0
 
 
+# the report member of documents written before u_defect, with no recomputed counterpart
+_LEGACY_FIELDS = ("u_mismatch",)
+_ABSENT = object()
+
+
+def _report_fields(report: dict) -> dict:
+    """A report's fields by name, each verdict as its own `verdict.<check>`."""
+    out = {}
+    for key, value in report.items():
+        if isinstance(value, dict):
+            out.update((f"{key}.{k}", v) for k, v in value.items())
+        else:
+            out[key] = value
+    return out
+
+
 def _verify_one(traj_dict: dict, embedded: Optional[dict], args) -> bool:
     try:
         traj = Trajectory.from_dict(traj_dict)
-        stored = None if embedded is None else embedded.items()
+        stored = None if embedded is None else _report_fields(embedded)
     except _MALFORMED + (AttributeError,) as exc:
         raise ValueError(f"malformed trajectory or report: {exc}") from exc
     tols = Tolerances.analytic() if args.tol == "analytic" else Tolerances.integrated()
@@ -337,16 +353,19 @@ def _verify_one(traj_dict: dict, embedded: Optional[dict], args) -> bool:
     sys.stdout.write(report.render_table() + "\n")
     ok = report.passed
     if stored is not None:
-        worst, worst_key = 0.0, None
-        fresh = report.as_dict()
-        for key, old in stored:
-            new = fresh.get(key)
-            if isinstance(old, bool) or isinstance(new, bool):
-                continue
-            if isinstance(old, (int, float)) and isinstance(new, (int, float)):
+        # numbers agree to 1e-12; every other field, and which fields there
+        # are, exactly
+        worst, worst_key, differs = 0.0, None, None
+        fresh = _report_fields(report.as_dict())
+        for key in [*fresh, *(k for k in stored if k not in fresh and k not in _LEGACY_FIELDS)]:
+            old, new = stored.get(key, _ABSENT), fresh.get(key, _ABSENT)
+            if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)):
                 dev = abs(float(new) - float(old))
                 if math.isnan(dev) or dev > worst:  # max() would drop a NaN
                     worst, worst_key = dev, key
+            elif differs is None and not (type(old) is type(new) and old == new):
+                shown = ["missing" if v is _ABSENT else json.dumps(v) for v in (old, new)]
+                differs = f"{key} is {shown[0]}, recomputed {shown[1]}"
         sys.stdout.write(
             f"round-trip agreement with embedded report: max deviation {worst:.3e}\n"
         )
@@ -356,6 +375,9 @@ def _verify_one(traj_dict: dict, embedded: Optional[dict], args) -> bool:
                 f"report by {worst:.3e}, beyond 1e-12\n"
             )
             ok = False
+        if differs is not None:
+            sys.stdout.write(f"round-trip FAIL: the embedded report's {differs}\n")
+            ok = False
     return ok
 
 
@@ -363,12 +385,14 @@ def _cmd_verify(args) -> int:
     data = _read_object(args.path, "solution")
     try:
         if "branches" in data:
+            # a solution's report is compared field by field: a null or
+            # missing one differs in every field
             found = [
-                (f"-- branch {k} --\n", sol.get("trajectory"), sol.get("report"))
+                (f"-- branch {k} --\n", sol.get("trajectory"), sol.get("report") or {})
                 for k, sol in enumerate(data["branches"])
             ]
         elif "trajectory" in data:
-            found = [("", data["trajectory"], data.get("report"))]
+            found = [("", data["trajectory"], data.get("report") or {})]
         elif "times" in data:
             found = [("", data, None)]
         else:

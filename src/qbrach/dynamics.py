@@ -86,8 +86,8 @@ class ControlProblem:
     """Problem statement: basis, boundary states, energy scale, forbidden set.
 
     `forbidden` entries may be given as basis indices or labels; they are
-    resolved and stored as an ordered index tuple.  `allowed` is the
-    complement, in basis order.  psi_f is absent in shooting mode.
+    resolved and stored as an ordered index tuple.  psi_f is absent in
+    shooting mode.
     """
 
     basis: GeneratorBasis
@@ -95,7 +95,6 @@ class ControlProblem:
     omega: float
     forbidden: Tuple[int, ...] = ()
     psi_f: Optional[PureState] = None
-    allowed: Tuple[int, ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         w = float(self.omega)
@@ -114,14 +113,9 @@ class ControlProblem:
                 f"psi_f dimension {self.psi_f.dim} != basis dimension {self.basis.dim}"
             )
         idx = tuple(self.basis.index_of(j) for j in self.forbidden)
-        excluded = set(idx)
-        if len(excluded) != len(idx):
+        if len(set(idx)) != len(idx):
             raise ValueError("forbidden set contains duplicate generators")
         object.__setattr__(self, "forbidden", idx)
-        allowed = tuple(i for i in range(self.basis.size) if i not in excluded)
-        if self.allowed is not None and tuple(self.allowed) != allowed:
-            raise ValueError("allowed set must be the complement of the forbidden set")
-        object.__setattr__(self, "allowed", allowed)
 
     @property
     def dim(self) -> int:

@@ -66,7 +66,6 @@ __all__ = [
     "m1_final_state",
     "m1_boundary",
     "solve_m1_two_level",
-    "build_two_qubit_f0",
     "solve_two_qubit_example",
     "shoot",
     "sweep_m1",
@@ -561,76 +560,6 @@ def sweep_m1(
 # -- restricted two-qubit example --------------------------------------------
 
 
-def build_two_qubit_f0(
-    mu22: float,
-    mu23: float,
-    mu32: float,
-    free_lambdas: Optional[Dict[str, float]] = None,
-    omega: Optional[float] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Initial (H0, F0) for the two-qubit problem with both locals forbidden.
-
-    H(0) = mu22 s2s2 + mu23 s2s3 + mu32 s3s2 (the mu33 coefficient must
-    vanish), subject to mu22^2 + mu23^2 + mu32^2 = omega^2/2.  F(0) adds
-    the multiplier terms with the linear relations that enforce the
-    first-row/column structure in the {|11>, |00>, |10>, |01>} frame:
-    lambda_20 = -mu23, lambda_02 = -mu32, lambda_11 = -mu22,
-    lambda_13 = -lambda_10, lambda_31 = -lambda_01, lambda_21 = lambda_12,
-    lambda_30 = lambda_03 = 0.  The remaining multipliers ("10", "01",
-    "12") are free and default to zero, which never raises the minimum
-    time when the endpoint constraints persist.
-    """
-    norm_sq = mu22**2 + mu23**2 + mu32**2
-    if norm_sq <= 0.0:
-        raise ValueError(
-            "all mu coefficients vanish; the norm mu22^2 + mu23^2 + mu32^2 "
-            "= omega^2/2 cannot hold"
-        )
-    derived = math.sqrt(2.0 * norm_sq)
-    if omega is None:
-        omega = derived
-    elif abs(norm_sq - omega**2 / 2.0) > 1e-10 * omega**2:
-        raise ValueError(
-            f"mu coefficients violate mu22^2+mu23^2+mu32^2 = omega^2/2: "
-            f"got {norm_sq:.12g} for omega = {omega:g}"
-        )
-    free = {"10": 0.0, "01": 0.0, "12": 0.0}
-    if free_lambdas:
-        unknown = set(free_lambdas) - set(free)
-        if unknown:
-            raise ValueError(
-                f"unknown free multipliers {sorted(unknown)}; the free choices "
-                "are '10', '01' and '12'"
-            )
-        free.update({k: float(v) for k, v in free_lambdas.items()})
-    basis = basis_of("pauli_strings", 4)
-
-    def gen(word: str) -> np.ndarray:
-        label = "".join(
-            f"σ{site + 1}{'¹²³'[int(ch) - 1]}"
-            for site, ch in enumerate(word)
-            if ch != "0"
-        )
-        return basis.generators[basis.index_of(label)]
-
-    H0 = mu22 * gen("22") + mu23 * gen("23") + mu32 * gen("32")
-    lam = {
-        "10": free["10"],
-        "20": -mu23,
-        "30": 0.0,
-        "01": free["01"],
-        "02": -mu32,
-        "03": 0.0,
-        "11": -mu22,
-        "12": free["12"],
-        "21": free["12"],
-        "13": -free["10"],
-        "31": -free["01"],
-    }
-    F0 = H0 + sum(v * gen(k) for k, v in lam.items())
-    return H0, F0
-
-
 def solve_two_qubit_example(
     omega_b: float, omega: float, dt: Optional[float] = None
 ) -> ExtremalSolution:
@@ -640,6 +569,10 @@ def solve_two_qubit_example(
     T = sqrt(2) Omega_B / omega — a factor sqrt(2) slower than the free
     bound, with energy spread omega/sqrt(2) throughout.  The final state is
     cos(Omega_B) e^{-i pi/2} |11> + sin(Omega_B) |00> up to a global phase.
+    The seed is H(0) = (omega/sqrt 2) s2s2 with lambda(s1s1) = -omega/sqrt 2
+    and every other multiplier zero: the paper's F(0), whose general form
+    adds mu23 s2s3 + mu32 s3s2 and three free multipliers, with
+    mu23 = mu32 = 0 and the free choices at zero, which never raises T.
     `dt` caps the certified sample step, which is otherwise
     `_certified_step`'s on this constant-multiplier flow (about 1.3e-3 at
     omega = 10: 171 steps at Omega_B = pi/2).
@@ -652,7 +585,7 @@ def solve_two_qubit_example(
     problem = ControlProblem(basis, PureState(ket11), omega, forbidden=TWO_QUBIT_FORBIDDEN)
     cap = _step_cap(dt)
     mu = omega / math.sqrt(2.0)
-    H0 = build_two_qubit_f0(mu, 0.0, 0.0, omega=omega)[0]
+    H0 = mu * basis.generators[basis.index_of("σ1²σ2²")]
     lams = np.zeros(problem.n_forbidden)
     lams[problem.forbidden.index(basis.index_of("σ1¹σ2¹"))] = -mu
     # Re<psi|HF|psi> = omega^2 along this flow in the gauge lambda_0 = 1

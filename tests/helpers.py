@@ -1,5 +1,6 @@
 """Shared builders for the test suite: random states, reference propagators,
-the dense commutator stack and seeded shooting problems."""
+the dense commutator stack, seeded shooting problems and the restricted
+two-qubit example's general F(0)."""
 
 import itertools
 
@@ -172,7 +173,7 @@ def chain_shoot_seed(seed: int):
     problem = ControlProblem(
         basis=basis, psi_i=random_state(rng, 16), omega=1.0, forbidden=forbidden
     )
-    allowed = list(problem.allowed)
+    allowed = [m for m in range(basis.size) if m not in forbidden]
     h0 = np.einsum("m,mij->ij", rng.normal(size=len(allowed)), basis.generators[allowed])
     h0 *= np.sqrt(2.0) / np.sqrt(np.real(np.einsum("ab,ba->", h0, h0)))
     return problem, h0, MultiplierVector(1.0, rng.normal(size=len(forbidden)) * 0.05)
@@ -186,3 +187,53 @@ def two_qubit_kets():
     ket00 = np.zeros(4, dtype=complex)
     ket00[0] = 1.0
     return basis, ket11, ket00
+
+
+def build_two_qubit_f0(mu22, mu23, mu32, free_lambdas=None, omega=None):
+    """Initial (H0, F0) for the two-qubit problem with both locals forbidden:
+    the reference for the paper's linear relations among the multipliers.
+
+    H(0) = mu22 s2s2 + mu23 s2s3 + mu32 s3s2 (the mu33 coefficient must
+    vanish), subject to mu22^2 + mu23^2 + mu32^2 = omega^2/2.  F(0) adds
+    the multiplier terms with the linear relations that enforce the
+    first-row/column structure in the {|11>, |00>, |10>, |01>} frame:
+    lambda_20 = -mu23, lambda_02 = -mu32, lambda_11 = -mu22,
+    lambda_13 = -lambda_10, lambda_31 = -lambda_01, lambda_21 = lambda_12,
+    lambda_30 = lambda_03 = 0.  The remaining multipliers ("10", "01",
+    "12") are free and default to zero.  `solve_two_qubit_example` takes
+    the seed with mu23 = mu32 = 0 and every free multiplier zero.
+    """
+    norm_sq = mu22**2 + mu23**2 + mu32**2
+    if norm_sq <= 0.0:
+        raise ValueError("all mu coefficients vanish")
+    if omega is not None and abs(norm_sq - omega**2 / 2.0) > 1e-10 * omega**2:
+        raise ValueError(f"mu22^2 + mu23^2 + mu32^2 = {norm_sq!r} != omega^2/2")
+    free = {"10": 0.0, "01": 0.0, "12": 0.0}
+    unknown = set(free_lambdas or ()) - set(free)
+    if unknown:
+        raise ValueError(f"unknown free multipliers {sorted(unknown)}")
+    free.update(free_lambdas or {})
+    basis = build_pauli_string_basis(2)
+
+    def gen(word: str) -> np.ndarray:
+        label = "".join(
+            f"σ{site + 1}{'¹²³'[int(ch) - 1]}" for site, ch in enumerate(word) if ch != "0"
+        )
+        return basis.generators[basis.index_of(label)]
+
+    H0 = mu22 * gen("22") + mu23 * gen("23") + mu32 * gen("32")
+    lam = {
+        "10": free["10"],
+        "20": -mu23,
+        "30": 0.0,
+        "01": free["01"],
+        "02": -mu32,
+        "03": 0.0,
+        "11": -mu22,
+        "12": free["12"],
+        "21": free["12"],
+        "13": -free["10"],
+        "31": -free["01"],
+    }
+    F0 = H0 + sum(v * gen(k) for k, v in lam.items())
+    return H0, F0

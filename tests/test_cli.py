@@ -541,7 +541,51 @@ def test_verify_round_trip(closed_file, tmp_path, capsys):
     assert "overall" in text
     assert "PASS" in text
     assert "FAIL" not in text
-    assert "round-trip agreement with embedded report: max deviation 0.000e+00" in text
+    assert text.endswith("PASS\nround-trip agreement with embedded report: max deviation 0.000e+00\n")
+
+
+# each edit of closed_sol.json's report, and the start of the round-trip
+# FAIL line that names the first field it leaves differing
+REPORT_TAMPERS = {
+    "overall-false": (lambda d: d["report"]["verdict"].update(overall=False),
+                      "verdict.overall is false, recomputed true"),
+    "chko-string": (lambda d: d["report"]["verdict"].update(chko="no"),
+                    'verdict.chko is "no", recomputed true'),
+    "renormalized-string": (lambda d: d["report"].update(renormalized="false"),
+                            'renormalized is "false", recomputed true'),
+    "all-three": (lambda d: (d["report"]["verdict"].update(overall=False, chko="no"),
+                             d["report"].update(renormalized="false")),
+                  'renormalized is "false", recomputed true'),
+    "empty": (lambda d: d["report"].clear(), "traceless_max is missing, recomputed "),
+    "null": (lambda d: d.update(report=None), "traceless_max is missing, recomputed "),
+    "absent": (lambda d: d.pop("report"), "traceless_max is missing, recomputed "),
+    "missing-field": (lambda d: d["report"].pop("speed_efficiency"),
+                      "speed_efficiency is missing, recomputed "),
+    "extra-field": (lambda d: d["report"].update(gate=1.0), "gate is 1.0, recomputed missing"),
+    "extra-verdict": (lambda d: d["report"]["verdict"].update(gate=True),
+                      "verdict.gate is true, recomputed missing"),
+    "verdict-not-a-dict": (lambda d: d["report"].update(verdict=True),
+                           "verdict.traceless is missing, recomputed true"),
+}
+
+
+@pytest.mark.parametrize("tamper, named", REPORT_TAMPERS.values(), ids=REPORT_TAMPERS)
+def test_verify_fails_a_report_whose_fields_differ(tamper, named, closed_file, tmp_path, capsys):
+    # booleans, strings and the set of fields must match the recomputed
+    # report exactly: every verdict of the table passes and every number
+    # agrees, yet the round trip fails and names the first field that differs
+    out = tmp_path / "sol.json"
+    assert main(["solve-closed", "-i", closed_file, "-o", str(out)]) == 0
+    sol = json.loads(out.read_text())
+    tamper(sol)
+    out.write_text(json.dumps(sol))
+    capsys.readouterr()
+    assert main(["verify", str(out), "--tol", "analytic"]) == 1
+    text = capsys.readouterr().out
+    assert re.findall(r"^(\S+) +\S+  FAIL$", text, re.M) == []
+    assert "round-trip agreement with embedded report: max deviation 0.000e+00\n" in text
+    fails = re.findall(r"^round-trip FAIL: .*$", text, re.M)
+    assert len(fails) == 1 and fails[0].startswith(f"round-trip FAIL: the embedded report's {named}")
 
 
 def test_verify_bare_trajectory(closed_file, tmp_path, capsys):

@@ -71,11 +71,10 @@ def su3_drifting_instance():
 # ---------------------------------------------------------- ControlProblem
 
 
-def test_problem_resolves_labels_and_complement():
+def test_problem_resolves_forbidden_labels():
     basis = build_gellmann_basis(2)
     p = ControlProblem(basis=basis, psi_i=helpers.KET0, omega=1.0, forbidden=("d1",))
     assert p.forbidden == (2,)
-    assert p.allowed == (0, 1)
     assert p.n_forbidden == 1
     np.testing.assert_array_equal(p.forbidden_generators()[0], SZ)
 

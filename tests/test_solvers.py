@@ -18,7 +18,6 @@ from qbrach.solvers import (
     NoSolutionError,
     NotClosedError,
     SolutionKind,
-    build_two_qubit_f0,
     m1_boundary,
     m1_final_state,
     m1_trajectory,
@@ -318,7 +317,7 @@ def test_build_two_qubit_f0_structure_and_relations():
     mu22, mu23, mu32 = 1.1, -0.7, 0.3
     omega = math.sqrt(2.0 * (mu22**2 + mu23**2 + mu32**2))
     free = {"10": 0.25, "01": -0.15, "12": 0.4}
-    h0, f0 = build_two_qubit_f0(mu22, mu23, mu32, free_lambdas=free, omega=omega)
+    h0, f0 = helpers.build_two_qubit_f0(mu22, mu23, mu32, free_lambdas=free, omega=omega)
     basis, ket11, _ = helpers.two_qubit_kets()
     # H(0) carries exactly the three mu terms
     expected_h0 = (
@@ -353,15 +352,25 @@ def test_build_two_qubit_f0_structure_and_relations():
     assert abs(overlap) <= 1e-12
 
 
+@pytest.mark.parametrize("omega", [10.0, 1.0, 3.7, 0.3])
+def test_two_qubit_example_seed_is_the_reference_f0_seed(omega):
+    # the solver's H0 is the general builder's at mu22 = omega/sqrt 2,
+    # mu23 = mu32 = 0, bit for bit and with the same signs of zero
+    sol = solve_two_qubit_example(0.7, omega)
+    h0, _ = helpers.build_two_qubit_f0(omega / math.sqrt(2.0), 0.0, 0.0, omega=omega)
+    assert sol.H0.dtype == h0.dtype == np.complex128
+    assert np.array_equal(sol.H0.view(np.uint64), h0.view(np.uint64))
+
+
 def test_build_two_qubit_f0_validation():
     with pytest.raises(ValueError):
-        build_two_qubit_f0(0.0, 0.0, 0.0)
+        helpers.build_two_qubit_f0(0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        build_two_qubit_f0(1.0, 0.0, 0.0, omega=3.0)
+        helpers.build_two_qubit_f0(1.0, 0.0, 0.0, omega=3.0)
     with pytest.raises(ValueError):
-        build_two_qubit_f0(1.0, 0.0, 0.0, free_lambdas={"22": 1.0})
+        helpers.build_two_qubit_f0(1.0, 0.0, 0.0, free_lambdas={"22": 1.0})
     # omitted omega falls back to the value implied by the norm constraint
-    h0, _ = build_two_qubit_f0(1.0, 0.0, 0.0)
+    h0, _ = helpers.build_two_qubit_f0(1.0, 0.0, 0.0)
     assert np.real(np.trace(h0 @ h0)) == pytest.approx(2.0 * 2.0, rel=1e-12)
 
 
@@ -777,7 +786,7 @@ def test_closed_solver_projects_the_seed_as_shoot_does(caplog):
         basis=basis, psi_i=helpers.random_state(rng, 4), omega=1.0,
         forbidden=("σ1¹", "σ1²", "σ1³"),
     )
-    allowed = basis.generators[list(problem.allowed)]
+    allowed = np.delete(basis.generators, problem.forbidden, axis=0)
     h0 = np.tensordot(rng.normal(size=len(allowed)), allowed, axes=1)
     h0 *= math.sqrt(2.0) / math.sqrt(float(np.real(np.einsum("ab,ba->", h0, h0))))
     m0 = MultiplierVector(1.0, 0.5 * rng.normal(size=3))

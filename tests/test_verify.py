@@ -10,7 +10,6 @@ import helpers
 from qbrach import verify
 from qbrach.dynamics import Trajectory
 from qbrach.solvers import (
-    build_two_qubit_f0,
     m1_trajectory,
     solve_free,
     solve_two_qubit_example,
@@ -124,7 +123,7 @@ def test_initial_condition_residual_values():
         math.sqrt(2.0), rel=1e-12
     )
     assert initial_condition_residual(SX, helpers.KET0) <= 1e-15
-    _, f0 = build_two_qubit_f0(1.1, -0.7, 0.3, free_lambdas={"10": 0.25, "12": 0.4})
+    _, f0 = helpers.build_two_qubit_f0(1.1, -0.7, 0.3, free_lambdas={"10": 0.25, "12": 0.4})
     _, ket11, _ = helpers.two_qubit_kets()
     assert initial_condition_residual(f0, ket11) <= 1e-12
 
