@@ -81,6 +81,19 @@ class SingularGaugeError(ArithmeticError):
     """lambda_0 reached zero: H = V F(0) V^dag / lambda_0 - G is singular."""
 
 
+def _energy_scale(omega) -> float:
+    """omega as a float, the one check of an energy scale: a ValueError unless it is
+    positive and finite with omega^2 and 1/omega^2 normal floats."""
+    w = float(omega)
+    # omega^2 and 1/omega^2 are normal floats exactly when 2^-1022 <= omega^2 <= 2^1022
+    if not (0 < w < math.inf and sys.float_info.min <= w * w <= 1.0 / sys.float_info.min):
+        raise ValueError(
+            f"energy scale omega must be positive and finite, with omega^2 and "
+            f"1/omega^2 normal floats, got {omega}"
+        )
+    return w
+
+
 @dataclass(frozen=True)
 class ControlProblem:
     """Problem statement: basis, boundary states, energy scale, forbidden set.
@@ -97,13 +110,7 @@ class ControlProblem:
     psi_f: Optional[PureState] = None
 
     def __post_init__(self):
-        w = float(self.omega)
-        # omega^2 and 1/omega^2 are normal floats exactly when 2^-1022 <= omega^2 <= 2^1022
-        if not (0 < w < math.inf and sys.float_info.min <= w * w <= 1.0 / sys.float_info.min):
-            raise ValueError(
-                f"energy scale omega must be positive and finite, with omega^2 and "
-                f"1/omega^2 normal floats, got {self.omega}"
-            )
+        _energy_scale(self.omega)
         if self.psi_i.dim != self.basis.dim:
             raise ValueError(
                 f"psi_i dimension {self.psi_i.dim} != basis dimension {self.basis.dim}"
@@ -285,11 +292,7 @@ class Trajectory:
         tau = np.asarray(self.tau_acc, dtype=float).ravel()
         if lam0.size != K or tau.size != K:
             raise ValueError("multiplier/tau arrays must match the time grid length")
-        # F's lower triangle is left to the isospectrality check, whose
-        # spectrum reads it: a non-finite entry there gives NaN eigenvalues
-        finite = dict(stacks, F=np.triu(stacks["F"], 1), times=times, lambda0=lam0,
-                      lambdas=lams, tau_acc=tau)
-        for name, arr in finite.items():
+        for name, arr in dict(stacks, times=times, lambda0=lam0, lambdas=lams, tau_acc=tau).items():
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} has a non-finite entry")
         if K > 1:
@@ -432,9 +435,7 @@ def g_operator(m: MultiplierVector, basis: GeneratorBasis, forbidden: Sequence[i
 
 
 def constant_g_frames(G: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """V(t) = e^{iGt} on a batch of times via one eigensplit (none when G = 0)."""
-    if not G.any():
-        return np.broadcast_to(np.eye(G.shape[0], dtype=complex), (times.size, *G.shape)).copy()
+    """V(t) = e^{iGt} on a batch of times via one eigensplit."""
     w, Q = np.linalg.eigh(G)
     return stack_product(Q * np.exp(1.0j * np.outer(times, w))[:, None, :], Q.conj().T)
 
@@ -501,8 +502,10 @@ def _constant_rows(
     return V, np.full(times.size, m.lambda0), lams, times / m.lambda0
 
 
-def _validate_h0(problem: ControlProblem, H0: np.ndarray) -> None:
-    w, tol = problem.omega, 1e-8
+def _hermitian_seed(problem: ControlProblem, H0) -> np.ndarray:
+    """H0 as a complex array, the one check of a seed: a ValueError naming H0 unless
+    it is N x N, finite and Hermitian to 1e-10 of max(1, ||H0||_F)."""
+    H0 = np.asarray(H0, dtype=complex)
     if H0.shape != (problem.dim, problem.dim):
         raise ValueError(f"H0 has shape {H0.shape}, expected square of dim {problem.dim}")
     if not np.all(np.isfinite(H0)):
@@ -510,6 +513,14 @@ def _validate_h0(problem: ControlProblem, H0: np.ndarray) -> None:
     herm = float(np.linalg.norm(H0 - H0.conj().T)) / max(1.0, float(np.linalg.norm(H0)))
     if herm > 1e-10:
         raise ValueError(f"H0 is not Hermitian (relative deviation {herm:.3e})")
+    return H0
+
+
+def _validate_h0(problem: ControlProblem, H0) -> np.ndarray:
+    """A Hermitian seed (`_hermitian_seed`) on the constraint surface: traceless,
+    Tr[H0^2] = 2 omega^2 and Tr[H0 X_j] = 0 on the forbidden set, each to 1e-8."""
+    H0 = _hermitian_seed(problem, H0)
+    w, tol = problem.omega, 1e-8
     tr = abs(complex(np.trace(H0))) / w
     if tr > tol:
         raise ValueError(f"H0 violates Tr[H] = 0: |Tr H0|/omega = {tr:.3e}")
@@ -527,6 +538,7 @@ def _validate_h0(problem: ControlProblem, H0: np.ndarray) -> None:
                 f"H0 violates the forbidden-direction constraint "
                 f"Tr[H X] = 0 for X = {problem.basis.labels[j]}: |Tr|/omega = {t:.3e}"
             )
+    return H0
 
 
 def stepped_rhs(F0: np.ndarray, Xf: np.ndarray, lambda0: float):
@@ -660,6 +672,22 @@ def _step_cap(dt: Optional[float]) -> float:
     return dt
 
 
+def _seed_operators(problem: ControlProblem, m0: MultiplierVector, H0: np.ndarray) -> tuple:
+    """(G, F(0)) of the seed (H0, m0): G = g_operator(m0), which refuses lambda_0 = 0,
+    and F(0) = lambda_0 (H0 + G)."""
+    G = g_operator(m0, problem.basis, problem.forbidden)
+    return G, m0.lambda0 * (H0 + G)
+
+
+def _pass_grid(t_max: float, G: np.ndarray, F0: np.ndarray, lambda0: float,
+               dt: Optional[float]) -> np.ndarray:
+    """A pass's grid of [0, t_max], `_grid` at steps of at most min(t_max, 0.05/r, `dt`),
+    r = `_pass_rate`; a t_max that is not positive and finite is a ValueError."""
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
+    return _grid(t_max, min(t_max, _STEP_PER_RATE / _pass_rate(G, F0, lambda0), _step_cap(dt)))
+
+
 def _pass_rate(G: np.ndarray, F0: np.ndarray, lambda0: float) -> float:
     """r = 2 (||G(0)||_F + rho(F(0))/|lambda_0|), a bound on the stepped flow's rates.
 
@@ -765,14 +793,12 @@ def exact_pass(
 ) -> PassSamples:
     """The constant-multiplier flow of the seed (H0, m0) on [0, t_max] as one pass.
 
-    Its grid is the one a stepped pass of the same seed takes: steps of
-    0.05/r (`_pass_rate`), capped by `dt`, on at least four steps
-    (`_grid`).  The flow itself is exact at any time (`rows_at`), so the
-    grid only sets where the root scan looks.
+    Its grid is the one a stepped pass of the same seed takes
+    (`_pass_grid`).  The flow itself is exact at any time (`rows_at`), so
+    the grid only sets where the root scan looks.
     """
-    G = g_operator(m0, problem.basis, problem.forbidden)
-    F0 = m0.lambda0 * (H0 + G)
-    times = _grid(t_max, min(t_max, _STEP_PER_RATE / _pass_rate(G, F0, m0.lambda0), _step_cap(dt)))
+    G, F0 = _seed_operators(problem, m0, H0)
+    times = _pass_grid(t_max, G, F0, m0.lambda0, dt)
     return PassSamples(times, *_constant_rows(problem, m0, times), F0, times.size - 1, None)
 
 
@@ -785,7 +811,7 @@ def integrate_blocks(
 ) -> Iterator[PassSamples]:
     """The samples of one integration pass of [0, t_max], yielded as they grow.
 
-    Either pass samples the uniform grid `_grid` of [0, t_max] at steps of
+    Either pass samples the grid `_pass_grid` of [0, t_max], at steps of
     at most min(t_max, 0.05/r, `dt`), with r the pass's rate bound
     (`_pass_rate`): `dt` only caps the step.  A stepped pass (a forbidden
     set that is not closed) takes `rk6_step` on `stepped_rhs` there.  It
@@ -797,31 +823,24 @@ def integrate_blocks(
     projects its frame and never restarts.  The slope at each sample is
     kept (`PassSamples.slopes`): it is the next step's first stage and the
     dense output's derivative, and at y(0) and every checkpoint
-    `_check_lambda0_rate` guards it.  The exact path (a closed forbidden set) yields its complete window at
-    once (`exact_pass`).  A caller may stop iterating at any block.  A
-    grid of more than `_MAX_SAMPLES` steps is a ValueError.
+    `_check_lambda0_rate` guards it.  The exact path (a closed forbidden
+    set) yields its complete window at once, as `exact_pass` does.  A
+    caller may stop iterating at any block.
     """
-    H0 = np.asarray(H0, dtype=complex)
-    _validate_h0(problem, H0)
+    H0 = _validate_h0(problem, H0)
     lam0 = m0.lambda0
-    if lam0 == 0.0:
-        raise SingularGaugeError("lambda_0(0) = 0 is a singular gauge")
-    if not 0 < t_max < math.inf:
-        raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    w = problem.omega
-    if not problem.forbidden or is_closed_subalgebra(problem.basis, problem.forbidden)[0]:
-        yield exact_pass(problem, m0, H0, t_max, dt)
-        return
-    G = g_operator(m0, problem.basis, problem.forbidden)
-    F0 = lam0 * (H0 + G)
-    times = _grid(t_max, min(t_max, _STEP_PER_RATE / _pass_rate(G, F0, lam0), _step_cap(dt)))
+    G, F0 = _seed_operators(problem, m0, H0)
+    times = _pass_grid(t_max, G, F0, lam0, dt)
     n_steps, step = times.size - 1, float(times[1])
+    if not problem.forbidden or is_closed_subalgebra(problem.basis, problem.forbidden)[0]:
+        yield PassSamples(times, *_constant_rows(problem, m0, times), F0, n_steps, None)
+        return
 
     M = problem.n_forbidden
     N = problem.dim
     n2 = N * N
     rhs = stepped_rhs(F0, problem.forbidden_generators(), lam0)
-    every = max(1, round(_CHECK_SPAN / (w * step)))
+    every = max(1, round(_CHECK_SPAN / (problem.omega * step)))
     ys = np.empty((n_steps + 1, n2 + M), dtype=complex)
     lam0s = np.full(n_steps + 1, lam0)
     taus = times / lam0

@@ -42,14 +42,15 @@ from .dynamics import (
     Trajectory,
     _as_pairs,
     _constant_rows,
+    _energy_scale,
     _grid,
+    _hermitian_seed,
     _observables,
     _pass_rate,
+    _seed_operators,
     _step_cap,
-    _validate_h0,
     exact_pass,
     finalize_trajectory,
-    g_operator,
     integrate_blocks,
 )
 from .states import PureState, boundary_data, free_hamiltonian
@@ -208,20 +209,19 @@ def _certified(
     """The certified extremal of the seed (H0, m0) on [0, T]: every solver's tail.
 
     The grid (`_grid`) is uniform on [0, T].  Its own step is
-    `_certified_step` on G = g_operator(m0) and F(0), one rule for every
-    solver, at the bounds of the flow the rows come from: a stepped pass
-    (`smp` with slopes) or the constant-multiplier flow (no pass, or the
-    exact pass).  A user's `cap` (`_step_cap`) only refines that step, and
-    one needing more than `dynamics._MAX_SAMPLES` steps is refused.  The
-    rows are the pass `smp` on that grid or, without a pass, the
-    constant-multiplier flow of the seed, F(0) = lambda_0 (H0 + G).
-    `re_T` is Re<psi|HF|psi> at T in the seed's gauge; the trajectory and
-    the multipliers are divided by it, so the endpoint evaluates to 1.  A SHOT is judged with the integrated
-    tolerances, every other kind with the analytic ones.
+    `_certified_step` on the seed's (G, F(0)) (`_seed_operators`), one rule
+    for every solver, at the bounds of the flow the rows come from: a
+    stepped pass (`smp` with slopes) or the constant-multiplier flow (no
+    pass, or the exact pass).  A user's `cap` (`_step_cap`) only refines
+    that step, and one needing more than `dynamics._MAX_SAMPLES` steps is
+    refused.  The rows are the pass `smp` on that grid or, without a pass,
+    the constant-multiplier flow of the seed.  `re_T` is Re<psi|HF|psi> at
+    T in the seed's gauge; the trajectory and the multipliers are divided
+    by it, so the endpoint evaluates to 1.  A SHOT is judged with the
+    integrated tolerances, every other kind with the analytic ones.
     """
     tols = Tolerances.integrated() if kind is SolutionKind.SHOT else Tolerances.analytic()
-    G = g_operator(m0, problem.basis, problem.forbidden)
-    F0 = m0.lambda0 * (H0 + G) if smp is None else smp.F0
+    G, F0 = _seed_operators(problem, m0, H0)
     stepped = smp is not None and smp.slopes is not None
     own = _certified_step(problem.omega, G, F0, m0.lambda0, T, tols, stepped)
     times = _grid(T, min(cap, own))
@@ -297,15 +297,11 @@ def solve_closed_subalgebra(
     the closure assumption is meant to rule out; otherwise NotClosedError.
     The trace is checked on the same pass the solution is taken from.
     """
-    if not 0 < t_max < math.inf:
-        raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    H0 = np.asarray(H0, dtype=complex)
+    H0, m0 = _project_seed(problem, H0, m0)
+    smp = exact_pass(problem, m0, H0, t_max)
     closed, closure_resid = (
         is_closed_subalgebra(problem.basis, problem.forbidden) if problem.forbidden else (True, 0.0)
     )
-    _validate_h0(problem, H0)
-    H0, m0 = _project_seed(problem, H0, m0)
-    smp = exact_pass(problem, m0, H0, t_max)
     if not closed:
         # The set spans no subalgebra, but the constant-multiplier flow is
         # still exact for this seed iff the forbidden traces vanish along it:
@@ -411,8 +407,9 @@ def solve_m1_two_level(
     Candidate branches come from Lambda_1 T = pi/4 + k pi/2 (the endpoint
     condition lambda_1 cos(2 Lambda_1 T) = 0 with lambda_1 != 0) and
     lambda_1 T = [arccot(sin phi tan 2Omega_B) + l pi]/2; a pair (k, l)
-    survives only if the duration radicand is positive and all three
-    boundary-matching residuals vanish within 1e-9.  The returned
+    survives only if the duration radicand, (omega T)^2, is positive with
+    omega T above 1e-12, and all three boundary-matching residuals vanish
+    within 1e-9.  omega is checked as `ControlProblem` checks it.  The returned
     list is sorted by duration (the global minimum first).  An empty
     surviving set raises: the extremal-time trajectory need not exist for
     arbitrary (Omega_B, phi).  A negative count, or more than
@@ -420,8 +417,7 @@ def solve_m1_two_level(
     """
     if not 0 < omega_b < math.pi / 2:
         raise ValueError(f"Bures angle must lie in (0, pi/2), got {omega_b}")
-    if not 0 < omega < math.inf:
-        raise ValueError(f"energy scale omega must be positive and finite, got {omega}")
+    _energy_scale(omega)
     cap = dynamics._MAX_SAMPLES
     if min(k_max, l_max) < 0 or (k_max + 1) * (2 * l_max + 1) > cap:
         raise ValueError(
@@ -446,11 +442,9 @@ def solve_m1_two_level(
         for l in range(-l_max, l_max + 1):
             b = half_arccot + l * math.pi / 2.0
             rad = a * a - b * b
-            if rad <= 0.0:
+            if rad <= 0.0 or math.sqrt(rad) <= 1e-12:  # omega T = sqrt(rad)
                 continue
             T = math.sqrt(rad) / omega
-            if T <= 1e-12:
-                continue
             sin_t = b / a
             cos_t = math.sqrt(max(0.0, 1.0 - sin_t * sin_t))
             r1 = sign_k * cos_t + math.cos(phi) * sin2ob
@@ -500,7 +494,9 @@ def sweep_m1(
     omega^2 identically along this flow.  Rows index lambda1_tilde, columns
     index T.  Fields are computed from the propagated states, not from any
     closed-form shortcut, so they double as a consistency check.  A grid
-    of more than `dynamics._MAX_SAMPLES` cells is a ValueError.
+    of more than `dynamics._MAX_SAMPLES` cells is a ValueError, and so is
+    an omega `ControlProblem` refuses and a grid whose lambda_1^2 or phases
+    2 sqrt(lambda_1^2 + omega^2) T overflow: no field is ever non-finite.
     """
     lt = np.asarray(lambda1_tilde, dtype=float).ravel()
     ts = np.asarray(T_values, dtype=float).ravel()
@@ -512,9 +508,11 @@ def sweep_m1(
         raise ValueError("sweep grid values must be finite")
     if np.any(ts <= 0):
         raise ValueError("sweep times must be positive")
-    w = float(omega)
-    if not 0 < w < math.inf:
-        raise ValueError(f"energy scale omega must be positive and finite, got {omega}")
+    w = _energy_scale(omega)
+    lam_top, t_top = float(np.abs(lt).max(initial=0.0)) * w**2, float(ts.max(initial=0.0))
+    # on Python floats a product that overflows is inf, with no warning
+    if not 2.0 * math.sqrt(lam_top * lam_top + w * w) * t_top < math.inf:
+        raise ValueError(f"sweep lambda_1 up to {lam_top:.3g} and T up to {t_top:.3g} overflow")
     lam = lt[:, None] * w**2
     T = ts[None, :]
     Lam = np.sqrt(lam**2 + w**2)
@@ -620,7 +618,10 @@ def _project_seed(
     t = 0.  Only lambda_0 = 0 is a singular gauge: the seed is first
     scaled by the power of two that brings its largest multiplier into
     [1/2, 1), which is exact and keeps any finite gauge clear of overflow.
+    Any finite Hermitian N x N seed is accepted (`_hermitian_seed`, the
+    one check of a seed, made first); the projection does the rest.
     """
+    H0_seed = _hermitian_seed(problem, H0_seed)
     lam0 = m0_seed.lambda0
     if lam0 == 0.0:
         raise SingularGaugeError("lambda_0(0) = 0 is a singular gauge")
@@ -899,13 +900,6 @@ def shoot(
     admit every stopping time; then `target_bures_angle` selects T as the
     first time the Bures angle from psi_i reaches that value.
     """
-    N = problem.dim
-    H0_seed = np.asarray(H0_seed, dtype=complex)
-    if H0_seed.shape != (N, N):
-        raise ValueError(f"H0 seed has shape {H0_seed.shape}, expected ({N}, {N})")
-    herm = float(np.linalg.norm(H0_seed - H0_seed.conj().T))
-    if herm > 1e-10 * max(1.0, float(np.linalg.norm(H0_seed))):
-        raise ValueError(f"H0 seed is not Hermitian (deviation {herm:.3e})")
     H0, m0 = _project_seed(problem, H0_seed, m0_seed)
     blocks = integrate_blocks(problem, m0, H0, t_max, dt)
     return _extremal(problem, SolutionKind.SHOT, H0, m0, blocks, dt, bures_angle=target_bures_angle)

@@ -1121,6 +1121,10 @@ def test_usage_errors_exit_1_and_help_exits_0(argv, code, capsys):
     assert "usage: qbrach" in (err if code else out)
 
 
+# the README seed 10 sigma_y with one diagonal entry -inf
+_H0_NEG_INF = [[[-math.inf, 0.0], [0.0, -10.0]], [[0.0, 10.0], [0.0, 0.0]]]
+
+
 @pytest.mark.parametrize(
     "argv, bad_field",
     [
@@ -1147,6 +1151,11 @@ def test_usage_errors_exit_1_and_help_exits_0(argv, code, capsys):
         (["solve-closed", "-i", "{closed}", "--dt", "inf"], None),
         (["sweep-m1", "--grid", "0,0.02,2 x nan,0.3,2"], None),
         (["sweep-m1", "--grid", "0,inf,2 x 0.1,0.3,2"], None),
+        (["sweep-m1", "--grid", "0,1e200,2 x 0.1,0.3,2", "--omega", "10"], None),
+        (["sweep-m1", "--grid", "0,1e100,2 x 0.1,1e300,2", "--omega", "10"], None),
+        (["sweep-m1", "--grid", "0,0.02,3 x 0.1,0.3,4", "--omega", "1e200"], None),
+        (["sweep-m1", "--grid", "0,0.02,3 x 0.1,0.3,4", "--omega", "1e-200"], None),
+        (["shoot", "-i", "{closed}"], ("closed", "H0", _H0_NEG_INF)),
     ],
     ids=[
         "sweep-omega-0",
@@ -1171,16 +1180,21 @@ def test_usage_errors_exit_1_and_help_exits_0(argv, code, capsys):
         "closed-dt-inf",
         "sweep-grid-nan",
         "sweep-grid-inf",
+        "sweep-lambda-squared-overflows",
+        "sweep-phase-overflows",
+        "sweep-omega-1e200",
+        "sweep-omega-1e-200",
+        "shoot-file-H0-neg-inf",
     ],
 )
 @pytest.mark.filterwarnings("error")
 def test_exit_code_non_finite_scale(
     argv, bad_field, tmp_path, free_file, trivial_file, closed_file, capsys
 ):
-    # a non-finite or non-positive omega, t_max, dt or sweep grid value, an
-    # omega whose square or inverse square is not a normal float, and the
-    # singular gauge lambda0 = 0 are validation errors, rejected before any
-    # arithmetic can warn
+    # a non-finite or non-positive omega, t_max, dt, seed entry or sweep grid
+    # value, an omega whose square or inverse square is not a normal float, a
+    # sweep whose lambda_1^2 or phases overflow, and the singular gauge
+    # lambda0 = 0 are validation errors, rejected before any arithmetic can warn
     files = {"free": free_file, "trivial": trivial_file, "closed": closed_file}
     if bad_field is not None:
         name, key, value = bad_field

@@ -20,12 +20,13 @@ from qbrach.dynamics import (
     SingularGaugeError,
     Trajectory,
     _constant_rows,
+    constant_g_frames,
     finalize_trajectory,
     g_operator,
     integrate,
     stepped_rhs,
 )
-from qbrach.solvers import shoot, solve_free, solve_two_qubit_example
+from qbrach.solvers import shoot, solve_two_qubit_example
 from qbrach.states import PureState
 from qbrach.verify import Tolerances, certify
 
@@ -255,8 +256,8 @@ def test_multiplier_rhs_empty_forbidden():
 
 def test_multiplier_rhs_rejects_singular_gauge():
     # lambda_0 is constant along the flow, so the one check of a singular
-    # gauge is integrate_blocks' test of lambda_0(0), on either path; only
-    # lambda_0 = 0 is singular, whatever its sign bit
+    # gauge is g_operator's, which integrate_blocks calls on lambda_0(0)
+    # before either path; only lambda_0 = 0 is singular, whatever its sign bit
     exact = ControlProblem(
         basis=build_gellmann_basis(2), psi_i=helpers.KET0, omega=1.0, forbidden=(2,)
     )
@@ -292,6 +293,17 @@ def test_assemble_hamiltonian_inverts_seed():
 
 
 # --------------------------------------------------------------- integrate
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_constant_g_frames_of_zero_g_is_the_identity_bit_for_bit(n):
+    # a zero G (no forbidden set, or zero multipliers) takes the eigensplit
+    # like any other, and its frames are the identity to the last bit,
+    # signs of zero included
+    times = np.linspace(0.0, 3.0, 7)
+    eye = np.broadcast_to(np.eye(n, dtype=complex), (times.size, n, n))
+    V = constant_g_frames(np.zeros((n, n), dtype=complex), times)
+    np.testing.assert_array_equal(V.view(np.uint64), np.ascontiguousarray(eye).view(np.uint64))
 
 
 def test_integrate_free_problem_is_exact_exponential():
@@ -1035,43 +1047,21 @@ def test_trajectory_rejects_tampered_data():
     "field", ["U", "psi", "V", "H", "F", "times", "lambda0", "lambdas", "tau_acc"]
 )
 def test_trajectory_rejects_non_finite_samples(field):
-    # each field is named, at N = 2 and N = 4; F's entry sits in its
-    # strictly upper triangle, which the spectrum never reads
+    # each field is named, at N = 2 and N = 4; every entry of F is checked,
+    # above, on and below the diagonal, before its spectrum is taken
     m1 = integrate(helpers.m1_problem(1.0), MultiplierVector(1.0, [2.5]), SY, t_max=0.1, dt=1e-3)
     two_qubit = solve_two_qubit_example(0.7, 1.0).trajectory
     for traj in (m1, two_qubit):
-        for bad in (np.nan, np.inf):
-            data = traj.to_dict()
-            data[field][(3, 0, 1, 0)[: data[field].ndim]] = bad
-            with pytest.raises(ValueError, match=f"^{field} has a non-finite entry"):
-                Trajectory.from_dict(data)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("entry", [(0, 0), (1, 1), (1, 0)])
-def test_trajectory_refuses_a_non_finite_f_as_not_isospectral(entry, bad):
-    # at N = 2 the spectrum is in closed form; any non-finite entry it reads
-    # gives NaN eigenvalues and the isospectrality check refuses them
-    traj = integrate(helpers.m1_problem(1.0), MultiplierVector(1.0, [2.5]), SY, t_max=0.1, dt=1e-3)
-    for k in (0, 3):
-        data = traj.to_dict()
-        data["F"][(k, *entry, 0)] = bad
-        with pytest.raises(ValueError, match="not isospectral"):
-            Trajectory.from_dict(data)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_trajectory_refuses_a_non_finite_f_as_not_isospectral_above_n2(n, bad):
-    # above N = 2 the spectrum of a matrix with a non-finite entry on or
-    # below the diagonal is NaN as well, never eigvalsh's
-    rng = np.random.default_rng(n)
-    traj = solve_free(helpers.random_state(rng, n), helpers.random_state(rng, n), 1.0).trajectory
-    for entry in ((0, 0), (n - 1, n - 1), (n - 1, 0)):
-        data = traj.to_dict()
-        data["F"][(3, *entry, 0)] = bad
-        with pytest.raises(ValueError, match="not isospectral"):
-            Trajectory.from_dict(data)
+        n = traj.dim
+        entries = [(3, 0, 1, 0)]
+        if field == "F":
+            entries += [(0, 0, 0, 0), (3, n - 1, n - 1, 0), (3, n - 1, 0, 0), (0, 1, 0, 1)]
+        for entry in entries:
+            for bad in (np.nan, np.inf, -np.inf):
+                data = traj.to_dict()
+                data[field][entry[: data[field].ndim]] = bad
+                with pytest.raises(ValueError, match=f"^{field} has a non-finite entry"):
+                    Trajectory.from_dict(data)
 
 
 def test_trajectory_rejects_inconsistent_grid():

@@ -451,6 +451,17 @@ def test_m1_enumeration_refuses_negative_or_too_many_branches(monkeypatch):
             solve_m1_two_level(DESIGNED_OB, DESIGNED_PHI, 10.0, k_max=k_max, l_max=l_max)
 
 
+@pytest.mark.parametrize("omega", [1e13, 1e20])
+def test_m1_branch_cutoff_is_on_omega_t(omega):
+    # the cutoff of a branch of no duration is on omega T = sqrt(rad), so the
+    # designed branch's omega T is the same at every energy scale
+    ref = solve_m1_two_level(DESIGNED_OB, DESIGNED_PHI, 10.0)[0]
+    sol = solve_m1_two_level(DESIGNED_OB, DESIGNED_PHI, omega)[0]
+    assert sol.branch == ref.branch
+    assert omega * sol.T == pytest.approx(10.0 * ref.T, rel=1e-12, abs=0.0)
+    assert sol.report.passed
+
+
 def test_m1_unreachable_pair_confirmed_by_grid_oracle():
     # independent confirmation: over a dense (lambda_1, T) grid the joint
     # endpoint residual never comes close to zero for this endpoint pair
@@ -468,8 +479,9 @@ def test_m1_rejects_non_binding_or_out_of_range_input():
         solve_m1_two_level(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         solve_m1_two_level(np.pi / 2, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        solve_m1_two_level(0.5, 1.0, -1.0)
+    for omega in (-1.0, 1e-200, 1e200):  # refused by ControlProblem's rule
+        with pytest.raises(ValueError, match="energy scale omega"):
+            solve_m1_two_level(0.5, 1.0, omega)
 
 
 def test_m1_trajectory_renormalization_gauge():
@@ -703,6 +715,31 @@ def test_closed_solver_checks_the_projected_seed():
     )
     with pytest.raises(NotClosedError, match="projected seed"):
         solve_closed_subalgebra(problem, h0, MultiplierVector(1.0, [0.0, 0.0]), t_max=5.0)
+
+
+def test_closed_solver_takes_an_off_shell_seed_as_shoot_does():
+    # 5 sigma_y is off the energy shell Tr[H0^2] = 2 omega^2; both solvers
+    # project and rescale it, and stop at the same root
+    problem = helpers.m1_problem(10.0)
+    m0 = MultiplierVector(1.0, [2.5])
+    shot = shoot(problem, 5.0 * SY, m0, t_max=0.5)
+    closed = solve_closed_subalgebra(problem, 5.0 * SY, m0, t_max=0.5)
+    assert shot.T == 0.07024814731040725
+    assert closed.T == pytest.approx(shot.T, rel=1e-12)
+    assert closed.report.passed and shot.report.passed
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 1), (0, 1), (1, 0)])
+@pytest.mark.filterwarnings("error")
+def test_root_searching_solvers_refuse_a_non_finite_seed(entry, bad):
+    # one check of a seed, made before any arithmetic on it, names H0
+    problem = helpers.m1_problem(10.0)
+    h0 = 10.0 * SY
+    h0[entry] = bad
+    for solve in (shoot, solve_closed_subalgebra):
+        with pytest.raises(ValueError, match="^H0 has non-finite entries"):
+            solve(problem, h0, MultiplierVector(1.0, [2.5]), t_max=0.5)
 
 
 def test_closed_solver_window_too_short():

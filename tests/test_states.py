@@ -5,16 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from qbrach.dynamics import ControlProblem
-from qbrach.solvers import TWO_QUBIT_FORBIDDEN
-from qbrach.states import (
-    BoundaryData,
-    DegenerateProblemError,
-    PureState,
-    boundary_data,
-    free_hamiltonian,
-    is_trivially_restricted,
-)
+from qbrach.states import DegenerateProblemError, PureState, boundary_data, free_hamiltonian
 
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
@@ -69,7 +60,6 @@ def test_boundary_decomposition_with_phase():
     b = boundary_data(psi_i, psi_f)
     assert b.omega_b == pytest.approx(np.pi / 4, abs=1e-12)
     assert b.phi == pytest.approx(np.pi / 3, abs=1e-12)
-    assert not b.degenerate_phase
     np.testing.assert_allclose(b.psi_perp.amplitudes, [0.0, 1.0], atol=1e-12)
 
 
@@ -79,7 +69,6 @@ def test_boundary_identical_states():
     assert b.omega_b == 0.0
     assert b.phi == 0.0
     assert b.psi_perp is None
-    assert not b.degenerate_phase
 
 
 def test_boundary_pure_phase_difference():
@@ -96,7 +85,6 @@ def test_boundary_orthogonal_pair_has_free_phase():
     b = boundary_data(helpers.KET0, helpers.KET1)
     assert b.omega_b == pytest.approx(np.pi / 2, abs=1e-12)
     assert b.phi == 0.0
-    assert b.degenerate_phase
     np.testing.assert_allclose(b.psi_perp.amplitudes, [0.0, 1.0], atol=1e-12)
 
 
@@ -128,7 +116,7 @@ def test_boundary_phase_covariance(seed, alpha):
     base = boundary_data(psi_i, psi_f)
     shifted = boundary_data(psi_i, PureState(np.exp(1j * alpha) * psi_f.amplitudes))
     assert shifted.omega_b == pytest.approx(base.omega_b, abs=1e-12)
-    if not base.degenerate_phase:
+    if abs(psi_i.overlap(psi_f)) > 1e-12:
         # compare on the circle to stay clear of the branch cut
         assert np.exp(1j * shifted.phi) == pytest.approx(
             np.exp(1j * (base.phi + alpha)), abs=1e-10
@@ -177,56 +165,3 @@ def test_free_hamiltonian_rejects_degenerate_pair():
     with pytest.raises(DegenerateProblemError):
         free_hamiltonian(helpers.KET0, b, 1.0)
 
-
-# ------------------------------------------------- is_trivially_restricted
-
-
-def _m1_problem_pair(phi: float, omega_b: float = 0.6):
-    amp = (
-        np.exp(1j * phi) * np.cos(omega_b) * helpers.PLUS_X.amplitudes
-        + np.sin(omega_b) * helpers.MINUS_X.amplitudes
-    )
-    psi_f = PureState(amp)
-    problem = helpers.m1_problem(1.0, psi_f)
-    return problem, boundary_data(problem.psi_i, psi_f)
-
-
-def test_sigma_z_binds_only_for_nonreal_overlap():
-    problem, boundary = _m1_problem_pair(np.pi / 2)
-    assert is_trivially_restricted(problem, boundary) == (False, 2)
-    problem, boundary = _m1_problem_pair(0.0)
-    assert is_trivially_restricted(problem, boundary) == (True, None)
-
-
-@pytest.mark.parametrize(
-    "phi, witness_label",
-    [
-        (0.0, "σ1¹σ2²"),
-        (np.pi, "σ1¹σ2²"),
-        (np.pi / 4, "σ1¹σ2¹"),
-        (np.pi / 2, "σ1¹σ2¹"),
-        (2.0, "σ1¹σ2¹"),
-    ],
-)
-def test_two_qubit_restriction_always_binds(phi, witness_label):
-    basis, ket11, ket00 = helpers.two_qubit_kets()
-    amp = np.exp(1j * phi) * np.cos(0.4) * ket11 + np.sin(0.4) * ket00
-    psi_f = PureState(amp)
-    problem = ControlProblem(
-        basis=basis,
-        psi_i=PureState(ket11),
-        omega=1.0,
-        forbidden=TWO_QUBIT_FORBIDDEN,
-        psi_f=psi_f,
-    )
-    boundary = boundary_data(problem.psi_i, psi_f)
-    binding, witness = is_trivially_restricted(problem, boundary)
-    assert binding is False
-    assert witness == basis.index_of(witness_label)
-
-
-def test_trivial_restriction_rejects_zero_angle():
-    problem = helpers.m1_problem(1.0, helpers.PLUS_X)
-    boundary = boundary_data(problem.psi_i, helpers.PLUS_X)
-    with pytest.raises(DegenerateProblemError):
-        is_trivially_restricted(problem, boundary)
