@@ -56,11 +56,12 @@ def _nested(shape, cell: str) -> str:
 
 
 def _float_array_text(a: np.ndarray) -> str:
-    """A float array as JSON text: its shape as nested brackets of %r, filled in one step."""
-    text = _nested(a.shape, "%r") % tuple(a.ravel().tolist())
-    if "n" in text:  # only nan and inf hold an n: a finite float's repr has none
-        text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    return text
+    """A float array as JSON text: json.dumps of each distinct float once, told apart
+    by its bits (0.0 is not -0.0), spread over the nested brackets of its shape."""
+    keys, where = np.unique(np.ascontiguousarray(a, np.float64).ravel().view(np.int64),
+                            return_inverse=True)
+    texts = np.array(json.dumps(keys.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
+    return _nested(a.shape, "%s") % tuple(texts[where].tolist())
 
 
 def _write_json(doc: dict, path: Optional[str]) -> None:

@@ -504,13 +504,16 @@ def _constant_rows(
 
 def _hermitian_seed(problem: ControlProblem, H0) -> np.ndarray:
     """H0 as a complex array, the one check of a seed: a ValueError naming H0 unless
-    it is N x N, finite and Hermitian to 1e-10 of max(1, ||H0||_F)."""
+    it is N x N, finite and Hermitian to 1e-10 of max(1, ||H0||_F), the norms taken
+    of c H0, c the power of two that brings its entries below 1 where they are larger."""
     H0 = np.asarray(H0, dtype=complex)
     if H0.shape != (problem.dim, problem.dim):
         raise ValueError(f"H0 has shape {H0.shape}, expected square of dim {problem.dim}")
     if not np.all(np.isfinite(H0)):
         raise ValueError("H0 has non-finite entries")
-    herm = float(np.linalg.norm(H0 - H0.conj().T)) / max(1.0, float(np.linalg.norm(H0)))
+    c = math.ldexp(1.0, -max(0, math.frexp(float(np.abs(H0).max()))[1]))
+    Hc = c * H0
+    herm = float(np.linalg.norm(Hc - Hc.conj().T)) / max(c, float(np.linalg.norm(Hc)))
     if herm > 1e-10:
         raise ValueError(f"H0 is not Hermitian (relative deviation {herm:.3e})")
     return H0

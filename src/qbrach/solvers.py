@@ -183,9 +183,13 @@ def _certified_step(
       whose norm is at most (||G||_2 + ||A||_2)^5: B_aa = (||G||_2 +
       rho(F(0))/|lambda_0|)^5.
 
-    The step is lifted to T/`dynamics._MAX_SAMPLES`, so `dynamics._grid`
-    never refuses it.
+    B_c scales as omega^5, so it is taken of the flow in units of u, the
+    power of two just above omega, (G/u, F(0)/u, omega/u): exact, and clear
+    of overflow.  That flow's step, over u, is lifted to
+    T/`dynamics._MAX_SAMPLES`, so `dynamics._grid` never refuses it.
     """
+    unit = math.ldexp(1.0, math.frexp(omega)[1])
+    G, F0 = G / unit, F0 / unit
     if stepped:
         b_chko = b_aa = _pass_rate(G, F0, lambda0) ** 5
     else:
@@ -195,8 +199,8 @@ def _certified_step(
         b_chko = float(g[-1] - g[0]) ** 4 * comm / float(np.linalg.norm(F0))
         b_aa = (float(np.abs(g).max()) + f_rad / abs(lambda0)) ** 5
     checks = ((tols.chko, b_chko), (tols.aa, b_aa))
-    step = min(((5.0 * (tol / 4.0) * omega / b) ** 0.25 for tol, b in checks if b > 0),
-               default=math.inf)
+    step = min(((5.0 * (tol / 4.0) * (omega / unit) / b) ** 0.25 for tol, b in checks if b > 0),
+               default=math.inf) / unit
     # at the lift, T/step must not round up past the cap, which `_grid` refuses
     return max(step, T / dynamics._MAX_SAMPLES * (1.0 + 1e-12))
 
@@ -493,7 +497,9 @@ def sweep_m1(
     `re_field` = Re<psi(T)|H F|psi(T)> in the raw gauge, which equals
     omega^2 identically along this flow.  Rows index lambda1_tilde, columns
     index T.  Fields are computed from the propagated states, not from any
-    closed-form shortcut, so they double as a consistency check.  A grid
+    closed-form shortcut, so they double as a consistency check: the two
+    amplitudes of psi(T) = U(T) psi(0) per cell, then the overlap and
+    <H psi(T)|F psi(T)> with H and F = H + lambda_1 sigma_z written out.  A grid
     of more than `dynamics._MAX_SAMPLES` cells is a ValueError, and so is
     an omega `ControlProblem` refuses and a grid whose lambda_1^2 or phases
     2 sqrt(lambda_1^2 + omega^2) T overflow: no field is ever non-finite.
@@ -516,36 +522,22 @@ def sweep_m1(
     lam = lt[:, None] * w**2
     T = ts[None, :]
     Lam = np.sqrt(lam**2 + w**2)
-    a = Lam * T
+    a, lamT = Lam * T, lam * T
     ca, sa = np.cos(a), np.sin(a)
-    n, m = lam.shape[0], T.shape[1]
-    lamT = lam * T
 
-    # U(T) = diag(e^{i lam T}, e^{-i lam T}) [cos(a) - i sin(a)(w sy + lam sz)/Lam]
-    E2 = np.empty((n, m, 2, 2), dtype=complex)
-    E2[..., 0, 0] = ca - 1.0j * sa * lam / Lam
-    E2[..., 0, 1] = -sa * w / Lam
-    E2[..., 1, 0] = sa * w / Lam
-    E2[..., 1, 1] = ca + 1.0j * sa * lam / Lam
+    # psi(T) = U(T) psi_0 = (c0, c1) with U(T) = diag(e^{i lam T}, e^{-i lam T})
+    # [cos(a) - i sin(a)(w sy + lam sz)/Lam], each amplitude an array over the grid
+    p0, p1 = M1_PSI_I
     phase = np.exp(1.0j * lamT)
-    U = np.empty_like(E2)
-    U[..., 0, :] = phase[..., None] * E2[..., 0, :]
-    U[..., 1, :] = phase.conj()[..., None] * E2[..., 1, :]
+    sw, sl = sa * w / Lam, sa * lam / Lam
+    c0 = phase * ((ca - 1.0j * sl) * p0 - sw * p1)
+    c1 = phase.conj() * (sw * p0 + (ca + 1.0j * sl) * p1)
+    amplitude = np.abs(c0.conj() * p0 + c1.conj() * p1)
 
-    psi0 = np.asarray(M1_PSI_I, dtype=complex)
-    psiT = np.einsum("nmab,b->nma", U, psi0)
-    amplitude = np.abs(np.einsum("nma,a->nm", psiT.conj(), psi0))
-
-    theta = 2.0 * lamT
-    H = np.zeros((n, m, 2, 2), dtype=complex)
-    H[..., 0, 1] = -1.0j * w * np.exp(1.0j * theta)
-    H[..., 1, 0] = 1.0j * w * np.exp(-1.0j * theta)
-    F = np.zeros((n, m, 2, 2), dtype=complex)
-    F[..., 0, 0] = lam + 0.0 * T
-    F[..., 1, 1] = -(lam + 0.0 * T)
-    F[..., 0, 1] = -1.0j * w * np.exp(1.0j * theta)
-    F[..., 1, 0] = 1.0j * w * np.exp(-1.0j * theta)
-    val = np.einsum("nma,nmab,nmbc,nmc->nm", psiT.conj(), H, F, psiT)
+    # <psi|H F|psi> = <H psi|(H + lam sz) psi> with H = [[0, h], [h*, 0]]
+    h = -1.0j * w * np.exp(2.0j * lamT)
+    hc0, hc1 = h * c1, h.conj() * c0
+    val = hc0.conj() * (hc0 + lam * c0) + hc1.conj() * (hc1 - lam * c1)
     return {
         "lambda1_tilde": lt,
         "T": ts,
@@ -617,7 +609,9 @@ def _project_seed(
     gauge lambda_0 = 1, where Re<psi|HF|psi> = Tr[H0^2]/2 = omega^2 at
     t = 0.  Only lambda_0 = 0 is a singular gauge: the seed is first
     scaled by the power of two that brings its largest multiplier into
-    [1/2, 1), which is exact and keeps any finite gauge clear of overflow.
+    [1/2, 1), and F(0) then by the one that brings its entries below 1
+    where they are larger: exact, and clear of overflow for any finite
+    seed and gauge.
     Any finite Hermitian N x N seed is accepted (`_hermitian_seed`, the
     one check of a seed, made first); the projection does the rest.
     """
@@ -634,6 +628,7 @@ def _project_seed(
     Xf = problem.forbidden_generators()
     c = math.ldexp(1.0, -math.frexp(np.abs(m0_seed.lambdas).max(initial=abs(lam0)))[1])
     F_seed = (c * lam0) * H0_seed + forbidden_sum(c * m0_seed.lambdas, Xf)
+    F_seed *= math.ldexp(1.0, -max(0, math.frexp(float(np.abs(F_seed).max()))[1]))
     f_norm = float(np.linalg.norm(F_seed))
     fpsi = F_seed @ psi_i
     col = fpsi - complex(psi_i.conj() @ fpsi) * psi_i  # Pi_perp F0 psi_i

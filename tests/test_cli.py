@@ -469,6 +469,12 @@ def test_json_writer_matches_json_dumps_on_every_cli_document(
         np.array([True, False]),
         np.array([[1, -2], [3, 2**40]]),
         np.zeros(0, dtype=bool),
+        # each distinct float is rendered once, told apart by its bits: 0.0
+        # and -0.0 stay two values, and every NaN is the one NaN token
+        np.array([0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0]),
+        np.array([[math.nan, math.inf], [-math.inf, math.nan], [-math.nan, -math.inf]] * 3),
+        np.array([0.1, 1e-7, 0.1, -0.0, 0.1, 1e-7, 0.0], dtype=np.float32),
+        np.random.default_rng(5).choice([0.1, -0.0, 0.0, 1e-300, 100.0, -2.5], size=(200, 200)),
     ],
 )
 def test_json_writer_matches_json_dumps_on_array_leaves(array, tmp_path):

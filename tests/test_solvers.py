@@ -462,6 +462,32 @@ def test_m1_branch_cutoff_is_on_omega_t(omega):
     assert sol.report.passed
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("omega", [1e60, 1e100])
+def test_m1_certified_grid_does_not_overflow_at_a_huge_omega(omega):
+    # the certified step's bounds scale as omega^5 and are taken in units of
+    # a power of two near omega: the designed branch keeps the grid it has
+    # at omega = 10, not one lifted to the 200,000-step cap
+    ref = solve_m1_two_level(DESIGNED_OB, DESIGNED_PHI, 10.0)[0]
+    sol = solve_m1_two_level(DESIGNED_OB, DESIGNED_PHI, omega)[0]
+    assert sol.trajectory.times.size == ref.trajectory.times.size == 187
+    assert sol.report.passed
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [-300, -40, 40, 300])
+@pytest.mark.parametrize("stepped", [False, True])
+def test_certified_step_scales_exactly_with_a_power_of_two(k, stepped):
+    # the flow sped up by 2^k has its step divided by 2^k, bit for bit, up
+    # to entries near 1e90 whose fifth powers overflow
+    s = 2.0**k
+    f0 = 10.0 * SY + 2.5 * SZ
+    for tols in (Tolerances.analytic(), Tolerances.integrated()):
+        step = solvers._certified_step(10.0, 2.5 * SZ, f0, 1.0, 0.4, tols, stepped)
+        assert solvers._certified_step(s * 10.0, s * 2.5 * SZ, s * f0, 1.0, 0.4 / s, tols,
+                                       stepped) == step / s
+
+
 def test_m1_unreachable_pair_confirmed_by_grid_oracle():
     # independent confirmation: over a dense (lambda_1, T) grid the joint
     # endpoint residual never comes close to zero for this endpoint pair
@@ -558,10 +584,14 @@ def test_sweep_m1_vanishes_on_designed_branch():
 
 
 def test_sweep_m1_matches_matrix_product_oracle():
+    # per cell, psi(T) from the eigendecomposition propagator and
+    # <psi|HF|psi> from H = omega v sy v^dag, v = e^{i lambda sz T}, and
+    # F = H + lambda sz as 2 x 2 matrices, all to rounding; the grid holds
+    # lambda~_1 = 0, a +- pair and T up to 0.6
     omega = 10.0
     rng = np.random.default_rng(23)
-    lt = rng.uniform(-0.05, 0.05, size=6)
-    ts = rng.uniform(0.05, 0.6, size=7)
+    lt = np.concatenate([rng.uniform(-0.05, 0.05, size=6), [-0.011, 0.0, 0.011]])
+    ts = np.concatenate([rng.uniform(0.05, 0.6, size=7), [0.003, DESIGNED_T, 0.6]])
     out = sweep_m1(lt, ts, omega)
     for i, ltv in enumerate(lt):
         for j, t in enumerate(ts):
@@ -569,15 +599,13 @@ def test_sweep_m1_matches_matrix_product_oracle():
             u = helpers.m1_reference_u(lam1, omega, np.array([t]))[0]
             psi = u @ helpers.PLUS_X.amplitudes
             amp = abs(np.vdot(psi, helpers.PLUS_X.amplitudes))
-            assert out["amplitude"][i, j] == pytest.approx(amp, abs=1e-11)
+            assert abs(out["amplitude"][i, j] - amp) <= 1e-14
             v = np.diag([np.exp(1j * lam1 * t), np.exp(-1j * lam1 * t)])
             h = omega * v @ SY @ v.conj().T
             f = h + lam1 * SZ
             val = psi.conj() @ h @ f @ psi
-            assert out["im_field"][i, j] == pytest.approx(
-                val.imag / omega**2, abs=1e-10
-            )
-            assert out["re_field"][i, j] == pytest.approx(val.real, rel=1e-10)
+            assert abs(out["im_field"][i, j] - val.imag / omega**2) <= 1e-14
+            assert abs(out["re_field"][i, j] - val.real) <= 1e-14 * omega**2
 
 
 def test_sweep_m1_rejects_nonpositive_times():
@@ -740,6 +768,24 @@ def test_root_searching_solvers_refuse_a_non_finite_seed(entry, bad):
     for solve in (shoot, solve_closed_subalgebra):
         with pytest.raises(ValueError, match="^H0 has non-finite entries"):
             solve(problem, h0, MultiplierVector(1.0, [2.5]), t_max=0.5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("solve", [shoot, solve_closed_subalgebra])
+def test_a_huge_seed_is_checked_and_projected_without_overflow(solve):
+    # the seed check and the projection scale the seed by a power of two
+    # before any norm: the README seed times 2^660 is the README seed, bit
+    # for bit, and 1e200 sigma_y with lambda = 2.5 projects to sigma_y with
+    # a multiplier near 1e-199, whose Im<psi|HF|psi> vanishes identically
+    problem = helpers.m1_problem(10.0)
+    ref = solve(problem, 10.0 * SY, MultiplierVector(1.0, [2.5]), t_max=0.5)
+    big = 2.0**660
+    sol = solve(problem, big * 10.0 * SY, MultiplierVector(1.0, [big * 2.5]), t_max=0.5)
+    assert sol.T == ref.T and np.array_equal(sol.H0, ref.H0)
+    with pytest.raises(NoSolutionError, match="vanishes identically"):
+        solve(problem, 1e200 * SY, MultiplierVector(1.0, [2.5]), t_max=0.5)
+    with pytest.raises(ValueError, match="^H0 is not Hermitian"):
+        solve(problem, 1e200 * (SY + 1e-6 * SX * 1j), MultiplierVector(1.0, [2.5]), t_max=0.5)
 
 
 def test_closed_solver_window_too_short():
