@@ -15,6 +15,7 @@ not written).  Set QB_LOG=debug|info|warning for logging verbosity.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -448,6 +449,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# built once per process, with the _cmd_* functions of that build: a parse leaves it unchanged
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qbrach",

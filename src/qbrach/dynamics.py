@@ -33,7 +33,7 @@ where that is finer (`_step_cap`).  Sixth order holds the frame unitary
 to rounding at that step, so the frame is never projected;
 `integrate_blocks` keeps the slope at every sample, checks the frame's
 drift at each checkpoint and yields the samples there, so a caller such
-as `shoot` can stop a pass early.  `PassSamples.at` evaluates a pass at any batch of times by
+as `shoot` can stop a pass early.  `PassSamples.rows_at` evaluates a pass at any batch of times by
 Hermite interpolation of four neighbouring samples and their slopes: a
 dense output of higher order than the step that evaluates no right-hand
 side.
@@ -447,9 +447,10 @@ def _observables(
     lambdas: np.ndarray,
     tau_acc: np.ndarray,
     F0: np.ndarray,
+    F0_eig: tuple,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(U, F, H, psi) on a stack of frame samples; see finalize_trajectory."""
-    w_eig, Q = np.linalg.eigh(F0)
+    """(U, F, H, psi) on a stack of frame samples, F0_eig = eigh(F(0)); see finalize_trajectory."""
+    w_eig, Q = F0_eig
     expF = stack_product(Q * np.exp(-1.0j * np.outer(tau_acc, w_eig))[:, None, :], Q.conj().T)
     U = stack_product(V, expF)
     F = stack_product(stack_product(V, F0), V.conj().swapaxes(-1, -2))
@@ -458,6 +459,19 @@ def _observables(
     )
     psi = np.einsum("kab,b->ka", U, problem.psi_i.amplitudes)
     return U, F, H, psi
+
+
+def _state_vectors(problem: ControlProblem, rows: tuple, F0_eig: tuple) -> tuple:
+    """(psi, H psi, F psi) on frame rows (V, lambda_0, lambda_j, tau), from matrix-vector
+    products alone: with phi = e^{-i F(0) tau} psi_i by F0_eig = (w, Q) = eigh(F(0)),
+    psi = V phi, F psi = V F(0) phi and H psi = F psi/lambda_0 - G psi."""
+    (V, lam0, lams, tau), (w, Q) = rows, F0_eig
+    c = np.exp(-1.0j * tau[:, None] * w) * (Q.conj().T @ problem.psi_i.amplitudes)
+    # phi and F(0) phi of each sample as the two rows of a (2, N) block, times V^T
+    x = (c @ np.concatenate((Q, Q * w)).T).reshape(-1, 2, w.size) @ V.swapaxes(-1, -2)
+    psi, fpsi = x.swapaxes(0, 1)
+    G = forbidden_sum(lams / lam0[:, None], problem.forbidden_generators())
+    return psi, fpsi / lam0[:, None] - (G @ psi[:, :, None])[:, :, 0], fpsi
 
 
 def finalize_trajectory(
@@ -484,7 +498,7 @@ def finalize_trajectory(
     # own copies of a stepped pass's strided views, not its whole state array
     V = np.ascontiguousarray(V, dtype=complex)
     lams = np.ascontiguousarray(lams, dtype=float)
-    U, F, H, psi = _observables(problem, V, lam0, lams, tau, F0)
+    U, F, H, psi = _observables(problem, V, lam0, lams, tau, F0, np.linalg.eigh(F0))
     return Trajectory(
         times=times, V=V, U=U, H=H, F=F, psi=psi, lambda0=lam0, lambdas=lams, tau_acc=tau,
         omega=problem.omega, basis=problem.basis, forbidden=problem.forbidden,
@@ -502,18 +516,24 @@ def _constant_rows(
     return V, np.full(times.size, m.lambda0), lams, times / m.lambda0
 
 
+def _binade_scaled(A: np.ndarray) -> np.ndarray:
+    """A times 2^-e, which brings its largest entry into [1/2, 1): exact at every scale
+    of A, in two factors as 2^-e overflows for a subnormal one; A = 0 stays 0."""
+    e = math.frexp(float(np.abs(A).max()))[1]
+    return A * math.ldexp(1.0, -(e // 2)) * math.ldexp(1.0, e // 2 - e)
+
+
 def _hermitian_seed(problem: ControlProblem, H0) -> np.ndarray:
     """H0 as a complex array, the one check of a seed: a ValueError naming H0 unless
-    it is N x N, finite and Hermitian to 1e-10 of max(1, ||H0||_F), the norms taken
-    of c H0, c the power of two that brings its entries below 1 where they are larger."""
+    it is N x N, finite and Hermitian to 1e-10 of ||H0||_F, the norms taken of
+    `_binade_scaled` H0, so the check is the same at every scale."""
     H0 = np.asarray(H0, dtype=complex)
     if H0.shape != (problem.dim, problem.dim):
         raise ValueError(f"H0 has shape {H0.shape}, expected square of dim {problem.dim}")
     if not np.all(np.isfinite(H0)):
         raise ValueError("H0 has non-finite entries")
-    c = math.ldexp(1.0, -max(0, math.frexp(float(np.abs(H0).max()))[1]))
-    Hc = c * H0
-    herm = float(np.linalg.norm(Hc - Hc.conj().T)) / max(c, float(np.linalg.norm(Hc)))
+    Hc = _binade_scaled(H0)
+    herm = float(np.linalg.norm(Hc - Hc.conj().T)) / (float(np.linalg.norm(Hc)) or 1.0)
     if herm > 1e-10:
         raise ValueError(f"H0 is not Hermitian (relative deviation {herm:.3e})")
     return H0
@@ -701,14 +721,22 @@ def _pass_rate(G: np.ndarray, F0: np.ndarray, lambda0: float) -> float:
     return 2.0 * (float(np.linalg.norm(G)) + f_rad / abs(lambda0))
 
 
+# a dense output's stencil nodes j = 0..3 steps from its first sample: the
+# pairs i != j, prod_{i != j} (j - i)^2 and L_j'(j) = sum_{i != j} 1/(j - i)
+_OFF = ~np.eye(4, dtype=bool)
+_NODE_GAP2 = np.array([36.0, 4.0, 4.0, 36.0])
+_NODE_DL = np.array([-11.0, -3.0, 3.0, 11.0]) / 6.0
+
+
 class PassSamples(NamedTuple):
     """Rows [0, m) of one integration pass on its uniform grid.
 
     `n_steps` counts the steps of the whole window [0, t_max], so the pass
     is complete when there are n_steps + 1 rows; each block of a pass
-    extends the one before it.  `F0` is F(0).  `slopes` holds a stepped
-    pass's right-hand side at each row, None on the exact flow.  A pass is
-    defined at any time of its window (`rows_at`, `at`).
+    extends the one before it.  `F0` is F(0), `F0_eig` its eigensplit
+    eigh(F(0)), formed once by the pass.  `slopes` holds a stepped pass's
+    right-hand side at each row, None on the exact flow.  A pass is defined
+    at any time of its window (`rows_at`, `at`, `vectors_at`).
     """
 
     times: np.ndarray
@@ -719,6 +747,7 @@ class PassSamples(NamedTuple):
     F0: np.ndarray
     n_steps: int
     slopes: Optional[np.ndarray]
+    F0_eig: Tuple[np.ndarray, np.ndarray]
 
     def rows_at(self, problem: ControlProblem, times) -> Tuple[np.ndarray, ...]:
         """(V, lambda_0, lambda_j, tau) at each of `times` in the window.
@@ -728,61 +757,56 @@ class PassSamples(NamedTuple):
         samples and slopes of the stencil of four samples from
         min(max(k - 1, 0), n_steps - 3), of degree 7 (Hairer, Norsett &
         Wanner, Solving ODEs I, II.6): a dense output of higher order than
-        the step that evaluates no right-hand side.  Its
-        weights are exactly 0 and 1 on the nodes, so a row on a sample is
-        that sample, and it is C^1 across samples.  The stencil depends on
-        k and `n_steps` alone, so a block gives the rows the complete pass
-        gives; a time whose stencil is not sampled yet is a ValueError.
-        `_check_lambda0_rate` guards the stencil samples' slopes.
+        the step that evaluates no right-hand side, by one path for one
+        time or many.  Its weights are exactly 0 and 1 on the nodes, so a
+        row on a sample is that sample, and it is C^1 across samples.  The
+        stencil depends on k and `n_steps` alone, so a block gives the rows
+        the complete pass gives; a time whose stencil is not sampled yet is
+        a ValueError.  `_check_lambda0_rate` guards the stencils' slopes.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
         lam0 = self.lambda0[0]
         if self.slopes is None:
             return _constant_rows(problem, MultiplierVector(lam0, self.lambdas[0]), times)
-        N, n, p = problem.dim, self.n_steps, 4
-        n2 = N * N
-        k = np.clip(np.searchsorted(self.times, times, side="right") - 1, 0, n - 1)
-        start = np.clip(k - 1, 0, n + 1 - p)
-        used = slice(int(start.min()), int(start.max()) + p)
-        if used.stop > self.times.size:
+        N, t, h = problem.dim, self.times, self.times[1]
+        start = np.minimum(np.maximum(t.searchsorted(times, "right") - 2, 0), self.n_steps - 3)
+        lo, hi = int(start.min()), int(start.max()) + 4
+        if hi > t.size:
             raise ValueError(
-                f"a time needs samples up to {used.stop - 1} of the pass, "
-                f"which has {self.times.size - 1} so far"
+                f"a time needs samples up to {hi - 1} of the pass, "
+                f"which has {t.size - 1} so far"
             )
-        y = np.concatenate((self.V[used].reshape(-1, n2), self.lambdas[used]), axis=1)
-        _check_lambda0_rate(problem, lam0, y, self.slopes[used])
-        # in units of the step from the stencil's first sample: the nodes
-        # s_j and d_j = s - s_j, exactly 0 on the node t_j
-        h = self.times[1]
-        s = (self.times[start[:, None] + np.arange(p)] - self.times[start, None]) / h
-        d = ((times - self.times[start]) / h)[:, None] - s
-        # the value weights sum to 1, so the interpolant is the nearest
-        # node's sample plus a small correction: it rounds less than the
-        # weighted sum, and on a node the correction is exactly 0
-        near = start + np.argmin(np.abs(d), axis=1)
-        # L_j^2 = prod_{i != j} (d_i / (s_j - s_i))^2 and L_j'(s_j) as the
-        # sum of 1/(s_j - s_i), for every node j at once: the pairs i = j
-        # are masked out (gap 1, ratio 1, inverse 0)
-        off = ~np.eye(p, dtype=bool)
-        gap = np.where(off, s[:, :, None] - s[:, None, :], 1.0)
-        L2 = (np.where(off, d[:, None, :] / gap, 1.0) ** 2).prod(-1)
-        dL = np.where(off, 1.0 / gap, 0.0).sum(-1)
-        A = (1.0 - 2.0 * dL * d) * L2
-        B = h * d * L2
-        V0, lams0 = self.V[near], self.lambdas[near]
-        dV = np.zeros_like(V0)
-        dlams = np.zeros_like(lams0)
-        for j in range(p):
-            a, b, f = A[:, j], B[:, j], self.slopes[start + j]
-            dV += a[:, None, None] * (self.V[start + j] - V0)
-            dV += b[:, None, None] * f[:, :n2].reshape(-1, N, N)
-            dlams += a[:, None] * (self.lambdas[start + j] - lams0) + b[:, None] * f[:, n2:].real
-        lam0s = np.full(times.size, lam0)
-        return V0 + dV, lam0s, lams0 + dlams, times / lam0s
+        # the states (V, lambda_j) and slopes of the samples the stencils span
+        y = np.concatenate((self.V[lo:hi].reshape(-1, N * N), self.lambdas[lo:hi]), axis=1)
+        dy = self.slopes[lo:hi]
+        _check_lambda0_rate(problem, lam0, y, dy)
+        # d_j = s - s_j in units of the step, s_j the node t_j: exactly 0 on it
+        nodes = start[:, None] + np.arange(4)
+        d = ((times - t[start]) / h)[:, None] - (t[nodes] - t[start, None]) / h
+        # L_j^2 = prod_{i != j} (d_i / (j - i))^2 on the uniform grid for every
+        # node j at once, and the weights of the values (A_j) and slopes (B_j)
+        L2 = np.where(_OFF, d[:, None, :], 1.0).prod(-1) ** 2 / _NODE_GAP2
+        A, B = (1.0 - 2.0 * _NODE_DL * d) * L2, h * d * L2
+        # the value weights sum to 1, so the interpolant is the nearest node's
+        # state plus a correction: it rounds less, and on a node it is exactly
+        # 0.  Summed node by node, K times take (K, N^2 + M) temporaries only
+        nodes -= lo
+        y0 = y[nodes[np.arange(times.size), abs(d).argmin(1)]]
+        row = np.zeros_like(y0)
+        for j in range(4):
+            row += A[:, j, None] * (y[nodes[:, j]] - y0)
+            row += B[:, j, None] * dy[nodes[:, j]]
+        V = (y0[:, : N * N] + row[:, : N * N]).reshape(-1, N, N)
+        lams = y0[:, N * N :].real + row[:, N * N :].real
+        return V, np.full(times.size, lam0), lams, times / lam0
 
     def at(self, problem: ControlProblem, times):
         """(U, F, H, psi) at each of `times` (one time or an array) as stacks."""
-        return _observables(problem, *self.rows_at(problem, times), self.F0)
+        return _observables(problem, *self.rows_at(problem, times), self.F0, self.F0_eig)
+
+    def vectors_at(self, problem: ControlProblem, times):
+        """(psi, H psi, F psi) at each of `times` (one time or an array) as stacks."""
+        return _state_vectors(problem, self.rows_at(problem, times), self.F0_eig)
 
     def trajectory(self, problem: ControlProblem) -> Trajectory:
         """The validated trajectory on the pass's own rows."""
@@ -802,7 +826,8 @@ def exact_pass(
     """
     G, F0 = _seed_operators(problem, m0, H0)
     times = _pass_grid(t_max, G, F0, m0.lambda0, dt)
-    return PassSamples(times, *_constant_rows(problem, m0, times), F0, times.size - 1, None)
+    F0_eig = np.linalg.eigh(F0)
+    return PassSamples(times, *_constant_rows(problem, m0, times), F0, times.size - 1, None, F0_eig)
 
 
 def integrate_blocks(
@@ -835,8 +860,9 @@ def integrate_blocks(
     G, F0 = _seed_operators(problem, m0, H0)
     times = _pass_grid(t_max, G, F0, lam0, dt)
     n_steps, step = times.size - 1, float(times[1])
+    F0_eig = np.linalg.eigh(F0)
     if not problem.forbidden or is_closed_subalgebra(problem.basis, problem.forbidden)[0]:
-        yield PassSamples(times, *_constant_rows(problem, m0, times), F0, n_steps, None)
+        yield PassSamples(times, *_constant_rows(problem, m0, times), F0, n_steps, None, F0_eig)
         return
 
     M = problem.n_forbidden
@@ -867,7 +893,7 @@ def integrate_blocks(
         m = i + 1
         yield PassSamples(
             times[:m], ys[:m, :n2].reshape(m, N, N), lam0s[:m], ys[:m, n2:].real,
-            taus[:m], F0, n_steps, slopes[:m],
+            taus[:m], F0, n_steps, slopes[:m], F0_eig,
         )
 
 

@@ -41,13 +41,14 @@ from .dynamics import (
     SingularGaugeError,
     Trajectory,
     _as_pairs,
+    _binade_scaled,
     _constant_rows,
     _energy_scale,
     _grid,
     _hermitian_seed,
-    _observables,
     _pass_rate,
     _seed_operators,
+    _state_vectors,
     _step_cap,
     exact_pass,
     finalize_trajectory,
@@ -609,9 +610,9 @@ def _project_seed(
     gauge lambda_0 = 1, where Re<psi|HF|psi> = Tr[H0^2]/2 = omega^2 at
     t = 0.  Only lambda_0 = 0 is a singular gauge: the seed is first
     scaled by the power of two that brings its largest multiplier into
-    [1/2, 1), and F(0) then by the one that brings its entries below 1
-    where they are larger: exact, and clear of overflow for any finite
-    seed and gauge.
+    [1/2, 1), and F(0) then by the one that brings its largest entry
+    there (`dynamics._binade_scaled`): exact, and clear of overflow and
+    underflow for any finite seed and gauge.
     Any finite Hermitian N x N seed is accepted (`_hermitian_seed`, the
     one check of a seed, made first); the projection does the rest.
     """
@@ -628,7 +629,7 @@ def _project_seed(
     Xf = problem.forbidden_generators()
     c = math.ldexp(1.0, -math.frexp(np.abs(m0_seed.lambdas).max(initial=abs(lam0)))[1])
     F_seed = (c * lam0) * H0_seed + forbidden_sum(c * m0_seed.lambdas, Xf)
-    F_seed *= math.ldexp(1.0, -max(0, math.frexp(float(np.abs(F_seed).max()))[1]))
+    F_seed = _binade_scaled(F_seed)
     f_norm = float(np.linalg.norm(F_seed))
     fpsi = F_seed @ psi_i
     col = fpsi - complex(psi_i.conj() @ fpsi) * psi_i  # Pi_perp F0 psi_i
@@ -724,15 +725,16 @@ def _root_scan(
 ) -> Tuple[Optional[float], PassSamples, np.ndarray]:
     """(T, last block, sampled values) of the first accepted root of a scalar on a pass.
 
-    `scalar(F, H, psi)` maps stacks of samples to one value each.  The
-    blocks of one pass are scanned as they arrive, each on the rows past
-    the prefix scanned so far, and the candidates taken in order: an
-    interior sample with |value| <= 1e-10 as it is, a strict sign change
-    resolved by `_bracketed_root` from the two sampled values, evaluating
-    `PassSamples.at` inside the bracket.  The first candidate t with
-    `accept(block, t)` is T; T is None when none is, and then the values
-    cover the whole pass.  Evaluation counts, rejected candidates and the
-    stopping step are logged at debug level.  The candidates and their
+    `scalar(psi, H psi, F psi)` maps stacks of those vectors (no U, F or
+    H is formed) to one value each.  The blocks of one pass are scanned as
+    they arrive, each on the rows past the prefix scanned so far, and the
+    candidates taken in order: an interior sample with |value| <= 1e-10 as
+    it is, a strict sign change resolved by `_bracketed_root` from the two
+    sampled values, evaluating `PassSamples.vectors_at` inside the
+    bracket.  The first candidate t with `accept(block, t)` is T; T is
+    None when none is, and then the values cover the whole pass.
+    Evaluation counts, rejected candidates and the stopping step are
+    logged at debug level.  The candidates and their
     resolution are those of a scan of the whole window: a bracket
     [t_k, t_k+1] is resolved only once every sample of its dense-output
     stencil exists, sample max(k + 2, 3) (`PassSamples.rows_at`), and
@@ -742,7 +744,7 @@ def _root_scan(
     T, s, done, live, nxt = None, None, 0, False, 0
 
     def value_at(t: float) -> float:
-        return float(scalar(*smp.at(problem, t)[1:])[0])
+        return float(scalar(*smp.vectors_at(problem, t))[0])
 
     for smp in blocks:
         n_steps, times = smp.n_steps, smp.times
@@ -750,9 +752,8 @@ def _root_scan(
             s = np.empty(n_steps + 1)
         m = times.size
         r, done = slice(done, m), m
-        s[r] = scalar(*_observables(
-            problem, smp.V[r], smp.lambda0[r], smp.lambdas[r], smp.tau_acc[r], smp.F0
-        )[1:])
+        rows = (smp.V[r], smp.lambda0[r], smp.lambdas[r], smp.tau_acc[r])
+        s[r] = scalar(*_state_vectors(problem, rows, smp.F0_eig))
         live = live or not float(np.abs(s[r]).max()) < 1e-12
         if not live:
             continue
@@ -811,13 +812,15 @@ def _extremal(
     """
     cap = _step_cap(dt)
     w2 = problem.omega**2
+    ends: Dict[float, complex] = {}  # <psi|HF|psi> where evaluated, so at T once
 
     def endpoint(smp: PassSamples, t: float) -> complex:
         _, F, H, psi = smp.at(problem, t)
-        return complex(*endpoint_constraint(psi[0], H[0], F[0]))
+        ends[t] = complex(*endpoint_constraint(psi[0], H[0], F[0]))
+        return ends[t]
 
-    def im_part(F: np.ndarray, H: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        return np.einsum("ka,kab,kbc,kc->k", psi.conj(), H, F, psi).imag / w2
+    def im_part(psi: np.ndarray, hpsi: np.ndarray, fpsi: np.ndarray) -> np.ndarray:
+        return np.einsum("ka,ka->k", hpsi.conj(), fpsi).imag / w2
 
     T, smp, s = _root_scan(
         problem, blocks, im_part, lambda block, t: abs(endpoint(block, t).imag) <= 1e-10 * w2
@@ -829,7 +832,7 @@ def _extremal(
             k = int(dips[np.argmin(mag[dips])])
             # the sampled minimum, resolved on a fine grid of the pass around it
             fine = np.linspace(smp.times[k - 1], smp.times[k + 1], _CLOSEST_GRID)
-            near = np.abs(im_part(*smp.at(problem, fine)[1:]))
+            near = np.abs(im_part(*smp.vectors_at(problem, fine)))
             j = int(np.argmin(near))
             closest = f"closest approach |s| = {near[j]:.2e} omega^2 at t = {fine[j]:.4g}"
         else:
@@ -849,20 +852,21 @@ def _extremal(
             )
         ref = (problem.psi_i if psi_f is None else psi_f).amplitudes.conj()
 
-        def target(F: np.ndarray, H: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        def target(psi: np.ndarray, hpsi: np.ndarray, fpsi: np.ndarray) -> np.ndarray:
             a = psi @ ref
             if psi_f is None:
                 return np.arccos(np.minimum(1.0, np.abs(a))) - bures_angle
-            return -2.0 * (np.conj(a) * (np.einsum("kab,kb->ka", H, psi) @ ref)).imag
+            return -2.0 * (np.conj(a) * (hpsi @ ref)).imag
 
         def reached(block: PassSamples, t: float) -> bool:
-            return psi_f is None or abs(block.at(problem, t)[3][0] @ ref) >= 1.0 - 1e-9
+            return psi_f is None or abs(block.vectors_at(problem, t)[0][0] @ ref) >= 1.0 - 1e-9
 
         T = _root_scan(problem, [smp], target, reached)[0]
         if T is None:
             goal = "the target state" if psi_f is not None else f"Bures angle {bures_angle:g}"
             raise NoSolutionError(f"the flow never reaches {goal} within (0, {smp.times[-1]:g}]")
-    return _certified(problem, kind, H0, m0, T, endpoint(smp, T).real, cap, smp)
+        endpoint(smp, T)
+    return _certified(problem, kind, H0, m0, T, ends[T].real, cap, smp)
 
 
 def shoot(

@@ -1,5 +1,6 @@
 """Command-line interface: solving, sweeping, verifying, exit codes."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -248,7 +249,7 @@ def test_shoot_dt_coarser_than_the_window_is_the_default_pass(shot_file, capsys)
     default = capsys.readouterr().out
     assert main(["shoot", "-i", shot_file, "--dt", "5"]) == 0
     assert capsys.readouterr().out == default
-    assert json.loads(default)["T"] == 0.9053082589150153
+    assert json.loads(default)["T"] == 0.9053082589150145
 
 
 def test_shoot_drift_exits_3_and_the_work_cap_exits_1(shot_file, monkeypatch, capsys):
@@ -1125,6 +1126,25 @@ def test_usage_errors_exit_1_and_help_exits_0(argv, code, capsys):
     assert exc.value.code == code
     out, err = capsys.readouterr()
     assert "usage: qbrach" in (err if code else out)
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch):
+    # a second call of main constructs no ArgumentParser, the subcommands'
+    # included, and its parse gives the first call's document
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    argv = ["sweep-m1", "--grid", "0,0.02,2 x 0.1,0.3,2", "-o", str(tmp_path / "first.json")]
+    assert main(argv) == 0
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    argv[-1] = str(tmp_path / "second.json")
+    assert main(argv) == 0
+    assert built == []
+    assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
 
 
 # the README seed 10 sigma_y with one diagonal entry -inf

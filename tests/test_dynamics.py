@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import helpers
-from qbrach import dynamics, verify
+from qbrach import dynamics, solvers, verify
 from qbrach.algebra import (
     build_gellmann_basis,
     forbidden_sum,
@@ -670,21 +670,43 @@ def test_integrate_below_one_default_step(t_max, K):
 def test_batched_at_matches_scalar_calls(seed):
     # a stepped pass (seed 7) and the exact flow of a closed set (seed 90):
     # the batched evaluation equals one call per time, on samples, at both
-    # ends of the window and between samples
+    # ends of the window and between samples, for the observables, the
+    # rows and the state vectors
     problem, h0, m0 = helpers.su4_shoot_seed(seed)
     smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
     assert (smp.slopes is None) == (seed == 90)
     rng = np.random.default_rng(seed)
     times = np.concatenate((smp.times[[0, 1, 37, -2, -1]], np.sort(rng.uniform(0.0, 1.0, 276))))
-    batched = smp.at(problem, times)
-    for k, t in enumerate(times):
-        for name, got, one in zip(("U", "F", "H", "psi"), batched, smp.at(problem, t)):
-            gap = float(np.abs(got[k] - one[0]).max())
-            assert gap <= 1e-14 * max(1.0, float(np.abs(one).max())), (name, t)
+    names = ("U", "F", "H", "psi"), ("V", "lambda0", "lambdas", "tau"), ("psi", "Hpsi", "Fpsi")
+    evaluations = (smp.at, smp.rows_at, smp.vectors_at)
+    for evaluate, stacks in zip(evaluations, names):
+        batched = evaluate(problem, times)
+        for k, t in enumerate(times):
+            for name, got, one in zip(stacks, batched, evaluate(problem, t)):
+                gap = float(np.abs(got[k] - one[0]).max())
+                assert gap <= 1e-14 * max(1.0, float(np.abs(one).max())), (name, t)
     # on a sample the evaluation is the sample itself
     rows = smp.rows_at(problem, smp.times[:3])
     np.testing.assert_array_equal(rows[0], smp.V[:3])
     np.testing.assert_array_equal(rows[2], smp.lambdas[:3])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 50, 100, 182])
+def test_state_vectors_give_the_matrix_endpoint_scalar(seed):
+    # the root scan's scalar Im<H psi|F psi>/omega^2, from matrix-vector
+    # products on the frame, is Im<psi|HF|psi>/omega^2 of the U, F, H and
+    # psi stacks on every sample of the pass of a pool seed
+    problem, h0, m0 = helpers.su4_shoot_seed(seed)
+    h0, m0 = solvers._project_seed(problem, h0, m0)
+    smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=3.0))[-1]
+    rows = (smp.V, smp.lambda0, smp.lambdas, smp.tau_acc)
+    psi, hpsi, fpsi = dynamics._state_vectors(problem, rows, smp.F0_eig)
+    _, F, H, psi_ref = dynamics._observables(problem, *rows, smp.F0, smp.F0_eig)
+    want = np.einsum("ka,kab,kbc,kc->k", psi_ref.conj(), H, F, psi_ref).imag
+    got = np.einsum("ka,ka->k", hpsi.conj(), fpsi).imag
+    w2 = problem.omega**2
+    assert smp.times.size > 100 and float(np.abs(got - want).max()) <= 1e-14 * w2
+    assert float(np.abs(psi - psi_ref).max()) <= 1e-14
 
 
 def stepped_instance(case):
@@ -780,7 +802,9 @@ def test_dense_output_error_falls_2_6_per_halving(case, monkeypatch):
         fine = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=1.0 / (4 * n)))[-1]
         assert fine.n_steps == 4 * n
         rows = (fine.times, fine.V, fine.lambda0, fine.lambdas, fine.tau_acc)
-        coarse = dynamics.PassSamples(*(a[::4] for a in rows), fine.F0, n, fine.slopes[::4])
+        coarse = dynamics.PassSamples(
+            *(a[::4] for a in rows), fine.F0, n, fine.slopes[::4], np.linalg.eigh(fine.F0)
+        )
         V, _, lams, _ = coarse.rows_at(problem, fine.times)
         errs.append(max(float(np.abs(V - fine.V).max()), float(np.abs(lams - fine.lambdas).max())))
     assert errs[0] / errs[1] >= 64.0 and errs[1] / errs[2] >= 64.0

@@ -788,6 +788,29 @@ def test_a_huge_seed_is_checked_and_projected_without_overflow(solve):
         solve(problem, 1e200 * (SY + 1e-6 * SX * 1j), MultiplierVector(1.0, [2.5]), t_max=0.5)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("solve", [shoot, solve_closed_subalgebra])
+def test_the_seed_check_is_the_same_at_every_scale(solve):
+    # the deviation from Hermitian is taken relative to the seed's own norm
+    # at every scale, also where its entries are far below 1: an
+    # upper-triangular seed of 1e-11 is refused as one of 1 is, 1e-11 sigma_x
+    # is taken, and the README seed times 2^-600 is the README seed, bit for bit
+    problem = ControlProblem(
+        basis=helpers.m1_problem(10.0).basis, psi_i=PureState([0.6, 0.8]), omega=10.0,
+        forbidden=(2,),
+    )
+    m0 = MultiplierVector(1.0, [2.5])
+    for scale in (1e-11, 1.0):
+        with pytest.raises(ValueError, match="^H0 is not Hermitian"):
+            solve(problem, scale * np.array([[0, 1], [0, 0]], dtype=complex), m0, t_max=0.5)
+    assert solve(problem, 1e-11 * SX, m0, t_max=0.5).T == 0.04398229715025711
+    readme = helpers.m1_problem(10.0)
+    ref = solve(readme, 10.0 * SY, m0, t_max=0.5)
+    small = 2.0**-600
+    sol = solve(readme, small * 10.0 * SY, MultiplierVector(1.0, [small * 2.5]), t_max=0.5)
+    assert sol.T == ref.T and np.array_equal(sol.H0, ref.H0)
+
+
 def test_closed_solver_window_too_short():
     problem = helpers.m1_problem(10.0)
     with pytest.raises(NoSolutionError):
@@ -984,8 +1007,9 @@ def test_shoot_pass1_carries_no_cross_check_channel(monkeypatch):
     # U against H: that is done once, by certify, on the
     # certified grid, on the exact and the stepped path.  The check reads
     # the grid's own samples, so the rows of the pass `shoot` evaluates
-    # are the root scan's, one per evaluation, the endpoint at T and the K
-    # rows of the grid: no K - 1 midpoints
+    # are the root scan's, one per evaluation and one per candidate's
+    # endpoint, which at T is not evaluated again, and the K rows of the
+    # grid: no K - 1 midpoints
     grids = []
     u_defect = verify._u_defect
 
@@ -1038,9 +1062,31 @@ def test_shoot_pass1_carries_no_cross_check_channel(monkeypatch):
         assert 0.0 < sol.report.u_defect and sol.report.verdict["u_mismatch"]
         assert sol.report.passed
         K = sol.trajectory.n_samples
-        assert scans == [(0, len(rows) - 2)]
-        assert 0 < len(rows) - 2 and set(rows[:-2]) == {1}
-        assert rows[-2:] == [1, K]
+        assert scans == [(0, len(rows) - 1)]
+        assert 0 < len(rows) - 1 and set(rows[:-1]) == {1}
+        assert rows[-1] == K
+
+
+def test_shoot_evaluates_the_endpoint_at_its_t_once(monkeypatch):
+    # the acceptance of a candidate evaluates <psi|HF|psi> there, and the
+    # renormalization at T takes that value: one evaluation per candidate,
+    # on a stepped pass (seed 7), the exact flow (seed 90) and where the
+    # endpoint function vanishes identically and a Bures angle selects T
+    calls = []
+    endpoint_constraint = solvers.endpoint_constraint
+
+    def counted(psi, H, F):
+        calls.append(1)
+        return endpoint_constraint(psi, H, F)
+
+    monkeypatch.setattr(solvers, "endpoint_constraint", counted)
+    free = ControlProblem(basis=helpers.build_gellmann_basis(2), psi_i=helpers.KET0, omega=1.0)
+    shots = [helpers.su4_shoot_seed(7) + ({},), helpers.su4_shoot_seed(90) + ({},),
+             (free, SY, MultiplierVector(1.0, []), {"target_bures_angle": 1.0})]
+    for problem, h0, m0, kwargs in shots:
+        calls.clear()
+        sol = shoot(problem, h0, m0, t_max=3.0, **kwargs)
+        assert len(calls) == 1 and sol.report.passed
 
 
 @pytest.mark.parametrize("seed", [2, 7])
@@ -1120,7 +1166,7 @@ def test_root_scan_takes_a_near_zero_sample():
     # 1e-10 of zero is a candidate, taken as it is
     t0 = float(coarse.times[27])
     T = solvers._root_scan(
-        problem, [coarse], lambda F, H, psi: (psi[:, 1].real - math.sin(t0)) ** 2 + 1e-11,
+        problem, [coarse], lambda psi, hpsi, fpsi: (psi[:, 1].real - math.sin(t0)) ** 2 + 1e-11,
         lambda block, t: True,
     )[0]
     assert T == t0
@@ -1141,7 +1187,7 @@ def test_root_scan_by_blocks_matches_the_complete_pass(t_max, monkeypatch):
     for t_root in (0.006, 0.016):
         c = whole.at(problem, t_root)[3][0, 0].real
 
-        def scalar(F, H, psi):
+        def scalar(psi, hpsi, fpsi):
             return psi[:, 0].real - c
 
         T = solvers._root_scan(problem, blocks, scalar, lambda block, t: True)[0]
@@ -1150,16 +1196,18 @@ def test_root_scan_by_blocks_matches_the_complete_pass(t_max, monkeypatch):
 
 
 def test_shoot_resolves_its_bracket_in_a_handful_of_evaluations(caplog, monkeypatch):
-    # every single-time evaluation of the pass is one `PassSamples.at`
-    # call; the root scan logs its count per resolved bracket
-    at_calls = []
-    at = dynamics.PassSamples.at
+    # every single-time evaluation of the pass is one `PassSamples.rows_at`
+    # call, by `vectors_at` in the bracket or `at` in the acceptance; the
+    # root scan logs its count per resolved bracket
+    single = []
+    rows_at = dynamics.PassSamples.rows_at
 
     def counted(self, problem, times):
-        at_calls.append(times)
-        return at(self, problem, times)
+        if np.ndim(times) == 0:
+            single.append(times)
+        return rows_at(self, problem, times)
 
-    monkeypatch.setattr(dynamics.PassSamples, "at", counted)
+    monkeypatch.setattr(dynamics.PassSamples, "rows_at", counted)
     problem, h0, m0 = helpers.su4_shoot_seed(7)
     with caplog.at_level(logging.DEBUG, logger="qbrach"):
         sol = shoot(problem, h0, m0, t_max=3.0)
@@ -1171,7 +1219,7 @@ def test_shoot_resolves_its_bracket_in_a_handful_of_evaluations(caplog, monkeypa
     lo, hi, evals = resolved[0]
     assert float(lo) <= sol.T <= float(hi)
     assert 1 <= int(evals) <= 15
-    assert len(at_calls) <= 15
+    assert len(single) <= 15
 
 
 def test_every_pool_seed_passes_within_the_speed_limit():
