@@ -26,7 +26,7 @@ closure and forms no commutator.  Other forbidden sets are stepped at a
 fixed step by Butcher's sixth-order Runge-Kutta method: one step function
 (`rk6_step`) on one right-hand side (`stepped_rhs`), whose state is
 (V, lambda_j).  Every uniform grid, of either pass or of a certified
-trajectory, is `_grid`, at least four steps and at most `_MAX_SAMPLES`.
+trajectory, is `_grid`, at least six steps and at most `_MAX_SAMPLES`.
 Either pass steps at 0.05/r, with r a bound on the flow's rates that
 holds along the whole pass (`_pass_rate`), or at a given step `dt`
 where that is finer (`_step_cap`).  Sixth order holds the frame unitary
@@ -81,6 +81,13 @@ class SingularGaugeError(ArithmeticError):
     """lambda_0 reached zero: H = V F(0) V^dag / lambda_0 - G is singular."""
 
 
+def _generator_stack(basis: GeneratorBasis, forbidden: Tuple[int, ...]) -> np.ndarray:
+    """The read-only stack of the generators `forbidden` indexes."""
+    stack = basis.generators[list(forbidden)]
+    stack.setflags(write=False)
+    return stack
+
+
 def _energy_scale(omega) -> float:
     """omega as a float, the one check of an energy scale: a ValueError unless it is
     positive and finite with omega^2 and 1/omega^2 normal floats."""
@@ -108,6 +115,7 @@ class ControlProblem:
     omega: float
     forbidden: Tuple[int, ...] = ()
     psi_f: Optional[PureState] = None
+    _forbidden_stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _energy_scale(self.omega)
@@ -123,6 +131,7 @@ class ControlProblem:
         if len(set(idx)) != len(idx):
             raise ValueError("forbidden set contains duplicate generators")
         object.__setattr__(self, "forbidden", idx)
+        object.__setattr__(self, "_forbidden_stack", _generator_stack(self.basis, idx))
 
     @property
     def dim(self) -> int:
@@ -133,7 +142,8 @@ class ControlProblem:
         return len(self.forbidden)
 
     def forbidden_generators(self) -> np.ndarray:
-        return self.basis.generators[list(self.forbidden)]
+        """The (M, N, N) stack of the forbidden generators, built once, read-only."""
+        return self._forbidden_stack
 
 
 @dataclass(frozen=True)
@@ -269,6 +279,7 @@ class Trajectory:
     forbidden: Tuple[int, ...]
     renormalized: bool = False
     F_spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    _forbidden_stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float).ravel()
@@ -333,7 +344,9 @@ class Trajectory:
         object.__setattr__(self, "tau_acc", tau)
         for name, arr in stacks.items():
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "forbidden", tuple(int(j) for j in self.forbidden))
+        forbidden = tuple(int(j) for j in self.forbidden)
+        object.__setattr__(self, "forbidden", forbidden)
+        object.__setattr__(self, "_forbidden_stack", _generator_stack(self.basis, forbidden))
 
     @property
     def n_samples(self) -> int:
@@ -344,7 +357,8 @@ class Trajectory:
         return self.basis.dim
 
     def forbidden_generators(self) -> np.ndarray:
-        return self.basis.generators[list(self.forbidden)]
+        """The (M, N, N) stack of the forbidden generators, built once, read-only."""
+        return self._forbidden_stack
 
     # -- serialization ----------------------------------------------------
 
@@ -601,9 +615,10 @@ def stepped_rhs(F0: np.ndarray, Xf: np.ndarray, lambda0: float):
 
 
 def _check_lambda0_rate(
-    problem: ControlProblem, lambda0: float, y: np.ndarray, dy: np.ndarray
+    problem: ControlProblem, lambda0: float, lams: np.ndarray, dlams: np.ndarray
 ) -> None:
-    """Guard the conservation of lambda_0 at states y with slopes dy = rhs(y).
+    """Guard the conservation of lambda_0 at multipliers lams with rates dlams,
+    the lambda_j of states and their slopes rhs(y).
 
     d(lambda_0)/dt = -lambda.(eta lambda)/(2 omega^2 lambda_0) =
     -N lambda.(d lambda/dt)/(2 omega^2 lambda_0) vanishes by the
@@ -614,7 +629,6 @@ def _check_lambda0_rate(
     interpolates.
     """
     N, w = problem.dim, problem.omega
-    lams, dlams = y[..., N * N :].real, dy[..., N * N :].real
     dlam0 = (lams * dlams).sum(-1) * (-N / (2.0 * w**2 * lambda0))
     if np.any(np.abs(dlam0) > 1e-9 * w * (1.0 + (lams * lams).sum(-1) / w**2)):
         raise ArithmeticError(
@@ -668,12 +682,13 @@ _MAX_SAMPLES = 200_000
 
 
 def _grid(T: float, step: float) -> np.ndarray:
-    """Uniform samples of [0, T], at least five, no further apart than `step`.
+    """Uniform samples of [0, T], at least seven, no further apart than `step`.
 
-    More than `_MAX_SAMPLES` steps is a ValueError, raised before anything
-    is allocated.
+    Seven samples are the stencil of `verify._derivative`'s sixth-order
+    differences.  More than `_MAX_SAMPLES` steps is a ValueError, raised
+    before anything is allocated.
     """
-    n = max(4, math.ceil(T / step - 1e-12))
+    n = max(6, math.ceil(T / step - 1e-12))
     if n > _MAX_SAMPLES:
         raise ValueError(
             f"[0, {T:g}] at steps of at most {step:.4g} needs {n} steps, more than "
@@ -776,10 +791,12 @@ class PassSamples(NamedTuple):
                 f"a time needs samples up to {hi - 1} of the pass, "
                 f"which has {t.size - 1} so far"
             )
-        # the states (V, lambda_j) and slopes of the samples the stencils span
-        y = np.concatenate((self.V[lo:hi].reshape(-1, N * N), self.lambdas[lo:hi]), axis=1)
-        dy = self.slopes[lo:hi]
-        _check_lambda0_rate(problem, lam0, y, dy)
+        # the frames, multipliers and slopes of the samples the stencils span,
+        # the multipliers and their rates real
+        n2 = N * N
+        yV, yl = self.V[lo:hi].reshape(-1, n2), self.lambdas[lo:hi]
+        dyV, dyl = self.slopes[lo:hi, :n2], self.slopes[lo:hi, n2:].real
+        _check_lambda0_rate(problem, lam0, yl, dyl)
         # d_j = s - s_j in units of the step, s_j the node t_j: exactly 0 on it
         nodes = start[:, None] + np.arange(4)
         d = ((times - t[start]) / h)[:, None] - (t[nodes] - t[start, None]) / h
@@ -789,15 +806,21 @@ class PassSamples(NamedTuple):
         A, B = (1.0 - 2.0 * _NODE_DL * d) * L2, h * d * L2
         # the value weights sum to 1, so the interpolant is the nearest node's
         # state plus a correction: it rounds less, and on a node it is exactly
-        # 0.  Summed node by node, K times take (K, N^2 + M) temporaries only
+        # 0.  Summed node by node, K times take temporaries of (K, N^2) complex
+        # and (K, M) real entries only
         nodes -= lo
-        y0 = y[nodes[np.arange(times.size), abs(d).argmin(1)]]
-        row = np.zeros_like(y0)
-        for j in range(4):
-            row += A[:, j, None] * (y[nodes[:, j]] - y0)
-            row += B[:, j, None] * dy[nodes[:, j]]
-        V = (y0[:, : N * N] + row[:, : N * N]).reshape(-1, N, N)
-        lams = y0[:, N * N :].real + row[:, N * N :].real
+        near = nodes[np.arange(times.size), abs(d).argmin(1)]
+        rows = []
+        for y, dy in ((yV, dyV), (yl, dyl)):
+            y0 = y[near]
+            row = np.zeros_like(y0)
+            for j in range(4):
+                row += A[:, j, None] * (y[nodes[:, j]] - y0)
+                row += B[:, j, None] * dy[nodes[:, j]]
+            row += y0
+            rows.append(row)
+        V, lams = rows
+        V = V.reshape(-1, N, N)
         return V, np.full(times.size, lam0), lams, times / lam0
 
     def at(self, problem: ControlProblem, times):
@@ -876,13 +899,13 @@ def integrate_blocks(
     slopes = np.empty_like(ys)
     y = ys[0] = np.concatenate((np.eye(N, dtype=complex).ravel(), m0.lambdas))
     dy = slopes[0] = rhs(y)
-    _check_lambda0_rate(problem, lam0, y, dy)
+    _check_lambda0_rate(problem, lam0, y[n2:].real, dy[n2:].real)
     for i in range(1, n_steps + 1):
         y = ys[i] = rk6_step(rhs, y, step, dy)
         dy = slopes[i] = rhs(y)
         if i % every and i < n_steps:
             continue
-        _check_lambda0_rate(problem, lam0, y, dy)
+        _check_lambda0_rate(problem, lam0, y[n2:].real, dy[n2:].real)
         V = y[:n2].reshape(N, N)
         drift = float(np.linalg.norm(V.conj().T @ V - np.eye(N)))
         if not drift <= _UNITARITY_TOL:
@@ -925,8 +948,8 @@ def integrate(
     beyond it is an ArithmeticError.  `integrate_blocks` yields the same
     samples checkpoint by checkpoint.
 
-    A grid has at least four steps (`_grid`), so the trajectory can be
-    certified: `verify.certify` differences dF/dt over five samples.
+    A grid has at least six steps (`_grid`), so the trajectory can be
+    certified: `verify.certify` differences dF/dt over seven samples.
     """
     for samples in integrate_blocks(problem, m0, H0, t_max, dt):
         pass

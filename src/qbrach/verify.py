@@ -224,33 +224,36 @@ def _derivative_rows(p: int) -> np.ndarray:
     return np.array([[weight(i, j) for j in range(p)] for i in range(p)])
 
 
-# `_derivative`'s rows on a grid of p = min(5, K) samples, per unit step:
-# for p = 5 the central (1, -8, 0, 8, -1)/12, which errs by h^4 f^(5)/30,
-# and the one-sided rows of the two samples at each end, the worst of
-# which, (-25, 48, -36, 16, -3)/12, errs by h^4 f^(5)/5
-_DIFF_ROWS = {p: _derivative_rows(p) for p in range(2, 6)}
+# `_derivative`'s rows on a grid of p = min(7, K) samples, per unit step:
+# for p = 7 the central (-1, 9, -45, 0, 45, -9, 1)/60, which errs by
+# h^6 f^(7)/140, and the one-sided rows of the three samples at each end,
+# the worst of which, (-147, 360, -450, 400, -225, 72, -10)/60, errs by
+# h^6 f^(7)/7
+_DIFF_ROWS = {p: _derivative_rows(p) for p in range(2, 8)}
 
 
 def _derivative(f: np.ndarray, times: np.ndarray) -> np.ndarray:
     """df/dt on a uniform grid from the samples f (sample-major).
 
     At each sample it is the derivative of the degree-(p - 1) interpolant
-    through the p = min(5, K) nearest samples: inside the grid the
-    five-point (f_{k-2} - 8 f_{k-1} + 8 f_{k+1} - f_{k+2})/12h, at the two
-    samples of either end the one-sided rows of `_DIFF_ROWS`, and on a
-    grid of fewer than 5 samples the interpolant through all of them.  It
-    is fourth order on 5 samples or more.  The step is the mean step,
-    which `Trajectory` holds every step to.
+    through the p = min(7, K) nearest samples: inside the grid the
+    seven-point (-f_{k-3} + 9 f_{k-2} - 45 f_{k-1} + 45 f_{k+1} - 9 f_{k+2}
+    + f_{k+3})/60h, at the three samples of either end the one-sided rows
+    of `_DIFF_ROWS`, and on a grid of fewer than 7 samples the interpolant
+    through all of them.  It is sixth order on 7 samples or more.  The
+    step is the mean step, which `Trajectory` holds every step to.
     """
     K = times.size
-    p = min(5, K)
+    p = min(7, K)
     D = _DIFF_ROWS[p] * ((K - 1) / (times[-1] - times[0]))
-    if K < 5:
+    if K < 7:
         return np.tensordot(D, f, axes=1)
     out = np.empty(f.shape, dtype=np.result_type(f, float))
-    out[:2] = np.tensordot(D[:2], f[:5], axes=1)
-    out[-2:] = np.tensordot(D[3:], f[-5:], axes=1)
-    out[2:-2] = D[2, 0] * (f[:-4] - f[4:]) + D[2, 1] * (f[1:-3] - f[3:-1])
+    out[:3] = np.tensordot(D[:3], f[:7], axes=1)
+    out[-3:] = np.tensordot(D[4:], f[-7:], axes=1)
+    out[3:-3] = (
+        D[3, 0] * (f[:-6] - f[6:]) + D[3, 1] * (f[1:-5] - f[5:-1]) + D[3, 2] * (f[2:-4] - f[4:-2])
+    )
     return out
 
 
@@ -280,9 +283,9 @@ def _conservation_residuals(traj) -> Tuple[float, float, float]:
 def chko_residual(traj) -> float:
     """Max normalized Frobenius norm of dF/dt + i[H, F] on the grid.
 
-    dF/dt is `_derivative`, fourth order (five-point central differences,
-    one-sided rows at the two samples of either end), so for an exact
-    trajectory the residual is the O(dt^4) differencing truncation.
+    dF/dt is `_derivative`, sixth order (seven-point central differences,
+    one-sided rows at the three samples of either end), so for an exact
+    trajectory the residual is the O(dt^6) differencing truncation.
     Normalization: omega ||F(0)||_F.
     """
     return _conservation_residuals(traj)[0]
@@ -354,40 +357,43 @@ def equivalence_residuals(traj) -> Tuple[float, float]:
 # blocks of matrices whatever the trajectory's length
 _DIRECT_BLOCK = 512
 
-# the stage times of Butcher's sixth-order Runge-Kutta method strictly
-# inside a step, in units of the step, as (numerator, denominator)
-_STAGES = ((1, 3), (1, 2), (2, 3))
+# the stage times of two half-steps of Butcher's sixth-order Runge-Kutta
+# method strictly inside a step, in units of the step, as (numerator,
+# denominator): the first half-step's inner stages at 1/6, 1/4 and 1/3, its
+# end at 1/2, and the second half-step's inner stages at 2/3, 3/4 and 5/6
+_STAGES = ((1, 6), (1, 4), (1, 3), (1, 2), (2, 3), (3, 4), (5, 6))
 
-# `_u_defect`'s weights of H at those stage times on a grid of p = min(6, K)
+# `_u_defect`'s weights of H at those stage times on a grid of p = min(8, K)
 # samples: _STAGE_ROWS[p][o, c] holds the degree-(p - 1) interpolant's
 # weights on a stencil's p samples at stage c of the stencil's step o
 _STAGE_ROWS = {
     p: np.array([[_lagrange_rows(p, o * d + n, d) for n, d in _STAGES] for o in range(p - 1)])
-    for p in range(2, 7)
+    for p in range(2, 9)
 }
 
 
 def _stage_hamiltonians(H: np.ndarray, a: int, b: int) -> np.ndarray:
-    """H at t_k + (1/3, 1/2, 2/3) h for the steps k = a..b-1 of a uniform grid.
+    """H at t_k + (1/6, 1/4, 1/3, 1/2, 2/3, 3/4, 5/6) h for the steps k = a..b-1
+    of a uniform grid.
 
-    The result is a (3, N, N, b - a) stack, the steps on the last axis.
-    Step k's stencil is the p = min(6, K) samples from s_k = min(max(k -
-    2, 0), K - p): the six nearest samples, one-sided on the two steps at
-    either end, and all of them on a grid of fewer than 6.  Each value is
-    the degree-(p - 1) interpolant through the stencil (`_STAGE_ROWS`),
-    which errs by O(step^6).  Steps sharing their place o = k - s_k in
+    The result is a (7, N, N, b - a) stack, the steps on the last axis.
+    Step k's stencil is the p = min(8, K) samples from s_k = min(max(k -
+    3, 0), K - p): the eight nearest samples, one-sided on the three steps
+    at either end, and all of them on a grid of fewer than 8.  Each value
+    is the degree-(p - 1) interpolant through the stencil (`_STAGE_ROWS`),
+    which errs by O(step^8).  Steps sharing their place o = k - s_k in
     the stencil (all inner steps do) are formed together, as one product
     of a strided view of their stencils with the weights.
     """
     K = H.shape[0]
-    p = min(6, K)
+    p = min(8, K)
     k = np.arange(a, b)
-    s = np.clip(k - 2, 0, K - p)
+    s = np.clip(k - 3, 0, K - p)
     o = k - s
     lo, hi = int(s[0]), int(s[-1]) + p
     # stencils[..., i, j] is sample lo + i + j: a view, no copy per stencil
     stencils = sliding_window_view(np.moveaxis(H[lo:hi], 0, -1), p, axis=-1)
-    out = np.empty((3, *H.shape[1:], b - a), dtype=complex)
+    out = np.empty((len(_STAGES), *H.shape[1:], b - a), dtype=complex)
     cuts = [0, *(1 + np.flatnonzero(np.diff(o))), b - a]
     for i0, i1 in zip(cuts, cuts[1:]):
         first = int(s[i0]) - lo
@@ -397,16 +403,19 @@ def _stage_hamiltonians(H: np.ndarray, a: int, b: int) -> np.ndarray:
 
 
 def _u_defect(times: np.ndarray, H: np.ndarray, U: np.ndarray) -> float:
-    """sum_k ||U_{k+1} - P_k U_k||_F, P_k one RK6 step of i dU/dt = H U.
+    """sum_k ||U_{k+1} - P_k U_k||_F, P_k two RK6 half-steps of i dU/dt = H U.
 
-    P_k is one step of Butcher's sixth-order method (the tableau of
-    `dynamics.rk6_step`, `dynamics._RK6_A` and `_RK6_B`, here written out
-    per stage), its stages at t_k + (0, 1/3, 2/3, 1/3, 1/2, 1/2,
-    1) h.  -iH at the step's ends is the sample there and at its inner
-    stage times the interpolant `_stage_hamiltonians`, so each step errs
-    by O(step^7).  P_k is the RK6 map of a skew-Hermitian generator, so
-    ||P_k||_2 = 1 + O(step^7), and by the triangle inequality the sum
-    bounds, to that order, the largest gap between U and the RK6
+    P_k is two steps of size h/2 of Butcher's sixth-order method (the
+    tableau of `dynamics.rk6_step`, `dynamics._RK6_A` and `_RK6_B`, here
+    written out per stage), whose stages fall at t_k + (0, 1/6, 1/4, 1/3,
+    1/2) h and t_k + (1/2, 2/3, 3/4, 5/6, 1) h.  -iH at the step's ends
+    is the sample there and at the seven inner stage times the interpolant
+    `_stage_hamiltonians`, which adds O(step^9) to a step.  Each step's RK6
+    truncation is O(step^7), a 64th of that of one step of size h, so the
+    check stays at rounding level on the grids `_derivative`'s sixth-order
+    differences are sized for.  P_k is the RK6 map of a skew-Hermitian
+    generator, so ||P_k||_2 = 1 + O(step^7), and by the triangle inequality
+    the sum bounds, to that order, the largest gap between U and the RK6
     propagation of the H samples from U_0.  It reads `times`, `H` and `U`
     alone, block by block, with the steps on the last axis: a product of
     two blocks is then N broadcast multiply-adds that each sweep the whole
@@ -419,25 +428,29 @@ def _u_defect(times: np.ndarray, H: np.ndarray, U: np.ndarray) -> float:
             out += A[:, j, None] * X[None, j]
         return out
 
+    def increment(X, h0, h13, h12, h23, h1, g):
+        # one RK6 step of dX/dt = -iH X from X, of size g = -i times the
+        # step, with H at (0, 1/3, 1/2, 2/3, 1) of it
+        q1 = product(h0, X)
+        q2 = product(h13, X + (g / 3.0) * q1)
+        q3 = product(h23, X + (g / 1.5) * q2)
+        q4 = product(h13, X + (g / 12.0) * (q1 + 4.0 * q2 - q3))
+        q5 = product(h12, X + (g / 16.0) * (18.0 * q2 - q1 - 3.0 * q3 - 6.0 * q4))
+        q6 = product(h12, X + (g / 8.0) * (9.0 * q2 - 3.0 * q3 - 6.0 * q4 + 4.0 * q5))
+        q7 = product(
+            h1, X + (g / 44.0) * (9.0 * q1 - 36.0 * q2 + 63.0 * q3 + 72.0 * q4 - 64.0 * q6)
+        )
+        return (g / 120.0) * (11.0 * (q1 + q7) + 81.0 * (q3 + q4) - 32.0 * (q5 + q6))
+
     total = 0.0
     for a in range(0, times.size - 1, _DIRECT_BLOCK):
         b = min(a + _DIRECT_BLOCK, times.size - 1)
-        h13, h12, h23 = _stage_hamiltonians(H, a, b)
+        h16, h14, h13, h12, h23, h34, h56 = _stage_hamiltonians(H, a, b)
         ends, Us = (np.moveaxis(x[a : b + 1], 0, -1).copy() for x in (H, U))
-        g = -1.0j * np.diff(times[a : b + 1])  # -i step
+        g = -0.5j * np.diff(times[a : b + 1])  # -i half-step
         Uk = Us[..., :-1]
-        q1 = product(ends[..., :-1], Uk)
-        q2 = product(h13, Uk + (g / 3.0) * q1)
-        q3 = product(h23, Uk + (g / 1.5) * q2)
-        q4 = product(h13, Uk + (g / 12.0) * (q1 + 4.0 * q2 - q3))
-        q5 = product(h12, Uk + (g / 16.0) * (18.0 * q2 - q1 - 3.0 * q3 - 6.0 * q4))
-        q6 = product(h12, Uk + (g / 8.0) * (9.0 * q2 - 3.0 * q3 - 6.0 * q4 + 4.0 * q5))
-        q7 = product(
-            ends[..., 1:],
-            Uk + (g / 44.0) * (9.0 * q1 - 36.0 * q2 + 63.0 * q3 + 72.0 * q4 - 64.0 * q6),
-        )
-        step = 11.0 * (q1 + q7) + 81.0 * (q3 + q4) - 32.0 * (q5 + q6)
-        gap = Us[..., 1:] - Uk - (g / 120.0) * step
+        half = Uk + increment(Uk, ends[..., :-1], h16, h14, h13, h12, g)
+        gap = Us[..., 1:] - half - increment(half, h12, h23, h34, h56, ends[..., 1:], g)
         total += float(np.linalg.norm(gap, axis=(0, 1)).sum())
     return total
 

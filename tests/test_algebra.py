@@ -10,6 +10,7 @@ from qbrach.algebra import (
     basis_of,
     build_gellmann_basis,
     build_pauli_string_basis,
+    forbidden_sum,
     is_closed_subalgebra,
     pauli_string_label,
     stack_product,
@@ -371,3 +372,22 @@ def test_stack_spectra_above_n2_is_eigvalsh(n, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: calls.append(x) or eigvalsh(x))
     np.testing.assert_array_equal(stack_spectra(a), eigvalsh(a))
     assert len(calls) == 1 and calls[0] is a
+
+
+# ---------------------------------------------------------- forbidden sum
+
+
+@pytest.mark.parametrize("shape", [(3,), (5, 3), (200, 3), (4, 0)])
+def test_forbidden_sum_is_tensordot_bit_for_bit(shape):
+    # one product with the stack flattened to (M, N^2) gives the bits of
+    # np.tensordot, for one set of coefficients and for a stack of them, on
+    # su(4) forbidden sets drawn as the shooting recipe draws them; an
+    # empty set gives zero matrices
+    basis = build_gellmann_basis(4)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        Xf = basis.generators[sorted(rng.choice(15, size=shape[-1], replace=False))]
+        coeffs = rng.normal(size=shape)
+        got = forbidden_sum(coeffs, Xf)
+        assert got.shape == (*shape[:-1], 4, 4)
+        np.testing.assert_array_equal(got, np.tensordot(coeffs, Xf, axes=1))

@@ -211,10 +211,10 @@ def test_shoot_refuses_a_step_beyond_the_work_cap(closed_file, capsys):
 
 
 def test_solve_2qubit_dt_caps_the_certified_step(capsys):
-    # a step coarser than the grid's own step (about 1.3e-3 here) is
+    # a step coarser than the grid's own step (about 4.5e-3 here) is
     # capped, not used, so the solution passes its certificate and is written
     argv = ["solve-2qubit", "--omega-b", "1.5707963", "--omega", "10"]
-    assert main(argv + ["--dt", "2e-3"]) == 0
+    assert main(argv + ["--dt", "1e-2"]) == 0
     capped = capsys.readouterr().out
     assert main(argv) == 0
     assert capped == capsys.readouterr().out
@@ -1081,11 +1081,11 @@ def test_failing_certificate_is_refused(closed_file, tmp_path, monkeypatch, caps
 
 def test_solve_m1_refuses_a_branch_whose_certificate_fails(tmp_path, monkeypatch, capsys):
     # with _MAX_SAMPLES made small, each branch's certified grid is lifted
-    # to 100 steps (from 186), too coarse for its conservation residuals:
+    # to 30 steps (from 49), too coarse for its conservation residuals:
     # solve-m1 keeps the rule of every solver, exit 3 with the failed
     # verdicts named and nothing written.  The 4 x 7 branch pairs, which
     # hold the global minimum, stay within that cap
-    monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 100)
+    monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 30)
     out = tmp_path / "m1.json"
     problem = tmp_path / "m1_problem.json"
     problem.write_text(json.dumps({"omega": 10.0, "solver_params": {"k_max": 3, "l_max": 3}}))

@@ -80,6 +80,23 @@ def test_problem_resolves_forbidden_labels():
     np.testing.assert_array_equal(p.forbidden_generators()[0], SZ)
 
 
+@pytest.mark.parametrize("forbidden", [(), (2,), ("d1", 0)])
+def test_forbidden_stack_is_built_once_and_read_only(forbidden):
+    # a problem and a trajectory build their stack of forbidden generators
+    # once: every call returns the same read-only array, the generators the
+    # set indexes bit for bit
+    problem = ControlProblem(build_gellmann_basis(2), helpers.KET0, 1.0, forbidden=forbidden)
+    m0 = MultiplierVector(1.0, np.full(len(forbidden), 0.5))
+    traj = integrate(problem, m0, SY, t_max=0.1)
+    want = problem.basis.generators[list(problem.forbidden)]
+    for owner in (problem, traj):
+        stack = owner.forbidden_generators()
+        assert stack is owner.forbidden_generators()
+        assert not stack.flags.writeable
+        assert stack.shape == (len(forbidden), 2, 2)
+        np.testing.assert_array_equal(stack, want)
+
+
 def test_problem_validation():
     basis = build_gellmann_basis(2)
     with pytest.raises(ValueError):
@@ -211,24 +228,25 @@ def test_lambda0_rate_guard(monkeypatch):
 
 
 def test_pass_guards_lambda0_at_its_checkpoints(monkeypatch):
-    # the pass checks y(0) and the state at every drift checkpoint (each
-    # block's last row), with the slope rhs(y) there
+    # the pass checks the multipliers of y(0) and of the state at every
+    # drift checkpoint (each block's last row), with their rates in the
+    # slope rhs(y) there
     problem, m0, h0 = su3_drifting_instance()
     seen = []
     check = dynamics._check_lambda0_rate
 
-    def recorded(problem, lambda0, y, dy):
-        seen.append((y.copy(), dy.copy()))
-        check(problem, lambda0, y, dy)
+    def recorded(problem, lambda0, lams, dlams):
+        seen.append((lams.copy(), dlams.copy()))
+        check(problem, lambda0, lams, dlams)
 
     monkeypatch.setattr(dynamics, "_check_lambda0_rate", recorded)
     blocks = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))
     monkeypatch.undo()
     assert len(seen) == 1 + len(blocks) and len(blocks) > 1
     rows = [0] + [b.times.size - 1 for b in blocks]
-    for (y, dy), k in zip(seen, rows):
-        np.testing.assert_array_equal(y[:9], blocks[-1].V[k].ravel())
-        np.testing.assert_array_equal(dy, blocks[-1].slopes[k])
+    for (lams, dlams), k in zip(seen, rows):
+        np.testing.assert_array_equal(lams, blocks[-1].lambdas[k])
+        np.testing.assert_array_equal(dlams, blocks[-1].slopes[k, 9:].real)
 
 
 def test_eta_matrix_single_direction_is_zero():
@@ -410,7 +428,7 @@ def test_a_dt_coarser_than_the_window_is_the_default_grid():
 def test_exact_and_stepped_passes_of_one_rate_take_the_same_grid(t_max, dt, monkeypatch):
     # seed 90's closed set takes the exact flow and seed 7's open one is
     # stepped; at one rate bound r both sample [0, t_max] at steps of
-    # min(t_max, 0.05/r, dt), at least four of them
+    # min(t_max, 0.05/r, dt), at least six of them
     monkeypatch.setattr(dynamics, "_pass_rate", lambda G, F0, lambda0: 20.0)
     grids = []
     for seed in (90, 7):
@@ -420,7 +438,7 @@ def test_exact_and_stepped_passes_of_one_rate_take_the_same_grid(t_max, dt, monk
         grids.append(last.times)
     np.testing.assert_array_equal(grids[0], grids[1])
     step = min(t_max, 0.0025, math.inf if dt is None else dt)
-    assert grids[0].size == max(5, round(t_max / step) + 1) and grids[0][-1] == t_max
+    assert grids[0].size == max(7, round(t_max / step) + 1) and grids[0][-1] == t_max
 
 
 def test_integrate_refuses_work_beyond_the_cap(monkeypatch):
@@ -535,44 +553,52 @@ def _random_unitaries(rng, k, n):
     return q * (d / np.abs(d))[:, None, :]
 
 
-def _rk6_defect(times, h_ends, h_stages, U):
-    """sum_k ||U_{k+1} - RK6 step of i dU/dt = H U from U_k||_F, step by step.
+def _rk6_step(u, h, c):
+    """One RK6 step of i dU/dt = H U from u of size h, with H at the stage
+    times t + (0, 1/3, 2/3, 1/3, 1/2, 1/2, 1) h given as c."""
+    a = [
+        [],
+        [1 / 3],
+        [0, 2 / 3],
+        [1 / 12, 4 / 12, -1 / 12],
+        [-1 / 16, 18 / 16, -3 / 16, -6 / 16],
+        [0, 9 / 8, -3 / 8, -6 / 8, 4 / 8],
+        [9 / 44, -36 / 44, 63 / 44, 72 / 44, 0, -64 / 44],
+    ]
+    ks = []
+    for i in range(7):
+        x = u + h * sum(w * kj for w, kj in zip(a[i], ks))
+        ks.append(-1j * c[i] @ x)
+    b = (11, 0, 81, 81, -32, -32, 11)
+    return u + h / 120 * sum(w * kj for w, kj in zip(b, ks))
 
-    Butcher's tableau, its stages at t_k + (0, 1/3, 2/3, 1/3, 1/2, 1/2, 1) h;
-    h_stages[k] holds H at t_k + (1/3, 1/2, 2/3) h."""
+
+def _rk6_defect(times, h_ends, h_stages, U):
+    """sum_k ||U_{k+1} - two RK6 half-steps of i dU/dt = H U from U_k||_F,
+    step by step.
+
+    Butcher's tableau on each half-step, its stages at (0, 1/3, 2/3, 1/3,
+    1/2, 1/2, 1) of it; h_stages[k] holds H at t_k + (1/6, 1/4, 1/3, 1/2,
+    2/3, 3/4, 5/6) h."""
     total = 0.0
     for k, h in enumerate(np.diff(times)):
-        h13, h12, h23 = h_stages[k]
-        c = [0.0, h13, h23, h13, h12, h12, 0.0]
-        c[0], c[6] = h_ends[k], h_ends[k + 1]
-        a = [
-            [],
-            [1 / 3],
-            [0, 2 / 3],
-            [1 / 12, 4 / 12, -1 / 12],
-            [-1 / 16, 18 / 16, -3 / 16, -6 / 16],
-            [0, 9 / 8, -3 / 8, -6 / 8, 4 / 8],
-            [9 / 44, -36 / 44, 63 / 44, 72 / 44, 0, -64 / 44],
-        ]
-        u = U[k]
-        ks = []
-        for i in range(7):
-            x = u + h * sum(w * kj for w, kj in zip(a[i], ks))
-            ks.append(-1j * c[i] @ x)
-        b = (11, 0, 81, 81, -32, -32, 11)
-        total += float(np.linalg.norm(U[k + 1] - u - h / 120 * sum(w * kj for w, kj in zip(b, ks))))
+        h16, h14, h13, h12, h23, h34, h56 = h_stages[k]
+        half = _rk6_step(U[k], h / 2, [h_ends[k], h16, h13, h16, h14, h14, h12])
+        full = _rk6_step(half, h / 2, [h12, h23, h56, h23, h34, h34, h_ends[k + 1]])
+        total += float(np.linalg.norm(U[k + 1] - full))
     return total
 
 
-_STAGE_FRACTIONS = (1 / 3, 1 / 2, 2 / 3)
+_STAGE_FRACTIONS = (1 / 6, 1 / 4, 1 / 3, 1 / 2, 2 / 3, 3 / 4, 5 / 6)
 
 
 @pytest.mark.parametrize("dim", [2, 4])
 def test_u_defect_matches_sequential_rk6_steps(dim, monkeypatch):
     # the batched per-step check against a plain step-by-step loop, over
     # more than one block, with -iH at each step's inner stage times the
-    # quintic through the six nearest samples (one-sided on the two steps
-    # at either end), on stored U far from the flow of H so every step counts
+    # degree-7 interpolant through the eight nearest samples (one-sided on
+    # the three steps at either end), on stored U far from the flow of H so
+    # every step counts
     rng = np.random.default_rng(dim)
     basis = build_gellmann_basis(dim)
     g = np.tensordot(rng.normal(size=dim - 1), basis.generators[-(dim - 1):], axes=1)
@@ -584,17 +610,17 @@ def test_u_defect_matches_sequential_rk6_steps(dim, monkeypatch):
     V = np.array([helpers.expm_herm(g, -t) for t in times])
     H = V @ f0 @ V.conj().transpose(0, 2, 1) / lam0 - g
 
-    def quintic(k, c):
-        # Lagrange weights of the six samples from `first` at t_k + c h
-        first = min(max(k - 2, 0), n - 5)
+    def septic(k, c):
+        # Lagrange weights of the eight samples from `first` at t_k + c h
+        first = min(max(k - 3, 0), n - 7)
         x = k - first + c
         out = 0
-        for j in range(6):
-            w = np.prod([(x - i) / (j - i) for i in range(6) if i != j])
+        for j in range(8):
+            w = np.prod([(x - i) / (j - i) for i in range(8) if i != j])
             out = out + w * H[first + j]
         return out
 
-    stages = [[quintic(k, c) for c in _STAGE_FRACTIONS] for k in range(n)]
+    stages = [[septic(k, c) for c in _STAGE_FRACTIONS] for k in range(n)]
     U = _random_unitaries(rng, n + 1, dim)
     ref = _rk6_defect(times, H, stages, U)
     # the steps are checked block by block
@@ -615,31 +641,35 @@ def test_u_defect_is_sixth_order():
     # on H(t) = e^{i lambda sz t} omega sy e^{-i lambda sz t}, whose
     # propagator e^{i lambda sz t} e^{-i(omega sy + lambda sz)t} is closed
     # form, halving the step cuts the summed defect of that propagator by
-    # about 2^6: the interpolated stage values keep RK6's order.  The
-    # defects (2.0e-8 down to 4.4e-12) stay far above the rounding floor
-    lam, w = 2.5, 1.0
+    # 2^6: the two RK6 half-steps keep RK6's order.  The interpolated stage
+    # values err by O(h^8) summed, which shows only where H turns fast
+    # against U (at lambda = 2.5, omega = 1 the ratios read 316-390), so H
+    # turns at lambda = 1 under omega = 4.  The defects (5.9e-9 down to
+    # 1.4e-12) stay far above the rounding floor
+    lam, w = 1.0, 4.0
     defects = []
-    for n in (40, 80, 160):
+    for n in (20, 40, 80):
         times = np.linspace(0.0, 1.0, n + 1)
         V = np.array([helpers.expm_herm(SZ, -lam * t) for t in times])
         H = w * V @ SY @ V.conj().transpose(0, 2, 1)
         defects.append(verify._u_defect(times, H, helpers.m1_reference_u(lam, w, times)))
     for coarse, fine in zip(defects, defects[1:]):
-        assert 52.0 <= coarse / fine <= 80.0
+        assert 56.0 <= coarse / fine <= 72.0
 
 
-@pytest.mark.parametrize("K", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("K", [2, 3, 4, 5, 6, 7, 8, 9])
 def test_u_defect_takes_grids_of_two_samples_and_more(K):
-    # a grid of fewer than 6 samples takes the interpolant through all of
-    # them, a longer one quintics through six: on an H(t) polynomial of a
-    # degree up to min(6, K) - 1, the one they reproduce, the stage values
-    # are exact, and the check is RK6 with H evaluated at the stage times
+    # a grid of fewer than 8 samples takes the interpolant through all of
+    # them, a longer one the degree-7 interpolant through eight: on an H(t)
+    # polynomial of a degree up to min(8, K) - 1, the one they reproduce,
+    # the stage values are exact, and the check is two RK6 half-steps with
+    # H evaluated at the stage times
     rng = np.random.default_rng(K)
-    B = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+    B = rng.normal(size=(8, 3, 3)) + 1j * rng.normal(size=(8, 3, 3))
     B = B + B.conj().transpose(0, 2, 1)
 
     def h_at(t):
-        return sum(B[p] * t**p for p in range(min(K, 6)))
+        return sum(B[p] * t**p for p in range(min(K, 8)))
 
     times = np.linspace(0.0, 0.3, K)
     U = _random_unitaries(rng, K, 3)
@@ -649,13 +679,13 @@ def test_u_defect_takes_grids_of_two_samples_and_more(K):
     assert abs(got - ref) <= 1e-13 * ref
 
 
-@pytest.mark.parametrize("t_max, K", [(5e-4, 5), (1.5e-3, 5)])
+@pytest.mark.parametrize("t_max, K", [(5e-4, 7), (2.5e-3, 7)])
 def test_integrate_below_one_default_step(t_max, K):
     # a window below one step of 1e-3 (dt only caps the step, so a coarser
-    # one is accepted) is four steps, the fewest a grid has, as is a window
-    # of one and a half: five samples, which certify differences dF/dt
+    # one is accepted) is six steps, the fewest a grid has, as is a window
+    # of two and a half: seven samples, which certify differences dF/dt
     # over, and the check of U against H takes those grids, its stage
-    # values on the quartic through them.  The seed is not projected onto
+    # values on the sextic through them.  The seed is not projected onto
     # the structure of F(0), so only the verdicts that need no such
     # structure are asked to pass
     problem, m0, h0 = su3_drifting_instance()

@@ -170,7 +170,7 @@ def test_constant_flow_grid_keeps_each_check_within_a_quarter_of_its_tolerance(
     kind, N, commuting, tols
 ):
     # the certified step of the constant-multiplier flow is sized from each
-    # check's own fifth-derivative bound, at a quarter of its tolerance
+    # check's own seventh-derivative bound, at a quarter of its tolerance
     for seed in range(3):
         problem, G, F0, m0 = _constant_flow(kind, N, commuting, seed)
         comm = np.linalg.norm(G @ F0 - F0 @ G) / np.linalg.norm(F0)
@@ -196,9 +196,9 @@ def test_constant_flow_step_is_the_least_of_its_two_checks(omega, lam):
     F0 = omega * SY + lam * SZ
     rho = math.hypot(omega, lam)
     for tols in (Tolerances.analytic(), Tolerances.integrated()):
-        b_chko = (2 * lam) ** 4 * 2 * lam * omega / rho
-        h_chko = (5 * tols.chko / 4 * omega / b_chko) ** 0.25 if b_chko else math.inf
-        h_aa = (5 * tols.aa / 4 * omega / (lam + rho) ** 5) ** 0.25
+        b_chko = (2 * lam) ** 6 * 2 * lam * omega / rho
+        h_chko = (7 * tols.chko / 4 * omega / b_chko) ** (1 / 6) if b_chko else math.inf
+        h_aa = (7 * tols.aa / 4 * omega / (lam + rho) ** 7) ** (1 / 6)
         step = solvers._certified_step(omega, lam * SZ, F0, 1.0, 1.0, tols, False)
         assert step == pytest.approx(min(h_chko, h_aa), rel=1e-12)
         assert (h_chko < h_aa) == (lam == 25.0 and tols == Tolerances.analytic())
@@ -206,8 +206,8 @@ def test_constant_flow_step_is_the_least_of_its_two_checks(omega, lam):
 
 @pytest.mark.parametrize("seed", [2, 7])
 def test_stepped_certified_step_is_the_rate_rule(seed):
-    # on a stepped pass both checks keep the rate bound r^5 and the step is
-    # (5 tau omega/r^5)^(1/4) at tau = min(chko, aa)/4, bit for bit
+    # on a stepped pass both checks keep the rate bound r^7 and the step is
+    # (7 tau omega/r^7)^(1/6) at tau = min(chko, aa)/4, bit for bit
     problem, h0, m0_seed = helpers.su4_shoot_seed(seed)
     assert not is_closed_subalgebra(problem.basis, problem.forbidden)[0]
     H0, m0 = solvers._project_seed(problem, h0, m0_seed)
@@ -217,7 +217,8 @@ def test_stepped_certified_step_is_the_rate_rule(seed):
     r = dynamics._pass_rate(G, F0, m0.lambda0)
     for tols in (Tolerances.analytic(), Tolerances.integrated()):
         tau = min(tols.chko, tols.aa) / 4.0
-        rule = max((5.0 * tau * 1.0 / r**5) ** 0.25, sol.T / dynamics._MAX_SAMPLES * (1.0 + 1e-12))
+        rule = max((7.0 * tau * 1.0 / r**7) ** (1.0 / 6.0),
+                   sol.T / dynamics._MAX_SAMPLES * (1.0 + 1e-12))
         assert solvers._certified_step(1.0, G, F0, m0.lambda0, sol.T, tols, True) == rule
         if tols == Tolerances.integrated():
             assert sol.trajectory.n_samples == dynamics._grid(sol.T, rule).size
@@ -227,23 +228,26 @@ def test_own_step_is_lifted_and_a_finer_dt_is_refused(monkeypatch):
     # the cap is made small so that no test starts the work it bounds, and
     # below each solver's own grid: its own step is lifted to
     # T/_MAX_SAMPLES, while a user's dt stays a cap and is refused where it
-    # needs more samples than that.  The own grids are 47 steps (free) and
-    # 171 (two-qubit); a root-searching solver's pass must fit under the
-    # cap, so the closed seed is lambda_1 = 25 over t_max = 0.04 (100 pass
-    # steps, 162 certified steps) and the shot is stepped recipe seed 7 over
-    # t_max = 1 (77 pass steps, 144 certified steps)
+    # needs more samples than that.  The own grids are 15 steps (free) and
+    # 49 (two-qubit); a root-searching solver's pass must fit under the
+    # cap, and at its own step of 0.05/r it is finer than the certified
+    # grid, so there the pass steps at 0.2/r: the closed seed lambda_1 = 25
+    # over t_max = 0.04 takes 25 pass steps and 32 certified steps, the
+    # stepped recipe seed 7 over t_max = 1 takes 20 pass steps and 40
+    # certified steps
     problem = helpers.m1_problem(10.0)
     shot = helpers.su4_shoot_seed(7)
     solves = [
-        (40, lambda dt: solve_free(helpers.KET0, helpers.KET1, omega=1.0, dt=dt)),
-        (120, lambda dt: solve_closed_subalgebra(
+        (12, False, lambda dt: solve_free(helpers.KET0, helpers.KET1, omega=1.0, dt=dt)),
+        (28, True, lambda dt: solve_closed_subalgebra(
             problem, 10.0 * SY, MultiplierVector(1.0, [25.0]), t_max=0.04, dt=dt
         )),
-        (120, lambda dt: solve_two_qubit_example(np.pi / 2, 10.0, dt=dt)),
-        (120, lambda dt: shoot(*shot, t_max=1.0, dt=dt)),
+        (40, False, lambda dt: solve_two_qubit_example(np.pi / 2, 10.0, dt=dt)),
+        (30, True, lambda dt: shoot(*shot, t_max=1.0, dt=dt)),
     ]
-    for cap, solve in solves:
+    for cap, searching, solve in solves:
         monkeypatch.setattr(dynamics, "_MAX_SAMPLES", cap)
+        monkeypatch.setattr(dynamics, "_STEP_PER_RATE", 0.2 if searching else 0.05)
         sol = solve(None)
         assert sol.trajectory.n_samples == cap + 1
         with pytest.raises(ValueError, match=f"more than {cap}"):
@@ -251,9 +255,9 @@ def test_own_step_is_lifted_and_a_finer_dt_is_refused(monkeypatch):
 
 
 def test_analytic_dt_is_a_cap_on_the_certified_step():
-    # a step coarser than the default (about 1.3e-3 here) is capped to it:
+    # a step coarser than the default (about 4.5e-3 here) is capped to it:
     # the certificate passes and the trajectory is the default one bit for bit
-    sol = solve_two_qubit_example(np.pi / 2, 10.0, dt=2e-3)
+    sol = solve_two_qubit_example(np.pi / 2, 10.0, dt=1e-2)
     ref = solve_two_qubit_example(np.pi / 2, 10.0)
     assert sol.report.passed
     for name in ("times", "V", "U", "H", "F", "psi", "lambdas", "tau_acc"):
@@ -465,12 +469,12 @@ def test_m1_branch_cutoff_is_on_omega_t(omega):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("omega", [1e60, 1e100])
 def test_m1_certified_grid_does_not_overflow_at_a_huge_omega(omega):
-    # the certified step's bounds scale as omega^5 and are taken in units of
+    # the certified step's bounds scale as omega^7 and are taken in units of
     # a power of two near omega: the designed branch keeps the grid it has
     # at omega = 10, not one lifted to the 200,000-step cap
     ref = solve_m1_two_level(DESIGNED_OB, DESIGNED_PHI, 10.0)[0]
     sol = solve_m1_two_level(DESIGNED_OB, DESIGNED_PHI, omega)[0]
-    assert sol.trajectory.times.size == ref.trajectory.times.size == 187
+    assert sol.trajectory.times.size == ref.trajectory.times.size == 50
     assert sol.report.passed
 
 
@@ -1092,17 +1096,27 @@ def test_shoot_evaluates_the_endpoint_at_its_t_once(monkeypatch):
 @pytest.mark.parametrize("seed", [2, 7])
 def test_shoot_trajectory_matches_integrate_on_its_grid(seed):
     # the trajectory evaluated from pass 1's samples agrees with a fresh
-    # integration of the renormalized seed on the same grid
+    # integration of the renormalized seed on every j-th sample of a grid j
+    # times finer, j the least that takes it below the pass's own step
+    # (the certified grid is coarser than the pass)
     problem, h0, m0 = helpers.su4_shoot_seed(seed)
     sol = shoot(problem, h0, m0, t_max=3.0)
     traj = sol.trajectory
     n = traj.n_samples - 1
-    ref = dynamics.integrate(problem, sol.multipliers0, sol.H0, sol.T, sol.T / n)
-    np.testing.assert_array_equal(ref.times, traj.times)
+    G, F0 = dynamics._seed_operators(problem, sol.multipliers0, sol.H0)
+    pass_step = dynamics._STEP_PER_RATE / dynamics._pass_rate(G, F0, sol.multipliers0.lambda0)
+    j = math.ceil(sol.T / n / pass_step)
+    assert j > 1
+    ref = dynamics.integrate(problem, sol.multipliers0, sol.H0, sol.T, sol.T / (j * n))
+    assert ref.n_samples == j * n + 1
+    np.testing.assert_allclose(ref.times[::j], traj.times, rtol=0.0, atol=1e-15 * sol.T)
     for name in ("V", "U", "H", "F", "psi", "lambda0", "lambdas", "tau_acc"):
-        got, want = getattr(traj, name), getattr(ref, name)
+        got, want = getattr(traj, name), getattr(ref, name)[::j]
         assert float(np.abs(got - want).max()) <= 1e-12 * float(np.abs(want).max()), name
-    assert abs(sol.report.u_defect - certify(ref).u_defect) <= 1e-12
+    names = ("times", "V", "U", "H", "F", "psi", "lambda0", "lambdas", "tau_acc")
+    sub = Trajectory(**{name: getattr(ref, name)[::j] for name in names}, omega=ref.omega,
+                     basis=ref.basis, forbidden=ref.forbidden)
+    assert abs(sol.report.u_defect - certify(sub).u_defect) <= 1e-12
 
 
 def test_shoot_t_is_step_converged():
@@ -1172,11 +1186,11 @@ def test_root_scan_takes_a_near_zero_sample():
     assert T == t0
 
 
-@pytest.mark.parametrize("t_max", [0.04, 0.1])
+@pytest.mark.parametrize("t_max", [0.06, 0.1])
 def test_root_scan_by_blocks_matches_the_complete_pass(t_max, monkeypatch):
     # a drift checkpoint at every step makes the first block two samples,
-    # shorter than the dense output's stencil; at n_steps = 4 (t_max =
-    # 0.04, the fewest steps a grid has) and 10, a root in the first step
+    # shorter than the dense output's stencil; at n_steps = 6 (t_max =
+    # 0.06, the fewest steps a grid has) and 10, a root in the first step
     # and one in the second are found at the same T scanning the blocks as
     # they come as scanning the complete pass
     monkeypatch.setattr(dynamics, "_CHECK_SPAN", 0.0)
@@ -1259,8 +1273,9 @@ def test_shoot_without_a_root_reports_the_closest_approach(seed, closest, t):
 
 def test_shoot_on_the_four_qubit_chain_certifies_on_a_grid_near_the_pass(monkeypatch):
     # chain seed 1 finds its root at T = 0.5896: the certified grid, sized
-    # by the rate bound for the fourth-order certificate, holds at most 4
-    # times the pass's own steps on [0, T], and the solution passes
+    # by the rate bound for the sixth-order certificate, holds at most 4
+    # times the pass's own steps on [0, T] (0.69 times here), and the
+    # solution passes
     steps = []
     integrate_blocks = solvers.integrate_blocks
 

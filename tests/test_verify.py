@@ -85,19 +85,19 @@ def test_constraints_detect_forbidden_component(m1_traj):
 
 def test_chko_residual_zero_for_constant_flow(free_traj):
     # constant F: interior differences vanish identically, only the
-    # fourth-order one-sided edge stencils leave rounding-level residue
+    # sixth-order one-sided edge stencils leave rounding-level residue
     assert chko_residual(free_traj) <= 1e-12
 
 
-def test_chko_residual_has_fourth_order_truncation():
-    # dF/dt is fourth order: halving the step divides the residual by 2^4.
-    # On these grids the residual (5.7e-10 and 3.6e-11) is far above the
-    # rounding floor, so the truncation law shows
+def test_chko_residual_has_sixth_order_truncation():
+    # dF/dt is sixth order: halving the step divides the residual by 2^6.
+    # On these grids the residual (1.3e-10 and 2.0e-12) is far above the
+    # rounding floor (about 2e-13 at 200 steps), so the truncation law shows
     lam1, T, omega = 2.5, 0.35, 10.0
-    coarse = chko_residual(m1_trajectory(lam1, T, omega, n_samples=200))
-    fine = chko_residual(m1_trajectory(lam1, T, omega, n_samples=400))
+    coarse = chko_residual(m1_trajectory(lam1, T, omega, n_samples=50))
+    fine = chko_residual(m1_trajectory(lam1, T, omega, n_samples=100))
     assert fine >= 1e-12
-    assert 12.0 <= coarse / fine <= 20.0
+    assert 56.0 <= coarse / fine <= 72.0
 
 
 def test_chko_residual_needs_three_samples():
