@@ -470,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--dt", type=float, default=None,
             help="cap on every step, also where it exceeds the window: the certified "
             "sample step, itself sized to the flow's rates for the sixth-order "
-            "certificate, and for shoot the pass step, itself 0.05/r at the flow's rate "
+            "certificate, and for shoot the pass step, itself 0.075/r at the flow's rate "
             "bound r; refused where a grid needs more than 200,000 steps; solve-m1 "
             "takes none",
         )

@@ -27,7 +27,7 @@ fixed step by Butcher's sixth-order Runge-Kutta method: one step function
 (`rk6_step`) on one right-hand side (`stepped_rhs`), whose state is
 (V, lambda_j).  Every uniform grid, of either pass or of a certified
 trajectory, is `_grid`, at least six steps and at most `_MAX_SAMPLES`.
-Either pass steps at 0.05/r, with r a bound on the flow's rates that
+Either pass steps at 0.075/r, with r a bound on the flow's rates that
 holds along the whole pass (`_pass_rate`), or at a given step `dt`
 where that is finer (`_step_cap`).  Sixth order holds the frame unitary
 to rounding at that step, so the frame is never projected;
@@ -57,6 +57,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
@@ -107,7 +108,7 @@ class ControlProblem:
 
     `forbidden` entries may be given as basis indices or labels; they are
     resolved and stored as an ordered index tuple.  psi_f is absent in
-    shooting mode.
+    shooting mode; its closure verdict `closure` is formed on first use.
     """
 
     basis: GeneratorBasis
@@ -144,6 +145,11 @@ class ControlProblem:
     def forbidden_generators(self) -> np.ndarray:
         """The (M, N, N) stack of the forbidden generators, built once, read-only."""
         return self._forbidden_stack
+
+    @cached_property
+    def closure(self) -> Tuple[bool, float]:
+        """`is_closed_subalgebra` of the forbidden set, (True, 0.0) for none."""
+        return is_closed_subalgebra(self.basis, self.forbidden) if self.forbidden else (True, 0.0)
 
 
 @dataclass(frozen=True)
@@ -592,7 +598,7 @@ def stepped_rhs(F0: np.ndarray, Xf: np.ndarray, lambda0: float):
     with the transposed forbidden generators `Xf`.  At the sizes a pass
     steps, a call costs NumPy's per-call overhead more than arithmetic, so
     every product is `ndarray.dot` (cheaper to call than `@`) and dV and
-    the d(lambda_j)/dt are written into one new state-sized array.
+    the d(lambda_j)/dt are joined into the new state by one concatenate.
     d(lambda_0)/dt is not formed here: `_check_lambda0_rate` guards it on
     the slopes the callers already hold.
     """
@@ -604,12 +610,9 @@ def stepped_rhs(F0: np.ndarray, Xf: np.ndarray, lambda0: float):
     XfT2 = (np.ascontiguousarray(Xf.transpose(0, 2, 1)).reshape(M, n2) * (2.0 / N)).T
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        out = np.empty_like(y)
         V = y[:n2].reshape(N, N)
         dV = y[n2:].real.dot(iXf2).reshape(N, N).dot(V)
-        out[:n2] = dV.ravel()
-        out[n2:] = dV.dot(F0.dot(V.conj().T)).ravel().dot(XfT2).real
-        return out
+        return np.concatenate((dV.ravel(), dV.dot(F0.dot(V.conj().T)).ravel().dot(XfT2).real))
 
     return rhs
 
@@ -653,28 +656,39 @@ _RK6_A = np.array([
 _RK6_B = np.array([11.0, 0.0, 81.0, 81.0, -32.0, -32.0, 11.0]) / 120.0
 
 
+@lru_cache(maxsize=1)
+def _rk6_rows(h: float) -> tuple:
+    """h times the rows a_i[:i] (i = 1..6) of `_RK6_A` and h `_RK6_B`, once per step size."""
+    hA = h * _RK6_A
+    return tuple(hA[i, :i] for i in range(1, 7)), h * _RK6_B
+
+
 def rk6_step(rhs, y: np.ndarray, h, k1: np.ndarray) -> np.ndarray:
     """One step of Butcher's seven-stage sixth-order Runge-Kutta method
     (J. Austral. Math. Soc. 4 (1964) 179) of dy/dt = rhs(y) of size h.
 
-    The tableau is `_RK6_A` and `_RK6_B`.  The stages fill the rows of one
-    stack K, so each stage's input y + h a_i.K and the step y + h b.K are
-    one product each.  The first stage k1 = rhs(y) is the caller's: the
-    pass keeps it as the slope of the sample y, for its checks and its
-    dense output, so a step evaluates rhs six times.
+    The tableau is `_RK6_A` and `_RK6_B`, scaled by h in `_rk6_rows`.  The
+    stages fill the rows of one stack K, so each stage's input y + h a_i.K
+    and the step y + h b.K are one product each.  The first stage k1 =
+    rhs(y) is the caller's: the pass keeps it as the slope of the sample y,
+    for its checks and its dense output, so a step evaluates rhs six times.
     """
     K = np.empty((7, y.size), dtype=complex)
     K[0] = k1
-    hA = h * _RK6_A
-    for i in range(1, 7):
-        K[i] = rhs(y + hA[i, :i].dot(K[:i]))
-    return y + (h * _RK6_B).dot(K)
+    hA, hB = _rk6_rows(h)
+    for i, a in enumerate(hA, 1):
+        K[i] = rhs(y + a.dot(K[:i]))
+    return y + hB.dot(K)
 
 
-# a stepped pass's own step is this fraction of 1/r, with r the rate bound
-# of `_pass_rate`; its drift checkpoints are this far apart in units of
-# 1/omega (100 steps at a step of 1e-3/omega)
-_STEP_PER_RATE = 0.05
+# a stepped pass's own step is this fraction of 1/r, r the rate bound of
+# `_pass_rate`; shoot's worst relative T deviation from a pass at 0.0125/r:
+#   step     su(4) pool  su(4) 1000-1299  chain seed 1
+#   0.05/r   3.19e-14    4.44e-14         7.1e-14
+#   0.075/r  3.42e-13    2.99e-13         5.9e-13
+#   0.1/r    1.83e-12    1.68e-12         (two seeds each beyond 1e-12)
+# its drift checkpoints are this far apart in units of 1/omega (100 steps at 1e-3/omega)
+_STEP_PER_RATE = 0.075
 _CHECK_SPAN = 0.1
 
 # the most steps of one uniform grid, an integration pass or a certified grid
@@ -719,7 +733,7 @@ def _seed_operators(problem: ControlProblem, m0: MultiplierVector, H0: np.ndarra
 
 def _pass_grid(t_max: float, G: np.ndarray, F0: np.ndarray, lambda0: float,
                dt: Optional[float]) -> np.ndarray:
-    """A pass's grid of [0, t_max], `_grid` at steps of at most min(t_max, 0.05/r, `dt`),
+    """A pass's grid of [0, t_max], `_grid` at steps of at most min(t_max, 0.075/r, `dt`),
     r = `_pass_rate`; a t_max that is not positive and finite is a ValueError."""
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
@@ -863,7 +877,7 @@ def integrate_blocks(
     """The samples of one integration pass of [0, t_max], yielded as they grow.
 
     Either pass samples the grid `_pass_grid` of [0, t_max], at steps of
-    at most min(t_max, 0.05/r, `dt`), with r the pass's rate bound
+    at most min(t_max, 0.075/r, `dt`), with r the pass's rate bound
     (`_pass_rate`): `dt` only caps the step.  A stepped pass (a forbidden
     set that is not closed) takes `rk6_step` on `stepped_rhs` there.  It
     checks the frame's drift |V^dag V - 1| at every checkpoint (every
@@ -884,7 +898,7 @@ def integrate_blocks(
     times = _pass_grid(t_max, G, F0, lam0, dt)
     n_steps, step = times.size - 1, float(times[1])
     F0_eig = np.linalg.eigh(F0)
-    if not problem.forbidden or is_closed_subalgebra(problem.basis, problem.forbidden)[0]:
+    if problem.closure[0]:
         yield PassSamples(times, *_constant_rows(problem, m0, times), F0, n_steps, None, F0_eig)
         return
 
@@ -930,7 +944,7 @@ def integrate(
     """Sample the coupled frame/multiplier system on a uniform grid.
 
     The grid is the complete pass of `integrate_blocks`, the same on both
-    paths: steps of 0.05/r with r the flow's rate bound, capped by `dt`,
+    paths: steps of 0.075/r with r the flow's rate bound, capped by `dt`,
     ending at t_max.  F(0) = lambda_0(0) (H0 + G(0)) is fixed once from
     the seed and only conjugated afterwards.
 

@@ -33,7 +33,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import dynamics
-from .algebra import basis_of, forbidden_sum, is_closed_subalgebra
+from .algebra import basis_of, forbidden_sum
 from .dynamics import (
     ControlProblem,
     MultiplierVector,
@@ -309,9 +309,7 @@ def solve_closed_subalgebra(
     """
     H0, m0 = _project_seed(problem, H0, m0)
     smp = exact_pass(problem, m0, H0, t_max)
-    closed, closure_resid = (
-        is_closed_subalgebra(problem.basis, problem.forbidden) if problem.forbidden else (True, 0.0)
-    )
+    closed, closure_resid = problem.closure
     if not closed:
         # The set spans no subalgebra, but the constant-multiplier flow is
         # still exact for this seed iff the forbidden traces vanish along it:
@@ -887,7 +885,7 @@ def shoot(
     The seed is projected and rescaled (`_project_seed`), and its one
     integration pass (`integrate_blocks`) goes to the core it shares with
     `solve_closed_subalgebra` (`_extremal`).  The pass samples steps of
-    0.05/r, with r the flow's rate bound (`dynamics._pass_rate`), or of
+    0.075/r, with r the flow's rate bound (`dynamics._pass_rate`), or of
     `dt` where that is finer: `dt` only caps the step, here as on the
     certified grid.  A stepped pass takes sixth-order Runge-Kutta steps
     there and stops at the first accepted root of Im<psi|HF|psi>

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -196,7 +197,7 @@ def check_constraints(traj, omega: float) -> Tuple[float, float, float]:
 
 
 # The interpolation weights below are ratios of integers, each rounded
-# once by Python's correctly rounded int / int.
+# once by Python's correctly rounded int / int; each p's table on its first use.
 
 
 def _lagrange_rows(p: int, num: int, den: int) -> list:
@@ -209,6 +210,12 @@ def _lagrange_rows(p: int, num: int, den: int) -> list:
     ]
 
 
+# `_derivative`'s rows on a grid of p = min(7, K) samples, per unit step:
+# for p = 7 the central (-1, 9, -45, 0, 45, -9, 1)/60, which errs by
+# h^6 f^(7)/140, and the one-sided rows of the three samples at each end,
+# the worst of which, (-147, 360, -450, 400, -225, 72, -10)/60, errs by
+# h^6 f^(7)/7
+@lru_cache(maxsize=None)
 def _derivative_rows(p: int) -> np.ndarray:
     """D[i, j] = L_j'(i): the derivative of the interpolant through samples
     at 0..p-1, at each of them (Fornberg's weights on a unit grid)."""
@@ -224,14 +231,6 @@ def _derivative_rows(p: int) -> np.ndarray:
     return np.array([[weight(i, j) for j in range(p)] for i in range(p)])
 
 
-# `_derivative`'s rows on a grid of p = min(7, K) samples, per unit step:
-# for p = 7 the central (-1, 9, -45, 0, 45, -9, 1)/60, which errs by
-# h^6 f^(7)/140, and the one-sided rows of the three samples at each end,
-# the worst of which, (-147, 360, -450, 400, -225, 72, -10)/60, errs by
-# h^6 f^(7)/7
-_DIFF_ROWS = {p: _derivative_rows(p) for p in range(2, 8)}
-
-
 def _derivative(f: np.ndarray, times: np.ndarray) -> np.ndarray:
     """df/dt on a uniform grid from the samples f (sample-major).
 
@@ -239,13 +238,13 @@ def _derivative(f: np.ndarray, times: np.ndarray) -> np.ndarray:
     through the p = min(7, K) nearest samples: inside the grid the
     seven-point (-f_{k-3} + 9 f_{k-2} - 45 f_{k-1} + 45 f_{k+1} - 9 f_{k+2}
     + f_{k+3})/60h, at the three samples of either end the one-sided rows
-    of `_DIFF_ROWS`, and on a grid of fewer than 7 samples the interpolant
+    of `_derivative_rows`, and on a grid of fewer than 7 samples the interpolant
     through all of them.  It is sixth order on 7 samples or more.  The
     step is the mean step, which `Trajectory` holds every step to.
     """
     K = times.size
     p = min(7, K)
-    D = _DIFF_ROWS[p] * ((K - 1) / (times[-1] - times[0]))
+    D = _derivative_rows(p) * ((K - 1) / (times[-1] - times[0]))
     if K < 7:
         return np.tensordot(D, f, axes=1)
     out = np.empty(f.shape, dtype=np.result_type(f, float))
@@ -364,12 +363,11 @@ _DIRECT_BLOCK = 512
 _STAGES = ((1, 6), (1, 4), (1, 3), (1, 2), (2, 3), (3, 4), (5, 6))
 
 # `_u_defect`'s weights of H at those stage times on a grid of p = min(8, K)
-# samples: _STAGE_ROWS[p][o, c] holds the degree-(p - 1) interpolant's
+# samples: _stage_rows(p)[o, c] holds the degree-(p - 1) interpolant's
 # weights on a stencil's p samples at stage c of the stencil's step o
-_STAGE_ROWS = {
-    p: np.array([[_lagrange_rows(p, o * d + n, d) for n, d in _STAGES] for o in range(p - 1)])
-    for p in range(2, 9)
-}
+@lru_cache(maxsize=None)
+def _stage_rows(p: int) -> np.ndarray:
+    return np.array([[_lagrange_rows(p, o * d + n, d) for n, d in _STAGES] for o in range(p - 1)])
 
 
 def _stage_hamiltonians(H: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -380,7 +378,7 @@ def _stage_hamiltonians(H: np.ndarray, a: int, b: int) -> np.ndarray:
     Step k's stencil is the p = min(8, K) samples from s_k = min(max(k -
     3, 0), K - p): the eight nearest samples, one-sided on the three steps
     at either end, and all of them on a grid of fewer than 8.  Each value
-    is the degree-(p - 1) interpolant through the stencil (`_STAGE_ROWS`),
+    is the degree-(p - 1) interpolant through the stencil (`_stage_rows`),
     which errs by O(step^8).  Steps sharing their place o = k - s_k in
     the stencil (all inner steps do) are formed together, as one product
     of a strided view of their stencils with the weights.
@@ -397,7 +395,7 @@ def _stage_hamiltonians(H: np.ndarray, a: int, b: int) -> np.ndarray:
     cuts = [0, *(1 + np.flatnonzero(np.diff(o))), b - a]
     for i0, i1 in zip(cuts, cuts[1:]):
         first = int(s[i0]) - lo
-        rows = stencils[..., first : first + i1 - i0, :] @ _STAGE_ROWS[p][o[i0]].T
+        rows = stencils[..., first : first + i1 - i0, :] @ _stage_rows(p)[o[i0]].T
         out[..., i0:i1] = np.moveaxis(rows, -1, 0)
     return out
 

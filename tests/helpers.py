@@ -3,9 +3,11 @@ the dense commutator stack, seeded shooting problems and the restricted
 two-qubit example's general F(0)."""
 
 import itertools
+import math
 
 import numpy as np
 
+from qbrach import dynamics
 from qbrach.algebra import CLOSURE_TOL, build_gellmann_basis, build_pauli_string_basis
 from qbrach.dynamics import ControlProblem, MultiplierVector
 from qbrach.states import PureState
@@ -125,6 +127,17 @@ def m1_problem(omega: float, psi_f: PureState = None) -> ControlProblem:
         forbidden=(2,),
         psi_f=psi_f,
     )
+
+
+def own_step(problem: ControlProblem, h0: np.ndarray, m0: MultiplierVector) -> float:
+    """The own step of a pass of the seed (h0, m0): `_STEP_PER_RATE`/r, r = `_pass_rate`."""
+    G, F0 = dynamics._seed_operators(problem, m0, h0)
+    return dynamics._STEP_PER_RATE / dynamics._pass_rate(G, F0, m0.lambda0)
+
+
+def grid_refusal(t_max: float, step: float) -> str:
+    """The head of `_grid`'s refusal of [0, t_max] at steps of at most `step`."""
+    return f"[0, {t_max:g}] at steps of at most {step:.4g} needs {math.ceil(t_max / step)} steps"
 
 
 def su4_shoot_seed(seed: int, omega: float = 1.0):

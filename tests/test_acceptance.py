@@ -274,7 +274,7 @@ def test_03_two_level_integration_matches_closed_form():
     # residuals from 9.4e-7 down to 2.5e-10); a pair whose flow is slow
     # enough that both residuals sit below CHKO_RESOLVED would be exempt.
     # The steps are those of the trajectory at dt = 1e-3 thinned to every
-    # 20th and 10th sample: a pass's own step, 0.05/r, caps any dt, and
+    # 20th and 10th sample: a pass's own step, 0.075/r, caps any dt, and
     # there the sixth-order truncation (about 2e-11) is at rounding.  The
     # propagator
     # error itself sits at the rounding-accumulation floor (~1e-10 over

@@ -143,13 +143,16 @@ def test_solve_closed_t_max_flag_overrides(closed_file, capsys):
 
 @pytest.mark.parametrize("command", ["solve-closed", "shoot"])
 def test_closed_window_beyond_the_root_scan_cap_exits_1(command, closed_file, tmp_path, capsys):
-    # the exact pass takes the stepped pass's grid, steps of 0.05/r on at
+    # the exact pass takes the stepped pass's grid, steps of 0.075/r on at
     # most 200,000 steps: a window that needs more is refused as invalid
     # input, nothing written
     out = tmp_path / "out.json"
     assert main([command, "-i", closed_file, "--t-max", "2000", "-o", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "[0, 2000] at steps of at most 0.001806 needs 1107464 steps" in err
+    problem = helpers.m1_problem(10.0)  # the problem of closed_file
+    h0 = np.array([[0.0, -10.0j], [10.0j, 0.0]])
+    seed = solvers._project_seed(problem, h0, dynamics.MultiplierVector(1.0, [2.5]))
+    assert helpers.grid_refusal(2000.0, helpers.own_step(problem, *seed)) in err
     assert "more than 200000; use a coarser dt or a shorter window" in err
     assert not out.exists()
 
@@ -249,14 +252,17 @@ def test_shoot_dt_coarser_than_the_window_is_the_default_pass(shot_file, capsys)
     default = capsys.readouterr().out
     assert main(["shoot", "-i", shot_file, "--dt", "5"]) == 0
     assert capsys.readouterr().out == default
-    assert json.loads(default)["T"] == 0.9053082589150145
+    assert json.loads(default)["T"] == 0.9053082589150195
 
 
 def test_shoot_drift_exits_3_and_the_work_cap_exits_1(shot_file, monkeypatch, capsys):
-    # recipe seed 7's pass at its own step needs 229 steps over t_max = 3
+    # recipe seed 7's pass at its own step needs more than 100 steps over t_max = 3
     argv = ["shoot", "-i", shot_file]
+    problem, h0, m0 = helpers.su4_shoot_seed(7)
+    step = helpers.own_step(problem, *solvers._project_seed(problem, h0, m0))
+    refusal = helpers.grid_refusal(3.0, step)
     # a frame that drifts beyond the validation's 1e-8 at a checkpoint (at
-    # 40 times the own step) is a numerical failure naming the step
+    # a step of 2/r) is a numerical failure naming the step
     with monkeypatch.context() as m:
         m.setattr(dynamics, "_STEP_PER_RATE", 2.0)
         assert main(argv) == 3
@@ -267,7 +273,7 @@ def test_shoot_drift_exits_3_and_the_work_cap_exits_1(shot_file, monkeypatch, ca
     monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 100)
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert "[0, 3] at steps of at most 0.01315 needs 229 steps, more than 100" in err
+    assert refusal + ", more than 100" in err
     assert main(argv + ["--dt", "0.01"]) == 1
     assert "[0, 3] at steps of at most 0.01 needs 300 steps" in capsys.readouterr().err
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -428,7 +429,7 @@ def test_a_dt_coarser_than_the_window_is_the_default_grid():
 def test_exact_and_stepped_passes_of_one_rate_take_the_same_grid(t_max, dt, monkeypatch):
     # seed 90's closed set takes the exact flow and seed 7's open one is
     # stepped; at one rate bound r both sample [0, t_max] at steps of
-    # min(t_max, 0.05/r, dt), at least six of them
+    # min(t_max, 0.075/r, dt), at least six of them
     monkeypatch.setattr(dynamics, "_pass_rate", lambda G, F0, lambda0: 20.0)
     grids = []
     for seed in (90, 7):
@@ -437,8 +438,8 @@ def test_exact_and_stepped_passes_of_one_rate_take_the_same_grid(t_max, dt, monk
         assert (last.slopes is None) == (seed == 90)
         grids.append(last.times)
     np.testing.assert_array_equal(grids[0], grids[1])
-    step = min(t_max, 0.0025, math.inf if dt is None else dt)
-    assert grids[0].size == max(7, round(t_max / step) + 1) and grids[0][-1] == t_max
+    step = min(t_max, dynamics._STEP_PER_RATE / 20.0, math.inf if dt is None else dt)
+    assert grids[0].size == max(7, math.ceil(t_max / step) + 1) and grids[0][-1] == t_max
 
 
 def test_integrate_refuses_work_beyond_the_cap(monkeypatch):
@@ -453,8 +454,9 @@ def test_integrate_refuses_work_beyond_the_cap(monkeypatch):
         integrate(helpers.m1_problem(1.0), MultiplierVector(1.0, [2.5]), SY, t_max=1.0, dt=0.005)
     # a window whose own rate-resolved step needs more is refused the same
     # way, with or without a coarser dt, since dt only caps that step
+    refusal = re.escape(helpers.grid_refusal(3.0, helpers.own_step(problem, h0, m0)))
     for dt in (None, 0.5):
-        with pytest.raises(ValueError, match=r"\[0, 3\] at steps .* needs 176 steps, more than 100"):
+        with pytest.raises(ValueError, match=refusal + ", more than 100"):
             next(dynamics.integrate_blocks(problem, m0, h0, t_max=3.0, dt=dt))
 
 

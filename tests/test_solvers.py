@@ -230,13 +230,14 @@ def test_own_step_is_lifted_and_a_finer_dt_is_refused(monkeypatch):
     # T/_MAX_SAMPLES, while a user's dt stays a cap and is refused where it
     # needs more samples than that.  The own grids are 15 steps (free) and
     # 49 (two-qubit); a root-searching solver's pass must fit under the
-    # cap, and at its own step of 0.05/r it is finer than the certified
+    # cap, and at its own step of 0.075/r it is finer than the certified
     # grid, so there the pass steps at 0.2/r: the closed seed lambda_1 = 25
     # over t_max = 0.04 takes 25 pass steps and 32 certified steps, the
     # stepped recipe seed 7 over t_max = 1 takes 20 pass steps and 40
     # certified steps
     problem = helpers.m1_problem(10.0)
     shot = helpers.su4_shoot_seed(7)
+    own = dynamics._STEP_PER_RATE
     solves = [
         (12, False, lambda dt: solve_free(helpers.KET0, helpers.KET1, omega=1.0, dt=dt)),
         (28, True, lambda dt: solve_closed_subalgebra(
@@ -247,7 +248,7 @@ def test_own_step_is_lifted_and_a_finer_dt_is_refused(monkeypatch):
     ]
     for cap, searching, solve in solves:
         monkeypatch.setattr(dynamics, "_MAX_SAMPLES", cap)
-        monkeypatch.setattr(dynamics, "_STEP_PER_RATE", 0.2 if searching else 0.05)
+        monkeypatch.setattr(dynamics, "_STEP_PER_RATE", 0.2 if searching else own)
         sol = solve(None)
         assert sol.trajectory.n_samples == cap + 1
         with pytest.raises(ValueError, match=f"more than {cap}"):
@@ -832,16 +833,15 @@ def test_closed_solver_degenerate_needs_target():
 
 
 def test_root_searching_solvers_refuse_a_window_beyond_the_root_scan_cap():
-    # the exact pass takes the stepped pass's grid, steps of 0.05/r on at
+    # the exact pass takes the stepped pass's grid, steps of 0.075/r on at
     # most 200,000 steps, and refuses before sampling a window that needs
-    # more: here t_max = 2000 needs 1,107,464
+    # more, as t_max = 2000 does
     omega = 10.0
     problem = helpers.m1_problem(omega)
+    seed = solvers._project_seed(problem, omega * SY, MultiplierVector(1.0, [2.5]))
+    refusal = re.escape(helpers.grid_refusal(2000.0, helpers.own_step(problem, *seed)))
     for solve in (solve_closed_subalgebra, shoot):
-        with pytest.raises(
-            ValueError,
-            match=r"\[0, 2000\] at steps of at most 0.001806 needs 1107464 steps, more than 200000",
-        ):
+        with pytest.raises(ValueError, match=refusal + ", more than 200000"):
             solve(problem, omega * SY, MultiplierVector(1.0, [2.5]), t_max=2000.0)
 
 
@@ -952,15 +952,37 @@ def test_shoot_closed_non_abelian_seed_takes_the_exact_flow(caplog):
     # recipe seed 90 forbids a closed set whose generators do not commute;
     # pass 1 samples the exact flow on the whole window at once instead of
     # stepping to the checkpoint past the root, on the grid a stepped pass
-    # takes at its rate bound, the one solve_closed_subalgebra takes (here
-    # 229 steps)
+    # takes at its rate bound, the one solve_closed_subalgebra takes
     problem, h0, m0 = helpers.su4_shoot_seed(90)
     with caplog.at_level(logging.DEBUG, logger="qbrach"):
         sol = shoot(problem, h0, m0, t_max=3.0)
     assert sol.T == pytest.approx(1.3106731910989768, abs=1e-12)
     assert sol.report.passed
-    assert dynamics.exact_pass(problem, sol.multipliers0, sol.H0, 3.0).n_steps == 229
-    assert re.search(r"pass 1 stopped at step \d+ of 229 .*; 229 steps integrated", caplog.text)
+    n = math.ceil(3.0 / helpers.own_step(problem, sol.H0, sol.multipliers0))
+    assert dynamics.exact_pass(problem, sol.multipliers0, sol.H0, 3.0).n_steps == n
+    assert re.search(rf"pass 1 stopped at step \d+ of {n} .*; {n} steps integrated", caplog.text)
+
+
+def test_a_problem_runs_its_closure_test_once(monkeypatch):
+    # a problem forms its closure verdict on first use, not when it is
+    # built, and keeps it: two shoots on one problem, stepped (seed 7) or
+    # on the exact flow (seed 90), run the closure test once
+    calls = []
+    closure = dynamics.is_closed_subalgebra
+
+    def counted(basis, subset):
+        calls.append(tuple(subset))
+        return closure(basis, subset)
+
+    monkeypatch.setattr(dynamics, "is_closed_subalgebra", counted)
+    for seed in (7, 90):
+        calls.clear()
+        problem, h0, m0 = helpers.su4_shoot_seed(seed)
+        assert calls == []
+        first, second = (shoot(problem, h0, m0, t_max=3.0) for _ in range(2))
+        assert first.T == second.T
+        assert calls == [problem.forbidden]
+        assert problem.closure == closure(problem.basis, problem.forbidden)
 
 
 def test_shoot_pass1_stops_just_past_the_first_root(caplog):
@@ -974,16 +996,14 @@ def test_shoot_pass1_stops_just_past_the_first_root(caplog):
     )
     stop, n_steps, stepped = (int(g) for g in found.groups())
     step = 3.0 / n_steps
-    # the window takes the rate rule's 229 steps, no longer than 0.05/r
-    G = dynamics.g_operator(sol.multipliers0, problem.basis, problem.forbidden)
-    F0 = sol.multipliers0.lambda0 * (sol.H0 + G)
-    assert n_steps == 229
-    assert step <= 0.05 / dynamics._pass_rate(G, F0, sol.multipliers0.lambda0) < 3.0 / 228
+    # the window takes the rate rule's steps, each no longer than 0.075/r
+    own = helpers.own_step(problem, sol.H0, sol.multipliers0)
+    assert step <= own < 3.0 / (n_steps - 1)
     assert sol.T <= stop * step <= sol.T + 2 * step
-    # the pass runs on to the first drift checkpoint (0.1/omega
-    # apart, every 8 steps here) at or after that sample, and no further
+    # the pass runs on to the first drift checkpoint (0.1/omega apart,
+    # several steps here) at or after that sample, and no further
     every = round(0.1 / step)
-    assert every == 8
+    assert every > 1
     assert stepped == every * math.ceil(stop / every)
 
 
@@ -1052,14 +1072,19 @@ def test_shoot_pass1_carries_no_cross_check_channel(monkeypatch):
     monkeypatch.setattr(solvers, "integrate_blocks", recorded)
     monkeypatch.setattr(dynamics.PassSamples, "rows_at", counted_rows)
     monkeypatch.setattr(solvers, "_root_scan", scanned)
-    for seed, n_blocks in ((90, 1), (7, 9)):
+    for seed in (90, 7):
         grids.clear()
         blocks.clear()
         rows.clear()
         scans.clear()
         problem, h0, m0 = helpers.su4_shoot_seed(seed)
         sol = shoot(problem, h0, m0, t_max=3.0)
-        assert len(blocks) == n_blocks
+        # the exact flow is one block; a stepped pass yields at every drift
+        # checkpoint up to the first that holds sample k + 2, the last of
+        # the stencil of the root's bracket [t_k, t_k+1]
+        step = float(blocks[0].times[1])
+        every = round(dynamics._CHECK_SPAN / step)
+        assert len(blocks) == (1 if seed == 90 else math.ceil((sol.T // step + 2) / every))
         assert all((b.slopes is None) == (seed == 90) for b in blocks)
         assert len(grids) == 1
         np.testing.assert_array_equal(grids[0], sol.trajectory.times)
@@ -1129,6 +1154,20 @@ def test_shoot_t_is_step_converged():
     assert abs(coarse.T - fine.T) <= 1e-10 * fine.T
 
 
+@pytest.mark.parametrize("seed", [0, 7, 50, 100, 182, "chain"])
+def test_own_step_keeps_t_within_the_budget(seed, monkeypatch):
+    # the budget of the pass's own step: T within 1e-12 relative of the T
+    # of a pass at a quarter of that step, on su(4) recipe seeds (0 and 182
+    # forbid closed sets, whose exact flow the step only samples) and the
+    # 4-qubit chain seed, whose margin is the thinnest; both certified
+    seeded = helpers.chain_shoot_seed(1) if seed == "chain" else helpers.su4_shoot_seed(seed)
+    sol = shoot(*seeded, t_max=3.0)
+    monkeypatch.setattr(dynamics, "_STEP_PER_RATE", dynamics._STEP_PER_RATE / 4.0)
+    fine = shoot(*seeded, t_max=3.0)
+    assert abs(sol.T - fine.T) <= 1e-12 * fine.T
+    assert sol.report.passed and fine.report.passed
+
+
 _JUST_ABOVE_3 = math.nextafter(3.0, 4.0)
 
 
@@ -1172,10 +1211,12 @@ def test_root_scan_takes_a_near_zero_sample():
     # on the free qubit from |0> with H = sigma_y, <1|psi(t)> = sin t exactly
     problem = ControlProblem(basis=helpers.build_gellmann_basis(2), psi_i=helpers.KET0, omega=1.0)
     m0 = MultiplierVector(1.0, [])
-    # the rate bound is r = 2, so the pass steps at 0.025 unless dt is finer
+    # the rate bound is r = 2, so the pass steps at 0.075/2 unless dt is finer
+    assert helpers.own_step(problem, SY, m0) == dynamics._STEP_PER_RATE / 2.0
     coarse = dynamics.exact_pass(problem, m0, SY, 2.0)
     fine = dynamics.exact_pass(problem, m0, SY, 2.0, dt=2.0 / 600)
-    assert (coarse.n_steps, fine.n_steps) == (80, 600)
+    assert coarse.n_steps == math.ceil(2.0 / (dynamics._STEP_PER_RATE / 2.0))
+    assert fine.n_steps == 600
     # a touch of zero from above is no sign change: only the sample within
     # 1e-10 of zero is a candidate, taken as it is
     t0 = float(coarse.times[27])

@@ -106,6 +106,27 @@ def test_chko_residual_needs_three_samples():
         chko_residual(traj)
 
 
+def test_interpolation_tables_are_formed_on_first_use_bit_for_bit():
+    # each p's table of differencing or stage weights is formed on its
+    # first use and kept, with the bits of the tables as built eagerly for
+    # every p
+    eager = [
+        (verify._derivative_rows, {
+            p: verify._derivative_rows.__wrapped__(p) for p in range(2, 8)
+        }),
+        (verify._stage_rows, {
+            p: np.array([[verify._lagrange_rows(p, o * d + n, d) for n, d in verify._STAGES]
+                         for o in range(p - 1)])
+            for p in range(2, 9)
+        }),
+    ]
+    for table, want in eager:
+        for p, rows in want.items():
+            got = table(p)
+            assert got is table(p)
+            assert got.shape == rows.shape and got.tobytes() == rows.tobytes(), p
+
+
 def test_chko_residual_detects_frozen_conservation_law(m1_traj):
     data = m1_traj.to_dict()
     data["F"] = [data["F"][0]] * len(data["times"])
