@@ -328,8 +328,6 @@ def _cmd_shoot(args) -> int:
     return 0
 
 
-# the report member of documents written before u_defect, with no recomputed counterpart
-_LEGACY_FIELDS = ("u_mismatch",)
 _ABSENT = object()
 
 
@@ -359,7 +357,7 @@ def _verify_one(traj_dict: dict, embedded: Optional[dict], args) -> bool:
         # are, exactly
         worst, worst_key, differs = 0.0, None, None
         fresh = _report_fields(report.as_dict())
-        for key in [*fresh, *(k for k in stored if k not in fresh and k not in _LEGACY_FIELDS)]:
+        for key in [*fresh, *(k for k in stored if k not in fresh)]:
             old, new = stored.get(key, _ABSENT), fresh.get(key, _ABSENT)
             if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)):
                 dev = abs(float(new) - float(old))

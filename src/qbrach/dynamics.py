@@ -26,7 +26,7 @@ closure and forms no commutator.  Other forbidden sets are stepped at a
 fixed step by Butcher's sixth-order Runge-Kutta method: one step function
 (`rk6_step`) on one right-hand side (`stepped_rhs`), whose state is
 (V, lambda_j).  Every uniform grid, of either pass or of a certified
-trajectory, is `_grid`, at least six steps and at most `_MAX_SAMPLES`.
+trajectory, is `_grid`, at least `_MIN_SAMPLES` samples and at most `_MAX_SAMPLES` steps.
 Either pass steps at 0.075/r, with r a bound on the flow's rates that
 holds along the whole pass (`_pass_rate`), or at a given step `dt`
 where that is finer (`_step_cap`).  Sixth order holds the frame unitary
@@ -250,6 +250,10 @@ def _from_pairs(data) -> np.ndarray:
 # checkpoint, so the samples it yields pass the validation
 _UNITARITY_TOL = 1e-8
 
+# the fewest samples of a uniform grid: the stencil of `verify._derivative`'s
+# sixth-order differences
+_MIN_SAMPLES = 7
+
 # the largest relative gap between a trajectory's step and its mean step:
 # `verify.certify` differences and interpolates with fixed uniform-grid weights
 _UNIFORM_TOL = 1e-9
@@ -265,10 +269,10 @@ class Trajectory:
     been rescaled so the endpoint constraint evaluates to 1 rather than to
     a generic nonzero real value.  `F_spectrum` holds the eigenvalues of
     every F sample, computed once by the validation (`algebra.stack_spectra`,
-    in closed form at N = 2).  The validation refuses a time grid that is
-    not uniform to `_UNIFORM_TOL`, a U that is not unitary, a psi that is
-    not U psi(0), an F whose spectrum drifts and a non-finite entry in any
-    sample array or multiplier.
+    in closed form at N = 2).  The validation refuses a time grid of fewer
+    than `_MIN_SAMPLES` samples or not uniform to `_UNIFORM_TOL`, a U that
+    is not unitary, a psi that is not U psi(0), an F whose spectrum drifts
+    and a non-finite entry in any sample array or multiplier.
     """
 
     times: np.ndarray
@@ -290,6 +294,8 @@ class Trajectory:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float).ravel()
         K = times.size
+        if K < _MIN_SAMPLES:
+            raise ValueError(f"a trajectory needs at least {_MIN_SAMPLES} samples, got {K}")
         N = self.basis.dim
         M = len(self.forbidden)
         stacks = {}
@@ -312,17 +318,16 @@ class Trajectory:
         for name, arr in dict(stacks, times=times, lambda0=lam0, lambdas=lams, tau_acc=tau).items():
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} has a non-finite entry")
-        if K > 1:
-            steps = np.diff(times)
-            if not np.all(steps > 0):
-                raise ValueError("time grid must be strictly increasing")
-            mean = (times[-1] - times[0]) / (K - 1)
-            off = float(np.abs(steps - mean).max()) / mean
-            if not off <= _UNIFORM_TOL:
-                raise ValueError(
-                    f"time grid must be uniform: a step differs from the mean step by "
-                    f"{off:.3e} of it, beyond {_UNIFORM_TOL:g}"
-                )
+        steps = np.diff(times)
+        if not np.all(steps > 0):
+            raise ValueError("time grid must be strictly increasing")
+        mean = (times[-1] - times[0]) / (K - 1)
+        off = float(np.abs(steps - mean).max()) / mean
+        if not off <= _UNIFORM_TOL:
+            raise ValueError(
+                f"time grid must be uniform: a step differs from the mean step by "
+                f"{off:.3e} of it, beyond {_UNIFORM_TOL:g}"
+            )
         U = stacks["U"]
         uni = stack_product(U.conj().swapaxes(-1, -2), U) - np.eye(N)
         uni_err = float(np.sqrt(np.abs(np.einsum("kij,kij->k", uni, uni.conj()))).max())
@@ -696,13 +701,12 @@ _MAX_SAMPLES = 200_000
 
 
 def _grid(T: float, step: float) -> np.ndarray:
-    """Uniform samples of [0, T], at least seven, no further apart than `step`.
+    """Uniform samples of [0, T], at least `_MIN_SAMPLES`, no further apart than `step`.
 
-    Seven samples are the stencil of `verify._derivative`'s sixth-order
-    differences.  More than `_MAX_SAMPLES` steps is a ValueError, raised
-    before anything is allocated.
+    More than `_MAX_SAMPLES` steps is a ValueError, raised before anything
+    is allocated.
     """
-    n = max(6, math.ceil(T / step - 1e-12))
+    n = max(_MIN_SAMPLES - 1, math.ceil(T / step - 1e-12))
     if n > _MAX_SAMPLES:
         raise ValueError(
             f"[0, {T:g}] at steps of at most {step:.4g} needs {n} steps, more than "
@@ -889,18 +893,18 @@ def integrate_blocks(
     kept (`PassSamples.slopes`): it is the next step's first stage and the
     dense output's derivative, and at y(0) and every checkpoint
     `_check_lambda0_rate` guards it.  The exact path (a closed forbidden
-    set) yields its complete window at once, as `exact_pass` does.  A
+    set) yields `exact_pass`, its complete window at once.  A
     caller may stop iterating at any block.
     """
     H0 = _validate_h0(problem, H0)
+    if problem.closure[0]:
+        yield exact_pass(problem, m0, H0, t_max, dt)
+        return
     lam0 = m0.lambda0
     G, F0 = _seed_operators(problem, m0, H0)
     times = _pass_grid(t_max, G, F0, lam0, dt)
     n_steps, step = times.size - 1, float(times[1])
     F0_eig = np.linalg.eigh(F0)
-    if problem.closure[0]:
-        yield PassSamples(times, *_constant_rows(problem, m0, times), F0, n_steps, None, F0_eig)
-        return
 
     M = problem.n_forbidden
     N = problem.dim
@@ -961,9 +965,6 @@ def integrate(
     (every 100 steps at dt = 1e-3/omega) and at the end, and a drift
     beyond it is an ArithmeticError.  `integrate_blocks` yields the same
     samples checkpoint by checkpoint.
-
-    A grid has at least six steps (`_grid`), so the trajectory can be
-    certified: `verify.certify` differences dF/dt over seven samples.
     """
     for samples in integrate_blocks(problem, m0, H0, t_max, dt):
         pass

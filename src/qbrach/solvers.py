@@ -348,7 +348,6 @@ def m1_trajectory(
     lambda1: float,
     T: float,
     omega: float,
-    n_samples: Optional[int] = None,
     renormalize: bool = False,
 ) -> Trajectory:
     """Analytic two-level trajectory with the population direction forbidden.
@@ -361,19 +360,16 @@ def m1_trajectory(
 
     With renormalize=True the multipliers are divided by omega^2, the value
     of Re<psi|HF|psi> along this flow, so the endpoint real part becomes 1.
-    Without `n_samples` the grid step is `_certified_step`'s for the
-    analytic tolerances on this constant-multiplier flow.
+    The grid is `_grid` at `_certified_step`'s step for the analytic
+    tolerances on this constant-multiplier flow.
     """
     if not T > 0:
         raise ValueError(f"duration must be positive, got {T}")
     problem = _m1_problem(omega)
     sz = problem.basis.generators[2]
     F0 = omega * problem.basis.generators[1] + lambda1 * sz
-    if n_samples is None:
-        own = _certified_step(omega, lambda1 * sz, F0, 1.0, T, Tolerances.analytic(), False)
-        times = _grid(T, own)
-    else:
-        times = np.linspace(0.0, T, n_samples + 1)
+    own = _certified_step(omega, lambda1 * sz, F0, 1.0, T, Tolerances.analytic(), False)
+    times = _grid(T, own)
     rows = _constant_rows(problem, MultiplierVector(1.0, [lambda1]), times)
     return finalize_trajectory(problem, times, rows, F0, omega**2 if renormalize else None)
 

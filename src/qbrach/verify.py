@@ -191,8 +191,6 @@ def check_constraints(traj, omega: float) -> Tuple[float, float, float]:
     traceless: |Tr H|/omega; norm: |Tr H^2 - 2 omega^2|/(2 omega^2);
     term: |Tr[H X_j]|/omega over all forbidden j.
     """
-    if traj.H.shape[0] == 0:
-        raise ValueError("trajectory has no samples")
     return tuple(float(r.max()) for r in _constraint_profiles(traj, omega))
 
 
@@ -210,11 +208,10 @@ def _lagrange_rows(p: int, num: int, den: int) -> list:
     ]
 
 
-# `_derivative`'s rows on a grid of p = min(7, K) samples, per unit step:
-# for p = 7 the central (-1, 9, -45, 0, 45, -9, 1)/60, which errs by
-# h^6 f^(7)/140, and the one-sided rows of the three samples at each end,
-# the worst of which, (-147, 360, -450, 400, -225, 72, -10)/60, errs by
-# h^6 f^(7)/7
+# `_derivative`'s rows at p = 7, per unit step: the central (-1, 9, -45, 0,
+# 45, -9, 1)/60, which errs by h^6 f^(7)/140, and the one-sided rows of the
+# three samples at each end, the worst of which, (-147, 360, -450, 400,
+# -225, 72, -10)/60, errs by h^6 f^(7)/7
 @lru_cache(maxsize=None)
 def _derivative_rows(p: int) -> np.ndarray:
     """D[i, j] = L_j'(i): the derivative of the interpolant through samples
@@ -232,21 +229,16 @@ def _derivative_rows(p: int) -> np.ndarray:
 
 
 def _derivative(f: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """df/dt on a uniform grid from the samples f (sample-major).
+    """df/dt on a uniform grid from the samples f (sample-major), sixth order.
 
-    At each sample it is the derivative of the degree-(p - 1) interpolant
-    through the p = min(7, K) nearest samples: inside the grid the
-    seven-point (-f_{k-3} + 9 f_{k-2} - 45 f_{k-1} + 45 f_{k+1} - 9 f_{k+2}
-    + f_{k+3})/60h, at the three samples of either end the one-sided rows
-    of `_derivative_rows`, and on a grid of fewer than 7 samples the interpolant
-    through all of them.  It is sixth order on 7 samples or more.  The
-    step is the mean step, which `Trajectory` holds every step to.
+    At each sample it is the derivative of the sextic through the seven
+    nearest samples: inside the grid (-f_{k-3} + 9 f_{k-2} - 45 f_{k-1} +
+    45 f_{k+1} - 9 f_{k+2} + f_{k+3})/60h, at the three samples of either
+    end the one-sided rows of `_derivative_rows`.  `Trajectory` holds a
+    grid to seven samples or more and every step to the mean step, the step here.
     """
     K = times.size
-    p = min(7, K)
-    D = _derivative_rows(p) * ((K - 1) / (times[-1] - times[0]))
-    if K < 7:
-        return np.tensordot(D, f, axes=1)
+    D = _derivative_rows(7) * ((K - 1) / (times[-1] - times[0]))
     out = np.empty(f.shape, dtype=np.result_type(f, float))
     out[:3] = np.tensordot(D[:3], f[:7], axes=1)
     out[-3:] = np.tensordot(D[4:], f[-7:], axes=1)
@@ -261,8 +253,6 @@ def _conservation_residuals(traj) -> Tuple[float, float, float]:
 
     See chko_residual and equivalence_residuals.
     """
-    if traj.times.size < 3:
-        raise ValueError("need at least 3 samples to difference dF/dt")
     fdot = _derivative(traj.F, traj.times)
     resid = fdot + 1.0j * (stack_product(traj.H, traj.F) - stack_product(traj.F, traj.H))
     fnorm = max(float(np.linalg.norm(traj.F[0])), _TINY)
@@ -363,8 +353,8 @@ _DIRECT_BLOCK = 512
 _STAGES = ((1, 6), (1, 4), (1, 3), (1, 2), (2, 3), (3, 4), (5, 6))
 
 # `_u_defect`'s weights of H at those stage times on a grid of p = min(8, K)
-# samples: _stage_rows(p)[o, c] holds the degree-(p - 1) interpolant's
-# weights on a stencil's p samples at stage c of the stencil's step o
+# samples, 7 or 8: _stage_rows(p)[o, c] holds the degree-(p - 1)
+# interpolant's weights on a stencil's p samples at stage c of its step o
 @lru_cache(maxsize=None)
 def _stage_rows(p: int) -> np.ndarray:
     return np.array([[_lagrange_rows(p, o * d + n, d) for n, d in _STAGES] for o in range(p - 1)])
@@ -377,11 +367,11 @@ def _stage_hamiltonians(H: np.ndarray, a: int, b: int) -> np.ndarray:
     The result is a (7, N, N, b - a) stack, the steps on the last axis.
     Step k's stencil is the p = min(8, K) samples from s_k = min(max(k -
     3, 0), K - p): the eight nearest samples, one-sided on the three steps
-    at either end, and all of them on a grid of fewer than 8.  Each value
-    is the degree-(p - 1) interpolant through the stencil (`_stage_rows`),
-    which errs by O(step^8).  Steps sharing their place o = k - s_k in
-    the stencil (all inner steps do) are formed together, as one product
-    of a strided view of their stencils with the weights.
+    at either end, and all seven on a grid of seven, the fewest there are.
+    Each value is the degree-(p - 1) interpolant through the stencil
+    (`_stage_rows`), which errs by O(step^8).  Steps sharing their place
+    o = k - s_k in the stencil (all inner steps do) are formed together,
+    as one product of a strided view of their stencils with the weights.
     """
     K = H.shape[0]
     p = min(8, K)
@@ -403,10 +393,10 @@ def _stage_hamiltonians(H: np.ndarray, a: int, b: int) -> np.ndarray:
 def _u_defect(times: np.ndarray, H: np.ndarray, U: np.ndarray) -> float:
     """sum_k ||U_{k+1} - P_k U_k||_F, P_k two RK6 half-steps of i dU/dt = H U.
 
-    P_k is two steps of size h/2 of Butcher's sixth-order method (the
-    tableau of `dynamics.rk6_step`, `dynamics._RK6_A` and `_RK6_B`, here
-    written out per stage), whose stages fall at t_k + (0, 1/6, 1/4, 1/3,
-    1/2) h and t_k + (1/2, 2/3, 3/4, 5/6, 1) h.  -iH at the step's ends
+    P_k is two steps of size h/2 of Butcher's sixth-order method, stepped
+    as `dynamics.rk6_step` steps, on its tableau `_RK6_A` and `_RK6_B`:
+    the stages fall at t_k + (0, 1/6, 1/3, 1/6, 1/4, 1/4, 1/2) h and t_k +
+    (1/2, 2/3, 5/6, 2/3, 3/4, 3/4, 1) h.  -iH at the step's ends
     is the sample there and at the seven inner stage times the interpolant
     `_stage_hamiltonians`, which adds O(step^9) to a step.  Each step's RK6
     truncation is O(step^7), a 64th of that of one step of size h, so the
@@ -419,6 +409,8 @@ def _u_defect(times: np.ndarray, H: np.ndarray, U: np.ndarray) -> float:
     two blocks is then N broadcast multiply-adds that each sweep the whole
     block, with no per-matrix overhead.
     """
+    # not at the top: `dynamics` imports this module (for `Trajectory.to_csv`)
+    from .dynamics import _RK6_A, _RK6_B
 
     def product(A, X):
         out = A[:, 0, None] * X[None, 0]
@@ -426,19 +418,15 @@ def _u_defect(times: np.ndarray, H: np.ndarray, U: np.ndarray) -> float:
             out += A[:, j, None] * X[None, j]
         return out
 
-    def increment(X, h0, h13, h12, h23, h1, g):
-        # one RK6 step of dX/dt = -iH X from X, of size g = -i times the
-        # step, with H at (0, 1/3, 1/2, 2/3, 1) of it
-        q1 = product(h0, X)
-        q2 = product(h13, X + (g / 3.0) * q1)
-        q3 = product(h23, X + (g / 1.5) * q2)
-        q4 = product(h13, X + (g / 12.0) * (q1 + 4.0 * q2 - q3))
-        q5 = product(h12, X + (g / 16.0) * (18.0 * q2 - q1 - 3.0 * q3 - 6.0 * q4))
-        q6 = product(h12, X + (g / 8.0) * (9.0 * q2 - 3.0 * q3 - 6.0 * q4 + 4.0 * q5))
-        q7 = product(
-            h1, X + (g / 44.0) * (9.0 * q1 - 36.0 * q2 + 63.0 * q3 + 72.0 * q4 - 64.0 * q6)
-        )
-        return (g / 120.0) * (11.0 * (q1 + q7) + 81.0 * (q3 + q4) - 32.0 * (q5 + q6))
+    def increment(X, hs, g):
+        # one RK6 step of dX/dt = -iH X from X, of size g = -i times the step,
+        # with hs the H at its nodes: each stage input and the step are one
+        # product of a tableau row with the stack of stages
+        Q = np.empty((7, *X.shape), dtype=complex)
+        rows = Q.reshape(7, -1)
+        for i, h in enumerate(hs):
+            Q[i] = product(h, X + g * (_RK6_A[i, :i] @ rows[:i]).reshape(X.shape))
+        return g * (_RK6_B @ rows).reshape(X.shape)
 
     total = 0.0
     for a in range(0, times.size - 1, _DIRECT_BLOCK):
@@ -447,8 +435,8 @@ def _u_defect(times: np.ndarray, H: np.ndarray, U: np.ndarray) -> float:
         ends, Us = (np.moveaxis(x[a : b + 1], 0, -1).copy() for x in (H, U))
         g = -0.5j * np.diff(times[a : b + 1])  # -i half-step
         Uk = Us[..., :-1]
-        half = Uk + increment(Uk, ends[..., :-1], h16, h14, h13, h12, g)
-        gap = Us[..., 1:] - half - increment(half, h12, h23, h34, h56, ends[..., 1:], g)
+        half = Uk + increment(Uk, (ends[..., :-1], h16, h13, h16, h14, h14, h12), g)
+        gap = Us[..., 1:] - half - increment(half, (h12, h23, h56, h23, h34, h34, ends[..., 1:]), g)
         total += float(np.linalg.norm(gap, axis=(0, 1)).sum())
     return total
 

@@ -129,6 +129,16 @@ def m1_problem(omega: float, psi_f: PureState = None) -> ControlProblem:
     )
 
 
+def m1_fixed_grid(lambda1: float, T: float, omega: float, n_steps: int):
+    """`solvers.m1_trajectory`'s flow, not renormalized, on the grid of
+    `n_steps` equal steps of [0, T] in place of its certified one."""
+    problem = m1_problem(omega)
+    times = np.linspace(0.0, T, n_steps + 1)
+    rows = dynamics._constant_rows(problem, MultiplierVector(1.0, [lambda1]), times)
+    f0 = omega * problem.basis.generators[1] + lambda1 * problem.basis.generators[2]
+    return dynamics.finalize_trajectory(problem, times, rows, f0)
+
+
 def own_step(problem: ControlProblem, h0: np.ndarray, m0: MultiplierVector) -> float:
     """The own step of a pass of the seed (h0, m0): `_STEP_PER_RATE`/r, r = `_pass_rate`."""
     G, F0 = dynamics._seed_operators(problem, m0, h0)

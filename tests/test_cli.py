@@ -575,6 +575,9 @@ REPORT_TAMPERS = {
     "missing-field": (lambda d: d["report"].pop("speed_efficiency"),
                       "speed_efficiency is missing, recomputed "),
     "extra-field": (lambda d: d["report"].update(gate=1.0), "gate is 1.0, recomputed missing"),
+    # the member documents carried before u_defect is not recomputed either
+    "old-u_mismatch": (lambda d: d["report"].update(u_mismatch=0.0),
+                       "u_mismatch is 0.0, recomputed missing"),
     "extra-verdict": (lambda d: d["report"]["verdict"].update(gate=True),
                       "verdict.gate is true, recomputed missing"),
     "verdict-not-a-dict": (lambda d: d["report"].update(verdict=True),
@@ -676,24 +679,6 @@ def test_verify_detects_a_u_that_does_not_solve_its_h(shot_file, tmp_path, capsy
     text = capsys.readouterr().out
     assert re.findall(r"^(\S+) +\S+  FAIL$", text, re.M) == ["u_mismatch"]
     assert "round-trip FAIL" in text
-
-
-def test_verify_reads_a_document_that_carries_the_old_u_mismatch(closed_file, tmp_path, capsys):
-    # documents once stored the solver's own u_mismatch in the trajectory
-    # and in the report (0.0 for the analytic kinds): the trajectory's is
-    # not read, the report's has no fresh counterpart, and u_defect judges
-    out = tmp_path / "sol.json"
-    assert main(["solve-closed", "-i", closed_file, "-o", str(out)]) == 0
-    sol = json.loads(out.read_text())
-    assert "u_defect" in sol["report"] and "u_mismatch" not in sol["trajectory"]
-    sol["trajectory"]["u_mismatch"] = 0.0
-    sol["report"]["u_mismatch"] = 0.0
-    out.write_text(json.dumps(sol))
-    capsys.readouterr()
-    assert main(["verify", str(out), "--tol", "analytic"]) == 0
-    text = capsys.readouterr().out
-    assert "FAIL" not in text
-    assert "round-trip agreement with embedded report: max deviation 0.000e+00" in text
 
 
 def test_verify_flags_nan_in_embedded_report(closed_file, tmp_path, capsys):

@@ -521,7 +521,7 @@ def test_m1_trajectory_renormalization_gauge():
     assert traj.renormalized
     np.testing.assert_allclose(traj.lambda0, 1.0 / omega**2, rtol=1e-13)
     np.testing.assert_allclose(traj.lambdas[:, 0], 3.0 / omega**2, rtol=1e-13)
-    raw = m1_trajectory(3.0, 0.35, omega, n_samples=traj.n_samples - 1)
+    raw = helpers.m1_fixed_grid(3.0, 0.35, omega, traj.n_samples - 1)
     # renormalization changes neither H nor the motion
     np.testing.assert_allclose(raw.H, traj.H, atol=1e-12)
     np.testing.assert_allclose(raw.psi, traj.psi, atol=1e-13)

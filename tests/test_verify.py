@@ -94,30 +94,33 @@ def test_chko_residual_has_sixth_order_truncation():
     # On these grids the residual (1.3e-10 and 2.0e-12) is far above the
     # rounding floor (about 2e-13 at 200 steps), so the truncation law shows
     lam1, T, omega = 2.5, 0.35, 10.0
-    coarse = chko_residual(m1_trajectory(lam1, T, omega, n_samples=50))
-    fine = chko_residual(m1_trajectory(lam1, T, omega, n_samples=100))
+    coarse = chko_residual(helpers.m1_fixed_grid(lam1, T, omega, 50))
+    fine = chko_residual(helpers.m1_fixed_grid(lam1, T, omega, 100))
     assert fine >= 1e-12
     assert 56.0 <= coarse / fine <= 72.0
 
 
-def test_chko_residual_needs_three_samples():
-    traj = m1_trajectory(2.5, 0.35, 10.0, n_samples=1)
-    with pytest.raises(ValueError):
-        chko_residual(traj)
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6])
+def test_a_document_of_fewer_than_seven_samples_is_refused(m1_traj, K):
+    # seven samples are the stencil of the sixth-order differences, so a
+    # document of fewer is invalid input, refused by the validation
+    data = m1_traj.to_dict()
+    for key in ("times", "lambda0", "lambdas", "tau_acc", "psi", "V", "U", "H", "F"):
+        data[key] = data[key][:K]
+    with pytest.raises(ValueError, match=f"at least 7 samples, got {K}$"):
+        Trajectory.from_dict(data)
 
 
 def test_interpolation_tables_are_formed_on_first_use_bit_for_bit():
     # each p's table of differencing or stage weights is formed on its
-    # first use and kept, with the bits of the tables as built eagerly for
-    # every p
+    # first use and kept, with the bits of the tables as built eagerly, at
+    # every p a grid of seven samples or more takes
     eager = [
-        (verify._derivative_rows, {
-            p: verify._derivative_rows.__wrapped__(p) for p in range(2, 8)
-        }),
+        (verify._derivative_rows, {7: verify._derivative_rows.__wrapped__(7)}),
         (verify._stage_rows, {
             p: np.array([[verify._lagrange_rows(p, o * d + n, d) for n, d in verify._STAGES]
                          for o in range(p - 1)])
-            for p in range(2, 9)
+            for p in (7, 8)
         }),
     ]
     for table, want in eager:
