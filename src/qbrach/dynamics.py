@@ -23,19 +23,21 @@ on any grid, for the analytic solvers' trajectories and for
 solvers take; `finalize_trajectory` turns any rows, of either flow, into
 a validated `Trajectory`.  `algebra.is_closed_subalgebra` decides the
 closure and forms no commutator.  Other forbidden sets are stepped at a
-fixed step by Butcher's sixth-order Runge-Kutta method: one step function
-(`rk6_step`) on one right-hand side (`stepped_rhs`), whose state is
-(V, lambda_j).  Every uniform grid, of either pass or of a certified
+fixed step on one right-hand side (`stepped_rhs`), whose state is
+(V, lambda_j): seven steps of Butcher's sixth-order Runge-Kutta method
+(`rk6_step`) start a pass, and every later step is the eighth-order
+Adams-Bashforth-Moulton predictor-corrector on the slopes the pass
+stores, two right-hand sides a step.  Every uniform grid, of either pass or of a certified
 trajectory, is `_grid`, at least `_MIN_SAMPLES` samples and at most `_MAX_SAMPLES` steps.
 Either pass steps at 0.075/r, with r a bound on the flow's rates that
 holds along the whole pass (`_pass_rate`), or at a given step `dt`
-where that is finer (`_step_cap`).  Sixth order holds the frame unitary
-to rounding at that step, so the frame is never projected;
+where that is finer (`_step_cap`).  That step holds the frame unitary
+to rounding, so the frame is never projected;
 `integrate_blocks` keeps the slope at every sample, checks the frame's
 drift at each checkpoint and yields the samples there, so a caller such
 as `shoot` can stop a pass early.  `PassSamples.rows_at` evaluates a pass at any batch of times by
 Hermite interpolation of four neighbouring samples and their slopes: a
-dense output of higher order than the step that evaluates no right-hand
+dense output of the step's order, eight, that evaluates no right-hand
 side.
 
 The multiplier equations
@@ -672,7 +674,9 @@ def rk6_step(rhs, y: np.ndarray, h, k1: np.ndarray) -> np.ndarray:
     """One step of Butcher's seven-stage sixth-order Runge-Kutta method
     (J. Austral. Math. Soc. 4 (1964) 179) of dy/dt = rhs(y) of size h.
 
-    The tableau is `_RK6_A` and `_RK6_B`, scaled by h in `_rk6_rows`.  The
+    It starts a stepped pass: its first seven steps, before the Adams step
+    has the eight slopes it needs.  The tableau is `_RK6_A` and `_RK6_B`,
+    scaled by h in `_rk6_rows`, and `verify._u_defect` steps on it too.  The
     stages fill the rows of one stack K, so each stage's input y + h a_i.K
     and the step y + h b.K are one product each.  The first stage k1 =
     rhs(y) is the caller's: the pass keeps it as the slope of the sample y,
@@ -686,12 +690,24 @@ def rk6_step(rhs, y: np.ndarray, h, k1: np.ndarray) -> np.ndarray:
     return y + hB.dot(K)
 
 
+# the Adams-Bashforth-Moulton pair of order eight (Hairer, Norsett & Wanner,
+# Solving ODEs I, III.1): _AB8 weighs the slopes f_{n-7}..f_n in the
+# prediction of y_{n+1}, _AM8 the slopes f_{n-6}..f_n and the slope at that
+# prediction in its correction
+_AB8 = np.array([
+    -36799, 295767, -1041723, 2102243, -2664477, 2183877, -1152169, 434241,
+]) / 120960.0
+_AM8 = np.array([
+    1375, -11351, 41499, -88547, 123133, -121797, 139849, 36799,
+]) / 120960.0
+
+
 # a stepped pass's own step is this fraction of 1/r, r the rate bound of
 # `_pass_rate`; shoot's worst relative T deviation from a pass at 0.0125/r:
 #   step     su(4) pool  su(4) 1000-1299  chain seed 1
-#   0.05/r   3.19e-14    4.44e-14         7.1e-14
-#   0.075/r  3.42e-13    2.99e-13         5.9e-13
-#   0.1/r    1.83e-12    1.68e-12         (two seeds each beyond 1e-12)
+#   0.05/r   2.58e-14    2.18e-14         2.3e-14
+#   0.075/r  8.70e-14    8.26e-14         4.7e-14
+#   0.1/r    6.39e-13    7.21e-13         2.7e-13
 # its drift checkpoints are this far apart in units of 1/omega (100 steps at 1e-3/omega)
 _STEP_PER_RATE = 0.075
 _CHECK_SPAN = 0.1
@@ -789,9 +805,9 @@ class PassSamples(NamedTuple):
         takes, for a time t in [t_k, t_k+1], the Hermite interpolant of the
         samples and slopes of the stencil of four samples from
         min(max(k - 1, 0), n_steps - 3), of degree 7 (Hairer, Norsett &
-        Wanner, Solving ODEs I, II.6): a dense output of higher order than
-        the step that evaluates no right-hand side, by one path for one
-        time or many.  Its weights are exactly 0 and 1 on the nodes, so a
+        Wanner, Solving ODEs I, II.6): a dense output of the step's order,
+        eight, that evaluates no right-hand side, by one path for one time
+        or many.  Its weights are exactly 0 and 1 on the nodes, so a
         row on a sample is that sample, and it is C^1 across samples.  The
         stencil depends on k and `n_steps` alone, so a block gives the rows
         the complete pass gives; a time whose stencil is not sampled yet is
@@ -883,18 +899,22 @@ def integrate_blocks(
     Either pass samples the grid `_pass_grid` of [0, t_max], at steps of
     at most min(t_max, 0.075/r, `dt`), with r the pass's rate bound
     (`_pass_rate`): `dt` only caps the step.  A stepped pass (a forbidden
-    set that is not closed) takes `rk6_step` on `stepped_rhs` there.  It
+    set that is not closed) steps `stepped_rhs` there: `rk6_step` on its
+    first seven steps, then, for step i, the Adams-Bashforth prediction
+    from the slopes of samples i - 8..i - 1 (`_AB8`), one right-hand side
+    there and the Adams-Moulton correction from the slopes of samples
+    i - 7..i - 1 and that one (`_AM8`), a PECE step of order eight.  It
     checks the frame's drift |V^dag V - 1| at every checkpoint (every
     max(1, round(0.1/(omega step))) steps, 100 at a step of 1e-3/omega)
     and at its last step, and yields there, so every yielded row has
     passed a drift check.  A drift beyond `_UNITARITY_TOL` is an
     ArithmeticError naming the drift and the step: the pass never
     projects its frame and never restarts.  The slope at each sample is
-    kept (`PassSamples.slopes`): it is the next step's first stage and the
-    dense output's derivative, and at y(0) and every checkpoint
-    `_check_lambda0_rate` guards it.  The exact path (a closed forbidden
-    set) yields `exact_pass`, its complete window at once.  A
-    caller may stop iterating at any block.
+    kept (`PassSamples.slopes`): it is a starting step's first stage, the
+    Adams steps' history and the dense output's derivative, and at y(0)
+    and every checkpoint `_check_lambda0_rate` guards it.  The exact path
+    (a closed forbidden set) yields `exact_pass`, its complete window at
+    once.  A caller may stop iterating at any block.
     """
     H0 = _validate_h0(problem, H0)
     if problem.closure[0]:
@@ -915,11 +935,19 @@ def integrate_blocks(
     lam0s = np.full(n_steps + 1, lam0)
     taus = times / lam0
     slopes = np.empty_like(ys)
+    # complex, as the slopes are, so neither product casts its weights
+    hab, ham = step * _AB8.astype(complex), step * _AM8.astype(complex)
     y = ys[0] = np.concatenate((np.eye(N, dtype=complex).ravel(), m0.lambdas))
     dy = slopes[0] = rhs(y)
     _check_lambda0_rate(problem, lam0, y[n2:].real, dy[n2:].real)
     for i in range(1, n_steps + 1):
-        y = ys[i] = rk6_step(rhs, y, step, dy)
+        if i < _AB8.size:
+            y = ys[i] = rk6_step(rhs, y, step, dy)
+        else:
+            # the slope at the prediction takes the row of the sample's own,
+            # so the correction is one product with the last eight rows
+            slopes[i] = rhs(y + hab.dot(slopes[i - 8:i]))
+            y = ys[i] = y + ham.dot(slopes[i - 7:i + 1])
         dy = slopes[i] = rhs(y)
         if i % every and i < n_steps:
             continue
@@ -957,8 +985,9 @@ def integrate(
     V(t) = exp(iGt) comes from one eigendecomposition of G and
     tau = t/lambda_0 (`exact_pass`).
 
-    Stepped path (a forbidden set that is not closed): fixed-step
-    sixth-order Runge-Kutta (`rk6_step` on `stepped_rhs`) on the vector
+    Stepped path (a forbidden set that is not closed): fixed steps on
+    `stepped_rhs`, seven of sixth-order Runge-Kutta (`rk6_step`) to start
+    and eighth-order Adams-Bashforth-Moulton after them, on the vector
     concatenating V and the lambda_j; lambda_0 is constant and
     tau = t/lambda_0.  V is never projected: its unitarity drift is
     checked against the validation's 1e-8 at checkpoints 0.1/omega apart

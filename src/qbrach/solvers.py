@@ -883,8 +883,9 @@ def shoot(
     `solve_closed_subalgebra` (`_extremal`).  The pass samples steps of
     0.075/r, with r the flow's rate bound (`dynamics._pass_rate`), or of
     `dt` where that is finer: `dt` only caps the step, here as on the
-    certified grid.  A stepped pass takes sixth-order Runge-Kutta steps
-    there and stops at the first accepted root of Im<psi|HF|psi>
+    certified grid.  A stepped pass takes eighth-order Adams steps there,
+    after seven sixth-order Runge-Kutta steps that start it (`rk6_step`),
+    and stops at the first accepted root of Im<psi|HF|psi>
     (`_root_scan`): it is scanned at each drift checkpoint (0.1/omega
     apart) once its check has passed, and runs no further than the first
     checkpoint past the sample T needs; a closed forbidden set yields its

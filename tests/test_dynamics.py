@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -858,8 +859,10 @@ def test_dense_output_of_a_pass_at_rest_is_its_sample():
 
 
 def test_rows_at_evaluates_no_right_hand_side(monkeypatch):
-    # the pass evaluates the right-hand side seven times a step, and its
-    # dense output, on any batch of times, never
+    # the pass evaluates the right-hand side once at y(0), seven times on
+    # each of its seven RK6 start steps (six stages and the new slope) and
+    # twice on each Adams step after them (at the prediction and at the new
+    # sample), and its dense output, on any batch of times, never
     calls = []
 
     def counted(F0, Xf, lam0):
@@ -869,10 +872,12 @@ def test_rows_at_evaluates_no_right_hand_side(monkeypatch):
     monkeypatch.setattr(dynamics, "stepped_rhs", counted)
     problem, h0, m0 = helpers.su4_shoot_seed(7)
     smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
-    assert len(calls) == 1 + 7 * smp.n_steps
+    n = smp.n_steps
+    pass_calls = 1 + 7 * min(n, 7) + 2 * max(n - 7, 0)
+    assert n > 7 and len(calls) == pass_calls
     smp.at(problem, np.linspace(0.0, 1.0, 1001))
     smp.at(problem, 0.5)
-    assert len(calls) == 1 + 7 * smp.n_steps
+    assert len(calls) == pass_calls
 
 
 def test_rows_at_refuses_a_time_whose_stencil_is_not_sampled():
@@ -969,8 +974,8 @@ def test_rk6_step_matches_the_hand_expanded_stages():
 
 @pytest.mark.parametrize("seed", [2, 7])
 def test_integrate_non_commuting_su4_is_sixth_order(seed):
-    # the stepped sixth-order step: the error of V(1), and so of U(1),
-    # against a fine-step reference falls by 2^6 when the step halves, at
+    # rk6_step, the pass's starter, is sixth order: the error of V(1) from
+    # its steps alone against a fine pass falls by 2^6 when the step halves, at
     # steps coarser than a pass's own, whose errors stay well above rounding
     problem, h0, m0 = helpers.su4_shoot_seed(seed)
     assert not is_closed_subalgebra(problem.basis, problem.forbidden)[0]
@@ -984,6 +989,37 @@ def test_integrate_non_commuting_su4_is_sixth_order(seed):
             y = dynamics.rk6_step(rhs, y, h, rhs(y))
         errs.append(float(np.linalg.norm(y[: problem.dim**2].reshape(ref.shape) - ref)))
     assert 48.0 <= errs[0] / errs[1] <= 80.0
+
+
+def test_adams_weights_integrate_degree_seven_exactly():
+    # the weights are integers over 120960, and they integrate 1, s, ..., s^7
+    # over the step [0, 1] exactly from their nodes, counted in steps from
+    # the last sample: -7..0 (Adams-Bashforth) and -6..1 (Adams-Moulton)
+    for weights, first in ((dynamics._AB8, -7), (dynamics._AM8, -6)):
+        ints = [round(w * 120960) for w in weights]
+        assert (np.array(ints) / 120960.0 == weights).all()
+        for d in range(8):
+            nodes = range(first, first + 8)
+            moment = sum(Fraction(k, 120960) * s**d for k, s in zip(ints, nodes))
+            assert moment == Fraction(1, d + 1), d
+
+
+@pytest.mark.parametrize("seed", [2, 3, 5])
+def test_integrate_non_commuting_su4_is_eighth_order(seed, monkeypatch):
+    # the Adams step: with the rate step raised so that dt sets the step,
+    # halving it from 0.1 to 0.05 divides the error of U(2) against a pass
+    # at 0.0025 by 226-278 on these seeds, about 2^8, where a seventh-order
+    # step gives about 2^7; the seven RK6 start steps add an h^7 term, at
+    # most a quarter of these errors, and both stay well above rounding
+    monkeypatch.setattr(dynamics, "_STEP_PER_RATE", 100.0)
+    problem, h0, m0 = helpers.su4_shoot_seed(seed)
+    ref = integrate(problem, m0, h0, t_max=2.0, dt=0.0025).U[-1]
+    errs = [
+        float(np.linalg.norm(integrate(problem, m0, h0, t_max=2.0, dt=h).U[-1] - ref))
+        for h in (0.1, 0.05)
+    ]
+    assert errs[1] > 1e-13
+    assert 200.0 <= errs[0] / errs[1] <= 320.0
 
 
 def test_integrate_closed_non_abelian_su4_is_exact():
