@@ -502,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--target-bures-angle",
         type=float,
         default=None,
-        help="stopping angle when the endpoint condition is degenerate",
+        help="stopping Bures angle, in (0, pi/2], when the endpoint condition is degenerate",
     )
     p.set_defaults(func=_cmd_shoot)
 

@@ -11,7 +11,9 @@ Im<psi|H F|psi> = 0 is met.  The closed-subalgebra solver is its
 eta = 0 case: it checks the closure and hands the exact pass
 (`dynamics.exact_pass`) to the core both share (`_extremal`).  One scan
 of a pass (`_root_scan`) finds T there: the endpoint root, or, where the
-endpoint function vanishes identically, where the flow reaches a target.
+endpoint function vanishes identically, where the flow reaches a target;
+it resolves each sign change on a Chebyshev interpolant of its scalar
+from one batched evaluation of the pass over the bracket.
 All five end in one tail (`_certified`): the certified grid, whose own
 step is lifted to T/`dynamics._MAX_SAMPLES` and which `dt` only caps, the
 trajectory, the renormalization and the certificate.  Every grid, of a
@@ -717,6 +719,50 @@ def _bracketed_root(
             x = 0.5
 
 
+# the degree n of the Chebyshev interpolant a scan bracket is resolved on.
+# Its scalar is a sesquilinear form in vectors whose rates are at most r/2,
+# r = `dynamics._pass_rate`, so of exponential type r, and a bracket is at
+# most 0.075/r wide: in units of its half-width the type is rho <= 0.0375.
+# Interpolation in the n + 1 Chebyshev-Lobatto points then errs by at most
+# 4 M e^{rho beta/2} beta^{-n}/(beta - 1) on the Bernstein ellipse of any
+# beta > 1, M = max |s| on the real axis (Trefethen, Approximation Theory
+# and Approximation Practice (ATAP), Thm 8.2); at beta = 2n/rho that is
+# 4.7e-15 M for n = 6, 1.2e-17 M for n = 7 and 2.5e-20 M for n = 8.  Nine
+# keeps the bound at 5e-23 M, far below the rounding of the samples, also
+# where the pass's degree-7 dense output is not exactly the flow
+_CHEB_DEG = 9
+# the Lobatto nodes -cos(pi j/n) of [-1, 1], j = 0..n, in the symmetric
+# form sin(pi (2j - n)/(2n)), and their barycentric weights: (-1)^j, halved
+# at the two ends (ATAP, ch. 5)
+_CHEB_X = np.sin(np.pi * np.arange(-_CHEB_DEG, _CHEB_DEG + 1, 2) / (2 * _CHEB_DEG))
+_CHEB_W = [(-1.0) ** j * (0.5 if j in (0, _CHEB_DEG) else 1.0) for j in range(_CHEB_DEG + 1)]
+
+
+def _chebyshev(times: List[float], values: List[float]) -> Callable[[float], float]:
+    """The degree-`_CHEB_DEG` interpolant of `values` at the Lobatto nodes `times`.
+
+    The barycentric formula of the second kind (ATAP, ch. 5), forward
+    stable at Chebyshev points (Higham, IMA J. Numer. Anal. 24 (2004)
+    547), on Python floats: microseconds a call.  It is formed on the
+    differences t - t_j, so it is exact on every node and keeps the
+    resolution of t next to one, where a root close to a bracket's end
+    lies.
+    """
+    nodes = list(zip(times, values, _CHEB_W))
+
+    def p(t: float) -> float:
+        num = den = 0.0
+        for tj, fj, wj in nodes:
+            if t == tj:
+                return fj
+            q = wj / (t - tj)
+            num += q * fj
+            den += q
+        return num / den
+
+    return p
+
+
 def _root_scan(
     problem: ControlProblem, blocks: Iterable[PassSamples],
     scalar: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
@@ -725,26 +771,28 @@ def _root_scan(
     """(T, last block, sampled values) of the first accepted root of a scalar on a pass.
 
     `scalar(psi, H psi, F psi)` maps stacks of those vectors (no U, F or
-    H is formed) to one value each.  The blocks of one pass are scanned as
-    they arrive, each on the rows past the prefix scanned so far, and the
-    candidates taken in order: an interior sample with |value| <= 1e-10 as
-    it is, a strict sign change resolved by `_bracketed_root` from the two
-    sampled values, evaluating `PassSamples.vectors_at` inside the
-    bracket.  The first candidate t with `accept(block, t)` is T; T is
-    None when none is, and then the values cover the whole pass.
-    Evaluation counts, rejected candidates and the stopping step are
-    logged at debug level.  The candidates and their
-    resolution are those of a scan of the whole window: a bracket
+    H is formed) to one value each; it is a polynomial in the vectors'
+    entries (a sesquilinear form), so it is as smooth as the pass.  The
+    blocks of one pass are scanned as they arrive, each on the rows past
+    the prefix scanned so far, and the candidates taken in order: an
+    interior sample with |value| <= 1e-10 as it is, a strict sign change
+    [t_k, t_k+1] resolved by `_bracketed_root` on the scalar's Chebyshev
+    interpolant (`_chebyshev`), which takes the two sampled values and
+    the `_CHEB_DEG` - 1 interior Lobatto nodes from one evaluation of the
+    pass (`PassSamples.vectors_at`) and matches the scalar there to
+    rounding: its bracket is at most 0.075/r wide, r the flow's rate bound,
+    and every node of the open bracket has the same dense-output stencil.
+    The first candidate t with `accept(block, t)` is T, so each candidate
+    is checked on the pass itself; T is None when none is, and then the
+    values cover the whole pass.  Evaluation counts, rejected candidates
+    and the stopping step are logged at debug level.  The candidates and
+    their resolution are those of a scan of the whole window: a bracket
     [t_k, t_k+1] is resolved only once every sample of its dense-output
     stencil exists, sample max(k + 2, 3) (`PassSamples.rows_at`), and
     nothing is resolved until max|value| >= 1e-12, the test that tells a
     scalar vanishing identically apart.
     """
     T, s, done, live, nxt = None, None, 0, False, 0
-
-    def value_at(t: float) -> float:
-        return float(scalar(*smp.vectors_at(problem, t))[0])
-
     for smp in blocks:
         n_steps, times = smp.n_steps, smp.times
         if s is None:
@@ -761,11 +809,12 @@ def _root_scan(
             if abs(s[k]) <= 1e-10 and k > 0:
                 root = float(times[k])
             elif s[k] * s[k + 1] < 0:
-                root, _, evals = _bracketed_root(value_at, times[k], times[k + 1], s[k], s[k + 1])
-                log.debug(
-                    "root scan: resolved [%.12g, %.12g] in %d evaluations",
-                    times[k], times[k + 1], evals,
-                )
+                a, b, fa, fb = float(times[k]), float(times[k + 1]), float(s[k]), float(s[k + 1])
+                nodes = (0.5 * (a + b) + 0.5 * (b - a) * _CHEB_X[1:-1]).tolist()
+                inner = scalar(*smp.vectors_at(problem, nodes)).tolist()
+                p = _chebyshev([a, *nodes, b], [fa, *inner, fb])
+                root, _, evals = _bracketed_root(p, a, b, fa, fb)
+                log.debug("root scan: resolved [%.12g, %.12g] in %d evaluations", a, b, evals)
             else:
                 continue
             if accept(smp, root):
@@ -804,9 +853,14 @@ def _extremal(
     the scan runs once more, on the complete pass: given `psi_f`, T is the
     first root of minus the fidelity rate 2 Im(conj(a) <psi_f|H|psi>),
     a = <psi_f|psi>, with |a| >= 1 - 1e-9; otherwise where the Bures angle
-    from psi_i first reaches `bures_angle`.  The certified trajectory is
-    the pass on [0, T] (`_certified`, its step capped by `dt`) in the
-    gauge where the endpoint evaluates to 1, which exists, as
+    theta from psi_i first reaches theta* = `bures_angle`, the first root
+    of sin^2 theta - sin^2 theta* with sin^2 theta = ||psi - a psi_i||^2,
+    a = <psi_i|psi>, which keeps its relative precision at small theta*.
+    Both targets are sesquilinear forms, as `_root_scan` takes them.  No
+    Bures angle exceeds pi/2 and sin^2 is symmetric about it, so a theta*
+    outside (0, pi/2] is a NoSolutionError before the scan.  The certified
+    trajectory is the pass on [0, T] (`_certified`, its step capped by
+    `dt`) in the gauge where the endpoint evaluates to 1, which exists, as
     Re<psi|HF|psi> = omega^2 in the gauge of the projected seed.
     """
     cap = _step_cap(dt)
@@ -849,12 +903,16 @@ def _extremal(
                 "stopping time is extremal; a target state (solve-closed) or "
                 "target_bures_angle (shoot) selects one"
             )
+        goal = "the target state" if psi_f is not None else f"Bures angle {bures_angle:g}"
+        if psi_f is None and not 0.0 < bures_angle <= 0.5 * math.pi:
+            raise NoSolutionError(f"the flow never reaches {goal}: a target angle is in (0, pi/2]")
         ref = (problem.psi_i if psi_f is None else psi_f).amplitudes.conj()
 
         def target(psi: np.ndarray, hpsi: np.ndarray, fpsi: np.ndarray) -> np.ndarray:
             a = psi @ ref
             if psi_f is None:
-                return np.arccos(np.minimum(1.0, np.abs(a))) - bures_angle
+                d = psi - a[:, None] * problem.psi_i.amplitudes
+                return np.einsum("ka,ka->k", d.conj(), d).real - math.sin(bures_angle) ** 2
             return -2.0 * (np.conj(a) * (hpsi @ ref)).imag
 
         def reached(block: PassSamples, t: float) -> bool:
@@ -862,7 +920,6 @@ def _extremal(
 
         T = _root_scan(problem, [smp], target, reached)[0]
         if T is None:
-            goal = "the target state" if psi_f is not None else f"Bures angle {bures_angle:g}"
             raise NoSolutionError(f"the flow never reaches {goal} within (0, {smp.times[-1]:g}]")
         endpoint(smp, T)
     return _certified(problem, kind, H0, m0, T, ends[T].real, cap, smp)
@@ -886,7 +943,8 @@ def shoot(
     certified grid.  A stepped pass takes eighth-order Adams steps there,
     after seven sixth-order Runge-Kutta steps that start it (`rk6_step`),
     and stops at the first accepted root of Im<psi|HF|psi>
-    (`_root_scan`): it is scanned at each drift checkpoint (0.1/omega
+    (`_root_scan`, which resolves a bracket on one batched evaluation of
+    the pass): it is scanned at each drift checkpoint (0.1/omega
     apart) once its check has passed, and runs no further than the first
     checkpoint past the sample T needs; a closed forbidden set yields its
     exact flow on the same grid at once (`exact_pass`).  That one pass is
@@ -897,7 +955,8 @@ def shoot(
 
     Seeds for which s vanishes identically (e.g. no forbidden directions)
     admit every stopping time; then `target_bures_angle` selects T as the
-    first time the Bures angle from psi_i reaches that value.
+    first time the Bures angle from psi_i reaches that value, compared as
+    its sin^2; an angle outside (0, pi/2] is a NoSolutionError.
     """
     H0, m0 = _project_seed(problem, H0_seed, m0_seed)
     blocks = integrate_blocks(problem, m0, H0, t_max, dt)

@@ -808,7 +808,7 @@ def test_the_seed_check_is_the_same_at_every_scale(solve):
     for scale in (1e-11, 1.0):
         with pytest.raises(ValueError, match="^H0 is not Hermitian"):
             solve(problem, scale * np.array([[0, 1], [0, 0]], dtype=complex), m0, t_max=0.5)
-    assert solve(problem, 1e-11 * SX, m0, t_max=0.5).T == 0.04398229715025711
+    assert solve(problem, 1e-11 * SX, m0, t_max=0.5).T == 0.043982297150257116
     readme = helpers.m1_problem(10.0)
     ref = solve(readme, 10.0 * SY, m0, t_max=0.5)
     small = 2.0**-600
@@ -1031,9 +1031,9 @@ def test_shoot_pass1_carries_no_cross_check_channel(monkeypatch):
     # U against H: that is done once, by certify, on the
     # certified grid, on the exact and the stepped path.  The check reads
     # the grid's own samples, so the rows of the pass `shoot` evaluates
-    # are the root scan's, one per evaluation and one per candidate's
-    # endpoint, which at T is not evaluated again, and the K rows of the
-    # grid: no K - 1 midpoints
+    # are the root scan's, one batch of the bracket's interior Chebyshev
+    # nodes and one row for the candidate's endpoint, which at T is not
+    # evaluated again, and the K rows of the grid: no K - 1 midpoints
     grids = []
     u_defect = verify._u_defect
 
@@ -1092,8 +1092,7 @@ def test_shoot_pass1_carries_no_cross_check_channel(monkeypatch):
         assert sol.report.passed
         K = sol.trajectory.n_samples
         assert scans == [(0, len(rows) - 1)]
-        assert 0 < len(rows) - 1 and set(rows[:-1]) == {1}
-        assert rows[-1] == K
+        assert rows == [solvers._CHEB_DEG - 1, 1, K]
 
 
 def test_shoot_evaluates_the_endpoint_at_its_t_once(monkeypatch):
@@ -1251,9 +1250,10 @@ def test_root_scan_by_blocks_matches_the_complete_pass(t_max, monkeypatch):
 
 
 def test_shoot_resolves_its_bracket_in_a_handful_of_evaluations(caplog, monkeypatch):
-    # every single-time evaluation of the pass is one `PassSamples.rows_at`
-    # call, by `vectors_at` in the bracket or `at` in the acceptance; the
-    # root scan logs its count per resolved bracket
+    # the bracket is resolved on its interpolant, from one batched
+    # evaluation of the pass; the only single-time `PassSamples.rows_at`
+    # call is the acceptance's `at` at the candidate.  The root scan logs
+    # the interpolant's evaluation count per resolved bracket
     single = []
     rows_at = dynamics.PassSamples.rows_at
 
@@ -1274,7 +1274,115 @@ def test_shoot_resolves_its_bracket_in_a_handful_of_evaluations(caplog, monkeypa
     lo, hi, evals = resolved[0]
     assert float(lo) <= sol.T <= float(hi)
     assert 1 <= int(evals) <= 15
-    assert len(single) <= 15
+    assert single == [sol.T]
+
+
+def _last_bracket(monkeypatch, solve):
+    """(T, p, a, b, fa, fb, block, scalar) of the last bracket [a, b]
+    `solve()` resolves: p is the interpolant the root solver ran on,
+    fa and fb the sampled end values, and the block and scalar those of the
+    scan that resolved it."""
+    brackets, scans = [], []
+    bracketed_root, root_scan = solvers._bracketed_root, solvers._root_scan
+
+    def recorded_root(f, a, b, fa, fb):
+        brackets.append((f, a, b, fa, fb, len(scans)))
+        return bracketed_root(f, a, b, fa, fb)
+
+    def recorded_scan(problem, blocks, scalar, accept):
+        seen = []
+
+        def kept():
+            for block in blocks:
+                seen.append(block)
+                yield block
+
+        scans.append((seen, scalar))
+        return root_scan(problem, kept(), scalar, accept)
+
+    monkeypatch.setattr(solvers, "_bracketed_root", recorded_root)
+    monkeypatch.setattr(solvers, "_root_scan", recorded_scan)
+    T = solve()
+    p, a, b, fa, fb, scan = brackets[-1]
+    seen, scalar = scans[scan - 1]
+    return T, p, a, b, fa, fb, seen[-1], scalar
+
+
+def _fidelity_case():
+    # no forbidden direction, so s vanishes identically and T is where the
+    # flow first reaches psi_f, set to the exact flow of the projected seed
+    # at t = 1.3 (a turn at rate omega in a plane, so first reached there)
+    problem, h0, _ = helpers.su4_shoot_seed(11)
+    kwargs = {"basis": problem.basis, "psi_i": problem.psi_i, "omega": 1.0}
+    H0, m0 = solvers._project_seed(ControlProblem(**kwargs), h0, MultiplierVector(1.0, []))
+    w, Q = np.linalg.eigh(H0)
+    psi_f = PureState(Q @ (np.exp(-1.3j * w) * (Q.conj().T @ problem.psi_i.amplitudes)))
+    return ControlProblem(**kwargs, psi_f=psi_f), H0, m0
+
+
+@pytest.mark.parametrize("case", [7, 17, 76, 1246, "fidelity"])
+def test_bracket_interpolant_resolves_the_scan_scalar_to_rounding(case, monkeypatch):
+    # pool seeds 7, 17 and 76, held-out seed 1246, whose root lies in the
+    # first step (T = 1.7e-4), and the fidelity rate of solve-closed,
+    # another scalar a bracket is resolved on.  T lies within 2e-14 of the
+    # root the same solver finds evaluating the pass at every iterate, and
+    # on 33 times of the bracket the interpolant is the scalar to 1e-14 of
+    # the bound M of its sesquilinear form there, the scale its rounding
+    # has (|s| itself can be far smaller: seed 17's bracket has max |s| =
+    # 4.8e-5, and evaluating it twice differs by 5e-17)
+    if case == "fidelity":
+        problem, H0, m0 = _fidelity_case()
+
+        def solve():
+            return solve_closed_subalgebra(problem, H0, m0, t_max=2.0).T
+
+        def bound(psi, hpsi, fpsi):
+            return 2.0 * np.linalg.norm(hpsi, axis=1)
+    else:
+        problem, h0, m0 = helpers.su4_shoot_seed(case)
+
+        def solve():
+            return shoot(problem, h0, m0, t_max=3.0).T
+
+        def bound(psi, hpsi, fpsi):
+            return np.linalg.norm(hpsi, axis=1) * np.linalg.norm(fpsi, axis=1) / problem.omega**2
+
+    T, p, a, b, fa, fb, block, scalar = _last_bracket(monkeypatch, solve)
+    assert a < T < b
+    if case == "fidelity":
+        assert T == pytest.approx(1.3, abs=1e-12)
+
+    def on_pass(t):
+        return float(scalar(*block.vectors_at(problem, t))[0])
+
+    assert abs(T - solvers._bracketed_root(on_pass, a, b, fa, fb)[0]) <= 2e-14
+    times = np.linspace(a, b, 35)[1:-1]
+    vectors = block.vectors_at(problem, times)
+    deviation = np.abs([p(t) for t in times] - scalar(*vectors)).max()
+    assert deviation <= 1e-14 * float(bound(*vectors).max())
+
+
+@pytest.mark.parametrize("angle, rel", [(0.9, 1e-12), (1e-4, 1e-12), (1e-7, 1e-9)])
+def test_shoot_reaches_a_small_bures_angle_to_a_relative_precision(angle, rel):
+    # the free qubit turns at Bures angle omega t; sin^2 of the angle,
+    # ||psi - <psi_i|psi> psi_i||^2, keeps its relative precision where the
+    # arccos of |<psi_i|psi>| does not (relative T error 6.0e-3 at 1e-7).
+    # The root lies in the first step, [0, 3.7e-3] here, resolved on one
+    # interpolant of the step: at 1e-7 the rounding of its nodes' values
+    # (of sin^2 up to 1.4e-3) leaves T within 1e-18, 1.0e-10 relative
+    omega = 10.0
+    problem = ControlProblem(basis=helpers.m1_problem(1.0).basis, psi_i=helpers.KET0, omega=omega)
+    sol = shoot(problem, omega * SY, MultiplierVector(1.0, []), t_max=0.2, target_bures_angle=angle)
+    assert sol.T == pytest.approx(angle / omega, rel=rel)
+    assert sol.report.passed
+
+
+def test_shoot_refuses_a_bures_angle_no_flow_reaches():
+    # no Bures angle exceeds pi/2, and sin^2 of the angle is symmetric about
+    # it: 2.0 would otherwise stop at pi - 2
+    problem = ControlProblem(basis=helpers.m1_problem(1.0).basis, psi_i=helpers.KET0, omega=10.0)
+    with pytest.raises(NoSolutionError, match="never reaches Bures angle 2"):
+        shoot(problem, 10.0 * SY, MultiplierVector(1.0, []), t_max=0.2, target_bures_angle=2.0)
 
 
 def test_every_pool_seed_passes_within_the_speed_limit():
