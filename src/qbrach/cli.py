@@ -468,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--dt", type=float, default=None,
             help="cap on every step, also where it exceeds the window: the certified "
             "sample step, itself sized to the flow's rates for the sixth-order "
-            "certificate, and for shoot the pass step, itself 0.075/r at the flow's rate "
+            "certificate, and for shoot the pass step, itself 0.1/r at the flow's rate "
             "bound r; refused where a grid needs more than 200,000 steps; solve-m1 "
             "takes none",
         )

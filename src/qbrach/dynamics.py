@@ -29,16 +29,16 @@ fixed step on one right-hand side (`stepped_rhs`), whose state is
 Adams-Bashforth-Moulton predictor-corrector on the slopes the pass
 stores, two right-hand sides a step.  Every uniform grid, of either pass or of a certified
 trajectory, is `_grid`, at least `_MIN_SAMPLES` samples and at most `_MAX_SAMPLES` steps.
-Either pass steps at 0.075/r, with r a bound on the flow's rates that
+Either pass steps at 0.1/r, with r a bound on the flow's rates that
 holds along the whole pass (`_pass_rate`), or at a given step `dt`
 where that is finer (`_step_cap`).  That step holds the frame unitary
 to rounding, so the frame is never projected;
 `integrate_blocks` keeps the slope at every sample, checks the frame's
-drift at each checkpoint and yields the samples there, so a caller such
-as `shoot` can stop a pass early.  `PassSamples.rows_at` evaluates a pass at any batch of times by
-Hermite interpolation of four neighbouring samples and their slopes: a
-dense output of the step's order, eight, that evaluates no right-hand
-side.
+drift at a checkpoint every `_CHECK_STEPS` steps and yields the samples
+there, so a caller such as `shoot` can stop a pass early.
+`PassSamples.rows_at` evaluates a pass at any batch of times by Hermite
+interpolation of four neighbouring samples and their slopes: a dense
+output of the step's order, eight, that evaluates no right-hand side.
 
 The multiplier equations
 
@@ -494,10 +494,15 @@ def _state_vectors(problem: ControlProblem, rows: tuple, F0_eig: tuple) -> tuple
     psi = V phi, F psi = V F(0) phi and H psi = F psi/lambda_0 - G psi."""
     (V, lam0, lams, tau), (w, Q) = rows, F0_eig
     c = np.exp(-1.0j * tau[:, None] * w) * (Q.conj().T @ problem.psi_i.amplitudes)
-    # phi and F(0) phi of each sample as the two rows of a (2, N) block, times V^T
-    x = (c @ np.concatenate((Q, Q * w)).T).reshape(-1, 2, w.size) @ V.swapaxes(-1, -2)
-    psi, fpsi = x.swapaxes(0, 1)
-    G = forbidden_sum(lams / lam0[:, None], problem.forbidden_generators())
+    # phi and F(0) phi of each sample as the two rows of a (2, N) block, times
+    # V^T.  A sample's bits do not depend on how many samples are taken at
+    # once: a 2-D product of one or two rows takes another BLAS path than
+    # one of many, so these are an einsum, which sums each row the same way,
+    # and stacks of one product per sample
+    x = np.einsum("kj,ij->ki", c, np.concatenate((Q, Q * w))).reshape(-1, 2, w.size)
+    psi, fpsi = (x @ V.swapaxes(-1, -2)).swapaxes(0, 1)
+    Xf = problem.forbidden_generators()
+    G = ((lams / lam0[:, None])[:, None] @ Xf.reshape(Xf.shape[0], w.size**2)).reshape(V.shape)
     return psi, fpsi / lam0[:, None] - (G @ psi[:, :, None])[:, :, 0], fpsi
 
 
@@ -705,12 +710,14 @@ _AM8 = np.array([
 # a stepped pass's own step is this fraction of 1/r, r the rate bound of
 # `_pass_rate`; shoot's worst relative T deviation from a pass at 0.0125/r:
 #   step     su(4) pool  su(4) 1000-1299  chain seed 1
-#   0.05/r   2.58e-14    2.18e-14         2.3e-14
-#   0.075/r  8.70e-14    8.26e-14         4.7e-14
-#   0.1/r    6.39e-13    7.21e-13         2.7e-13
-# its drift checkpoints are this far apart in units of 1/omega (100 steps at 1e-3/omega)
-_STEP_PER_RATE = 0.075
-_CHECK_SPAN = 0.1
+#   0.05/r   6.39e-14    5.78e-13         3.0e-14
+#   0.075/r  9.30e-14    7.27e-13         6.8e-14
+#   0.1/r    6.42e-13    7.21e-13         2.9e-13
+# (held-out seed 1246, T = 1.7e-4, scatters by about 2e-13 at every step
+# from 0.1/r to 0.003/r: the 0.05/r and 0.075/r held-out figures are its).
+# Its drift checkpoints, and the blocks it yields, are this many steps apart
+_STEP_PER_RATE = 0.1
+_CHECK_STEPS = 16
 
 # the most steps of one uniform grid, an integration pass or a certified grid
 _MAX_SAMPLES = 200_000
@@ -753,7 +760,7 @@ def _seed_operators(problem: ControlProblem, m0: MultiplierVector, H0: np.ndarra
 
 def _pass_grid(t_max: float, G: np.ndarray, F0: np.ndarray, lambda0: float,
                dt: Optional[float]) -> np.ndarray:
-    """A pass's grid of [0, t_max], `_grid` at steps of at most min(t_max, 0.075/r, `dt`),
+    """A pass's grid of [0, t_max], `_grid` at steps of at most min(t_max, 0.1/r, `dt`),
     r = `_pass_rate`; a t_max that is not positive and finite is a ValueError."""
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
@@ -897,19 +904,19 @@ def integrate_blocks(
     """The samples of one integration pass of [0, t_max], yielded as they grow.
 
     Either pass samples the grid `_pass_grid` of [0, t_max], at steps of
-    at most min(t_max, 0.075/r, `dt`), with r the pass's rate bound
+    at most min(t_max, 0.1/r, `dt`), with r the pass's rate bound
     (`_pass_rate`): `dt` only caps the step.  A stepped pass (a forbidden
     set that is not closed) steps `stepped_rhs` there: `rk6_step` on its
     first seven steps, then, for step i, the Adams-Bashforth prediction
     from the slopes of samples i - 8..i - 1 (`_AB8`), one right-hand side
     there and the Adams-Moulton correction from the slopes of samples
     i - 7..i - 1 and that one (`_AM8`), a PECE step of order eight.  It
-    checks the frame's drift |V^dag V - 1| at every checkpoint (every
-    max(1, round(0.1/(omega step))) steps, 100 at a step of 1e-3/omega)
-    and at its last step, and yields there, so every yielded row has
-    passed a drift check.  A drift beyond `_UNITARITY_TOL` is an
-    ArithmeticError naming the drift and the step: the pass never
-    projects its frame and never restarts.  The slope at each sample is
+    checks the frame's drift |V^dag V - 1| at every checkpoint, every
+    `_CHECK_STEPS` steps whatever the step and omega, and at its last
+    step, and yields there, so every yielded row has passed a drift
+    check.  A drift beyond `_UNITARITY_TOL` is an ArithmeticError naming
+    the drift and the step: the pass never projects its frame and never
+    restarts.  The slope at each sample is
     kept (`PassSamples.slopes`): it is a starting step's first stage, the
     Adams steps' history and the dense output's derivative, and at y(0)
     and every checkpoint `_check_lambda0_rate` guards it.  The exact path
@@ -930,7 +937,6 @@ def integrate_blocks(
     N = problem.dim
     n2 = N * N
     rhs = stepped_rhs(F0, problem.forbidden_generators(), lam0)
-    every = max(1, round(_CHECK_SPAN / (problem.omega * step)))
     ys = np.empty((n_steps + 1, n2 + M), dtype=complex)
     lam0s = np.full(n_steps + 1, lam0)
     taus = times / lam0
@@ -949,7 +955,7 @@ def integrate_blocks(
             slopes[i] = rhs(y + hab.dot(slopes[i - 8:i]))
             y = ys[i] = y + ham.dot(slopes[i - 7:i + 1])
         dy = slopes[i] = rhs(y)
-        if i % every and i < n_steps:
+        if i % _CHECK_STEPS and i < n_steps:
             continue
         _check_lambda0_rate(problem, lam0, y[n2:].real, dy[n2:].real)
         V = y[:n2].reshape(N, N)
@@ -976,7 +982,7 @@ def integrate(
     """Sample the coupled frame/multiplier system on a uniform grid.
 
     The grid is the complete pass of `integrate_blocks`, the same on both
-    paths: steps of 0.075/r with r the flow's rate bound, capped by `dt`,
+    paths: steps of 0.1/r with r the flow's rate bound, capped by `dt`,
     ending at t_max.  F(0) = lambda_0(0) (H0 + G(0)) is fixed once from
     the seed and only conjugated afterwards.
 
@@ -990,10 +996,10 @@ def integrate(
     and eighth-order Adams-Bashforth-Moulton after them, on the vector
     concatenating V and the lambda_j; lambda_0 is constant and
     tau = t/lambda_0.  V is never projected: its unitarity drift is
-    checked against the validation's 1e-8 at checkpoints 0.1/omega apart
-    (every 100 steps at dt = 1e-3/omega) and at the end, and a drift
-    beyond it is an ArithmeticError.  `integrate_blocks` yields the same
-    samples checkpoint by checkpoint.
+    checked against the validation's 1e-8 at checkpoints `_CHECK_STEPS`
+    steps apart and at the end, and a drift beyond it is an
+    ArithmeticError.  `integrate_blocks` yields the same samples
+    checkpoint by checkpoint.
     """
     for samples in integrate_blocks(problem, m0, H0, t_max, dt):
         pass

@@ -722,13 +722,13 @@ def _bracketed_root(
 # the degree n of the Chebyshev interpolant a scan bracket is resolved on.
 # Its scalar is a sesquilinear form in vectors whose rates are at most r/2,
 # r = `dynamics._pass_rate`, so of exponential type r, and a bracket is at
-# most 0.075/r wide: in units of its half-width the type is rho <= 0.0375.
+# most 0.1/r wide: in units of its half-width the type is rho <= 0.05.
 # Interpolation in the n + 1 Chebyshev-Lobatto points then errs by at most
 # 4 M e^{rho beta/2} beta^{-n}/(beta - 1) on the Bernstein ellipse of any
 # beta > 1, M = max |s| on the real axis (Trefethen, Approximation Theory
 # and Approximation Practice (ATAP), Thm 8.2); at beta = 2n/rho that is
-# 4.7e-15 M for n = 6, 1.2e-17 M for n = 7 and 2.5e-20 M for n = 8.  Nine
-# keeps the bound at 5e-23 M, far below the rounding of the samples, also
+# 3.5e-14 M for n = 6, 1.2e-16 M for n = 7 and 3.4e-19 M for n = 8.  Nine
+# keeps the bound at 9e-22 M, far below the rounding of the samples, also
 # where the pass's degree-7 dense output is not exactly the flow
 _CHEB_DEG = 9
 # the Lobatto nodes -cos(pi j/n) of [-1, 1], j = 0..n, in the symmetric
@@ -763,6 +763,51 @@ def _chebyshev(times: List[float], values: List[float]) -> Callable[[float], flo
     return p
 
 
+# a root this close to an end of its bracket, in units of the bracket's
+# width, is resolved once more on a sub-bracket at that end
+_NEAR_END = 1e-3
+
+
+def _resolved_root(
+    problem: ControlProblem, smp: PassSamples,
+    scalar: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    a: float, b: float, fa: float, fb: float,
+) -> float:
+    """The root of `scalar` on the pass `smp` in the sign change [a, b], fa and fb its values there.
+
+    It is `_bracketed_root` on the scalar's Chebyshev interpolant
+    (`_chebyshev`), whose `_CHEB_DEG` - 1 interior Lobatto nodes are one
+    batched evaluation of the pass (`PassSamples.vectors_at`).  The
+    interpolant errs by the rounding of its node values, which is relative
+    to the largest of them, so a root within `_NEAR_END` of the width from
+    an end, at a distance d, is resolved once more the same way on the
+    sub-bracket of width 2d at that end, whose node values are no larger
+    than the scalar's change over 2d: one more batched evaluation, of its
+    new end and its interior nodes.  Where that end shows no sign change
+    the first root stands.
+    """
+    def nodes(lo: float, hi: float) -> List[float]:
+        return (0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHEB_X[1:-1]).tolist()
+
+    def values(times: List[float]) -> List[float]:
+        return scalar(*smp.vectors_at(problem, times)).tolist()
+
+    def resolve(lo: float, hi: float, flo: float, fhi: float, inner: List[float]) -> float:
+        p = _chebyshev([lo, *nodes(lo, hi), hi], [flo, *inner, fhi])
+        root, _, evals = _bracketed_root(p, lo, hi, flo, fhi)
+        log.debug("root scan: resolved [%.12g, %.12g] in %d evaluations", lo, hi, evals)
+        return root
+
+    root = resolve(a, b, fa, fb, values(nodes(a, b)))
+    d = min(root - a, b - root)
+    if d > _NEAR_END * (b - a):
+        return root
+    lo, hi = (a, a + 2.0 * d) if root - a <= b - root else (b - 2.0 * d, b)
+    *inner, new = values([*nodes(lo, hi), hi if lo == a else lo])
+    flo, fhi = (fa, new) if lo == a else (new, fb)
+    return resolve(lo, hi, flo, fhi, inner) if flo * fhi < 0 else root
+
+
 def _root_scan(
     problem: ControlProblem, blocks: Iterable[PassSamples],
     scalar: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
@@ -776,17 +821,20 @@ def _root_scan(
     blocks of one pass are scanned as they arrive, each on the rows past
     the prefix scanned so far, and the candidates taken in order: an
     interior sample with |value| <= 1e-10 as it is, a strict sign change
-    [t_k, t_k+1] resolved by `_bracketed_root` on the scalar's Chebyshev
+    [t_k, t_k+1] resolved by `_resolved_root` on the scalar's Chebyshev
     interpolant (`_chebyshev`), which takes the two sampled values and
     the `_CHEB_DEG` - 1 interior Lobatto nodes from one evaluation of the
     pass (`PassSamples.vectors_at`) and matches the scalar there to
-    rounding: its bracket is at most 0.075/r wide, r the flow's rate bound,
-    and every node of the open bracket has the same dense-output stencil.
-    The first candidate t with `accept(block, t)` is T, so each candidate
-    is checked on the pass itself; T is None when none is, and then the
-    values cover the whole pass.  Evaluation counts, rejected candidates
-    and the stopping step are logged at debug level.  The candidates and
-    their resolution are those of a scan of the whole window: a bracket
+    rounding: its bracket is at most 0.1/r wide, r the flow's rate bound,
+    and every node of the open bracket has the same dense-output stencil;
+    a root near an end of its bracket is resolved once more on a
+    sub-bracket there.  The first candidate t with `accept(block, t)` is
+    T, so each candidate is checked on the pass itself; T is None when
+    none is, and then the values cover the whole pass.  Evaluation counts,
+    rejected candidates and the stopping step are logged at debug level.
+    The candidates and their resolution are those of a scan of the whole
+    window, bit for bit: the scalar of a sample does not depend on the
+    block it comes in (`dynamics._state_vectors`), and a bracket
     [t_k, t_k+1] is resolved only once every sample of its dense-output
     stencil exists, sample max(k + 2, 3) (`PassSamples.rows_at`), and
     nothing is resolved until max|value| >= 1e-12, the test that tells a
@@ -810,11 +858,7 @@ def _root_scan(
                 root = float(times[k])
             elif s[k] * s[k + 1] < 0:
                 a, b, fa, fb = float(times[k]), float(times[k + 1]), float(s[k]), float(s[k + 1])
-                nodes = (0.5 * (a + b) + 0.5 * (b - a) * _CHEB_X[1:-1]).tolist()
-                inner = scalar(*smp.vectors_at(problem, nodes)).tolist()
-                p = _chebyshev([a, *nodes, b], [fa, *inner, fb])
-                root, _, evals = _bracketed_root(p, a, b, fa, fb)
-                log.debug("root scan: resolved [%.12g, %.12g] in %d evaluations", a, b, evals)
+                root = _resolved_root(problem, smp, scalar, a, b, fa, fb)
             else:
                 continue
             if accept(smp, root):
@@ -938,20 +982,21 @@ def shoot(
     The seed is projected and rescaled (`_project_seed`), and its one
     integration pass (`integrate_blocks`) goes to the core it shares with
     `solve_closed_subalgebra` (`_extremal`).  The pass samples steps of
-    0.075/r, with r the flow's rate bound (`dynamics._pass_rate`), or of
+    0.1/r, with r the flow's rate bound (`dynamics._pass_rate`), or of
     `dt` where that is finer: `dt` only caps the step, here as on the
     certified grid.  A stepped pass takes eighth-order Adams steps there,
     after seven sixth-order Runge-Kutta steps that start it (`rk6_step`),
     and stops at the first accepted root of Im<psi|HF|psi>
     (`_root_scan`, which resolves a bracket on one batched evaluation of
-    the pass): it is scanned at each drift checkpoint (0.1/omega
-    apart) once its check has passed, and runs no further than the first
-    checkpoint past the sample T needs; a closed forbidden set yields its
-    exact flow on the same grid at once (`exact_pass`).  That one pass is
-    the whole integration: the certified trajectory is the pass evaluated
-    on a uniform grid of [0, T] (`PassSamples.rows_at`, the Hermite
-    interpolant of the pass's own samples and slopes around each grid
-    time).  T is the one a scan of the whole window would find.
+    the pass): it is scanned at each drift checkpoint (every
+    `dynamics._CHECK_STEPS` steps) once its check has passed, and runs no
+    further than the first checkpoint past the sample T needs; a closed
+    forbidden set yields its exact flow on the same grid at once
+    (`exact_pass`).  That one pass is the whole integration: the certified
+    trajectory is the pass evaluated on a uniform grid of [0, T]
+    (`PassSamples.rows_at`, the Hermite interpolant of the pass's own
+    samples and slopes around each grid time).  T is, bit for bit, the one
+    a scan of the whole window would find.
 
     Seeds for which s vanishes identically (e.g. no forbidden directions)
     admit every stopping time; then `target_bures_angle` selects T as the

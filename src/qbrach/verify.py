@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import forbidden_sum, stack_product
 
@@ -342,9 +341,10 @@ def equivalence_residuals(traj) -> Tuple[float, float]:
     return _conservation_residuals(traj)[1:]
 
 
-# steps per block of `_u_defect`, which bounds its temporaries to a few
-# blocks of matrices whatever the trajectory's length
-_DIRECT_BLOCK = 512
+# entries of H per block of `_u_defect`, N^2 a step, which bounds its
+# temporaries (about 28 bytes an entry, as real 2N x 2N blocks) whatever the
+# trajectory's length: 96 steps a block at N = 4, 384 at N = 2
+_DIRECT_BLOCK = 1536
 
 # the stage times of two half-steps of Butcher's sixth-order Runge-Kutta
 # method strictly inside a step, in units of the step, as (numerator,
@@ -360,34 +360,41 @@ def _stage_rows(p: int) -> np.ndarray:
     return np.array([[_lagrange_rows(p, o * d + n, d) for n, d in _STAGES] for o in range(p - 1)])
 
 
-def _stage_hamiltonians(H: np.ndarray, a: int, b: int) -> np.ndarray:
-    """H at t_k + (1/6, 1/4, 1/3, 1/2, 2/3, 3/4, 5/6) h for the steps k = a..b-1
-    of a uniform grid.
+def _real_generators(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """-iH of a stack of H = re + i im as real 2N x 2N blocks [[Im H, Re H],
+    [-Re H, Im H]]: the block times [Re X; Im X] is [Re(-iHX); Im(-iHX)]."""
+    N = re.shape[-1]
+    out = np.empty((*re.shape[:-2], 2 * N, 2 * N))
+    out[..., :N, :N] = out[..., N:, N:] = im
+    out[..., :N, N:] = re
+    np.negative(re, out=out[..., N:, :N])
+    return out
 
-    The result is a (7, N, N, b - a) stack, the steps on the last axis.
-    Step k's stencil is the p = min(8, K) samples from s_k = min(max(k -
-    3, 0), K - p): the eight nearest samples, one-sided on the three steps
-    at either end, and all seven on a grid of seven, the fewest there are.
-    Each value is the degree-(p - 1) interpolant through the stencil
-    (`_stage_rows`), which errs by O(step^8).  Steps sharing their place
-    o = k - s_k in the stencil (all inner steps do) are formed together,
-    as one product of a strided view of their stencils with the weights.
+
+def _stage_hamiltonians(H: np.ndarray, a: int, b: int) -> Tuple[np.ndarray, np.ndarray]:
+    """-iH (`_real_generators`) at the samples a..b of a uniform grid, and at
+    t_k + (1/6, 1/4, 1/3, 1/2, 2/3, 3/4, 5/6) h for the steps k = a..b-1.
+
+    The results are a (b - a + 1, 2N, 2N) and a (b - a, 7, 2N, 2N) stack,
+    the steps leading.  Step k's stencil is the p = min(8, K) samples from
+    s_k = min(max(k - 3, 0), K - p): the eight nearest samples, one-sided on
+    the three steps at either end, and all seven on a grid of seven, the
+    fewest there are.  Each value is the degree-(p - 1) interpolant through
+    the stencil, which errs by O(step^8): all seven of a step are one
+    product of its row `_stage_rows(p)[k - s_k]` with its stencil, and the
+    stencils of the block are one gather.
     """
-    K = H.shape[0]
+    K, N = H.shape[:2]
     p = min(8, K)
     k = np.arange(a, b)
     s = np.clip(k - 3, 0, K - p)
-    o = k - s
-    lo, hi = int(s[0]), int(s[-1]) + p
-    # stencils[..., i, j] is sample lo + i + j: a view, no copy per stencil
-    stencils = sliding_window_view(np.moveaxis(H[lo:hi], 0, -1), p, axis=-1)
-    out = np.empty((len(_STAGES), *H.shape[1:], b - a), dtype=complex)
-    cuts = [0, *(1 + np.flatnonzero(np.diff(o))), b - a]
-    for i0, i1 in zip(cuts, cuts[1:]):
-        first = int(s[i0]) - lo
-        rows = stencils[..., first : first + i1 - i0, :] @ _stage_rows(p)[o[i0]].T
-        out[..., i0:i1] = np.moveaxis(rows, -1, 0)
-    return out
+    # each step's seven values are one product of its weights with its
+    # stencil, the entries of H as [re, im] float pairs, as the weights are real
+    stencils = H[s[:, None] + np.arange(p)].view(float).reshape(b - a, p, 2 * N * N)
+    stages = (_stage_rows(p)[k - s] @ stencils).reshape(b - a, -1, N, N, 2)
+    del stencils  # before the real blocks are formed: the largest temporaries
+    ends = H[a : b + 1]
+    return _real_generators(ends.real, ends.imag), _real_generators(stages[..., 0], stages[..., 1])
 
 
 def _u_defect(times: np.ndarray, H: np.ndarray, U: np.ndarray) -> float:
@@ -405,39 +412,37 @@ def _u_defect(times: np.ndarray, H: np.ndarray, U: np.ndarray) -> float:
     generator, so ||P_k||_2 = 1 + O(step^7), and by the triangle inequality
     the sum bounds, to that order, the largest gap between U and the RK6
     propagation of the H samples from U_0.  It reads `times`, `H` and `U`
-    alone, block by block, with the steps on the last axis: a product of
-    two blocks is then N broadcast multiply-adds that each sweep the whole
-    block, with no per-matrix overhead.
+    alone, block by block, in real arithmetic with the steps leading: -iH
+    as a real 2N x 2N block and U as [Re U; Im U], so each stage of a block
+    is one batched real product and each stage input, and the step, one
+    product of a tableau row with the stacked stages.
     """
     # not at the top: `dynamics` imports this module (for `Trajectory.to_csv`)
     from .dynamics import _RK6_A, _RK6_B
 
-    def product(A, X):
-        out = A[:, 0, None] * X[None, 0]
-        for j in range(1, A.shape[1]):
-            out += A[:, j, None] * X[None, j]
-        return out
-
-    def increment(X, hs, g):
-        # one RK6 step of dX/dt = -iH X from X, of size g = -i times the step,
-        # with hs the H at its nodes: each stage input and the step are one
-        # product of a tableau row with the stack of stages
-        Q = np.empty((7, *X.shape), dtype=complex)
+    def increment(X, gens, hh):
+        # one RK6 step of dX/dt = -iH X from X, of size hh, with gens the -iH
+        # at its nodes
+        Q = np.empty((7, *X.shape))
         rows = Q.reshape(7, -1)
-        for i, h in enumerate(hs):
-            Q[i] = product(h, X + g * (_RK6_A[i, :i] @ rows[:i]).reshape(X.shape))
-        return g * (_RK6_B @ rows).reshape(X.shape)
+        np.matmul(gens[0], X, out=Q[0])
+        for i in range(1, 7):
+            np.matmul(gens[i], X + hh * (_RK6_A[i, :i] @ rows[:i]).reshape(X.shape), out=Q[i])
+        return hh * (_RK6_B @ rows).reshape(X.shape)
 
+    N = H.shape[-1]
+    block = max(1, _DIRECT_BLOCK // (N * N))
     total = 0.0
-    for a in range(0, times.size - 1, _DIRECT_BLOCK):
-        b = min(a + _DIRECT_BLOCK, times.size - 1)
-        h16, h14, h13, h12, h23, h34, h56 = _stage_hamiltonians(H, a, b)
-        ends, Us = (np.moveaxis(x[a : b + 1], 0, -1).copy() for x in (H, U))
-        g = -0.5j * np.diff(times[a : b + 1])  # -i half-step
-        Uk = Us[..., :-1]
-        half = Uk + increment(Uk, (ends[..., :-1], h16, h13, h16, h14, h14, h12), g)
-        gap = Us[..., 1:] - half - increment(half, (h12, h23, h56, h23, h34, h34, ends[..., 1:]), g)
-        total += float(np.linalg.norm(gap, axis=(0, 1)).sum())
+    for a in range(0, times.size - 1, block):
+        b = min(a + block, times.size - 1)
+        ends, stages = _stage_hamiltonians(H, a, b)
+        g16, g14, g13, g12, g23, g34, g56 = stages.swapaxes(0, 1)
+        Us = np.concatenate((U[a : b + 1].real, U[a : b + 1].imag), axis=1)
+        hh = (0.5 * np.diff(times[a : b + 1]))[:, None, None]  # half-step
+        Uk = Us[:-1]
+        half = Uk + increment(Uk, (ends[:-1], g16, g13, g16, g14, g14, g12), hh)
+        gap = Us[1:] - half - increment(half, (g12, g23, g56, g23, g34, g34, ends[1:]), hh)
+        total += float(np.linalg.norm(gap.reshape(b - a, 2 * N * N), axis=1).sum())
     return total
 
 

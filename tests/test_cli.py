@@ -247,13 +247,13 @@ def test_a_dt_beyond_the_work_cap_is_refused_by_every_solver(
 
 def test_shoot_dt_coarser_than_the_window_is_the_default_pass(shot_file, capsys):
     # dt only caps the pass step, also where it exceeds t_max = 3: the
-    # solution is the default one byte for byte (its T is the Adams pass's,
-    # 1.0e-14 relative from the 0.9053082589150195 of RK6 steps throughout)
+    # solution is the default one byte for byte (its T is the Adams pass's at
+    # 0.1/r, 4.6e-14 relative from the 0.9053082589150137 of a pass at 0.0125/r)
     assert main(["shoot", "-i", shot_file]) == 0
     default = capsys.readouterr().out
     assert main(["shoot", "-i", shot_file, "--dt", "5"]) == 0
     assert capsys.readouterr().out == default
-    assert json.loads(default)["T"] == 0.9053082589150101
+    assert json.loads(default)["T"] == 0.9053082589149721
 
 
 def test_shoot_drift_exits_3_and_the_work_cap_exits_1(shot_file, monkeypatch, capsys):

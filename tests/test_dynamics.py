@@ -455,10 +455,10 @@ def test_integrate_refuses_work_beyond_the_cap(monkeypatch):
         integrate(helpers.m1_problem(1.0), MultiplierVector(1.0, [2.5]), SY, t_max=1.0, dt=0.005)
     # a window whose own rate-resolved step needs more is refused the same
     # way, with or without a coarser dt, since dt only caps that step
-    refusal = re.escape(helpers.grid_refusal(3.0, helpers.own_step(problem, h0, m0)))
+    refusal = re.escape(helpers.grid_refusal(4.0, helpers.own_step(problem, h0, m0)))
     for dt in (None, 0.5):
         with pytest.raises(ValueError, match=refusal + ", more than 100"):
-            next(dynamics.integrate_blocks(problem, m0, h0, t_max=3.0, dt=dt))
+            next(dynamics.integrate_blocks(problem, m0, h0, t_max=4.0, dt=dt))
 
 
 def test_checkpoint_holds_the_frame_to_the_validation_bound(monkeypatch):
@@ -472,11 +472,11 @@ def test_checkpoint_holds_the_frame_to_the_validation_bound(monkeypatch):
     drift = np.linalg.norm(V.conj().swapaxes(1, 2) @ V - np.eye(4), axis=(1, 2)).max()
     assert drift <= 1e-8
     assert certify(last.trajectory(problem)).u_defect <= Tolerances.integrated().u_mismatch
-    # at 20 times the step the frame drifts by about 3e-8 over the 4 steps
-    # to the first checkpoint: a numerical failure naming the drift and the
-    # step, never a restart and never invalid input
+    # at 10 times the step the frame drifts by about 1.8e-6 over the 16
+    # steps to the first checkpoint: a numerical failure naming the drift and
+    # the step, never a restart and never invalid input
     monkeypatch.setattr(dynamics, "_STEP_PER_RATE", 1.0)
-    with pytest.raises(ArithmeticError, match="beyond 1e-08, by step 4 at step size 2.577e-02"):
+    with pytest.raises(ArithmeticError, match="beyond 1e-08, by step 16 at step size 2.577e-02"):
         next(dynamics.integrate_blocks(problem, strong, h0, t_max=5.0))
 
 
@@ -608,7 +608,8 @@ def test_u_defect_matches_sequential_rk6_steps(dim, monkeypatch):
     f0 = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     f0 = f0 + f0.conj().T
     lam0, h = 0.8, 2e-3
-    times = np.arange(verify._DIRECT_BLOCK + 90) * h
+    block = verify._DIRECT_BLOCK // dim**2  # steps a block
+    times = np.arange(block + 90) * h
     n = times.size - 1
     V = np.array([helpers.expm_herm(g, -t) for t in times])
     H = V @ f0 @ V.conj().transpose(0, 2, 1) / lam0 - g
@@ -635,7 +636,6 @@ def test_u_defect_matches_sequential_rk6_steps(dim, monkeypatch):
 
     monkeypatch.setattr(verify, "_stage_hamiltonians", recorded)
     got = verify._u_defect(times, H, U)
-    block = verify._DIRECT_BLOCK
     assert blocks == [(0, block), (block, n)]
     assert abs(got - ref) <= 1e-12 * ref
 
