@@ -265,7 +265,7 @@ _UNIFORM_TOL = 1e-9
 class Trajectory:
     """Sampled extremal evolution on a uniform time grid.
 
-    All matrix stacks are sample-major: V[k] is the frame at times[k], etc.
+    All matrix stacks are sample-major: U[k] is the propagator at times[k], etc.
     `lambdas` has one column per forbidden index (possibly zero columns).
     `renormalized` records whether the multipliers (and with them F) have
     been rescaled so the endpoint constraint evaluates to 1 rather than to
@@ -278,14 +278,12 @@ class Trajectory:
     """
 
     times: np.ndarray
-    V: np.ndarray
     U: np.ndarray
     H: np.ndarray
     F: np.ndarray
     psi: np.ndarray
     lambda0: np.ndarray
     lambdas: np.ndarray
-    tau_acc: np.ndarray
     omega: float
     basis: GeneratorBasis
     forbidden: Tuple[int, ...]
@@ -302,7 +300,6 @@ class Trajectory:
         M = len(self.forbidden)
         stacks = {}
         for name, shape in (
-            ("V", (K, N, N)),
             ("U", (K, N, N)),
             ("H", (K, N, N)),
             ("F", (K, N, N)),
@@ -314,10 +311,9 @@ class Trajectory:
             stacks[name] = arr
         lam0 = np.asarray(self.lambda0, dtype=float).ravel()
         lams = np.asarray(self.lambdas, dtype=float).reshape(K, M)
-        tau = np.asarray(self.tau_acc, dtype=float).ravel()
-        if lam0.size != K or tau.size != K:
-            raise ValueError("multiplier/tau arrays must match the time grid length")
-        for name, arr in dict(stacks, times=times, lambda0=lam0, lambdas=lams, tau_acc=tau).items():
+        if lam0.size != K:
+            raise ValueError("the lambda0 array must match the time grid length")
+        for name, arr in dict(stacks, times=times, lambda0=lam0, lambdas=lams).items():
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} has a non-finite entry")
         steps = np.diff(times)
@@ -348,13 +344,12 @@ class Trajectory:
             raise ValueError(
                 f"F(t) is not isospectral to F(0): max eigenvalue drift {spec_err:.3e}"
             )
-        for arr in (times, lam0, lams, tau, eigs, *stacks.values()):
+        for arr in (times, lam0, lams, eigs, *stacks.values()):
             arr.setflags(write=False)
         object.__setattr__(self, "F_spectrum", eigs)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "lambda0", lam0)
         object.__setattr__(self, "lambdas", lams)
-        object.__setattr__(self, "tau_acc", tau)
         for name, arr in stacks.items():
             object.__setattr__(self, name, arr)
         forbidden = tuple(int(j) for j in self.forbidden)
@@ -386,9 +381,7 @@ class Trajectory:
             "times": self.times.copy(),
             "lambda0": self.lambda0.copy(),
             "lambdas": self.lambdas.copy(),
-            "tau_acc": self.tau_acc.copy(),
             "psi": _as_pairs(self.psi),
-            "V": _as_pairs(self.V),
             "U": _as_pairs(self.U),
             "H": _as_pairs(self.H),
             "F": _as_pairs(self.F),
@@ -411,14 +404,12 @@ class Trajectory:
 
         return Trajectory(
             times=read("times"),
-            V=read("V", _from_pairs),
             U=read("U", _from_pairs),
             H=read("H", _from_pairs),
             F=read("F", _from_pairs),
             psi=read("psi", _from_pairs),
             lambda0=read("lambda0"),
             lambdas=read("lambdas", lambda v: _number_array(v).reshape(lambdas_shape)),
-            tau_acc=read("tau_acc"),
             omega=_file_number(data["omega"], "omega"),
             basis=basis,
             forbidden=forbidden,
@@ -527,12 +518,14 @@ def finalize_trajectory(
     if renormalized is not None:
         c = renormalized
         lam0, lams, tau, F0 = lam0 / c, lams / c, tau * c, F0 / c
-    # own copies of a stepped pass's strided views, not its whole state array
+    # contiguous copies of a stepped pass's strided views: the trajectory keeps
+    # lams, not the whole state array, and V's products take one kernel however
+    # V was laid out
     V = np.ascontiguousarray(V, dtype=complex)
     lams = np.ascontiguousarray(lams, dtype=float)
     U, F, H, psi = _observables(problem, V, lam0, lams, tau, F0, np.linalg.eigh(F0))
     return Trajectory(
-        times=times, V=V, U=U, H=H, F=F, psi=psi, lambda0=lam0, lambdas=lams, tau_acc=tau,
+        times=times, U=U, H=H, F=F, psi=psi, lambda0=lam0, lambdas=lams,
         omega=problem.omega, basis=problem.basis, forbidden=problem.forbidden,
         renormalized=renormalized is not None,
     )

@@ -139,6 +139,13 @@ def m1_fixed_grid(lambda1: float, T: float, omega: float, n_steps: int):
     return dynamics.finalize_trajectory(problem, times, rows, f0)
 
 
+def complete_pass(problem: ControlProblem, m0: MultiplierVector, h0, t_max: float, dt=None):
+    """The last block of `integrate_blocks`: the complete pass that `integrate` finalizes,
+    with the frame V and gauge time tau that a trajectory does not keep."""
+    *_, smp = dynamics.integrate_blocks(problem, m0, h0, t_max, dt)
+    return smp
+
+
 def own_step(problem: ControlProblem, h0: np.ndarray, m0: MultiplierVector) -> float:
     """The own step of a pass of the seed (h0, m0): `_STEP_PER_RATE`/r, r = `_pass_rate`."""
     G, F0 = dynamics._seed_operators(problem, m0, h0)

@@ -201,7 +201,7 @@ def test_02_two_qubit_restricted_transport():
 # about 5e-12
 CHKO_RESOLVED = 1e-10
 
-_SAMPLE_FIELDS = ("times", "V", "U", "H", "F", "psi", "lambda0", "lambdas", "tau_acc")
+_SAMPLE_FIELDS = ("times", "U", "H", "F", "psi", "lambda0", "lambdas")
 
 
 def _thinned(traj: Trajectory, j: int) -> Trajectory:

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -543,7 +544,49 @@ def test_verify_reads_every_cli_document_in_every_layout(argv, fixture, request,
     assert printed["default"] == printed["indent"] == printed["compact"]
 
 
+# the fields of every trajectory a document holds: the pass's frame V and
+# gauge time tau_acc are not among them, since U = V e^{-i F(0) tau} carries both
+TRAJECTORY_FIELDS = {"version", "dimension", "omega", "basis", "forbidden", "renormalized",
+                     "times", "lambda0", "lambdas", "psi", "U", "H", "F"}
+
+
+@pytest.mark.parametrize(
+    "argv, fixture", [(argv, fixture) for argv, fixture in CLI_DOCUMENTS if argv[0] != "sweep-m1"]
+)
+def test_every_cli_trajectory_holds_the_documented_fields(argv, fixture, request, capsys):
+    if fixture is not None:
+        argv = argv + [request.getfixturevalue(fixture)]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for branch in doc.get("branches", [doc]):
+        assert branch["trajectory"].keys() == TRAJECTORY_FIELDS
+
+
 # ------------------------------------------------------------------ verify
+
+# solve-closed's document of the README's closed-subalgebra problem, written
+# when every trajectory still carried V and tau_acc
+FRAMED_DOC = Path(__file__).parent / "data" / "closed_sol_with_frame.json"
+
+
+def test_verify_reads_a_document_that_carries_the_frame(capsys):
+    # verify reads a trajectory's fields by name: it ignores V and tau_acc
+    # and certifies the rest, reproducing the embedded report
+    assert {"V", "tau_acc"} <= json.loads(FRAMED_DOC.read_text())["trajectory"].keys()
+    assert main(["verify", str(FRAMED_DOC), "--tol", "analytic"]) == 0
+    text = capsys.readouterr().out
+    assert "FAIL" not in text
+    assert float(re.search(r"max deviation (\S+)\n", text).group(1)) <= 1e-12
+
+
+def test_a_trajectory_that_carries_the_frame_loads_without_it():
+    # the bare trajectory of that document loads, and writes back every
+    # field it read, bit for bit, but V and tau_acc
+    old = json.loads(FRAMED_DOC.read_text())["trajectory"]
+    new = dynamics.Trajectory.from_dict(old).to_dict()
+    assert new.keys() == old.keys() - {"V", "tau_acc"} == TRAJECTORY_FIELDS
+    for key, value in new.items():
+        np.testing.assert_array_equal(np.asarray(value), np.asarray(old[key]), err_msg=key)
 
 
 def test_verify_round_trip(closed_file, tmp_path, capsys):
@@ -741,8 +784,8 @@ def _ragged_h(doc):
     doc["trajectory"]["H"][3].pop()
 
 
-def _string_in_v(doc):
-    doc["trajectory"]["V"][2][0][1][0] = "x"
+def _string_in_u(doc):
+    doc["trajectory"]["U"][2][0][1][0] = "x"
 
 
 def _first_time_as(token):
@@ -769,7 +812,7 @@ def _replaced_once(old, new):
         ({"branches": []}, "malformed"),
         (_edited(lambda doc: doc.update(report=[1])), "malformed"),  # a report that is no object
         (_edited(_ragged_h), "trajectory field 'H': setting an array element with a sequence"),
-        (_edited(_string_in_v), "trajectory field 'V': could not convert string to float"),
+        (_edited(_string_in_u), "trajectory field 'U': could not convert string to float"),
         (_edited(lambda doc: doc["trajectory"]["lambdas"].pop()),  # one row short
          "trajectory field 'lambdas': cannot reshape"),
         (_edited(lambda doc: doc["trajectory"].update(dimension=2.7)),  # int() would read 2
@@ -795,15 +838,15 @@ def _replaced_once(old, new):
         # tokens json.load reads but JSON does not: a non-finite entry
         (_first_time_as("NaN"), "times has a non-finite entry"),
         (_first_time_as("-Infinity"), "times has a non-finite entry"),
-        (_first_entry_as("V", "NaN"), "V has a non-finite entry"),
+        (_first_entry_as("U", "NaN"), "U has a non-finite entry"),
         (_first_entry_as("H", "Infinity"), "H has a non-finite entry"),
     ],
     ids=["string", "string-times", "list", "number", "null", "list-trajectory", "number-branch",
-         "branch-object", "no-branch", "list-report", "ragged-H", "string-in-V", "short-lambdas",
+         "branch-object", "no-branch", "list-report", "ragged-H", "string-in-U", "short-lambdas",
          "dimension-2.7", "omega-string", "dimension-string", "renormalized-string",
          "times-01.5", "times-.5", "times-1.", "times-+1", "times-nan",
          "truncated", "after-close", "before-open", "trailing-comma", "unclosed", "extra-data",
-         "control-character", "times-NaN", "times-Infinity", "V-NaN", "H-Infinity"],
+         "control-character", "times-NaN", "times-Infinity", "U-NaN", "H-Infinity"],
 )
 def test_verify_refuses_a_malformed_file_as_invalid_input(
     doc, message, closed_file, tmp_path, capsys

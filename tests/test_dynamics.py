@@ -215,7 +215,7 @@ def test_lambda0_rate_guard(monkeypatch):
         dynamics._check_lambda0_rate(problem, 1.0, y, bad_rhs(y))
     with pytest.raises(ArithmeticError, match="antisymmetry"):
         dynamics._check_lambda0_rate(problem, 1.0, np.stack((y, y)), np.stack((good, bad_rhs(y))))
-    smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
+    smp = helpers.complete_pass(problem, m0, h0, t_max=1.0, dt=0.01)
     states = np.concatenate((smp.V.reshape(-1, 9), smp.lambdas), axis=1)
     bad_slopes = np.stack([bad_rhs(y) for y in states])
     smp.rows_at(problem, [0.5])
@@ -291,14 +291,14 @@ def test_multiplier_rhs_rejects_singular_gauge():
 def test_multiplier_rhs_matches_finite_differences():
     problem, m0, h0 = su3_drifting_instance()
     dt = 1e-3
-    traj = integrate(problem, m0, h0, t_max=1.0, dt=dt)
+    smp = helpers.complete_pass(problem, m0, h0, t_max=1.0, dt=dt)
     # the multipliers genuinely move on this instance
-    assert np.abs(traj.lambdas - traj.lambdas[0]).max() > 0.1
+    assert np.abs(smp.lambdas - smp.lambdas[0]).max() > 0.1
     F0 = m0.lambda0 * (h0 + g_operator(m0, problem.basis, problem.forbidden))
     worst = 0.0
-    for k in range(1, traj.n_samples - 1, 97):
-        dlams = multiplier_rates(problem, traj.lambda0[k], traj.lambdas[k], traj.V[k], F0)
-        fd = (traj.lambdas[k + 1] - traj.lambdas[k - 1]) / (2.0 * dt)
+    for k in range(1, smp.times.size - 1, 97):
+        dlams = multiplier_rates(problem, smp.lambda0[k], smp.lambdas[k], smp.V[k], F0)
+        fd = (smp.lambdas[k + 1] - smp.lambdas[k - 1]) / (2.0 * dt)
         worst = max(worst, float(np.abs(dlams - fd).max()))
     assert worst <= 1e-6
 
@@ -331,14 +331,15 @@ def test_integrate_free_problem_is_exact_exponential():
     basis = build_gellmann_basis(2)
     problem = ControlProblem(basis=basis, psi_i=helpers.KET0, omega=omega)
     h0 = omega * SY
-    traj = integrate(problem, MultiplierVector(1.0, []), h0, t_max=1.2, dt=1e-3)
+    smp = helpers.complete_pass(problem, MultiplierVector(1.0, []), h0, t_max=1.2, dt=1e-3)
+    traj = smp.trajectory(problem)
     worst = max(
         float(np.linalg.norm(traj.U[k] - helpers.expm_herm(h0, t)))
         for k, t in enumerate(traj.times)
     )
     assert worst <= 1e-8
     # the frame never moves and H stays at the seed
-    np.testing.assert_allclose(traj.V, np.broadcast_to(np.eye(2), traj.V.shape), atol=1e-12)
+    np.testing.assert_allclose(smp.V, np.broadcast_to(np.eye(2), smp.V.shape), atol=1e-12)
     np.testing.assert_allclose(traj.H, np.broadcast_to(h0, traj.H.shape), atol=1e-10)
 
 
@@ -384,13 +385,14 @@ def test_integrate_multiplier_rescale_leaves_motion_invariant():
     problem, m0, h0 = su3_drifting_instance()
     c = 3.7
     scaled = MultiplierVector(c * m0.lambda0, c * np.asarray(m0.lambdas))
-    a = integrate(problem, m0, h0, t_max=0.5, dt=1e-3)
-    b = integrate(problem, scaled, h0, t_max=0.5, dt=1e-3)
+    a_pass = helpers.complete_pass(problem, m0, h0, t_max=0.5, dt=1e-3)
+    b_pass = helpers.complete_pass(problem, scaled, h0, t_max=0.5, dt=1e-3)
+    a, b = a_pass.trajectory(problem), b_pass.trajectory(problem)
     assert float(np.abs(a.H - b.H).max()) <= 1e-10
     assert float(np.abs(a.U - b.U).max()) <= 1e-10
     np.testing.assert_allclose(b.lambda0, c * a.lambda0, rtol=1e-9)
     # gauge time compensates the rescaling
-    np.testing.assert_allclose(b.tau_acc, a.tau_acc / c, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(b_pass.tau_acc, a_pass.tau_acc / c, rtol=1e-9, atol=1e-12)
 
 
 def test_integrate_rejects_bad_input():
@@ -435,7 +437,7 @@ def test_exact_and_stepped_passes_of_one_rate_take_the_same_grid(t_max, dt, monk
     grids = []
     for seed in (90, 7):
         problem, h0, m0 = helpers.su4_shoot_seed(seed)
-        last = list(dynamics.integrate_blocks(problem, m0, h0, t_max=t_max, dt=dt))[-1]
+        last = helpers.complete_pass(problem, m0, h0, t_max=t_max, dt=dt)
         assert (last.slopes is None) == (seed == 90)
         grids.append(last.times)
     np.testing.assert_array_equal(grids[0], grids[1])
@@ -467,7 +469,7 @@ def test_checkpoint_holds_the_frame_to_the_validation_bound(monkeypatch):
     # 1e-8 that Trajectory validation puts on U
     problem, h0, m0 = helpers.su4_shoot_seed(7)
     strong = MultiplierVector(1.0, 30.0 * m0.lambdas)
-    last = list(dynamics.integrate_blocks(problem, strong, h0, t_max=5.0))[-1]
+    last = helpers.complete_pass(problem, strong, h0, t_max=5.0)
     V = last.V
     drift = np.linalg.norm(V.conj().swapaxes(1, 2) @ V - np.eye(4), axis=(1, 2)).max()
     assert drift <= 1e-8
@@ -509,14 +511,15 @@ def test_integrate_commuting_forbidden_set_is_exact():
     assert not helpers.commutator_tensor(problem.basis, problem.forbidden).any()
     sol = shoot(problem, h0, m0, t_max=3.0)
     h0, m0 = sol.H0, sol.multipliers0
-    traj = integrate(problem, m0, h0, t_max=3.0)
+    smp = helpers.complete_pass(problem, m0, h0, t_max=3.0)
+    traj = smp.trajectory(problem)
     assert np.all(traj.lambda0 == m0.lambda0)
     assert np.all(traj.lambdas == m0.lambdas)
-    np.testing.assert_array_equal(traj.tau_acc, traj.times / m0.lambda0)
+    np.testing.assert_array_equal(smp.tau_acc, smp.times / m0.lambda0)
     g = g_operator(m0, problem.basis, problem.forbidden)
     worst = max(
-        float(np.linalg.norm(traj.V[k] - helpers.expm_herm(g, -t)))
-        for k, t in enumerate(traj.times)
+        float(np.linalg.norm(smp.V[k] - helpers.expm_herm(g, -t)))
+        for k, t in enumerate(smp.times)
     )
     assert worst <= 1e-12
     report = certify(traj, Tolerances.integrated())
@@ -531,19 +534,21 @@ def test_constant_flow_reproduces_exact_integration():
     # renormalizing them rescales the multipliers but leaves the motion
     # unchanged
     problem, h0, m0 = helpers.su4_shoot_seed(183)
-    traj = integrate(problem, m0, h0, t_max=1.0, dt=1e-3)
+    smp = helpers.complete_pass(problem, m0, h0, t_max=1.0, dt=1e-3)
+    traj = smp.trajectory(problem)
     f0 = m0.lambda0 * (h0 + g_operator(m0, problem.basis, problem.forbidden))
     rows = _constant_rows(problem, m0, traj.times)
+    assert float(np.abs(rows[0] - smp.V).max()) <= 1e-13
     flow = finalize_trajectory(problem, traj.times, rows, f0)
     assert not flow.renormalized
-    for name in ("V", "U", "H", "F", "psi"):
+    for name in ("U", "H", "F", "psi"):
         gap = float(np.abs(getattr(flow, name) - getattr(traj, name)).max())
         assert gap <= 1e-13, name
     c = 2.5
     rescaled = finalize_trajectory(problem, traj.times, rows, f0, renormalized=c)
     assert rescaled.renormalized
     np.testing.assert_array_equal(rescaled.lambda0, m0.lambda0 / c)
-    for name in ("V", "U", "H", "psi"):
+    for name in ("U", "H", "psi"):
         gap = float(np.abs(getattr(rescaled, name) - getattr(traj, name)).max())
         assert gap <= 1e-13, name
     assert float(np.abs(rescaled.F - traj.F / c).max()) <= 1e-13
@@ -706,7 +711,7 @@ def test_batched_at_matches_scalar_calls(seed):
     # ends of the window and between samples, for the observables, the
     # rows and the state vectors
     problem, h0, m0 = helpers.su4_shoot_seed(seed)
-    smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
+    smp = helpers.complete_pass(problem, m0, h0, t_max=1.0, dt=0.01)
     assert (smp.slopes is None) == (seed == 90)
     rng = np.random.default_rng(seed)
     times = np.concatenate((smp.times[[0, 1, 37, -2, -1]], np.sort(rng.uniform(0.0, 1.0, 276))))
@@ -731,7 +736,7 @@ def test_state_vectors_give_the_matrix_endpoint_scalar(seed):
     # psi stacks on every sample of the pass of a pool seed
     problem, h0, m0 = helpers.su4_shoot_seed(seed)
     h0, m0 = solvers._project_seed(problem, h0, m0)
-    smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=3.0))[-1]
+    smp = helpers.complete_pass(problem, m0, h0, t_max=3.0)
     rows = (smp.V, smp.lambda0, smp.lambdas, smp.tau_acc)
     psi, hpsi, fpsi = dynamics._state_vectors(problem, rows, smp.F0_eig)
     _, F, H, psi_ref = dynamics._observables(problem, *rows, smp.F0, smp.F0_eig)
@@ -757,7 +762,7 @@ def test_hermite_rows_agree_with_one_rk6_step(case):
     # on samples, between them and at both ends of the window: at dt =
     # 0.01 the two agree to rounding
     problem, m0, h0 = stepped_instance(case)
-    smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
+    smp = helpers.complete_pass(problem, m0, h0, t_max=1.0, dt=0.01)
     rhs = stepped_rhs(smp.F0, problem.forbidden_generators(), smp.lambda0[0])
     rng = np.random.default_rng(4)
     times = np.concatenate((smp.times[[0, 1, 37, -2, -1]], np.sort(rng.uniform(0.0, 1.0, 276))))
@@ -777,7 +782,7 @@ def test_dense_output_on_a_sample_is_the_sample(case):
     # the interpolation weights are exactly 0 and 1 on the nodes, so the
     # rows on the pass's own times are its samples bit for bit
     problem, m0, h0 = stepped_instance(case)
-    smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
+    smp = helpers.complete_pass(problem, m0, h0, t_max=1.0, dt=0.01)
     V, lam0, lams, tau = smp.rows_at(problem, smp.times)
     assert V.tobytes() == np.ascontiguousarray(smp.V).tobytes()
     assert lams.tobytes() == np.ascontiguousarray(smp.lambdas).tobytes()
@@ -791,7 +796,7 @@ def test_dense_output_matches_the_node_by_node_weights(case):
     # the double loop over the nodes gives the same rows to rounding, on
     # samples, between them and at both ends of the window
     problem, m0, h0 = stepped_instance(case)
-    smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
+    smp = helpers.complete_pass(problem, m0, h0, t_max=1.0, dt=0.01)
     rng = np.random.default_rng(5)
     times = np.concatenate((smp.times[[0, 1, 37, -2, -1]], np.sort(rng.uniform(0.0, 1.0, 276))))
     V, _, lams, _ = smp.rows_at(problem, times)
@@ -806,7 +811,7 @@ def test_dense_output_is_c1_across_samples(case):
     # the interpolant from the left and from the right both give the
     # stored slope: no jump for certify's differences to see
     problem, m0, h0 = stepped_instance(case)
-    smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
+    smp = helpers.complete_pass(problem, m0, h0, t_max=1.0, dt=0.01)
     t, e = smp.times[1:-1], 1e-6
 
     def y(times):
@@ -832,7 +837,7 @@ def test_dense_output_error_falls_2_6_per_halving(case, monkeypatch):
     monkeypatch.setattr(dynamics, "_STEP_PER_RATE", math.inf)
     errs = []
     for n in (5, 10, 20):
-        fine = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=1.0 / (4 * n)))[-1]
+        fine = helpers.complete_pass(problem, m0, h0, t_max=1.0, dt=1.0 / (4 * n))
         assert fine.n_steps == 4 * n
         rows = (fine.times, fine.V, fine.lambda0, fine.lambdas, fine.tau_acc)
         coarse = dynamics.PassSamples(
@@ -848,7 +853,7 @@ def test_dense_output_of_a_pass_at_rest_is_its_sample():
     # formed as the nearest sample plus a correction: on equal samples with
     # zero slopes it is that sample exactly, at any time
     problem, h0, m0 = helpers.su4_shoot_seed(7)
-    smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
+    smp = helpers.complete_pass(problem, m0, h0, t_max=1.0, dt=0.01)
     rest = smp._replace(
         V=np.broadcast_to(smp.V[37], smp.V.shape),
         lambdas=np.broadcast_to(smp.lambdas[37], smp.lambdas.shape),
@@ -871,7 +876,7 @@ def test_rows_at_evaluates_no_right_hand_side(monkeypatch):
 
     monkeypatch.setattr(dynamics, "stepped_rhs", counted)
     problem, h0, m0 = helpers.su4_shoot_seed(7)
-    smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
+    smp = helpers.complete_pass(problem, m0, h0, t_max=1.0, dt=0.01)
     n = smp.n_steps
     pass_calls = 1 + 7 * min(n, 7) + 2 * max(n - 7, 0)
     assert n > 7 and len(calls) == pass_calls
@@ -900,7 +905,7 @@ def test_cross_check_reads_only_the_h_samples(seed, monkeypatch):
     # H and U samples: it evaluates no row of the pass, and builds no U,
     # F, H or psi of its own
     problem, h0, m0 = helpers.su4_shoot_seed(seed)
-    smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
+    smp = helpers.complete_pass(problem, m0, h0, t_max=1.0, dt=0.01)
     traj = smp.trajectory(problem)
     calls = []
     u_defect = verify._u_defect
@@ -932,7 +937,7 @@ def test_perturbed_pass_sample_fails_the_cross_check(seed):
     # knocked off the flow (a unitary rotation of one frame, which keeps
     # the trajectory valid) shows up in u_defect
     problem, h0, m0 = helpers.su4_shoot_seed(seed)
-    smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=1.0, dt=0.01))[-1]
+    smp = helpers.complete_pass(problem, m0, h0, t_max=1.0, dt=0.01)
     tol = Tolerances.integrated().u_mismatch
     assert certify(smp.trajectory(problem)).u_defect <= 1e-9
     V = smp.V.copy()
@@ -959,7 +964,7 @@ def test_rk6_step_matches_the_hand_expanded_stages():
     # the tableau products of rk6_step give the step the seven stages
     # written out by hand give, to rounding, from states along seed 7's pass
     problem, h0, m0 = helpers.su4_shoot_seed(7)
-    smp = list(dynamics.integrate_blocks(problem, m0, h0, t_max=3.0))[-1]
+    smp = helpers.complete_pass(problem, m0, h0, t_max=3.0)
     n2 = problem.dim**2
     rhs = stepped_rhs(smp.F0, problem.forbidden_generators(), m0.lambda0)
     h = float(smp.times[1])
@@ -979,7 +984,7 @@ def test_integrate_non_commuting_su4_is_sixth_order(seed):
     # steps coarser than a pass's own, whose errors stay well above rounding
     problem, h0, m0 = helpers.su4_shoot_seed(seed)
     assert not is_closed_subalgebra(problem.basis, problem.forbidden)[0]
-    ref = integrate(problem, m0, h0, t_max=1.0, dt=0.005).V[-1]
+    ref = helpers.complete_pass(problem, m0, h0, t_max=1.0, dt=0.005).V[-1]
     f0 = m0.lambda0 * (h0 + g_operator(m0, problem.basis, problem.forbidden))
     rhs = stepped_rhs(f0, problem.forbidden_generators(), m0.lambda0)
     errs = []
@@ -1085,9 +1090,9 @@ def test_trajectory_round_trip_is_exact():
      ("renormalized", lambda d: d.update(renormalized=0)),
      ("times", lambda d: d.update(times=["0.0"] + d["times"][1:])),
      ("lambdas", lambda d: d.update(lambdas=[[True]] + d["lambdas"][1:])),
-     ("V", lambda d: d["V"][0][0][0].__setitem__(0, True))],
+     ("U", lambda d: d["U"][0][0][0].__setitem__(0, True))],
     ids=["omega-string", "dimension-string", "renormalized-string", "renormalized-number",
-         "times-string", "lambdas-boolean", "V-boolean"],
+         "times-string", "lambdas-boolean", "U-boolean"],
 )
 def test_trajectory_from_dict_refuses_a_value_of_the_wrong_json_type(field, edit):
     # float(), bool() and a float array conversion would read each of these
@@ -1137,7 +1142,7 @@ def test_trajectory_rejects_tampered_data():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize(
-    "field", ["U", "psi", "V", "H", "F", "times", "lambda0", "lambdas", "tau_acc"]
+    "field", ["U", "psi", "H", "F", "times", "lambda0", "lambdas"]
 )
 def test_trajectory_rejects_non_finite_samples(field, bad):
     # each field is named, at N = 2 and N = 4; every entry of F is checked,

@@ -261,7 +261,7 @@ def test_analytic_dt_is_a_cap_on_the_certified_step():
     sol = solve_two_qubit_example(np.pi / 2, 10.0, dt=1e-2)
     ref = solve_two_qubit_example(np.pi / 2, 10.0)
     assert sol.report.passed
-    for name in ("times", "V", "U", "H", "F", "psi", "lambdas", "tau_acc"):
+    for name in ("times", "U", "H", "F", "psi", "lambdas"):
         np.testing.assert_array_equal(getattr(sol.trajectory, name), getattr(ref.trajectory, name))
     coarse = solve_free(helpers.KET0, helpers.KET1, omega=1.0, dt=1.0)
     np.testing.assert_array_equal(
@@ -532,13 +532,16 @@ def test_m1_trajectory_renormalization_gauge():
 
 
 def test_m1_trajectory_frame_is_the_sigma_z_phase():
-    # V(t) = e^{i lambda1 sigma_z t} is diagonal; the flow samples it from G
+    # V(t) = e^{i lambda1 sigma_z t} is diagonal; the flow that m1_trajectory
+    # finalizes samples it from G on the trajectory's grid
     lam1 = 2.7
     traj = m1_trajectory(lam1, 0.8, 10.0, renormalize=True)
-    expected = np.zeros_like(traj.V)
+    problem = helpers.m1_problem(10.0)
+    V = dynamics._constant_rows(problem, MultiplierVector(1.0, [lam1]), traj.times)[0]
+    expected = np.zeros_like(V)
     expected[:, 0, 0] = np.exp(1j * lam1 * traj.times)
     expected[:, 1, 1] = np.exp(-1j * lam1 * traj.times)
-    assert float(np.abs(traj.V - expected).max()) <= 1e-15
+    assert float(np.abs(V - expected).max()) <= 1e-15
 
 
 def test_m1_boundary_round_trip():
@@ -1015,7 +1018,7 @@ def test_shoot_default_pass_steps_at_the_flow_rate(seed):
     # so it changes nothing
     problem, h0, m0 = helpers.su4_shoot_seed(seed)
     H0, m = solvers._project_seed(problem, h0, m0)
-    n_steps = list(dynamics.integrate_blocks(problem, m, H0, t_max=3.0))[-1].n_steps
+    n_steps = helpers.complete_pass(problem, m, H0, t_max=3.0).n_steps
     assert n_steps < 3000
     fine = shoot(problem, h0, m0, t_max=3.0, dt=1e-3)
     sol = shoot(problem, h0, m0, t_max=3.0)
@@ -1136,10 +1139,10 @@ def test_shoot_trajectory_matches_integrate_on_its_grid(seed):
     ref = dynamics.integrate(problem, sol.multipliers0, sol.H0, sol.T, sol.T / (j * n))
     assert ref.n_samples == j * n + 1
     np.testing.assert_allclose(ref.times[::j], traj.times, rtol=0.0, atol=1e-15 * sol.T)
-    for name in ("V", "U", "H", "F", "psi", "lambda0", "lambdas", "tau_acc"):
+    for name in ("U", "H", "F", "psi", "lambda0", "lambdas"):
         got, want = getattr(traj, name), getattr(ref, name)[::j]
         assert float(np.abs(got - want).max()) <= 1e-12 * float(np.abs(want).max()), name
-    names = ("times", "V", "U", "H", "F", "psi", "lambda0", "lambdas", "tau_acc")
+    names = ("times", "U", "H", "F", "psi", "lambda0", "lambdas")
     sub = Trajectory(**{name: getattr(ref, name)[::j] for name in names}, omega=ref.omega,
                      basis=ref.basis, forbidden=ref.forbidden)
     assert abs(sol.report.u_defect - certify(sub).u_defect) <= 1e-12
@@ -1583,5 +1586,5 @@ def test_serialized_arrays_are_copies():
     np.testing.assert_array_equal(traj.U, U)
     np.testing.assert_array_equal(sol.H0, H0)
     back = Trajectory.from_dict(traj.to_dict())
-    for name in ("times", "V", "U", "H", "F", "psi", "lambda0", "lambdas", "tau_acc"):
+    for name in ("times", "U", "H", "F", "psi", "lambda0", "lambdas"):
         np.testing.assert_array_equal(getattr(back, name), getattr(traj, name), err_msg=name)

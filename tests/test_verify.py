@@ -105,7 +105,7 @@ def test_a_document_of_fewer_than_seven_samples_is_refused(m1_traj, K):
     # seven samples are the stencil of the sixth-order differences, so a
     # document of fewer is invalid input, refused by the validation
     data = m1_traj.to_dict()
-    for key in ("times", "lambda0", "lambdas", "tau_acc", "psi", "V", "U", "H", "F"):
+    for key in ("times", "lambda0", "lambdas", "psi", "U", "H", "F"):
         data[key] = data[key][:K]
     with pytest.raises(ValueError, match=f"at least 7 samples, got {K}$"):
         Trajectory.from_dict(data)
